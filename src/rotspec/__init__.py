@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .lattice import (
     Lattice,
     LatticeError,
-    Mode,
     SemigroupTable,
     build_lattice,
     rationalize_period,
@@ -22,6 +21,7 @@ from .lattice import (
 )
 from .fields import (
     SpectralField,
+    advect,
     apply_A_power,
     apply_S,
     apply_expS,
@@ -42,7 +42,6 @@ from .spoly import (
     Phase,
     SPoly,
     SSPoly,
-    ScalarSPoly,
     antiderivative,
     apply_expS_spoly,
     bilinear_spoly,
@@ -68,7 +67,6 @@ from .expansion import (
     expand,
     fit_decay_rate,
     fit_log_slope,
-    omega_sweep_average,
     remainder_rate,
     time_average_Q,
     to_u_expansion,

@@ -11,6 +11,7 @@ machine-readable JSON on stderr with exit codes 0 (ok), 2 (config), 3
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -190,15 +191,25 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
     return path
 
 
-def _write_text(path: Optional[str], text: str):
+@contextlib.contextmanager
+def _output(path: Optional[str], newline: Optional[str] = None):
+    """Stream for an --out path (stdout for "-"); a path that cannot be
+    opened for writing is a config error."""
     path = _resolve_out(path)
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", newline=newline)
+    except OSError as e:
+        raise CliError(EXIT_CONFIG, "config", f"cannot write output: {e}")
+    with fh:
+        yield fh
+
+
+def _write_text(path: Optional[str], text: str):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _stamp(doc: dict, cfg: Optional[dict]) -> dict:
@@ -240,8 +251,7 @@ def cmd_simulate(args) -> int:
     if not np.isfinite(traj.coeffs).all():
         raise CliError(EXIT_NUMERICAL, "numerical", "trajectory contains NaN/Inf")
     gevrey = [tuple(g) for g in cfg.get("output", {}).get("gevrey_norms", [])]
-    path = _resolve_out(args.out)
-    with open(path, "w") as fh:
+    with _output(args.out) as fh:
         trajectory_to_jsonl(traj, fh, config_doc=cfg, version=__version__,
                             gevrey=gevrey)
     return EXIT_OK
@@ -388,15 +398,10 @@ def cmd_helicity(args) -> int:
     if traj.form == "v":
         traj = transform_trajectory(traj, "u")
     rows = [(float(t), helicity(traj.field(i))) for i, t in enumerate(traj.times)]
-    path = _resolve_out(args.out)
-    stream = sys.stdout if path in (None, "-") else open(path, "w", newline="")
-    try:
+    with _output(args.out, newline="") as stream:
         w = csv.writer(stream)
         w.writerow(["t", "helicity"])
         w.writerows(rows)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_OK
 
 
@@ -436,9 +441,7 @@ def cmd_report(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(EXIT_CONFIG, "config", f"cannot read report: {e}")
-    path = _resolve_out(args.out)
-    stream = sys.stdout if path in (None, "-") else open(path, "w", newline="")
-    try:
+    with _output(args.out, newline="") as stream:
         w = csv.writer(stream)
         if "series" in doc:
             cols = doc["series"].get("remainder", [])
@@ -453,9 +456,6 @@ def cmd_report(args) -> int:
         else:
             raise CliError(EXIT_CONFIG, "config",
                            "report is neither an expansion nor a sweep report")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_OK
 
 

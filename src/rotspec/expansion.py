@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .lattice import Lattice, SemigroupTable, semigroup_table
-from .fields import SpectralField, _rotate_coeffs, _gevrey_weights, convolve_advect
+from .fields import SpectralField, _gevrey_norms, advect
 from .spoly import SPoly, antiderivative, apply_expS_spoly, bilinear_spoly, ode_solve
 from .solver import Trajectory
 
@@ -43,7 +43,6 @@ __all__ = [
     "fit_decay_rate",
     "to_u_expansion",
     "time_average_Q",
-    "omega_sweep_average",
 ]
 
 
@@ -69,17 +68,6 @@ class FitPolicy:
             (t0 + 0.50 * span, t0 + 0.70 * span),
             (t0 + 0.70 * span, t0 + 0.90 * span),
         )
-
-
-def _b_omega_raw(lat: Lattice, t: float, X: np.ndarray, Y: np.ndarray,
-                 omega: float) -> np.ndarray:
-    """Rotated projected advection on raw coefficient arrays (real-paired)."""
-    theta = -omega * lat.kt3 * t
-    cu = _rotate_coeffs(lat, X, theta)
-    cv = _rotate_coeffs(lat, Y, theta)
-    raw = convolve_advect(lat, cu, cv, assume_real_pairing=True)
-    c = np.einsum("mij,mj->mi", lat.proj, raw)
-    return _rotate_coeffs(lat, c, -theta)
 
 
 class Expansion:
@@ -214,8 +202,8 @@ def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
     g = np.zeros((R, len(shell), 3), dtype=complex)
     for i in range(R):
         t = float(ts[i])
-        acc = _b_omega_raw(lat, t, r[i], v[i], exp.omega)
-        acc += _b_omega_raw(lat, t, s_eval[i], r[i], exp.omega)
+        acc = advect(lat, r[i], v[i], t, exp.omega)
+        acc += advect(lat, s_eval[i], r[i], t, exp.omega)
         g[i] = -emu[i] * acc[shell]
     # symbolic pairs of earlier orders whose combined rate exceeds mu
     for a in range(exp.n_orders):
@@ -296,6 +284,15 @@ def verify_expansion_system(exp: Expansion) -> dict:
     return {"per_order": per_order, "max_residual": max(per_order) if per_order else 0.0}
 
 
+def _lstsq_cov(X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of X c = y and their covariance from the residual."""
+    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ coef
+    dof = max(len(y) - X.shape[1], 1)
+    cov = np.linalg.inv(X.T @ X) * float(resid @ resid) / dof
+    return coef, cov
+
+
 def fit_log_slope(t: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
     """Least-squares decay rate of y ~ C exp(-s t); returns (s, half width).
 
@@ -308,11 +305,7 @@ def fit_log_slope(t: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
     t, y = t[mask], y[mask]
     if len(t) < 3:
         raise ValueError("need at least 3 positive samples for a rate fit")
-    X = np.column_stack([np.ones_like(t), -t])
-    coef, *_ = np.linalg.lstsq(X, np.log(y), rcond=None)
-    resid = np.log(y) - X @ coef
-    dof = max(len(t) - 2, 1)
-    cov = np.linalg.inv(X.T @ X) * float(resid @ resid) / dof
+    coef, cov = _lstsq_cov(np.column_stack([np.ones_like(t), -t]), np.log(y))
     return float(coef[1]), 2.0 * float(np.sqrt(cov[1, 1]))
 
 
@@ -329,11 +322,7 @@ def fit_decay_rate(t: np.ndarray, y: np.ndarray) -> dict:
     t, y = t[mask], y[mask]
     if len(t) < 4:
         raise ValueError("need at least 4 positive samples for a rate fit")
-    X = np.column_stack([np.ones_like(t), -t, np.log(t)])
-    coef, *_ = np.linalg.lstsq(X, np.log(y), rcond=None)
-    resid = np.log(y) - X @ coef
-    dof = max(len(t) - 3, 1)
-    cov = np.linalg.inv(X.T @ X) * float(resid @ resid) / dof
+    coef, cov = _lstsq_cov(np.column_stack([np.ones_like(t), -t, np.log(t)]), np.log(y))
     plain, plain_half = fit_log_slope(t, y)
     return {
         "slope": float(coef[1]),
@@ -360,9 +349,7 @@ def remainder_rate(exp: Expansion, traj: Trajectory, order: int,
     lat = exp.lattice
     ts = traj.times
     rem = traj.coeffs - exp.partial_sum_coeffs(ts, order)
-    w = _gevrey_weights(lat, alpha, sigma)
-    sq = np.einsum("rmc,rmc->rm", rem, np.conj(rem)).real
-    norms = np.sqrt(lat.volume * (sq @ w))
+    norms = _gevrey_norms(lat, rem, alpha, sigma)
 
     sq0 = np.einsum("mc,mc->", traj.coeffs[0], np.conj(traj.coeffs[0])).real
     norm0 = float(np.sqrt(lat.volume * sq0))
@@ -410,21 +397,3 @@ def time_average_Q(q: SPoly, T: float) -> SPoly:
         raise ValueError("averaging window must be positive")
     F = antiderivative(q)
     return (F.time_shift(T) - F).scale(1.0 / T)
-
-
-def omega_sweep_average(xi: SpectralField, omegas: Sequence[float], T: float,
-                        t: float = 0.0) -> dict:
-    """L2 size of the averaged leading coefficient across rotation rates.
-
-    For each rate the leading coefficient Q_1(t) = exp(-Omega t S) xi is
-    averaged over a window of length T and its norm taken at time t.
-    Components with vertical wavenumber zero are untouched by the wave
-    group, so their contribution is rate-independent; the rest shrinks like
-    the averaged rotation.
-    """
-    norms = []
-    for om in omegas:
-        Q1 = apply_expS_spoly(SPoly.from_field(xi), -float(om))
-        avg = time_average_Q(Q1, T)
-        norms.append(avg.evaluate(t).norm())
-    return {"omega": [float(o) for o in omegas], "norm": norms, "T": float(T), "t": float(t)}

@@ -11,39 +11,33 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import Lattice, build_lattice
+from .lattice import Lattice
 
 __all__ = [
-    "GevreyIndex",
     "SpectralField",
     "random_gevrey",
     "leray_project",
     "gevrey_norm",
     "inner",
     "apply_A_power",
-    "apply_exp_sqrtA",
     "apply_S",
     "apply_expS",
+    "advect",
     "bilinear_B",
     "bilinear_B_omega",
     "eigen_restrict",
     "low_pass",
+    "field_to_doc",
+    "field_from_doc",
     "field_to_json",
     "field_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class GevreyIndex:
-    alpha: float = 0.0
-    sigma: float = 0.0
 
 
 class SpectralField:
@@ -126,6 +120,14 @@ def _gevrey_weights(lattice: Lattice, alpha: float, sigma: float) -> np.ndarray:
     return w
 
 
+def _gevrey_norms(lattice: Lattice, coeffs: np.ndarray, alpha: float = 0.0,
+                  sigma: float = 0.0) -> np.ndarray:
+    """gevrey_norm of each zero-mean sample of an (R,M,3) coefficient stack."""
+    w = _gevrey_weights(lattice, alpha, sigma)
+    sq = np.einsum("rmc,rmc->rm", coeffs, np.conj(coeffs)).real
+    return np.sqrt(lattice.volume * (sq @ w))
+
+
 def gevrey_norm(u: SpectralField, alpha: float = 0.0, sigma: float = 0.0) -> float:
     """|A^alpha exp(sigma*A^(1/2)) u| with the volume-weighted Parseval sum.
 
@@ -157,11 +159,6 @@ def apply_A_power(u: SpectralField, alpha: float) -> SpectralField:
     return SpectralField(u.lattice, c)
 
 
-def apply_exp_sqrtA(u: SpectralField, sigma: float) -> SpectralField:
-    c = u.coeffs * np.exp(sigma * np.sqrt(u.lattice.lam_f))[:, None]
-    return SpectralField(u.lattice, c, u.mean)
-
-
 _J_VERT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
@@ -186,42 +183,41 @@ def apply_expS(u: SpectralField, t: float) -> SpectralField:
 
 # -- bilinear form ----------------------------------------------------------
 
-def _conv_pairs(lattice: Lattice):
-    """Index triples (m, j, out) with k_m + k_j = k_out, all retained.  Cached."""
-    cached = getattr(lattice, "_conv_pairs", None)
-    if cached is not None:
-        return cached
-    im, ij, io = [], [], []
-    index = lattice.mode_index
-    ks = lattice.ks
-    for a in range(lattice.n_modes):
-        ka = ks[a]
-        for b in range(lattice.n_modes):
-            ko = (int(ka[0] + ks[b, 0]), int(ka[1] + ks[b, 1]), int(ka[2] + ks[b, 2]))
-            o = index.get(ko)
-            if o is not None:
-                im.append(a)
-                ij.append(b)
-                io.append(o)
-    pairs = (np.array(im, dtype=int), np.array(ij, dtype=int), np.array(io, dtype=int))
-    lattice._conv_pairs = pairs
-    return pairs
+def _triads(lattice: Lattice):
+    """Index triples (m, j, out) with k_m + k_j = k_out, all on the lattice.
 
-
-def _conv_plan(lattice: Lattice, rep_only: bool):
-    """Row-sorted pair structure for the direct convolution.  Cached per lattice.
-
-    rep_only keeps pairs whose output is a representative mode; valid when
-    both inputs obey the conjugate pairing, with the other half mirrored.
+    Ordered by m, then j.  Each row m is one table lookup vectorised over j:
+    wave vectors are encoded as integers into a membership table over the
+    box holding every pairwise sum.
     """
-    attr = "_conv_plan_rep" if rep_only else "_conv_plan_full"
-    cached = getattr(lattice, attr, None)
+    ks = lattice.ks
+    span = 2 * int(np.abs(ks).max())
+    base = 2 * span + 1
+
+    def code(k):
+        k = k + span
+        return (k[:, 0] * base + k[:, 1]) * base + k[:, 2]
+
+    index = np.full(base ** 3, -1, dtype=int)
+    index[code(ks)] = np.arange(lattice.n_modes)
+    im, ij, io = [], [], []
+    for a in range(lattice.n_modes):
+        out = index[code(ks + ks[a])]
+        j = np.flatnonzero(out >= 0)
+        im.append(np.full(len(j), a, dtype=int))
+        ij.append(j)
+        io.append(out[j])
+    return np.concatenate(im), np.concatenate(ij), np.concatenate(io)
+
+
+def _conv_plan(lattice: Lattice):
+    """Row-sorted pairs whose output is a representative mode.  Cached per lattice."""
+    cached = getattr(lattice, "_conv_plan", None)
     if cached is not None:
         return cached
-    im, ij, io = _conv_pairs(lattice)
-    if rep_only:
-        keep = lattice.rep_mask[io]
-        im, ij, io = im[keep], ij[keep], io[keep]
+    im, ij, io = _triads(lattice)
+    keep = lattice.rep_mask[io]
+    im, ij, io = im[keep], ij[keep], io[keep]
     order = np.argsort(io, kind="stable")
     im, ij, io = im[order], ij[order], io[order]
     plan = (
@@ -230,47 +226,55 @@ def _conv_plan(lattice: Lattice, rep_only: bool):
         lattice.kcheck[io],  # gather of the output wave vectors, (P,3)
         np.r_[0, np.cumsum(np.bincount(io, minlength=lattice.n_modes))],
     )
-    setattr(lattice, attr, plan)
+    lattice._conv_plan = plan
     return plan
 
 
-def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray,
-                    assume_real_pairing: bool = False) -> np.ndarray:
+def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Raw advection coefficients of (u.grad)v, truncated to the lattice.
 
-    Zero-mean inputs; returns the un-projected (M,3) array
+    Zero-mean, real-paired inputs; returns the un-projected (M,3) array
     b_k = sum_{m+j=k} i (U_m . kcheck_k) V_j, accumulated as a sparse
-    matrix-vector product over the precomputed pair list.  With
-    assume_real_pairing the sum runs over representative outputs only and
-    the conjugate half is mirrored (exact when U, V are real-paired).
+    matrix-vector product over the representative outputs, with the
+    conjugate half mirrored.
     """
-    im, ij, kc, indptr = _conv_plan(lattice, assume_real_pairing)
+    im, ij, kc, indptr = _conv_plan(lattice)
     M = lattice.n_modes
     dots = (U[im] * kc).sum(axis=1)
     S = sp.csr_matrix((dots, ij, indptr), shape=(M, M))
     out = 1j * (S @ V)
-    if assume_real_pairing:
-        rep = lattice.rep_mask
-        out[lattice.conj_idx[rep]] = np.conj(out[rep])
+    rep = lattice.rep_mask
+    out[lattice.conj_idx[rep]] = np.conj(out[rep])
     return out
+
+
+def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
+           t: float = 0.0, omega: float = 0.0) -> np.ndarray:
+    """Rotated, projected advection exp(Omega t S) B(exp(-Omega t S)X, exp(-Omega t S)Y).
+
+    B(x, y) = P (x.grad) y on the Galerkin set.  Operates on (M,3)
+    coefficient arrays, which must obey the conjugate pairing
+    X(-k) = conj(X(k)) (every field the package builds does): only the
+    representative half of the product is computed.  With omega == 0 no
+    rotation is applied; when Y is X the input is rotated once.
+    """
+    if omega == 0.0:
+        return np.einsum("mij,mj->mi", lattice.proj, convolve_advect(lattice, X, Y))
+    theta = -omega * lattice.kt3 * t
+    Xr = _rotate_coeffs(lattice, X, theta)
+    Yr = Xr if Y is X else _rotate_coeffs(lattice, Y, theta)
+    b = np.einsum("mij,mj->mi", lattice.proj, convolve_advect(lattice, Xr, Yr))
+    return _rotate_coeffs(lattice, b, -theta)
 
 
 def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     """Leray-projected advection B(u, v) = P (u.grad) v on the Galerkin set."""
-    raw = convolve_advect(u.lattice, u.coeffs, v.coeffs)
-    c = np.einsum("mij,mj->mi", u.lattice.proj, raw)
-    return SpectralField(u.lattice, c)
+    return SpectralField(u.lattice, advect(u.lattice, u.coeffs, v.coeffs))
 
 
 def bilinear_B_omega(t: float, u: SpectralField, v: SpectralField, omega: float) -> SpectralField:
     """Rotated bilinear form exp(Omega t S) B(exp(-Omega t S)u, exp(-Omega t S)v)."""
-    lat = u.lattice
-    theta = -omega * lat.kt3 * t
-    cu = _rotate_coeffs(lat, u.coeffs, theta)
-    cv = _rotate_coeffs(lat, v.coeffs, theta)
-    raw = convolve_advect(lat, cu, cv)
-    c = np.einsum("mij,mj->mi", lat.proj, raw)
-    return SpectralField(lat, _rotate_coeffs(lat, c, -theta))
+    return SpectralField(u.lattice, advect(u.lattice, u.coeffs, v.coeffs, t, omega))
 
 
 def eigen_restrict(u: SpectralField, lam: Fraction | int | str) -> SpectralField:
@@ -315,27 +319,30 @@ def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,
 
 # -- JSON interchange -------------------------------------------------------
 
-def field_to_json(u: SpectralField) -> str:
-    """One representative per conjugate pair, deterministic order."""
+def field_to_doc(u: SpectralField) -> dict:
+    """One representative per conjugate pair, non-zero modes, lattice order."""
     lat = u.lattice
-    modes = []
-    for i in range(lat.n_modes):
-        if not lat.rep_mask[i]:
-            continue
-        z = u.coeffs[i]
-        if not np.any(z):
-            continue
-        modes.append({
-            "k": [int(c) for c in lat.ks[i]],
-            "re": [float(x) for x in z.real],
-            "im": [float(x) for x in z.imag],
-        })
-    doc = {
+    idx = np.flatnonzero(lat.rep_mask & np.any(u.coeffs != 0, axis=1))
+    z = u.coeffs[idx]
+    return {
         "L": [float(x) for x in lat.L],
-        "mean": [float(x) for x in u.mean],
-        "modes": modes,
+        "mean": u.mean.tolist(),
+        "modes": [{"k": k, "re": re, "im": im} for k, re, im in
+                  zip(lat.ks[idx].tolist(), z.real.tolist(), z.imag.tolist())],
     }
-    return json.dumps(doc, sort_keys=True)
+
+
+def field_from_doc(doc: dict, lattice: Lattice) -> SpectralField:
+    """Inverse of field_to_doc on a given lattice; conjugates filled by pairing."""
+    modes = {
+        tuple(m["k"]): np.array(m["re"], dtype=float) + 1j * np.array(m["im"], dtype=float)
+        for m in doc["modes"]
+    }
+    return SpectralField.from_modes(lattice, modes, mean=doc.get("mean"))
+
+
+def field_to_json(u: SpectralField) -> str:
+    return json.dumps(field_to_doc(u), sort_keys=True)
 
 
 def field_from_json(text: str, lattice: Optional[Lattice] = None) -> SpectralField:
@@ -355,8 +362,4 @@ def field_from_json(text: str, lattice: Optional[Lattice] = None) -> SpectralFie
             lam = sum(qq * int(c) * int(c) for qq, c in zip(q, k))
             cutoff = max(cutoff, lam)
         lattice = Lattice(ell, cutoff)
-    modes = {
-        tuple(int(c) for c in m["k"]): np.array(m["re"], dtype=float) + 1j * np.array(m["im"], dtype=float)
-        for m in doc["modes"]
-    }
-    return SpectralField.from_modes(lattice, modes, mean=doc.get("mean"))
+    return field_from_doc(doc, lattice)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +18,6 @@ TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "Lattice",
-    "Mode",
     "SemigroupTable",
     "build_lattice",
     "stokes_spectrum",
@@ -76,19 +74,6 @@ def rationalize_period(x: float, max_den: int = 1000) -> Fraction:
             "pass the ratio L/(2*pi) as a Fraction instead"
         )
     return r
-
-
-@dataclass(frozen=True)
-class Mode:
-    """A single wave vector with its precomputed spectral data."""
-
-    k: Tuple[int, int, int]
-    lam: Fraction              # |k_check|^2, exact
-    kcheck: np.ndarray         # dual wave vector, float (3,)
-    ktil: np.ndarray           # unit dual vector, float (3,)
-    proj: np.ndarray           # Leray projector I - ktil ktil^T, (3,3)
-    jk: np.ndarray             # cross-product matrix z -> ktil x z, (3,3)
-    index: int
 
 
 def _cross_matrix(u: np.ndarray) -> np.ndarray:
@@ -208,18 +193,6 @@ class Lattice:
                 return False
         return False
 
-    def mode(self, k: Sequence[int]) -> Mode:
-        i = self.mode_index[tuple(int(c) for c in k)]
-        return Mode(
-            k=tuple(int(c) for c in self.ks[i]),
-            lam=self.lam[i],
-            kcheck=self.kcheck[i],
-            ktil=self.ktil[i],
-            proj=self.proj[i],
-            jk=self.jk[i],
-            index=i,
-        )
-
     def shell_indices(self, lam: Fraction) -> np.ndarray:
         """Indices of all modes with the given exact eigenvalue."""
         lam = Fraction(lam)
@@ -278,30 +251,17 @@ class SemigroupTable:
                         fresh.add(z)
             elems |= fresh
             frontier = fresh
-        # closure under sums of *semigroup* elements, not only eigenvalue shifts
-        changed = True
-        while changed:
-            changed = False
-            current = sorted(elems)
-            for x in current:
-                for y in current:
-                    z = x + y
-                    if z <= cap and z not in elems:
-                        elems.add(z)
-                        changed = True
+        # Closed under sums of elements too: every element is a sum of
+        # eigenvalues whose partial sums all stay <= cap, so x + y is reached
+        # from x by adding the eigenvalues of y one at a time.
         self.cap = cap
         self.eigenvalues = base
         self.mu: List[Fraction] = sorted(elems)
         self.index = {m: n for n, m in enumerate(self.mu)}
-        self.decompositions: List[List[Tuple[int, int]]] = []
-        for m in self.mu:
-            pairs = [
-                (i, j)
-                for i, a in enumerate(self.mu)
-                for j, b in enumerate(self.mu)
-                if a + b == m
-            ]
-            self.decompositions.append(pairs)
+        self.decompositions: List[List[Tuple[int, int]]] = [
+            [(i, self.index[m - a]) for i, a in enumerate(self.mu) if m - a in self.index]
+            for m in self.mu
+        ]
 
     def is_eigenvalue(self, mu: Fraction) -> bool:
         return Fraction(mu) in set(self.eigenvalues)

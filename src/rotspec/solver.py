@@ -12,17 +12,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, IO, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .lattice import Lattice, build_lattice
 from .fields import (
     SpectralField,
-    convolve_advect,
+    advect,
+    field_from_doc,
+    field_to_doc,
+    _gevrey_norms,
     _rotate_coeffs,
-    _gevrey_weights,
 )
 
 __all__ = [
@@ -74,26 +76,11 @@ class Trajectory:
         return SpectralField(self.lattice, self.coeffs[i].copy())
 
     def norms(self, alpha: float = 0.0, sigma: float = 0.0) -> np.ndarray:
-        w = _gevrey_weights(self.lattice, alpha, sigma)
-        sq = np.einsum("rmc,rmc->rm", self.coeffs, np.conj(self.coeffs)).real
-        return np.sqrt(self.lattice.volume * (sq @ w))
+        return _gevrey_norms(self.lattice, self.coeffs, alpha, sigma)
 
     def __repr__(self):
         return (f"Trajectory(form={self.form!r}, omega={self.omega}, "
                 f"samples={self.n_samples}, t=[{self.times[0]:.3g},{self.times[-1]:.3g}])")
-
-
-def _nonlin_u(lat: Lattice, C: np.ndarray) -> np.ndarray:
-    raw = convolve_advect(lat, C, C, assume_real_pairing=True)
-    return -np.einsum("mij,mj->mi", lat.proj, raw)
-
-
-def _nonlin_v(lat: Lattice, t: float, C: np.ndarray, omega: float) -> np.ndarray:
-    theta = -omega * lat.kt3 * t
-    Cr = _rotate_coeffs(lat, C, theta)
-    raw = convolve_advect(lat, Cr, Cr, assume_real_pairing=True)
-    b = np.einsum("mij,mj->mi", lat.proj, raw)
-    return -_rotate_coeffs(lat, b, -theta)
 
 
 def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
@@ -130,10 +117,10 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
 
     if config.form == "u":
         def N(t, C):
-            return _nonlin_u(lat, C)
+            return -advect(lat, C, C)
     else:
         def N(t, C):
-            return _nonlin_v(lat, t, C, om)
+            return -advect(lat, C, C, t, om)
 
     C = u0.coeffs.astype(complex).copy()
     times: List[float] = [t0]
@@ -208,23 +195,6 @@ def energy_report(traj: Trajectory) -> Dict:
 # JSON-lines interchange
 
 
-def _field_doc(lat: Lattice, coeffs: np.ndarray, mean=None) -> dict:
-    modes = []
-    for i in range(lat.n_modes):
-        if not lat.rep_mask[i] or not np.any(coeffs[i]):
-            continue
-        modes.append({
-            "k": [int(c) for c in lat.ks[i]],
-            "re": [float(x) for x in coeffs[i].real],
-            "im": [float(x) for x in coeffs[i].imag],
-        })
-    return {
-        "L": [float(x) for x in lat.L],
-        "mean": [0.0, 0.0, 0.0] if mean is None else [float(x) for x in mean],
-        "modes": modes,
-    }
-
-
 def config_hash(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -250,7 +220,7 @@ def trajectory_to_jsonl(traj: Trajectory, stream: IO[str],
         f = SpectralField(traj.lattice, traj.coeffs[i])
         rec = {
             "t": float(t),
-            "field": _field_doc(traj.lattice, traj.coeffs[i]),
+            "field": field_to_doc(f),
             "norms": {"l2": f.norm(), "h1": f.norm(0.5, 0.0),
                       "gevrey": [f.norm(a, s) for a, s in gevrey]},
         }
@@ -258,25 +228,26 @@ def trajectory_to_jsonl(traj: Trajectory, stream: IO[str],
 
 
 def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
-    """Returns (trajectory, meta-dict)."""
+    """Returns (trajectory, meta-dict).  Malformed input raises ValueError."""
     header = json.loads(stream.readline())
-    meta = header["meta"]
-    lat = build_lattice(ell=meta["lattice"]["ell"], cutoff=meta["lattice"]["cutoff"])
+    try:
+        meta = header["meta"]
+        lat = build_lattice(ell=meta["lattice"]["ell"], cutoff=meta["lattice"]["cutoff"])
+        form, omega = meta["form"], meta["omega"]
+    except KeyError as e:
+        raise ValueError(f"trajectory header lacks key {e}") from None
     times: List[float] = []
     rows: List[np.ndarray] = []
-    for line in stream:
+    for n, line in enumerate(stream, start=2):
         line = line.strip()
         if not line:
             continue
         rec = json.loads(line)
-        C = np.zeros((lat.n_modes, 3), dtype=complex)
-        for m in rec["field"]["modes"]:
-            i = lat.mode_index[tuple(int(c) for c in m["k"])]
-            z = np.array(m["re"], dtype=float) + 1j * np.array(m["im"], dtype=float)
-            C[i] = z
-            C[lat.conj_idx[i]] = np.conj(z)
-        times.append(rec["t"])
-        rows.append(C)
-    traj = Trajectory(lat, meta["form"], meta["omega"], np.array(times),
+        try:
+            rows.append(field_from_doc(rec["field"], lat).coeffs)
+            times.append(rec["t"])
+        except KeyError as e:
+            raise ValueError(f"trajectory line {n} lacks key {e}") from None
+    traj = Trajectory(lat, form, omega, np.array(times),
                       np.array(rows), dt=meta.get("dt", float("nan")))
     return traj, meta

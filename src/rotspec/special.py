@@ -18,7 +18,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattice import Lattice
-from .fields import SpectralField, _rotate_coeffs, eigen_restrict
+from .fields import (SpectralField, _J_VERT, _gevrey_norms, _rotate_coeffs,
+                     convolve_advect, eigen_restrict)
 from .spoly import SPoly, SSPoly, apply_expS_spoly, sspoly_phase_shift
 from .solver import Trajectory
 
@@ -37,7 +38,6 @@ __all__ = [
     "verify_ss_expansion",
 ]
 
-_J_VERT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 _E3 = np.array([0.0, 0.0, 1.0])
 
 
@@ -305,7 +305,6 @@ def eval_on_grid(lattice: Lattice, coeffs: np.ndarray, mean: np.ndarray, n: int)
 
 def _advection_coeffs(lat: Lattice, C: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """(u.grad)u without Leray projection, mean advection included."""
-    from .fields import convolve_advect
     raw = convolve_advect(lat, C, C)
     raw = raw + (1j * (lat.kcheck @ np.asarray(mean, dtype=float)))[:, None] * C
     return raw
@@ -385,10 +384,7 @@ def verify_ss_expansion(u_traj: Trajectory, means: np.ndarray, flow: MeanFlow,
     rem = u_traj.coeffs.copy()
     for mu, ss in terms:
         rem -= ss.evaluate_many(ts) * np.exp(-mu * ts)[:, None, None]
-    from .fields import _gevrey_weights
-    w = _gevrey_weights(lat, alpha, sigma)
-    sq = np.einsum("rmc,rmc->rm", rem, np.conj(rem)).real
-    norms = np.sqrt(lat.volume * (sq @ w))
+    norms = _gevrey_norms(lat, rem, alpha, sigma)
     if window is None:
         window = (0.5 * (ts[0] + ts[-1]), ts[-1])
     mask = (ts >= window[0]) & (ts <= window[1]) & (norms > 0)

@@ -29,7 +29,6 @@ from .fields import SpectralField
 
 __all__ = [
     "Frequency",
-    "ScalarSPoly",
     "SPoly",
     "SSPoly",
     "Phase",
@@ -197,40 +196,6 @@ def integrate_term(m: int, alpha: float, omega: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar polynomials (multipliers)
-
-
-class ScalarSPoly:
-    """Scalar-valued oscillating polynomial: {(m, freq): complex amplitude}."""
-
-    def __init__(self, terms: Optional[Dict[Tuple[int, Frequency], complex]] = None):
-        self.terms: Dict[Tuple[int, Frequency], complex] = {}
-        if terms:
-            for key, z in terms.items():
-                if z != 0:
-                    self.terms[key] = self.terms.get(key, 0.0) + z
-
-    @staticmethod
-    def constant(z: complex) -> "ScalarSPoly":
-        return ScalarSPoly({(0, Frequency.zero()): z})
-
-    @staticmethod
-    def monomial(m: int, z: complex = 1.0) -> "ScalarSPoly":
-        return ScalarSPoly({(m, Frequency.zero()): z})
-
-    @staticmethod
-    def cosine(freq: Frequency, amplitude: float = 1.0) -> "ScalarSPoly":
-        return ScalarSPoly({(0, freq): 0.5 * amplitude, (0, -freq): 0.5 * amplitude})
-
-    @staticmethod
-    def sine(freq: Frequency, amplitude: float = 1.0) -> "ScalarSPoly":
-        return ScalarSPoly({(0, freq): -0.5j * amplitude, (0, -freq): 0.5j * amplitude})
-
-    def __call__(self, t: float) -> complex:
-        return sum(z * t**m * np.exp(1j * f.value * t) for (m, f), z in self.terms.items())
-
-
-# ---------------------------------------------------------------------------
 # vector-valued polynomials on lattice modes
 
 
@@ -395,14 +360,6 @@ class SPoly:
                 out[key] = out.get(key, 0.0) + cn
         return SPoly(self.lattice, out)
 
-    def time_dilate(self, kappa) -> "SPoly":
-        """f(t) -> f(kappa t); kappa is treated as an exact rational."""
-        kf = Fraction(kappa)
-        out: Dict[TermKey, np.ndarray] = {}
-        for (k, m, f), c in self.terms.items():
-            out[(k, m, f.scale(kf))] = c * float(kf) ** m
-        return SPoly(self.lattice, out)
-
     def differentiate(self) -> "SPoly":
         out: Dict[TermKey, np.ndarray] = {}
         for (k, m, f), c in self.terms.items():
@@ -412,14 +369,6 @@ class SPoly:
             if not f.is_zero:
                 key = (k, m, f)
                 out[key] = out.get(key, 0.0) + 1j * f.value * c
-        return SPoly(self.lattice, out)
-
-    def multiply_scalar(self, g: ScalarSPoly) -> "SPoly":
-        out: Dict[TermKey, np.ndarray] = {}
-        for (k, m, f), c in self.terms.items():
-            for (mg, fg), z in g.terms.items():
-                key = (k, m + mg, f + fg)
-                out[key] = out.get(key, 0.0) + z * c
         return SPoly(self.lattice, out)
 
     # -- evaluation ---------------------------------------------------------

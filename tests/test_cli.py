@@ -266,6 +266,50 @@ def test_expand_nan_trajectory_exits_3(tmp_path, capsys):
     assert _stderr_error(capsys)["kind"] == "numerical"
 
 
+def _write_traj(path, header, records):
+    path.write_text("\n".join(json.dumps(doc) for doc in [header, *records]) + "\n")
+
+
+def _two_records(k):
+    rec = {"t": 0.0, "field": {"modes": [
+        {"k": k, "re": [0.0, 0.1, 0.0], "im": [0.0, 0.0, 0.0]}],
+        "mean": [0.0, 0.0, 0.0]}}
+    return [rec, dict(rec, t=0.1)]
+
+
+_TRAJ_META = {"form": "v", "omega": 0.0, "dt": 0.1,
+              "lattice": {"ell": ["1", "1", "1"], "cutoff": "2"}}
+
+
+def test_trajectory_header_missing_key(tmp_path, capsys):
+    meta = {k: v for k, v in _TRAJ_META.items() if k != "lattice"}
+    traj = tmp_path / "nolattice.jsonl"
+    _write_traj(traj, {"meta": meta}, _two_records([1, 0, 0]))
+    for cmd in ("expand", "helicity"):
+        argv = [cmd, "--traj", str(traj)] + (["--order", "1"] if cmd == "expand" else [])
+        assert main(argv) == 2, cmd
+        err = _stderr_error(capsys)
+        assert err["kind"] == "config" and "lattice" in err["message"], cmd
+
+
+def test_trajectory_unknown_mode(tmp_path, capsys):
+    traj = tmp_path / "badmode.jsonl"
+    _write_traj(traj, {"meta": _TRAJ_META}, _two_records([5, 0, 0]))
+    assert main(["expand", "--traj", str(traj), "--order", "1"]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config" and "(5, 0, 0)" in err["message"]
+
+
+def test_output_directory_missing(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, solver={"dt": 0.01, "t_end": 0.02, "form": "v"})
+    out = tmp_path / "nodir" / "traj.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert _stderr_error(capsys)["kind"] == "config"
+    assert main(["spectrum", "--cutoff", "2", "--out", str(out)]) == 2
+    assert _stderr_error(capsys)["kind"] == "config"
+
+
 def test_expand_missing_trajectory(tmp_path, capsys):
     assert main(["expand", "--traj", str(tmp_path / "nope.jsonl"),
                  "--order", "1"]) == 2

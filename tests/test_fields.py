@@ -9,10 +9,10 @@ from rotspec.fields import (
     apply_A_power,
     apply_S,
     apply_expS,
-    apply_exp_sqrtA,
     bilinear_B,
     bilinear_B_omega,
-    convolve_advect,
+    _conv_plan,
+    _triads,
     eigen_restrict,
     field_from_json,
     field_to_json,
@@ -133,7 +133,8 @@ def test_stokes_powers():
     u = SpectralField.from_modes(lat, {(1, 1, 0): [1.0, -1.0, 0.0]})
     np.testing.assert_allclose(apply_A_power(u, 1.0).coeffs, 2.0 * u.coeffs)
     np.testing.assert_allclose(apply_A_power(u, -0.5).coeffs, u.coeffs / math.sqrt(2))
-    assert gevrey_norm(u, 0.0, 0.4) == pytest.approx(apply_exp_sqrtA(u, 0.4).norm(), rel=1e-13)
+    weighted = u * math.exp(0.4 * math.sqrt(2.0))  # exp(sigma A^(1/2)) on the lam = 2 pair
+    assert gevrey_norm(u, 0.0, 0.4) == pytest.approx(weighted.norm(), rel=1e-13)
 
 
 def test_shell_partition():
@@ -217,10 +218,34 @@ def test_bilinear_matches_quadrature_anisotropic():
     np.testing.assert_allclose(got, want, atol=1e-13 * np.abs(want).max())
 
 
-def test_convolution_pairing_shortcut():
-    full = convolve_advect(LAT3, U3.coeffs, V3.coeffs, assume_real_pairing=False)
-    half = convolve_advect(LAT3, U3.coeffs, V3.coeffs, assume_real_pairing=True)
-    np.testing.assert_allclose(half, full, atol=1e-15)
+def _triads_loop(lat):
+    """Reference pair list: the O(M^2) double loop over mode pairs."""
+    im, ij, io = [], [], []
+    for a in range(lat.n_modes):
+        for b in range(lat.n_modes):
+            o = lat.mode_index.get(tuple(int(c) for c in lat.ks[a] + lat.ks[b]))
+            if o is not None:
+                im.append(a)
+                ij.append(b)
+                io.append(o)
+    return np.array(im, dtype=int), np.array(ij, dtype=int), np.array(io, dtype=int)
+
+
+def test_conv_plan_matches_reference_loop():
+    for lat in (LAT3, build_lattice(ell=(1, 1, "1/2"), cutoff=5)):
+        want = _triads_loop(lat)
+        for got, ref in zip(_triads(lat), want):
+            np.testing.assert_array_equal(got, ref)
+        im, ij, io = want
+        keep = lat.rep_mask[io]
+        order = np.argsort(io[keep], kind="stable")
+        im, ij, io = im[keep][order], ij[keep][order], io[keep][order]
+        p_im, p_ij, p_kc, p_indptr = _conv_plan(lat)
+        np.testing.assert_array_equal(p_im, im)
+        np.testing.assert_array_equal(p_ij, ij)
+        np.testing.assert_array_equal(p_kc, lat.kcheck[io])
+        np.testing.assert_array_equal(
+            p_indptr, np.r_[0, np.cumsum(np.bincount(io, minlength=lat.n_modes))])
 
 
 def test_bilinear_energy_orthogonality():

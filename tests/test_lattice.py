@@ -173,11 +173,3 @@ def test_shell_indices(cube6):
         total += len(idx)
         assert all(lat.lam[i] == lam for i in idx)
     assert total == lat.n_modes
-
-
-def test_mode_accessor(cube6):
-    m = cube6.mode((1, 1, 0))
-    assert m.lam == 2
-    np.testing.assert_allclose(m.ktil, [1 / math.sqrt(2), 1 / math.sqrt(2), 0.0])
-    with pytest.raises(KeyError):
-        cube6.mode((9, 9, 9))

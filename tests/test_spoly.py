@@ -12,7 +12,6 @@ from rotspec.spoly import (
     Frequency,
     OdeResonanceError,
     Phase,
-    ScalarSPoly,
     SPoly,
     antiderivative,
     apply_expS_spoly,
@@ -130,27 +129,6 @@ def test_integrate_term_rejects_degenerate():
         integrate_term(2, 0.0, 0.0)
 
 
-# -- scalar polynomials ------------------------------------------------------
-
-def test_scalar_trig():
-    w = Frequency.user(1.7)
-    for t in (0.0, 0.4, -2.2):
-        assert ScalarSPoly.cosine(w, 2.0)(t) == pytest.approx(2 * math.cos(1.7 * t))
-        assert ScalarSPoly.sine(w)(t) == pytest.approx(math.sin(1.7 * t))
-        assert ScalarSPoly.monomial(2, 3.0)(t) == pytest.approx(3 * t * t)
-
-
-def test_multiply_scalar():
-    f = _random_spoly(LAT, seed=1, degrees=(0, 1))
-    w = Frequency.user(0.9)
-    g = ScalarSPoly.cosine(w)
-    fg = f.multiply_scalar(g)
-    for t in (0.2, 1.3):
-        np.testing.assert_allclose(
-            fg.evaluate(t).coeffs,
-            math.cos(0.9 * t) * f.evaluate(t).coeffs, atol=1e-12)
-
-
 # -- container behaviour ----------------------------------------------------
 
 def test_spoly_canonicalization():
@@ -196,14 +174,6 @@ def test_time_shift():
         np.testing.assert_allclose(g.evaluate(t).coeffs, f.evaluate(t + 0.8).coeffs,
                                    atol=1e-12)
     assert f.time_shift(0.0).n_terms() == f.n_terms()
-
-
-def test_time_dilate():
-    f = _random_spoly(LAT, seed=4)
-    g = f.time_dilate(Fraction(3, 2))
-    for t in (0.0, 0.6, 1.1):
-        np.testing.assert_allclose(g.evaluate(t).coeffs, f.evaluate(1.5 * t).coeffs,
-                                   atol=1e-12)
 
 
 def test_differentiate_finite_difference():
