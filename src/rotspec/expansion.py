@@ -83,17 +83,21 @@ class Expansion:
         self.orders: List[SPoly] = []
         self.forcings: List[SPoly] = []
         self.diagnostics: List[dict] = []
-        self._pair_cache: Dict[Tuple[int, int], SPoly] = {}
+        self._pair_cache: Dict[Tuple[int, int, Optional[Fraction]], SPoly] = {}
 
     @property
     def n_orders(self) -> int:
         return len(self.orders)
 
-    def pair(self, a: int, b: int) -> SPoly:
-        """Cached symbolic bilinear product of orders a and b (0-based)."""
-        key = (a, b)
+    def pair(self, a: int, b: int, lam: Optional[Fraction] = None) -> SPoly:
+        """Cached symbolic bilinear product of orders a and b (0-based).
+
+        With lam given, only its terms on the Stokes shell lam are formed.
+        """
+        key = (a, b, lam)
         if key not in self._pair_cache:
-            self._pair_cache[key] = bilinear_spoly(self.orders[a], self.orders[b], self.omega)
+            self._pair_cache[key] = bilinear_spoly(self.orders[a], self.orders[b],
+                                                   self.omega, lam)
         return self._pair_cache[key]
 
     def partial_sum_coeffs(self, ts: np.ndarray, n: Optional[int] = None) -> np.ndarray:
@@ -213,7 +217,7 @@ def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
                 continue
             if exp.orders[a].is_zero or exp.orders[b].is_zero:
                 continue
-            ps = exp.pair(a, b).restrict_shell(mu)
+            ps = exp.pair(a, b, mu)
             if ps.is_zero:
                 continue
             decay = np.exp(-(float(total) - mu_f) * ts)

@@ -89,7 +89,8 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     In u-form the state solves du/dt + Au + Omega*Su + B(u,u) = 0; in v-form
     dv/dt + Av + B_Omega(t,v,v) = 0.  The number of steps is
     round((t_end-t0)/dt); the last step is shortened if t_end is not a step
-    multiple.
+    multiple.  A state that is no longer finite stops the run with a
+    FloatingPointError naming the step and its time.
     """
     lat = u0.lattice
     h = config.dt
@@ -138,6 +139,9 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
         d = N(t + hh, Ph_s(C) + hh * Ph2_s(c))
         C = Ph_s(C) + (hh / 6.0) * (Ph_s(a) + 2.0 * Ph2_s(b + c) + d)
         t = t0 + (step + 1) * h if hh == h else t + hh
+        if not np.isfinite(C).all():
+            raise FloatingPointError(
+                f"state is not finite after step {step + 1} of {n_steps} (t = {t:.6g})")
         if (step + 1) % config.record_stride == 0 or step == n_steps - 1:
             times.append(t)
             records.append(C.copy())

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattice import Lattice, squarefree_decompose
-from .fields import SpectralField
+from .fields import SpectralField, _triads
 
 __all__ = [
     "Frequency",
@@ -60,10 +60,10 @@ class Frequency:
     (("rot", s) for Omega*sqrt(s), s squarefree, or ("user", num, den) for an
     ad-hoc value), `coef` is a Fraction and `unit` the generator's numeric
     value.  Equality and hashing use only (key, coef); numeric value is the
-    exact sum coef*unit.
+    exact sum coef*unit.  The hash is computed once, when the object is built.
     """
 
-    __slots__ = ("parts", "value")
+    __slots__ = ("parts", "value", "_hash")
 
     def __init__(self, parts: Iterable[Tuple[tuple, Fraction, float]] = ()):
         merged: Dict[tuple, Tuple[Fraction, float]] = {}
@@ -85,6 +85,7 @@ class Frequency:
             if coef != 0
         )
         self.value = float(sum(float(coef) * unit for _, coef, unit in self.parts))
+        self._hash = hash(self._id())
 
     @staticmethod
     def zero() -> "Frequency":
@@ -123,6 +124,7 @@ class Frequency:
         f = Frequency.__new__(Frequency)
         f.parts = tuple((key, -coef, unit) for key, coef, unit in self.parts)
         f.value = -self.value
+        f._hash = hash(f._id())
         return f
 
     def __sub__(self, other: "Frequency") -> "Frequency":
@@ -138,10 +140,11 @@ class Frequency:
         return tuple((key, coef) for key, coef, _ in self.parts)
 
     def __eq__(self, other):
-        return isinstance(other, Frequency) and self._id() == other._id()
+        return self is other or (isinstance(other, Frequency) and self._hash == other._hash
+                                 and self._id() == other._id())
 
     def __hash__(self):
-        return hash(self._id())
+        return self._hash
 
     def __lt__(self, other: "Frequency"):
         return self._id() < other._id()
@@ -156,6 +159,7 @@ class Frequency:
 _FREQ_ZERO = Frequency.__new__(Frequency)
 _FREQ_ZERO.parts = ()
 _FREQ_ZERO.value = 0.0
+_FREQ_ZERO._hash = hash(_FREQ_ZERO._id())
 
 
 def mode_rotation_frequency(lattice: Lattice, mode: int, omega: float) -> Frequency:
@@ -425,26 +429,107 @@ def apply_expS_spoly(f: SPoly, omega: float) -> SPoly:
     return SPoly(lat, out)
 
 
-def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
-    """Symbolic rotated advection B_Omega(t, f(t), g(t)) on the Galerkin set."""
+def _pair_table(lattice: Lattice) -> np.ndarray:
+    """(M, M) index of the mode k_a + k_b, -1 off the lattice.  Cached per lattice."""
+    table = getattr(lattice, "_pair_table", None)
+    if table is None:
+        im, ij, io = _triads(lattice)
+        table = np.full((lattice.n_modes, lattice.n_modes), -1, dtype=np.intp)
+        table[im, ij] = io
+        lattice._pair_table = table
+    return table
+
+
+def _term_columns(f: SPoly, freq_ids: Dict[Frequency, int]):
+    """Mode index, degree, (T,3) coefficients and interned frequency id per term."""
+    idx = f.lattice.mode_index
+    modes, degs, wids = [], [], []
+    for (k, m, w) in f.terms:
+        modes.append(idx[k])
+        degs.append(m)
+        wids.append(freq_ids.setdefault(w, len(freq_ids)))
+    return (np.array(modes, dtype=np.intp), np.array(degs, dtype=np.intp),
+            np.array(list(f.terms.values())), np.array(wids, dtype=np.intp))
+
+
+# candidate term pairs gathered at once: rows of f are joined in blocks
+_PAIR_BLOCK = 1 << 16
+
+
+def bilinear_spoly(f: SPoly, g: SPoly, omega: float, lam=None) -> SPoly:
+    """Symbolic rotated advection B_Omega(t, f(t), g(t)) on the Galerkin set.
+
+    With `lam` given, only output terms on the Stokes shell lam are formed;
+    the result equals the full product's `restrict_shell(lam)` bit for bit.
+
+    The term pairs are joined through the lattice's table of mode sums and
+    visited in the order of a double loop over the terms of f, then g.  Each
+    output key sums its contributions in that order and keys appear in order
+    of first contribution, so the result does not depend on the block size.
+    """
     lat = f.lattice
+    table = _pair_table(lat)
+    if lam is not None:
+        try:
+            shell = lat.eigenvalues.index(Fraction(lam))
+        except ValueError:
+            return SPoly.zero(lat)
+        table = np.where(lat.shell_of[table] == shell, table, -1)
     fr = apply_expS_spoly(f, -omega)
     gr = apply_expS_spoly(g, -omega)
-    out: Dict[TermKey, np.ndarray] = {}
-    idx = lat.mode_index
-    for (k1, m1, w1), c1 in fr.terms.items():
-        for (k2, m2, w2), c2 in gr.terms.items():
-            ko = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-            o = idx.get(ko)
-            if o is None:
-                continue
-            dot = 1j * np.dot(c1, lat.kcheck[o])
-            if dot == 0:
-                continue
-            val = dot * (lat.proj[o] @ c2)
-            key = (ko, m1 + m2, w1 + w2)
-            out[key] = out.get(key, 0.0) + val
-    return apply_expS_spoly(SPoly(lat, out), omega)
+    if fr.is_zero or gr.is_zero:
+        return SPoly.zero(lat)
+    freq_ids: Dict[Frequency, int] = {}
+    mode1, deg1, c1, w1 = _term_columns(fr, freq_ids)
+    mode2, deg2, c2, w2 = _term_columns(gr, freq_ids)
+    freqs = list(freq_ids)
+    n_w, n_deg, M = len(freqs), int(deg1.max() + deg2.max()) + 1, lat.n_modes
+
+    sum_ids: Dict[int, int] = {}  # w1 * n_w + w2 -> index in out_freqs
+    out_freqs: Dict[Frequency, int] = {}
+
+    def sum_id(p: int) -> int:
+        if p not in sum_ids:
+            w = freqs[p // n_w] + freqs[p % n_w]
+            sum_ids[p] = out_freqs.setdefault(w, len(out_freqs))
+        return sum_ids[p]
+
+    slots: Dict[int, int] = {}  # output key code -> row of acc, first-contribution order
+    acc = np.zeros((0, 3), dtype=complex)
+    rows = max(1, _PAIR_BLOCK // len(mode2))
+    for start in range(0, len(mode1), rows):
+        block = table[mode1[start:start + rows, None], mode2[None, :]]
+        a, b = np.nonzero(block >= 0)  # row-major: the double loop's order
+        o = block[a, b]
+        a += start
+        # matmul gives np.dot's BLAS result bit for bit; einsum can differ in the last bit
+        dot = 1j * np.matmul(c1[a, None, :], lat.kcheck[o, :, None])[:, 0, 0]
+        live = dot != 0
+        a, b, o, dot = a[live], b[live], o[live], dot[live]
+        val = dot[:, None] * np.matmul(lat.proj[o], c2[b, :, None])[:, :, 0]
+
+        wpair, winv = np.unique(w1[a] * n_w + w2[b], return_inverse=True)
+        wout = np.array([sum_id(p) for p in wpair.tolist()], dtype=np.intp)[winv]
+
+        code = (wout * n_deg + deg1[a] + deg2[b]) * M + o
+        ucode, first, inv = np.unique(code, return_index=True, return_inverse=True)
+        row = np.empty(len(ucode), dtype=np.intp)
+        for u in np.argsort(first).tolist():
+            row[u] = slots.setdefault(int(ucode[u]), len(slots))
+        if len(slots) > len(acc):
+            grown = np.zeros((max(len(slots), 2 * len(acc)), 3), dtype=complex)
+            grown[:len(acc)] = acc
+            acc = grown
+        np.add.at(acc, row[inv], val)
+
+    ks = lat.ks.tolist()
+    wlist = list(out_freqs)
+    terms: Dict[TermKey, np.ndarray] = {}
+    for code, r in slots.items():
+        wm, o = divmod(code, M)
+        wi, m = divmod(wm, n_deg)
+        terms[(tuple(ks[o]), m, wlist[wi])] = acc[r]
+    return apply_expS_spoly(SPoly(lat, terms), omega)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from rotspec.expansion import (
     to_u_expansion,
     verify_expansion_system,
 )
-from rotspec.fields import SpectralField, apply_expS
+from rotspec.fields import SpectralField, apply_expS, random_gevrey
 from rotspec.lattice import build_lattice
-from rotspec.solver import Trajectory
+from rotspec.solver import SolverConfig, Trajectory, integrate
 from rotspec.spoly import Frequency, SPoly, apply_expS_spoly
 
 
@@ -89,6 +89,19 @@ def test_xi_window_independence(cube_run):
     diff = (exp.orders[0] - other.orders[0]).max_abs()
     assert diff < 1e-10 * exp.orders[0].max_abs()
     assert other.diagnostics[0]["xi_spread_warning"]  # impossible tolerance trips the flag
+
+
+def test_fourth_order_expansion(cube6):
+    """Orders 3 and 4 on the benchmark's cube6-o4 input (seed 1)."""
+    v0 = random_gevrey(cube6, seed=1, amplitude=0.1)
+    trajv = integrate(v0, SolverConfig(dt=0.01, t_end=12.0, omega=5.0, form="v",
+                                       record_stride=2))
+    exp = expand(trajv, 4, FitPolicy(xi_windows=((6.0, 8.0), (8.0, 10.0))))
+    assert exp.mus == [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
+    assert verify_expansion_system(exp)["max_residual"] <= 1e-12
+    for d in exp.diagnostics:
+        assert not any(k.startswith("xi_") and k.endswith("_warning") for k in d)
+    assert [q.n_terms() for q in exp.orders] == [6, 48, 602, 4862]
 
 
 def test_expand_rejects_u_form(cube_run):

@@ -38,6 +38,14 @@ def _ray_field(lat):
     })
 
 
+def test_integrate_stops_at_first_nonfinite_state(cube6):
+    u0 = random_gevrey(cube6, seed=1, amplitude=1e4)
+    config = SolverConfig(dt=1e-2, t_end=1.0, omega=5.0, form="v")
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=r"after step 3 of 100 \(t = 0\.03\)"):
+        integrate(u0, config)
+
+
 def test_linear_exactness_u_form(cube6):
     """Ray data kills the nonlinearity, so even huge steps are exact."""
     u0 = _ray_field(cube6)

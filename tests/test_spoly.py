@@ -9,6 +9,8 @@ from scipy.integrate import quad
 from rotspec.fields import SpectralField, apply_expS, bilinear_B_omega, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.spoly import (
+    _freq_doc,
+    _freq_from_doc,
     Frequency,
     OdeResonanceError,
     Phase,
@@ -28,13 +30,17 @@ LAT = build_lattice(cutoff=3)
 OMEGA = 3.0
 
 
-def _random_spoly(lat, seed, degrees=(0, 1, 2), omega=OMEGA):
-    """Real-paired polynomial with mixed powers, still and rotating frequencies."""
+def _random_spoly(lat, seed, degrees=(0, 1, 2), omega=OMEGA, n_modes=None):
+    """Real-paired polynomial with mixed powers, still and rotating frequencies.
+
+    n_modes picks that many representative modes at random (default: all).
+    """
     rng = np.random.default_rng(seed)
+    reps = np.flatnonzero(lat.rep_mask)
+    if n_modes is not None:
+        reps = np.sort(rng.choice(reps, n_modes, replace=False))
     terms = {}
-    for i in range(lat.n_modes):
-        if not lat.rep_mask[i]:
-            continue
+    for i in reps:
         k = tuple(int(x) for x in lat.ks[i])
         kk = tuple(-x for x in k)
         for m in degrees:
@@ -74,6 +80,27 @@ def test_frequency_algebra(a, b, c):
     assert (-a).value == -a.value
     if a == b:
         assert hash(a) == hash(b)
+
+
+@given(frequencies(), frequencies())
+@settings(deadline=None)
+def test_frequency_hash_follows_id(a, b):
+    """Equal ids hash equally, however the objects were built."""
+    zero = Frequency.zero()
+    same = [
+        (a + b - b, a),
+        (-(-a), a),
+        (a.scale(-1), -a),
+        (a.scale(2), a + a),
+        (_freq_from_doc(_freq_doc(a)), a),
+        (a - a, zero),
+        (a.scale(0), zero),
+        (Frequency(list(a.parts)), a),
+        (Frequency(), zero),
+    ]
+    for x, y in same:
+        assert x == y
+        assert hash(x) == hash(y)
 
 
 def test_frequency_rotation_sign():
@@ -262,6 +289,72 @@ def test_bilinear_spoly_matches_numeric():
     t = 0.73
     np.testing.assert_allclose(
         h1.evaluate(t).coeffs, t * bilinear_B_omega(t, u, v, OMEGA).coeffs, atol=1e-13)
+
+
+def _bilinear_reference(f, g, omega):
+    """The product as a double loop over term pairs, one dict update per hit."""
+    lat = f.lattice
+    fr = apply_expS_spoly(f, -omega)
+    gr = apply_expS_spoly(g, -omega)
+    out = {}
+    idx = lat.mode_index
+    for (k1, m1, w1), c1 in fr.terms.items():
+        for (k2, m2, w2), c2 in gr.terms.items():
+            ko = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
+            o = idx.get(ko)
+            if o is None:
+                continue
+            dot = 1j * np.dot(c1, lat.kcheck[o])
+            if dot == 0:
+                continue
+            val = dot * (lat.proj[o] @ c2)
+            key = (ko, m1 + m2, w1 + w2)
+            out[key] = out.get(key, 0.0) + val
+    return apply_expS_spoly(SPoly(lat, out), omega)
+
+
+def _assert_identical(got, want):
+    """Same keys in the same order and bit-equal coefficients."""
+    assert list(got.terms) == list(want.terms)
+    for key, c in want.terms.items():
+        assert np.array_equal(got.terms[key], c)
+
+
+_LATTICES = {
+    "cube3": LAT,
+    "aniso5": build_lattice(ell=(1, 1, "1/2"), cutoff=5),
+    "cube6": build_lattice(cutoff=6),
+}
+
+
+@pytest.mark.parametrize("degrees", [((0, 1, 2), (0, 3)), ((0, 3), (0, 1, 2)), ((1,), (2,))])
+@pytest.mark.parametrize("omega", [0.0, 3.0, -2.5])
+@pytest.mark.parametrize("name", list(_LATTICES))
+def test_bilinear_spoly_matches_reference_loop(name, omega, degrees):
+    lat = _LATTICES[name]
+    wgen = omega or OMEGA
+    f = _random_spoly(lat, seed=20, degrees=degrees[0], omega=wgen, n_modes=6)
+    g = _random_spoly(lat, seed=21, degrees=degrees[1], omega=wgen, n_modes=6)
+    g = g + SPoly(lat, {((1, 0, 0), 1, Frequency.user(0.37)): np.array([0.0, 1.0, -1.0]),
+                        ((-1, 0, 0), 1, Frequency.user(-0.37)): np.array([0.0, 1.0, -1.0])})
+    want = _bilinear_reference(f, g, omega)
+    assert want.n_terms() > 0
+    _assert_identical(bilinear_spoly(f, g, omega), want)
+
+
+@given(st.sampled_from(["cube3", "aniso5"]), st.integers(0, 2**16),
+       st.sampled_from([0.0, 3.0, -2.5, 0.7]))
+@settings(deadline=None, max_examples=25)
+def test_bilinear_spoly_shell_restriction(name, seed, omega):
+    lat = _LATTICES[name]
+    wgen = omega or OMEGA
+    f = _random_spoly(lat, seed, degrees=(0, 1), omega=wgen, n_modes=4).scale(0.1)
+    g = _random_spoly(lat, seed + 1, degrees=(0, 2), omega=wgen, n_modes=4).scale(0.1)
+    full = bilinear_spoly(f, g, omega)
+    assert full.reality_error() <= 1e-13
+    for lam in lat.eigenvalues:
+        _assert_identical(bilinear_spoly(f, g, omega, lam), full.restrict_shell(lam))
+    assert bilinear_spoly(f, g, omega, Fraction(1, 7)).is_zero  # not an eigenvalue
 
 
 # -- drift phases ------------------------------------------------------------
