@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .lattice import Lattice, SemigroupTable, semigroup_table
-from .fields import SpectralField, _gevrey_norms, advect
+from .fields import SpectralField, _conv_plan, _gevrey_norms, advect
 from .spoly import SPoly, antiderivative, apply_expS_spoly, bilinear_spoly, ode_solve
 from .solver import Trajectory
 
@@ -177,10 +177,15 @@ def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) 
         exp.orders.append(q)
         exp.forcings.append(forcing)
         exp.diagnostics.append(diag)
-        if not q.is_zero:
+        if not q.is_zero and n + 1 < n_orders:
             decay = np.exp(-float(mu) * ts)
             s_eval += decay[:, None, None] * q.evaluate_many(ts)
     return exp
+
+
+# samples per advect call in the resonant fit: the (samples, pairs, 3) complex
+# gather of the shell's convolution pairs stays near this many bytes
+_FIT_BLOCK_BYTES = 1 << 20
 
 
 def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
@@ -204,11 +209,13 @@ def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
     emu = np.exp(mu_f * ts)
 
     g = np.zeros((R, len(shell), 3), dtype=complex)
-    for i in range(R):
-        t = float(ts[i])
-        acc = advect(lat, r[i], v[i], t, exp.omega)
-        acc += advect(lat, s_eval[i], r[i], t, exp.omega)
-        g[i] = -emu[i] * acc[shell]
+    n_pairs = len(_conv_plan(lat, mu)[0])
+    chunk = max(1, _FIT_BLOCK_BYTES // (48 * max(n_pairs, lat.n_modes)))
+    for start in range(0, R, chunk):
+        c = slice(start, start + chunk)
+        acc = advect(lat, r[c], v[c], ts[c], exp.omega, mu)
+        acc += advect(lat, s_eval[c], r[c], ts[c], exp.omega, mu)
+        g[c] = -emu[c, None, None] * acc[:, shell]
     # symbolic pairs of earlier orders whose combined rate exceeds mu
     for a in range(exp.n_orders):
         for b in range(exp.n_orders):

@@ -66,19 +66,31 @@ class SpectralField:
         reality condition.  If both members of a pair are supplied they must
         be consistent.
         """
+        n = len(modes)
+        ks = np.array(list(modes), dtype=int).reshape(n, 3)
+        z = np.array(list(modes.values()), dtype=complex).reshape(n, 3)
+        return cls._from_arrays(lattice, ks, z, mean)
+
+    @classmethod
+    def _from_arrays(cls, lattice: Lattice, ks: np.ndarray, z: np.ndarray,
+                     mean: Optional[Sequence[float]]) -> "SpectralField":
+        """from_modes on an (N,3) integer array of wave vectors and their (N,3) coefficients.
+
+        A repeated wave vector takes its last coefficient.
+        """
+        span, _, table = codes = _code_table(lattice)
+        inside = (np.abs(ks) <= span).all(axis=1)
+        idx = np.full(len(ks), -1)
+        idx[inside] = table[_encode(ks[inside], codes)]
+        if np.any(idx < 0):
+            k = tuple(int(c) for c in ks[np.argmax(idx < 0)])
+            raise ValueError(f"mode {k} is outside the lattice (cutoff {lattice.cutoff})")
         u = cls(lattice, mean=mean)
-        seen = set()
-        for k, z in modes.items():
-            k = tuple(int(c) for c in k)
-            if not lattice.contains(k):
-                raise ValueError(f"mode {k} is outside the lattice (cutoff {lattice.cutoff})")
-            i = lattice.mode_index[k]
-            u.coeffs[i] = np.asarray(z, dtype=complex)
-            seen.add(i)
-        for i in list(seen):
-            j = lattice.conj_idx[i]
-            if j not in seen:
-                u.coeffs[j] = np.conj(u.coeffs[i])
+        u.coeffs[idx] = z
+        seen = np.zeros(lattice.n_modes, dtype=bool)
+        seen[idx] = True
+        alone = idx[~seen[lattice.conj_idx[idx]]]
+        u.coeffs[lattice.conj_idx[alone]] = np.conj(u.coeffs[alone])
         err = u.reality_error()
         if err > 1e-10 * max(1.0, float(np.abs(u.coeffs).max())):
             raise ValueError(f"conjugate-mode pairing violated (error {err:.2e})")
@@ -170,9 +182,12 @@ def apply_S(u: SpectralField) -> SpectralField:
 
 
 def _rotate_coeffs(lattice: Lattice, coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Apply cos(theta_m) I + sin(theta_m) J_k per mode; theta has shape (M,)."""
-    rot = np.einsum("mij,mj->mi", lattice.jk, coeffs)
-    return np.cos(theta)[:, None] * coeffs + np.sin(theta)[:, None] * rot
+    """Apply cos(theta_m) I + sin(theta_m) J_k per mode.
+
+    coeffs is (M,3) or a (B,M,3) stack; theta is (M,) or (B,M) to match.
+    """
+    rot = np.einsum("mij,...mj->...mi", lattice.jk, coeffs)
+    return np.cos(theta)[..., None] * coeffs + np.sin(theta)[..., None] * rot
 
 
 def apply_expS(u: SpectralField, t: float) -> SpectralField:
@@ -183,26 +198,42 @@ def apply_expS(u: SpectralField, t: float) -> SpectralField:
 
 # -- bilinear form ----------------------------------------------------------
 
+def _code_table(lattice: Lattice):
+    """Integer codes of wave vectors and the table from code to mode index.
+
+    Codes cover the box |k_j| <= span = 2 max|k_m|, which holds every
+    pairwise sum of lattice modes; the table holds -1 off the lattice.
+    Returns (span, base, table).  Cached per lattice.
+    """
+    cached = getattr(lattice, "_code_table", None)
+    if cached is None:
+        span = 2 * int(np.abs(lattice.ks).max())
+        base = 2 * span + 1
+        table = np.full(base ** 3, -1, dtype=int)
+        cached = (span, base, table)
+        table[_encode(lattice.ks, cached)] = np.arange(lattice.n_modes)
+        lattice._code_table = cached
+    return cached
+
+
+def _encode(ks: np.ndarray, codes) -> np.ndarray:
+    """Codes of the rows of an (N,3) integer array, all inside the table's box."""
+    span, base, _ = codes
+    k = ks + span
+    return (k[:, 0] * base + k[:, 1]) * base + k[:, 2]
+
+
 def _triads(lattice: Lattice):
     """Index triples (m, j, out) with k_m + k_j = k_out, all on the lattice.
 
-    Ordered by m, then j.  Each row m is one table lookup vectorised over j:
-    wave vectors are encoded as integers into a membership table over the
-    box holding every pairwise sum.
+    Ordered by m, then j.  Each row m is one table lookup vectorised over j.
     """
     ks = lattice.ks
-    span = 2 * int(np.abs(ks).max())
-    base = 2 * span + 1
-
-    def code(k):
-        k = k + span
-        return (k[:, 0] * base + k[:, 1]) * base + k[:, 2]
-
-    index = np.full(base ** 3, -1, dtype=int)
-    index[code(ks)] = np.arange(lattice.n_modes)
+    codes = _code_table(lattice)
+    index = codes[2]
     im, ij, io = [], [], []
     for a in range(lattice.n_modes):
-        out = index[code(ks + ks[a])]
+        out = index[_encode(ks + ks[a], codes)]
         j = np.flatnonzero(out >= 0)
         im.append(np.full(len(j), a, dtype=int))
         ij.append(j)
@@ -210,60 +241,104 @@ def _triads(lattice: Lattice):
     return np.concatenate(im), np.concatenate(ij), np.concatenate(io)
 
 
-def _conv_plan(lattice: Lattice):
-    """Row-sorted pairs whose output is a representative mode.  Cached per lattice."""
-    cached = getattr(lattice, "_conv_plan", None)
-    if cached is not None:
-        return cached
-    im, ij, io = _triads(lattice)
-    keep = lattice.rep_mask[io]
-    im, ij, io = im[keep], ij[keep], io[keep]
-    order = np.argsort(io, kind="stable")
-    im, ij, io = im[order], ij[order], io[order]
+def _conv_plan(lattice: Lattice, lam=None):
+    """Row-sorted pairs whose output is a representative mode.
+
+    With lam given, only pairs whose output lies on the Stokes shell lam are
+    kept (none if lam is not an eigenvalue); each kept row lists the same
+    pairs in the same order as in the full plan.  Returns
+    (im, ij, kcheck[out], indptr).  Cached per lattice and shell.
+    """
+    plans = getattr(lattice, "_conv_plans", None)
+    if plans is None:
+        plans = lattice._conv_plans = {}
+    lam = None if lam is None else Fraction(lam)
+    if lam in plans:
+        return plans[lam]
+    M = lattice.n_modes
+    if lam is None:
+        im, ij, io = _triads(lattice)
+        keep = lattice.rep_mask[io]
+        im, ij, io = im[keep], ij[keep], io[keep]
+        order = np.argsort(io, kind="stable")
+        im, ij, io = im[order], ij[order], io[order]
+    else:
+        im, ij, _, indptr = _conv_plan(lattice)
+        io = np.repeat(np.arange(M), np.diff(indptr))
+        shell = lattice.eigenvalues.index(lam) if lam in lattice.eigenvalues else -1
+        keep = lattice.shell_of[io] == shell
+        im, ij, io = im[keep], ij[keep], io[keep]
     plan = (
         im,
         ij,
         lattice.kcheck[io],  # gather of the output wave vectors, (P,3)
-        np.r_[0, np.cumsum(np.bincount(io, minlength=lattice.n_modes))],
+        np.r_[0, np.cumsum(np.bincount(io, minlength=M))],
     )
-    lattice._conv_plan = plan
+    plans[lam] = plan
     return plan
 
 
-def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _block_csr(lattice: Lattice, lam, n: int):
+    """Column indices and row pointers of n diagonal copies of the plan.
+
+    Stored in the index type scipy.sparse picks for that size, so building
+    the matrix converts nothing.  Cached per lattice, shell and n.
+    """
+    blocks = getattr(lattice, "_conv_blocks", None)
+    if blocks is None:
+        blocks = lattice._conv_blocks = {}
+    key = (None if lam is None else Fraction(lam), n)
+    if key not in blocks:
+        _, ij, _, indptr = _conv_plan(lattice, lam)
+        M, P = lattice.n_modes, len(ij)
+        idx = sp.get_index_dtype(maxval=max(n * M, n * P))
+        offs = np.arange(n)[:, None]
+        blocks[key] = ((ij + M * offs).ravel().astype(idx),
+                       np.r_[0, (indptr[1:] + P * offs).ravel()].astype(idx))
+    return blocks[key]
+
+
+def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) -> np.ndarray:
     """Raw advection coefficients of (u.grad)v, truncated to the lattice.
 
-    Zero-mean, real-paired inputs; returns the un-projected (M,3) array
-    b_k = sum_{m+j=k} i (U_m . kcheck_k) V_j, accumulated as a sparse
-    matrix-vector product over the representative outputs, with the
-    conjugate half mirrored.
+    Zero-mean, real-paired inputs of shape (M,3), or (B,M,3) stacks of B
+    samples; returns the un-projected array of the same shape,
+    b_k = sum_{m+j=k} i (U_m . kcheck_k) V_j, accumulated as one sparse
+    matrix-vector product (block-diagonal over the samples) over the
+    representative outputs, with the conjugate half mirrored.  With lam
+    given, only outputs on that Stokes shell are formed; other rows are zero.
     """
-    im, ij, kc, indptr = _conv_plan(lattice)
+    im, ij, kc, _ = _conv_plan(lattice, lam)
     M = lattice.n_modes
-    dots = (U[im] * kc).sum(axis=1)
-    S = sp.csr_matrix((dots, ij, indptr), shape=(M, M))
-    out = 1j * (S @ V)
+    n = V.size // (3 * M)
+    indices, indptr = _block_csr(lattice, lam, n)
+    dots = (U[..., im, :] * kc).sum(axis=-1)
+    S = sp.csr_matrix((dots.ravel(), indices, indptr), shape=(n * M, n * M))
+    out = 1j * (S @ V.reshape(n * M, 3)).reshape(V.shape)
     rep = lattice.rep_mask
-    out[lattice.conj_idx[rep]] = np.conj(out[rep])
+    out[..., lattice.conj_idx[rep], :] = np.conj(out[..., rep, :])
     return out
 
 
 def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
-           t: float = 0.0, omega: float = 0.0) -> np.ndarray:
+           t=0.0, omega: float = 0.0, lam=None) -> np.ndarray:
     """Rotated, projected advection exp(Omega t S) B(exp(-Omega t S)X, exp(-Omega t S)Y).
 
     B(x, y) = P (x.grad) y on the Galerkin set.  Operates on (M,3)
-    coefficient arrays, which must obey the conjugate pairing
+    coefficient arrays, or on (B,M,3) stacks of samples with t a scalar or a
+    (B,) array of their times.  Inputs must obey the conjugate pairing
     X(-k) = conj(X(k)) (every field the package builds does): only the
-    representative half of the product is computed.  With omega == 0 no
-    rotation is applied; when Y is X the input is rotated once.
+    representative half of the product is computed.  With lam given, only
+    output modes on the Stokes shell lam are computed and every other row is
+    zero; each computed row equals the unrestricted one bit for bit.  With
+    omega == 0 no rotation is applied; when Y is X the input is rotated once.
     """
     if omega == 0.0:
-        return np.einsum("mij,mj->mi", lattice.proj, convolve_advect(lattice, X, Y))
-    theta = -omega * lattice.kt3 * t
+        return np.einsum("mij,...mj->...mi", lattice.proj, convolve_advect(lattice, X, Y, lam))
+    theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
     Xr = _rotate_coeffs(lattice, X, theta)
     Yr = Xr if Y is X else _rotate_coeffs(lattice, Y, theta)
-    b = np.einsum("mij,mj->mi", lattice.proj, convolve_advect(lattice, Xr, Yr))
+    b = np.einsum("mij,...mj->...mi", lattice.proj, convolve_advect(lattice, Xr, Yr, lam))
     return _rotate_coeffs(lattice, b, -theta)
 
 
@@ -333,12 +408,16 @@ def field_to_doc(u: SpectralField) -> dict:
 
 
 def field_from_doc(doc: dict, lattice: Lattice) -> SpectralField:
-    """Inverse of field_to_doc on a given lattice; conjugates filled by pairing."""
-    modes = {
-        tuple(m["k"]): np.array(m["re"], dtype=float) + 1j * np.array(m["im"], dtype=float)
-        for m in doc["modes"]
-    }
-    return SpectralField.from_modes(lattice, modes, mean=doc.get("mean"))
+    """Inverse of field_to_doc on a given lattice; conjugates filled by pairing.
+
+    Checks as SpectralField.from_modes does; a missing key raises KeyError.
+    """
+    modes = doc["modes"]
+    n = len(modes)
+    ks = np.array([m["k"] for m in modes], dtype=int).reshape(n, 3)
+    re = np.array([m["re"] for m in modes], dtype=float).reshape(n, 3)
+    im = np.array([m["im"] for m in modes], dtype=float).reshape(n, 3)
+    return SpectralField._from_arrays(lattice, ks, re + 1j * im, doc.get("mean"))
 
 
 def field_to_json(u: SpectralField) -> str:

@@ -154,9 +154,7 @@ def transform_trajectory(traj: Trajectory, to_form: str) -> Trajectory:
         return traj
     sign = 1.0 if (traj.form, to_form) == ("u", "v") else -1.0
     lat = traj.lattice
-    out = np.empty_like(traj.coeffs)
-    for i, t in enumerate(traj.times):
-        out[i] = _rotate_coeffs(lat, traj.coeffs[i], sign * traj.omega * lat.kt3 * t)
+    out = _rotate_coeffs(lat, traj.coeffs, sign * traj.omega * lat.kt3 * traj.times[:, None])
     return Trajectory(lat, to_form, traj.omega, traj.times.copy(), out, dt=traj.dt)
 
 
@@ -240,6 +238,8 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
         form, omega = meta["form"], meta["omega"]
     except KeyError as e:
         raise ValueError(f"trajectory header lacks key {e}") from None
+    except TypeError as e:  # valid JSON of the wrong shape, e.g. a list
+        raise ValueError(f"trajectory header is malformed: {e}") from None
     times: List[float] = []
     rows: List[np.ndarray] = []
     for n, line in enumerate(stream, start=2):
@@ -252,6 +252,8 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
             times.append(rec["t"])
         except KeyError as e:
             raise ValueError(f"trajectory line {n} lacks key {e}") from None
+        except TypeError as e:
+            raise ValueError(f"trajectory line {n} is malformed: {e}") from None
     traj = Trajectory(lat, form, omega, np.array(times),
                       np.array(rows), dt=meta.get("dt", float("nan")))
     return traj, meta

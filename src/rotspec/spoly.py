@@ -388,9 +388,12 @@ class SPoly:
         ts = np.asarray(ts, dtype=float)
         out = np.zeros((len(ts), self.lattice.n_modes, 3), dtype=complex)
         idx = self.lattice.mode_index
+        series: Dict[Tuple[int, Frequency], np.ndarray] = {}  # one per distinct (m, f)
         for (k, m, f), c in self.terms.items():
-            series = ts**m * np.exp(1j * f.value * ts)
-            out[:, idx[k], :] += series[:, None] * c[None, :]
+            s = series.get((m, f))
+            if s is None:
+                s = series[(m, f)] = (ts**m * np.exp(1j * f.value * ts))[:, None]
+            out[:, idx[k], :] += s * c[None, :]
         return out
 
     def __repr__(self):
@@ -413,17 +416,25 @@ def apply_expS_spoly(f: SPoly, omega: float) -> SPoly:
     lat = f.lattice
     out: Dict[TermKey, np.ndarray] = {}
     idx = lat.mode_index
+    rotations: Dict[Tuple[int, Fraction], Frequency] = {}
+    shifted: Dict[Tuple[Frequency, int, Fraction], Tuple[Frequency, Frequency]] = {}
     for (k, m, w), c in f.terms.items():
         i = idx[k]
         coef = lat.freq_coef[i]
         if coef == 0:
             out[(k, m, w)] = out.get((k, m, w), 0.0) + c
             continue
-        g = Frequency.rotation(lat.freq_sqfree[i], coef, omega)
+        sqfree = lat.freq_sqfree[i]
+        pair = shifted.get((w, sqfree, coef))
+        if pair is None:
+            g = rotations.get((sqfree, coef))
+            if g is None:
+                g = rotations[(sqfree, coef)] = Frequency.rotation(sqfree, coef, omega)
+            pair = shifted[(w, sqfree, coef)] = (w + g, w - g)
         jc = lat.jk[i] @ c
         plus = 0.5 * (c - 1j * jc)
         minus = 0.5 * (c + 1j * jc)
-        for freq, val in ((w + g, plus), (w - g, minus)):
+        for freq, val in zip(pair, (plus, minus)):
             key = (k, m, freq)
             out[key] = out.get(key, 0.0) + val
     return SPoly(lat, out)

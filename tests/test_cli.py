@@ -300,6 +300,22 @@ def test_trajectory_unknown_mode(tmp_path, capsys):
     assert err["kind"] == "config" and "(5, 0, 0)" in err["message"]
 
 
+def test_trajectory_header_not_object(tmp_path, capsys):
+    traj = tmp_path / "listheader.jsonl"
+    _write_traj(traj, [1, 2], _two_records([1, 0, 0]))
+    assert main(["expand", "--traj", str(traj), "--order", "1"]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config" and "header" in err["message"]
+
+
+def test_trajectory_record_not_object(tmp_path, capsys):
+    traj = tmp_path / "listrecord.jsonl"
+    _write_traj(traj, {"meta": _TRAJ_META}, _two_records([1, 0, 0])[:1] + [[1, 2]])
+    assert main(["expand", "--traj", str(traj), "--order", "1"]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config" and "line 3" in err["message"]
+
+
 def test_output_directory_missing(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     _write_config(cfg_path, solver={"dt": 0.01, "t_end": 0.02, "form": "v"})

@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from rotspec.fields import (
     SpectralField,
+    advect,
     apply_A_power,
     apply_S,
     apply_expS,
@@ -14,6 +17,7 @@ from rotspec.fields import (
     _conv_plan,
     _triads,
     eigen_restrict,
+    field_from_doc,
     field_from_json,
     field_to_json,
     gevrey_norm,
@@ -27,6 +31,11 @@ from rotspec.lattice import build_lattice
 LAT3 = build_lattice(cutoff=3)
 U3 = random_gevrey(LAT3, seed=2)
 V3 = random_gevrey(LAT3, seed=5)
+LATTICES = {
+    "cube3": LAT3,
+    "aniso5": build_lattice(ell=(1, 1, "1/2"), cutoff=5),
+    "cube6": build_lattice(cutoff=6),
+}
 
 ts = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -248,6 +257,80 @@ def test_conv_plan_matches_reference_loop():
             p_indptr, np.r_[0, np.cumsum(np.bincount(io, minlength=lat.n_modes))])
 
 
+def _advect_reference(lattice, X, Y, t=0.0, omega=0.0):
+    """The single-sample kernel as a loop body: one CSR product per call."""
+    def rotate(C, theta):
+        rot = np.einsum("mij,mj->mi", lattice.jk, C)
+        return np.cos(theta)[:, None] * C + np.sin(theta)[:, None] * rot
+
+    def convolve(U, V):
+        im, ij, kc, indptr = _conv_plan(lattice)
+        M = lattice.n_modes
+        dots = (U[im] * kc).sum(axis=1)
+        out = 1j * (sp.csr_matrix((dots, ij, indptr), shape=(M, M)) @ V)
+        rep = lattice.rep_mask
+        out[lattice.conj_idx[rep]] = np.conj(out[rep])
+        return out
+
+    if omega == 0.0:
+        return np.einsum("mij,mj->mi", lattice.proj, convolve(X, Y))
+    theta = -omega * lattice.kt3 * t
+    Xr = rotate(X, theta)
+    Yr = Xr if Y is X else rotate(Y, theta)
+    return rotate(np.einsum("mij,mj->mi", lattice.proj, convolve(Xr, Yr)), -theta)
+
+
+def _assert_bits_equal(got, want):
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+
+
+def _samples(lat, seed, n):
+    """n real-paired fields as an (n,M,3) stack, and n sample times."""
+    X = np.array([random_gevrey(lat, seed=seed + b).coeffs for b in range(n)])
+    ts = np.random.default_rng(seed).uniform(0.0, 12.0, n)
+    return X, ts
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("omega", [0.0, 5.0])
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_stacked_advect_matches_reference(name, omega, n):
+    """Stacks and shells give the per-sample kernel's bits on every computed row."""
+    lat = LATTICES[name]
+    X, ts = _samples(lat, 10, n)
+    Y, _ = _samples(lat, 50, n)
+    want = np.array([_advect_reference(lat, X[b], Y[b], float(ts[b]), omega)
+                     for b in range(n)])
+    _assert_bits_equal(advect(lat, X, Y, ts, omega), want)
+    for b in range(n):
+        _assert_bits_equal(advect(lat, X[b], Y[b], float(ts[b]), omega), want[b])
+        _assert_bits_equal(advect(lat, X[b], X[b], float(ts[b]), omega),
+                           _advect_reference(lat, X[b], X[b], float(ts[b]), omega))
+    for s, lam in enumerate(lat.eigenvalues):
+        got = advect(lat, X, Y, ts, omega, lam)
+        on = lat.shell_of == s
+        _assert_bits_equal(got[:, on], want[:, on])
+        assert not np.any(got[:, ~on])
+
+
+@given(st.sampled_from(sorted(LATTICES)), st.integers(0, 2**16), st.integers(1, 4),
+       st.sampled_from([0.0, 5.0, -2.5]), st.integers(-1, 8))
+@settings(deadline=None, max_examples=30)
+def test_stacked_advect_reality_and_shells(name, seed, n, omega, shell):
+    lat = LATTICES[name]
+    X, ts = _samples(lat, seed, n)
+    Y, _ = _samples(lat, seed + 100, n)
+    lam = None if shell < 0 else Fraction(shell, 2)  # halves: some are not eigenvalues
+    out = advect(lat, X, Y, ts, omega, lam)
+    scale = max(1.0, float(np.abs(out).max()))
+    assert np.abs(out[:, lat.conj_idx] - np.conj(out)).max() <= 1e-13 * scale
+    if lam is not None and lam not in lat.eigenvalues:
+        assert not np.any(out)
+    elif lam is not None:
+        assert not np.any(out[:, lat.shell_of != lat.eigenvalues.index(lam)])
+
+
 def test_bilinear_energy_orthogonality():
     b = bilinear_B(U3, V3)
     scale = U3.norm() * V3.norm()
@@ -275,6 +358,30 @@ def test_field_json_roundtrip():
     assert auto.lattice.ell == LAT3.ell
     for k, i in auto.lattice.mode_index.items():
         np.testing.assert_allclose(auto.coeffs[i], U3.coeffs[LAT3.mode_index[k]], atol=1e-16)
+
+
+def test_field_from_doc_checks():
+    lat = LAT3
+    i, j = lat.mode_index[(1, 1, 0)], lat.mode_index[(-1, -1, 0)]
+    z = lat.proj[i] @ np.array([1.0 + 2.0j, -0.5j, 0.0])
+
+    def doc(*modes):
+        return {"modes": [{"k": list(k), "re": c.real.tolist(), "im": c.imag.tolist()}
+                          for k, c in modes]}
+
+    u = field_from_doc(doc(((1, 1, 0), z)), lat)  # conjugate filled
+    np.testing.assert_array_equal(u.coeffs[j], np.conj(z))
+    assert np.count_nonzero(np.any(u.coeffs, axis=1)) == 2
+    both = field_from_doc(doc(((1, 1, 0), z), ((-1, -1, 0), np.conj(z))), lat)
+    np.testing.assert_array_equal(both.coeffs, u.coeffs)
+    with pytest.raises(ValueError, match="pairing"):
+        field_from_doc(doc(((1, 1, 0), z), ((-1, -1, 0), z)), lat)
+    with pytest.raises(ValueError, match=r"\(9, 0, 0\)"):
+        field_from_doc(doc(((1, 1, 0), z), ((9, 0, 0), z)), lat)
+    with pytest.raises(KeyError):
+        field_from_doc({"modes": [{"k": [1, 1, 0], "re": [0.0, 0.0, 0.0]}]}, lat)
+    # the JSON round trip is exact
+    np.testing.assert_array_equal(field_from_json(field_to_json(U3), LAT3).coeffs, U3.coeffs)
 
 
 def test_field_json_anisotropic():

@@ -73,6 +73,17 @@ def test_short_final_step(cube6):
         traj.coeffs[-1], u0.coeffs * np.exp(-cube6.lam_f * 0.55)[:, None], atol=1e-15)
 
 
+def _transform_reference(traj, sign):
+    """The per-sample loop: rotate each record by sign * Omega * k3til * t."""
+    lat = traj.lattice
+    out = np.empty_like(traj.coeffs)
+    for i, t in enumerate(traj.times):
+        theta = sign * traj.omega * lat.kt3 * t
+        rot = np.einsum("mij,mj->mi", lat.jk, traj.coeffs[i])
+        out[i] = np.cos(theta)[:, None] * traj.coeffs[i] + np.sin(theta)[:, None] * rot
+    return out
+
+
 def test_form_equivalence(cube_run):
     """The u- and v-runs are the same discrete flow seen through exp(Omega t S)."""
     trajv, traju = cube_run["trajv"], cube_run["traju"]
@@ -81,6 +92,10 @@ def test_form_equivalence(cube_run):
     np.testing.assert_allclose(tv.coeffs, trajv.coeffs, atol=1e-14)
     back = transform_trajectory(tv, "u")
     np.testing.assert_allclose(back.coeffs, traju.coeffs, atol=1e-15)
+    # the stacked rotation gives the per-sample loop's bits
+    for got, src, sign in ((tv, traju, 1.0), (back, tv, -1.0)):
+        np.testing.assert_array_equal(got.coeffs.view(np.uint64),
+                                      _transform_reference(src, sign).view(np.uint64))
     assert transform_trajectory(trajv, "v") is trajv
     np.testing.assert_allclose(traju.norms(), trajv.norms(), atol=1e-14)
 

@@ -192,6 +192,12 @@ def test_evaluate_many_matches_pointwise():
     for j, t in enumerate(ts):
         np.testing.assert_allclose(block[j], f.evaluate(float(t)).coeffs, atol=1e-13)
     assert f.reality_error() < 1e-15
+    # bit-equal to one series per term, scattered in term order
+    ref = np.zeros_like(block)
+    for (k, m, w), c in f.terms.items():
+        series = ts**m * np.exp(1j * w.value * ts)
+        ref[:, LAT.mode_index[k], :] += series[:, None] * c[None, :]
+    np.testing.assert_array_equal(block.view(np.uint64), ref.view(np.uint64))
 
 
 def test_time_shift():
@@ -320,6 +326,22 @@ def _assert_identical(got, want):
         assert np.array_equal(got.terms[key], c)
 
 
+def _expS_reference(f, omega):
+    """exp(Omega t S) f with the rotation and both shifted frequencies built per term."""
+    lat = f.lattice
+    out = {}
+    for (k, m, w), c in f.terms.items():
+        i = lat.mode_index[k]
+        if lat.freq_coef[i] == 0:
+            out[(k, m, w)] = out.get((k, m, w), 0.0) + c
+            continue
+        g = Frequency.rotation(lat.freq_sqfree[i], lat.freq_coef[i], omega)
+        jc = lat.jk[i] @ c
+        for freq, val in ((w + g, 0.5 * (c - 1j * jc)), (w - g, 0.5 * (c + 1j * jc))):
+            out[(k, m, freq)] = out.get((k, m, freq), 0.0) + val
+    return SPoly(lat, out)
+
+
 _LATTICES = {
     "cube3": LAT,
     "aniso5": build_lattice(ell=(1, 1, "1/2"), cutoff=5),
@@ -355,6 +377,33 @@ def test_bilinear_spoly_shell_restriction(name, seed, omega):
     for lam in lat.eigenvalues:
         _assert_identical(bilinear_spoly(f, g, omega, lam), full.restrict_shell(lam))
     assert bilinear_spoly(f, g, omega, Fraction(1, 7)).is_zero  # not an eigenvalue
+
+
+@pytest.mark.parametrize("omega", [3.0, -2.5])
+@pytest.mark.parametrize("name", list(_LATTICES))
+def test_apply_expS_spoly_matches_reference_loop(name, omega):
+    lat = _LATTICES[name]
+    w = Frequency.user(0.37)  # a second generator: w +/- g gets two parts
+    extra = {}
+    for k in ((1, 0, 1), (0, 0, 1), (1, 0, 0)):
+        c = np.array([0.0, 1.0, -1.0j])
+        extra[(k, 1, w)] = c
+        extra[(tuple(-x for x in k), 1, -w)] = np.conj(c)
+    f = _random_spoly(lat, seed=22, omega=omega) + SPoly(lat, extra)
+    got, want = apply_expS_spoly(f, omega), _expS_reference(f, omega)
+    _assert_identical(got, want)
+    assert [w.value for (_, _, w) in got.terms] == [w.value for (_, _, w) in want.terms]
+
+
+@given(st.sampled_from(["cube3", "aniso5"]), st.integers(0, 2**16),
+       st.sampled_from([3.0, -2.5, 7.0]), st.sampled_from([(0,), (0, 2), (1, 3)]))
+@settings(deadline=None, max_examples=25)
+def test_apply_expS_spoly_reality(name, seed, omega, degrees):
+    lat = _LATTICES[name]
+    f = _random_spoly(lat, seed, degrees, omega=omega, n_modes=6)
+    for om in (omega, -omega):
+        g = apply_expS_spoly(f, om)
+        assert g.reality_error() <= 1e-13 * max(1.0, g.max_abs())
 
 
 # -- drift phases ------------------------------------------------------------
