@@ -179,6 +179,9 @@ def _initial_field(cfg: dict, lat) -> SpectralField:
                 return field_from_json(fh.read(), lat)
         except OSError as e:
             raise CliError(EXIT_CONFIG, "config", f"cannot read field file: {e}")
+        except (KeyError, TypeError) as e:
+            raise CliError(EXIT_CONFIG, "config",
+                           f"field file is not a field document ({type(e).__name__}: {e})")
     raise CliError(EXIT_CONFIG, "config", f"unknown initial kind {kind!r}")
 
 

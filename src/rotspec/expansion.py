@@ -183,8 +183,9 @@ def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) 
     return exp
 
 
-# samples per advect call in the resonant fit: the (samples, pairs, 3) complex
-# gather of the shell's convolution pairs stays near this many bytes
+# samples per advect call in the resonant fit: the three gathered components
+# of the shell's convolution pairs, 48 B per sample and pair, stay near this
+# many bytes
 _FIT_BLOCK_BYTES = 1 << 20
 
 

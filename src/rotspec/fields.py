@@ -247,7 +247,8 @@ def _conv_plan(lattice: Lattice, lam=None):
     With lam given, only pairs whose output lies on the Stokes shell lam are
     kept (none if lam is not an eigenvalue); each kept row lists the same
     pairs in the same order as in the full plan.  Returns
-    (im, ij, kcheck[out], indptr).  Cached per lattice and shell.
+    (im, ij, kcheck[out].T, indptr), the wave vectors as three contiguous
+    rows.  Cached per lattice and shell.
     """
     plans = getattr(lattice, "_conv_plans", None)
     if plans is None:
@@ -271,18 +272,20 @@ def _conv_plan(lattice: Lattice, lam=None):
     plan = (
         im,
         ij,
-        lattice.kcheck[io],  # gather of the output wave vectors, (P,3)
+        np.ascontiguousarray(lattice.kcheck[io].T),  # output wave vectors, (3,P)
         np.r_[0, np.cumsum(np.bincount(io, minlength=M))],
     )
     plans[lam] = plan
     return plan
 
 
-def _block_csr(lattice: Lattice, lam, n: int):
-    """Column indices and row pointers of n diagonal copies of the plan.
+def _block_csr(lattice: Lattice, lam, n: int) -> sp.csr_matrix:
+    """CSR matrix of n diagonal copies of the plan, without data.
 
-    Stored in the index type scipy.sparse picks for that size, so building
-    the matrix converts nothing.  Cached per lattice, shell and n.
+    convolve_advect sets the data to its pair products for one product and
+    drops them after it, so no call reads another's and the cache holds no
+    data between calls; two threads must not convolve on one lattice at the
+    same time.  Cached per lattice, shell and n.
     """
     blocks = getattr(lattice, "_conv_blocks", None)
     if blocks is None:
@@ -291,10 +294,13 @@ def _block_csr(lattice: Lattice, lam, n: int):
     if key not in blocks:
         _, ij, _, indptr = _conv_plan(lattice, lam)
         M, P = lattice.n_modes, len(ij)
-        idx = sp.get_index_dtype(maxval=max(n * M, n * P))
         offs = np.arange(n)[:, None]
-        blocks[key] = ((ij + M * offs).ravel().astype(idx),
-                       np.r_[0, (indptr[1:] + P * offs).ravel()].astype(idx))
+        S = sp.csr_matrix(
+            (np.zeros(n * P, dtype=complex), (ij + M * offs).ravel(),
+             np.r_[0, (indptr[1:] + P * offs).ravel()]),
+            shape=(n * M, n * M))
+        S.data = None
+        blocks[key] = S
     return blocks[key]
 
 
@@ -307,14 +313,23 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) ->
     matrix-vector product (block-diagonal over the samples) over the
     representative outputs, with the conjugate half mirrored.  With lam
     given, only outputs on that Stokes shell are formed; other rows are zero.
+
+    Each pair's dot product is summed left to right over the three
+    components, (U_m0 k0 + U_m1 k1) + U_m2 k2, one gathered component
+    column at a time.
     """
+    if U.shape != V.shape:
+        raise ValueError(f"U and V must have the same shape, not {U.shape} and {V.shape}")
     im, ij, kc, _ = _conv_plan(lattice, lam)
     M = lattice.n_modes
     n = V.size // (3 * M)
-    indices, indptr = _block_csr(lattice, lam, n)
-    dots = (U[..., im, :] * kc).sum(axis=-1)
-    S = sp.csr_matrix((dots.ravel(), indices, indptr), shape=(n * M, n * M))
+    cols = np.ascontiguousarray(np.moveaxis(U, -1, 0))
+    dots = (cols[0].take(im, axis=-1) * kc[0] + cols[1].take(im, axis=-1) * kc[1]
+            + cols[2].take(im, axis=-1) * kc[2])
+    S = _block_csr(lattice, lam, n)
+    S.data = dots.ravel()
     out = 1j * (S @ V.reshape(n * M, 3)).reshape(V.shape)
+    S.data = None
     rep = lattice.rep_mask
     out[..., lattice.conj_idx[rep], :] = np.conj(out[..., rep, :])
     return out

@@ -194,6 +194,22 @@ def test_simulate_file_initial(tmp_path):
     assert main(["simulate", "--config", str(cfg_path2), "--out", "-"]) == 2
 
 
+@pytest.mark.parametrize("doc, error", [([1, 2], "TypeError"),
+                                        ({"L": [1, 1, 1]}, "KeyError")],
+                         ids=["list", "no-modes"])
+def test_simulate_file_initial_wrong_shape(tmp_path, capsys, doc, error):
+    """A field file that is valid JSON but not a field document exits 2."""
+    field_path = tmp_path / "u0.json"
+    field_path.write_text(json.dumps(doc))
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, lattice={"cutoff": 2},
+                  initial={"kind": "file", "path": str(field_path)},
+                  solver={"dt": 0.01, "t_end": 0.05, "form": "v"})
+    assert main(["simulate", "--config", str(cfg_path), "--out", "-"]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config" and error in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # expand
 

@@ -27,6 +27,7 @@ from rotspec.fields import (
     random_gevrey,
 )
 from rotspec.lattice import build_lattice
+from rotspec.special import VkData
 
 LAT3 = build_lattice(cutoff=3)
 U3 = random_gevrey(LAT3, seed=2)
@@ -252,21 +253,27 @@ def test_conv_plan_matches_reference_loop():
         p_im, p_ij, p_kc, p_indptr = _conv_plan(lat)
         np.testing.assert_array_equal(p_im, im)
         np.testing.assert_array_equal(p_ij, ij)
-        np.testing.assert_array_equal(p_kc, lat.kcheck[io])
+        np.testing.assert_array_equal(p_kc, lat.kcheck[io].T)
+        assert p_kc.flags.c_contiguous
         np.testing.assert_array_equal(
             p_indptr, np.r_[0, np.cumsum(np.bincount(io, minlength=lat.n_modes))])
 
 
 def _advect_reference(lattice, X, Y, t=0.0, omega=0.0):
-    """The single-sample kernel as a loop body: one CSR product per call."""
+    """The single-sample kernel as a loop body: one CSR product per call.
+
+    Each pair's dot product is the length-3 sum over a (P,3) gather of the
+    output wave vectors, as numpy reduces it.
+    """
     def rotate(C, theta):
         rot = np.einsum("mij,mj->mi", lattice.jk, C)
         return np.cos(theta)[:, None] * C + np.sin(theta)[:, None] * rot
 
     def convolve(U, V):
-        im, ij, kc, indptr = _conv_plan(lattice)
+        im, ij, _, indptr = _conv_plan(lattice)
         M = lattice.n_modes
-        dots = (U[im] * kc).sum(axis=1)
+        io = np.repeat(np.arange(M), np.diff(indptr))
+        dots = (U[im] * lattice.kcheck[io]).sum(axis=1)
         out = 1j * (sp.csr_matrix((dots, ij, indptr), shape=(M, M)) @ V)
         rep = lattice.rep_mask
         out[lattice.conj_idx[rep]] = np.conj(out[rep])
@@ -292,14 +299,45 @@ def _samples(lat, seed, n):
     return X, ts
 
 
-@pytest.mark.parametrize("name", sorted(LATTICES))
+RAYS = [(1, 0, 1), (0, 1, 1), (1, -1, 0)]
+
+
+def _ray_samples(lat, seed, n):
+    """Sparse stacks: sample b is data on ray (seed + b) mod 3, harmonics 1 and 2.
+
+    Four of the lattice's modes are non-zero, so most pair products are
+    exact zeros, signed by the wave vectors they meet.
+    """
+    X = np.array([VkData.random(RAYS[(seed + b) % 3], (1, 2), seed + b, lat).field(lat).coeffs
+                  for b in range(n)])
+    return X, np.random.default_rng(seed).uniform(0.0, 12.0, n)
+
+
+def _signed_zero_samples(lat, seed, n):
+    """Dense stacks with -0.0 as the real or imaginary part of about 30% of the components."""
+    X, ts = _samples(lat, seed, n)
+    rng = np.random.default_rng(seed)
+    X.real[rng.random(X.shape) < 0.3] = -0.0
+    X.imag[rng.random(X.shape) < 0.3] = -0.0
+    rep = lat.rep_mask
+    X[:, lat.conj_idx[rep]] = np.conj(X[:, rep])
+    return X, ts
+
+
+# name -> (lattice, stack maker); the first three are dense random_gevrey data
+STACKS = {name: (lat, _samples) for name, lat in LATTICES.items()}
+STACKS["ray10"] = (build_lattice(cutoff=10), _ray_samples)
+STACKS["zeros6"] = (LATTICES["cube6"], _signed_zero_samples)
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
 @pytest.mark.parametrize("omega", [0.0, 5.0])
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_stacked_advect_matches_reference(name, omega, n):
     """Stacks and shells give the per-sample kernel's bits on every computed row."""
-    lat = LATTICES[name]
-    X, ts = _samples(lat, 10, n)
-    Y, _ = _samples(lat, 50, n)
+    lat, samples = STACKS[name]
+    X, ts = samples(lat, 10, n)
+    Y, _ = samples(lat, 50, n)
     want = np.array([_advect_reference(lat, X[b], Y[b], float(ts[b]), omega)
                      for b in range(n)])
     _assert_bits_equal(advect(lat, X, Y, ts, omega), want)
@@ -312,6 +350,29 @@ def test_stacked_advect_matches_reference(name, omega, n):
         on = lat.shell_of == s
         _assert_bits_equal(got[:, on], want[:, on])
         assert not np.any(got[:, ~on])
+
+
+def test_cached_block_matrix_keeps_no_data_between_calls():
+    """Interleaved (shell, stack size) calls on fresh inputs each match a fresh reference."""
+    lat = LATTICES["cube6"]
+    every, shell1 = np.ones(lat.n_modes, dtype=bool), lat.shell_of == 0
+    for seed, n, lam, on in [(1, 3, lat.eigenvalues[0], shell1), (2, 1, None, every),
+                             (3, 3, lat.eigenvalues[0], shell1), (4, 1, None, every)]:
+        X, ts = _samples(lat, seed, n)
+        Y, _ = _samples(lat, seed + 100, n)
+        got = advect(lat, X, Y, ts, 5.0, lam)
+        for b in range(n):
+            want = _advect_reference(lat, X[b], Y[b], float(ts[b]), 5.0)
+            _assert_bits_equal(got[b, on], want[on])
+            assert not np.any(got[b, ~on])
+
+
+def test_advect_rejects_mismatched_stacks():
+    lat = LATTICES["cube3"]
+    X, _ = _samples(lat, 1, 3)
+    for a, b in [(X, X[0]), (X[0], X), (X[:2], X)]:
+        with pytest.raises(ValueError):
+            advect(lat, a, b)
 
 
 @given(st.sampled_from(sorted(LATTICES)), st.integers(0, 2**16), st.integers(1, 4),

@@ -155,6 +155,36 @@ def test_semigroup_decompositions():
     assert not table.is_eigenvalue(Fraction(6))
 
 
+def _finite_sums(eigenvalues, cap):
+    """Every sum of one or more eigenvalues (repeats allowed) that is <= cap."""
+    out = set()
+
+    def extend(total, start):
+        for i in range(start, len(eigenvalues)):
+            s = total + eigenvalues[i]
+            if s <= cap:
+                out.add(s)
+                extend(s, i)
+
+    extend(Fraction(0), 0)
+    return out
+
+
+fractions = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+
+
+@given(st.lists(fractions, min_size=1, max_size=4), fractions)
+@settings(deadline=None, max_examples=60)
+def test_semigroup_table_matches_brute_force(eigenvalues, cap):
+    cap = cap + min(eigenvalues)  # at least one eigenvalue at or below the cap
+    table = SemigroupTable(eigenvalues, cap)
+    assert table.mu == sorted(_finite_sums(sorted(set(eigenvalues)), cap))
+    for n, m in enumerate(table.mu):
+        assert table.decompositions[n] == [
+            (i, j) for i in range(len(table.mu)) for j in range(len(table.mu))
+            if table.mu[i] + table.mu[j] == m]
+
+
 def test_semigroup_closure_property():
     lat = build_lattice(ell=(1, 1, "1/2"), cutoff=8)
     table = semigroup_table(lat)
