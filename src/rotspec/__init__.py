@@ -39,9 +39,7 @@ from .fields import (
 from .spoly import (
     Frequency,
     OdeResonanceError,
-    Phase,
     SPoly,
-    SSPoly,
     antiderivative,
     apply_expS_spoly,
     bilinear_spoly,
@@ -50,7 +48,6 @@ from .spoly import (
     ode_solve,
     spoly_from_json,
     spoly_to_json,
-    sspoly_phase_shift,
 )
 from .solver import (
     SolverConfig,

@@ -241,6 +241,22 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _require_whole_records(config: SolverConfig):
+    """Reject a run whose last recorded gap would be short, which `expand`
+    refuses as non-uniform: (t_end - t0)/dt must be a whole number of steps
+    (to the relative 1e-12 that `integrate` allows) and record_stride must
+    divide it."""
+    span = (config.t_end - config.t0) / config.dt
+    steps = round(span)
+    if steps < 1 or abs(span - steps) > 1e-12 * span:
+        raise CliError(EXIT_CONFIG, "config",
+                       f"(t_end - t0)/dt = {span:.12g} is not a whole number of steps")
+    if steps % config.record_stride:
+        raise CliError(EXIT_CONFIG, "config",
+                       f"record_stride {config.record_stride} does not divide "
+                       f"the {steps} steps")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     lat = _lattice_from(cfg)
@@ -250,6 +266,7 @@ def cmd_simulate(args) -> int:
                           omega=cfg["omega"], form=sv.get("form", "v"),
                           record_stride=sv.get("record_stride", 1),
                           t0=sv.get("t0", 0.0))
+    _require_whole_records(config)
     traj = integrate(u0, config)
     if not np.isfinite(traj.coeffs).all():
         raise CliError(EXIT_NUMERICAL, "numerical", "trajectory contains NaN/Inf")

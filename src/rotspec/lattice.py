@@ -18,6 +18,7 @@ TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "Lattice",
+    "LatticeError",
     "SemigroupTable",
     "build_lattice",
     "stokes_spectrum",

@@ -20,7 +20,7 @@ import numpy as np
 from .lattice import Lattice
 from .fields import (SpectralField, _J_VERT, _gevrey_norms, _rotate_coeffs,
                      convolve_advect, eigen_restrict)
-from .spoly import SPoly, SSPoly, apply_expS_spoly, sspoly_phase_shift
+from .spoly import SPoly, apply_expS_spoly
 from .solver import Trajectory
 
 __all__ = [
@@ -188,6 +188,11 @@ def field_shift(u: SpectralField, shift: np.ndarray,
     return SpectralField(lat, u.coeffs * phase[:, None], mean)
 
 
+def _drift_phases(lat: Lattice, flow: MeanFlow, ts: np.ndarray) -> np.ndarray:
+    """(R, M) drift phases exp(-i kcheck . V(t)), one row per time."""
+    return np.array([np.exp(-1j * (lat.kcheck @ flow.V(float(t)))) for t in ts])
+
+
 def shift_trajectory(traj: Trajectory, flow: MeanFlow, direction: str = "to_u") -> Tuple[Trajectory, np.ndarray]:
     """Hyper-Galilean transform of a whole trajectory.
 
@@ -195,20 +200,14 @@ def shift_trajectory(traj: Trajectory, flow: MeanFlow, direction: str = "to_u") 
     "to_w": inverse.  Returns (trajectory, means) since Trajectory carries
     coefficients only; means is the (R,3) array of sample means.
     """
+    if direction not in ("to_u", "to_w"):
+        raise ValueError("direction must be 'to_u' or 'to_w'")
     lat = traj.lattice
-    out = np.empty_like(traj.coeffs)
-    means = np.empty((traj.n_samples, 3))
-    for i, t in enumerate(traj.times):
-        V = flow.V(float(t))
-        phase = np.exp(1j * (lat.kcheck @ V))
-        if direction == "to_u":
-            out[i] = traj.coeffs[i] * np.conj(phase)[:, None]
-            means[i] = flow.U(float(t))
-        elif direction == "to_w":
-            out[i] = traj.coeffs[i] * phase[:, None]
-            means[i] = -flow.U(float(t))
-        else:
-            raise ValueError("direction must be 'to_u' or 'to_w'")
+    phases = _drift_phases(lat, flow, traj.times)
+    means = np.array([flow.U(float(t)) for t in traj.times])
+    if direction == "to_w":
+        phases, means = np.conj(phases), -means
+    out = traj.coeffs * phases[:, :, None]
     shifted = Trajectory(lat, traj.form, traj.omega, traj.times.copy(), out, dt=traj.dt)
     return shifted, means
 
@@ -372,18 +371,18 @@ def verify_ss_expansion(u_traj: Trajectory, means: np.ndarray, flow: MeanFlow,
 
     `u_traj` carries the fluctuation coefficients of the drifting solution
     (means supplied separately); `orders` are the rotating-frame oscillating
-    coefficients of the underlying zero-mean problem.  Each order is mapped
-    through the drift phases and subtracted; the log-slope of the remainder
-    norm is fitted over the window (default: second half).
+    coefficients of the underlying zero-mean problem.  Their sum is multiplied
+    by the drift phases exp(-i kcheck . V(t)) and subtracted; the log-slope of
+    the remainder norm is fitted over the window (default: second half).
     """
     from .expansion import fit_decay_rate
 
     lat = u_traj.lattice
     ts = u_traj.times
-    terms = [(float(mu), sspoly_phase_shift(q, flow.U0, flow.omega)) for mu, q in orders]
-    rem = u_traj.coeffs.copy()
-    for mu, ss in terms:
-        rem -= ss.evaluate_many(ts) * np.exp(-mu * ts)[:, None, None]
+    approx = np.zeros_like(u_traj.coeffs, dtype=complex)
+    for mu, q in orders:
+        approx += q.evaluate_many(ts) * np.exp(-float(mu) * ts)[:, None, None]
+    rem = u_traj.coeffs - approx * _drift_phases(lat, flow, ts)[:, :, None]
     norms = _gevrey_norms(lat, rem, alpha, sigma)
     if window is None:
         window = (0.5 * (ts[0] + ts[-1]), ts[-1])

@@ -6,21 +6,16 @@ real trigonometric sums arise through the conjugate pairing
 over square roots of squarefree integers (the rotation lattice contributes
 Omega * k3til, and sqrt(k3^2/|k|^2) rationalizes to (a/q) sqrt(s)), plus
 ad-hoc generators for caller-supplied values.  Distinct formal keys are
-never merged on numeric proximity; near-coincidences are warned about.
-
-The second family multiplies each term with a unimodular phase
-exp(-i (a cos(wp t) + b sin(wp t) + c t + d)) as produced by mean-drift
-coordinate shifts.
+never merged on numeric proximity: they stay distinct terms however close
+their values.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,19 +25,16 @@ from .fields import SpectralField, _triads
 __all__ = [
     "Frequency",
     "SPoly",
-    "SSPoly",
-    "Phase",
+    "mode_rotation_frequency",
     "integrate_term",
     "ode_solve",
+    "antiderivative",
     "apply_expS_spoly",
     "bilinear_spoly",
-    "sspoly_phase_shift",
     "OdeResonanceError",
     "spoly_to_json",
     "spoly_from_json",
 ]
-
-COLLISION_TOL = 1e-9
 
 
 class OdeResonanceError(ValueError):
@@ -60,10 +52,11 @@ class Frequency:
     (("rot", s) for Omega*sqrt(s), s squarefree, or ("user", num, den) for an
     ad-hoc value), `coef` is a Fraction and `unit` the generator's numeric
     value.  Equality and hashing use only (key, coef); numeric value is the
-    exact sum coef*unit.  The hash is computed once, when the object is built.
+    exact sum coef*unit.  The identity tuple of (key, coef) pairs and its hash
+    are computed once, when the object is built.
     """
 
-    __slots__ = ("parts", "value", "_hash")
+    __slots__ = ("parts", "value", "_id", "_hash")
 
     def __init__(self, parts: Iterable[Tuple[tuple, Fraction, float]] = ()):
         merged: Dict[tuple, Tuple[Fraction, float]] = {}
@@ -85,7 +78,8 @@ class Frequency:
             if coef != 0
         )
         self.value = float(sum(float(coef) * unit for _, coef, unit in self.parts))
-        self._hash = hash(self._id())
+        self._id = tuple((key, coef) for key, coef, _ in self.parts)
+        self._hash = hash(self._id)
 
     @staticmethod
     def zero() -> "Frequency":
@@ -124,7 +118,8 @@ class Frequency:
         f = Frequency.__new__(Frequency)
         f.parts = tuple((key, -coef, unit) for key, coef, unit in self.parts)
         f.value = -self.value
-        f._hash = hash(f._id())
+        f._id = tuple((key, -coef) for key, coef in self._id)
+        f._hash = hash(f._id)
         return f
 
     def __sub__(self, other: "Frequency") -> "Frequency":
@@ -136,18 +131,15 @@ class Frequency:
             return _FREQ_ZERO
         return Frequency([(key, coef * factor, unit) for key, coef, unit in self.parts])
 
-    def _id(self):
-        return tuple((key, coef) for key, coef, _ in self.parts)
-
     def __eq__(self, other):
         return self is other or (isinstance(other, Frequency) and self._hash == other._hash
-                                 and self._id() == other._id())
+                                 and self._id == other._id)
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other: "Frequency"):
-        return self._id() < other._id()
+        return self._id < other._id
 
     def __repr__(self):
         if not self.parts:
@@ -159,7 +151,8 @@ class Frequency:
 _FREQ_ZERO = Frequency.__new__(Frequency)
 _FREQ_ZERO.parts = ()
 _FREQ_ZERO.value = 0.0
-_FREQ_ZERO._hash = hash(_FREQ_ZERO._id())
+_FREQ_ZERO._id = ()
+_FREQ_ZERO._hash = hash(_FREQ_ZERO._id)
 
 
 def mode_rotation_frequency(lattice: Lattice, mode: int, omega: float) -> Frequency:
@@ -218,8 +211,7 @@ class SPoly:
     __slots__ = ("lattice", "terms")
 
     def __init__(self, lattice: Lattice,
-                 terms: Optional[Dict[TermKey, np.ndarray]] = None,
-                 check_collisions: bool = False):
+                 terms: Optional[Dict[TermKey, np.ndarray]] = None):
         self.lattice = lattice
         self.terms: Dict[TermKey, np.ndarray] = {}
         if terms:
@@ -235,8 +227,6 @@ class SPoly:
                         del self.terms[key]
                 else:
                     self.terms[key] = c
-        if check_collisions:
-            self.warn_collisions()
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -278,25 +268,6 @@ class SPoly:
     def support_lams(self) -> List[Fraction]:
         lams = {self.lattice.lam[self.lattice.mode_index[k]] for (k, _, _) in self.terms}
         return sorted(lams)
-
-    def warn_collisions(self, tol: float = COLLISION_TOL) -> int:
-        """Warn about numerically coincident but formally distinct frequencies."""
-        groups: Dict[Tuple[Tuple[int, int, int], int], List[Frequency]] = {}
-        for (k, m, f) in self.terms:
-            groups.setdefault((k, m), []).append(f)
-        hits = 0
-        for (k, m), fs in groups.items():
-            fs = sorted(set(fs), key=lambda f: f.value)
-            for a, b in zip(fs, fs[1:]):
-                if a != b and abs(a.value - b.value) < tol:
-                    hits += 1
-                    warnings.warn(
-                        f"frequency collision on mode {k}, degree {m}: "
-                        f"{a!r} vs {b!r} differ by {abs(a.value - b.value):.2e}; "
-                        "keys kept distinct",
-                        stacklevel=2,
-                    )
-        return hits
 
     def reality_error(self) -> float:
         err = 0.0
@@ -602,140 +573,6 @@ def ode_solve(beta, p: SPoly, xi0: Optional[SpectralField] = None) -> SPoly:
 def antiderivative(p: SPoly) -> SPoly:
     """The antiderivative F with F(0) = 0 (closed form, exact)."""
     return ode_solve(0, p)
-
-
-# ---------------------------------------------------------------------------
-# drift phases
-
-
-@dataclass(frozen=True)
-class Phase:
-    """Unimodular factor exp(-i (a cos(wp t) + b sin(wp t) + c t + d))."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    pfreq: Frequency
-
-    def __call__(self, t):
-        arg = (self.a * np.cos(self.pfreq.value * t)
-               + self.b * np.sin(self.pfreq.value * t)
-               + self.c * t + self.d)
-        return np.exp(-1j * arg)
-
-    def negate(self) -> "Phase":
-        return Phase(-self.a, -self.b, -self.c, -self.d, self.pfreq)
-
-
-_PHASE_ONE = Phase(0.0, 0.0, 0.0, 0.0, _FREQ_ZERO)
-
-SSTermKey = Tuple[Tuple[int, int, int], int, Frequency, Phase]
-
-
-class SSPoly:
-    """Oscillating polynomial with per-term drift phases."""
-
-    __slots__ = ("lattice", "terms")
-
-    def __init__(self, lattice: Lattice,
-                 terms: Optional[Dict[SSTermKey, np.ndarray]] = None):
-        self.lattice = lattice
-        self.terms: Dict[SSTermKey, np.ndarray] = {}
-        if terms:
-            for key, c in terms.items():
-                c = np.asarray(c, dtype=complex)
-                if not np.any(c):
-                    continue
-                if key in self.terms:
-                    self.terms[key] = self.terms[key] + c
-                else:
-                    self.terms[key] = c
-
-    @staticmethod
-    def from_spoly(f: SPoly) -> "SSPoly":
-        return SSPoly(f.lattice, {
-            (k, m, w, _PHASE_ONE): c.copy() for (k, m, w), c in f.terms.items()
-        })
-
-    def __add__(self, other: "SSPoly") -> "SSPoly":
-        terms = {k: c.copy() for k, c in self.terms.items()}
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0.0) + c
-        return SSPoly(self.lattice, terms)
-
-    def scale(self, a: complex) -> "SSPoly":
-        return SSPoly(self.lattice, {k: c * a for k, c in self.terms.items()})
-
-    def evaluate(self, t: float) -> SpectralField:
-        u = SpectralField(self.lattice)
-        idx = self.lattice.mode_index
-        for (k, m, w, ph), c in self.terms.items():
-            u.coeffs[idx[k]] += (t**m) * np.exp(1j * w.value * t) * ph(t) * c
-        return u
-
-    def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros((len(ts), self.lattice.n_modes, 3), dtype=complex)
-        idx = self.lattice.mode_index
-        for (k, m, w, ph), c in self.terms.items():
-            series = ts**m * np.exp(1j * w.value * ts) * ph(ts)
-            out[:, idx[k], :] += series[:, None] * c[None, :]
-        return out
-
-    def reality_error(self) -> float:
-        err = 0.0
-        for (k, m, w, ph), c in self.terms.items():
-            kk = tuple(-x for x in k)
-            partner = self.terms.get((kk, m, -w, ph.negate()))
-            if partner is None:
-                err = max(err, float(np.abs(c).max()))
-            else:
-                err = max(err, float(np.abs(partner - np.conj(c)).max()))
-        return err
-
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self):
-        return f"SSPoly(terms={len(self.terms)})"
-
-
-def sspoly_phase_shift(f: SPoly, U0: Sequence[float], omega: float) -> SSPoly:
-    """Attach the mean-drift phase exp(-i kcheck . V(t)) to every term.
-
-    For omega != 0 the drift integral V(t) makes kcheck.V(t) =
-    r1 cos(Omega t) + r2 sin(Omega t) + r3 t + r4 with
-
-        r1 = -(kc1 U2 - kc2 U1)/Omega = -r4,  r2 = (kc1 U1 + kc2 U2)/Omega,
-        r3 = kc3 U3.
-
-    At omega = 0 the drift is the straight line U0*t and the phase is
-    purely linear.
-    """
-    U0 = np.asarray(U0, dtype=float)
-    lat = f.lattice
-    idx = lat.mode_index
-    out: Dict[SSTermKey, np.ndarray] = {}
-    if omega != 0.0:
-        pfreq = Frequency.rotation(1, Fraction(1), omega)
-    else:
-        pfreq = Frequency.zero()
-    for (k, m, w), c in f.terms.items():
-        kc = lat.kcheck[idx[k]]
-        if omega != 0.0:
-            cross = kc[0] * U0[1] - kc[1] * U0[0]
-            ph = Phase(
-                a=-cross / omega,
-                b=(kc[0] * U0[0] + kc[1] * U0[1]) / omega,
-                c=kc[2] * U0[2],
-                d=cross / omega,
-                pfreq=pfreq,
-            )
-        else:
-            ph = Phase(0.0, 0.0, float(np.dot(kc, U0)), 0.0, pfreq)
-        out[(k, m, w, ph)] = out.get((k, m, w, ph), 0.0) + c
-    return SSPoly(lat, out)
 
 
 # ---------------------------------------------------------------------------

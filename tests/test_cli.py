@@ -166,6 +166,23 @@ def test_simulate_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("solver,message", [
+    ({"dt": 0.1, "t_end": 0.55}, "whole number of steps"),
+    ({"dt": 0.01, "t_end": 0.5, "record_stride": 7}, "does not divide the 50 steps"),
+])
+def test_simulate_ragged_final_sample(tmp_path, capsys, solver, message):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, solver=dict(solver, form="v"))
+    out = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config"
+    assert message in err["message"]
+    assert not out.exists()
+
+
 def test_simulate_file_initial(tmp_path):
     lat = build_lattice(cutoff=2)
     u0 = random_gevrey(lat, seed=4, amplitude=0.02)

@@ -248,9 +248,10 @@ def test_momentum_residual_negative_controls(drifting):
 
 # -- drifting expansion ------------------------------------------------------
 
-def test_verify_ss_expansion(cube6):
+@pytest.mark.parametrize("omega", [4.0, 0.0])
+def test_verify_ss_expansion(cube6, omega):
     vk = VkData.random((1, 0, 0), (1, 2), seed=12, lattice=cube6)
-    flow = MeanFlow(np.array([0.7, -0.2, 0.4]), omega=4.0)
+    flow = MeanFlow(np.array([0.7, -0.2, 0.4]), omega=omega)
     sol = DriftingSolution(vk, flow, cube6)
     ts = np.linspace(0.0, 4.0, 401)
     coeffs = np.array([sol.velocity(float(t)).coeffs for t in ts])

@@ -13,7 +13,6 @@ from rotspec.spoly import (
     _freq_from_doc,
     Frequency,
     OdeResonanceError,
-    Phase,
     SPoly,
     antiderivative,
     apply_expS_spoly,
@@ -23,7 +22,6 @@ from rotspec.spoly import (
     ode_solve,
     spoly_from_json,
     spoly_to_json,
-    sspoly_phase_shift,
 )
 
 LAT = build_lattice(cutoff=3)
@@ -116,17 +114,6 @@ def test_frequency_rotation_sign():
 def test_frequency_unit_conflict():
     with pytest.raises(ValueError):
         Frequency([(("rot", 2), Fraction(1), 3.0), (("rot", 2), Fraction(1), 4.0)])
-
-
-def test_collision_warning():
-    k = (1, 0, 0)
-    terms = {
-        (k, 0, Frequency.user(1.0)): np.array([0.0, 1.0, 0.0]),
-        (k, 0, Frequency.user(1.0 + 1e-12)): np.array([0.0, 0.0, 1.0]),
-    }
-    with pytest.warns(UserWarning, match="collision"):
-        f = SPoly(LAT, terms, check_collisions=True)
-    assert f.n_terms() == 2  # kept formally distinct
 
 
 # -- closed-form antiderivative ---------------------------------------------
@@ -404,41 +391,6 @@ def test_apply_expS_spoly_reality(name, seed, omega, degrees):
     for om in (omega, -omega):
         g = apply_expS_spoly(f, om)
         assert g.reality_error() <= 1e-13 * max(1.0, g.max_abs())
-
-
-# -- drift phases ------------------------------------------------------------
-
-def _drift_displacement(U0, omega, t):
-    """V(t) = int_0^t U(s) ds by quadrature, with U the rotating mean."""
-    def U(s, comp):
-        c, sn = math.cos(omega * s), math.sin(omega * s)
-        vec = (c * U0[0] + sn * U0[1], -sn * U0[0] + c * U0[1], U0[2])
-        return vec[comp]
-    return np.array([quad(U, 0.0, t, args=(comp,), epsabs=1e-13, epsrel=1e-13)[0]
-                     for comp in range(3)])
-
-
-@pytest.mark.parametrize("omega", [4.0, 0.0])
-def test_sspoly_phase_shift(omega):
-    u = random_gevrey(LAT, seed=14)
-    f = SPoly.from_field(u)
-    U0 = np.array([0.8, -0.3, 0.5])
-    ss = sspoly_phase_shift(f, U0, omega)
-    assert ss.reality_error() < 1e-15
-    for t in (0.0, 0.6, 1.4):
-        V = _drift_displacement(U0, omega, t)
-        phases = np.exp(-1j * (LAT.kcheck @ V))
-        np.testing.assert_allclose(ss.evaluate(t).coeffs, phases[:, None] * u.coeffs,
-                                   atol=1e-12)
-    block = ss.evaluate_many(np.array([0.3, 0.9]))
-    np.testing.assert_allclose(block[1], ss.evaluate(0.9).coeffs, atol=1e-13)
-
-
-def test_phase_negate_roundtrip():
-    w = Frequency.user(2.5)
-    ph = Phase(0.3, -0.4, 1.2, 0.1, w)
-    for t in (0.0, 0.7):
-        assert ph.negate()(t) == pytest.approx(np.conj(ph(t)), abs=1e-15)
 
 
 # -- JSON --------------------------------------------------------------------
