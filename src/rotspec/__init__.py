@@ -47,6 +47,7 @@ from .spoly import (
     mode_rotation_frequency,
     ode_solve,
     spoly_from_json,
+    spoly_to_doc,
     spoly_to_json,
 )
 from .solver import (

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .lattice import LatticeError, build_lattice, semigroup_table, spectrum_to_json
 from .fields import SpectralField, field_from_json, random_gevrey
-from .spoly import OdeResonanceError, spoly_to_json
+from .spoly import OdeResonanceError, spoly_to_doc
 from .solver import (SolverConfig, config_hash, integrate, trajectory_from_jsonl,
                      trajectory_to_jsonl, transform_trajectory)
 from .expansion import (FitPolicy, expand, remainder_rate, time_average_Q,
@@ -312,7 +312,7 @@ def cmd_expand(args) -> int:
         "omega": traj.omega,
         "norm": [alpha, sigma],
         "mus": [str(mu) for mu in exp.mus],
-        "orders": [json.loads(spoly_to_json(q)) for q in exp.orders],
+        "orders": [spoly_to_doc(q) for q in exp.orders],
         "diagnostics": exp.diagnostics,
         "verify": verify,
         "rates": rates,
@@ -433,15 +433,18 @@ def cmd_sweep_omega(args) -> int:
     lat = _lattice_from(cfg)
     u0 = _initial_field(cfg, lat)
     sv = cfg["solver"]
+    configs = [SolverConfig(dt=sv.get("dt", 1e-3), t_end=sv.get("t_end", 12.0),
+                            omega=om, form="v", record_stride=sv.get("record_stride", 1),
+                            t0=sv.get("t0", 0.0))
+               for om in omegas]
+    for config in configs:
+        _require_whole_records(config)
     norms = []
-    for om in omegas:
-        config = SolverConfig(dt=sv.get("dt", 1e-3), t_end=sv.get("t_end", 12.0),
-                              omega=om, form="v",
-                              record_stride=sv.get("record_stride", 1))
+    for config in configs:
         traj = integrate(u0, config)
         if not np.isfinite(traj.coeffs).all():
             raise CliError(EXIT_NUMERICAL, "numerical",
-                           f"trajectory at omega={om} contains NaN/Inf")
+                           f"trajectory at omega={config.omega} contains NaN/Inf")
         exp = expand(traj, max(args.order, 1),
                      _policy_from_meta({"config": cfg}))
         mu1, Q1 = to_u_expansion(exp)[0]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -83,31 +83,30 @@ class Expansion:
         self.orders: List[SPoly] = []
         self.forcings: List[SPoly] = []
         self.diagnostics: List[dict] = []
-        self._pair_cache: Dict[Tuple[int, int, Optional[Fraction]], SPoly] = {}
+        # the trajectory's sample times, and exp(-mu_n t) q_n(t) there per order
+        self.times: Optional[np.ndarray] = None
+        self.samples: List[np.ndarray] = []
 
     @property
     def n_orders(self) -> int:
         return len(self.orders)
 
-    def pair(self, a: int, b: int, lam: Optional[Fraction] = None) -> SPoly:
-        """Cached symbolic bilinear product of orders a and b (0-based).
-
-        With lam given, only its terms on the Stokes shell lam are formed.
-        """
-        key = (a, b, lam)
-        if key not in self._pair_cache:
-            self._pair_cache[key] = bilinear_spoly(self.orders[a], self.orders[b],
-                                                   self.omega, lam)
-        return self._pair_cache[key]
+    def _order_samples(self, i: int, ts: np.ndarray) -> np.ndarray:
+        decay = np.exp(-float(self.mus[i]) * ts)
+        return decay[:, None, None] * self.orders[i].evaluate_many(ts)
 
     def partial_sum_coeffs(self, ts: np.ndarray, n: Optional[int] = None) -> np.ndarray:
-        """Coefficients of sum_{m<=n} q_m(t) exp(-mu_m t) at the sample times."""
+        """Coefficients of sum_{m<=n} q_m(t) exp(-mu_m t) at the times ts.
+
+        At the trajectory's own sample times the orders are not evaluated
+        again: their cached samples are added.
+        """
         n = self.n_orders if n is None else n
         ts = np.asarray(ts, dtype=float)
+        cached = self.times is not None and np.array_equal(ts, self.times)
         out = np.zeros((len(ts), self.lattice.n_modes, 3), dtype=complex)
         for i in range(n):
-            decay = np.exp(-float(self.mus[i]) * ts)
-            out += decay[:, None, None] * self.orders[i].evaluate_many(ts)
+            out += self.samples[i] if cached else self._order_samples(i, ts)
         return out
 
     def __repr__(self):
@@ -142,6 +141,7 @@ def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) 
         table = SemigroupTable(lat.eigenvalues, cap)
 
     exp = Expansion(lat, traj.omega, table, policy)
+    exp.times = ts.copy()
     # running evaluation of the partial sum at the sample times
     s_eval = np.zeros_like(traj.coeffs)
 
@@ -157,7 +157,7 @@ def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) 
             la, lb = exp.orders[a].support_lams()[-1], exp.orders[b].support_lams()[-1]
             if (math.sqrt(float(la)) + math.sqrt(float(lb))) ** 2 > float(lat.cutoff):
                 truncated = True
-            forcing = forcing - exp.pair(a, b)
+            forcing = forcing - bilinear_spoly(exp.orders[a], exp.orders[b], exp.omega)
 
         particular = SPoly.zero(lat)
         if not forcing.is_zero:
@@ -177,9 +177,8 @@ def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) 
         exp.orders.append(q)
         exp.forcings.append(forcing)
         exp.diagnostics.append(diag)
-        if not q.is_zero and n + 1 < n_orders:
-            decay = np.exp(-float(mu) * ts)
-            s_eval += decay[:, None, None] * q.evaluate_many(ts)
+        exp.samples.append(exp._order_samples(n, ts))
+        s_eval += exp.samples[n]
     return exp
 
 
@@ -187,6 +186,37 @@ def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) 
 # of the shell's convolution pairs, 48 B per sample and pair, stay near this
 # many bytes
 _FIT_BLOCK_BYTES = 1 << 20
+
+
+def _fit_chunks(lat: Lattice, mu: Fraction, R: int):
+    n_pairs = len(_conv_plan(lat, mu)[0])
+    chunk = max(1, _FIT_BLOCK_BYTES // (48 * max(n_pairs, lat.n_modes)))
+    return [slice(start, start + chunk) for start in range(0, R, chunk)]
+
+
+def _fast_pair_forcing(exp: Expansion, ts: np.ndarray, mu: Fraction,
+                       shell: np.ndarray) -> np.ndarray:
+    """Sum over order pairs (a, b) with mu_a + mu_b > mu of
+    e^{mu t} R B_Omega(t, e^{-mu_a t} q_a, e^{-mu_b t} q_b) on the shell mu.
+
+    Evaluated at the cached samples (ts must be exp.times): one advect per
+    order a, against the sum of its partners b.  Returns (R, len(shell), 3).
+    """
+    lat = exp.lattice
+    live = [a for a in range(exp.n_orders) if not exp.orders[a].is_zero]
+    partners = [(a, [b for b in live if exp.mus[a] + exp.mus[b] > mu]) for a in live]
+    partners = [(a, bs) for a, bs in partners if bs]
+    out = np.zeros((len(ts), len(shell), 3), dtype=complex)
+    if not partners:
+        return out
+    emu = np.exp(float(mu) * ts)
+    for c in _fit_chunks(lat, mu, len(ts)):
+        acc = np.zeros((len(ts[c]), lat.n_modes, 3), dtype=complex)
+        for a, bs in partners:
+            Y = sum(exp.samples[b][c] for b in bs)
+            acc += advect(lat, exp.samples[a][c], Y, ts[c], exp.omega, mu)
+        out[c] = emu[c, None, None] * acc[:, shell]
+    return out
 
 
 def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
@@ -210,26 +240,12 @@ def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
     emu = np.exp(mu_f * ts)
 
     g = np.zeros((R, len(shell), 3), dtype=complex)
-    n_pairs = len(_conv_plan(lat, mu)[0])
-    chunk = max(1, _FIT_BLOCK_BYTES // (48 * max(n_pairs, lat.n_modes)))
-    for start in range(0, R, chunk):
-        c = slice(start, start + chunk)
+    for c in _fit_chunks(lat, mu, R):
         acc = advect(lat, r[c], v[c], ts[c], exp.omega, mu)
         acc += advect(lat, s_eval[c], r[c], ts[c], exp.omega, mu)
         g[c] = -emu[c, None, None] * acc[:, shell]
-    # symbolic pairs of earlier orders whose combined rate exceeds mu
-    for a in range(exp.n_orders):
-        for b in range(exp.n_orders):
-            total = exp.mus[a] + exp.mus[b]
-            if total <= mu:
-                continue
-            if exp.orders[a].is_zero or exp.orders[b].is_zero:
-                continue
-            ps = exp.pair(a, b, mu)
-            if ps.is_zero:
-                continue
-            decay = np.exp(-(float(total) - mu_f) * ts)
-            g -= decay[:, None, None] * ps.evaluate_many(ts)[:, shell, :]
+    # pairs of earlier orders whose combined rate exceeds mu
+    g -= _fast_pair_forcing(exp, ts, mu, shell)
 
     # scipy's cumulative_simpson is real-only; integrate the parts separately
     G = cumulative_simpson(g.real, x=ts, axis=0, initial=0.0) \

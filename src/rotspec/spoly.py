@@ -32,6 +32,7 @@ __all__ = [
     "apply_expS_spoly",
     "bilinear_spoly",
     "OdeResonanceError",
+    "spoly_to_doc",
     "spoly_to_json",
     "spoly_from_json",
 ]
@@ -438,11 +439,8 @@ def _term_columns(f: SPoly, freq_ids: Dict[Frequency, int]):
 _PAIR_BLOCK = 1 << 16
 
 
-def bilinear_spoly(f: SPoly, g: SPoly, omega: float, lam=None) -> SPoly:
+def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
     """Symbolic rotated advection B_Omega(t, f(t), g(t)) on the Galerkin set.
-
-    With `lam` given, only output terms on the Stokes shell lam are formed;
-    the result equals the full product's `restrict_shell(lam)` bit for bit.
 
     The term pairs are joined through the lattice's table of mode sums and
     visited in the order of a double loop over the terms of f, then g.  Each
@@ -451,12 +449,6 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float, lam=None) -> SPoly:
     """
     lat = f.lattice
     table = _pair_table(lat)
-    if lam is not None:
-        try:
-            shell = lat.eigenvalues.index(Fraction(lam))
-        except ValueError:
-            return SPoly.zero(lat)
-        table = np.where(lat.shell_of[table] == shell, table, -1)
     fr = apply_expS_spoly(f, -omega)
     gr = apply_expS_spoly(g, -omega)
     if fr.is_zero or gr.is_zero:
@@ -601,7 +593,8 @@ def _freq_from_doc(doc: dict) -> Frequency:
     return Frequency(parts)
 
 
-def spoly_to_json(f: SPoly) -> str:
+def spoly_to_doc(f: SPoly) -> dict:
+    """JSON-ready document of f: lattice periods and cutoff, terms sorted by key."""
     terms = []
     for (k, m, w), c in sorted(f.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
         terms.append({
@@ -611,12 +604,15 @@ def spoly_to_json(f: SPoly) -> str:
             "re": [float(x) for x in c.real],
             "im": [float(x) for x in c.imag],
         })
-    doc = {
+    return {
         "L": [float(x) for x in f.lattice.L],
         "cutoff": str(f.lattice.cutoff),
         "terms": terms,
     }
-    return json.dumps(doc, sort_keys=True)
+
+
+def spoly_to_json(f: SPoly) -> str:
+    return json.dumps(spoly_to_doc(f), sort_keys=True)
 
 
 def spoly_from_json(text: str, lattice: Lattice) -> SPoly:

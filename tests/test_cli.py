@@ -14,6 +14,7 @@ from rotspec import __version__
 from rotspec.cli import OUTDIR_ENV, main
 from rotspec.fields import field_to_json, random_gevrey
 from rotspec.lattice import build_lattice
+from rotspec.solver import integrate
 from rotspec.special import helicity
 
 
@@ -465,6 +466,46 @@ def test_sweep_omega_needs_two_points(tmp_path, capsys):
     assert main(["sweep-omega", "--config", str(cfg_path),
                  "--omegas", "10", "--T", "0.2"]) == 2
     capsys.readouterr()
+
+
+def test_sweep_omega_ragged_records_exit_before_integrating(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "sweep.json"
+    cfg = _sweep_config(cfg_path)
+    cfg["solver"].update(t_end=3.0, record_stride=7)  # 600 steps
+    cfg_path.write_text(json.dumps(cfg))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated a run that records a ragged sample")
+
+    monkeypatch.setattr("rotspec.cli.integrate", refuse)
+    assert main(["sweep-omega", "--config", str(cfg_path),
+                 "--omegas", "10,20", "--T", "0.2"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config"
+    assert "does not divide the 600 steps" in err["message"]
+
+
+def test_sweep_omega_honours_t0(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "sweep.json"
+    cfg = _sweep_config(cfg_path)
+    cfg["solver"].update(t0=0.5, t_end=2.5)
+    cfg_path.write_text(json.dumps(cfg))
+    runs = []
+
+    def keep(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("rotspec.cli.integrate", keep)
+    assert main(["sweep-omega", "--config", str(cfg_path),
+                 "--omegas", "10,20", "--T", "0.2", "--t", "1.0"]) == 0
+    capsys.readouterr()
+    assert len(runs) == 2
+    for traj in runs:
+        assert traj.times[0] == 0.5
+        assert traj.times[-1] == pytest.approx(2.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

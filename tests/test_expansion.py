@@ -7,6 +7,7 @@ from scipy.integrate import simpson
 
 from rotspec.expansion import (
     FitPolicy,
+    _fast_pair_forcing,
     expand,
     fit_decay_rate,
     fit_log_slope,
@@ -15,10 +16,10 @@ from rotspec.expansion import (
     to_u_expansion,
     verify_expansion_system,
 )
-from rotspec.fields import SpectralField, apply_expS, random_gevrey
+from rotspec.fields import SpectralField, advect, apply_expS, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import SolverConfig, Trajectory, integrate
-from rotspec.spoly import Frequency, SPoly, apply_expS_spoly
+from rotspec.spoly import Frequency, SPoly, apply_expS_spoly, bilinear_spoly
 
 
 def _zero_traj(lat, n=101, t1=1.0, omega=5.0):
@@ -91,17 +92,76 @@ def test_xi_window_independence(cube_run):
     assert other.diagnostics[0]["xi_spread_warning"]  # impossible tolerance trips the flag
 
 
-def test_fourth_order_expansion(cube6):
-    """Orders 3 and 4 on the benchmark's cube6-o4 input (seed 1)."""
+@pytest.fixture(scope="module")
+def o4_run(cube6):
+    """Orders 1-4 on the benchmark's cube6-o4 input (seed 1), with every
+    symbolic product `expand` forms recorded as a pair of order indices."""
     v0 = random_gevrey(cube6, seed=1, amplitude=0.1)
     trajv = integrate(v0, SolverConfig(dt=0.01, t_end=12.0, omega=5.0, form="v",
                                        record_stride=2))
-    exp = expand(trajv, 4, FitPolicy(xi_windows=((6.0, 8.0), (8.0, 10.0))))
+    products = []
+
+    def counted(f, g, omega):
+        products.append((f, g))
+        return bilinear_spoly(f, g, omega)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("rotspec.expansion.bilinear_spoly", counted)
+        exp = expand(trajv, 4, FitPolicy(xi_windows=((6.0, 8.0), (8.0, 10.0))))
+    index = {id(q): n for n, q in enumerate(exp.orders)}
+    pairs = [(index[id(f)], index[id(g)]) for f, g in products]
+    return {"trajv": trajv, "exp": exp, "pairs": pairs}
+
+
+def test_fourth_order_expansion(o4_run):
+    exp = o4_run["exp"]
     assert exp.mus == [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
     assert verify_expansion_system(exp)["max_residual"] <= 1e-12
     for d in exp.diagnostics:
         assert not any(k.startswith("xi_") and k.endswith("_warning") for k in d)
     assert [q.n_terms() for q in exp.orders] == [6, 48, 602, 4862]
+    # one symbolic product per forcing pair; the fit's faster pairs are numeric
+    assert sorted(o4_run["pairs"]) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+
+
+def test_partial_sum_cached_at_sample_times(o4_run):
+    """At the trajectory's times the cached samples give the evaluated sum bit for bit."""
+    exp, ts = o4_run["exp"], o4_run["trajv"].times
+    want = np.zeros((len(ts), exp.lattice.n_modes, 3), dtype=complex)
+    for n in range(exp.n_orders + 1):
+        assert np.array_equal(exp.partial_sum_coeffs(ts, n), want)
+        if n < exp.n_orders:
+            want += np.exp(-float(exp.mus[n]) * ts)[:, None, None] \
+                * exp.orders[n].evaluate_many(ts)
+
+
+def test_fast_pair_forcing_matches_symbolic():
+    """The fit's numeric sum over pairs with mu_a + mu_b > mu equals the
+    symbolic one: shell-restricted full products, each with its own decay.
+    With large data at early times these pairs carry a sizeable share of
+    the shell's whole nonlinear term."""
+    lat = build_lattice(cutoff=3)
+    v0 = random_gevrey(lat, seed=5, amplitude=2.0)
+    traj = integrate(v0, SolverConfig(dt=0.01, t_end=1.0, omega=3.0, form="v"))
+    exp = expand(traj, 3)
+    assert not any(q.is_zero for q in exp.orders)
+    ts = traj.times
+    for mu in exp.mus:
+        shell = lat.shell_indices(mu)
+        want = np.zeros((len(ts), len(shell), 3), dtype=complex)
+        for a in range(exp.n_orders):
+            for b in range(exp.n_orders):
+                total = exp.mus[a] + exp.mus[b]
+                if total <= mu:
+                    continue
+                ps = bilinear_spoly(exp.orders[a], exp.orders[b], exp.omega)
+                decay = np.exp(-float(total - mu) * ts)
+                want += decay[:, None, None] \
+                    * ps.restrict_shell(mu).evaluate_many(ts)[:, shell]
+        got = _fast_pair_forcing(exp, ts, mu, shell)
+        whole = advect(lat, traj.coeffs, traj.coeffs, ts, exp.omega, mu)[:, shell]
+        assert np.abs(want).max() > 1e-3 * np.abs(whole).max()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_expand_rejects_u_form(cube_run):
