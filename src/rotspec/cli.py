@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -138,6 +139,14 @@ CONFIG_SCHEMA = {
 }
 
 
+@functools.cache
+def _config_validator():
+    """Validator for CONFIG_SCHEMA; the schema itself is checked once, here."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -146,10 +155,10 @@ def _load_config(path: str) -> dict:
         raise CliError(EXIT_CONFIG, "config", f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise CliError(EXIT_CONFIG, "config", f"config is not valid JSON: {e}")
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise CliError(EXIT_CONFIG, "config", f"config schema violation: {e.message}")
+    # the error jsonschema.validate would raise, without re-checking the schema
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        raise CliError(EXIT_CONFIG, "config", f"config schema violation: {error.message}")
     return cfg
 
 
@@ -427,6 +436,8 @@ def cmd_helicity(args) -> int:
 
 def cmd_sweep_omega(args) -> int:
     cfg = _load_config(args.config)
+    if args.order < 1:
+        raise CliError(EXIT_CONFIG, "config", f"order must be at least 1, got {args.order}")
     omegas = [float(x) for x in args.omegas.split(",")]
     if len(omegas) < 2:
         raise CliError(EXIT_CONFIG, "config", "sweep needs at least two rotation rates")
@@ -445,8 +456,7 @@ def cmd_sweep_omega(args) -> int:
         if not np.isfinite(traj.coeffs).all():
             raise CliError(EXIT_NUMERICAL, "numerical",
                            f"trajectory at omega={config.omega} contains NaN/Inf")
-        exp = expand(traj, max(args.order, 1),
-                     _policy_from_meta({"config": cfg}))
+        exp = expand(traj, args.order, _policy_from_meta({"config": cfg}))
         mu1, Q1 = to_u_expansion(exp)[0]
         qbar = time_average_Q(Q1, args.T)
         norms.append(qbar.evaluate(args.t).norm())

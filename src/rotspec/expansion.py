@@ -124,6 +124,8 @@ def _require_uniform(ts: np.ndarray, minimum: int):
 
 def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) -> Expansion:
     """Build the first n_orders terms of the expansion of a v-form trajectory."""
+    if n_orders < 1:
+        raise ValueError(f"order must be at least 1, got {n_orders}")
     if traj.form != "v":
         raise ValueError("expansion is built in the transformed frame; "
                          "pass a v-form trajectory (see transform_trajectory)")

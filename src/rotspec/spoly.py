@@ -14,27 +14,19 @@ from __future__ import annotations
 
 import json
 import math
+from types import MappingProxyType
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .lattice import Lattice, squarefree_decompose
+from .lattice import Lattice
 from .fields import SpectralField, _triads
 
 __all__ = [
-    "Frequency",
-    "SPoly",
-    "mode_rotation_frequency",
-    "integrate_term",
-    "ode_solve",
-    "antiderivative",
-    "apply_expS_spoly",
-    "bilinear_spoly",
-    "OdeResonanceError",
-    "spoly_to_doc",
-    "spoly_to_json",
-    "spoly_from_json",
+    "Frequency", "SPoly", "mode_rotation_frequency", "integrate_term", "ode_solve",
+    "antiderivative", "apply_expS_spoly", "bilinear_spoly", "OdeResonanceError",
+    "spoly_to_doc", "spoly_to_json", "spoly_from_json",
 ]
 
 
@@ -62,7 +54,7 @@ class Frequency:
     def __init__(self, parts: Iterable[Tuple[tuple, Fraction, float]] = ()):
         merged: Dict[tuple, Tuple[Fraction, float]] = {}
         for key, coef, unit in parts:
-            coef = Fraction(coef)
+            coef = coef if type(coef) is Fraction else Fraction(coef)
             if key in merged:
                 old_coef, old_unit = merged[key]
                 if abs(old_unit - unit) > 1e-12 * max(1.0, abs(unit)):
@@ -149,11 +141,7 @@ class Frequency:
         return f"Frequency({bits}={self.value:.6g})"
 
 
-_FREQ_ZERO = Frequency.__new__(Frequency)
-_FREQ_ZERO.parts = ()
-_FREQ_ZERO.value = 0.0
-_FREQ_ZERO._id = ()
-_FREQ_ZERO._hash = hash(_FREQ_ZERO._id)
+_FREQ_ZERO = Frequency()
 
 
 def mode_rotation_frequency(lattice: Lattice, mode: int, omega: float) -> Frequency:
@@ -194,40 +182,117 @@ def integrate_term(m: int, alpha: float, omega: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# interned frequencies
+
+
+class _FrequencyTable:
+    """The frequencies met on one lattice, numbered in order of first use (0 is
+    zero), with memoized sums, negations and rotation shifts.  A frequency is
+    keyed with its units, so equal combinations at two rotation rates differ."""
+
+    def __init__(self, lattice: Lattice):
+        self.freqs: List[Frequency] = []
+        self._ids, self._memo, self._values = {}, {}, np.zeros(0)
+        self.intern(_FREQ_ZERO)
+        # rotation class per mode: 0 where k3 = 0, else 1 + index into rot_keys
+        keys = list(zip(lattice.freq_sqfree, lattice.freq_coef))
+        self.rot_keys = sorted({key for key in keys if key[1] != 0})
+        classes = {key: n + 1 for n, key in enumerate(self.rot_keys)}
+        self.rot_class = np.array([classes.get(key, 0) for key in keys], dtype=np.intp)
+
+    def intern(self, f: Frequency) -> int:
+        key = (f, tuple(unit for _, _, unit in f.parts))  # f's hash is cached
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.freqs)
+            self.freqs.append(f)
+        return i
+
+    def values(self, ids: np.ndarray) -> np.ndarray:
+        if len(self._values) != len(self.freqs):
+            new = [f.value for f in self.freqs[len(self._values):]]
+            self._values = np.concatenate((self._values, new))
+        return self._values[ids]
+
+    def add(self, a: int, b: int) -> int:
+        i = self._memo.get(("+", a, b))
+        if i is None:
+            i = self._memo["+", a, b] = self.intern(self.freqs[a] + self.freqs[b])
+        return i
+
+    def neg(self, a: int) -> int:
+        i = self._memo.get(("-", a))
+        if i is None:
+            i = self._memo["-", a] = self.intern(-self.freqs[a])
+        return i
+
+    def shifted(self, a: int, rot: int, omega: float) -> Tuple[int, int]:
+        """Ids of w + g and w - g, g the rotation frequency of class rot at omega."""
+        g = self._memo.get((rot, omega))
+        if g is None:
+            g = self._memo[rot, omega] = self.intern(
+                Frequency.rotation(*self.rot_keys[rot - 1], omega))
+        return self.add(a, g), self.add(a, self.neg(g))
+
+
+def _freq_table(lattice: Lattice) -> _FrequencyTable:
+    if not hasattr(lattice, "_freq_table"):
+        lattice._freq_table = _FrequencyTable(lattice)
+    return lattice._freq_table
+
+
+# ---------------------------------------------------------------------------
 # vector-valued polynomials on lattice modes
 
 
 TermKey = Tuple[Tuple[int, int, int], int, Frequency]
 
 
+def _codes(mode: np.ndarray, deg: np.ndarray, fid: np.ndarray) -> np.ndarray:
+    """One int64 per term key (mode < 2^20, degree < 2^12)."""
+    return (fid << 32) | (deg << 20) | mode
+
+
+def _find(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Row of each query among the distinct codes, -1 where absent."""
+    codes = np.append(codes, -1)  # a sentinel that no key matches
+    order = np.argsort(codes)
+    rows = order[np.minimum(np.searchsorted(codes[order], queries), len(codes) - 1)]
+    return np.where(codes[rows] == queries, rows, -1)
+
+
 class SPoly:
     """Finite sum of terms t^m exp(i w t) c_k attached to lattice modes.
 
-    The term map is canonical: duplicate keys are merged on construction and
-    exactly-zero coefficients dropped.  Reality is a property of the data
-    (enforced by the operations, checkable via `reality_error`), not of the
-    container.
+    Columns: mode index, degree and interned frequency id per term, and the
+    (T, 3) coefficients.  Keys are distinct, in order of first appearance;
+    exactly-zero rows are dropped.  Reality is a property of the data
+    (checkable via `reality_error`).  Instances are not mutated.
     """
 
-    __slots__ = ("lattice", "terms")
+    __slots__ = ("lattice", "mode", "deg", "fid", "coef", "_terms")
 
-    def __init__(self, lattice: Lattice,
-                 terms: Optional[Dict[TermKey, np.ndarray]] = None):
-        self.lattice = lattice
-        self.terms: Dict[TermKey, np.ndarray] = {}
-        if terms:
-            for key, c in terms.items():
-                c = np.asarray(c, dtype=complex)
-                if not np.any(c):
-                    continue
-                if key in self.terms:
-                    s = self.terms[key] + c
-                    if np.any(s):
-                        self.terms[key] = s
-                    else:
-                        del self.terms[key]
-                else:
-                    self.terms[key] = c
+    def __init__(self, lattice: Lattice, terms: Optional[Dict[TermKey, np.ndarray]] = None):
+        terms, table = terms or {}, _freq_table(lattice)
+        keys = np.array([(lattice.mode_index[k], m, table.intern(w)) for k, m, w in terms],
+                        dtype=np.intp).reshape(-1, 3).T.copy()
+        self._set(lattice, *keys, np.array(list(terms.values()), dtype=complex).reshape(-1, 3))
+
+    def _set(self, lattice, mode, deg, fid, coef) -> "SPoly":
+        live = np.any(coef != 0, axis=1)
+        if not live.all():
+            mode, deg, fid, coef = mode[live], deg[live], fid[live], coef[live]
+        coef.flags.writeable = False  # the rows `terms` hands out stay read-only
+        self.lattice, self.mode, self.deg, self.fid, self.coef = lattice, mode, deg, fid, coef
+        self._terms = None
+        return self
+
+    @staticmethod
+    def _columns(lattice: Lattice, mode, deg, fid, coef) -> "SPoly":
+        return SPoly.__new__(SPoly)._set(lattice, mode, deg, fid, coef)
+
+    def _with(self, coef: np.ndarray, rows=slice(None)) -> "SPoly":
+        return SPoly._columns(self.lattice, self.mode[rows], self.deg[rows], self.fid[rows], coef)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -235,64 +300,63 @@ class SPoly:
         return SPoly(lattice)
 
     @staticmethod
-    def from_field(u: SpectralField, m: int = 0,
-                   freq: Optional[Frequency] = None) -> "SPoly":
+    def from_field(u: SpectralField, m: int = 0, freq: Optional[Frequency] = None) -> "SPoly":
         """Constant-in-time polynomial t^m e^{iwt} u (freq defaults to 0)."""
-        freq = freq or Frequency.zero()
-        terms = {}
-        for i in range(u.lattice.n_modes):
-            c = u.coeffs[i]
-            if np.any(c):
-                k = tuple(int(x) for x in u.lattice.ks[i])
-                terms[(k, m, freq)] = c.copy()
-        return SPoly(u.lattice, terms)
-
-    def copy(self) -> "SPoly":
-        return SPoly(self.lattice, {k: c.copy() for k, c in self.terms.items()})
+        w = _freq_table(u.lattice).intern(freq or Frequency.zero())
+        mode = np.flatnonzero(np.any(u.coeffs != 0, axis=1))
+        return SPoly._columns(u.lattice, mode, np.full(len(mode), m, dtype=np.intp),
+                              np.full(len(mode), w, dtype=np.intp), u.coeffs[mode])
 
     # -- bookkeeping --------------------------------------------------------
     @property
+    def terms(self) -> Mapping[TermKey, np.ndarray]:
+        """Read-only {(k, m, Frequency): c} view, in row order."""
+        if self._terms is None:
+            ks, freqs = self.lattice.ks.tolist(), _freq_table(self.lattice).freqs
+            self._terms = MappingProxyType({
+                (tuple(ks[i]), m, freqs[w]): c for i, m, w, c in
+                zip(self.mode.tolist(), self.deg.tolist(), self.fid.tolist(), self.coef)})
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.mode)
 
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self.mode)
 
     def max_abs(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(float(np.abs(c).max()) for c in self.terms.values())
+        return float(np.abs(self.coef).max()) if len(self.mode) else 0.0
 
     def degree(self) -> int:
-        return max((m for (_, m, _) in self.terms), default=0)
+        return int(self.deg.max()) if len(self.mode) else 0
 
     def support_lams(self) -> List[Fraction]:
-        lams = {self.lattice.lam[self.lattice.mode_index[k]] for (k, _, _) in self.terms}
-        return sorted(lams)
+        shells = np.unique(self.lattice.shell_of[self.mode]).tolist()
+        return [self.lattice.eigenvalues[s] for s in shells]
 
     def reality_error(self) -> float:
-        err = 0.0
-        for (k, m, f), c in self.terms.items():
-            kk = tuple(-x for x in k)
-            partner = self.terms.get((kk, m, -f))
-            if partner is None:
-                err = max(err, float(np.abs(c).max()))
-            else:
-                err = max(err, float(np.abs(partner - np.conj(c)).max()))
-        return err
+        table = _freq_table(self.lattice)
+        neg = np.array([table.neg(w) for w in self.fid.tolist()], dtype=np.intp)
+        rows = _find(_codes(self.mode, self.deg, self.fid),
+                     _codes(self.lattice.conj_idx[self.mode], self.deg, neg))
+        err = np.where((rows >= 0)[:, None], self.coef[rows] - np.conj(self.coef), self.coef)
+        return float(np.abs(err).max(initial=0.0))
 
     # -- linear structure ---------------------------------------------------
     def __add__(self, other: "SPoly") -> "SPoly":
-        terms = {k: c.copy() for k, c in self.terms.items()}
-        out = SPoly(self.lattice, terms)
-        for key, c in other.terms.items():
-            cur = out.terms.get(key)
-            s = c if cur is None else cur + c
-            if np.any(s):
-                out.terms[key] = s.copy() if cur is None else s
-            elif cur is not None:
-                del out.terms[key]
-        return out
+        """Self's rows in order, shared keys summed (dropped if exactly zero),
+        then other's new keys in their order."""
+        rows = _find(_codes(self.mode, self.deg, self.fid),
+                     _codes(other.mode, other.deg, other.fid))
+        hit = rows >= 0
+        coef = self.coef.copy()
+        coef[rows[hit]] += other.coef[hit]
+        new = ~hit
+        return SPoly._columns(self.lattice, np.concatenate((self.mode, other.mode[new])),
+                              np.concatenate((self.deg, other.deg[new])),
+                              np.concatenate((self.fid, other.fid[new])),
+                              np.concatenate((coef, other.coef[new])))
 
     def __sub__(self, other: "SPoly") -> "SPoly":
         return self + other.scale(-1.0)
@@ -300,76 +364,78 @@ class SPoly:
     def scale(self, a: complex) -> "SPoly":
         if a == 0:
             return SPoly.zero(self.lattice)
-        return SPoly(self.lattice, {k: c * a for k, c in self.terms.items()})
+        return self._with(self.coef * a)
 
     __neg__ = lambda self: self.scale(-1.0)
 
-    def apply_mode_weights(self, weights: np.ndarray) -> "SPoly":
-        """Multiply each term by a per-mode scalar weight (e.g. Stokes eigenvalue)."""
-        idx = self.lattice.mode_index
-        return SPoly(self.lattice, {
-            key: c * weights[idx[key[0]]] for key, c in self.terms.items()
-        })
-
     def apply_stokes(self) -> "SPoly":
-        return self.apply_mode_weights(self.lattice.lam_f)
+        """Each term times its mode's Stokes eigenvalue."""
+        return self._with(self.coef * self.lattice.lam_f[self.mode][:, None])
 
     def restrict_shell(self, lam) -> "SPoly":
-        lam = Fraction(lam)
-        idx = self.lattice.mode_index
-        return SPoly(self.lattice, {
-            key: c for key, c in self.terms.items()
-            if self.lattice.lam[idx[key[0]]] == lam
-        })
+        lat, lam = self.lattice, Fraction(lam)
+        shell = lat.eigenvalues.index(lam) if lam in lat.eigenvalues else -1
+        keep = lat.shell_of[self.mode] == shell
+        return self._with(self.coef[keep], keep)
 
     # -- reparametrizations --------------------------------------------------
     def time_shift(self, T: float) -> "SPoly":
         """f(t) -> f(t + T), expanded back into canonical terms."""
         if T == 0.0:
-            return self.copy()
-        out: Dict[TermKey, np.ndarray] = {}
-        for (k, m, f), c in self.terms.items():
-            base = c * np.exp(1j * f.value * T)
-            for n in range(m + 1):
-                cn = math.comb(m, n) * T ** (m - n) * base
-                key = (k, n, f)
-                out[key] = out.get(key, 0.0) + cn
-        return SPoly(self.lattice, out)
+            return self
+        base = self.coef * np.exp(1j * _freq_table(self.lattice).values(self.fid) * T)[:, None]
+        rep, n = _spread(self.deg + 1)
+        fac = [math.comb(a, b) * T ** (a - b) for a, b in zip(self.deg[rep].tolist(), n.tolist())]
+        return _collect(self.lattice, self.mode[rep], n, self.fid[rep],
+                        np.array(fac)[:, None] * base[rep])
 
     def differentiate(self) -> "SPoly":
-        out: Dict[TermKey, np.ndarray] = {}
-        for (k, m, f), c in self.terms.items():
-            if m >= 1:
-                key = (k, m - 1, f)
-                out[key] = out.get(key, 0.0) + m * c
-            if not f.is_zero:
-                key = (k, m, f)
-                out[key] = out.get(key, 0.0) + 1j * f.value * c
-        return SPoly(self.lattice, out)
+        w, c = _freq_table(self.lattice).values(self.fid), self.coef
+        vals = np.stack((self.deg[:, None] * c, (1j * w)[:, None] * c), axis=1).reshape(-1, 3)
+        keep = np.stack((self.deg >= 1, self.fid != 0), axis=1).ravel()
+        deg = np.stack((self.deg - 1, self.deg), axis=1).ravel()[keep]
+        rep = np.repeat(np.arange(len(self.mode)), 2)[keep]
+        return _collect(self.lattice, self.mode[rep], deg, self.fid[rep], vals[keep])
 
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, t: float) -> SpectralField:
-        u = SpectralField(self.lattice)
-        idx = self.lattice.mode_index
-        for (k, m, f), c in self.terms.items():
-            u.coeffs[idx[k]] += (t**m) * np.exp(1j * f.value * t) * c
-        return u
+        return SpectralField(self.lattice, self.evaluate_many(np.array([float(t)]))[0])
 
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        """Coefficient array of shape (len(ts), M, 3)."""
+        """Coefficient array of shape (len(ts), M, 3), summed term by term."""
         ts = np.asarray(ts, dtype=float)
         out = np.zeros((len(ts), self.lattice.n_modes, 3), dtype=complex)
-        idx = self.lattice.mode_index
-        series: Dict[Tuple[int, Frequency], np.ndarray] = {}  # one per distinct (m, f)
-        for (k, m, f), c in self.terms.items():
-            s = series.get((m, f))
+        series: Dict[Tuple[int, int], np.ndarray] = {}  # one per distinct (m, w)
+        for i, m, wid, w, c in zip(self.mode.tolist(), self.deg.tolist(), self.fid.tolist(),
+                                   _freq_table(self.lattice).values(self.fid).tolist(), self.coef):
+            s = series.get((m, wid))
             if s is None:
-                s = series[(m, f)] = (ts**m * np.exp(1j * f.value * ts))[:, None]
-            out[:, idx[k], :] += s * c[None, :]
+                s = series[(m, wid)] = (ts**m * np.exp(1j * w * ts))[:, None]
+            out[:, i, :] += s * c[None, :]
         return out
 
     def __repr__(self):
-        return f"SPoly(terms={len(self.terms)}, deg={self.degree()}, max={self.max_abs():.3g})"
+        return f"SPoly(terms={self.n_terms()}, deg={self.degree()}, max={self.max_abs():.3g})"
+
+
+def _spread(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row index and position 0..count-1 of each of sum(counts) emitted items."""
+    rep = np.repeat(np.arange(len(counts)), counts)
+    return rep, np.arange(len(rep)) - (np.cumsum(counts) - counts)[rep]
+
+
+def _collect(lat: Lattice, mode, deg, fid, vals) -> SPoly:
+    """Contributions summed per key as `out[key] = out.get(key, 0.0) + val` does
+    in contribution order: keys in order of first contribution."""
+    uniq, first, inv = np.unique(_codes(mode, deg, fid), return_index=True,
+                                 return_inverse=True)
+    order = np.argsort(first)
+    row = np.empty(len(uniq), dtype=np.intp)
+    row[order] = np.arange(len(uniq))
+    acc = np.zeros((len(uniq), 3), dtype=complex)
+    np.add.at(acc, row[inv], vals)
+    keep = first[order]
+    return SPoly._columns(lat, mode[keep], deg[keep], fid[keep], acc)
 
 
 # ---------------------------------------------------------------------------
@@ -384,32 +450,22 @@ def apply_expS_spoly(f: SPoly, omega: float) -> SPoly:
     Modes with k3 = 0 are untouched.
     """
     if omega == 0.0:
-        return f.copy()
-    lat = f.lattice
-    out: Dict[TermKey, np.ndarray] = {}
-    idx = lat.mode_index
-    rotations: Dict[Tuple[int, Fraction], Frequency] = {}
-    shifted: Dict[Tuple[Frequency, int, Fraction], Tuple[Frequency, Frequency]] = {}
-    for (k, m, w), c in f.terms.items():
-        i = idx[k]
-        coef = lat.freq_coef[i]
-        if coef == 0:
-            out[(k, m, w)] = out.get((k, m, w), 0.0) + c
-            continue
-        sqfree = lat.freq_sqfree[i]
-        pair = shifted.get((w, sqfree, coef))
-        if pair is None:
-            g = rotations.get((sqfree, coef))
-            if g is None:
-                g = rotations[(sqfree, coef)] = Frequency.rotation(sqfree, coef, omega)
-            pair = shifted[(w, sqfree, coef)] = (w + g, w - g)
-        jc = lat.jk[i] @ c
-        plus = 0.5 * (c - 1j * jc)
-        minus = 0.5 * (c + 1j * jc)
-        for freq, val in zip(pair, (plus, minus)):
-            key = (k, m, freq)
-            out[key] = out.get(key, 0.0) + val
-    return SPoly(lat, out)
+        return f
+    lat, c, table = f.lattice, f.coef, _freq_table(f.lattice)
+    rot = table.rot_class[f.mode]
+    spin = rot > 0
+    n_rot = len(table.rot_keys) + 1
+    pairs, inv = np.unique(f.fid[spin] * n_rot + rot[spin], return_inverse=True)
+    shifted = np.array([table.shifted(p // n_rot, p % n_rot, omega) for p in pairs.tolist()],
+                       dtype=np.intp).reshape(-1, 2)[inv]
+    jc = np.matmul(lat.jk[f.mode], c[:, :, None])[:, :, 0]
+    plus = np.where(spin[:, None], 0.5 * (c - 1j * jc), c)
+    fid = np.stack((f.fid, f.fid), axis=1)
+    fid[spin] = shifted
+    keep = np.stack((np.ones_like(spin), spin), axis=1).ravel()
+    rep = np.repeat(np.arange(len(c)), 2)[keep]
+    vals = np.stack((plus, 0.5 * (c + 1j * jc)), axis=1).reshape(-1, 3)[keep]
+    return _collect(lat, f.mode[rep], f.deg[rep], fid.ravel()[keep], vals)
 
 
 def _pair_table(lattice: Lattice) -> np.ndarray:
@@ -421,18 +477,6 @@ def _pair_table(lattice: Lattice) -> np.ndarray:
         table[im, ij] = io
         lattice._pair_table = table
     return table
-
-
-def _term_columns(f: SPoly, freq_ids: Dict[Frequency, int]):
-    """Mode index, degree, (T,3) coefficients and interned frequency id per term."""
-    idx = f.lattice.mode_index
-    modes, degs, wids = [], [], []
-    for (k, m, w) in f.terms:
-        modes.append(idx[k])
-        degs.append(m)
-        wids.append(freq_ids.setdefault(w, len(freq_ids)))
-    return (np.array(modes, dtype=np.intp), np.array(degs, dtype=np.intp),
-            np.array(list(f.terms.values())), np.array(wids, dtype=np.intp))
 
 
 # candidate term pairs gathered at once: rows of f are joined in blocks
@@ -447,32 +491,15 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
     output key sums its contributions in that order and keys appear in order
     of first contribution, so the result does not depend on the block size.
     """
-    lat = f.lattice
-    table = _pair_table(lat)
-    fr = apply_expS_spoly(f, -omega)
-    gr = apply_expS_spoly(g, -omega)
+    lat, table = f.lattice, _pair_table(f.lattice)
+    fr, gr = apply_expS_spoly(f, -omega), apply_expS_spoly(g, -omega)
     if fr.is_zero or gr.is_zero:
         return SPoly.zero(lat)
-    freq_ids: Dict[Frequency, int] = {}
-    mode1, deg1, c1, w1 = _term_columns(fr, freq_ids)
-    mode2, deg2, c2, w2 = _term_columns(gr, freq_ids)
-    freqs = list(freq_ids)
-    n_w, n_deg, M = len(freqs), int(deg1.max() + deg2.max()) + 1, lat.n_modes
-
-    sum_ids: Dict[int, int] = {}  # w1 * n_w + w2 -> index in out_freqs
-    out_freqs: Dict[Frequency, int] = {}
-
-    def sum_id(p: int) -> int:
-        if p not in sum_ids:
-            w = freqs[p // n_w] + freqs[p % n_w]
-            sum_ids[p] = out_freqs.setdefault(w, len(out_freqs))
-        return sum_ids[p]
-
-    slots: Dict[int, int] = {}  # output key code -> row of acc, first-contribution order
-    acc = np.zeros((0, 3), dtype=complex)
-    rows = max(1, _PAIR_BLOCK // len(mode2))
-    for start in range(0, len(mode1), rows):
-        block = table[mode1[start:start + rows, None], mode2[None, :]]
+    c1, c2, ftab = fr.coef, gr.coef, _freq_table(lat)
+    hits = []  # (row of f, row of g, output mode, value) per block
+    rows = max(1, _PAIR_BLOCK // gr.n_terms())
+    for start in range(0, fr.n_terms(), rows):
+        block = table[fr.mode[start:start + rows, None], gr.mode[None, :]]
         a, b = np.nonzero(block >= 0)  # row-major: the double loop's order
         o = block[a, b]
         a += start
@@ -480,30 +507,13 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
         dot = 1j * np.matmul(c1[a, None, :], lat.kcheck[o, :, None])[:, 0, 0]
         live = dot != 0
         a, b, o, dot = a[live], b[live], o[live], dot[live]
-        val = dot[:, None] * np.matmul(lat.proj[o], c2[b, :, None])[:, :, 0]
-
-        wpair, winv = np.unique(w1[a] * n_w + w2[b], return_inverse=True)
-        wout = np.array([sum_id(p) for p in wpair.tolist()], dtype=np.intp)[winv]
-
-        code = (wout * n_deg + deg1[a] + deg2[b]) * M + o
-        ucode, first, inv = np.unique(code, return_index=True, return_inverse=True)
-        row = np.empty(len(ucode), dtype=np.intp)
-        for u in np.argsort(first).tolist():
-            row[u] = slots.setdefault(int(ucode[u]), len(slots))
-        if len(slots) > len(acc):
-            grown = np.zeros((max(len(slots), 2 * len(acc)), 3), dtype=complex)
-            grown[:len(acc)] = acc
-            acc = grown
-        np.add.at(acc, row[inv], val)
-
-    ks = lat.ks.tolist()
-    wlist = list(out_freqs)
-    terms: Dict[TermKey, np.ndarray] = {}
-    for code, r in slots.items():
-        wm, o = divmod(code, M)
-        wi, m = divmod(wm, n_deg)
-        terms[(tuple(ks[o]), m, wlist[wi])] = acc[r]
-    return apply_expS_spoly(SPoly(lat, terms), omega)
+        hits.append((a, b, o, dot[:, None] * np.matmul(lat.proj[o], c2[b, :, None])[:, :, 0]))
+    a, b, o, val = (np.concatenate(col) for col in zip(*hits))
+    n_w = len(ftab.freqs)
+    wpair, winv = np.unique(fr.fid[a] * n_w + gr.fid[b], return_inverse=True)
+    wout = np.array([ftab.add(p // n_w, p % n_w) for p in wpair.tolist()],
+                    dtype=np.intp)[winv]
+    return apply_expS_spoly(_collect(lat, o, fr.deg[a] + gr.deg[b], wout, val), omega)
 
 
 # ---------------------------------------------------------------------------
@@ -520,45 +530,35 @@ def ode_solve(beta, p: SPoly, xi0: Optional[SpectralField] = None) -> SPoly:
     with beta = 0 raises the degree (monomial rule); any other numerically
     vanishing gamma = beta + i w is rejected.
     """
-    lat = p.lattice
-    resonant = beta == 0
+    lat, deg, c = p.lattice, p.deg, p.coef
     bf = float(beta)
-    out: Dict[TermKey, np.ndarray] = {}
-
-    def add(key, val):
-        out[key] = out.get(key, 0.0) + val
-
-    for (k, m, w), c in p.terms.items():
-        if resonant and w.is_zero:
-            add((k, m + 1, w), c / (m + 1))
-            continue
-        gamma = bf + 1j * w.value
-        if abs(gamma) < 1e-9 * max(1.0, abs(bf)):
-            raise OdeResonanceError(
-                f"gamma = beta + i*omega = {gamma} is numerically degenerate for "
-                f"term (k={k}, m={m}, w={w!r}) but not an exact resonance"
-            )
-        a = c / gamma
-        add((k, m, w), a)
-        for n in range(m - 1, -1, -1):
-            a = -(n + 1) * a / gamma
-            add((k, n, w), a)
-
-    q = SPoly(lat, out)
-    if resonant:
+    still = (p.fid == 0) & (beta == 0)
+    gamma = bf + 1j * _freq_table(lat).values(p.fid)
+    bad = np.flatnonzero(~still & (np.abs(gamma) < 1e-9 * max(1.0, abs(bf))))
+    if len(bad):
+        k, m, w = list(p.terms)[bad[0]]
+        raise OdeResonanceError(
+            f"gamma = beta + i*omega = {complex(gamma[bad[0]])} is numerically degenerate "
+            f"for term (k={k}, m={m}, w={w!r}) but not an exact resonance")
+    # a still resonant term gives c/(m+1) at degree m+1; any other gives
+    # a_m = c/gamma, then a_n = -(n+1) a_{n+1}/gamma at degrees m-1, ..., 0
+    rep, step = _spread(np.where(still, 1, deg + 1))
+    start = np.flatnonzero(step == 0)
+    vals = np.empty((len(rep), 3), dtype=complex)
+    vals[start[still]] = c[still] / (deg[still] + 1)[:, None]
+    r, g = np.flatnonzero(~still), gamma[~still][:, None]
+    a = vals[start[r]] = c[r] / g
+    for j in range(1, p.degree() + 1):
+        sel = deg[r] >= j
+        r, g, a = r[sel], g[sel], a[sel]
+        a = vals[start[r] + j] = (-(deg[r] - j + 1))[:, None] * a / g
+    q = _collect(lat, p.mode[rep], np.where(still[rep], deg[rep] + 1, deg[rep] - step),
+                 p.fid[rep], vals)
+    if beta == 0:
         # pin q(0): add a constant on each mode so initial data matches xi0
-        target = np.zeros((lat.n_modes, 3), dtype=complex)
-        if xi0 is not None:
-            target = xi0.coeffs.astype(complex)
-        init = q.evaluate(0.0).coeffs
-        delta = target - init
-        extra: Dict[TermKey, np.ndarray] = {}
-        for i in range(lat.n_modes):
-            d = delta[i]
-            if np.any(d):
-                k = tuple(int(x) for x in lat.ks[i])
-                extra[(k, 0, Frequency.zero())] = d
-        q = q + SPoly(lat, extra)
+        target = np.zeros((lat.n_modes, 3)) if xi0 is None else xi0.coeffs
+        q = q + SPoly.from_field(SpectralField(lat, target.astype(complex)
+                                               - q.evaluate(0.0).coeffs))
     return q
 
 
@@ -594,21 +594,21 @@ def _freq_from_doc(doc: dict) -> Frequency:
 
 
 def spoly_to_doc(f: SPoly) -> dict:
-    """JSON-ready document of f: lattice periods and cutoff, terms sorted by key."""
-    terms = []
-    for (k, m, w), c in sorted(f.terms.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
-        terms.append({
-            "k": list(k),
-            "m": m,
-            "omega": _freq_doc(w),
-            "re": [float(x) for x in c.real],
-            "im": [float(x) for x in c.imag],
-        })
-    return {
-        "L": [float(x) for x in f.lattice.L],
-        "cutoff": str(f.lattice.cutoff),
-        "terms": terms,
-    }
+    """JSON-ready document of f: lattice periods and cutoff, terms sorted by key
+    (k, then m, then the frequency's exact order)."""
+    freqs = _freq_table(f.lattice).freqs
+    used = np.unique(f.fid).tolist()
+    rank = np.zeros(len(freqs), dtype=np.intp)
+    rank[sorted(used, key=lambda w: freqs[w])] = np.arange(len(used))
+    ks = f.lattice.ks[f.mode]
+    order = np.lexsort((rank[f.fid], f.deg, ks[:, 2], ks[:, 1], ks[:, 0])).tolist()
+    docs = {w: _freq_doc(freqs[w]) for w in used}
+    ks, deg, fid = ks.tolist(), f.deg.tolist(), f.fid.tolist()
+    re, im = f.coef.real.tolist(), f.coef.imag.tolist()
+    terms = [{"k": ks[r], "m": deg[r], "omega": docs[fid[r]], "re": re[r], "im": im[r]}
+             for r in order]
+    return {"L": [float(x) for x in f.lattice.L], "cutoff": str(f.lattice.cutoff),
+            "terms": terms}
 
 
 def spoly_to_json(f: SPoly) -> str:

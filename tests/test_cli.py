@@ -7,11 +7,12 @@ inspects exit codes, stdout/stderr, and files written to tmp dirs.
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
 from rotspec import __version__
-from rotspec.cli import OUTDIR_ENV, main
+from rotspec.cli import CONFIG_SCHEMA, OUTDIR_ENV, main
 from rotspec.fields import field_to_json, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import integrate
@@ -167,6 +168,21 @@ def test_simulate_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_schema_violation_message(tmp_path, capsys):
+    """The message is the best-matching error, as jsonschema.validate raises it."""
+    path = tmp_path / "fast.json"
+    cfg = _write_config(path, omega="fast")
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    for _ in range(2):  # the validator is built once and reused
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "x.jsonl")]) == 2
+        assert _stderr_error(capsys) == {
+            "code": 2, "kind": "config",
+            "message": f"config schema violation: {want.value.message}"}
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 @pytest.mark.parametrize("solver,message", [
     ({"dt": 0.1, "t_end": 0.55}, "whole number of steps"),
     ({"dt": 0.01, "t_end": 0.5, "record_stride": 7}, "does not divide the 50 steps"),
@@ -263,6 +279,17 @@ def test_expand_norm_argument(pipeline, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["norm"] == [0.5, 0.0]
     assert 1.8 < doc["rates"][0]["slope"] < 2.2
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_expand_rejects_order_below_one(pipeline, tmp_path, capsys, order):
+    out = tmp_path / "expand.json"
+    assert main(["expand", "--traj", str(pipeline["traj"]), "--order", order,
+                 "--out", str(out)]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config"
+    assert f"order must be at least 1, got {order}" in err["message"]
+    assert not out.exists()
 
 
 def test_expand_accepts_u_form(tmp_path, capsys):
@@ -485,6 +512,22 @@ def test_sweep_omega_ragged_records_exit_before_integrating(tmp_path, capsys, mo
     err = json.loads(captured.err)["error"]
     assert err["kind"] == "config"
     assert "does not divide the 600 steps" in err["message"]
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_sweep_omega_rejects_order_below_one(tmp_path, capsys, monkeypatch, order):
+    cfg_path = tmp_path / "sweep.json"
+    _sweep_config(cfg_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated a sweep whose order is out of range")
+
+    monkeypatch.setattr("rotspec.cli.integrate", refuse)
+    assert main(["sweep-omega", "--config", str(cfg_path), "--omegas", "10,20",
+                 "--T", "0.2", "--order", order]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config"
+    assert f"order must be at least 1, got {order}" in err["message"]
 
 
 def test_sweep_omega_honours_t0(tmp_path, capsys, monkeypatch):

@@ -124,6 +124,15 @@ def test_fourth_order_expansion(o4_run):
     assert sorted(o4_run["pairs"]) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
+def test_fifth_order_expansion(o4_run):
+    """Order 5 on the same trajectory: term counts and exact symbolic residuals.
+    The resonant fit warns at this order, so its warnings are not checked."""
+    exp = expand(o4_run["trajv"], 5, FitPolicy(xi_windows=((6.0, 8.0), (8.0, 10.0))))
+    assert exp.mus == [Fraction(n) for n in range(1, 6)]
+    assert [q.n_terms() for q in exp.orders] == [6, 48, 602, 4862, 22650]
+    assert verify_expansion_system(exp)["max_residual"] <= 1e-12
+
+
 def test_partial_sum_cached_at_sample_times(o4_run):
     """At the trajectory's times the cached samples give the evaluated sum bit for bit."""
     exp, ts = o4_run["exp"], o4_run["trajv"].times
@@ -179,6 +188,9 @@ def test_expand_input_validation(cube6):
         expand(bad, 1)
     with pytest.raises(ValueError, match="no samples"):
         expand(_zero_traj(cube6), 1, FitPolicy(xi_windows=((5.0, 6.0),)))
+    for order in (0, -1):
+        with pytest.raises(ValueError, match=f"order must be at least 1, got {order}"):
+            expand(_zero_traj(cube6), order)
 
 
 def test_expand_semigroup_cap(cube6):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from rotspec.spoly import (
     mode_rotation_frequency,
     ode_solve,
     spoly_from_json,
+    spoly_to_doc,
     spoly_to_json,
 )
 
@@ -327,10 +329,12 @@ def _bilinear_reference(f, g, omega):
 
 
 def _assert_identical(got, want):
-    """Same keys in the same order and bit-equal coefficients."""
-    assert list(got.terms) == list(want.terms)
-    for key, c in want.terms.items():
-        assert np.array_equal(got.terms[key], c)
+    """Same keys in the same order and bit-equal coefficients; want is an
+    SPoly or a term dict."""
+    want = want.terms if isinstance(want, SPoly) else want
+    assert list(got.terms) == list(want)
+    for c, w in zip(got.terms.values(), want.values()):
+        assert np.array_equal(np.asarray(c).view(np.uint64), np.asarray(w).view(np.uint64))
 
 
 def _expS_reference(f, omega):
@@ -419,3 +423,176 @@ def test_spoly_json_roundtrip():
     assert set(back.terms) == set(g.terms)
     for key, c in g.terms.items():
         np.testing.assert_allclose(back.terms[key], c, atol=1e-16)
+
+
+# -- the columnar container against the dict implementation -----------------
+#
+# Each _ref_* function is the earlier dict-of-terms body of the operation: a
+# term map {(k, m, Frequency): c} updated one term at a time.  The columnar
+# SPoly must give the same keys in the same order and bit-equal coefficients.
+
+def _ref_canon(terms):
+    """The dict constructor: exactly-zero coefficients dropped."""
+    return {key: np.asarray(c, dtype=complex) for key, c in terms.items() if np.any(c)}
+
+
+def _ref_accumulate(items):
+    out = {}
+    for key, val in items:
+        out[key] = out.get(key, 0.0) + val
+    return _ref_canon(out)
+
+
+def _ref_add(f, g):
+    out = {key: c.copy() for key, c in f.items()}
+    for key, c in g.items():
+        cur = out.get(key)
+        s = c if cur is None else cur + c
+        if np.any(s):
+            out[key] = s.copy() if cur is None else s
+        elif cur is not None:
+            del out[key]
+    return out
+
+
+def _ref_scale(f, a):
+    return {} if a == 0 else _ref_canon({key: c * a for key, c in f.items()})
+
+
+def _ref_differentiate(f):
+    items = []
+    for (k, m, w), c in f.items():
+        if m >= 1:
+            items.append(((k, m - 1, w), m * c))
+        if not w.is_zero:
+            items.append(((k, m, w), 1j * w.value * c))
+    return _ref_accumulate(items)
+
+
+def _ref_time_shift(f, T):
+    if T == 0.0:
+        return dict(f)
+    items = []
+    for (k, m, w), c in f.items():
+        base = c * np.exp(1j * w.value * T)
+        items += [((k, n, w), math.comb(m, n) * T ** (m - n) * base) for n in range(m + 1)]
+    return _ref_accumulate(items)
+
+
+def _ref_evaluate(f, t):
+    u = np.zeros((LAT.n_modes, 3), dtype=complex)
+    for (k, m, w), c in f.items():
+        u[LAT.mode_index[k]] += (t**m) * np.exp(1j * w.value * t) * c
+    return u
+
+
+def _ref_evaluate_many(f, ts):
+    out = np.zeros((len(ts), LAT.n_modes, 3), dtype=complex)
+    series = {}
+    for (k, m, w), c in f.items():
+        s = series.get((m, w))
+        if s is None:
+            s = series[(m, w)] = (ts**m * np.exp(1j * w.value * ts))[:, None]
+        out[:, LAT.mode_index[k], :] += s * c[None, :]
+    return out
+
+
+def _ref_ode_solve(beta, f, xi0=None):
+    resonant, bf = beta == 0, float(beta)
+    items = []
+    for (k, m, w), c in f.items():
+        if resonant and w.is_zero:
+            items.append(((k, m + 1, w), c / (m + 1)))
+            continue
+        gamma = bf + 1j * w.value
+        a = c / gamma
+        items.append(((k, m, w), a))
+        for n in range(m - 1, -1, -1):
+            a = -(n + 1) * a / gamma
+            items.append(((k, n, w), a))
+    q = _ref_accumulate(items)
+    if resonant:
+        target = np.zeros((LAT.n_modes, 3), dtype=complex)
+        if xi0 is not None:
+            target = xi0.coeffs.astype(complex)
+        delta = target - _ref_evaluate(q, 0.0)
+        extra = {(tuple(int(x) for x in LAT.ks[i]), 0, Frequency.zero()): delta[i]
+                 for i in range(LAT.n_modes) if np.any(delta[i])}
+        q = _ref_add(q, _ref_canon(extra))
+    return q
+
+
+def _ref_doc(f):
+    terms = [{"k": list(k), "m": m, "omega": _freq_doc(w),
+              "re": [float(x) for x in c.real], "im": [float(x) for x in c.imag]}
+             for (k, m, w), c in sorted(f.items(), key=lambda kv: kv[0])]
+    return {"L": [float(x) for x in LAT.L], "cutoff": str(LAT.cutoff), "terms": terms}
+
+
+_W1 = Frequency.rotation(2, Fraction(1, 2), OMEGA)
+_W2 = Frequency.user(0.37)
+# distinct objects for one frequency: (_W1 + _W2) - _W2 and 2 _W1 - _W1 are _W1
+_FREQ_POOL = [Frequency.zero(), _W1, -_W1, _W2, _W1 + _W2, _W2 + _W1,
+              (_W1 + _W2) - _W2, _W1.scale(2) - _W1]
+_MODE_POOL = [tuple(int(x) for x in LAT.ks[i]) for i in (0, 2, 3, 5, 6, 13, 19, 24)]
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]),
+                   st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+_coefs = st.lists(st.tuples(_parts, _parts), min_size=3, max_size=3).map(
+    lambda xs: np.array([complex(a, b) for a, b in xs]))
+
+
+def _term_maps(modes, freqs):
+    return st.dictionaries(
+        st.tuples(st.sampled_from(modes), st.integers(0, 3), st.sampled_from(freqs)),
+        _coefs, max_size=12)
+
+
+@st.composite
+def _operands(draw, modes=_MODE_POOL, freqs=_FREQ_POOL):
+    """Two term maps; g repeats some of f's terms, negated or not, so that
+    f + g and f - g cancel those keys exactly."""
+    f, g = draw(_term_maps(modes, freqs)), draw(_term_maps(modes, freqs))
+    for key in draw(st.lists(st.sampled_from(list(f)), max_size=4)) if f else []:
+        g[key] = -f[key] if draw(st.booleans()) else f[key].copy()
+    return f, g
+
+
+@given(_operands())
+@settings(deadline=None, max_examples=150)
+def test_columnar_linear_ops_match_dict_reference(operands):
+    fd, gd = operands
+    f, g = SPoly(LAT, fd), SPoly(LAT, gd)
+    rf, rg = _ref_canon(fd), _ref_canon(gd)
+    zero = SPoly.zero(LAT)
+    _assert_identical(f, rf)
+    _assert_identical(f + g, _ref_add(rf, rg))
+    _assert_identical(f - g, _ref_add(rf, _ref_scale(rg, -1.0)))
+    _assert_identical(f + zero, rf)
+    _assert_identical(zero - f, _ref_scale(rf, -1.0))
+    for a in (2.5, -1.0, 0.0, 0.3j, 1e-320):
+        _assert_identical(f.scale(a), _ref_scale(rf, a))
+    _assert_identical(f.apply_stokes(), _ref_canon(
+        {key: c * LAT.lam_f[LAT.mode_index[key[0]]] for key, c in rf.items()}))
+    for lam in (*LAT.eigenvalues, Fraction(1, 2)):
+        _assert_identical(f.restrict_shell(lam), {
+            key: c for key, c in rf.items() if LAT.lam[LAT.mode_index[key[0]]] == lam})
+
+
+@given(_operands(_MODE_POOL[:2], _FREQ_POOL[:2] + _FREQ_POOL[6:]))
+@settings(deadline=None, max_examples=100)
+def test_columnar_calculus_matches_dict_reference(operands):
+    """Few modes and frequencies, so that many terms share a mode and a
+    frequency and the outputs sum several contributions per key."""
+    fd, _ = operands
+    f, rf = SPoly(LAT, fd), _ref_canon(fd)
+    _assert_identical(f.differentiate(), _ref_differentiate(rf))
+    for T in (0.0, 0.7, -1.3):
+        _assert_identical(f.time_shift(T), _ref_time_shift(rf, T))
+    for beta in (0, Fraction(3, 2), -2, 0.7):
+        _assert_identical(ode_solve(beta, f), _ref_ode_solve(beta, rf))
+    xi0 = random_gevrey(LAT, seed=3)
+    _assert_identical(ode_solve(0, f, xi0), _ref_ode_solve(0, rf, xi0))
+    ts = np.array([0.0, 0.4, 2.3])
+    got, want = f.evaluate_many(ts), _ref_evaluate_many(rf, ts)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert json.dumps(spoly_to_doc(f)) == json.dumps(_ref_doc(rf))
