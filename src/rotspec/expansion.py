@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 
+# a resonant constant whose window means differ by more than this, relative,
+# is flagged; expand needs at least MIN_SAMPLES uniformly spaced samples
+XI_REL_TOL = 1e-6
+MIN_SAMPLES = 64
+
+
 @dataclass
 class FitPolicy:
     """Controls for recovering resonant constants from trajectory data.
@@ -57,8 +63,6 @@ class FitPolicy:
     """
 
     xi_windows: Optional[Tuple[Tuple[float, float], ...]] = None
-    xi_rel_tol: float = 1e-6
-    min_samples: int = 64
 
     def windows_for(self, t0: float, t1: float) -> Tuple[Tuple[float, float], ...]:
         if self.xi_windows is not None:
@@ -114,9 +118,9 @@ class Expansion:
         return f"Expansion(orders={self.n_orders}, mu={mus}, omega={self.omega})"
 
 
-def _require_uniform(ts: np.ndarray, minimum: int):
-    if len(ts) < minimum:
-        raise ValueError(f"need at least {minimum} recorded samples, have {len(ts)}")
+def _require_uniform(ts: np.ndarray):
+    if len(ts) < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} recorded samples, have {len(ts)}")
     gaps = np.diff(ts)
     if np.ptp(gaps) > 1e-9 * gaps[0]:
         raise ValueError("expansion fitting needs uniformly spaced samples")
@@ -131,7 +135,7 @@ def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) 
                          "pass a v-form trajectory (see transform_trajectory)")
     policy = policy or FitPolicy()
     ts = traj.times
-    _require_uniform(ts, policy.min_samples)
+    _require_uniform(ts)
     lat = traj.lattice
 
     cap = lat.cutoff
@@ -289,7 +293,7 @@ def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
         "xi_window_means_norm": [float(np.linalg.norm(m)) for m in means],
         "xi_drift_rate": drift_rate,
     }
-    if spread > exp.policy.xi_rel_tol:
+    if spread > XI_REL_TOL:
         diag["xi_spread_warning"] = True
     if drift_rate > 1e-4:
         diag["xi_drift_warning"] = True

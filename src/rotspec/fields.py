@@ -9,7 +9,6 @@ Parseval convention |u|^2 = L1*L2*L3 * sum_k |u_hat(k)|^2.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -22,21 +21,15 @@ from .lattice import Lattice
 __all__ = [
     "SpectralField",
     "random_gevrey",
-    "leray_project",
     "gevrey_norm",
     "inner",
-    "apply_A_power",
     "apply_S",
     "apply_expS",
     "advect",
     "bilinear_B",
-    "bilinear_B_omega",
     "eigen_restrict",
-    "low_pass",
     "field_to_doc",
     "field_from_doc",
-    "field_to_json",
-    "field_from_json",
 ]
 
 
@@ -157,18 +150,6 @@ def inner(u: SpectralField, v: SpectralField) -> float:
     """Real L2 inner product <u, v>."""
     s = complex(np.einsum("mc,mc->", u.coeffs, np.conj(v.coeffs)))
     return u.lattice.volume * (s.real + float(np.dot(u.mean, v.mean)))
-
-
-def leray_project(u: SpectralField) -> SpectralField:
-    """Remove the component parallel to the dual wave vector, mode by mode."""
-    c = np.einsum("mij,mj->mi", u.lattice.proj, u.coeffs)
-    return SpectralField(u.lattice, c, u.mean)
-
-
-def apply_A_power(u: SpectralField, alpha: float) -> SpectralField:
-    """Fractional Stokes power: multiply each mode by lam^alpha (mean dropped)."""
-    c = u.coeffs * u.lattice.lam_f[:, None] ** alpha
-    return SpectralField(u.lattice, c)
 
 
 _J_VERT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -362,25 +343,12 @@ def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(u.lattice, advect(u.lattice, u.coeffs, v.coeffs))
 
 
-def bilinear_B_omega(t: float, u: SpectralField, v: SpectralField, omega: float) -> SpectralField:
-    """Rotated bilinear form exp(Omega t S) B(exp(-Omega t S)u, exp(-Omega t S)v)."""
-    return SpectralField(u.lattice, advect(u.lattice, u.coeffs, v.coeffs, t, omega))
-
-
 def eigen_restrict(u: SpectralField, lam: Fraction | int | str) -> SpectralField:
     """Eigenprojection onto a single Stokes shell."""
     idx = u.lattice.shell_indices(Fraction(lam))
     c = np.zeros_like(u.coeffs)
     c[idx] = u.coeffs[idx]
     return SpectralField(u.lattice, c)
-
-
-def low_pass(u: SpectralField, lam: Fraction | int | str) -> SpectralField:
-    """Spectral projection onto all shells with eigenvalue <= lam."""
-    lam = Fraction(lam)
-    mask = np.array([l <= lam for l in u.lattice.lam])
-    c = np.where(mask[:, None], u.coeffs, 0.0)
-    return SpectralField(u.lattice, c, u.mean)
 
 
 def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,
@@ -434,26 +402,3 @@ def field_from_doc(doc: dict, lattice: Lattice) -> SpectralField:
     im = np.array([m["im"] for m in modes], dtype=float).reshape(n, 3)
     return SpectralField._from_arrays(lattice, ks, re + 1j * im, doc.get("mean"))
 
-
-def field_to_json(u: SpectralField) -> str:
-    return json.dumps(field_to_doc(u), sort_keys=True)
-
-
-def field_from_json(text: str, lattice: Optional[Lattice] = None) -> SpectralField:
-    """Inverse of field_to_json.
-
-    With no lattice supplied, builds the smallest one covering the stored
-    modes (periods recovered as exact rationals of 2*pi).
-    """
-    doc = json.loads(text)
-    if lattice is None:
-        from .lattice import rationalize_period
-        ell = [rationalize_period(x) for x in doc["L"]]
-        q = [1 / (e * e) for e in ell]
-        cutoff = Fraction(1)
-        for m in doc["modes"]:
-            k = m["k"]
-            lam = sum(qq * int(c) * int(c) for qq, c in zip(q, k))
-            cutoff = max(cutoff, lam)
-        lattice = Lattice(ell, cutoff)
-    return field_from_doc(doc, lattice)

@@ -7,7 +7,6 @@ and membership / resonance questions are decided without float comparison.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,8 +23,7 @@ __all__ = [
     "stokes_spectrum",
     "semigroup_table",
     "squarefree_decompose",
-    "spectrum_to_json",
-    "rationalize_period",
+    "spectrum_to_doc",
 ]
 
 
@@ -57,24 +55,6 @@ def squarefree_decompose(n: int) -> Tuple[int, int]:
         d += 1
     s *= m  # leftover prime
     return a, s
-
-
-def rationalize_period(x: float, max_den: int = 1000) -> Fraction:
-    """Recover the rational ratio L/(2*pi) from a float period.
-
-    Rejects values that are not recognizably rational multiples of 2*pi.
-    The denominator bound is deliberately small: with a large bound every
-    irrational is shadowed by a continued-fraction convergent inside the
-    float tolerance (e.g. sqrt(2) ~ 665857/470832 to 1.6e-12) and the
-    rejection branch becomes unreachable.
-    """
-    r = Fraction(x / TWO_PI).limit_denominator(max_den)
-    if r <= 0 or abs(float(r) * TWO_PI - x) > 1e-9 * max(1.0, abs(x)):
-        raise LatticeError(
-            f"period {x!r} is not a recognizable rational multiple of 2*pi; "
-            "pass the ratio L/(2*pi) as a Fraction instead"
-        )
-    return r
 
 
 def _cross_matrix(u: np.ndarray) -> np.ndarray:
@@ -209,18 +189,10 @@ class Lattice:
         )
 
 
-def build_lattice(
-    L: Sequence[float] | None = None,
-    cutoff: Fraction | int | str = 6,
-    ell: Sequence[Fraction | int | str] | None = None,
-) -> Lattice:
-    """Build a lattice either from float periods or from exact ratios L/(2*pi)."""
-    if ell is None:
-        if L is None:
-            ell = (1, 1, 1)
-        else:
-            ell = [rationalize_period(x) for x in L]
-    return Lattice(ell, cutoff)
+def build_lattice(cutoff: Fraction | int | str = 6,
+                  ell: Sequence[Fraction | int | str] | None = None) -> Lattice:
+    """Build a lattice from exact period ratios L/(2*pi) (default: the 2*pi cube)."""
+    return Lattice((1, 1, 1) if ell is None else ell, cutoff)
 
 
 def stokes_spectrum(lattice: Lattice) -> List[Tuple[Fraction, int]]:
@@ -285,8 +257,8 @@ def _frac_json(x: Fraction) -> Dict[str, int]:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def spectrum_to_json(lattice: Lattice, table: Optional[SemigroupTable] = None) -> str:
-    """Serialize eigenvalues (+ optional semigroup with decompositions) to JSON."""
+def spectrum_to_doc(lattice: Lattice, table: Optional[SemigroupTable] = None) -> dict:
+    """JSON-ready document of the eigenvalues (+ optional semigroup with decompositions)."""
     doc: Dict = {
         "ell": [str(e) for e in lattice.ell],
         "cutoff": str(lattice.cutoff),
@@ -303,4 +275,4 @@ def spectrum_to_json(lattice: Lattice, table: Optional[SemigroupTable] = None) -
             }
             for n, m in enumerate(table.mu)
         ]
-    return json.dumps(doc, sort_keys=True)
+    return doc

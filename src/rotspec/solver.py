@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, IO, List, Optional, Sequence, Tuple
 
@@ -40,6 +41,10 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
+    """One run.  (t_end - t0)/dt must be a whole number of steps, to relative
+    1e-12, and record_stride must divide it, so every recorded gap is
+    record_stride * dt and the trajectory is valid input to `expand`."""
+
     dt: float = 1e-3
     t_end: float = 1.0
     omega: float = 0.0
@@ -54,6 +59,18 @@ class SolverConfig:
             raise ValueError("need dt > 0 and t_end > t0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        span = (self.t_end - self.t0) / self.dt
+        if not (math.isfinite(span) and abs(span - round(span)) <= 1e-12 * span):
+            raise ValueError(f"(t_end - t0)/dt = {span:.12g} is not a whole number of steps")
+        if self.n_steps % self.record_stride:
+            raise ValueError(f"record_stride {self.record_stride} does not divide "
+                             f"the {self.n_steps} steps")
+
+    @property
+    def n_steps(self) -> int:
+        # round, not ceil: a span within the 1e-12 tolerance may sit just
+        # above a whole number
+        return round((self.t_end - self.t0) / self.dt)
 
 
 class Trajectory:
@@ -87,16 +104,16 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     """Integrating-factor RK4 for the truncated rotating Navier-Stokes system.
 
     In u-form the state solves du/dt + Au + Omega*Su + B(u,u) = 0; in v-form
-    dv/dt + Av + B_Omega(t,v,v) = 0.  The number of steps is
-    round((t_end-t0)/dt); the last step is shortened if t_end is not a step
-    multiple.  A state that is no longer finite stops the run with a
+    dv/dt + Av + B_Omega(t,v,v) = 0.  It takes config.n_steps steps of
+    exactly dt and records the initial state and every record_stride-th
+    state after it.  A state that is no longer finite stops the run with a
     FloatingPointError naming the step and its time.
     """
     lat = u0.lattice
     h = config.dt
     om = config.omega
-    t0, t_end = config.t0, config.t_end
-    n_steps = int(math.ceil((t_end - t0) / h - 1e-12))
+    t0 = config.t0
+    n_steps = config.n_steps
 
     lam = lat.lam_f
 
@@ -128,21 +145,16 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     records: List[np.ndarray] = [C.copy()]
     t = t0
     for step in range(n_steps):
-        hh = min(h, t_end - t)
-        if abs(hh - h) > 1e-12 * h:
-            Ph_s, Ph2_s = make_prop(hh), make_prop(0.5 * hh)
-        else:
-            hh, Ph_s, Ph2_s = h, Ph, Ph2
         a = N(t, C)
-        b = N(t + 0.5 * hh, Ph2_s(C + 0.5 * hh * a))
-        c = N(t + 0.5 * hh, Ph2_s(C) + 0.5 * hh * b)
-        d = N(t + hh, Ph_s(C) + hh * Ph2_s(c))
-        C = Ph_s(C) + (hh / 6.0) * (Ph_s(a) + 2.0 * Ph2_s(b + c) + d)
-        t = t0 + (step + 1) * h if hh == h else t + hh
+        b = N(t + 0.5 * h, Ph2(C + 0.5 * h * a))
+        c = N(t + 0.5 * h, Ph2(C) + 0.5 * h * b)
+        d = N(t + h, Ph(C) + h * Ph2(c))
+        C = Ph(C) + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
+        t = t0 + (step + 1) * h
         if not np.isfinite(C).all():
             raise FloatingPointError(
                 f"state is not finite after step {step + 1} of {n_steps} (t = {t:.6g})")
-        if (step + 1) % config.record_stride == 0 or step == n_steps - 1:
+        if (step + 1) % config.record_stride == 0:
             times.append(t)
             records.append(C.copy())
     return Trajectory(lat, config.form, om, np.array(times), np.array(records), dt=h)
@@ -229,6 +241,10 @@ def trajectory_to_jsonl(traj: Trajectory, stream: IO[str],
         stream.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
     """Returns (trajectory, meta-dict).  Malformed input raises ValueError."""
     header = json.loads(stream.readline())
@@ -240,6 +256,12 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
         raise ValueError(f"trajectory header lacks key {e}") from None
     except TypeError as e:  # valid JSON of the wrong shape, e.g. a list
         raise ValueError(f"trajectory header is malformed: {e}") from None
+    if form not in ("u", "v"):
+        raise ValueError(f"trajectory header key 'form' must be \"u\" or \"v\", not {form!r}")
+    if not (_is_number(omega) and abs(omega) <= sys.float_info.max):  # finite as a float
+        raise ValueError(f"trajectory header key 'omega' must be a finite number, not {omega!r}")
+    if "dt" in meta and not _is_number(meta["dt"]):
+        raise ValueError(f"trajectory header key 'dt' must be a number, not {meta['dt']!r}")
     times: List[float] = []
     rows: List[np.ndarray] = []
     for n, line in enumerate(stream, start=2):

@@ -313,33 +313,21 @@ def pde_residual(velocity: Callable[[float], SpectralField],
                  pressure: Callable[[float], Dict[Tuple[int, int, int], complex]],
                  omega: float,
                  times: Sequence[float],
-                 grid_n: int = 32,
-                 velocity_dt: Optional[Callable[[float], SpectralField]] = None,
-                 fd_h: float = 1e-3) -> Dict:
+                 grid_n: int = 32, *,
+                 velocity_dt: Callable[[float], SpectralField]) -> Dict:
     """Max pointwise residual of u_t - Lap(u) + (u.grad)u + grad p + Om e3 x u.
 
-    The time derivative is exact when `velocity_dt` is given, otherwise a
-    6th-order central difference with step fd_h.  The unprojected momentum
-    equation is assembled in spectral space (advection by direct convolution,
-    pressure gradient as i*kcheck*p_hat) and evaluated on the grid.
+    The time derivative is the exact one `velocity_dt` gives.  The
+    unprojected momentum equation is assembled in spectral space (advection
+    by direct convolution, pressure gradient as i*kcheck*p_hat) and
+    evaluated on the grid.
     """
-    fd_w = np.array([-1.0, 9.0, -45.0, 45.0, -9.0, 1.0]) / 60.0
-    fd_o = np.array([-3, -2, -1, 1, 2, 3])
     per_time = []
     for t in times:
         t = float(t)
         u = velocity(t)
         lat = u.lattice
-        if velocity_dt is not None:
-            ut = velocity_dt(t)
-        else:
-            cs = None
-            mn = None
-            for w, o in zip(fd_w, fd_o):
-                uu = velocity(t + o * fd_h)
-                cs = (w / fd_h) * uu.coeffs if cs is None else cs + (w / fd_h) * uu.coeffs
-                mn = (w / fd_h) * uu.mean if mn is None else mn + (w / fd_h) * uu.mean
-            ut = SpectralField(lat, cs, mn)
+        ut = velocity_dt(t)
         res_c = ut.coeffs.copy()
         res_c += lat.lam_f[:, None] * u.coeffs              # -Lap u
         res_c += _advection_coeffs(lat, u.coeffs, u.mean)   # (u.grad)u

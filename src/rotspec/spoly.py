@@ -12,7 +12,6 @@ their values.
 
 from __future__ import annotations
 
-import json
 import math
 from types import MappingProxyType
 from fractions import Fraction
@@ -24,9 +23,8 @@ from .lattice import Lattice
 from .fields import SpectralField, _triads
 
 __all__ = [
-    "Frequency", "SPoly", "mode_rotation_frequency", "integrate_term", "ode_solve",
-    "antiderivative", "apply_expS_spoly", "bilinear_spoly", "OdeResonanceError",
-    "spoly_to_doc", "spoly_to_json", "spoly_from_json",
+    "Frequency", "SPoly", "ode_solve", "antiderivative", "apply_expS_spoly",
+    "bilinear_spoly", "OdeResonanceError", "spoly_to_doc", "spoly_from_doc",
 ]
 
 
@@ -118,12 +116,6 @@ class Frequency:
     def __sub__(self, other: "Frequency") -> "Frequency":
         return self + (-other)
 
-    def scale(self, factor: Fraction | int) -> "Frequency":
-        factor = Fraction(factor)
-        if factor == 0:
-            return _FREQ_ZERO
-        return Frequency([(key, coef * factor, unit) for key, coef, unit in self.parts])
-
     def __eq__(self, other):
         return self is other or (isinstance(other, Frequency) and self._hash == other._hash
                                  and self._id == other._id)
@@ -142,43 +134,6 @@ class Frequency:
 
 
 _FREQ_ZERO = Frequency()
-
-
-def mode_rotation_frequency(lattice: Lattice, mode: int, omega: float) -> Frequency:
-    """Elementary frequency Omega*k3til for one lattice mode (zero if k3 = 0)."""
-    return Frequency.rotation(lattice.freq_sqfree[mode], lattice.freq_coef[mode], omega)
-
-
-# ---------------------------------------------------------------------------
-# closed-form antiderivative of t^m e^{at} {cos,sin}(wt)
-
-
-def integrate_term(m: int, alpha: float, omega: float) -> np.ndarray:
-    """Coefficient matrices of the closed-form antiderivative.
-
-    Returns C with shape (m+1, 2, 2) such that, writing
-    I(t) = (e^{alpha t} cos(omega t), e^{alpha t} sin(omega t))^T,
-
-        integral t^m I(t) dt = sum_n t^n  C[n] I(t)   (+ constant),
-
-    with C[n] = (-1)^(m-n) (m!/n!) * Dm1^(m+1-n) and Dm1 the inverse
-    derivative matrix [[alpha, omega], [-omega, alpha]] / (alpha^2+omega^2).
-    Requires alpha^2 + omega^2 > 0; the pure power t^m has no such form.
-    """
-    if m < 0:
-        raise ValueError("degree must be >= 0")
-    denom = alpha * alpha + omega * omega
-    if denom == 0.0:
-        raise ValueError("alpha = omega = 0: antiderivative is the monomial t^(m+1)/(m+1)")
-    dm1 = np.array([[alpha, omega], [-omega, alpha]]) / denom
-    out = np.empty((m + 1, 2, 2))
-    fact = 1.0  # m!/n!, built downward from n = m
-    for n in range(m, -1, -1):
-        sign = -1.0 if (m - n) % 2 else 1.0
-        out[n] = sign * fact * np.linalg.matrix_power(dm1, m + 1 - n)
-        if n > 0:
-            fact *= n
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +566,8 @@ def spoly_to_doc(f: SPoly) -> dict:
             "terms": terms}
 
 
-def spoly_to_json(f: SPoly) -> str:
-    return json.dumps(spoly_to_doc(f), sort_keys=True)
-
-
-def spoly_from_json(text: str, lattice: Lattice) -> SPoly:
-    doc = json.loads(text)
+def spoly_from_doc(doc: dict, lattice: Lattice) -> SPoly:
+    """Inverse of spoly_to_doc on a given lattice."""
     terms: Dict[TermKey, np.ndarray] = {}
     for td in doc["terms"]:
         key = (tuple(int(x) for x in td["k"]), int(td["m"]), _freq_from_doc(td["omega"]))

@@ -13,7 +13,7 @@ import pytest
 
 from rotspec import __version__
 from rotspec.cli import CONFIG_SCHEMA, OUTDIR_ENV, main
-from rotspec.fields import field_to_json, random_gevrey
+from rotspec.fields import field_to_doc, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import integrate
 from rotspec.special import helicity
@@ -204,7 +204,7 @@ def test_simulate_file_initial(tmp_path):
     lat = build_lattice(cutoff=2)
     u0 = random_gevrey(lat, seed=4, amplitude=0.02)
     field_path = tmp_path / "u0.json"
-    field_path.write_text(field_to_json(u0))
+    field_path.write_text(json.dumps(field_to_doc(u0)))
 
     cfg_path = tmp_path / "cfg.json"
     _write_config(
@@ -377,6 +377,28 @@ def test_trajectory_record_not_object(tmp_path, capsys):
     assert err["kind"] == "config" and "line 3" in err["message"]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("omega", None), ("omega", [1]), ("omega", "5"),
+    ("dt", None), ("dt", "0.01"),
+    ("form", ["v"]), ("form", "w"),
+])
+def test_trajectory_header_bad_value(pipeline, tmp_path, capsys, key, value):
+    """A header value of the wrong type exits 2 naming the key, never a
+    traceback or a run on data read in the wrong frame."""
+    lines = pipeline["traj"].read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["meta"][key] = value
+    traj = tmp_path / "badheader.jsonl"
+    traj.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    for cmd in ("expand", "helicity"):
+        argv = [cmd, "--traj", str(traj)] + (["--order", "1"] if cmd == "expand" else [])
+        assert main(argv) == 2, cmd
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "config" and f"'{key}'" in err["message"], cmd
+
+
 def test_output_directory_missing(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     _write_config(cfg_path, solver={"dt": 0.01, "t_end": 0.02, "form": "v"})
@@ -485,6 +507,36 @@ def test_sweep_omega_vertical_halving(tmp_path, capsys):
     for ratio in doc["ratio"]:
         assert abs(ratio - 0.5) < 1e-9
     assert norms[0] > norms[-1]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_sweep_omega_undefined_ratio_is_null(tmp_path, capsys):
+    """A horizontal ray has no first-order average, so its ratio is undefined."""
+    cfg_path = tmp_path / "sweep.json"
+    cfg = _sweep_config(cfg_path)
+    cfg["initial"] = {"kind": "vk", "k": [1, 1, 0],
+                      "coefficients": {"1": [[0.2, 0.0], [-0.2, 0.0], [0.0, 0.1]]}}
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep-omega", "--config", str(cfg_path),
+                 "--omegas", "10,20", "--T", "0.2"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert doc["qbar_norm"][0] == 0.0
+    assert doc["ratio"] == [None]
+
+
+def test_non_finite_output_exits_3(capsys, monkeypatch):
+    def nan_check(omega, seed):
+        return [{"name": "x", "value": float("nan"), "tol": 1.0,
+                 "comparison": "<=", "pass": True}]
+
+    monkeypatch.setattr("rotspec.cli._case_helicity", nan_check)
+    assert main(["verify-special", "--case", "helicity"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "numerical"
 
 
 def test_sweep_omega_needs_two_points(tmp_path, capsys):

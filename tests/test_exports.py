@@ -1,7 +1,10 @@
 """The package's public names: each module's __all__ and the top-level imports agree."""
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -33,3 +36,96 @@ def test_package_exports_are_in_module_all():
     stray = [(mod, n) for mod, n in imports
              if n not in importlib.import_module(f"rotspec.{mod}").__all__]
     assert not stray
+
+
+# -- the pinned surface -------------------------------------------------------
+
+TOP_LEVEL = ["FitPolicy", "SolverConfig", "build_lattice", "expand", "integrate",
+             "random_gevrey", "remainder_rate"]
+
+DELETED = {
+    "fields": ["leray_project", "apply_A_power", "low_pass", "bilinear_B_omega",
+               "field_to_json", "field_from_json"],
+    "lattice": ["rationalize_period", "spectrum_to_json"],
+    "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
+              "spoly_from_json"],
+    "cli": ["_require_whole_records"],
+}
+
+
+def test_top_level_names_are_the_readme_quick_start():
+    public = sorted(n for n in vars(rotspec) if not n.startswith("_")
+                    and n not in MODULES)
+    assert public == TOP_LEVEL
+    readme = (Path(rotspec.__file__).parents[2] / "README.md").read_text()
+    assert [n for n in TOP_LEVEL if n not in readme] == []
+
+
+@pytest.mark.parametrize("module", sorted(DELETED))
+def test_deleted_names_stay_deleted(module):
+    mod = importlib.import_module(f"rotspec.{module}")
+    assert [n for n in DELETED[module] if hasattr(mod, n)] == []
+
+
+def test_trimmed_signatures_and_knobs():
+    from rotspec.expansion import FitPolicy
+    from rotspec.lattice import build_lattice
+    from rotspec.special import pde_residual
+    from rotspec.spoly import Frequency
+
+    assert [f.name for f in dataclasses.fields(FitPolicy)] == ["xi_windows"]
+    assert not hasattr(Frequency, "scale")
+    assert list(inspect.signature(build_lattice).parameters) == ["cutoff", "ell"]
+    params = inspect.signature(pde_residual).parameters
+    assert "fd_h" not in params
+    assert params["velocity_dt"].default is inspect.Parameter.empty
+
+
+def test_json_text_only_in_cli_and_solver():
+    """The library's codecs take and return documents; only the command line
+    and the trajectory stream read or write JSON text."""
+    importers = []
+    for name in MODULES + ["__init__"]:
+        tree = ast.parse((Path(rotspec.__file__).parent / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name == "json" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == "json":
+                importers.append(name)
+    assert sorted(set(importers)) == ["cli", "solver"]
+
+
+# -- names the benchmark reads --------------------------------------------------
+
+PERFBENCH = Path(rotspec.__file__).parents[2] / "perfbench"
+# tracer targets that were already gone before this check was written
+KNOWN_ABSENT = {("rotspec.cli", "spoly_to_json"), ("rotspec.solver", "convolve_advect"),
+                ("rotspec.expansion", "convolve_advect")}
+BENCH_NAMES = ["fields.bilinear_B", "fields.random_gevrey", "special.VkData.random",
+               "special.linear_evolution", "solver.SolverConfig", "solver.integrate",
+               "solver.trajectory_from_jsonl", "cli.main", "cli.integrate"]
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer",
+                                                  PERFBENCH / "tracer.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.skipif(not (PERFBENCH / "tracer.py").is_file(), reason="no perfbench/")
+def test_benchmark_patch_targets_resolve():
+    tracer = _tracer()
+    absent = {(owner, attr) for owner, attr, _ in tracer.PATCHES
+              if not hasattr(tracer._resolve(owner) or object(), attr)}
+    assert absent <= KNOWN_ABSENT
+
+
+@pytest.mark.skipif(not PERFBENCH.is_dir(), reason="no perfbench/")
+@pytest.mark.parametrize("dotted", BENCH_NAMES)
+def test_benchmark_names_resolve(dotted):
+    module, *attrs = dotted.split(".")
+    obj = importlib.import_module(f"rotspec.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    assert callable(obj)

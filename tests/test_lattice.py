@@ -9,14 +9,10 @@ from rotspec.lattice import (
     LatticeError,
     SemigroupTable,
     build_lattice,
-    rationalize_period,
     semigroup_table,
     squarefree_decompose,
     stokes_spectrum,
 )
-
-TWO_PI = 2.0 * math.pi
-
 
 @given(st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=200)
@@ -25,16 +21,6 @@ def test_squarefree_decompose(n):
     assert a * a * s == n
     for p in range(2, int(math.isqrt(s)) + 1):
         assert s % (p * p) != 0
-
-
-def test_rationalize_period():
-    assert rationalize_period(TWO_PI) == 1
-    assert rationalize_period(TWO_PI / 3) == Fraction(1, 3)
-    assert rationalize_period(1.5 * TWO_PI) == Fraction(3, 2)
-    with pytest.raises(LatticeError):
-        rationalize_period(math.sqrt(2) * TWO_PI)
-    with pytest.raises(LatticeError):
-        rationalize_period(-TWO_PI)
 
 
 def test_cube_eigenvalues_brute_force():

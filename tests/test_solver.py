@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ def test_config_validation():
         SolverConfig(t_end=0.0, t0=1.0)
     with pytest.raises(ValueError):
         SolverConfig(record_stride=0)
+    # every recorded gap is record_stride * dt, or the config is refused
+    with pytest.raises(ValueError, match=re.escape(
+            "(t_end - t0)/dt = 5.5 is not a whole number of steps")):
+        SolverConfig(dt=0.1, t_end=0.55)
+    with pytest.raises(ValueError, match="is not a whole number of steps"):
+        SolverConfig(dt=0.1, t_end=1.0, t0=0.02)
+    with pytest.raises(ValueError, match="record_stride 7 does not divide the 50 steps"):
+        SolverConfig(dt=0.01, t_end=0.5, record_stride=7)
 
 
 def _ray_field(lat):
@@ -65,12 +74,15 @@ def test_linear_exactness_v_form(cube6):
             traj.coeffs[i], u0.coeffs * np.exp(-cube6.lam_f * t)[:, None], atol=1e-15)
 
 
-def test_short_final_step(cube6):
-    u0 = _ray_field(cube6)
-    traj = integrate(u0, SolverConfig(dt=0.1, t_end=0.55, omega=3.0, form="v"))
-    assert traj.times[-1] == pytest.approx(0.55, abs=1e-15)
-    np.testing.assert_allclose(
-        traj.coeffs[-1], u0.coeffs * np.exp(-cube6.lam_f * 0.55)[:, None], atol=1e-15)
+def test_steps_round_to_the_nearest_whole_number(cube6):
+    """A span just above a whole number, inside the 1e-12 tolerance, takes
+    that whole number of steps of exactly dt."""
+    config = SolverConfig(dt=0.0004911591355599212, t_end=1.0, form="v", record_stride=4)
+    span = (config.t_end - config.t0) / config.dt
+    assert span > 2036 + 1e-12 and config.n_steps == 2036
+    traj = integrate(_ray_field(build_lattice(cutoff=4)), config)
+    assert traj.n_samples == 1 + 2036 // 4
+    np.testing.assert_array_equal(traj.times, np.arange(0, 2037, 4) * config.dt)
 
 
 def _transform_reference(traj, sign):
@@ -131,7 +143,8 @@ def test_record_stride(cube6):
     v0 = random_gevrey(cube6, seed=3, amplitude=0.05)
     cfg = dict(dt=1e-2, t_end=0.5, omega=2.0, form="v")
     dense = integrate(v0, SolverConfig(record_stride=1, **cfg))
-    sparse = integrate(v0, SolverConfig(record_stride=7, **cfg))
+    sparse = integrate(v0, SolverConfig(record_stride=5, **cfg))
+    assert sparse.n_samples == 11
     assert sparse.times[0] == 0.0
     assert sparse.times[-1] == dense.times[-1]
     for i, t in enumerate(sparse.times):

@@ -231,12 +231,6 @@ def test_momentum_residual_exact_dt(drifting):
     assert out["max_residual"] < 1e-12
 
 
-def test_momentum_residual_fd_dt(drifting):
-    out = pde_residual(drifting.velocity, drifting.pressure, drifting.omega,
-                       times=[0.3], grid_n=16)
-    assert out["max_residual"] < 1e-9
-
-
 def test_momentum_residual_negative_controls(drifting):
     no_p = pde_residual(drifting.velocity, lambda t: {}, drifting.omega,
                         times=[0.3], grid_n=16, velocity_dt=drifting.velocity_dt)
