@@ -15,4 +15,4 @@ __version__ = "0.1.0"
 from .lattice import build_lattice
 from .fields import random_gevrey
 from .solver import SolverConfig, integrate
-from .expansion import FitPolicy, expand, remainder_rate
+from .expansion import expand, remainder_rate

@@ -28,8 +28,8 @@ from .fields import SpectralField, field_from_doc, random_gevrey
 from .spoly import OdeResonanceError, spoly_to_doc
 from .solver import (SolverConfig, config_hash, integrate, trajectory_from_jsonl,
                      trajectory_to_jsonl, transform_trajectory)
-from .expansion import (FitPolicy, expand, remainder_rate, time_average_Q,
-                        to_u_expansion, verify_expansion_system)
+from .expansion import (expand, remainder_rate, time_average_Q, to_u_expansion,
+                        verify_expansion_system)
 from .special import (DriftingSolution, MeanFlow, VkData, helicity,
                       helicity_series, linear_evolution, pde_residual)
 
@@ -88,14 +88,6 @@ CONFIG_SCHEMA = {
                                 "coefficients": _COEFS},
                  "required": ["kind", "k", "coefficients"],
                  "additionalProperties": False},
-                {"properties": {"kind": {"const": "drift"},
-                                "k": {"type": "array", "minItems": 3, "maxItems": 3,
-                                      "items": {"type": "integer"}},
-                                "coefficients": _COEFS,
-                                "U0": {"type": "array", "minItems": 3, "maxItems": 3,
-                                       "items": {"type": "number"}}},
-                 "required": ["kind", "k", "coefficients", "U0"],
-                 "additionalProperties": False},
                 {"properties": {"kind": {"const": "file"},
                                 "path": {"type": "string"}},
                  "required": ["kind", "path"], "additionalProperties": False},
@@ -116,19 +108,15 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "order": {"type": "integer", "minimum": 1},
                 "xi_windows": {"type": "array", "items": {
                     "type": "array", "minItems": 2, "maxItems": 2,
                     "items": {"type": "number"}}},
-                "norm": {"type": "array", "minItems": 2, "maxItems": 2,
-                         "items": {"type": "number"}},
             },
         },
         "output": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "dir": {"type": "string"},
                 "gevrey_norms": {"type": "array", "items": {
                     "type": "array", "minItems": 2, "maxItems": 2,
                     "items": {"type": "number"}}},
@@ -179,7 +167,7 @@ def _initial_field(cfg: dict, lat) -> SpectralField:
     if kind == "random-gevrey":
         return random_gevrey(lat, seed=init["seed"], sigma=init.get("sigma", 1.0),
                              amplitude=init.get("amplitude", 0.1))
-    if kind in ("vk", "drift"):
+    if kind == "vk":
         return _vk_from(init).field(lat)
     if kind == "file":
         try:
@@ -255,14 +243,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     lat = _lattice_from(cfg)
     u0 = _initial_field(cfg, lat)
-    sv = cfg["solver"]
-    config = SolverConfig(dt=sv.get("dt", 1e-3), t_end=sv.get("t_end", 1.0),
-                          omega=cfg["omega"], form=sv.get("form", "v"),
-                          record_stride=sv.get("record_stride", 1),
-                          t0=sv.get("t0", 0.0))
-    traj = integrate(u0, config)
-    if not np.isfinite(traj.coeffs).all():
-        raise CliError(EXIT_NUMERICAL, "numerical", "trajectory contains NaN/Inf")
+    traj = integrate(u0, SolverConfig(omega=cfg["omega"], **cfg["solver"]))
     gevrey = [tuple(g) for g in cfg.get("output", {}).get("gevrey_norms", [])]
     with _output(args.out) as fh:
         trajectory_to_jsonl(traj, fh, config_doc=cfg, version=__version__,
@@ -270,26 +251,30 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _policy_from_meta(meta: dict) -> FitPolicy:
-    exp_cfg = (meta.get("config") or {}).get("expansion", {})
-    wins = exp_cfg.get("xi_windows")
-    if wins:
-        return FitPolicy(xi_windows=tuple(tuple(w) for w in wins))
-    return FitPolicy()
+def _xi_windows(cfg: Optional[dict]):
+    """The config's resonant-fit windows, or None for expand's default."""
+    return ((cfg or {}).get("expansion") or {}).get("xi_windows") or None
 
 
-def cmd_expand(args) -> int:
+def _read_trajectory(path: str):
+    """(trajectory, meta) from a JSON-lines file; an unreadable file exits 2
+    and a non-finite sample exits 3."""
     try:
-        with open(args.traj) as fh:
+        with open(path) as fh:
             traj, meta = trajectory_from_jsonl(fh)
     except OSError as e:
         raise CliError(EXIT_CONFIG, "config", f"cannot read trajectory: {e}")
     if not np.isfinite(traj.coeffs).all():
         raise CliError(EXIT_NUMERICAL, "numerical", "trajectory contains NaN/Inf")
+    return traj, meta
+
+
+def cmd_expand(args) -> int:
+    traj, meta = _read_trajectory(args.traj)
     if traj.form == "u":
         traj = transform_trajectory(traj, "v")
     alpha, sigma = (float(x) for x in args.norm.split(","))
-    exp = expand(traj, args.order, _policy_from_meta(meta))
+    exp = expand(traj, args.order, _xi_windows(meta.get("config")))
     verify = verify_expansion_system(exp)
 
     ts = traj.times
@@ -403,11 +388,7 @@ def cmd_verify_special(args) -> int:
 
 
 def cmd_helicity(args) -> int:
-    try:
-        with open(args.traj) as fh:
-            traj, _ = trajectory_from_jsonl(fh)
-    except OSError as e:
-        raise CliError(EXIT_CONFIG, "config", f"cannot read trajectory: {e}")
+    traj, _ = _read_trajectory(args.traj)
     if traj.form == "v":
         traj = transform_trajectory(traj, "u")
     rows = [(float(t), helicity(traj.field(i))) for i, t in enumerate(traj.times)]
@@ -427,18 +408,14 @@ def cmd_sweep_omega(args) -> int:
         raise CliError(EXIT_CONFIG, "config", "sweep needs at least two rotation rates")
     lat = _lattice_from(cfg)
     u0 = _initial_field(cfg, lat)
-    sv = cfg["solver"]
-    configs = [SolverConfig(dt=sv.get("dt", 1e-3), t_end=sv.get("t_end", 12.0),
-                            omega=om, form="v", record_stride=sv.get("record_stride", 1),
-                            t0=sv.get("t0", 0.0))
-               for om in omegas]  # a bad config is rejected before any rate is integrated
+    # a bad config is rejected before any rate is integrated
+    configs = [SolverConfig(omega=om, **cfg["solver"]) for om in omegas]
     norms = []
     for config in configs:
         traj = integrate(u0, config)
-        if not np.isfinite(traj.coeffs).all():
-            raise CliError(EXIT_NUMERICAL, "numerical",
-                           f"trajectory at omega={config.omega} contains NaN/Inf")
-        exp = expand(traj, args.order, _policy_from_meta({"config": cfg}))
+        if traj.form == "u":
+            traj = transform_trajectory(traj, "v")
+        exp = expand(traj, args.order, _xi_windows(cfg))
         mu1, Q1 = to_u_expansion(exp)[0]
         qbar = time_average_Q(Q1, args.T)
         norms.append(qbar.evaluate(args.t).norm())
@@ -536,21 +513,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except CliError as e:
-        sys.stderr.write(json.dumps(
-            {"error": {"code": e.code, "kind": e.kind, "message": str(e)}},
-            sort_keys=True) + "\n")
-        return e.code
+        error = e
     except (OdeResonanceError, FloatingPointError) as e:
         # before ValueError: the resonance error is a ValueError subclass
-        sys.stderr.write(json.dumps(
-            {"error": {"code": EXIT_NUMERICAL, "kind": "numerical", "message": str(e)}},
-            sort_keys=True) + "\n")
-        return EXIT_NUMERICAL
+        error = CliError(EXIT_NUMERICAL, "numerical", str(e))
     except (LatticeError, ValueError) as e:
-        sys.stderr.write(json.dumps(
-            {"error": {"code": EXIT_CONFIG, "kind": "config", "message": str(e)}},
-            sort_keys=True) + "\n")
-        return EXIT_CONFIG
+        error = CliError(EXIT_CONFIG, "config", str(e))
+    sys.stderr.write(json.dumps(
+        {"error": {"code": error.code, "kind": error.kind, "message": str(error)}},
+        sort_keys=True) + "\n")
+    return error.code
 
 
 if __name__ == "__main__":

@@ -21,9 +21,8 @@ the computed trajectory, not merely to the PDE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -34,7 +33,6 @@ from .spoly import SPoly, antiderivative, apply_expS_spoly, bilinear_spoly, ode_
 from .solver import Trajectory
 
 __all__ = [
-    "FitPolicy",
     "Expansion",
     "expand",
     "verify_expansion_system",
@@ -52,37 +50,15 @@ XI_REL_TOL = 1e-6
 MIN_SAMPLES = 64
 
 
-@dataclass
-class FitPolicy:
-    """Controls for recovering resonant constants from trajectory data.
-
-    xi_windows: two or more disjoint (t0, t1) windows; the constant is the
-    mean of the integral-identity estimate over their union, and the spread
-    between window means is reported as a consistency diagnostic.  None
-    picks windows in the second half of the run automatically.
-    """
-
-    xi_windows: Optional[Tuple[Tuple[float, float], ...]] = None
-
-    def windows_for(self, t0: float, t1: float) -> Tuple[Tuple[float, float], ...]:
-        if self.xi_windows is not None:
-            return self.xi_windows
-        span = t1 - t0
-        return (
-            (t0 + 0.50 * span, t0 + 0.70 * span),
-            (t0 + 0.70 * span, t0 + 0.90 * span),
-        )
-
-
 class Expansion:
     """Orders q_1..q_N of one trajectory, with their rates and diagnostics."""
 
     def __init__(self, lattice: Lattice, omega: float, table: SemigroupTable,
-                 policy: FitPolicy):
+                 xi_windows: Sequence[Tuple[float, float]]):
         self.lattice = lattice
         self.omega = omega
         self.table = table
-        self.policy = policy
+        self.xi_windows = xi_windows
         self.mus: List[Fraction] = []
         self.orders: List[SPoly] = []
         self.forcings: List[SPoly] = []
@@ -122,21 +98,35 @@ def _require_uniform(ts: np.ndarray):
     if len(ts) < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} recorded samples, have {len(ts)}")
     gaps = np.diff(ts)
-    if np.ptp(gaps) > 1e-9 * gaps[0]:
-        raise ValueError("expansion fitting needs uniformly spaced samples")
+    # written so that a NaN gap fails: every comparison with NaN is false
+    if not (np.all(gaps > 0) and np.all(np.isfinite(gaps))
+            and np.ptp(gaps) <= 1e-9 * gaps[0]):
+        raise ValueError("expansion fitting needs uniformly spaced samples "
+                         "at finite, increasing times")
 
 
-def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) -> Expansion:
-    """Build the first n_orders terms of the expansion of a v-form trajectory."""
+def expand(traj: Trajectory, n_orders: int,
+           xi_windows: Optional[Sequence[Tuple[float, float]]] = None) -> Expansion:
+    """Build the first n_orders terms of the expansion of a v-form trajectory.
+
+    xi_windows: one or more disjoint (t0, t1) windows for recovering the
+    resonant constants; each constant is the mean of the integral-identity
+    estimate over their union, and the spread between window means is
+    reported as a consistency diagnostic.  None takes 50-70 % and 70-90 %
+    of the run.
+    """
     if n_orders < 1:
         raise ValueError(f"order must be at least 1, got {n_orders}")
     if traj.form != "v":
         raise ValueError("expansion is built in the transformed frame; "
                          "pass a v-form trajectory (see transform_trajectory)")
-    policy = policy or FitPolicy()
     ts = traj.times
     _require_uniform(ts)
     lat = traj.lattice
+    if xi_windows is None:
+        t0, span = float(ts[0]), float(ts[-1]) - float(ts[0])
+        xi_windows = ((t0 + 0.50 * span, t0 + 0.70 * span),
+                      (t0 + 0.70 * span, t0 + 0.90 * span))
 
     cap = lat.cutoff
     table = semigroup_table(lat, cap)
@@ -146,7 +136,7 @@ def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) 
             raise ValueError(f"cannot reach {n_orders + 1} semigroup elements")
         table = SemigroupTable(lat.eigenvalues, cap)
 
-    exp = Expansion(lat, traj.omega, table, policy)
+    exp = Expansion(lat, traj.omega, table, xi_windows)
     exp.times = ts.copy()
     # running evaluation of the partial sum at the sample times
     s_eval = np.zeros_like(traj.coeffs)
@@ -171,10 +161,10 @@ def expand(traj: Trajectory, n_orders: int, policy: Optional[FitPolicy] = None) 
                 shell_forcing = forcing.restrict_shell(lam)
                 particular = particular + ode_solve(lam - mu, shell_forcing)
 
-        diag = {"mu": float(mu), "resonant": bool(table.is_eigenvalue(mu)),
-                "support_truncated": truncated}
+        resonant = lat.shell(mu) >= 0
+        diag = {"mu": float(mu), "resonant": resonant, "support_truncated": truncated}
         q = particular
-        if table.is_eigenvalue(mu):
+        if resonant:
             xi, fit_diag = _fit_resonant_constant(exp, traj, s_eval, mu, particular)
             diag.update(fit_diag)
             if np.any(xi.coeffs):
@@ -261,10 +251,9 @@ def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
         z = z - particular.restrict_shell(mu).evaluate_many(ts)[:, shell, :]
     xi_t = z + (G[-1] - G)
 
-    windows = exp.policy.windows_for(float(ts[0]), float(ts[-1]))
     means = []
     union = np.zeros(R, dtype=bool)
-    for (a, b) in windows:
+    for (a, b) in exp.xi_windows:
         mask = (ts >= a) & (ts < b)  # half-open: touching windows stay disjoint
         if not mask.any():
             raise ValueError(f"fit window ({a}, {b}) contains no samples")
@@ -289,7 +278,7 @@ def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
     diag = {
         "xi_norm": float(np.linalg.norm(full)),
         "xi_window_spread": spread,
-        "xi_windows": [list(w) for w in windows],
+        "xi_windows": [list(w) for w in exp.xi_windows],
         "xi_window_means_norm": [float(np.linalg.norm(m)) for m in means],
         "xi_drift_rate": drift_rate,
     }

@@ -247,8 +247,7 @@ def _conv_plan(lattice: Lattice, lam=None):
     else:
         im, ij, _, indptr = _conv_plan(lattice)
         io = np.repeat(np.arange(M), np.diff(indptr))
-        shell = lattice.eigenvalues.index(lam) if lam in lattice.eigenvalues else -1
-        keep = lattice.shell_of[io] == shell
+        keep = lattice.shell_of[io] == lattice.shell(lam)
         im, ij, io = im[keep], ij[keep], io[keep]
     plan = (
         im,

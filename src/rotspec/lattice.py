@@ -145,8 +145,8 @@ class Lattice:
         self.rep_mask = np.array([self._is_rep(tuple(k)) for k in self.ks])
 
         self.eigenvalues: List[Fraction] = sorted(set(self.lam))
-        eig_pos = {l: i for i, l in enumerate(self.eigenvalues)}
-        self.shell_of = np.array([eig_pos[l] for l in self.lam], dtype=int)
+        self._shell_pos = {l: i for i, l in enumerate(self.eigenvalues)}
+        self.shell_of = np.array([self._shell_pos[l] for l in self.lam], dtype=int)
         self.multiplicity = [self.lam.count(l) for l in self.eigenvalues]
 
         # canonical radical form of k3til = kcheck3/|kcheck| = coef*sqrt(sqfree)
@@ -174,10 +174,14 @@ class Lattice:
                 return False
         return False
 
+    def shell(self, lam: Fraction) -> int:
+        """Position of lam in `eigenvalues` (the `shell_of` value of its
+        modes), or -1 when lam is not an eigenvalue of the lattice."""
+        return self._shell_pos.get(Fraction(lam), -1)
+
     def shell_indices(self, lam: Fraction) -> np.ndarray:
         """Indices of all modes with the given exact eigenvalue."""
-        lam = Fraction(lam)
-        return np.array([i for i, l in enumerate(self.lam) if l == lam], dtype=int)
+        return np.flatnonzero(self.shell_of == self.shell(lam))
 
     def contains(self, k: Sequence[int]) -> bool:
         return tuple(int(c) for c in k) in self.mode_index
@@ -237,7 +241,7 @@ class SemigroupTable:
         ]
 
     def is_eigenvalue(self, mu: Fraction) -> bool:
-        return Fraction(mu) in set(self.eigenvalues)
+        return Fraction(mu) in self.eigenvalues
 
     def __len__(self):
         return len(self.mu)

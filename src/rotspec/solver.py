@@ -245,6 +245,10 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_finite_number(x) -> bool:
+    return _is_number(x) and abs(x) <= sys.float_info.max  # false for NaN, Inf and huge ints
+
+
 def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
     """Returns (trajectory, meta-dict).  Malformed input raises ValueError."""
     header = json.loads(stream.readline())
@@ -258,7 +262,7 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
         raise ValueError(f"trajectory header is malformed: {e}") from None
     if form not in ("u", "v"):
         raise ValueError(f"trajectory header key 'form' must be \"u\" or \"v\", not {form!r}")
-    if not (_is_number(omega) and abs(omega) <= sys.float_info.max):  # finite as a float
+    if not _is_finite_number(omega):
         raise ValueError(f"trajectory header key 'omega' must be a finite number, not {omega!r}")
     if "dt" in meta and not _is_number(meta["dt"]):
         raise ValueError(f"trajectory header key 'dt' must be a number, not {meta['dt']!r}")
@@ -271,11 +275,14 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
         rec = json.loads(line)
         try:
             rows.append(field_from_doc(rec["field"], lat).coeffs)
-            times.append(rec["t"])
+            t = rec["t"]
         except KeyError as e:
             raise ValueError(f"trajectory line {n} lacks key {e}") from None
         except TypeError as e:
             raise ValueError(f"trajectory line {n} is malformed: {e}") from None
+        if not _is_finite_number(t):
+            raise ValueError(f"trajectory line {n} key 't' must be a finite number, not {t!r}")
+        times.append(t)
     traj = Trajectory(lat, form, omega, np.array(times),
                       np.array(rows), dt=meta.get("dt", float("nan")))
     return traj, meta

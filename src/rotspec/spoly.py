@@ -328,9 +328,7 @@ class SPoly:
         return self._with(self.coef * self.lattice.lam_f[self.mode][:, None])
 
     def restrict_shell(self, lam) -> "SPoly":
-        lat, lam = self.lattice, Fraction(lam)
-        shell = lat.eigenvalues.index(lam) if lam in lat.eigenvalues else -1
-        keep = lat.shell_of[self.mode] == shell
+        keep = self.lattice.shell_of[self.mode] == self.lattice.shell(lam)
         return self._with(self.coef[keep], keep)
 
     # -- reparametrizations --------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from rotspec.lattice import build_lattice
 from rotspec.fields import random_gevrey
 from rotspec.solver import SolverConfig, integrate
-from rotspec.expansion import FitPolicy, expand
+from rotspec.expansion import expand
 
 
 @pytest.fixture(scope="session")
@@ -21,5 +21,5 @@ def cube_run(cube6):
     base = dict(dt=1e-3, t_end=12.0, omega=5.0, record_stride=1)
     trajv = integrate(v0, SolverConfig(form="v", **base))
     traju = integrate(v0, SolverConfig(form="u", **base))
-    exp = expand(trajv, 2, FitPolicy(xi_windows=((6.0, 8.0), (8.0, 10.0))))
+    exp = expand(trajv, 2, xi_windows=((6.0, 8.0), (8.0, 10.0)))
     return {"v0": v0, "trajv": trajv, "traju": traju, "exp": exp}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rotspec.expansion import (FitPolicy, expand, fit_decay_rate,
+from rotspec.expansion import (expand, fit_decay_rate,
                                remainder_rate, time_average_Q, to_u_expansion,
                                verify_expansion_system)
 from rotspec.fields import (SpectralField, advect, apply_S, apply_expS, bilinear_B,
@@ -203,8 +203,8 @@ def test_criterion_06_expansion_orders_and_rates(cube_run):
     r2 = remainder_rate(exp, trajv, 2, window=(3.0, 6.5))
 
     # the fitted constant must not depend on where it is read off
-    expA = expand(trajv, 1, FitPolicy(xi_windows=((4.0, 5.5),)))
-    expB = expand(trajv, 1, FitPolicy(xi_windows=((9.0, 11.0),)))
+    expA = expand(trajv, 1, xi_windows=((4.0, 5.5),))
+    expB = expand(trajv, 1, xi_windows=((9.0, 11.0),))
     qA, qB = expA.orders[0], expB.orders[0]
     xi_diff = (qA - qB).max_abs() / max(qA.max_abs(), qB.max_abs())
 

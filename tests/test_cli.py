@@ -4,19 +4,23 @@ Every test drives ``rotspec.cli.main`` in-process with argv lists and
 inspects exit codes, stdout/stderr, and files written to tmp dirs.
 """
 
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from rotspec import __version__
-from rotspec.cli import CONFIG_SCHEMA, OUTDIR_ENV, main
+from rotspec.cli import CONFIG_SCHEMA, OUTDIR_ENV, _config_validator, main
+from rotspec.expansion import expand, time_average_Q, to_u_expansion
 from rotspec.fields import field_to_doc, random_gevrey
 from rotspec.lattice import build_lattice
-from rotspec.solver import integrate
-from rotspec.special import helicity
+from rotspec.solver import SolverConfig, integrate, transform_trajectory
+from rotspec.special import VkData, helicity
 
 
 def _write_config(path, **overrides):
@@ -168,6 +172,34 @@ def test_simulate_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"expansion": {"order": 7}},
+    {"expansion": {"norm": [3, 9]}},
+    {"output": {"dir": "nowhere"}},
+    {"initial": {"kind": "drift", "k": [1, 0, 0], "U0": [5.0, -3.0, 2.0],
+                 "coefficients": {"1": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.2]]}}},
+], ids=["expansion.order", "expansion.norm", "output.dir", "drift"])
+def test_simulate_refuses_deleted_config_keys(tmp_path, capsys, overrides):
+    """Keys nothing reads are schema errors, not silently ignored settings."""
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, lattice={"cutoff": 2},
+                  solver={"dt": 0.01, "t_end": 0.02, "form": "v"}, **overrides)
+    out = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config"
+    assert err["message"].startswith("config schema violation")
+    assert not out.exists()
+
+
+def test_readme_config_example_is_valid():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert examples
+    for text in examples:
+        assert list(_config_validator().iter_errors(json.loads(text))) == []
+
+
 def test_simulate_schema_violation_message(tmp_path, capsys):
     """The message is the best-matching error, as jsonschema.validate raises it."""
     path = tmp_path / "fast.json"
@@ -226,6 +258,24 @@ def test_simulate_file_initial(tmp_path):
         solver={"dt": 0.01, "t_end": 0.05, "form": "v"},
     )
     assert main(["simulate", "--config", str(cfg_path2), "--out", "-"]) == 2
+
+
+def test_simulate_file_initial_nan_exits_3(tmp_path, capsys):
+    """A NaN in the initial field stops integrate at its first step."""
+    doc = field_to_doc(random_gevrey(build_lattice(cutoff=2), seed=4, amplitude=0.02))
+    doc["modes"][0]["re"][0] = float("nan")
+    field_path = tmp_path / "u0.json"
+    field_path.write_text(json.dumps(doc))
+    assert "NaN" in field_path.read_text()
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, lattice={"cutoff": 2},
+                  initial={"kind": "file", "path": str(field_path)},
+                  solver={"dt": 0.01, "t_end": 0.05, "form": "v"})
+    out = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = _stderr_error(capsys)
+    assert err["kind"] == "numerical" and "step 1 of 5" in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc, error", [([1, 2], "TypeError"),
@@ -310,7 +360,7 @@ def test_expand_accepts_u_form(tmp_path, capsys):
     assert doc["mus"] == ["1"]
 
 
-def test_expand_nan_trajectory_exits_3(tmp_path, capsys):
+def _nan_trajectory(path):
     meta = {"meta": {"form": "v", "omega": 0.0, "dt": 0.1,
                      "lattice": {"ell": ["1", "1", "1"], "cutoff": "2"},
                      "config": {}, "config_hash": "0" * 64,
@@ -320,11 +370,40 @@ def test_expand_nan_trajectory_exits_3(tmp_path, capsys):
         "mean": [0.0, 0.0, 0.0]},
         "norms": {"l2": 0.0, "h1": 0.0, "gevrey": []}}
     rec2 = dict(rec, t=0.1)
-    traj = tmp_path / "nan.jsonl"
-    traj.write_text("\n".join(json.dumps(doc) for doc in (meta, rec, rec2)) + "\n")
+    path.write_text("\n".join(json.dumps(doc) for doc in (meta, rec, rec2)) + "\n")
+    return path
 
+
+def test_expand_nan_trajectory_exits_3(tmp_path, capsys):
+    traj = _nan_trajectory(tmp_path / "nan.jsonl")
     assert main(["expand", "--traj", str(traj), "--order", "1"]) == 3
     assert _stderr_error(capsys)["kind"] == "numerical"
+
+
+def test_helicity_nan_trajectory_exits_3(tmp_path, capsys):
+    traj = _nan_trajectory(tmp_path / "nan.jsonl")
+    out = tmp_path / "hel.csv"
+    assert main(["helicity", "--traj", str(traj), "--out", str(out)]) == 3
+    assert _stderr_error(capsys)["kind"] == "numerical"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t", [None, "0.02"], ids=["null", "string"])
+@pytest.mark.parametrize("command", [["expand", "--order", "1"], ["helicity"]],
+                         ids=["expand", "helicity"])
+def test_trajectory_time_not_a_number(pipeline, tmp_path, capsys, command, t):
+    lines = pipeline["traj"].read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["t"] = t
+    lines[2] = json.dumps(rec)
+    traj = tmp_path / "traj.jsonl"
+    traj.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main([command[0], "--traj", str(traj), *command[1:], "--out", str(out)]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config"
+    assert f"line 3 key 't' must be a finite number, not {t!r}" in err["message"]
+    assert not out.exists()
 
 
 def _write_traj(path, header, records):
@@ -601,6 +680,57 @@ def test_sweep_omega_honours_t0(tmp_path, capsys, monkeypatch):
     for traj in runs:
         assert traj.times[0] == 0.5
         assert traj.times[-1] == pytest.approx(2.5, abs=1e-12)
+
+
+def _spy_integrate(monkeypatch):
+    configs = []
+
+    def keep(u0, config):
+        configs.append(config)
+        return integrate(u0, config)
+
+    monkeypatch.setattr("rotspec.cli.integrate", keep)
+    return configs
+
+
+def test_sweep_omega_u_form_matches_library_chain(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "sweep.json"
+    cfg = _sweep_config(cfg_path)
+    cfg["solver"]["form"] = "u"
+    cfg_path.write_text(json.dumps(cfg))
+    configs = _spy_integrate(monkeypatch)
+    T, t = 0.2, 0.3
+    assert main(["sweep-omega", "--config", str(cfg_path), "--omegas", "10,20",
+                 "--T", repr(T), "--t", repr(t)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [c.form for c in configs] == ["u", "u"]
+
+    lat = build_lattice(cutoff=2)
+    u0 = VkData((0, 0, 1), {1: np.array([0.4 + 0.0j, 0.3j, 0.0j])}).field(lat)
+    want = []
+    for omega in (10.0, 20.0):
+        traj = integrate(u0, SolverConfig(dt=5e-3, t_end=2.0, omega=omega, form="u"))
+        exp = expand(transform_trajectory(traj, "v"), 1)
+        want.append(time_average_Q(to_u_expansion(exp)[0][1], T).evaluate(t).norm())
+    assert doc["qbar_norm"] == want
+
+
+def test_simulate_and_sweep_read_the_same_solver_block(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _sweep_config(cfg_path)
+    cfg["solver"] = {"dt": 1 / 128, "t0": 0.5, "t_end": 1.5, "form": "u", "record_stride": 2}
+    cfg_path.write_text(json.dumps(cfg))
+    configs = _spy_integrate(monkeypatch)
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "traj.jsonl")]) == 0
+    assert main(["sweep-omega", "--config", str(cfg_path),
+                 "--omegas", "10,20", "--T", "0.2"]) == 0
+    capsys.readouterr()
+    simulated, *swept = configs
+    assert simulated == SolverConfig(dt=1 / 128, t_end=1.5, omega=0.0, form="u",
+                                     record_stride=2, t0=0.5)
+    assert [c.omega for c in swept] == [10.0, 20.0]
+    assert [dataclasses.replace(c, omega=cfg["omega"]) for c in swept] == [simulated] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import simpson
 
 from rotspec.expansion import (
-    FitPolicy,
     _fast_pair_forcing,
     expand,
     fit_decay_rate,
@@ -86,7 +85,7 @@ def test_xi_window_independence(cube_run, monkeypatch):
     """The integral-identity estimate does not depend on the fit windows."""
     exp = cube_run["exp"]
     monkeypatch.setattr("rotspec.expansion.XI_REL_TOL", 1e-30)
-    other = expand(cube_run["trajv"], 1, FitPolicy(xi_windows=((4.0, 5.5), (9.0, 11.0))))
+    other = expand(cube_run["trajv"], 1, xi_windows=((4.0, 5.5), (9.0, 11.0)))
     diff = (exp.orders[0] - other.orders[0]).max_abs()
     assert diff < 1e-10 * exp.orders[0].max_abs()
     assert other.diagnostics[0]["xi_spread_warning"]  # impossible tolerance trips the flag
@@ -107,7 +106,7 @@ def o4_run(cube6):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("rotspec.expansion.bilinear_spoly", counted)
-        exp = expand(trajv, 4, FitPolicy(xi_windows=((6.0, 8.0), (8.0, 10.0))))
+        exp = expand(trajv, 4, xi_windows=((6.0, 8.0), (8.0, 10.0)))
     index = {id(q): n for n, q in enumerate(exp.orders)}
     pairs = [(index[id(f)], index[id(g)]) for f, g in products]
     return {"trajv": trajv, "exp": exp, "pairs": pairs}
@@ -127,7 +126,7 @@ def test_fourth_order_expansion(o4_run):
 def test_fifth_order_expansion(o4_run):
     """Order 5 on the same trajectory: term counts and exact symbolic residuals.
     The resonant fit warns at this order, so its warnings are not checked."""
-    exp = expand(o4_run["trajv"], 5, FitPolicy(xi_windows=((6.0, 8.0), (8.0, 10.0))))
+    exp = expand(o4_run["trajv"], 5, xi_windows=((6.0, 8.0), (8.0, 10.0)))
     assert exp.mus == [Fraction(n) for n in range(1, 6)]
     assert [q.n_terms() for q in exp.orders] == [6, 48, 602, 4862, 22650]
     assert verify_expansion_system(exp)["max_residual"] <= 1e-12
@@ -187,10 +186,22 @@ def test_expand_input_validation(cube6):
     with pytest.raises(ValueError, match="uniform"):
         expand(bad, 1)
     with pytest.raises(ValueError, match="no samples"):
-        expand(_zero_traj(cube6), 1, FitPolicy(xi_windows=((5.0, 6.0),)))
+        expand(_zero_traj(cube6), 1, xi_windows=((5.0, 6.0),))
     for order in (0, -1):
         with pytest.raises(ValueError, match=f"order must be at least 1, got {order}"):
             expand(_zero_traj(cube6), order)
+
+
+@pytest.mark.parametrize("edit", ["nan", "inf", "reversed"])
+def test_expand_rejects_non_finite_or_decreasing_times(cube6, edit):
+    """NaN gaps compare false against any tolerance, and reversed times have
+    uniform (negative) gaps; neither is a uniformly sampled run."""
+    bad = _zero_traj(cube6, n=80)
+    bad.times = {"nan": np.where(np.arange(80) == 40, np.nan, bad.times),
+                 "inf": np.where(np.arange(80) == 0, -np.inf, bad.times),
+                 "reversed": bad.times[::-1].copy()}[edit]
+    with pytest.raises(ValueError, match="uniformly spaced samples at finite, increasing"):
+        expand(bad, 1)
 
 
 def test_expand_semigroup_cap(cube6):

@@ -1,7 +1,6 @@
 """The package's public names: each module's __all__ and the top-level imports agree."""
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -40,8 +39,8 @@ def test_package_exports_are_in_module_all():
 
 # -- the pinned surface -------------------------------------------------------
 
-TOP_LEVEL = ["FitPolicy", "SolverConfig", "build_lattice", "expand", "integrate",
-             "random_gevrey", "remainder_rate"]
+TOP_LEVEL = ["SolverConfig", "build_lattice", "expand", "integrate", "random_gevrey",
+             "remainder_rate"]
 
 DELETED = {
     "fields": ["leray_project", "apply_A_power", "low_pass", "bilinear_B_omega",
@@ -50,6 +49,7 @@ DELETED = {
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
               "spoly_from_json"],
     "cli": ["_require_whole_records"],
+    "expansion": ["FitPolicy"],
 }
 
 
@@ -68,12 +68,12 @@ def test_deleted_names_stay_deleted(module):
 
 
 def test_trimmed_signatures_and_knobs():
-    from rotspec.expansion import FitPolicy
+    from rotspec.expansion import expand
     from rotspec.lattice import build_lattice
     from rotspec.special import pde_residual
     from rotspec.spoly import Frequency
 
-    assert [f.name for f in dataclasses.fields(FitPolicy)] == ["xi_windows"]
+    assert list(inspect.signature(expand).parameters) == ["traj", "n_orders", "xi_windows"]
     assert not hasattr(Frequency, "scale")
     assert list(inspect.signature(build_lattice).parameters) == ["cutoff", "ell"]
     params = inspect.signature(pde_residual).parameters
