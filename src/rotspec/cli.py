@@ -126,12 +126,38 @@ CONFIG_SCHEMA = {
 }
 
 
+# The JSON documents the command line checks as it reads them.  Of a trajectory
+# header's config only the expansion block is read; a report holds an
+# expansion's series or a sweep.
+_SCHEMAS = {
+    "config": CONFIG_SCHEMA,
+    "header config": {"type": "object",
+                      "properties": {"expansion": CONFIG_SCHEMA["properties"]["expansion"]}},
+    "report": {
+        "type": "object",
+        "properties": {"series": {"type": "object", "properties": {
+            "t": {"type": "array"},
+            "remainder": {"type": "array", "items": {"type": "array"}}}}},
+        "dependentSchemas": {"qbar_norm": {
+            "required": ["omega"],
+            "properties": {"omega": {"type": "array"}, "qbar_norm": {"type": "array"}}}},
+    },
+}
+
+
 @functools.cache
-def _config_validator():
-    """Validator for CONFIG_SCHEMA; the schema itself is checked once, here."""
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+def _validator(name: str):
+    """Validator for _SCHEMAS[name]; the schema itself is checked once, here."""
+    cls = jsonschema.validators.validator_for(_SCHEMAS[name])
+    cls.check_schema(_SCHEMAS[name])
+    return cls(_SCHEMAS[name])
+
+
+def _schema_check(doc, name: str, what: str):
+    # the error jsonschema.validate would raise, without re-checking the schema
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+    if error is not None:
+        raise CliError(EXIT_CONFIG, "config", f"{what} schema violation: {error.message}")
 
 
 def _load_config(path: str) -> dict:
@@ -142,10 +168,7 @@ def _load_config(path: str) -> dict:
         raise CliError(EXIT_CONFIG, "config", f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise CliError(EXIT_CONFIG, "config", f"config is not valid JSON: {e}")
-    # the error jsonschema.validate would raise, without re-checking the schema
-    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(cfg))
-    if error is not None:
-        raise CliError(EXIT_CONFIG, "config", f"config schema violation: {error.message}")
+    _schema_check(cfg, "config", "config")
     return cfg
 
 
@@ -252,7 +275,10 @@ def cmd_simulate(args) -> int:
 
 
 def _xi_windows(cfg: Optional[dict]):
-    """The config's resonant-fit windows, or None for expand's default."""
+    """The config's resonant-fit windows, or None for expand's default; a
+    trajectory header's config is checked here."""
+    _schema_check({} if cfg is None else cfg, "header config",
+                  "trajectory header key 'config'")
     return ((cfg or {}).get("expansion") or {}).get("xi_windows") or None
 
 
@@ -375,9 +401,6 @@ def cmd_verify_special(args) -> int:
         "drift": _case_drift,
         "helicity": _case_helicity,
     }
-    if args.case not in cases:
-        raise CliError(EXIT_CONFIG, "config",
-                       f"unknown case {args.case!r}; choose from {sorted(cases)}")
     checks = cases[args.case](args.omega, args.seed)
     ok = all(c["pass"] for c in checks)
     doc = _stamp({"case": args.case, "omega": args.omega, "seed": args.seed,
@@ -401,8 +424,6 @@ def cmd_helicity(args) -> int:
 
 def cmd_sweep_omega(args) -> int:
     cfg = _load_config(args.config)
-    if args.order < 1:
-        raise CliError(EXIT_CONFIG, "config", f"order must be at least 1, got {args.order}")
     omegas = [float(x) for x in args.omegas.split(",")]
     if len(omegas) < 2:
         raise CliError(EXIT_CONFIG, "config", "sweep needs at least two rotation rates")
@@ -415,7 +436,8 @@ def cmd_sweep_omega(args) -> int:
         traj = integrate(u0, config)
         if traj.form == "u":
             traj = transform_trajectory(traj, "v")
-        exp = expand(traj, args.order, _xi_windows(cfg))
+        # q_1 depends on no later order, so one order is all the sweep reads
+        exp = expand(traj, 1, _xi_windows(cfg))
         mu1, Q1 = to_u_expansion(exp)[0]
         qbar = time_average_Q(Q1, args.T)
         norms.append(qbar.evaluate(args.t).norm())
@@ -433,18 +455,17 @@ def cmd_report(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(EXIT_CONFIG, "config", f"cannot read report: {e}")
+    _schema_check(doc, "report", "report")
     with _output(args.out, newline="") as stream:
         w = csv.writer(stream)
-        if "series" in doc:
-            cols = doc["series"].get("remainder", [])
+        if "series" in doc or not doc:  # an empty document is an empty series
+            series = doc.get("series", {})
+            cols = series.get("remainder", [])
             w.writerow(["t"] + [f"remainder_{i}" for i in range(len(cols))])
-            for row in zip(doc["series"].get("t", []), *cols):
-                w.writerow(row)
+            w.writerows(zip(series.get("t", []), *cols))
         elif "qbar_norm" in doc:
             w.writerow(["omega", "qbar_norm"])
             w.writerows(zip(doc["omega"], doc["qbar_norm"]))
-        elif not doc:
-            w.writerow(["t"])
         else:
             raise CliError(EXIT_CONFIG, "config",
                            "report is neither an expansion nor a sweep report")
@@ -454,9 +475,15 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as config errors (subcommand parsers inherit it)."""
+
+    def error(self, message: str):
+        raise CliError(EXIT_CONFIG, "config", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="rotspec",
-                                description="spectral rotating-flow toolbox")
+    p = _Parser(prog="rotspec", description="spectral rotating-flow toolbox")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("spectrum", help="lattice eigenvalues and decay-rate semigroup")
@@ -479,8 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_expand)
 
     s = sub.add_parser("verify-special", help="closed-form solution checks")
-    s.add_argument("--case", required=True,
-                   help="ray-closed-form | drift | helicity")
+    s.add_argument("--case", required=True, choices=["ray-closed-form", "drift", "helicity"])
     s.add_argument("--omega", type=float, default=10.0)
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--out", default="-")
@@ -496,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--omegas", required=True, help="comma-separated rotation rates")
     s.add_argument("--T", type=float, required=True, help="averaging window length")
     s.add_argument("--t", type=float, default=0.0, help="evaluation time")
-    s.add_argument("--order", type=int, default=1)
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_sweep_omega)
 
@@ -508,9 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as e:
         error = e

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -71,10 +71,6 @@ class Expansion:
     def n_orders(self) -> int:
         return len(self.orders)
 
-    def _order_samples(self, i: int, ts: np.ndarray) -> np.ndarray:
-        decay = np.exp(-float(self.mus[i]) * ts)
-        return decay[:, None, None] * self.orders[i].evaluate_many(ts)
-
     def partial_sum_coeffs(self, ts: np.ndarray, n: Optional[int] = None) -> np.ndarray:
         """Coefficients of sum_{m<=n} q_m(t) exp(-mu_m t) at the times ts.
 
@@ -83,26 +79,27 @@ class Expansion:
         """
         n = self.n_orders if n is None else n
         ts = np.asarray(ts, dtype=float)
-        cached = self.times is not None and np.array_equal(ts, self.times)
-        out = np.zeros((len(ts), self.lattice.n_modes, 3), dtype=complex)
-        for i in range(n):
-            out += self.samples[i] if cached else self._order_samples(i, ts)
-        return out
+        if self.times is not None and np.array_equal(ts, self.times):
+            return sum(self.samples[:n], np.zeros((len(ts), self.lattice.n_modes, 3), complex))
+        return _partial_sum(self.lattice, ts, zip(self.mus[:n], self.orders[:n]))
 
     def __repr__(self):
         mus = [str(m) for m in self.mus]
         return f"Expansion(orders={self.n_orders}, mu={mus}, omega={self.omega})"
 
 
-def _require_uniform(ts: np.ndarray):
-    if len(ts) < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} recorded samples, have {len(ts)}")
-    gaps = np.diff(ts)
-    # written so that a NaN gap fails: every comparison with NaN is false
-    if not (np.all(gaps > 0) and np.all(np.isfinite(gaps))
-            and np.ptp(gaps) <= 1e-9 * gaps[0]):
-        raise ValueError("expansion fitting needs uniformly spaced samples "
-                         "at finite, increasing times")
+def _order_samples(mu: Fraction, q: SPoly, ts: np.ndarray) -> np.ndarray:
+    """exp(-mu t) q(t) at the times ts, an (R,M,3) stack."""
+    return np.exp(-float(mu) * ts)[:, None, None] * q.evaluate_many(ts)
+
+
+def _partial_sum(lattice: Lattice, ts: np.ndarray,
+                 pairs: Iterable[Tuple[Fraction, SPoly]]) -> np.ndarray:
+    """Sum of exp(-mu t) q(t) over the (mu, q) pairs at the times ts."""
+    out = np.zeros((len(ts), lattice.n_modes, 3), dtype=complex)
+    for mu, q in pairs:
+        out += _order_samples(mu, q, ts)
+    return out
 
 
 def expand(traj: Trajectory, n_orders: int,
@@ -120,8 +117,8 @@ def expand(traj: Trajectory, n_orders: int,
     if traj.form != "v":
         raise ValueError("expansion is built in the transformed frame; "
                          "pass a v-form trajectory (see transform_trajectory)")
+    traj.uniform_spacing(MIN_SAMPLES)
     ts = traj.times
-    _require_uniform(ts)
     lat = traj.lattice
     if xi_windows is None:
         t0, span = float(ts[0]), float(ts[-1]) - float(ts[0])
@@ -138,8 +135,6 @@ def expand(traj: Trajectory, n_orders: int,
 
     exp = Expansion(lat, traj.omega, table, xi_windows)
     exp.times = ts.copy()
-    # running evaluation of the partial sum at the sample times
-    s_eval = np.zeros_like(traj.coeffs)
 
     for n in range(n_orders):
         mu = table.mu[n]
@@ -165,7 +160,7 @@ def expand(traj: Trajectory, n_orders: int,
         diag = {"mu": float(mu), "resonant": resonant, "support_truncated": truncated}
         q = particular
         if resonant:
-            xi, fit_diag = _fit_resonant_constant(exp, traj, s_eval, mu, particular)
+            xi, fit_diag = _fit_resonant_constant(exp, traj, mu, particular)
             diag.update(fit_diag)
             if np.any(xi.coeffs):
                 q = q + SPoly.from_field(xi)
@@ -173,8 +168,7 @@ def expand(traj: Trajectory, n_orders: int,
         exp.orders.append(q)
         exp.forcings.append(forcing)
         exp.diagnostics.append(diag)
-        exp.samples.append(exp._order_samples(n, ts))
-        s_eval += exp.samples[n]
+        exp.samples.append(_order_samples(mu, q, ts))
     return exp
 
 
@@ -215,8 +209,8 @@ def _fast_pair_forcing(exp: Expansion, ts: np.ndarray, mu: Fraction,
     return out
 
 
-def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
-                           mu: Fraction, particular: SPoly) -> Tuple[SpectralField, dict]:
+def _fit_resonant_constant(exp: Expansion, traj: Trajectory, mu: Fraction,
+                           particular: SPoly) -> Tuple[SpectralField, dict]:
     """Recover the free constant on the resonant shell from the trajectory.
 
     With r = v - (partial sum), the projected quantity
@@ -232,6 +226,7 @@ def _fit_resonant_constant(exp: Expansion, traj: Trajectory, s_eval: np.ndarray,
     shell = lat.shell_indices(mu)
     R = len(ts)
     v = traj.coeffs
+    s_eval = exp.partial_sum_coeffs(ts)
     r = v - s_eval
     emu = np.exp(mu_f * ts)
 
@@ -374,8 +369,7 @@ def remainder_rate(exp: Expansion, traj: Trajectory, order: int,
     rem = traj.coeffs - exp.partial_sum_coeffs(ts, order)
     norms = _gevrey_norms(lat, rem, alpha, sigma)
 
-    sq0 = np.einsum("mc,mc->", traj.coeffs[0], np.conj(traj.coeffs[0])).real
-    norm0 = float(np.sqrt(lat.volume * sq0))
+    norm0 = float(_gevrey_norms(lat, traj.coeffs[0]))
     dt_eff = traj.dt if np.isfinite(traj.dt) and traj.dt > 0 else float(ts[1] - ts[0])
     floor = dt_eff ** 4 * norm0
 

@@ -21,7 +21,6 @@ from .lattice import Lattice
 __all__ = [
     "SpectralField",
     "random_gevrey",
-    "gevrey_norm",
     "inner",
     "apply_S",
     "apply_expS",
@@ -114,36 +113,28 @@ class SpectralField:
         return self * (-1.0)
 
     def norm(self, alpha: float = 0.0, sigma: float = 0.0) -> float:
-        return gevrey_norm(self, alpha, sigma)
+        """|A^alpha exp(sigma*A^(1/2)) u|; the mean counts only at alpha = 0."""
+        return float(_gevrey_norms(self.lattice, self.coeffs, alpha, sigma, self.mean))
 
 
-def _gevrey_weights(lattice: Lattice, alpha: float, sigma: float) -> np.ndarray:
+def _gevrey_norms(lattice: Lattice, coeffs: np.ndarray, alpha: float = 0.0,
+                  sigma: float = 0.0, mean: Optional[np.ndarray] = None) -> np.ndarray:
+    """|A^alpha exp(sigma*A^(1/2)) u| with the volume-weighted Parseval sum.
+
+    coeffs is one (M,3) field or an (R,M,3) stack; the result has the shape
+    of the leading axes.  Each field's weighted sum is numpy's pairwise sum
+    over its modes, so a stacked sample's norm equals its own norm bit for
+    bit.  A spatial mean (a 3-vector) contributes only to the plain L2 norm
+    (alpha = 0), where the zero mode carries unit weight.
+    """
     lam = lattice.lam_f
     w = np.exp(2.0 * sigma * np.sqrt(lam))
     if alpha != 0.0:
         w = w * lam ** (2.0 * alpha)
-    return w
-
-
-def _gevrey_norms(lattice: Lattice, coeffs: np.ndarray, alpha: float = 0.0,
-                  sigma: float = 0.0) -> np.ndarray:
-    """gevrey_norm of each zero-mean sample of an (R,M,3) coefficient stack."""
-    w = _gevrey_weights(lattice, alpha, sigma)
-    sq = np.einsum("rmc,rmc->rm", coeffs, np.conj(coeffs)).real
-    return np.sqrt(lattice.volume * (sq @ w))
-
-
-def gevrey_norm(u: SpectralField, alpha: float = 0.0, sigma: float = 0.0) -> float:
-    """|A^alpha exp(sigma*A^(1/2)) u| with the volume-weighted Parseval sum.
-
-    The spatial mean contributes only to the plain L2 norm (alpha = 0),
-    where the zero mode carries unit weight.
-    """
-    w = _gevrey_weights(u.lattice, alpha, sigma)
-    total = float(np.sum(w * np.einsum("mc,mc->m", u.coeffs, np.conj(u.coeffs)).real))
-    if alpha == 0.0:
-        total += float(np.dot(u.mean, u.mean))
-    return math.sqrt(u.lattice.volume * total)
+    total = np.sum(w * np.einsum("...mc,...mc->...m", coeffs, np.conj(coeffs)).real, axis=-1)
+    if alpha == 0.0 and mean is not None:
+        total = total + float(np.dot(mean, mean))
+    return np.sqrt(lattice.volume * total)
 
 
 def inner(u: SpectralField, v: SpectralField) -> float:
@@ -368,7 +359,7 @@ def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,
         z *= math.exp(-sigma * math.sqrt(lattice.lam_f[i]))
         u.coeffs[i] = z
         u.coeffs[lattice.conj_idx[i]] = np.conj(z)
-    n = gevrey_norm(u)
+    n = u.norm()
     if n > 0:
         u.coeffs *= amplitude / n
     return u

@@ -240,9 +240,6 @@ class SemigroupTable:
             for m in self.mu
         ]
 
-    def is_eigenvalue(self, mu: Fraction) -> bool:
-        return Fraction(mu) in self.eigenvalues
-
     def __len__(self):
         return len(self.mu)
 

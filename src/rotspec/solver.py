@@ -93,7 +93,21 @@ class Trajectory:
         return SpectralField(self.lattice, self.coeffs[i].copy())
 
     def norms(self, alpha: float = 0.0, sigma: float = 0.0) -> np.ndarray:
+        """SpectralField.norm of every sample, bit for bit."""
         return _gevrey_norms(self.lattice, self.coeffs, alpha, sigma)
+
+    def uniform_spacing(self, min_samples: int) -> float:
+        """Mean gap of >= min_samples samples at finite, increasing times whose
+        gaps agree to 1e-9 of the first; otherwise ValueError."""
+        ts = self.times
+        if len(ts) < min_samples:
+            raise ValueError(f"need at least {min_samples} recorded samples, have {len(ts)}")
+        gaps = np.diff(ts)
+        # written so that a NaN gap fails: every comparison with NaN is false
+        if not (np.all(gaps > 0) and np.all(np.isfinite(gaps))
+                and np.ptp(gaps) <= 1e-9 * gaps[0]):
+            raise ValueError("need uniformly spaced samples at finite, increasing times")
+        return float(gaps.mean())
 
     def __repr__(self):
         return (f"Trajectory(form={self.form!r}, omega={self.omega}, "
@@ -178,16 +192,11 @@ def energy_report(traj: Trajectory) -> Dict:
 
     Two measurements: a 6th-order centred difference of the energy at every
     interior sample (truncation error O(spacing^6), so the scheme's O(dt^4)
-    dominates), and the windowed integral form via Simpson.  Requires a
-    uniform record spacing.
+    dominates), and the windowed integral form via Simpson.  Requires at
+    least 9 uniformly spaced samples (Trajectory.uniform_spacing).
     """
     t = traj.times
-    if len(t) < 9:
-        raise ValueError("need at least 9 samples for the 6th-order stencil")
-    spacing = np.diff(t)
-    if np.ptp(spacing) > 1e-9 * spacing.mean():
-        raise ValueError("energy_report needs uniformly spaced samples")
-    dt = float(spacing.mean())
+    dt = traj.uniform_spacing(9)
     energy = 0.5 * traj.norms(0.0, 0.0) ** 2
     dissipation = traj.norms(0.5, 0.0) ** 2
     dE = np.convolve(energy, _FD6[::-1], mode="valid") / dt  # samples 3..R-4
@@ -230,13 +239,13 @@ def trajectory_to_jsonl(traj: Trajectory, stream: IO[str],
         }
     }
     stream.write(json.dumps(meta, sort_keys=True) + "\n")
+    l2, h1 = traj.norms().tolist(), traj.norms(0.5, 0.0).tolist()
+    gev = [traj.norms(a, s).tolist() for a, s in gevrey]
     for i, t in enumerate(traj.times):
-        f = SpectralField(traj.lattice, traj.coeffs[i])
         rec = {
             "t": float(t),
-            "field": field_to_doc(f),
-            "norms": {"l2": f.norm(), "h1": f.norm(0.5, 0.0),
-                      "gevrey": [f.norm(a, s) for a, s in gevrey]},
+            "field": field_to_doc(SpectralField(traj.lattice, traj.coeffs[i])),
+            "norms": {"l2": l2[i], "h1": h1[i], "gevrey": [g[i] for g in gev]},
         }
         stream.write(json.dumps(rec, sort_keys=True) + "\n")
 

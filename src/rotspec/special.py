@@ -363,13 +363,11 @@ def verify_ss_expansion(u_traj: Trajectory, means: np.ndarray, flow: MeanFlow,
     by the drift phases exp(-i kcheck . V(t)) and subtracted; the log-slope of
     the remainder norm is fitted over the window (default: second half).
     """
-    from .expansion import fit_decay_rate
+    from .expansion import _partial_sum, fit_decay_rate
 
     lat = u_traj.lattice
     ts = u_traj.times
-    approx = np.zeros_like(u_traj.coeffs, dtype=complex)
-    for mu, q in orders:
-        approx += q.evaluate_many(ts) * np.exp(-float(mu) * ts)[:, None, None]
+    approx = _partial_sum(lat, ts, orders)
     rem = u_traj.coeffs - approx * _drift_phases(lat, flow, ts)[:, :, None]
     norms = _gevrey_norms(lat, rem, alpha, sigma)
     if window is None:

@@ -42,12 +42,13 @@ class Frequency:
     Each component is (key, coef, unit): `key` identifies the generator
     (("rot", s) for Omega*sqrt(s), s squarefree, or ("user", num, den) for an
     ad-hoc value), `coef` is a Fraction and `unit` the generator's numeric
-    value.  Equality and hashing use only (key, coef); numeric value is the
-    exact sum coef*unit.  The identity tuple of (key, coef) pairs and its hash
-    are computed once, when the object is built.
+    value.  The parts are the identity: two frequencies are equal when they
+    combine the same generators with the same coefficients and units, so equal
+    combinations at two rotation rates differ.  Numeric value is the exact sum
+    coef*unit.  The hash is computed once, when the object is built.
     """
 
-    __slots__ = ("parts", "value", "_id", "_hash")
+    __slots__ = ("parts", "value", "_hash")
 
     def __init__(self, parts: Iterable[Tuple[tuple, Fraction, float]] = ()):
         merged: Dict[tuple, Tuple[Fraction, float]] = {}
@@ -55,7 +56,7 @@ class Frequency:
             coef = coef if type(coef) is Fraction else Fraction(coef)
             if key in merged:
                 old_coef, old_unit = merged[key]
-                if abs(old_unit - unit) > 1e-12 * max(1.0, abs(unit)):
+                if old_unit != unit:  # units are computed one way, or read back exactly
                     raise ValueError(
                         f"generator {key} seen with two different values "
                         f"({old_unit} vs {unit}); frequencies from different "
@@ -69,8 +70,7 @@ class Frequency:
             if coef != 0
         )
         self.value = float(sum(float(coef) * unit for _, coef, unit in self.parts))
-        self._id = tuple((key, coef) for key, coef, _ in self.parts)
-        self._hash = hash(self._id)
+        self._hash = hash(self.parts)
 
     @staticmethod
     def zero() -> "Frequency":
@@ -109,8 +109,7 @@ class Frequency:
         f = Frequency.__new__(Frequency)
         f.parts = tuple((key, -coef, unit) for key, coef, unit in self.parts)
         f.value = -self.value
-        f._id = tuple((key, -coef) for key, coef in self._id)
-        f._hash = hash(f._id)
+        f._hash = hash(f.parts)
         return f
 
     def __sub__(self, other: "Frequency") -> "Frequency":
@@ -118,13 +117,13 @@ class Frequency:
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Frequency) and self._hash == other._hash
-                                 and self._id == other._id)
+                                 and self.parts == other.parts)
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other: "Frequency"):
-        return self._id < other._id
+        return self.parts < other.parts
 
     def __repr__(self):
         if not self.parts:
@@ -142,8 +141,7 @@ _FREQ_ZERO = Frequency()
 
 class _FrequencyTable:
     """The frequencies met on one lattice, numbered in order of first use (0 is
-    zero), with memoized sums, negations and rotation shifts.  A frequency is
-    keyed with its units, so equal combinations at two rotation rates differ."""
+    zero), with memoized sums, negations and rotation shifts."""
 
     def __init__(self, lattice: Lattice):
         self.freqs: List[Frequency] = []
@@ -156,10 +154,9 @@ class _FrequencyTable:
         self.rot_class = np.array([classes.get(key, 0) for key in keys], dtype=np.intp)
 
     def intern(self, f: Frequency) -> int:
-        key = (f, tuple(unit for _, _, unit in f.parts))  # f's hash is cached
-        i = self._ids.get(key)
+        i = self._ids.get(f)  # f's hash is cached
         if i is None:
-            i = self._ids[key] = len(self.freqs)
+            i = self._ids[f] = len(self.freqs)
             self.freqs.append(f)
         return i
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rotspec import __version__
-from rotspec.cli import CONFIG_SCHEMA, OUTDIR_ENV, _config_validator, main
+from rotspec.cli import CONFIG_SCHEMA, OUTDIR_ENV, _validator, main
 from rotspec.expansion import expand, time_average_Q, to_u_expansion
 from rotspec.fields import field_to_doc, random_gevrey
 from rotspec.lattice import build_lattice
@@ -197,7 +197,7 @@ def test_readme_config_example_is_valid():
     examples = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
     assert examples
     for text in examples:
-        assert list(_config_validator().iter_errors(json.loads(text))) == []
+        assert list(_validator("config").iter_errors(json.loads(text))) == []
 
 
 def test_simulate_schema_violation_message(tmp_path, capsys):
@@ -448,6 +448,23 @@ def test_trajectory_header_not_object(tmp_path, capsys):
     assert err["kind"] == "config" and "header" in err["message"]
 
 
+@pytest.mark.parametrize("config", [
+    [1],
+    {"expansion": {"xi_windows": 3}},
+    {"expansion": {"xi_windows": [["a", "b"]]}},
+])
+def test_trajectory_header_bad_config(tmp_path, capsys, config):
+    """The header's config must be an object whose expansion block matches
+    the config schema's; anything else exits 2, never a traceback."""
+    traj = tmp_path / "badconfig.jsonl"
+    _write_traj(traj, {"meta": dict(_TRAJ_META, config=config)}, _two_records([1, 0, 0]))
+    assert main(["expand", "--traj", str(traj), "--order", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config" and "'config'" in err["message"]
+
+
 def test_trajectory_record_not_object(tmp_path, capsys):
     traj = tmp_path / "listrecord.jsonl"
     _write_traj(traj, {"meta": _TRAJ_META}, _two_records([1, 0, 0])[:1] + [[1, 2]])
@@ -645,20 +662,21 @@ def test_sweep_omega_ragged_records_exit_before_integrating(tmp_path, capsys, mo
     assert "does not divide the 600 steps" in err["message"]
 
 
-@pytest.mark.parametrize("order", ["0", "-1"])
-def test_sweep_omega_rejects_order_below_one(tmp_path, capsys, monkeypatch, order):
+def test_sweep_omega_has_no_order_flag(tmp_path, capsys, monkeypatch):
+    """The sweep reads only q_1, so it takes no --order; an old command line
+    that passes one is a usage error, reported as JSON before any run."""
     cfg_path = tmp_path / "sweep.json"
     _sweep_config(cfg_path)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("integrated a sweep whose order is out of range")
+        raise AssertionError("integrated a sweep with an unknown flag")
 
     monkeypatch.setattr("rotspec.cli.integrate", refuse)
     assert main(["sweep-omega", "--config", str(cfg_path), "--omegas", "10,20",
-                 "--T", "0.2", "--order", order]) == 2
+                 "--T", "0.2", "--order", "2"]) == 2
     err = _stderr_error(capsys)
     assert err["kind"] == "config"
-    assert f"order must be at least 1, got {order}" in err["message"]
+    assert "--order" in err["message"]
 
 
 def test_sweep_omega_honours_t0(tmp_path, capsys, monkeypatch):
@@ -771,6 +789,47 @@ def test_report_degenerate_and_bad(tmp_path, capsys):
 
     assert main(["report", "--report", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [
+    {"series": [1]},
+    {"qbar_norm": [1]},
+    {"series": {"t": 5}},
+    {"series": {"t": [0.1], "remainder": 3}},
+])
+def test_report_wrong_shape(tmp_path, capsys, doc):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert main(["report", "--report", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"]["kind"] == "config"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# usage errors
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--order", "two"], "invalid int value"),
+    (["expand", "--order", "1"], "--traj"),
+    (["frobnicate"], "invalid choice"),
+])
+def test_usage_errors_are_json(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config" and message in err["message"]
+
+
+def test_help_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["expand", "--help"])
+    assert e.value.code == 0
+    assert "--traj" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,12 @@ TOP_LEVEL = ["SolverConfig", "build_lattice", "expand", "integrate", "random_gev
 
 DELETED = {
     "fields": ["leray_project", "apply_A_power", "low_pass", "bilinear_B_omega",
-               "field_to_json", "field_from_json"],
+               "field_to_json", "field_from_json", "gevrey_norm"],
     "lattice": ["rationalize_period", "spectrum_to_json"],
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
               "spoly_from_json"],
     "cli": ["_require_whole_records"],
-    "expansion": ["FitPolicy"],
+    "expansion": ["FitPolicy", "_require_uniform"],
 }
 
 
@@ -69,12 +69,13 @@ def test_deleted_names_stay_deleted(module):
 
 def test_trimmed_signatures_and_knobs():
     from rotspec.expansion import expand
-    from rotspec.lattice import build_lattice
+    from rotspec.lattice import SemigroupTable, build_lattice
     from rotspec.special import pde_residual
     from rotspec.spoly import Frequency
 
     assert list(inspect.signature(expand).parameters) == ["traj", "n_orders", "xi_windows"]
     assert not hasattr(Frequency, "scale")
+    assert not hasattr(SemigroupTable, "is_eigenvalue")
     assert list(inspect.signature(build_lattice).parameters) == ["cutoff", "ell"]
     params = inspect.signature(pde_residual).parameters
     assert "fd_h" not in params

@@ -129,7 +129,9 @@ def test_semigroup_brute_force():
 
 
 def test_semigroup_decompositions():
-    table = SemigroupTable([Fraction(1), Fraction(2), Fraction(3)], cap=6)
+    lat = build_lattice(cutoff=3)
+    assert lat.eigenvalues == [Fraction(1), Fraction(2), Fraction(3)]
+    table = SemigroupTable(lat.eigenvalues, cap=6)
     for n, mu in enumerate(table.mu):
         for (i, j) in table.decompositions[n]:
             assert table.mu[i] + table.mu[j] == mu
@@ -137,8 +139,8 @@ def test_semigroup_decompositions():
         direct = {(i, j) for i in range(len(table.mu)) for j in range(len(table.mu))
                   if table.mu[i] + table.mu[j] == mu}
         assert set(table.decompositions[n]) == direct
-    assert table.is_eigenvalue(Fraction(2))
-    assert not table.is_eigenvalue(Fraction(6))
+    assert lat.shell(Fraction(2)) >= 0
+    assert lat.shell(Fraction(6)) < 0
 
 
 def _finite_sums(eigenvalues, cap):

@@ -137,6 +137,10 @@ def test_energy_report_input_checks(cube6):
     C = np.zeros((9, cube6.n_modes, 3), dtype=complex)
     with pytest.raises(ValueError):
         energy_report(Trajectory(cube6, "v", 0.0, bad_t, C))
+    # a NaN gap compares false against the spread tolerance; it must still fail
+    nan_t = np.where(np.arange(9) == 4, np.nan, np.linspace(0.0, 0.8, 9))
+    with pytest.raises(ValueError, match="uniformly spaced samples at finite, increasing"):
+        energy_report(Trajectory(cube6, "v", 0.0, nan_t, C))
 
 
 def test_record_stride(cube6):
@@ -182,10 +186,13 @@ def test_jsonl_roundtrip(cube6):
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_allclose(back.coeffs, traj.coeffs, atol=0.0)  # exact float repr
 
+    # every record norm is the one Gevrey norm of its sample, bit for bit,
+    # whether taken over the stacked trajectory or one field
     buf.seek(0)
-    lines = buf.read().splitlines()
-    rec = json.loads(lines[3])
-    f = traj.field(2)
-    assert rec["norms"]["l2"] == pytest.approx(f.norm(), rel=1e-15)
-    assert rec["norms"]["gevrey"][0] == pytest.approx(f.norm(0.0, 1.0), rel=1e-15)
-    assert rec["norms"]["gevrey"][1] == pytest.approx(f.norm(0.5, 0.0), rel=1e-15)
+    recs = [json.loads(line)["norms"] for line in buf.read().splitlines()[1:]]
+    columns = [((0.0, 0.0), [r["l2"] for r in recs]), ((0.5, 0.0), [r["h1"] for r in recs])]
+    columns += [(g, [r["gevrey"][j] for r in recs])
+                for j, g in enumerate([(0.0, 1.0), (0.5, 0.0)])]
+    for (a, s), got in columns:
+        assert got == traj.norms(a, s).tolist()
+        assert got == [traj.field(i).norm(a, s) for i in range(traj.n_samples)]

@@ -115,6 +115,18 @@ def test_frequency_rotation_sign():
     assert (-g) == Frequency.user(0.25)
 
 
+def test_frequency_identity_includes_unit():
+    """One combination at two rotation rates is two frequencies, so a sum of
+    polynomials at both rates keeps every term in its terms view."""
+    a, b = Frequency.rotation(2, 1, 3.0), Frequency.rotation(2, 1, 4.0)
+    assert a != b
+    assert len({a: 0, b: 1}) == 2
+    u = random_gevrey(LAT, seed=1)
+    s = SPoly.from_field(u, freq=a) + SPoly.from_field(u, freq=b)
+    assert s.n_terms() == 2 * SPoly.from_field(u).n_terms()
+    assert len(s.terms) == s.n_terms()
+
+
 def test_frequency_unit_conflict():
     with pytest.raises(ValueError):
         Frequency([(("rot", 2), Fraction(1), 3.0), (("rot", 2), Fraction(1), 4.0)])
