@@ -192,16 +192,14 @@ def _initial_field(cfg: dict, lat) -> SpectralField:
                              amplitude=init.get("amplitude", 0.1))
     if kind == "vk":
         return _vk_from(init).field(lat)
-    if kind == "file":
-        try:
-            with open(init["path"]) as fh:
-                return field_from_doc(json.load(fh), lat)
-        except OSError as e:
-            raise CliError(EXIT_CONFIG, "config", f"cannot read field file: {e}")
-        except (KeyError, TypeError) as e:
-            raise CliError(EXIT_CONFIG, "config",
-                           f"field file is not a field document ({type(e).__name__}: {e})")
-    raise CliError(EXIT_CONFIG, "config", f"unknown initial kind {kind!r}")
+    try:  # "file", the schema's last kind
+        with open(init["path"]) as fh:
+            return field_from_doc(json.load(fh), lat)
+    except OSError as e:
+        raise CliError(EXIT_CONFIG, "config", f"cannot read field file: {e}")
+    except (KeyError, TypeError) as e:
+        raise CliError(EXIT_CONFIG, "config",
+                       f"field file is not a field document ({type(e).__name__}: {e})")
 
 
 def _resolve_out(path: Optional[str]) -> Optional[str]:
@@ -256,7 +254,7 @@ def cmd_spectrum(args) -> int:
     if len(ell) != 3:
         raise CliError(EXIT_CONFIG, "config", "--L needs three comma-separated rationals")
     lat = build_lattice(ell=ell, cutoff=args.cutoff)
-    table = semigroup_table(lat, args.cap if args.cap is not None else None)
+    table = semigroup_table(lat, args.cap)
     doc = _stamp(spectrum_to_doc(lat, table), {"L": ell, "cutoff": args.cutoff, "cap": args.cap})
     _write_text(args.out, _dump(doc))
     return EXIT_OK
@@ -269,8 +267,7 @@ def cmd_simulate(args) -> int:
     traj = integrate(u0, SolverConfig(omega=cfg["omega"], **cfg["solver"]))
     gevrey = [tuple(g) for g in cfg.get("output", {}).get("gevrey_norms", [])]
     with _output(args.out) as fh:
-        trajectory_to_jsonl(traj, fh, config_doc=cfg, version=__version__,
-                            gevrey=gevrey)
+        trajectory_to_jsonl(traj, fh, config_doc=cfg, gevrey=gevrey)
     return EXIT_OK
 
 

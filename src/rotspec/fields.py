@@ -70,10 +70,7 @@ class SpectralField:
 
         A repeated wave vector takes its last coefficient.
         """
-        span, _, table = codes = _code_table(lattice)
-        inside = (np.abs(ks) <= span).all(axis=1)
-        idx = np.full(len(ks), -1)
-        idx[inside] = table[_encode(ks[inside], codes)]
+        idx = lattice.index_of(ks)
         if np.any(idx < 0):
             k = tuple(int(c) for c in ks[np.argmax(idx < 0)])
             raise ValueError(f"mode {k} is outside the lattice (cutoff {lattice.cutoff})")
@@ -170,49 +167,6 @@ def apply_expS(u: SpectralField, t: float) -> SpectralField:
 
 # -- bilinear form ----------------------------------------------------------
 
-def _code_table(lattice: Lattice):
-    """Integer codes of wave vectors and the table from code to mode index.
-
-    Codes cover the box |k_j| <= span = 2 max|k_m|, which holds every
-    pairwise sum of lattice modes; the table holds -1 off the lattice.
-    Returns (span, base, table).  Cached per lattice.
-    """
-    cached = getattr(lattice, "_code_table", None)
-    if cached is None:
-        span = 2 * int(np.abs(lattice.ks).max())
-        base = 2 * span + 1
-        table = np.full(base ** 3, -1, dtype=int)
-        cached = (span, base, table)
-        table[_encode(lattice.ks, cached)] = np.arange(lattice.n_modes)
-        lattice._code_table = cached
-    return cached
-
-
-def _encode(ks: np.ndarray, codes) -> np.ndarray:
-    """Codes of the rows of an (N,3) integer array, all inside the table's box."""
-    span, base, _ = codes
-    k = ks + span
-    return (k[:, 0] * base + k[:, 1]) * base + k[:, 2]
-
-
-def _triads(lattice: Lattice):
-    """Index triples (m, j, out) with k_m + k_j = k_out, all on the lattice.
-
-    Ordered by m, then j.  Each row m is one table lookup vectorised over j.
-    """
-    ks = lattice.ks
-    codes = _code_table(lattice)
-    index = codes[2]
-    im, ij, io = [], [], []
-    for a in range(lattice.n_modes):
-        out = index[_encode(ks + ks[a], codes)]
-        j = np.flatnonzero(out >= 0)
-        im.append(np.full(len(j), a, dtype=int))
-        ij.append(j)
-        io.append(out[j])
-    return np.concatenate(im), np.concatenate(ij), np.concatenate(io)
-
-
 def _conv_plan(lattice: Lattice, lam=None):
     """Row-sorted pairs whose output is a representative mode.
 
@@ -229,17 +183,17 @@ def _conv_plan(lattice: Lattice, lam=None):
     if lam in plans:
         return plans[lam]
     M = lattice.n_modes
-    if lam is None:
-        im, ij, io = _triads(lattice)
-        keep = lattice.rep_mask[io]
-        im, ij, io = im[keep], ij[keep], io[keep]
-        order = np.argsort(io, kind="stable")
-        im, ij, io = im[order], ij[order], io[order]
-    else:
-        im, ij, _, indptr = _conv_plan(lattice)
-        io = np.repeat(np.arange(M), np.diff(indptr))
-        keep = lattice.shell_of[io] == lattice.shell(lam)
-        im, ij, io = im[keep], ij[keep], io[keep]
+    keep = lattice.rep_mask
+    if lam is not None:
+        keep = keep & (lattice.shell_of == lattice.shell(lam))
+    outs = np.flatnonzero(keep)
+    # pair[o, m] = j with k_j = k_outs[o] - k_m: the row-major non-zeros list
+    # the pairs by output, then by m.  divmod keeps the index arrays
+    # contiguous (np.nonzero's are strided), and every convolution reads them.
+    pair = lattice.pair_index(outs[:, None], lattice.conj_idx[None, :])
+    flat = np.flatnonzero(pair >= 0)
+    row, im = divmod(flat, M)
+    ij, io = pair.ravel()[flat], outs[row]
     plan = (
         im,
         ij,

@@ -139,9 +139,16 @@ class Lattice:
         self.mode_index: Dict[Tuple[int, int, int], int] = {
             tuple(k): i for i, k in enumerate(self.ks)
         }
-        self.conj_idx = np.array(
-            [self.mode_index[tuple(-k)] for k in self.ks], dtype=int
-        )
+        # One integer code per wave vector of the box |k_j| <= span, which
+        # holds every pairwise sum of modes; codes add like the vectors, so
+        # code(k_a + k_b) = code(k_a) + code(k_b) - code(0).
+        self._span = 2 * int(np.abs(self.ks).max())
+        self._base = 2 * self._span + 1
+        self._code = self._encode(self.ks)
+        self._code0 = int(self._encode(np.zeros(3, dtype=int)))
+        self._mode_of_code = np.full(self._base ** 3, -1, dtype=int)
+        self._mode_of_code[self._code] = np.arange(self.n_modes)
+        self.conj_idx = self.index_of(-self.ks)
         self.rep_mask = np.array([self._is_rep(tuple(k)) for k in self.ks])
 
         self.eigenvalues: List[Fraction] = sorted(set(self.lam))
@@ -173,6 +180,24 @@ class Lattice:
             if c < 0:
                 return False
         return False
+
+    def _encode(self, ks: np.ndarray) -> np.ndarray:
+        k = ks + self._span
+        return (k[..., 0] * self._base + k[..., 1]) * self._base + k[..., 2]
+
+    def index_of(self, ks: np.ndarray) -> np.ndarray:
+        """Mode index of each row of an (..., 3) integer array, -1 where the
+        wave vector is not on the lattice."""
+        ks = np.asarray(ks)
+        # two comparisons, not abs: abs of the int64 minimum is negative
+        inside = ((ks >= -self._span) & (ks <= self._span)).all(axis=-1)
+        idx = self._mode_of_code[self._encode(np.where(inside[..., None], ks, 0))]
+        return np.where(inside, idx, -1)
+
+    def pair_index(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Mode index of k_a + k_b for mode indices a and b that broadcast
+        against each other, -1 where the sum is not on the lattice."""
+        return self._mode_of_code[self._code[a] + self._code[b] - self._code0]
 
     def shell(self, lam: Fraction) -> int:
         """Position of lam in `eigenvalues` (the `shell_of` value of its

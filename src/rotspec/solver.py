@@ -18,6 +18,7 @@ from typing import Dict, IO, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import __version__
 from .lattice import Lattice, build_lattice
 from .fields import (
     SpectralField,
@@ -223,7 +224,7 @@ def config_hash(doc: dict) -> str:
 
 
 def trajectory_to_jsonl(traj: Trajectory, stream: IO[str],
-                        config_doc: Optional[dict] = None, version: str = "0",
+                        config_doc: Optional[dict] = None,
                         gevrey: Sequence[Tuple[float, float]] = ()) -> None:
     meta = {
         "meta": {
@@ -235,7 +236,7 @@ def trajectory_to_jsonl(traj: Trajectory, stream: IO[str],
             "config": config_doc or {},
             "config_hash": config_hash(config_doc or {}),
             "gevrey_indices": [[float(a), float(s)] for a, s in gevrey],
-            "version": version,
+            "version": __version__,
         }
     }
     stream.write(json.dumps(meta, sort_keys=True) + "\n")

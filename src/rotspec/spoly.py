@@ -4,10 +4,9 @@ Terms are complex exponentials t^m exp(i w t) c attached to a lattice mode;
 real trigonometric sums arise through the conjugate pairing
 (-k, m, -w, conj(c)).  Frequencies are formal: exact rational combinations
 over square roots of squarefree integers (the rotation lattice contributes
-Omega * k3til, and sqrt(k3^2/|k|^2) rationalizes to (a/q) sqrt(s)), plus
-ad-hoc generators for caller-supplied values.  Distinct formal keys are
-never merged on numeric proximity: they stay distinct terms however close
-their values.
+Omega * k3til, and sqrt(k3^2/|k|^2) rationalizes to (a/q) sqrt(s)).
+Distinct formal keys are never merged on numeric proximity: they stay
+distinct terms however close their values.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .lattice import Lattice
-from .fields import SpectralField, _triads
+from .fields import SpectralField
 
 __all__ = [
     "Frequency", "SPoly", "ode_solve", "antiderivative", "apply_expS_spoly",
@@ -40,11 +39,11 @@ class Frequency:
     """Exact rational combination of frequency generators.
 
     Each component is (key, coef, unit): `key` identifies the generator
-    (("rot", s) for Omega*sqrt(s), s squarefree, or ("user", num, den) for an
-    ad-hoc value), `coef` is a Fraction and `unit` the generator's numeric
-    value.  The parts are the identity: two frequencies are equal when they
-    combine the same generators with the same coefficients and units, so equal
-    combinations at two rotation rates differ.  Numeric value is the exact sum
+    (("rot", s) for Omega*sqrt(s), s squarefree), `coef` is a Fraction and
+    `unit` the generator's numeric value.  The parts are the identity: two
+    frequencies are equal when they combine the same generators with the same
+    coefficients and units, so equal combinations at two rotation rates
+    differ.  Numeric value is the exact sum
     coef*unit.  The hash is computed once, when the object is built.
     """
 
@@ -85,14 +84,6 @@ class Frequency:
         return Frequency(
             [(("rot", sqfree), Fraction(coef) * sgn, abs(omega) * math.sqrt(sqfree))]
         )
-
-    @staticmethod
-    def user(value: float) -> "Frequency":
-        if value == 0.0:
-            return _FREQ_ZERO
-        f = Fraction(abs(value))
-        sgn = 1 if value > 0 else -1
-        return Frequency([(("user", f.numerator, f.denominator), Fraction(sgn), abs(value))])
 
     @property
     def is_zero(self) -> bool:
@@ -418,17 +409,6 @@ def apply_expS_spoly(f: SPoly, omega: float) -> SPoly:
     return _collect(lat, f.mode[rep], f.deg[rep], fid.ravel()[keep], vals)
 
 
-def _pair_table(lattice: Lattice) -> np.ndarray:
-    """(M, M) index of the mode k_a + k_b, -1 off the lattice.  Cached per lattice."""
-    table = getattr(lattice, "_pair_table", None)
-    if table is None:
-        im, ij, io = _triads(lattice)
-        table = np.full((lattice.n_modes, lattice.n_modes), -1, dtype=np.intp)
-        table[im, ij] = io
-        lattice._pair_table = table
-    return table
-
-
 # candidate term pairs gathered at once: rows of f are joined in blocks
 _PAIR_BLOCK = 1 << 16
 
@@ -436,12 +416,12 @@ _PAIR_BLOCK = 1 << 16
 def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
     """Symbolic rotated advection B_Omega(t, f(t), g(t)) on the Galerkin set.
 
-    The term pairs are joined through the lattice's table of mode sums and
-    visited in the order of a double loop over the terms of f, then g.  Each
-    output key sums its contributions in that order and keys appear in order
-    of first contribution, so the result does not depend on the block size.
+    The term pairs are joined through `Lattice.pair_index` and visited in
+    the order of a double loop over the terms of f, then g.  Each output key
+    sums its contributions in that order and keys appear in order of first
+    contribution, so the result does not depend on the block size.
     """
-    lat, table = f.lattice, _pair_table(f.lattice)
+    lat = f.lattice
     fr, gr = apply_expS_spoly(f, -omega), apply_expS_spoly(g, -omega)
     if fr.is_zero or gr.is_zero:
         return SPoly.zero(lat)
@@ -449,7 +429,7 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
     hits = []  # (row of f, row of g, output mode, value) per block
     rows = max(1, _PAIR_BLOCK // gr.n_terms())
     for start in range(0, fr.n_terms(), rows):
-        block = table[fr.mode[start:start + rows, None], gr.mode[None, :]]
+        block = lat.pair_index(fr.mode[start:start + rows, None], gr.mode[None, :])
         a, b = np.nonzero(block >= 0)  # row-major: the double loop's order
         o = block[a, b]
         a += start
@@ -470,15 +450,15 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
 # the three-branch mode ODE  q' + beta q = p
 
 
-def ode_solve(beta, p: SPoly, xi0: Optional[SpectralField] = None) -> SPoly:
+def ode_solve(beta, p: SPoly) -> SPoly:
     """Unique decaying/bounded polynomial solution of q' + beta*q = p.
 
     beta > 0 and beta < 0 give the unique polynomial solution (growing or
     decaying homogeneous parts excluded); beta = 0 integrates from 0 and
-    pins q(0) = xi0 on every mode (xi0 defaults to zero).  The resonance
-    test beta == 0 is exact when beta is a Fraction/int.  A pure-power term
-    with beta = 0 raises the degree (monomial rule); any other numerically
-    vanishing gamma = beta + i w is rejected.
+    pins q(0) = 0 on every mode.  The resonance test beta == 0 is exact when
+    beta is a Fraction/int.  A pure-power term with beta = 0 raises the
+    degree (monomial rule); any other numerically vanishing gamma = beta + i w
+    is rejected.
     """
     lat, deg, c = p.lattice, p.deg, p.coef
     bf = float(beta)
@@ -505,10 +485,10 @@ def ode_solve(beta, p: SPoly, xi0: Optional[SpectralField] = None) -> SPoly:
     q = _collect(lat, p.mode[rep], np.where(still[rep], deg[rep] + 1, deg[rep] - step),
                  p.fid[rep], vals)
     if beta == 0:
-        # pin q(0): add a constant on each mode so initial data matches xi0
-        target = np.zeros((lat.n_modes, 3)) if xi0 is None else xi0.coeffs
-        q = q + SPoly.from_field(SpectralField(lat, target.astype(complex)
-                                               - q.evaluate(0.0).coeffs))
+        # pin q(0) = 0 with the constant 0 - q(0) per mode; -q(0) would turn
+        # each +0 component into -0
+        zero = np.zeros((lat.n_modes, 3), dtype=complex)
+        q = q + SPoly.from_field(SpectralField(lat, zero - q.evaluate(0.0).coeffs))
     return q
 
 
@@ -522,24 +502,17 @@ def antiderivative(p: SPoly) -> SPoly:
 
 
 def _freq_doc(f: Frequency) -> dict:
-    combo = []
-    for key, coef, unit in f.parts:
-        if key[0] == "rot":
-            combo.append({"kind": "rot", "s": key[1], "coef": str(coef), "unit": unit})
-        else:
-            combo.append({"kind": "user", "num": key[1], "den": key[2],
-                          "coef": str(coef), "unit": unit})
+    combo = [{"kind": "rot", "s": key[1], "coef": str(coef), "unit": unit}
+             for key, coef, unit in f.parts]
     return {"combo": combo, "value": f.value}
 
 
 def _freq_from_doc(doc: dict) -> Frequency:
     parts = []
     for c in doc["combo"]:
-        if c["kind"] == "rot":
-            parts.append((("rot", int(c["s"])), Fraction(c["coef"]), float(c["unit"])))
-        else:
-            parts.append((("user", int(c["num"]), int(c["den"])),
-                          Fraction(c["coef"]), float(c["unit"])))
+        if c["kind"] != "rot":
+            raise ValueError(f"unknown frequency generator kind {c['kind']!r}")
+        parts.append((("rot", int(c["s"])), Fraction(c["coef"]), float(c["unit"])))
     return Frequency(parts)
 
 

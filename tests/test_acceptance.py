@@ -170,7 +170,7 @@ def test_criterion_05_antiderivative_and_mode_ode():
             omega = 0.0
         if alpha == 0.0 and omega == 0.0:
             omega = 1.0
-        p = SPoly(LAT4, {(k1, m, Frequency.user(omega)): np.array([1.0, 0.0, 0.0])})
+        p = SPoly(LAT4, {(k1, m, Frequency.rotation(1, 1, omega)): np.array([1.0, 0.0, 0.0])})
         q = ode_solve(alpha, p)
         r = (q.differentiate() + q.scale(alpha)) - p
         worst = max(worst, r.max_abs() / max(1.0, q.max_abs()))

@@ -267,7 +267,7 @@ def test_fit_log_slope_exact():
 def _two_term_spoly(lat):
     k, kk = (1, 1, 0), (-1, -1, 0)
     c = np.array([0.7, -0.7, 0.4j])
-    w = Frequency.user(1.8)
+    w = Frequency.rotation(1, 1, 1.8)
     return SPoly(lat, {
         (k, 0, w): c, (kk, 0, -w): np.conj(c),
         (k, 2, Frequency.zero()): 0.3 * c, (kk, 2, Frequency.zero()): 0.3 * np.conj(c),

@@ -44,10 +44,11 @@ TOP_LEVEL = ["SolverConfig", "build_lattice", "expand", "integrate", "random_gev
 
 DELETED = {
     "fields": ["leray_project", "apply_A_power", "low_pass", "bilinear_B_omega",
-               "field_to_json", "field_from_json", "gevrey_norm"],
+               "field_to_json", "field_from_json", "gevrey_norm", "_code_table", "_encode",
+               "_triads"],
     "lattice": ["rationalize_period", "spectrum_to_json"],
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
-              "spoly_from_json"],
+              "spoly_from_json", "_pair_table"],
     "cli": ["_require_whole_records"],
     "expansion": ["FitPolicy", "_require_uniform"],
 }
@@ -71,15 +72,25 @@ def test_trimmed_signatures_and_knobs():
     from rotspec.expansion import expand
     from rotspec.lattice import SemigroupTable, build_lattice
     from rotspec.special import pde_residual
-    from rotspec.spoly import Frequency
+    from rotspec.spoly import Frequency, ode_solve
 
     assert list(inspect.signature(expand).parameters) == ["traj", "n_orders", "xi_windows"]
+    assert list(inspect.signature(ode_solve).parameters) == ["beta", "p"]
     assert not hasattr(Frequency, "scale")
+    assert not hasattr(Frequency, "user")
     assert not hasattr(SemigroupTable, "is_eigenvalue")
     assert list(inspect.signature(build_lattice).parameters) == ["cutoff", "ell"]
     params = inspect.signature(pde_residual).parameters
     assert "fd_h" not in params
     assert params["velocity_dt"].default is inspect.Parameter.empty
+
+
+def test_package_metadata_version_is_the_module_version():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    root = Path(rotspec.__file__).parents[2]
+    config = read_configuration(root / "pyproject.toml")
+    assert config["project"]["version"] == rotspec.__version__
 
 
 def test_json_text_only_in_cli_and_solver():

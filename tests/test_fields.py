@@ -14,7 +14,6 @@ from rotspec.fields import (
     apply_expS,
     bilinear_B,
     _conv_plan,
-    _triads,
     eigen_restrict,
     field_from_doc,
     field_to_doc,
@@ -245,21 +244,29 @@ def _triads_loop(lat):
 
 
 def test_conv_plan_matches_reference_loop():
-    for lat in (LAT3, build_lattice(ell=(1, 1, "1/2"), cutoff=5)):
+    """pair_index against the double loop, and the full plan and every shell
+    plan against the pair list filtered to representative outputs, stably
+    sorted by output and restricted to the shell."""
+    for lat in (LAT3, build_lattice(cutoff=6), build_lattice(ell=(1, 1, "1/2"), cutoff=5)):
         want = _triads_loop(lat)
-        for got, ref in zip(_triads(lat), want):
-            np.testing.assert_array_equal(got, ref)
+        pair = np.full((lat.n_modes, lat.n_modes), -1)
+        pair[want[0], want[1]] = want[2]
+        modes = np.arange(lat.n_modes)
+        np.testing.assert_array_equal(lat.pair_index(modes[:, None], modes[None, :]), pair)
         im, ij, io = want
         keep = lat.rep_mask[io]
         order = np.argsort(io[keep], kind="stable")
         im, ij, io = im[keep][order], ij[keep][order], io[keep][order]
-        p_im, p_ij, p_kc, p_indptr = _conv_plan(lat)
-        np.testing.assert_array_equal(p_im, im)
-        np.testing.assert_array_equal(p_ij, ij)
-        np.testing.assert_array_equal(p_kc, lat.kcheck[io].T)
-        assert p_kc.flags.c_contiguous
-        np.testing.assert_array_equal(
-            p_indptr, np.r_[0, np.cumsum(np.bincount(io, minlength=lat.n_modes))])
+        for lam in [None] + lat.eigenvalues:
+            sel = slice(None) if lam is None else lat.shell_of[io] == lat.shell(lam)
+            p_im, p_ij, p_kc, p_indptr = _conv_plan(lat, lam)
+            np.testing.assert_array_equal(p_im, im[sel])
+            np.testing.assert_array_equal(p_ij, ij[sel])
+            np.testing.assert_array_equal(p_kc, lat.kcheck[io[sel]].T)
+            assert p_im.flags.c_contiguous and p_ij.flags.c_contiguous
+            assert p_kc.flags.c_contiguous
+            np.testing.assert_array_equal(
+                p_indptr, np.r_[0, np.cumsum(np.bincount(io[sel], minlength=lat.n_modes))])
 
 
 def _advect_reference(lattice, X, Y, t=0.0, omega=0.0):

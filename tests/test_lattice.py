@@ -68,6 +68,20 @@ def test_conjugate_pairing(cube6):
         assert lat.rep_mask[i] != lat.rep_mask[j]
 
 
+def test_index_of(cube6):
+    lat = cube6
+    modes = np.arange(lat.n_modes)
+    np.testing.assert_array_equal(lat.index_of(lat.ks), modes)
+    np.testing.assert_array_equal(lat.index_of(-lat.ks),
+                                  [lat.mode_index[tuple(-k)] for k in lat.ks])
+    np.testing.assert_array_equal(lat.index_of(-lat.ks), lat.conj_idx)
+    np.testing.assert_array_equal(lat.index_of(lat.ks.reshape(2, -1, 3)), modes.reshape(2, -1))
+    # (2,2,2) and 0 lie inside the code box but are no modes; the others lie outside it
+    assert (2, 2, 2) not in lat.mode_index
+    off = np.array([[2, 2, 2], [0, 0, 9], [0, 0, 0], [-2**63, 0, 0]])
+    np.testing.assert_array_equal(lat.index_of(off), [-1, -1, -1, -1])
+
+
 def test_projector_and_cross_matrix(cube6):
     lat = cube6
     rng = np.random.default_rng(0)

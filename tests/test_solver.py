@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import rotspec
 from rotspec.fields import SpectralField, apply_expS, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import (
@@ -169,14 +170,13 @@ def test_jsonl_roundtrip(cube6):
     traj = integrate(v0, SolverConfig(dt=5e-3, t_end=0.2, omega=1.5, form="v"))
     doc = {"solver": {"dt": 5e-3}, "omega": 1.5}
     buf = io.StringIO()
-    trajectory_to_jsonl(traj, buf, config_doc=doc, version="9",
-                        gevrey=[(0.0, 1.0), (0.5, 0.0)])
+    trajectory_to_jsonl(traj, buf, config_doc=doc, gevrey=[(0.0, 1.0), (0.5, 0.0)])
     buf.seek(0)
     back, meta = trajectory_from_jsonl(buf)
     assert meta["form"] == "v"
     assert meta["omega"] == 1.5
     assert meta["dt"] == 5e-3
-    assert meta["version"] == "9"
+    assert meta["version"] == rotspec.__version__
     assert meta["config"] == doc
     assert meta["config_hash"] == config_hash(doc)
     assert meta["config_hash"] == hashlib.sha256(

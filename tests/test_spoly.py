@@ -27,6 +27,13 @@ LAT = build_lattice(cutoff=3)
 OMEGA = 3.0
 
 
+def _root7(x):
+    """A frequency of value x on a sqrt(7) generator: no cube lattice has a
+    sqrt(7) rotation class (7 s^2 is no sum of three squares), so it mixes
+    with any rotation rate."""
+    return Frequency([(("rot", 7), Fraction(1 if x > 0 else -1), abs(x))])
+
+
 def _random_spoly(lat, seed, degrees=(0, 1, 2), omega=OMEGA, n_modes=None):
     """Real-paired polynomial with mixed powers, still and rotating frequencies.
 
@@ -62,7 +69,7 @@ def frequencies(draw):
     if draw(st.booleans()):
         parts.append((("rot", 3), draw(fracs), OMEGA * math.sqrt(3)))
     if draw(st.booleans()):
-        parts.append((("user", 7, 10), draw(fracs), 0.7))
+        parts.append((("rot", 7), draw(fracs), 0.7))
     return Frequency(parts)
 
 
@@ -110,9 +117,9 @@ def test_frequency_rotation_sign():
     assert f.value == pytest.approx(-0.5 * OMEGA * math.sqrt(2), rel=1e-15)
     assert Frequency.rotation(2, 0, OMEGA).is_zero
     assert Frequency.rotation(2, 1, 0.0).is_zero
-    g = Frequency.user(-0.25)
+    g = Frequency.rotation(1, 1, -0.25)
     assert g.value == -0.25
-    assert (-g) == Frequency.user(0.25)
+    assert (-g) == Frequency.rotation(1, 1, 0.25)
 
 
 def test_frequency_identity_includes_unit():
@@ -142,7 +149,8 @@ def test_integrate_term_against_quadrature(m, alpha, omega):
     with q' + alpha q = t^m e^{i omega t}; its real and imaginary parts
     integrate the cosine and sine terms."""
     k = (1, 0, 0)
-    q = ode_solve(alpha, SPoly(LAT, {(k, m, Frequency.user(omega)): np.array([1.0, 0.0, 0.0])}))
+    q = ode_solve(alpha, SPoly(LAT, {(k, m, Frequency.rotation(1, 1, omega)):
+                                     np.array([1.0, 0.0, 0.0])}))
 
     def F(t):
         return math.exp(alpha * t) * complex(q.evaluate(t).coeffs[LAT.mode_index[k], 0])
@@ -256,7 +264,7 @@ def test_ode_solve_properties(beta, seed, degrees):
 
 def test_ode_solve_single_mode_closed_form():
     k = (0, 0, 1)
-    w = Frequency.user(2.0)
+    w = Frequency.rotation(1, 1, 2.0)
     c = np.array([1.0, 1.0j, 0.0])
     p = SPoly(LAT, {(k, 0, w): c})
     q = ode_solve(Fraction(3), p)
@@ -270,9 +278,8 @@ def test_ode_solve_single_mode_closed_form():
 
 def test_ode_solve_resonant_pins_initial_value():
     p = _random_spoly(LAT, seed=9)
-    xi0 = random_gevrey(LAT, seed=10, amplitude=0.5)
-    q = ode_solve(0, p, xi0=xi0)
-    np.testing.assert_allclose(q.evaluate(0.0).coeffs, xi0.coeffs, atol=1e-13)
+    q = ode_solve(0, p)
+    np.testing.assert_allclose(q.evaluate(0.0).coeffs, 0.0, atol=1e-13)
     resid = q.differentiate() - p
     assert resid.max_abs() < 1e-12 * p.max_abs()
     # monomial rule raises the degree on still terms
@@ -281,7 +288,7 @@ def test_ode_solve_resonant_pins_initial_value():
 
 def test_ode_solve_degenerate_gamma():
     k = (1, 0, 0)
-    p = SPoly(LAT, {(k, 0, Frequency.user(1e-12)): np.array([0.0, 1.0, 0.0])})
+    p = SPoly(LAT, {(k, 0, Frequency.rotation(1, 1, 1e-12)): np.array([0.0, 1.0, 0.0])})
     with pytest.raises(OdeResonanceError):
         ode_solve(0, p)
     with pytest.raises(OdeResonanceError):
@@ -377,8 +384,8 @@ def test_bilinear_spoly_matches_reference_loop(name, omega, degrees):
     wgen = omega or OMEGA
     f = _random_spoly(lat, seed=20, degrees=degrees[0], omega=wgen, n_modes=6)
     g = _random_spoly(lat, seed=21, degrees=degrees[1], omega=wgen, n_modes=6)
-    g = g + SPoly(lat, {((1, 0, 0), 1, Frequency.user(0.37)): np.array([0.0, 1.0, -1.0]),
-                        ((-1, 0, 0), 1, Frequency.user(-0.37)): np.array([0.0, 1.0, -1.0])})
+    g = g + SPoly(lat, {((1, 0, 0), 1, _root7(0.37)): np.array([0.0, 1.0, -1.0]),
+                        ((-1, 0, 0), 1, _root7(-0.37)): np.array([0.0, 1.0, -1.0])})
     want = _bilinear_reference(f, g, omega)
     assert want.n_terms() > 0
     _assert_identical(bilinear_spoly(f, g, omega), want)
@@ -400,7 +407,7 @@ def test_bilinear_spoly_reality(name, seed, omega):
 @pytest.mark.parametrize("name", list(_LATTICES))
 def test_apply_expS_spoly_matches_reference_loop(name, omega):
     lat = _LATTICES[name]
-    w = Frequency.user(0.37)  # a second generator: w +/- g gets two parts
+    w = _root7(0.37)  # a second generator: w +/- g gets two parts
     extra = {}
     for k in ((1, 0, 1), (0, 0, 1), (1, 0, 0)):
         c = np.array([0.0, 1.0, -1.0j])
@@ -427,11 +434,19 @@ def test_apply_expS_spoly_reality(name, seed, omega, degrees):
 
 def test_spoly_json_roundtrip():
     f = _random_spoly(LAT, seed=15, degrees=(0, 2))
-    g = f + SPoly(LAT, {((1, 1, 0), 1, Frequency.user(0.37)): np.array([1.0, -1.0, 0.0])})
+    g = f + SPoly(LAT, {((1, 1, 0), 1, _root7(0.37)): np.array([1.0, -1.0, 0.0])})
     back = spoly_from_doc(json.loads(json.dumps(spoly_to_doc(g))), LAT)
     assert set(back.terms) == set(g.terms)
     for key, c in g.terms.items():
         np.testing.assert_allclose(back.terms[key], c, atol=1e-16)
+
+
+def test_spoly_doc_refuses_unknown_generator():
+    doc = spoly_to_doc(SPoly(LAT, {((1, 0, 0), 0, _root7(0.5)): np.array([0.0, 1.0, 0.0])}))
+    doc["terms"][0]["omega"]["combo"][0] = {"kind": "user", "num": 1, "den": 2,
+                                            "coef": "1", "unit": 0.5}
+    with pytest.raises(ValueError, match="user"):
+        spoly_from_doc(doc, LAT)
 
 
 # -- the columnar container against the dict implementation -----------------
@@ -506,7 +521,7 @@ def _ref_evaluate_many(f, ts):
     return out
 
 
-def _ref_ode_solve(beta, f, xi0=None):
+def _ref_ode_solve(beta, f):
     resonant, bf = beta == 0, float(beta)
     items = []
     for (k, m, w), c in f.items():
@@ -521,10 +536,7 @@ def _ref_ode_solve(beta, f, xi0=None):
             items.append(((k, n, w), a))
     q = _ref_accumulate(items)
     if resonant:
-        target = np.zeros((LAT.n_modes, 3), dtype=complex)
-        if xi0 is not None:
-            target = xi0.coeffs.astype(complex)
-        delta = target - _ref_evaluate(q, 0.0)
+        delta = np.zeros((LAT.n_modes, 3), dtype=complex) - _ref_evaluate(q, 0.0)
         extra = {(tuple(int(x) for x in LAT.ks[i]), 0, Frequency.zero()): delta[i]
                  for i in range(LAT.n_modes) if np.any(delta[i])}
         q = _ref_add(q, _ref_canon(extra))
@@ -539,7 +551,7 @@ def _ref_doc(f):
 
 
 _W1 = Frequency.rotation(2, Fraction(1, 2), OMEGA)
-_W2 = Frequency.user(0.37)
+_W2 = _root7(0.37)
 # distinct objects for one frequency: (_W1 + _W2) - _W2 and 2 _W1 - _W1 are _W1
 _FREQ_POOL = [Frequency.zero(), _W1, -_W1, _W2, _W1 + _W2, _W2 + _W1,
               (_W1 + _W2) - _W2, (_W1 + _W1) - _W1]
@@ -599,8 +611,6 @@ def test_columnar_calculus_matches_dict_reference(operands):
         _assert_identical(f.time_shift(T), _ref_time_shift(rf, T))
     for beta in (0, Fraction(3, 2), -2, 0.7):
         _assert_identical(ode_solve(beta, f), _ref_ode_solve(beta, rf))
-    xi0 = random_gevrey(LAT, seed=3)
-    _assert_identical(ode_solve(0, f, xi0), _ref_ode_solve(0, rf, xi0))
     ts = np.array([0.0, 0.4, 2.3])
     got, want = f.evaluate_many(ts), _ref_evaluate_many(rf, ts)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
