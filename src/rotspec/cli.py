@@ -304,7 +304,7 @@ def cmd_expand(args) -> int:
     rates = []
     columns = [list(traj.norms(alpha, sigma))]
     for n in range(1, args.order + 1):
-        r = remainder_rate(exp, traj, n, alpha=alpha, sigma=sigma)
+        r = remainder_rate(exp, n, alpha=alpha, sigma=sigma)
         columns.append([float(x) for x in r.pop("norms")])
         r.pop("times")
         r["order"] = n

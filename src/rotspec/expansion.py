@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .lattice import Lattice, SemigroupTable, semigroup_table
-from .fields import SpectralField, _conv_plan, _gevrey_norms, advect
+from .fields import SpectralField, _gevrey_norms, advect
 from .spoly import SPoly, antiderivative, apply_expS_spoly, bilinear_spoly, ode_solve
 from .solver import Trajectory
 
@@ -51,55 +51,41 @@ MIN_SAMPLES = 64
 
 
 class Expansion:
-    """Orders q_1..q_N of one trajectory, with their rates and diagnostics."""
+    """Orders q_1..q_N of one v-form trajectory, with their rates and diagnostics."""
 
-    def __init__(self, lattice: Lattice, omega: float, table: SemigroupTable,
+    def __init__(self, traj: Trajectory, table: SemigroupTable,
                  xi_windows: Sequence[Tuple[float, float]]):
-        self.lattice = lattice
-        self.omega = omega
+        self.traj = traj
         self.table = table
         self.xi_windows = xi_windows
         self.mus: List[Fraction] = []
         self.orders: List[SPoly] = []
         self.forcings: List[SPoly] = []
         self.diagnostics: List[dict] = []
-        # the trajectory's sample times, and exp(-mu_n t) q_n(t) there per order
-        self.times: Optional[np.ndarray] = None
+        # exp(-mu_n t) q_n(t) at the trajectory's sample times, an (R,M,3) stack per order
         self.samples: List[np.ndarray] = []
+
+    @property
+    def lattice(self) -> Lattice:
+        return self.traj.lattice
+
+    @property
+    def omega(self) -> float:
+        return self.traj.omega
 
     @property
     def n_orders(self) -> int:
         return len(self.orders)
 
-    def partial_sum_coeffs(self, ts: np.ndarray, n: Optional[int] = None) -> np.ndarray:
-        """Coefficients of sum_{m<=n} q_m(t) exp(-mu_m t) at the times ts.
-
-        At the trajectory's own sample times the orders are not evaluated
-        again: their cached samples are added.
-        """
+    def partial_sum(self, n: Optional[int] = None) -> np.ndarray:
+        """sum_{m<=n} q_m(t) exp(-mu_m t) at the trajectory's sample times:
+        the first n cached samples added, (R,M,3)."""
         n = self.n_orders if n is None else n
-        ts = np.asarray(ts, dtype=float)
-        if self.times is not None and np.array_equal(ts, self.times):
-            return sum(self.samples[:n], np.zeros((len(ts), self.lattice.n_modes, 3), complex))
-        return _partial_sum(self.lattice, ts, zip(self.mus[:n], self.orders[:n]))
+        return sum(self.samples[:n], np.zeros(self.traj.coeffs.shape, complex))
 
     def __repr__(self):
         mus = [str(m) for m in self.mus]
         return f"Expansion(orders={self.n_orders}, mu={mus}, omega={self.omega})"
-
-
-def _order_samples(mu: Fraction, q: SPoly, ts: np.ndarray) -> np.ndarray:
-    """exp(-mu t) q(t) at the times ts, an (R,M,3) stack."""
-    return np.exp(-float(mu) * ts)[:, None, None] * q.evaluate_many(ts)
-
-
-def _partial_sum(lattice: Lattice, ts: np.ndarray,
-                 pairs: Iterable[Tuple[Fraction, SPoly]]) -> np.ndarray:
-    """Sum of exp(-mu t) q(t) over the (mu, q) pairs at the times ts."""
-    out = np.zeros((len(ts), lattice.n_modes, 3), dtype=complex)
-    for mu, q in pairs:
-        out += _order_samples(mu, q, ts)
-    return out
 
 
 def expand(traj: Trajectory, n_orders: int,
@@ -125,16 +111,9 @@ def expand(traj: Trajectory, n_orders: int,
         xi_windows = ((t0 + 0.50 * span, t0 + 0.70 * span),
                       (t0 + 0.70 * span, t0 + 0.90 * span))
 
-    cap = lat.cutoff
-    table = semigroup_table(lat, cap)
-    while len(table) < n_orders + 1:
-        cap = cap * 2
-        if cap > 64 * lat.cutoff:
-            raise ValueError(f"cannot reach {n_orders + 1} semigroup elements")
-        table = SemigroupTable(lat.eigenvalues, cap)
-
-    exp = Expansion(lat, traj.omega, table, xi_windows)
-    exp.times = ts.copy()
+    # the smallest eigenvalue is 1, so 1..n_orders+1 are all semigroup elements
+    table = semigroup_table(lat, max(lat.cutoff, n_orders + 1))
+    exp = Expansion(traj, table, xi_windows)
 
     for n in range(n_orders):
         mu = table.mu[n]
@@ -160,7 +139,7 @@ def expand(traj: Trajectory, n_orders: int,
         diag = {"mu": float(mu), "resonant": resonant, "support_truncated": truncated}
         q = particular
         if resonant:
-            xi, fit_diag = _fit_resonant_constant(exp, traj, mu, particular)
+            xi, fit_diag = _fit_resonant_constant(exp, mu, particular)
             diag.update(fit_diag)
             if np.any(xi.coeffs):
                 q = q + SPoly.from_field(xi)
@@ -168,48 +147,32 @@ def expand(traj: Trajectory, n_orders: int,
         exp.orders.append(q)
         exp.forcings.append(forcing)
         exp.diagnostics.append(diag)
-        exp.samples.append(_order_samples(mu, q, ts))
+        exp.samples.append(np.exp(-float(mu) * ts)[:, None, None] * q.evaluate_many(ts))
     return exp
 
 
-# samples per advect call in the resonant fit: the three gathered components
-# of the shell's convolution pairs, 48 B per sample and pair, stay near this
-# many bytes
-_FIT_BLOCK_BYTES = 1 << 20
-
-
-def _fit_chunks(lat: Lattice, mu: Fraction, R: int):
-    n_pairs = len(_conv_plan(lat, mu)[0])
-    chunk = max(1, _FIT_BLOCK_BYTES // (48 * max(n_pairs, lat.n_modes)))
-    return [slice(start, start + chunk) for start in range(0, R, chunk)]
-
-
-def _fast_pair_forcing(exp: Expansion, ts: np.ndarray, mu: Fraction,
-                       shell: np.ndarray) -> np.ndarray:
+def _fast_pair_forcing(exp: Expansion, mu: Fraction, shell: np.ndarray) -> np.ndarray:
     """Sum over order pairs (a, b) with mu_a + mu_b > mu of
     e^{mu t} R B_Omega(t, e^{-mu_a t} q_a, e^{-mu_b t} q_b) on the shell mu.
 
-    Evaluated at the cached samples (ts must be exp.times): one advect per
-    order a, against the sum of its partners b.  Returns (R, len(shell), 3).
+    Evaluated at the cached samples: one stacked advect per order a, against
+    the sum of its partners b.  Returns (R, len(shell), 3).
     """
     lat = exp.lattice
+    ts = exp.traj.times
     live = [a for a in range(exp.n_orders) if not exp.orders[a].is_zero]
     partners = [(a, [b for b in live if exp.mus[a] + exp.mus[b] > mu]) for a in live]
     partners = [(a, bs) for a, bs in partners if bs]
-    out = np.zeros((len(ts), len(shell), 3), dtype=complex)
     if not partners:
-        return out
-    emu = np.exp(float(mu) * ts)
-    for c in _fit_chunks(lat, mu, len(ts)):
-        acc = np.zeros((len(ts[c]), lat.n_modes, 3), dtype=complex)
-        for a, bs in partners:
-            Y = sum(exp.samples[b][c] for b in bs)
-            acc += advect(lat, exp.samples[a][c], Y, ts[c], exp.omega, mu)
-        out[c] = emu[c, None, None] * acc[:, shell]
-    return out
+        return np.zeros((len(ts), len(shell), 3), dtype=complex)
+    acc = np.zeros((len(ts), len(shell), 3), dtype=complex)
+    for a, bs in partners:
+        Y = sum(exp.samples[b] for b in bs)
+        acc += advect(lat, exp.samples[a], Y, ts, exp.omega, mu)[:, shell]
+    return np.exp(float(mu) * ts)[:, None, None] * acc
 
 
-def _fit_resonant_constant(exp: Expansion, traj: Trajectory, mu: Fraction,
+def _fit_resonant_constant(exp: Expansion, mu: Fraction,
                            particular: SPoly) -> Tuple[SpectralField, dict]:
     """Recover the free constant on the resonant shell from the trajectory.
 
@@ -221,22 +184,20 @@ def _fit_resonant_constant(exp: Expansion, traj: Trajectory, mu: Fraction,
     biases the value only by the (tiny) truncated integral.
     """
     lat = exp.lattice
-    ts = traj.times
-    mu_f = float(mu)
+    ts = exp.traj.times
     shell = lat.shell_indices(mu)
     R = len(ts)
-    v = traj.coeffs
-    s_eval = exp.partial_sum_coeffs(ts)
+    v = exp.traj.coeffs
+    s_eval = exp.partial_sum()
     r = v - s_eval
-    emu = np.exp(mu_f * ts)
+    emu = np.exp(float(mu) * ts)
 
-    g = np.zeros((R, len(shell), 3), dtype=complex)
-    for c in _fit_chunks(lat, mu, R):
-        acc = advect(lat, r[c], v[c], ts[c], exp.omega, mu)
-        acc += advect(lat, s_eval[c], r[c], ts[c], exp.omega, mu)
-        g[c] = -emu[c, None, None] * acc[:, shell]
+    # keep only the shell's rows of each product, so one full-size stack is alive at a time
+    acc = advect(lat, r, v, ts, exp.omega, mu)[:, shell]
+    acc += advect(lat, s_eval, r, ts, exp.omega, mu)[:, shell]
+    g = -emu[:, None, None] * acc
     # pairs of earlier orders whose combined rate exceeds mu
-    g -= _fast_pair_forcing(exp, ts, mu, shell)
+    g -= _fast_pair_forcing(exp, mu, shell)
 
     # scipy's cumulative_simpson is real-only; integrate the parts separately
     G = cumulative_simpson(g.real, x=ts, axis=0, initial=0.0) \
@@ -351,10 +312,11 @@ def fit_decay_rate(t: np.ndarray, y: np.ndarray) -> dict:
     }
 
 
-def remainder_rate(exp: Expansion, traj: Trajectory, order: int,
+def remainder_rate(exp: Expansion, order: int,
                    window: Optional[Tuple[float, float]] = None,
                    alpha: float = 0.0, sigma: float = 0.0) -> dict:
-    """Measured decay rate of the remainder after subtracting `order` terms.
+    """Measured decay rate of the remainder of the expanded trajectory after
+    subtracting `order` terms.
 
     The default window is the last third of the run, clipped where the
     remainder drops under 100x the integrator's error floor (dt^4 times the
@@ -364,9 +326,9 @@ def remainder_rate(exp: Expansion, traj: Trajectory, order: int,
     """
     if order < 1 or order > exp.n_orders:
         raise ValueError(f"order must be in 1..{exp.n_orders}")
-    lat = exp.lattice
+    lat, traj = exp.lattice, exp.traj
     ts = traj.times
-    rem = traj.coeffs - exp.partial_sum_coeffs(ts, order)
+    rem = traj.coeffs - exp.partial_sum(order)
     norms = _gevrey_norms(lat, rem, alpha, sigma)
 
     norm0 = float(_gevrey_norms(lat, traj.coeffs[0]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -260,6 +261,11 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) ->
     return out
 
 
+# samples per convolution of a stacked advect: the three gathered components
+# of the plan's pairs, 48 B per sample and pair, stay near this many bytes
+_STACK_BLOCK_BYTES = 1 << 20
+
+
 def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
            t=0.0, omega: float = 0.0, lam=None) -> np.ndarray:
     """Rotated, projected advection exp(Omega t S) B(exp(-Omega t S)X, exp(-Omega t S)Y).
@@ -272,7 +278,21 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     output modes on the Stokes shell lam are computed and every other row is
     zero; each computed row equals the unrestricted one bit for bit.  With
     omega == 0 no rotation is applied; when Y is X the input is rotated once.
+    A long stack is computed in chunks of samples, which are independent,
+    so chunking changes no bit.
     """
+    if X.ndim == 3 and X.shape == Y.shape:  # convolve_advect refuses other shapes
+        n_pairs = len(_conv_plan(lattice, lam)[0])
+        chunk = max(1, _STACK_BLOCK_BYTES // (48 * max(n_pairs, lattice.n_modes)))
+        if len(X) > chunk:
+            t = np.asarray(t)
+            out = np.empty(X.shape, dtype=complex)
+            for start in range(0, len(X), chunk):
+                c = slice(start, start + chunk)
+                Xc = X[c]
+                out[c] = advect(lattice, Xc, Xc if Y is X else Y[c],
+                                t if t.ndim == 0 else t[c], omega, lam)
+            return out
     if omega == 0.0:
         return np.einsum("mij,...mj->...mi", lattice.proj, convolve_advect(lattice, X, Y, lam))
     theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
@@ -334,14 +354,34 @@ def field_to_doc(u: SpectralField) -> dict:
     }
 
 
+def _wave_vectors(ks: list, lattice: Lattice) -> np.ndarray:
+    """(N,3) int64 array of a document's N wave vectors, each three integers.
+
+    A bool is not an integer here.  ValueError names the first vector that
+    is not three integers, or that lies beyond int64 and so off the lattice.
+    """
+    try:  # the common case, checked at C speed
+        if set(map(len, ks)) <= {3} and set(map(type, chain.from_iterable(ks))) <= {int}:
+            return np.array(ks, dtype=np.int64).reshape(len(ks), 3)
+    except (TypeError, OverflowError):
+        pass
+    for k in ks:
+        if not (isinstance(k, (list, tuple)) and len(k) == 3
+                and all(type(c) is int for c in k)):
+            raise ValueError(f"wave vector {k!r} is not three integers")
+        if not all(-2**63 <= c < 2**63 for c in k):
+            raise ValueError(f"mode {tuple(k)} is outside the lattice (cutoff {lattice.cutoff})")
+
+
 def field_from_doc(doc: dict, lattice: Lattice) -> SpectralField:
     """Inverse of field_to_doc on a given lattice; conjugates filled by pairing.
 
-    Checks as SpectralField.from_modes does; a missing key raises KeyError.
+    Checks the wave vectors as _wave_vectors does and the rest as
+    SpectralField.from_modes does; a missing key raises KeyError.
     """
     modes = doc["modes"]
     n = len(modes)
-    ks = np.array([m["k"] for m in modes], dtype=int).reshape(n, 3)
+    ks = _wave_vectors([m["k"] for m in modes], lattice)
     re = np.array([m["re"] for m in modes], dtype=float).reshape(n, 3)
     im = np.array([m["im"] for m in modes], dtype=float).reshape(n, 3)
     return SpectralField._from_arrays(lattice, ks, re + 1j * im, doc.get("mean"))

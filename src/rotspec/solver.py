@@ -133,18 +133,11 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     lam = lat.lam_f
 
     def make_prop(s: float):
-        decay = np.exp(-s * lam)
+        decay = np.exp(-s * lam)[:, None]
+        theta = -om * lat.kt3 * s
         if config.form == "u" and om != 0.0:
-            theta = -om * lat.kt3 * s
-            cos_t, sin_t = np.cos(theta), np.sin(theta)
-
-            def prop(C):
-                rot = np.einsum("mij,mj->mi", lat.jk, C)
-                return decay[:, None] * (cos_t[:, None] * C + sin_t[:, None] * rot)
-        else:
-            def prop(C):
-                return decay[:, None] * C
-        return prop
+            return lambda C: decay * _rotate_coeffs(lat, C, theta)
+        return lambda C: decay * C
 
     Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
 

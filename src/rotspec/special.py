@@ -22,6 +22,7 @@ from .fields import (SpectralField, _J_VERT, _gevrey_norms, _rotate_coeffs,
                      convolve_advect, eigen_restrict)
 from .spoly import SPoly, apply_expS_spoly
 from .solver import Trajectory
+from .expansion import fit_decay_rate
 
 __all__ = [
     "VkData",
@@ -363,11 +364,11 @@ def verify_ss_expansion(u_traj: Trajectory, means: np.ndarray, flow: MeanFlow,
     by the drift phases exp(-i kcheck . V(t)) and subtracted; the log-slope of
     the remainder norm is fitted over the window (default: second half).
     """
-    from .expansion import _partial_sum, fit_decay_rate
-
     lat = u_traj.lattice
     ts = u_traj.times
-    approx = _partial_sum(lat, ts, orders)
+    approx = np.zeros(u_traj.coeffs.shape, dtype=complex)
+    for mu, Q in orders:
+        approx += np.exp(-float(mu) * ts)[:, None, None] * Q.evaluate_many(ts)
     rem = u_traj.coeffs - approx * _drift_phases(lat, flow, ts)[:, :, None]
     norms = _gevrey_norms(lat, rem, alpha, sigma)
     if window is None:

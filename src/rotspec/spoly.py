@@ -243,11 +243,11 @@ class SPoly:
         return SPoly(lattice)
 
     @staticmethod
-    def from_field(u: SpectralField, m: int = 0, freq: Optional[Frequency] = None) -> "SPoly":
-        """Constant-in-time polynomial t^m e^{iwt} u (freq defaults to 0)."""
-        w = _freq_table(u.lattice).intern(freq or Frequency.zero())
+    def from_field(u: SpectralField) -> "SPoly":
+        """The constant-in-time polynomial u."""
+        w = _freq_table(u.lattice).intern(Frequency.zero())
         mode = np.flatnonzero(np.any(u.coeffs != 0, axis=1))
-        return SPoly._columns(u.lattice, mode, np.full(len(mode), m, dtype=np.intp),
+        return SPoly._columns(u.lattice, mode, np.zeros(len(mode), dtype=np.intp),
                               np.full(len(mode), w, dtype=np.intp), u.coeffs[mode])
 
     # -- bookkeeping --------------------------------------------------------

@@ -199,8 +199,8 @@ def test_criterion_05_antiderivative_and_mode_ode():
 def test_criterion_06_expansion_orders_and_rates(cube_run):
     trajv, exp = cube_run["trajv"], cube_run["exp"]
     ver = verify_expansion_system(exp)["max_residual"]
-    r1 = remainder_rate(exp, trajv, 1, window=(4.0, 9.0))
-    r2 = remainder_rate(exp, trajv, 2, window=(3.0, 6.5))
+    r1 = remainder_rate(exp, 1, window=(4.0, 9.0))
+    r2 = remainder_rate(exp, 2, window=(3.0, 6.5))
 
     # the fitted constant must not depend on where it is read off
     expA = expand(trajv, 1, xi_windows=((4.0, 5.5),))
@@ -229,7 +229,7 @@ def test_criterion_07_two_formulations_agree(cube_run):
             worst_norm = max(worst_norm, abs(nu - nv) / max(nv, 1e-300))
 
     window = (4.0, 9.0)
-    rv = remainder_rate(exp, trajv, 1, window=window)
+    rv = remainder_rate(exp, 1, window=window)
     mask = (trajv.times >= window[0]) & (trajv.times <= window[1])
     idx = np.flatnonzero(mask)
     norms_u = np.empty(idx.size)

@@ -294,6 +294,39 @@ def test_simulate_file_initial_wrong_shape(tmp_path, capsys, doc, error):
     assert err["kind"] == "config" and error in err["message"]
 
 
+@pytest.mark.parametrize("k, message", [([1.5, 0, 0], "not three integers"),
+                                        ([True, 0, 0], "not three integers"),
+                                        ([10**20, 0, 0], "outside the lattice")],
+                         ids=["fraction", "bool", "beyond-int64"])
+def test_wave_vectors_must_be_integers(tmp_path, capsys, k, message):
+    """A field file or a trajectory record whose wave vector is not three
+    integers exits 2 with a JSON error, on either path."""
+    field_path = tmp_path / "u0.json"
+    field_path.write_text(json.dumps(
+        field_to_doc(random_gevrey(build_lattice(cutoff=3), seed=4, amplitude=0.02))))
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, lattice={"cutoff": 3},
+                  initial={"kind": "file", "path": str(field_path)},
+                  solver={"dt": 0.01, "t_end": 0.05, "form": "v"})
+    traj_path = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(traj_path)]) == 0
+
+    doc = json.loads(field_path.read_text())
+    doc["modes"][0]["k"] = k
+    field_path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg_path), "--out", "-"]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config" and message in err["message"]
+
+    header, first, *rest = traj_path.read_text().splitlines()
+    rec = json.loads(first)
+    rec["field"]["modes"][0]["k"] = k
+    traj_path.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n")
+    assert main(["expand", "--traj", str(traj_path), "--order", "1"]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config" and message in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # expand
 

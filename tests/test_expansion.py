@@ -48,8 +48,8 @@ def test_symbolic_residuals(cube_run):
 
 def test_remainder_rate_ladder(cube_run):
     exp, trajv = cube_run["exp"], cube_run["trajv"]
-    r1 = remainder_rate(exp, trajv, 1, window=(4.0, 9.0))
-    r2 = remainder_rate(exp, trajv, 2, window=(3.0, 6.5))
+    r1 = remainder_rate(exp, 1, window=(4.0, 9.0))
+    r2 = remainder_rate(exp, 2, window=(3.0, 6.5))
     assert r1["expected"] == 2.0 and r2["expected"] == 3.0
     assert not r1["floor_flag"] and not r2["floor_flag"]
     assert 1.9 < r1["slope"] < 2.1
@@ -62,14 +62,14 @@ def test_remainder_rate_ladder(cube_run):
 
 
 def test_remainder_floor_flag(cube_run):
-    exp, trajv = cube_run["exp"], cube_run["trajv"]
-    deep = remainder_rate(exp, trajv, 2, window=(9.5, 12.0))
+    exp = cube_run["exp"]
+    deep = remainder_rate(exp, 2, window=(9.5, 12.0))
     assert deep["floor_flag"]
     assert deep["floor_estimate"] == pytest.approx(1e-12 * 0.1, rel=1e-6)
     with pytest.raises(ValueError):
-        remainder_rate(exp, trajv, 0)
+        remainder_rate(exp, 0)
     with pytest.raises(ValueError):
-        remainder_rate(exp, trajv, 3)
+        remainder_rate(exp, 3)
 
 
 def test_gevrey_tail_rate(cube_run):
@@ -133,11 +133,12 @@ def test_fifth_order_expansion(o4_run):
 
 
 def test_partial_sum_cached_at_sample_times(o4_run):
-    """At the trajectory's times the cached samples give the evaluated sum bit for bit."""
+    """The cached samples give the evaluated sum bit for bit."""
     exp, ts = o4_run["exp"], o4_run["trajv"].times
+    assert exp.traj is o4_run["trajv"]
     want = np.zeros((len(ts), exp.lattice.n_modes, 3), dtype=complex)
     for n in range(exp.n_orders + 1):
-        assert np.array_equal(exp.partial_sum_coeffs(ts, n), want)
+        assert np.array_equal(exp.partial_sum(n), want)
         if n < exp.n_orders:
             want += np.exp(-float(exp.mus[n]) * ts)[:, None, None] \
                 * exp.orders[n].evaluate_many(ts)
@@ -166,7 +167,7 @@ def test_fast_pair_forcing_matches_symbolic():
                 decay = np.exp(-float(total - mu) * ts)
                 want += decay[:, None, None] \
                     * ps.restrict_shell(mu).evaluate_many(ts)[:, shell]
-        got = _fast_pair_forcing(exp, ts, mu, shell)
+        got = _fast_pair_forcing(exp, mu, shell)
         whole = advect(lat, traj.coeffs, traj.coeffs, ts, exp.omega, mu)[:, shell]
         assert np.abs(want).max() > 1e-3 * np.abs(whole).max()
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -204,26 +205,27 @@ def test_expand_rejects_non_finite_or_decreasing_times(cube6, edit):
         expand(bad, 1)
 
 
-def test_expand_semigroup_cap(cube6):
-    lat1 = build_lattice(cutoff=1)
-    with pytest.raises(ValueError, match="semigroup"):
-        expand(_zero_traj(lat1), 65)
+def test_expand_sizes_its_semigroup():
+    """With the smallest eigenvalue 1, every order has its rate however far
+    past the cutoff it lies."""
+    exp = expand(_zero_traj(build_lattice(cutoff=1)), 65)
+    assert exp.mus == [Fraction(n) for n in range(1, 66)]
 
 
 def test_zero_trajectory_expands_to_zero(cube6):
     exp = expand(_zero_traj(cube6), 2)
     assert all(q.is_zero for q in exp.orders)
     assert all(d["xi_norm"] == 0.0 for d in exp.diagnostics)
-    assert not np.any(exp.partial_sum_coeffs(np.array([0.0, 0.5])))
+    assert not np.any(exp.partial_sum())
 
 
 def test_partial_sum_matches_orders(cube_run):
     exp = cube_run["exp"]
-    ts = np.array([0.0, 1.3, 4.7])
-    got = exp.partial_sum_coeffs(ts)
+    rows = [0, 1300, 4700]
+    got = exp.partial_sum()[rows]
     want = np.zeros_like(got)
     for mu, q in zip(exp.mus, exp.orders):
-        for j, t in enumerate(ts):
+        for j, t in enumerate(exp.traj.times[rows]):
             want[j] += math.exp(-float(mu) * t) * q.evaluate(float(t)).coeffs
     np.testing.assert_allclose(got, want, atol=1e-15)
 

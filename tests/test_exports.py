@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rotspec
@@ -50,7 +51,8 @@ DELETED = {
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
               "spoly_from_json", "_pair_table"],
     "cli": ["_require_whole_records"],
-    "expansion": ["FitPolicy", "_require_uniform"],
+    "expansion": ["FitPolicy", "_require_uniform", "_fit_chunks", "_FIT_BLOCK_BYTES",
+                  "_order_samples", "_partial_sum"],
 }
 
 
@@ -69,12 +71,15 @@ def test_deleted_names_stay_deleted(module):
 
 
 def test_trimmed_signatures_and_knobs():
-    from rotspec.expansion import expand
+    from rotspec.expansion import expand, remainder_rate
     from rotspec.lattice import SemigroupTable, build_lattice
     from rotspec.special import pde_residual
-    from rotspec.spoly import Frequency, ode_solve
+    from rotspec.spoly import Frequency, SPoly, ode_solve
 
     assert list(inspect.signature(expand).parameters) == ["traj", "n_orders", "xi_windows"]
+    assert list(inspect.signature(remainder_rate).parameters) == [
+        "exp", "order", "window", "alpha", "sigma"]
+    assert list(inspect.signature(SPoly.from_field).parameters) == ["u"]
     assert list(inspect.signature(ode_solve).parameters) == ["beta", "p"]
     assert not hasattr(Frequency, "scale")
     assert not hasattr(Frequency, "user")
@@ -83,6 +88,21 @@ def test_trimmed_signatures_and_knobs():
     params = inspect.signature(pde_residual).parameters
     assert "fd_h" not in params
     assert params["velocity_dt"].default is inspect.Parameter.empty
+
+
+def test_expansion_keeps_one_set_of_samples():
+    """An expansion reads its times off its trajectory and sums only its cached samples."""
+    from rotspec.expansion import expand
+    from rotspec.lattice import build_lattice
+    from rotspec.solver import Trajectory
+
+    lat = build_lattice(cutoff=1)
+    traj = Trajectory(lat, "v", 1.0, np.linspace(0.0, 1.0, 64),
+                      np.zeros((64, lat.n_modes, 3), dtype=complex))
+    exp = expand(traj, 1)
+    assert exp.traj is traj
+    assert not hasattr(exp, "partial_sum_coeffs")
+    assert not hasattr(exp, "times")
 
 
 def test_package_metadata_version_is_the_module_version():

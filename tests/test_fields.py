@@ -342,15 +342,21 @@ STACKS["zeros6"] = (LATTICES["cube6"], _signed_zero_samples)
 
 @pytest.mark.parametrize("name", sorted(STACKS))
 @pytest.mark.parametrize("omega", [0.0, 5.0])
-@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("n", [1, 3, 7, 40])
 def test_stacked_advect_matches_reference(name, omega, n):
-    """Stacks and shells give the per-sample kernel's bits on every computed row."""
+    """Stacks and shells give the per-sample kernel's bits on every computed row.
+    At n = 40 the cutoff-6 and cutoff-10 stacks are longer than one of
+    advect's chunks."""
     lat, samples = STACKS[name]
     X, ts = samples(lat, 10, n)
     Y, _ = samples(lat, 50, n)
     want = np.array([_advect_reference(lat, X[b], Y[b], float(ts[b]), omega)
                      for b in range(n)])
     _assert_bits_equal(advect(lat, X, Y, ts, omega), want)
+    # one time for the whole stack
+    _assert_bits_equal(advect(lat, X, Y, float(ts[0]), omega),
+                       [_advect_reference(lat, X[b], Y[b], float(ts[0]), omega)
+                        for b in range(n)])
     for b in range(n):
         _assert_bits_equal(advect(lat, X[b], Y[b], float(ts[b]), omega), want[b])
         _assert_bits_equal(advect(lat, X[b], X[b], float(ts[b]), omega),
@@ -454,6 +460,15 @@ def test_field_from_doc_checks():
         field_from_doc(doc(((1, 1, 0), z), ((9, 0, 0), z)), lat)
     with pytest.raises(KeyError):
         field_from_doc({"modes": [{"k": [1, 1, 0], "re": [0.0, 0.0, 0.0]}]}, lat)
+    assert not np.any(field_from_doc({"modes": []}, lat).coeffs)
+    # wave vectors are three integers; one beyond int64 is off the lattice
+    for k, match in [([1.5, 1, 0], "not three integers"), ([True, 1, 0], "not three integers"),
+                     ([1, 1], "not three integers"), ("110", "not three integers"),
+                     (5, "not three integers"), ([2**63, 0, 0], r"\(9223372036854775808, 0, 0\)")]:
+        bad = doc(((1, 1, 0), z))
+        bad["modes"].append({"k": k, "re": [0.0] * 3, "im": [0.0] * 3})
+        with pytest.raises(ValueError, match=match):
+            field_from_doc(bad, lat)
     # the JSON round trip is exact
     np.testing.assert_array_equal(_json_roundtrip(U3, LAT3).coeffs, U3.coeffs)
 
