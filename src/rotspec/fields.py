@@ -62,19 +62,15 @@ class SpectralField:
         n = len(modes)
         ks = np.array(list(modes), dtype=int).reshape(n, 3)
         z = np.array(list(modes.values()), dtype=complex).reshape(n, 3)
-        return cls._from_arrays(lattice, ks, z, mean)
+        return cls._from_arrays(lattice, _modes_of(lattice, ks), z, mean)
 
     @classmethod
-    def _from_arrays(cls, lattice: Lattice, ks: np.ndarray, z: np.ndarray,
+    def _from_arrays(cls, lattice: Lattice, idx: np.ndarray, z: np.ndarray,
                      mean: Optional[Sequence[float]]) -> "SpectralField":
-        """from_modes on an (N,3) integer array of wave vectors and their (N,3) coefficients.
+        """from_modes on N mode indices and their (N,3) coefficients.
 
-        A repeated wave vector takes its last coefficient.
+        A repeated mode takes its last coefficient.
         """
-        idx = lattice.index_of(ks)
-        if np.any(idx < 0):
-            k = tuple(int(c) for c in ks[np.argmax(idx < 0)])
-            raise ValueError(f"mode {k} is outside the lattice (cutoff {lattice.cutoff})")
         u = cls(lattice, mean=mean)
         u.coeffs[idx] = z
         seen = np.zeros(lattice.n_modes, dtype=bool)
@@ -113,6 +109,24 @@ class SpectralField:
     def norm(self, alpha: float = 0.0, sigma: float = 0.0) -> float:
         """|A^alpha exp(sigma*A^(1/2)) u|; the mean counts only at alpha = 0."""
         return float(_gevrey_norms(self.lattice, self.coeffs, alpha, sigma, self.mean))
+
+
+def _modes_of(lattice: Lattice, ks: np.ndarray) -> np.ndarray:
+    """Lattice.index_of for an (N,3) integer array whose wave vectors must all
+    be modes; ValueError names the first one that is not."""
+    idx = lattice.index_of(ks)
+    if np.any(idx < 0):
+        k = tuple(int(c) for c in ks[np.argmax(idx < 0)])
+        raise ValueError(f"mode {k} is outside the lattice (cutoff {lattice.cutoff})")
+    return idx
+
+
+def _along_k(lattice: Lattice, idx: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Per mode idx[n], whether its coefficient z = parts[0, n] + i*parts[1, n]
+    leaves the plane orthogonal to its wave vector: |Re z.ktil| + |Im z.ktil|
+    is above 1e-10 * max(1, max_c |z_c|)."""
+    off = np.abs(np.einsum("snc,nc->sn", parts, lattice.ktil[idx])).sum(axis=0)
+    return off > 1e-10 * np.maximum(1.0, np.hypot(*parts).max(axis=1))
 
 
 def _gevrey_norms(lattice: Lattice, coeffs: np.ndarray, alpha: float = 0.0,
@@ -354,35 +368,50 @@ def field_to_doc(u: SpectralField) -> dict:
     }
 
 
-def _wave_vectors(ks: list, lattice: Lattice) -> np.ndarray:
-    """(N,3) int64 array of a document's N wave vectors, each three integers.
+# What a document row holds: its element types, the dtype it is read as, the
+# noun for those types and what a value beyond that dtype is.
+_ROWS = {"wave vector": ({int}, np.int64, "integers", "outside the lattice"),
+         "coefficient": ({int, float}, np.float64, "numbers", "beyond the float range")}
 
-    A bool is not an integer here.  ValueError names the first vector that
-    is not three integers, or that lies beyond int64 and so off the lattice.
+
+def _rows(rows: list, what: str) -> np.ndarray:
+    """(N,3) array of a document's N rows, each three numbers.
+
+    A wave vector is three integers, read as int64; the real or imaginary
+    part of a coefficient is three numbers, read as float.  A bool is no
+    number here.  ValueError names the first row that is not three such
+    numbers, or that its dtype cannot hold.
     """
+    types, dtype, noun, beyond = _ROWS[what]
     try:  # the common case, checked at C speed
-        if set(map(len, ks)) <= {3} and set(map(type, chain.from_iterable(ks))) <= {int}:
-            return np.array(ks, dtype=np.int64).reshape(len(ks), 3)
+        if set(map(len, rows)) <= {3} and set(map(type, chain.from_iterable(rows))) <= types:
+            return np.array(rows, dtype=dtype).reshape(len(rows), 3)
     except (TypeError, OverflowError):
         pass
-    for k in ks:
-        if not (isinstance(k, (list, tuple)) and len(k) == 3
-                and all(type(c) is int for c in k)):
-            raise ValueError(f"wave vector {k!r} is not three integers")
-        if not all(-2**63 <= c < 2**63 for c in k):
-            raise ValueError(f"mode {tuple(k)} is outside the lattice (cutoff {lattice.cutoff})")
+    for r in rows:
+        if not (isinstance(r, (list, tuple)) and len(r) == 3 and set(map(type, r)) <= types):
+            raise ValueError(f"{what} {r!r} is not three {noun}")
+        try:
+            np.array(r, dtype=dtype)
+        except OverflowError:
+            raise ValueError(f"{what} {tuple(r)} is {beyond}") from None
 
 
 def field_from_doc(doc: dict, lattice: Lattice) -> SpectralField:
     """Inverse of field_to_doc on a given lattice; conjugates filled by pairing.
 
-    Checks the wave vectors as _wave_vectors does and the rest as
-    SpectralField.from_modes does; a missing key raises KeyError.
+    Rows are read as _rows reads them, and each coefficient must be
+    orthogonal to its wave vector; the rest is checked as
+    SpectralField.from_modes checks it.  A missing key raises KeyError.
     """
     modes = doc["modes"]
     n = len(modes)
-    ks = _wave_vectors([m["k"] for m in modes], lattice)
-    re = np.array([m["re"] for m in modes], dtype=float).reshape(n, 3)
-    im = np.array([m["im"] for m in modes], dtype=float).reshape(n, 3)
-    return SpectralField._from_arrays(lattice, ks, re + 1j * im, doc.get("mean"))
-
+    ks = _rows([m["k"] for m in modes], "wave vector")
+    parts = _rows([m["re"] for m in modes] + [m["im"] for m in modes], "coefficient")
+    parts = parts.reshape(2, n, 3)
+    idx = _modes_of(lattice, ks)
+    off = _along_k(lattice, idx, parts)
+    if off.any():
+        k = tuple(int(c) for c in ks[np.argmax(off)])
+        raise ValueError(f"the coefficient of mode {k} is not orthogonal to its wave vector")
+    return SpectralField._from_arrays(lattice, idx, parts[0] + 1j * parts[1], doc.get("mean"))

@@ -57,16 +57,6 @@ def squarefree_decompose(n: int) -> Tuple[int, int]:
     return a, s
 
 
-def _cross_matrix(u: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -u[2], u[1]],
-            [u[2], 0.0, -u[0]],
-            [-u[1], u[0], 0.0],
-        ]
-    )
-
-
 class Lattice:
     """Galerkin wave-vector set for a periodic box with rational anisotropy.
 
@@ -109,52 +99,50 @@ class Lattice:
         self.L = tuple(float(e) * TWO_PI for e in ell)
         self.volume = float(ell[0] * ell[1] * ell[2]) * TWO_PI**3
 
-        ks: List[Tuple[int, int, int]] = []
-        lams: List[Fraction] = []
-        bounds = [int(math.isqrt(int(cutoff / q))) if cutoff / q >= 1 else 0 for q in self.q]
-        for k1 in range(-bounds[0], bounds[0] + 1):
-            for k2 in range(-bounds[1], bounds[1] + 1):
-                for k3 in range(-bounds[2], bounds[2] + 1):
-                    if k1 == 0 and k2 == 0 and k3 == 0:
-                        continue
-                    lam = self.q[0] * k1 * k1 + self.q[1] * k2 * k2 + self.q[2] * k3 * k3
-                    if lam <= cutoff:
-                        ks.append((k1, k2, k3))
-                        lams.append(lam)
-        order = sorted(range(len(ks)), key=lambda i: (lams[i], ks[i]))
-        self.ks = np.array([ks[i] for i in order], dtype=int)
-        self.lam = [lams[i] for i in order]
+        bounds = [math.isqrt(int(cutoff / q)) for q in self.q]
+        # One integer code per k in the box |k_j| <= span = 2 max b_j (b_j e_j is a
+        # mode), which holds all pairwise sums: code(k_a + k_b) = code(k_a) + code(k_b) - code(0).
+        self._span = 2 * max(bounds)
+        self._base = 2 * self._span + 1
+        if self._base ** 3 > 2**24:  # 128 MiB of int64 codes; cube cutoffs up to 4095 pass
+            raise LatticeError(f"cutoff {cutoff} needs {self._base ** 3} wave-vector codes, "
+                               "more than the 2**24 allowed")
+
+        # lam(k) = num(k)/D exactly, D = lcm of the q_j's denominators (Python ints past int64)
+        D = math.lcm(*(q.denominator for q in self.q))
+        axes = [[int(q * D) * k * k for k in range(-b, b + 1)] for q, b in zip(self.q, bounds)]
+        top = sum(a[0] for a in axes)
+        n1, n2, n3 = (np.array(a, dtype=np.int64 if top < 2**63 else object) for a in axes)
+        num = n1[:, None, None] + n2[None, :, None] + n3[None, None, :]
+        inside = np.nonzero((num > 0) & (num <= min(top, cutoff.numerator * D // cutoff.denominator)))
+        # nonzero lists k lexicographically, and a stable sort keeps that order within a shell
+        order = np.argsort(num[inside], kind="stable")
+        self.ks = np.stack(inside, axis=1)[order] - bounds
+        shells, self.shell_of, counts = np.unique(num[inside][order], return_inverse=True,
+                                                  return_counts=True)
+        self.eigenvalues: List[Fraction] = [Fraction(int(n), D) for n in shells]
+        self.multiplicity = counts.tolist()
+        self._shell_pos = {l: i for i, l in enumerate(self.eigenvalues)}
+        self.lam = [self.eigenvalues[s] for s in self.shell_of.tolist()]
         self.n_modes = len(self.lam)
 
         sq = np.array([math.sqrt(float(q)) for q in self.q])
         self.kcheck = self.ks * sq[None, :]
-        self.lam_f = np.array([float(l) for l in self.lam])
+        self.lam_f = np.array([float(l) for l in self.eigenvalues])[self.shell_of]
         norms = np.sqrt(self.lam_f)
         self.ktil = self.kcheck / norms[:, None]
         self.kt3 = self.ktil[:, 2].copy()
-        eye = np.eye(3)
-        self.proj = eye[None, :, :] - self.ktil[:, :, None] * self.ktil[:, None, :]
-        self.jk = np.array([_cross_matrix(u) for u in self.ktil])
+        self.proj = np.eye(3)[None, :, :] - self.ktil[:, :, None] * self.ktil[:, None, :]
+        x, y, z = self.ktil.T
+        o = np.zeros_like(x)
+        self.jk = np.stack([o, -z, y, z, o, -x, -y, x, o], axis=1).reshape(-1, 3, 3)
 
-        self.mode_index: Dict[Tuple[int, int, int], int] = {
-            tuple(k): i for i, k in enumerate(self.ks)
-        }
-        # One integer code per wave vector of the box |k_j| <= span, which
-        # holds every pairwise sum of modes; codes add like the vectors, so
-        # code(k_a + k_b) = code(k_a) + code(k_b) - code(0).
-        self._span = 2 * int(np.abs(self.ks).max())
-        self._base = 2 * self._span + 1
         self._code = self._encode(self.ks)
         self._code0 = int(self._encode(np.zeros(3, dtype=int)))
         self._mode_of_code = np.full(self._base ** 3, -1, dtype=int)
         self._mode_of_code[self._code] = np.arange(self.n_modes)
         self.conj_idx = self.index_of(-self.ks)
-        self.rep_mask = np.array([self._is_rep(tuple(k)) for k in self.ks])
-
-        self.eigenvalues: List[Fraction] = sorted(set(self.lam))
-        self._shell_pos = {l: i for i, l in enumerate(self.eigenvalues)}
-        self.shell_of = np.array([self._shell_pos[l] for l in self.lam], dtype=int)
-        self.multiplicity = [self.lam.count(l) for l in self.eigenvalues]
+        self.rep_mask = self.ks[np.arange(self.n_modes), np.argmax(self.ks != 0, axis=1)] > 0
 
         # canonical radical form of k3til = kcheck3/|kcheck| = coef*sqrt(sqfree)
         self.freq_sqfree: List[int] = []
@@ -171,15 +159,6 @@ class Lattice:
             coef = Fraction(a, qd) * (1 if k3 > 0 else -1)
             self.freq_sqfree.append(s)
             self.freq_coef.append(coef)
-
-    @staticmethod
-    def _is_rep(k: Tuple[int, int, int]) -> bool:
-        for c in k:
-            if c > 0:
-                return True
-            if c < 0:
-                return False
-        return False
 
     def _encode(self, ks: np.ndarray) -> np.ndarray:
         k = ks + self._span
@@ -207,9 +186,6 @@ class Lattice:
     def shell_indices(self, lam: Fraction) -> np.ndarray:
         """Indices of all modes with the given exact eigenvalue."""
         return np.flatnonzero(self.shell_of == self.shell(lam))
-
-    def contains(self, k: Sequence[int]) -> bool:
-        return tuple(int(c) for c in k) in self.mode_index
 
     def __repr__(self):
         return (

@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattice import Lattice
-from .fields import (SpectralField, _J_VERT, _gevrey_norms, _rotate_coeffs,
-                     convolve_advect, eigen_restrict)
+from .fields import (SpectralField, _J_VERT, _along_k, _gevrey_norms, _modes_of,
+                     _rotate_coeffs, convolve_advect, eigen_restrict)
 from .spoly import SPoly, apply_expS_spoly
 from .solver import Trajectory
 from .expansion import fit_decay_rate
@@ -68,13 +68,10 @@ class VkData:
     def field(self, lattice: Lattice) -> SpectralField:
         modes = {}
         for m, z in self.coeffs.items():
-            km = tuple(m * c for c in self.k)
-            if not lattice.contains(km):
-                raise ValueError(f"harmonic {m} (mode {km}) exceeds the lattice cutoff")
-            i = lattice.mode_index[km]
-            if abs(float(np.dot(z, lattice.ktil[i]).real)) + abs(float(np.dot(z, lattice.ktil[i]).imag)) > 1e-10 * max(1.0, float(np.abs(z).max())):
+            i = _harmonic_index(lattice, self.k, m)
+            if _along_k(lattice, [i], np.stack([z.real, z.imag])[:, None])[0]:
                 raise ValueError(f"harmonic {m} is not orthogonal to the ray")
-            modes[km] = z
+            modes[tuple(m * c for c in self.k)] = z
         return SpectralField.from_modes(lattice, modes)
 
     @staticmethod
@@ -84,13 +81,21 @@ class VkData:
         rng = np.random.default_rng(seed)
         coeffs = {}
         for m in harmonics:
-            km = tuple(int(m) * int(c) for c in k)
-            i = lattice.mode_index[km]
+            i = _harmonic_index(lattice, k, m)
             z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             z = lattice.proj[i] @ z
             n = float(np.abs(z).max())
             coeffs[int(m)] = amplitude * z / (n if n else 1.0)
         return VkData(tuple(int(c) for c in k), coeffs)
+
+
+def _harmonic_index(lattice: Lattice, k: Sequence[int], m: int) -> int:
+    """Mode index of m*k; ValueError when it is not on the lattice."""
+    km = tuple(int(m) * int(c) for c in k)
+    i = int(lattice.index_of(km))
+    if i < 0:
+        raise ValueError(f"harmonic {m} (mode {km}) exceeds the lattice cutoff")
+    return i
 
 
 def linear_evolution(u0: SpectralField, t: float, omega: float) -> SpectralField:
@@ -140,7 +145,7 @@ def helicity_series(vk: VkData, lattice: Lattice, ts: np.ndarray) -> np.ndarray:
            (Re u_m x Im u_m) . ktil   -- independent of the rotation rate.
     """
     ts = np.asarray(ts, dtype=float)
-    i1 = lattice.mode_index[vk.k]
+    i1 = _harmonic_index(lattice, vk.k, 1)
     lam1 = lattice.lam_f[i1]
     kmag = math.sqrt(lam1)
     ktil = lattice.ktil[i1]
@@ -231,7 +236,7 @@ class DriftingSolution:
         self.lattice = lattice
         self.omega = flow.omega
         self.base = vk.field(lattice)  # zero-mean initial fluctuation
-        i1 = lattice.mode_index[vk.k]
+        i1 = _harmonic_index(lattice, vk.k, 1)
         self._ktil = lattice.ktil[i1]
         self._kt3 = float(lattice.kt3[i1])
 
@@ -265,12 +270,12 @@ class DriftingSolution:
         theta = self._kt3 * om * t
         bracket = math.cos(theta) * (_J_VERT @ self._ktil) + math.sin(theta) * _E3
         out: Dict[Tuple[int, int, int], complex] = {}
-        i1 = lat.mode_index[self.vk.k]
+        i1 = _harmonic_index(lat, self.vk.k, 1)
         kmag = math.sqrt(lat.lam_f[i1])
         V = self.flow.V(t)
         for m, z in self.vk.coeffs.items():
+            i = _harmonic_index(lat, self.vk.k, m)
             km = tuple(m * c for c in self.vk.k)
-            i = lat.mode_index[km]
             lam = lat.lam_f[i]
             phase = np.exp(-1j * float(np.dot(lat.kcheck[i], V)))
             val = -om * (1j / (m * kmag)) * math.exp(-lam * t) * phase * complex(np.dot(bracket, z))
@@ -334,8 +339,8 @@ def pde_residual(velocity: Callable[[float], SpectralField],
         res_c += _advection_coeffs(lat, u.coeffs, u.mean)   # (u.grad)u
         res_c += omega * np.einsum("ij,mj->mi", _J_VERT, u.coeffs)  # Om e3 x u
         p = pressure(t) if pressure is not None else {}
-        for k, ph in p.items():
-            i = lat.mode_index[tuple(int(c) for c in k)]
+        idx = _modes_of(lat, np.array(list(p), dtype=np.int64).reshape(-1, 3))
+        for i, ph in zip(idx, p.values()):
             res_c[i] += 1j * lat.kcheck[i] * ph             # grad p
         res_mean = ut.mean + omega * (_J_VERT @ u.mean)
         grid = eval_on_grid(lat, res_c, res_mean, grid_n)

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .lattice import Lattice
-from .fields import SpectralField
+from .fields import SpectralField, _modes_of
 
 __all__ = [
     "Frequency", "SPoly", "ode_solve", "antiderivative", "apply_expS_spoly",
@@ -217,9 +217,11 @@ class SPoly:
 
     def __init__(self, lattice: Lattice, terms: Optional[Dict[TermKey, np.ndarray]] = None):
         terms, table = terms or {}, _freq_table(lattice)
-        keys = np.array([(lattice.mode_index[k], m, table.intern(w)) for k, m, w in terms],
-                        dtype=np.intp).reshape(-1, 3).T.copy()
-        self._set(lattice, *keys, np.array(list(terms.values()), dtype=complex).reshape(-1, 3))
+        mode = _modes_of(lattice, np.array([k for k, _, _ in terms], dtype=np.int64).reshape(-1, 3))
+        deg = np.array([m for _, m, _ in terms], dtype=np.intp)
+        fid = np.array([table.intern(w) for _, _, w in terms], dtype=np.intp)
+        self._set(lattice, mode, deg, fid,
+                  np.array(list(terms.values()), dtype=complex).reshape(-1, 3))
 
     def _set(self, lattice, mode, deg, fid, coef) -> "SPoly":
         live = np.any(coef != 0, axis=1)

@@ -294,13 +294,9 @@ def test_simulate_file_initial_wrong_shape(tmp_path, capsys, doc, error):
     assert err["kind"] == "config" and error in err["message"]
 
 
-@pytest.mark.parametrize("k, message", [([1.5, 0, 0], "not three integers"),
-                                        ([True, 0, 0], "not three integers"),
-                                        ([10**20, 0, 0], "outside the lattice")],
-                         ids=["fraction", "bool", "beyond-int64"])
-def test_wave_vectors_must_be_integers(tmp_path, capsys, k, message):
-    """A field file or a trajectory record whose wave vector is not three
-    integers exits 2 with a JSON error, on either path."""
+def _refused_on_both_paths(tmp_path, capsys, edit, message):
+    """Apply edit to the first mode of a field file and of a trajectory
+    record; simulate and expand must each exit 2 with a JSON config error."""
     field_path = tmp_path / "u0.json"
     field_path.write_text(json.dumps(
         field_to_doc(random_gevrey(build_lattice(cutoff=3), seed=4, amplitude=0.02))))
@@ -312,7 +308,7 @@ def test_wave_vectors_must_be_integers(tmp_path, capsys, k, message):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(traj_path)]) == 0
 
     doc = json.loads(field_path.read_text())
-    doc["modes"][0]["k"] = k
+    edit(doc["modes"][0])
     field_path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(cfg_path), "--out", "-"]) == 2
     err = _stderr_error(capsys)
@@ -320,11 +316,39 @@ def test_wave_vectors_must_be_integers(tmp_path, capsys, k, message):
 
     header, first, *rest = traj_path.read_text().splitlines()
     rec = json.loads(first)
-    rec["field"]["modes"][0]["k"] = k
+    edit(rec["field"]["modes"][0])
     traj_path.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n")
     assert main(["expand", "--traj", str(traj_path), "--order", "1"]) == 2
     err = _stderr_error(capsys)
     assert err["kind"] == "config" and message in err["message"]
+
+
+@pytest.mark.parametrize("k, message", [([1.5, 0, 0], "not three integers"),
+                                        ([True, 0, 0], "not three integers"),
+                                        ([10**20, 0, 0], "outside the lattice")],
+                         ids=["fraction", "bool", "beyond-int64"])
+def test_wave_vectors_must_be_integers(tmp_path, capsys, k, message):
+    """A field file or a trajectory record whose wave vector is not three
+    integers exits 2 with a JSON error, on either path."""
+    _refused_on_both_paths(tmp_path, capsys, lambda mode: mode.update(k=k), message)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("re", ["0", 0.5, True], "not three numbers"),
+    ("im", [0.0, True, 0.0], "not three numbers"),
+    ("re", [0.0, 10**400, 0.0], "beyond the float range"),
+    ("im", [0.0, 0.5], "not three numbers"),
+], ids=["string", "bool", "beyond-float", "short"])
+def test_coefficients_must_be_numbers(tmp_path, capsys, key, value, message):
+    """A coefficient part that is not three numbers exits 2 on either path."""
+    _refused_on_both_paths(tmp_path, capsys, lambda mode: mode.update({key: value}), message)
+
+
+def test_coefficients_must_be_divergence_free(tmp_path, capsys):
+    """A coefficient along its wave vector (on the cube, kcheck = k) exits 2 on either path."""
+    def along_k(mode):
+        mode.update(re=[float(c) for c in mode["k"]], im=[0.0, 0.0, 0.0])
+    _refused_on_both_paths(tmp_path, capsys, along_k, "not orthogonal to its wave vector")
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ DELETED = {
     "fields": ["leray_project", "apply_A_power", "low_pass", "bilinear_B_omega",
                "field_to_json", "field_from_json", "gevrey_norm", "_code_table", "_encode",
                "_triads"],
-    "lattice": ["rationalize_period", "spectrum_to_json"],
+    "lattice": ["rationalize_period", "spectrum_to_json", "_cross_matrix"],
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
               "spoly_from_json", "_pair_table"],
     "cli": ["_require_whole_records"],
@@ -103,6 +103,15 @@ def test_expansion_keeps_one_set_of_samples():
     assert exp.traj is traj
     assert not hasattr(exp, "partial_sum_coeffs")
     assert not hasattr(exp, "times")
+
+
+def test_lattice_has_one_wave_vector_index():
+    """index_of (and pair_index on mode indices) is the only lookup of a wave vector."""
+    from rotspec.lattice import Lattice, build_lattice
+
+    assert not hasattr(Lattice, "contains")
+    assert not hasattr(Lattice, "_is_rep")
+    assert not hasattr(build_lattice(cutoff=2), "mode_index")
 
 
 def test_package_metadata_version_is_the_module_version():

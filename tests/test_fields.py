@@ -62,9 +62,9 @@ def test_inner_matches_norm():
 def test_from_modes_conjugate_fill():
     lat = LAT3
     z = np.array([1.0 + 2.0j, -0.5j, 0.0])
-    z = lat.proj[lat.mode_index[(1, 1, 0)]] @ z
+    z = lat.proj[lat.index_of((1, 1, 0))] @ z
     u = SpectralField.from_modes(lat, {(1, 1, 0): z})
-    i = lat.mode_index[(-1, -1, 0)]
+    i = lat.index_of((-1, -1, 0))
     np.testing.assert_allclose(u.coeffs[i], np.conj(z))
     assert u.reality_error() == 0.0
     with pytest.raises(ValueError):
@@ -232,10 +232,11 @@ def test_bilinear_matches_quadrature_anisotropic():
 
 def _triads_loop(lat):
     """Reference pair list: the O(M^2) double loop over mode pairs."""
+    pos = {tuple(k): i for i, k in enumerate(lat.ks.tolist())}
     im, ij, io = [], [], []
     for a in range(lat.n_modes):
         for b in range(lat.n_modes):
-            o = lat.mode_index.get(tuple(int(c) for c in lat.ks[a] + lat.ks[b]))
+            o = pos.get(tuple(int(c) for c in lat.ks[a] + lat.ks[b]))
             if o is not None:
                 im.append(a)
                 ij.append(b)
@@ -442,7 +443,7 @@ def test_field_json_roundtrip():
 
 def test_field_from_doc_checks():
     lat = LAT3
-    i, j = lat.mode_index[(1, 1, 0)], lat.mode_index[(-1, -1, 0)]
+    i, j = lat.index_of([(1, 1, 0), (-1, -1, 0)])
     z = lat.proj[i] @ np.array([1.0 + 2.0j, -0.5j, 0.0])
 
     def doc(*modes):
@@ -467,6 +468,18 @@ def test_field_from_doc_checks():
                      (5, "not three integers"), ([2**63, 0, 0], r"\(9223372036854775808, 0, 0\)")]:
         bad = doc(((1, 1, 0), z))
         bad["modes"].append({"k": k, "re": [0.0] * 3, "im": [0.0] * 3})
+        with pytest.raises(ValueError, match=match):
+            field_from_doc(bad, lat)
+    # coefficient parts are three numbers, and orthogonal to the wave vector
+    for re, match in [([0, 0, 1.5], None), ([1.5, 1.5, 0], None),
+                      (["0", 0.5, 0], "not three numbers"), ([False, 0.0, 0.0], "not three numbers"),
+                      ([1, -1, 0], "not orthogonal"), ([1e-11, 0.0, 0.0], None),
+                      ([2e5, 2e5 - 1e-5, 0.0], None), ([2e5, 2e5 - 1e-4, 0.0], "not orthogonal")]:
+        bad = doc(((1, 1, 0), z))
+        bad["modes"].append({"k": [1, -1, 0], "re": re, "im": [0, 0, 0]})
+        if match is None:  # within 1e-10 of the coefficient's size
+            field_from_doc(bad, lat)
+            continue
         with pytest.raises(ValueError, match=match):
             field_from_doc(bad, lat)
     # the JSON round trip is exact

@@ -1,11 +1,14 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from rotspec.cli import main
 from rotspec.lattice import (
+    Lattice,
     LatticeError,
     SemigroupTable,
     build_lattice,
@@ -52,7 +55,7 @@ def test_mode_ordering_and_arrays(cube6):
     assert lams == sorted(lams)
     for i in range(lat.n_modes):
         k = tuple(int(c) for c in lat.ks[i])
-        assert lat.mode_index[k] == i
+        assert lat.index_of(k) == i
         lam = sum(q * c * c for q, c in zip(lat.q, k))
         assert lat.lam[i] == lam
         assert abs(lat.lam_f[i] - float(lam)) < 1e-15 * float(lam)
@@ -71,13 +74,13 @@ def test_conjugate_pairing(cube6):
 def test_index_of(cube6):
     lat = cube6
     modes = np.arange(lat.n_modes)
+    pos = {tuple(k): i for i, k in enumerate(lat.ks.tolist())}
     np.testing.assert_array_equal(lat.index_of(lat.ks), modes)
-    np.testing.assert_array_equal(lat.index_of(-lat.ks),
-                                  [lat.mode_index[tuple(-k)] for k in lat.ks])
+    np.testing.assert_array_equal(lat.index_of(-lat.ks), [pos[tuple(-k)] for k in lat.ks])
     np.testing.assert_array_equal(lat.index_of(-lat.ks), lat.conj_idx)
     np.testing.assert_array_equal(lat.index_of(lat.ks.reshape(2, -1, 3)), modes.reshape(2, -1))
     # (2,2,2) and 0 lie inside the code box but are no modes; the others lie outside it
-    assert (2, 2, 2) not in lat.mode_index
+    assert (2, 2, 2) not in pos
     off = np.array([[2, 2, 2], [0, 0, 9], [0, 0, 0], [-2**63, 0, 0]])
     np.testing.assert_array_equal(lat.index_of(off), [-1, -1, -1, -1])
 
@@ -114,8 +117,92 @@ def test_anisotropic_box():
         k1, k2, k3 = (int(c) for c in lat.ks[i])
         assert lat.lam[i] == k1 * k1 + k2 * k2 + 4 * k3 * k3
     assert Fraction(4) in lat.eigenvalues
-    assert lat.contains((0, 0, 1))
-    assert not lat.contains((0, 0, 2))
+    assert lat.index_of((0, 0, 1)) >= 0
+    assert lat.index_of((0, 0, 2)) == -1
+
+
+def _reference_lattice(ell, cutoff):
+    """The lattice attributes from a Fraction triple loop over the box
+    |k_j| <= isqrt(cutoff/q_j), one mode at a time."""
+    ell = [Fraction(e) for e in ell]
+    q = [1 / (e * e) for e in ell]
+    cutoff = Fraction(cutoff)
+    bounds = [math.isqrt(int(cutoff / qj)) for qj in q]
+    found = []
+    for k1 in range(-bounds[0], bounds[0] + 1):
+        for k2 in range(-bounds[1], bounds[1] + 1):
+            for k3 in range(-bounds[2], bounds[2] + 1):
+                lam = q[0] * k1 * k1 + q[1] * k2 * k2 + q[2] * k3 * k3
+                if 0 < lam <= cutoff:
+                    found.append((lam, (k1, k2, k3)))
+    found.sort()
+    lam = [l for l, _ in found]
+    ks = [k for _, k in found]
+    eigenvalues = sorted(set(lam))
+    pos = {k: i for i, k in enumerate(ks)}
+    kcheck = np.array(ks, dtype=int) * np.array([math.sqrt(float(qj)) for qj in q])[None, :]
+    lam_f = np.array([float(l) for l in lam])
+    ktil = kcheck / np.sqrt(lam_f)[:, None]
+    freq_sqfree, freq_coef = [], []
+    for k, l in zip(ks, lam):
+        if k[2] == 0:
+            freq_sqfree.append(1)
+            freq_coef.append(Fraction(0))
+            continue
+        ratio = q[2] * k[2] * k[2] / l
+        a, sqfree = squarefree_decompose(ratio.numerator * ratio.denominator)
+        freq_sqfree.append(sqfree)
+        freq_coef.append(Fraction(a, ratio.denominator) * (1 if k[2] > 0 else -1))
+    return {
+        "ks": ks,
+        "lam": lam,
+        "eigenvalues": eigenvalues,
+        "multiplicity": [lam.count(l) for l in eigenvalues],
+        "shell_of": [eigenvalues.index(l) for l in lam],
+        "rep_mask": [next(c > 0 for c in k if c != 0) for k in ks],
+        "conj_idx": [pos[tuple(-c for c in k)] for k in ks],
+        "freq_sqfree": freq_sqfree,
+        "freq_coef": freq_coef,
+        "lam_f": lam_f,
+        "kcheck": kcheck,
+        "jk": np.array([[[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]
+                        for u in ktil]),
+    }
+
+
+_periods = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4))
+
+
+@given(st.lists(_periods, min_size=3, max_size=3).map(lambda e: [x / max(e) for x in e]),
+       st.builds(Fraction, st.integers(2, 24), st.integers(1, 2)))
+@example(["1", "3037000493/3037000500", "1/2"], 3)  # numerators beyond int64
+@settings(deadline=None, max_examples=60)
+def test_lattice_matches_reference_loop(ell, cutoff):
+    """Every attribute equals the one-mode-at-a-time construction: exactly for
+    the integers, Fractions and masks, bit for bit for the float arrays."""
+    lat = Lattice(ell, cutoff)
+    want = _reference_lattice(ell, cutoff)
+    assert lat.ks.tolist() == [list(k) for k in want["ks"]]
+    for name in ("lam", "eigenvalues", "multiplicity", "freq_sqfree", "freq_coef"):
+        assert getattr(lat, name) == want[name], name
+    for name in ("shell_of", "rep_mask", "conj_idx"):
+        assert getattr(lat, name).tolist() == want[name], name
+    for name in ("lam_f", "kcheck", "jk"):
+        got = getattr(lat, name)
+        assert got.shape == want[name].shape and got.tobytes() == want[name].tobytes(), name
+    np.testing.assert_array_equal(lat.index_of(lat.ks), np.arange(lat.n_modes))
+
+
+def test_code_table_size_is_bounded(capsys):
+    """A cutoff whose pairwise-sum code table would pass 2^24 entries is
+    refused before anything is allocated; cube cutoff 4095 is the largest."""
+    with pytest.raises(LatticeError, match="wave-vector codes"):
+        build_lattice(cutoff=10**6)
+    with pytest.raises(LatticeError, match="wave-vector codes"):
+        build_lattice(cutoff=4096)
+    assert main(["spectrum", "--cutoff", "1000000"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "wave-vector codes" in err["message"]
 
 
 def test_period_validation():

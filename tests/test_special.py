@@ -41,6 +41,8 @@ def test_vkdata_validation(cube6):
         vk.field(cube6)  # 3^2 = 9 > 6
     with pytest.raises(ValueError, match="orthogonal"):
         VkData((1, 0, 0), {1: np.array([1.0, 1.0, 0])}).field(cube6)
+    with pytest.raises(ValueError, match="harmonic 3"):
+        VkData.random((1, 0, 0), (1, 3), seed=1, lattice=cube6)
 
 
 def test_vkdata_random(cube6):
@@ -58,7 +60,7 @@ def test_ray_run_stays_on_ray(cube6):
     vk = VkData.random((1, 0, 0), (1, 2), seed=5, lattice=cube6, amplitude=0.3)
     u0 = vk.field(cube6)
     traj = integrate(u0, SolverConfig(dt=0.02, t_end=1.0, omega=4.0, form="u"))
-    ray = {cube6.mode_index[(m, 0, 0)] for m in (-2, -1, 1, 2)}
+    ray = set(cube6.index_of([(m, 0, 0) for m in (-2, -1, 1, 2)]).tolist())
     off = np.array([i for i in range(cube6.n_modes) if i not in ray])
     assert np.abs(traj.coeffs[:, off, :]).max() == 0.0
     for i, t in enumerate(traj.times):
@@ -129,7 +131,7 @@ def test_helicity_series_rotation_invariant(cube6):
 
 def test_helicity_aligned_phase_is_zero(cube6):
     # Re and Im of every coefficient parallel -> helicity identically zero
-    i = cube6.mode_index[(1, 1, 0)]
+    i = cube6.index_of((1, 1, 0))
     z = cube6.proj[i] @ np.array([1.0, -0.4, 0.7])
     vk = VkData((1, 1, 0), {1: (1.0 + 2.0j) * z})
     u = vk.field(cube6)
@@ -238,6 +240,9 @@ def test_momentum_residual_negative_controls(drifting):
     wrong_om = pde_residual(drifting.velocity, drifting.pressure, 2 * drifting.omega,
                             times=[0.3], grid_n=16, velocity_dt=drifting.velocity_dt)
     assert wrong_om["max_residual"] > 1e-2
+    with pytest.raises(ValueError, match=r"\(9, 0, 0\) is outside the lattice"):
+        pde_residual(drifting.velocity, lambda t: {(9, 0, 0): 1.0}, drifting.omega,
+                     times=[0.3], grid_n=16, velocity_dt=drifting.velocity_dt)
 
 
 # -- drifting expansion ------------------------------------------------------

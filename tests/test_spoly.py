@@ -24,6 +24,14 @@ from rotspec.spoly import (
 )
 
 LAT = build_lattice(cutoff=3)
+
+
+def _mode_dict(lat):
+    """{k: mode index} read off lat.ks, a reference independent of Lattice.index_of."""
+    return {tuple(k): i for i, k in enumerate(lat.ks.tolist())}
+
+
+LAT_MODES = _mode_dict(LAT)
 OMEGA = 3.0
 
 
@@ -160,7 +168,7 @@ def test_integrate_term_against_quadrature(m, alpha, omega):
                                      np.array([1.0, 0.0, 0.0])}))
 
     def F(t):
-        return math.exp(alpha * t) * complex(q.evaluate(t).coeffs[LAT.mode_index[k], 0])
+        return math.exp(alpha * t) * complex(q.evaluate(t).coeffs[LAT_MODES[k], 0])
 
     a, b = 0.3, 1.1
     for part, trig in [(lambda z: z.real, math.cos), (lambda z: z.imag, math.sin)]:
@@ -183,6 +191,13 @@ def test_spoly_canonicalization():
     h = f + f.scale(2.0)
     assert h.n_terms() == 1
     np.testing.assert_allclose(h.terms[(k, 0, Frequency.zero())], 3 * z)
+
+
+def test_spoly_refuses_off_lattice_modes():
+    z = np.array([0.0, 1.0, 0.0])
+    for k in [(2, 0, 0), (0, 0, 9), (-2**63, 0, 0)]:
+        with pytest.raises(ValueError, match="outside the lattice"):
+            SPoly(LAT, {((1, 0, 0), 0, Frequency.zero()): z, (k, 0, Frequency.zero()): z})
 
 
 def test_from_field_and_restrict():
@@ -209,7 +224,7 @@ def test_evaluate_many_matches_pointwise():
     ref = np.zeros_like(block)
     for (k, m, w), c in f.terms.items():
         series = ts**m * np.exp(1j * w.value * ts)
-        ref[:, LAT.mode_index[k], :] += series[:, None] * c[None, :]
+        ref[:, LAT_MODES[k], :] += series[:, None] * c[None, :]
     np.testing.assert_array_equal(block.view(np.uint64), ref.view(np.uint64))
 
 
@@ -335,7 +350,7 @@ def _bilinear_reference(f, g, omega):
     fr = apply_expS_spoly(f, -omega)
     gr = apply_expS_spoly(g, -omega)
     out = {}
-    idx = lat.mode_index
+    idx = _mode_dict(lat)
     for (k1, m1, w1), c1 in fr.terms.items():
         for (k2, m2, w2), c2 in gr.terms.items():
             ko = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
@@ -363,9 +378,10 @@ def _assert_identical(got, want):
 def _expS_reference(f, omega):
     """exp(Omega t S) f with the rotation and both shifted frequencies built per term."""
     lat = f.lattice
+    idx = _mode_dict(lat)
     out = {}
     for (k, m, w), c in f.terms.items():
-        i = lat.mode_index[k]
+        i = idx[k]
         if lat.freq_coef[i] == 0:
             out[(k, m, w)] = out.get((k, m, w), 0.0) + c
             continue
@@ -513,7 +529,7 @@ def _ref_time_shift(f, T):
 def _ref_evaluate(f, t):
     u = np.zeros((LAT.n_modes, 3), dtype=complex)
     for (k, m, w), c in f.items():
-        u[LAT.mode_index[k]] += (t**m) * np.exp(1j * w.value * t) * c
+        u[LAT_MODES[k]] += (t**m) * np.exp(1j * w.value * t) * c
     return u
 
 
@@ -524,7 +540,7 @@ def _ref_evaluate_many(f, ts):
         s = series.get((m, w))
         if s is None:
             s = series[(m, w)] = (ts**m * np.exp(1j * w.value * ts))[:, None]
-        out[:, LAT.mode_index[k], :] += s * c[None, :]
+        out[:, LAT_MODES[k], :] += s * c[None, :]
     return out
 
 
@@ -600,10 +616,10 @@ def test_columnar_linear_ops_match_dict_reference(operands):
     for a in (2.5, -1.0, 0.0, 0.3j, 1e-320):
         _assert_identical(f.scale(a), _ref_scale(rf, a))
     _assert_identical(f.apply_stokes(), _ref_canon(
-        {key: c * LAT.lam_f[LAT.mode_index[key[0]]] for key, c in rf.items()}))
+        {key: c * LAT.lam_f[LAT_MODES[key[0]]] for key, c in rf.items()}))
     for lam in (*LAT.eigenvalues, Fraction(1, 2)):
         _assert_identical(f.restrict_shell(lam), {
-            key: c for key, c in rf.items() if LAT.lam[LAT.mode_index[key[0]]] == lam})
+            key: c for key, c in rf.items() if LAT.lam[LAT_MODES[key[0]]] == lam})
 
 
 @given(_operands(_MODE_POOL[:2], _FREQ_POOL[:2] + _FREQ_POOL[6:]))
