@@ -371,7 +371,8 @@ def field_to_doc(u: SpectralField) -> dict:
 # What a document row holds: its element types, the dtype it is read as, the
 # noun for those types and what a value beyond that dtype is.
 _ROWS = {"wave vector": ({int}, np.int64, "integers", "outside the lattice"),
-         "coefficient": ({int, float}, np.float64, "numbers", "beyond the float range")}
+         "coefficient": ({int, float}, np.float64, "numbers", "beyond the float range"),
+         "mean": ({int, float}, np.float64, "numbers", "beyond the float range")}
 
 
 def _rows(rows: list, what: str) -> np.ndarray:
@@ -402,7 +403,9 @@ def field_from_doc(doc: dict, lattice: Lattice) -> SpectralField:
 
     Rows are read as _rows reads them, and each coefficient must be
     orthogonal to its wave vector; the rest is checked as
-    SpectralField.from_modes checks it.  A missing key raises KeyError.
+    SpectralField.from_modes checks it.  A mean, when present, is one more
+    such row of three numbers; an absent mean is zero.  A missing "modes"
+    raises KeyError.
     """
     modes = doc["modes"]
     n = len(modes)
@@ -414,4 +417,5 @@ def field_from_doc(doc: dict, lattice: Lattice) -> SpectralField:
     if off.any():
         k = tuple(int(c) for c in ks[np.argmax(off)])
         raise ValueError(f"the coefficient of mode {k} is not orthogonal to its wave vector")
-    return SpectralField._from_arrays(lattice, idx, parts[0] + 1j * parts[1], doc.get("mean"))
+    mean = _rows([doc["mean"]], "mean")[0] if "mean" in doc else None
+    return SpectralField._from_arrays(lattice, idx, parts[0] + 1j * parts[1], mean)

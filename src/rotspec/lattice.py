@@ -31,8 +31,18 @@ class LatticeError(ValueError):
     """Raised when lattice parameters are rejected (non-rational, wrong normalization)."""
 
 
+# trial division stops below this bound; see squarefree_decompose
+_TRIAL_BOUND = 1 << 16
+
+
 def squarefree_decompose(n: int) -> Tuple[int, int]:
     """Write a positive integer as a^2 * s with s squarefree.
+
+    Trial division runs over d < B = 2^16 only, so a number near 10^36
+    costs milliseconds.  The cofactor m left has no prime factor below B:
+    m < B^2 is 1 or a prime, a perfect square is a square, and otherwise
+    m < B^3 is the product of two distinct primes.  Any other m raises
+    LatticeError.
 
     Returns
     -------
@@ -43,7 +53,7 @@ def squarefree_decompose(n: int) -> Tuple[int, int]:
     a, s = 1, 1
     d = 2
     m = n
-    while d * d <= m:
+    while d < _TRIAL_BOUND and d * d <= m:
         e = 0
         while m % d == 0:
             m //= d
@@ -53,8 +63,13 @@ def squarefree_decompose(n: int) -> Tuple[int, int]:
             if e % 2:
                 s *= d
         d += 1
-    s *= m  # leftover prime
-    return a, s
+    r = math.isqrt(m)
+    if r * r == m:
+        return a * r, s
+    if m >= _TRIAL_BOUND ** 3:
+        raise LatticeError(f"{n} leaves a factor {m} >= {_TRIAL_BOUND}^3 with no prime "
+                           f"below {_TRIAL_BOUND}, whose square-free part is unknown")
+    return a, s * m  # 1, a prime, or two distinct primes
 
 
 class Lattice:
@@ -155,7 +170,11 @@ class Lattice:
                 continue
             ratio = (self.q[2] * k3 * k3) / self.lam[i]  # k3til^2, exact in (0,1]
             p, qd = ratio.numerator, ratio.denominator
-            a, s = squarefree_decompose(p * qd)
+            try:
+                a, s = squarefree_decompose(p * qd)
+            except LatticeError as err:
+                raise LatticeError(f"the periods {tuple(str(e) for e in ell)} cannot be put "
+                                   f"in radical form: {err}") from None
             coef = Fraction(a, qd) * (1 if k3 > 0 else -1)
             self.freq_sqfree.append(s)
             self.freq_coef.append(coef)

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .lattice import Lattice
-from .fields import SpectralField, _modes_of
+from .fields import SpectralField, _modes_of, _rows
 
 __all__ = [
     "Frequency", "SPoly", "ode_solve", "antiderivative", "apply_expS_spoly",
@@ -519,28 +519,53 @@ def _freq_from_doc(doc: dict) -> Frequency:
 
 
 def spoly_to_doc(f: SPoly) -> dict:
-    """JSON-ready document of f: lattice periods and cutoff, terms sorted by key
-    (k, then m, then the frequency's exact order)."""
+    """JSON-ready document of f: lattice periods and cutoff, the frequencies
+    in use once each in their exact order ("freqs"), and one column per term
+    field, "k", "m", "w" (the row of the term's frequency in "freqs"), "re"
+    and "im", with terms sorted by key (k, then m, then the frequency)."""
     freqs = _freq_table(f.lattice).freqs
-    used = np.unique(f.fid).tolist()
+    used = sorted(np.unique(f.fid).tolist(), key=freqs.__getitem__)
     rank = np.zeros(len(freqs), dtype=np.intp)
-    rank[sorted(used, key=lambda w: freqs[w])] = np.arange(len(used))
+    rank[used] = np.arange(len(used))
     ks = f.lattice.ks[f.mode]
-    order = np.lexsort((rank[f.fid], f.deg, ks[:, 2], ks[:, 1], ks[:, 0])).tolist()
-    docs = {w: _freq_doc(freqs[w]) for w in used}
-    ks, deg, fid = ks.tolist(), f.deg.tolist(), f.fid.tolist()
-    re, im = f.coef.real.tolist(), f.coef.imag.tolist()
-    terms = [{"k": ks[r], "m": deg[r], "omega": docs[fid[r]], "re": re[r], "im": im[r]}
-             for r in order]
+    order = np.lexsort((rank[f.fid], f.deg, ks[:, 2], ks[:, 1], ks[:, 0]))
+    c = f.coef[order]
     return {"L": [float(x) for x in f.lattice.L], "cutoff": str(f.lattice.cutoff),
-            "terms": terms}
+            "freqs": [_freq_doc(freqs[w]) for w in used],
+            "k": ks[order].tolist(), "m": f.deg[order].tolist(),
+            "w": rank[f.fid[order]].tolist(), "re": c.real.tolist(), "im": c.imag.tolist()}
+
+
+def _index_column(col: list, n: int, what: str) -> np.ndarray:
+    """A document column of integers 0 <= x < n (no bools) as an index array."""
+    if not all(type(x) is int and 0 <= x < n for x in col):
+        bad = next(x for x in col if not (type(x) is int and 0 <= x < n))
+        raise ValueError(f"term {what} {bad!r} is not an integer in [0, {n})")
+    return np.array(col, dtype=np.intp)
 
 
 def spoly_from_doc(doc: dict, lattice: Lattice) -> SPoly:
-    """Inverse of spoly_to_doc on a given lattice."""
-    terms: Dict[TermKey, np.ndarray] = {}
-    for td in doc["terms"]:
-        key = (tuple(int(x) for x in td["k"]), int(td["m"]), _freq_from_doc(td["omega"]))
-        c = np.array(td["re"], dtype=float) + 1j * np.array(td["im"], dtype=float)
-        terms[key] = terms.get(key, 0.0) + c
-    return SPoly(lattice, terms)
+    """Inverse of spoly_to_doc on a given lattice, bit for bit.
+
+    A malformed document raises ValueError: a missing column, columns of
+    unequal lengths, a wave vector or coefficient that fields._rows refuses,
+    a degree m that is not an integer in [0, 2^12), a w that is not a row of
+    "freqs", an unknown frequency generator, or a term key given twice.
+    """
+    table = _freq_table(lattice)
+    try:
+        ids = np.array([table.intern(_freq_from_doc(d)) for d in doc["freqs"]], dtype=np.intp)
+        cols = [doc[key] for key in ("k", "m", "w", "re", "im")]
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed S-polynomial document ({type(e).__name__}: {e})") from None
+    if not all(isinstance(col, list) for col in cols) or len(set(map(len, cols))) > 1:
+        raise ValueError("the term columns k, m, w, re and im are not lists of one length")
+    k, m, w, re, im = cols
+    mode = _modes_of(lattice, _rows(k, "wave vector"))
+    deg = _index_column(m, 1 << 12, "degree m")
+    fid = ids[_index_column(w, len(ids), "frequency row w")]
+    if len(np.unique(_codes(mode, deg, fid))) < len(mode):
+        raise ValueError("a term key (k, m, frequency) appears twice")
+    coef = np.empty((len(mode), 3), dtype=complex)
+    coef.real, coef.imag = _rows(re, "coefficient"), _rows(im, "coefficient")
+    return SPoly._columns(lattice, mode, deg, fid, coef)

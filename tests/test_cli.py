@@ -20,6 +20,7 @@ from rotspec.expansion import expand, time_average_Q, to_u_expansion
 from rotspec.fields import field_to_doc, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import SolverConfig, integrate, transform_trajectory
+from rotspec.spoly import spoly_from_doc
 from rotspec.special import VkData, helicity
 
 
@@ -294,9 +295,10 @@ def test_simulate_file_initial_wrong_shape(tmp_path, capsys, doc, error):
     assert err["kind"] == "config" and error in err["message"]
 
 
-def _refused_on_both_paths(tmp_path, capsys, edit, message):
-    """Apply edit to the first mode of a field file and of a trajectory
-    record; simulate and expand must each exit 2 with a JSON config error."""
+def _refused_on_both_paths(tmp_path, capsys, edit, message, part=lambda doc: doc["modes"][0]):
+    """Apply edit to part of a field file and of a trajectory record (by
+    default their first mode); simulate and expand must each exit 2 with a
+    JSON config error."""
     field_path = tmp_path / "u0.json"
     field_path.write_text(json.dumps(
         field_to_doc(random_gevrey(build_lattice(cutoff=3), seed=4, amplitude=0.02))))
@@ -308,7 +310,7 @@ def _refused_on_both_paths(tmp_path, capsys, edit, message):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(traj_path)]) == 0
 
     doc = json.loads(field_path.read_text())
-    edit(doc["modes"][0])
+    edit(part(doc))
     field_path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(cfg_path), "--out", "-"]) == 2
     err = _stderr_error(capsys)
@@ -316,7 +318,7 @@ def _refused_on_both_paths(tmp_path, capsys, edit, message):
 
     header, first, *rest = traj_path.read_text().splitlines()
     rec = json.loads(first)
-    edit(rec["field"]["modes"][0])
+    edit(part(rec["field"]))
     traj_path.write_text("\n".join([header, json.dumps(rec), *rest]) + "\n")
     assert main(["expand", "--traj", str(traj_path), "--order", "1"]) == 2
     err = _stderr_error(capsys)
@@ -344,6 +346,18 @@ def test_coefficients_must_be_numbers(tmp_path, capsys, key, value, message):
     _refused_on_both_paths(tmp_path, capsys, lambda mode: mode.update({key: value}), message)
 
 
+@pytest.mark.parametrize("mean, message", [
+    (["0", True, 0.5], "not three numbers"),
+    ([1, 2], "not three numbers"),
+    (None, "not three numbers"),
+    ([0.0, 10**400, 0.0], "beyond the float range"),
+], ids=["string-bool", "two", "null", "beyond-float"])
+def test_mean_must_be_three_numbers(tmp_path, capsys, mean, message):
+    """A field document's mean, when present, is three numbers on either path."""
+    _refused_on_both_paths(tmp_path, capsys, lambda doc: doc.update(mean=mean), message,
+                           part=lambda doc: doc)
+
+
 def test_coefficients_must_be_divergence_free(tmp_path, capsys):
     """A coefficient along its wave vector (on the cube, kcheck = k) exits 2 on either path."""
     def along_k(mode):
@@ -361,7 +375,10 @@ def test_expand_report_contents(pipeline):
     assert doc["omega"] == 2.0
     assert doc["norm"] == [0.0, 0.0]
     assert doc["mus"] == ["1"]
-    assert len(doc["orders"]) == 1 and "terms" in doc["orders"][0]
+    assert len(doc["orders"]) == 1
+    order = doc["orders"][0]
+    assert sorted(order) == ["L", "cutoff", "freqs", "im", "k", "m", "re", "w"]
+    assert len({len(order[key]) for key in ("k", "m", "w", "re", "im")}) == 1
 
     rate = doc["rates"][0]
     assert rate["order"] == 1
@@ -378,6 +395,33 @@ def test_expand_report_contents(pipeline):
     assert len(series["t"]) == 3001
     assert len(series["remainder"]) == 2
     assert all(len(col) == 3001 for col in series["remainder"])
+
+
+def test_expand_orders_round_trip_through_json(pipeline, tmp_path, monkeypatch):
+    """Each order of the written expansion decodes bit for bit to the
+    expansion's own order, its terms in the document's key order, and keeps
+    each frequency once in its order's table."""
+    kept = []
+
+    def keep(*args, **kwargs):
+        kept.append(expand(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr("rotspec.cli.expand", keep)
+    out = tmp_path / "expand3.json"
+    assert main(["expand", "--traj", str(pipeline["traj"]), "--order", "3",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    orders, (exp,) = json.loads(text)["orders"], kept
+    assert len(orders) == len(exp.orders) == 3
+    assert text.count('"combo"') == sum(len(doc["freqs"]) for doc in orders)
+    for doc, q in zip(orders, exp.orders):
+        assert "terms" not in doc and len(doc["freqs"]) == len(set(doc["w"]))
+        back = spoly_from_doc(doc, q.lattice)
+        want = sorted(q.terms.items(), key=lambda kv: kv[0])
+        assert list(back.terms) == [key for key, _ in want]
+        for c, (_, w) in zip(back.terms.values(), want):
+            assert np.array_equal(c.view(np.uint64), w.view(np.uint64))
 
 
 def test_expand_norm_argument(pipeline, capsys):

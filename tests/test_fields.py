@@ -486,6 +486,19 @@ def test_field_from_doc_checks():
     np.testing.assert_array_equal(_json_roundtrip(U3, LAT3).coeffs, U3.coeffs)
 
 
+def test_field_doc_mean_is_three_numbers():
+    z = LAT3.proj[0] @ np.array([1.0 + 2.0j, -0.5j, 0.0])
+    doc = {"modes": [{"k": LAT3.ks[0].tolist(), "re": z.real.tolist(), "im": z.imag.tolist()}]}
+    np.testing.assert_array_equal(field_from_doc(doc, LAT3).mean, np.zeros(3))  # absent
+    u = field_from_doc({**doc, "mean": [1, -2, 0.5]}, LAT3)
+    assert u.mean.dtype == np.float64 and u.mean.tolist() == [1.0, -2.0, 0.5]
+    for mean, match in [(["0", True, 0.5], "not three numbers"), ([1, 2], "not three numbers"),
+                        ([0.0, False, 1.0], "not three numbers"), (None, "not three numbers"),
+                        ([1.0, 10**400, 0.0], "beyond the float range")]:
+        with pytest.raises(ValueError, match=match):
+            field_from_doc({**doc, "mean": mean}, LAT3)
+
+
 def test_field_json_anisotropic():
     lat = build_lattice(ell=(1, 1, "1/2"), cutoff=5)
     u = random_gevrey(lat, seed=9)

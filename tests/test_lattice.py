@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,29 @@ def test_lattice_matches_reference_loop(ell, cutoff):
         got = getattr(lat, name)
         assert got.shape == want[name].shape and got.tobytes() == want[name].tobytes(), name
     np.testing.assert_array_equal(lat.index_of(lat.ks), np.arange(lat.n_modes))
+
+
+def test_squarefree_decompose_past_the_trial_bound():
+    """Cofactors with no prime below 2^16: a prime, a square, two primes, or refused."""
+    p, q, r = 65537, 65539, 1000003  # primes above the bound
+    assert squarefree_decompose(12 * p) == (2, 3 * p)
+    assert squarefree_decompose(18 * p * p) == (3 * p, 2)
+    assert squarefree_decompose(5 * p * q) == (1, 5 * p * q)
+    assert squarefree_decompose(4 * (p * q) ** 2) == (2 * p * q, 1)
+    with pytest.raises(LatticeError, match="square-free part"):
+        squarefree_decompose(p * q * r)
+
+
+def test_large_period_denominators_are_refused_quickly(capsys):
+    """Periods whose radical form needs factoring numbers near 10^36 end within
+    2 s: the lattice is built or refused with LatticeError, and spectrum exits 2."""
+    start = time.perf_counter()
+    with pytest.raises(LatticeError, match="radical form"):
+        build_lattice(cutoff=6, ell=(1, "999999999/1000000000", 1))
+    assert time.perf_counter() - start < 2.0
+    assert main(["spectrum", "--L", "1,999999999/1000000000,1", "--cutoff", "6"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "radical form" in err["message"]
 
 
 def test_code_table_size_is_bounded(capsys):

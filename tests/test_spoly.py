@@ -461,14 +461,71 @@ def test_spoly_json_roundtrip():
     back = spoly_from_doc(json.loads(json.dumps(spoly_to_doc(g))), LAT)
     assert set(back.terms) == set(g.terms)
     for key, c in g.terms.items():
-        np.testing.assert_allclose(back.terms[key], c, atol=1e-16)
+        assert np.array_equal(back.terms[key].view(np.uint64), c.view(np.uint64))
+
+
+def test_spoly_json_roundtrip_keeps_signed_zeros():
+    c = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 1.0)])
+    f = SPoly(LAT, {((1, 0, 0), 2, _root7(0.5)): c})
+    back = spoly_from_doc(json.loads(json.dumps(spoly_to_doc(f))), LAT)
+    _assert_identical(back, f)
 
 
 def test_spoly_doc_refuses_unknown_generator():
     doc = spoly_to_doc(SPoly(LAT, {((1, 0, 0), 0, _root7(0.5)): np.array([0.0, 1.0, 0.0])}))
-    doc["terms"][0]["omega"]["combo"][0] = {"kind": "user", "num": 1, "den": 2,
-                                            "coef": "1", "unit": 0.5}
+    doc["freqs"][0]["combo"][0] = {"kind": "user", "num": 1, "den": 2,
+                                   "coef": "1", "unit": 0.5}
     with pytest.raises(ValueError, match="user"):
+        spoly_from_doc(doc, LAT)
+
+
+def test_spoly_doc_lists_each_frequency_once():
+    """Terms point into one frequency table: no term embeds a frequency."""
+    f = _random_spoly(LAT, seed=3, degrees=(0, 1, 2))
+    doc = spoly_to_doc(f)
+    assert "terms" not in doc
+    assert sorted(doc) == ["L", "cutoff", "freqs", "im", "k", "m", "re", "w"]
+    text = json.dumps(doc)
+    assert text.count('"combo"') == len(doc["freqs"]) == len(set(doc["w"]))
+    assert len(doc["freqs"]) < f.n_terms()
+    assert [len(doc[key]) for key in ("k", "m", "w", "re", "im")] == [f.n_terms()] * 5
+
+
+def _doc_edit(key, value):
+    def edit(doc):
+        doc[key] = value(doc[key]) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_doc_edit("m", lambda m: m[:-1]), "one length"),
+    (_doc_edit("re", lambda re: re + [[0.0, 0.0, 0.0]]), "one length"),
+    (_doc_edit("k", None), "one length"),
+    (lambda doc: doc.pop("im"), "KeyError"),
+    (lambda doc: doc.pop("freqs"), "KeyError"),
+    (_doc_edit("w", lambda w: [len(w) + 5] + w[1:]), "frequency row w"),
+    (_doc_edit("w", lambda w: [-1] + w[1:]), "frequency row w"),
+    (_doc_edit("w", lambda w: [1.0] + w[1:]), "frequency row w"),
+    (_doc_edit("w", lambda w: [True] + w[1:]), "frequency row w"),
+    (_doc_edit("w", lambda w: [10**30] + w[1:]), "frequency row w"),
+    (_doc_edit("m", lambda m: [True] + m[1:]), "degree m"),
+    (_doc_edit("m", lambda m: [-1] + m[1:]), "degree m"),
+    (_doc_edit("m", lambda m: [1 << 12] + m[1:]), "degree m"),
+    (_doc_edit("k", lambda k: [[9, 0, 0]] + k[1:]), "outside the lattice"),
+    (_doc_edit("k", lambda k: [[1, 0]] + k[1:]), "not three integers"),
+    (_doc_edit("im", lambda im: [["0", 0.0, 0.0]] + im[1:]), "not three numbers"),
+    (_doc_edit("freqs", lambda fs: [{"value": 0.0}] + fs[1:]), "KeyError"),
+    (_doc_edit("freqs", lambda fs: fs[:1] + fs[:1] + fs[2:]), "twice"),
+    (_doc_edit("w", lambda w: w[:1] * len(w)), "twice"),
+], ids=["short-m", "long-re", "null-k", "no-im", "no-freqs", "w-past-end", "w-negative",
+        "w-float", "w-bool", "w-huge", "m-bool", "m-negative", "m-huge", "k-off-lattice",
+        "k-short", "im-string", "freq-no-combo", "freq-repeated", "key-repeated"])
+def test_spoly_doc_refuses_malformed_columns(edit, message):
+    """A malformed order document raises ValueError, never IndexError or KeyError."""
+    doc = json.loads(json.dumps(spoly_to_doc(_random_spoly(LAT, seed=5, degrees=(0, 1)))))
+    assert len(doc["freqs"]) > 2 and len(doc["w"]) > 2
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
         spoly_from_doc(doc, LAT)
 
 
@@ -567,10 +624,14 @@ def _ref_ode_solve(beta, f):
 
 
 def _ref_doc(f):
-    terms = [{"k": list(k), "m": m, "omega": _freq_doc(w),
-              "re": [float(x) for x in c.real], "im": [float(x) for x in c.imag]}
-             for (k, m, w), c in sorted(f.items(), key=lambda kv: kv[0])]
-    return {"L": [float(x) for x in LAT.L], "cutoff": str(LAT.cutoff), "terms": terms}
+    items = sorted(f.items(), key=lambda kv: kv[0])
+    freqs = sorted({w for (_, _, w) in f})
+    return {"L": [float(x) for x in LAT.L], "cutoff": str(LAT.cutoff),
+            "freqs": [_freq_doc(w) for w in freqs],
+            "k": [list(k) for (k, _, _), _ in items], "m": [m for (_, m, _), _ in items],
+            "w": [freqs.index(w) for (_, _, w), _ in items],
+            "re": [[float(x) for x in c.real] for _, c in items],
+            "im": [[float(x) for x in c.imag] for _, c in items]}
 
 
 _W1 = Frequency.rotation(2, Fraction(1, 2), OMEGA)
