@@ -181,7 +181,9 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
     satisfies z' = g with g the projected, rescaled bilinear residual below;
     hence xi = z(t) + int_t^inf g.  The tail beyond the last sample is the
     same constant for every t, so it drops out of window comparisons and
-    biases the value only by the (tiny) truncated integral.
+    biases the value only by the (tiny) truncated integral.  The trajectory
+    and the cached samples are exact conjugate pairs, and so is xi;
+    SPoly.from_field keeps its representative half.
     """
     lat = exp.lattice
     ts = exp.traj.times
@@ -229,8 +231,6 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
 
     full = np.zeros((lat.n_modes, 3), dtype=complex)
     full[shell] = xi_bar
-    # exact reality pairing: average with the mirrored conjugate
-    full = 0.5 * (full + np.conj(full[lat.conj_idx]))
     diag = {
         "xi_norm": float(np.linalg.norm(full)),
         "xi_window_spread": spread,

@@ -270,8 +270,17 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) ->
     S.data = dots.ravel()
     out = 1j * (S @ V.reshape(n * M, 3)).reshape(V.shape)
     S.data = None
+    return _mirror(lattice, out)
+
+
+def _mirror(lattice: Lattice, out: np.ndarray) -> np.ndarray:
+    """Write the conjugate half of a real-paired (..., M, 3) array from its
+    representative half, out[..., conj_idx[rep], :] = conj(out[..., rep, :]),
+    in place; returns out.  The one writer of a conjugate half from a
+    representative half."""
     rep = lattice.rep_mask
-    out[..., lattice.conj_idx[rep], :] = np.conj(out[..., rep, :])
+    half = out[..., rep, :]
+    out[..., lattice.conj_idx[rep], :] = np.conjugate(half, out=half)
     return out
 
 
@@ -346,7 +355,7 @@ def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,
         z = lattice.proj[i] @ z
         z *= math.exp(-sigma * math.sqrt(lattice.lam_f[i]))
         u.coeffs[i] = z
-        u.coeffs[lattice.conj_idx[i]] = np.conj(z)
+    _mirror(lattice, u.coeffs)
     n = u.norm()
     if n > 0:
         u.coeffs *= amplitude / n

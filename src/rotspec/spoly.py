@@ -1,10 +1,12 @@
 """Oscillating-polynomial algebra over spectral fields.
 
-Terms are complex exponentials t^m exp(i w t) c attached to a lattice mode;
-real trigonometric sums arise through the conjugate pairing
-(-k, m, -w, conj(c)).  Frequencies are formal: exact rational combinations
-over square roots of squarefree integers (the rotation lattice contributes
-Omega * k3til, and sqrt(k3^2/|k|^2) rationalizes to (a/q) sqrt(s)).
+Terms are complex exponentials t^m exp(i w t) c attached to a lattice mode.
+Every polynomial is real: a term (k, m, w, c) stands with its conjugate
+partner (-k, m, -w, conj(c)), and only the partner on the representative
+mode (Lattice.rep_mask) is stored, so reality holds by construction.
+Frequencies are formal: exact rational combinations over square roots of
+squarefree integers (the rotation lattice contributes Omega * k3til, and
+sqrt(k3^2/|k|^2) rationalizes to (a/q) sqrt(s)).
 Distinct formal keys are never merged on numeric proximity: they stay
 distinct terms however close their values.
 """
@@ -19,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .lattice import Lattice
-from .fields import SpectralField, _modes_of, _rows
+from .fields import SpectralField, _mirror, _modes_of, _rows
 
 __all__ = [
     "Frequency", "SPoly", "ode_solve", "antiderivative", "apply_expS_spoly",
@@ -205,12 +207,14 @@ def _find(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 class SPoly:
-    """Finite sum of terms t^m exp(i w t) c_k attached to lattice modes.
+    """Real finite sum of terms t^m exp(i w t) c_k attached to lattice modes.
 
     Columns: mode index, degree and interned frequency id per term, and the
-    (T, 3) coefficients.  Keys are distinct, in order of first appearance;
-    exactly-zero rows are dropped.  Reality is a property of the data
-    (checkable via `reality_error`).  Instances are not mutated.
+    (T, 3) coefficients.  Every row lies on a representative mode; its
+    conjugate partner (-k, m, -w, conj c) is implied, and evaluation fills
+    it in.  The dict constructor reads keys as _representative does.  Keys
+    are distinct, in order of first appearance; exactly-zero rows are
+    dropped.  Instances are not mutated.
     """
 
     __slots__ = ("lattice", "mode", "deg", "fid", "coef", "_terms")
@@ -220,8 +224,8 @@ class SPoly:
         mode = _modes_of(lattice, np.array([k for k, _, _ in terms], dtype=np.int64).reshape(-1, 3))
         deg = np.array([m for _, m, _ in terms], dtype=np.intp)
         fid = np.array([table.intern(w) for _, _, w in terms], dtype=np.intp)
-        self._set(lattice, mode, deg, fid,
-                  np.array(list(terms.values()), dtype=complex).reshape(-1, 3))
+        coef = np.array(list(terms.values()), dtype=complex).reshape(-1, 3)
+        self._set(lattice, *_representative(lattice, mode, deg, fid, coef))
 
     def _set(self, lattice, mode, deg, fid, coef) -> "SPoly":
         live = np.any(coef != 0, axis=1)
@@ -246,9 +250,9 @@ class SPoly:
 
     @staticmethod
     def from_field(u: SpectralField) -> "SPoly":
-        """The constant-in-time polynomial u."""
+        """The constant-in-time polynomial u: its non-zero representative rows."""
         w = _freq_table(u.lattice).intern(Frequency.zero())
-        mode = np.flatnonzero(np.any(u.coeffs != 0, axis=1))
+        mode = np.flatnonzero(u.lattice.rep_mask & np.any(u.coeffs != 0, axis=1))
         return SPoly._columns(u.lattice, mode, np.zeros(len(mode), dtype=np.intp),
                               np.full(len(mode), w, dtype=np.intp), u.coeffs[mode])
 
@@ -279,14 +283,6 @@ class SPoly:
     def support_lams(self) -> List[Fraction]:
         shells = np.unique(self.lattice.shell_of[self.mode]).tolist()
         return [self.lattice.eigenvalues[s] for s in shells]
-
-    def reality_error(self) -> float:
-        table = _freq_table(self.lattice)
-        neg = np.array([table.neg(w) for w in self.fid.tolist()], dtype=np.intp)
-        rows = _find(_codes(self.mode, self.deg, self.fid),
-                     _codes(self.lattice.conj_idx[self.mode], self.deg, neg))
-        err = np.where((rows >= 0)[:, None], self.coef[rows] - np.conj(self.coef), self.coef)
-        return float(np.abs(err).max(initial=0.0))
 
     # -- linear structure ---------------------------------------------------
     def __add__(self, other: "SPoly") -> "SPoly":
@@ -345,7 +341,8 @@ class SPoly:
         return SpectralField(self.lattice, self.evaluate_many(np.array([float(t)]))[0])
 
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        """Coefficient array of shape (len(ts), M, 3), summed term by term."""
+        """Coefficient array of shape (len(ts), M, 3): the rows summed term by
+        term on the representative modes, the conjugate half mirrored."""
         ts = np.asarray(ts, dtype=float)
         out = np.zeros((len(ts), self.lattice.n_modes, 3), dtype=complex)
         series: Dict[Tuple[int, int], np.ndarray] = {}  # one per distinct (m, w)
@@ -355,10 +352,44 @@ class SPoly:
             if s is None:
                 s = series[(m, wid)] = (ts**m * np.exp(1j * w * ts))[:, None]
             out[:, i, :] += s * c[None, :]
-        return out
+        return _mirror(self.lattice, out)
 
     def __repr__(self):
         return f"SPoly(terms={self.n_terms()}, deg={self.degree()}, max={self.max_abs():.3g})"
+
+
+def _partners(lat: Lattice, mode, fid, coef) -> Tuple[np.ndarray, ...]:
+    """Mode, frequency and coefficient columns of each term's conjugate
+    partner (-k, m, -w, conj c); the degree is the term's own."""
+    table = _freq_table(lat)
+    neg = np.array([table.neg(w) for w in fid.tolist()], dtype=np.intp)
+    return lat.conj_idx[mode], neg, np.conj(coef)
+
+
+def _representative(lat: Lattice, mode, deg, fid, coef) -> Tuple[np.ndarray, ...]:
+    """Term columns given on either half, moved onto representative modes.
+
+    A row on a non-representative mode stands for its partner
+    (-k, m, -w, conj c).  A key may come once from each half when the two
+    agree exactly; given twice on one half, or by a partner that differs, it
+    raises ValueError.  Keys keep the order and the value of their first
+    appearance.  The one reader of term keys, for SPoly and spoly_from_doc.
+    """
+    flip = ~lat.rep_mask[mode]
+    mode, fid, coef = mode.copy(), fid.copy(), coef.copy()
+    mode[flip], fid[flip], coef[flip] = _partners(lat, mode[flip], fid[flip], coef[flip])
+    _, first, inv, count = np.unique(_codes(mode, deg, fid), return_index=True,
+                                     return_inverse=True, return_counts=True)
+    if len(first) < len(mode):
+        again = np.flatnonzero(first[inv] != np.arange(len(mode)))
+        head = first[inv[again]]
+        if (count.max() > 2 or np.any(flip[again] == flip[head])
+                or np.any(coef[again] != coef[head])):
+            raise ValueError("a term key (k, m, frequency) is given twice, directly or "
+                             "through a conjugate partner that differs")
+        keep = np.sort(first)
+        mode, deg, fid, coef = mode[keep], deg[keep], fid[keep], coef[keep]
+    return mode, deg, fid, coef
 
 
 def _spread(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -418,21 +449,26 @@ _PAIR_BLOCK = 1 << 16
 def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
     """Symbolic rotated advection B_Omega(t, f(t), g(t)) on the Galerkin set.
 
-    The term pairs are joined through `Lattice.pair_index` and visited in
-    the order of a double loop over the terms of f, then g.  Each output key
-    sums its contributions in that order and keys appear in order of first
+    Each rotated factor is taken with its conjugate half appended: its rows,
+    then each row's partner (-k, m, -w, conj c), in row order.  The term
+    pairs are joined through `Lattice.pair_index`, only pairs whose output
+    mode is representative are kept, and they are visited in the order of a
+    double loop over the terms of f, then g.  Each output key sums its
+    contributions in that order and keys appear in order of first
     contribution, so the result does not depend on the block size.
     """
     lat = f.lattice
     fr, gr = apply_expS_spoly(f, -omega), apply_expS_spoly(g, -omega)
     if fr.is_zero or gr.is_zero:
         return SPoly.zero(lat)
-    c1, c2, ftab = fr.coef, gr.coef, _freq_table(lat)
+    (m1, d1, w1, c1), (m2, d2, w2, c2) = _both_halves(fr), _both_halves(gr)
+    ftab = _freq_table(lat)
+    rep_out = np.append(lat.rep_mask, False)  # pair_index's -1 (off the lattice) reads False
     hits = []  # (row of f, row of g, output mode, value) per block
-    rows = max(1, _PAIR_BLOCK // gr.n_terms())
-    for start in range(0, fr.n_terms(), rows):
-        block = lat.pair_index(fr.mode[start:start + rows, None], gr.mode[None, :])
-        a, b = np.nonzero(block >= 0)  # row-major: the double loop's order
+    rows = max(1, _PAIR_BLOCK // len(m2))
+    for start in range(0, len(m1), rows):
+        block = lat.pair_index(m1[start:start + rows, None], m2[None, :])
+        a, b = np.nonzero(rep_out[block])  # row-major: the double loop's order
         o = block[a, b]
         a += start
         # matmul gives np.dot's BLAS result bit for bit; einsum can differ in the last bit
@@ -442,10 +478,18 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
         hits.append((a, b, o, dot[:, None] * np.matmul(lat.proj[o], c2[b, :, None])[:, :, 0]))
     a, b, o, val = (np.concatenate(col) for col in zip(*hits))
     n_w = len(ftab.freqs)
-    wpair, winv = np.unique(fr.fid[a] * n_w + gr.fid[b], return_inverse=True)
+    wpair, winv = np.unique(w1[a] * n_w + w2[b], return_inverse=True)
     wout = np.array([ftab.add(p // n_w, p % n_w) for p in wpair.tolist()],
                     dtype=np.intp)[winv]
-    return apply_expS_spoly(_collect(lat, o, fr.deg[a] + gr.deg[b], wout, val), omega)
+    return apply_expS_spoly(_collect(lat, o, d1[a] + d2[b], wout, val), omega)
+
+
+def _both_halves(f: SPoly) -> Tuple[np.ndarray, ...]:
+    """Mode, degree, frequency and coefficient columns of f's rows followed by
+    their conjugate partners, each half in row order."""
+    mode, fid, coef = _partners(f.lattice, f.mode, f.fid, f.coef)
+    return (np.concatenate((f.mode, mode)), np.concatenate((f.deg, f.deg)),
+            np.concatenate((f.fid, fid)), np.concatenate((f.coef, coef)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +554,24 @@ def _freq_doc(f: Frequency) -> dict:
 
 
 def _freq_from_doc(doc: dict) -> Frequency:
+    """Inverse of _freq_doc.  Each generator's "s" is a positive integer, its
+    "coef" a string that Fraction parses and its "unit" a finite number, bools
+    refused; anything else raises ValueError."""
     parts = []
     for c in doc["combo"]:
         if c["kind"] != "rot":
             raise ValueError(f"unknown frequency generator kind {c['kind']!r}")
-        parts.append((("rot", int(c["s"])), Fraction(c["coef"]), float(c["unit"])))
+        s, coef, unit = c["s"], c["coef"], c["unit"]
+        try:
+            ok = (type(s) is int and s > 0 and type(coef) is str
+                  and type(unit) in (int, float) and math.isfinite(unit))
+            coef = Fraction(coef) if ok else None
+        except (ValueError, ZeroDivisionError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"frequency generator {c!r} needs a positive integer s, "
+                             "a fraction string coef and a finite number unit")
+        parts.append((("rot", s), coef, float(unit)))
     return Frequency(parts)
 
 
@@ -547,13 +604,19 @@ def _index_column(col: list, n: int, what: str) -> np.ndarray:
 def spoly_from_doc(doc: dict, lattice: Lattice) -> SPoly:
     """Inverse of spoly_to_doc on a given lattice, bit for bit.
 
-    A malformed document raises ValueError: a missing column, columns of
-    unequal lengths, a wave vector or coefficient that fields._rows refuses,
-    a degree m that is not an integer in [0, 2^12), a w that is not a row of
-    "freqs", an unknown frequency generator, or a term key given twice.
+    Keys are read as the SPoly constructor reads them (_representative).  A
+    malformed document raises ValueError: an "L" or "cutoff" other than the
+    lattice's, a missing column, columns of unequal lengths, a wave vector or
+    coefficient that fields._rows refuses, a degree m that is not an integer
+    in [0, 2^12), a w that is not a row of "freqs", a frequency generator
+    that _freq_from_doc refuses, or a term key given twice.
     """
     table = _freq_table(lattice)
     try:
+        L, cutoff = doc["L"], doc["cutoff"]
+        if L != [float(x) for x in lattice.L] or cutoff != str(lattice.cutoff):
+            raise ValueError(f"the document's lattice (L {L!r}, cutoff {cutoff!r}) is not "
+                             f"{lattice!r}")
         ids = np.array([table.intern(_freq_from_doc(d)) for d in doc["freqs"]], dtype=np.intp)
         cols = [doc[key] for key in ("k", "m", "w", "re", "im")]
     except (KeyError, TypeError) as e:
@@ -564,8 +627,6 @@ def spoly_from_doc(doc: dict, lattice: Lattice) -> SPoly:
     mode = _modes_of(lattice, _rows(k, "wave vector"))
     deg = _index_column(m, 1 << 12, "degree m")
     fid = ids[_index_column(w, len(ids), "frequency row w")]
-    if len(np.unique(_codes(mode, deg, fid))) < len(mode):
-        raise ValueError("a term key (k, m, frequency) appears twice")
     coef = np.empty((len(mode), 3), dtype=complex)
     coef.real, coef.imag = _rows(re, "coefficient"), _rows(im, "coefficient")
-    return SPoly._columns(lattice, mode, deg, fid, coef)
+    return SPoly._columns(lattice, *_representative(lattice, mode, deg, fid, coef))

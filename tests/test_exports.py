@@ -80,6 +80,7 @@ def test_trimmed_signatures_and_knobs():
     assert list(inspect.signature(remainder_rate).parameters) == [
         "exp", "order", "window", "alpha", "sigma"]
     assert list(inspect.signature(SPoly.from_field).parameters) == ["u"]
+    assert not hasattr(SPoly, "reality_error")
     assert list(inspect.signature(ode_solve).parameters) == ["beta", "p"]
     assert not hasattr(Frequency, "scale")
     assert not hasattr(Frequency, "user")

@@ -43,14 +43,15 @@ def _root7(x):
 
 
 def _field_spoly(u, m=0, freq=Frequency.zero()):
-    """t^m e^{i freq t} u through the dict constructor."""
+    """t^m e^{i freq t} u's representative half through the dict constructor."""
     ks = u.lattice.ks.tolist()
-    return SPoly(u.lattice, {(tuple(ks[i]), m, freq): u.coeffs[i]
-                             for i in np.flatnonzero(np.any(u.coeffs != 0, axis=1))})
+    return SPoly(u.lattice, {(tuple(ks[i]), m, freq): u.coeffs[i] for i in np.flatnonzero(
+        u.lattice.rep_mask & np.any(u.coeffs != 0, axis=1))})
 
 
 def _random_spoly(lat, seed, degrees=(0, 1, 2), omega=OMEGA, n_modes=None):
-    """Real-paired polynomial with mixed powers, still and rotating frequencies.
+    """Real polynomial with mixed powers, still and rotating frequencies,
+    given by its representative half.
 
     n_modes picks that many representative modes at random (default: all).
     """
@@ -61,14 +62,27 @@ def _random_spoly(lat, seed, degrees=(0, 1, 2), omega=OMEGA, n_modes=None):
     terms = {}
     for i in reps:
         k = tuple(int(x) for x in lat.ks[i])
-        kk = tuple(-x for x in k)
         for m in degrees:
             w_rot = Frequency.rotation(lat.freq_sqfree[i], lat.freq_coef[i], omega)
             for w in (Frequency.zero(), w_rot):
                 c = lat.proj[i] @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
                 terms[(k, m, w)] = terms.get((k, m, w), 0.0) + c
-                terms[(kk, m, -w)] = terms.get((kk, m, -w), 0.0) + np.conj(c)
     return SPoly(lat, terms)
+
+
+def _partner(key, c):
+    """The conjugate partner (-k, m, -w, conj c) of a term."""
+    k, m, w = key
+    return (tuple(-x for x in k), m, -w), np.conj(c)
+
+
+def _assert_real(f, ts=(0.0, 0.7, 2.3)):
+    """Reality as a structure: every row lies on a representative mode and
+    the samples are exact conjugate pairs."""
+    lat = f.lattice
+    assert lat.rep_mask[f.mode].all()
+    out = f.evaluate_many(np.array(ts))
+    assert np.array_equal(out[:, lat.conj_idx].view(np.uint64), np.conj(out).view(np.uint64))
 
 
 # -- formal frequencies -----------------------------------------------------
@@ -219,13 +233,13 @@ def test_evaluate_many_matches_pointwise():
     block = f.evaluate_many(ts)
     for j, t in enumerate(ts):
         np.testing.assert_allclose(block[j], f.evaluate(float(t)).coeffs, atol=1e-13)
-    assert f.reality_error() < 1e-15
-    # bit-equal to one series per term, scattered in term order
+    _assert_real(f)
+    # bit-equal to one series per term, scattered in term order, then mirrored
     ref = np.zeros_like(block)
     for (k, m, w), c in f.terms.items():
         series = ts**m * np.exp(1j * w.value * ts)
         ref[:, LAT_MODES[k], :] += series[:, None] * c[None, :]
-    np.testing.assert_array_equal(block.view(np.uint64), ref.view(np.uint64))
+    np.testing.assert_array_equal(block.view(np.uint64), _ref_mirror(ref).view(np.uint64))
 
 
 def test_time_shift():
@@ -261,7 +275,7 @@ def test_ode_solve_residual(beta):
     q = ode_solve(beta, p)
     resid = q.differentiate() + q.scale(float(beta)) - p
     assert resid.max_abs() < 1e-12 * p.max_abs()
-    assert q.reality_error() < 1e-13
+    _assert_real(q)
 
 
 betas = st.one_of(
@@ -274,14 +288,14 @@ betas = st.one_of(
 @given(betas, st.integers(0, 2**16), st.sampled_from([(0,), (0, 1, 2), (1, 3)]))
 @settings(deadline=None, max_examples=40)
 def test_ode_solve_properties(beta, seed, degrees):
-    """q' + beta q = p to round-off and q keeps p's reality pairing, for every
-    beta: exact resonances (0, Fraction) as well as decaying and growing ones."""
+    """q' + beta q = p to round-off and q is real, for every beta: exact
+    resonances (0, Fraction) as well as decaying and growing ones."""
     p = _random_spoly(LAT, seed, degrees, n_modes=5)
     q = ode_solve(beta, p)
     scale = max(p.max_abs(), q.max_abs(), abs(float(beta)) * q.max_abs())
     resid = q.differentiate() + q.scale(float(beta)) - p
     assert resid.max_abs() <= 1e-13 * scale
-    assert q.reality_error() <= 1e-13
+    _assert_real(q)
 
 
 def test_ode_solve_single_mode_closed_form():
@@ -325,7 +339,7 @@ def test_apply_expS_spoly_matches_numeric():
     for t in (0.0, 0.37, 1.9):
         np.testing.assert_allclose(
             f.evaluate(t).coeffs, apply_expS(u, OMEGA * t).coeffs, atol=1e-13)
-    assert f.reality_error() < 1e-15
+    _assert_real(f)
     assert apply_expS_spoly(SPoly.from_field(u), 0.0).n_terms() == SPoly.from_field(u).n_terms()
 
 
@@ -336,7 +350,7 @@ def test_bilinear_spoly_matches_numeric():
     for t in (0.0, 0.51, 1.2):
         np.testing.assert_allclose(
             h.evaluate(t).coeffs, advect(LAT, u.coeffs, v.coeffs, t, OMEGA), atol=1e-13)
-    assert h.reality_error() < 1e-13
+    _assert_real(h)
     # bilinearity in the polynomial multiplier: B(t*u, v) = t * B(u, v)
     h1 = bilinear_spoly(_field_spoly(u, m=1), SPoly.from_field(v), OMEGA)
     t = 0.73
@@ -344,18 +358,25 @@ def test_bilinear_spoly_matches_numeric():
         h1.evaluate(t).coeffs, t * advect(LAT, u.coeffs, v.coeffs, t, OMEGA), atol=1e-13)
 
 
+def _both_halves(f):
+    """f's terms in row order, then their conjugate partners in the same order."""
+    items = list(f.terms.items())
+    return items + [_partner(key, c) for key, c in items]
+
+
 def _bilinear_reference(f, g, omega):
-    """The product as a double loop over term pairs, one dict update per hit."""
+    """The product as a double loop over the term pairs of the two factors'
+    both halves, one dict update per hit on a representative output mode."""
     lat = f.lattice
     fr = apply_expS_spoly(f, -omega)
     gr = apply_expS_spoly(g, -omega)
     out = {}
     idx = _mode_dict(lat)
-    for (k1, m1, w1), c1 in fr.terms.items():
-        for (k2, m2, w2), c2 in gr.terms.items():
+    for (k1, m1, w1), c1 in _both_halves(fr):
+        for (k2, m2, w2), c2 in _both_halves(gr):
             ko = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
             o = idx.get(ko)
-            if o is None:
+            if o is None or not lat.rep_mask[o]:
                 continue
             dot = 1j * np.dot(c1, lat.kcheck[o])
             if dot == 0:
@@ -407,8 +428,7 @@ def test_bilinear_spoly_matches_reference_loop(name, omega, degrees):
     wgen = omega or OMEGA
     f = _random_spoly(lat, seed=20, degrees=degrees[0], omega=wgen, n_modes=6)
     g = _random_spoly(lat, seed=21, degrees=degrees[1], omega=wgen, n_modes=6)
-    g = g + SPoly(lat, {((1, 0, 0), 1, _root7(0.37)): np.array([0.0, 1.0, -1.0]),
-                        ((-1, 0, 0), 1, _root7(-0.37)): np.array([0.0, 1.0, -1.0])})
+    g = g + SPoly(lat, {((1, 0, 0), 1, _root7(0.37)): np.array([0.0, 1.0, -1.0])})
     want = _bilinear_reference(f, g, omega)
     assert want.n_terms() > 0
     _assert_identical(bilinear_spoly(f, g, omega), want)
@@ -418,12 +438,12 @@ def test_bilinear_spoly_matches_reference_loop(name, omega, degrees):
        st.sampled_from([0.0, 3.0, -2.5, 0.7]))
 @settings(deadline=None, max_examples=25)
 def test_bilinear_spoly_reality(name, seed, omega):
-    """Real-paired factors give a real-paired full product."""
+    """Real factors give a real product."""
     lat = _LATTICES[name]
     wgen = omega or OMEGA
     f = _random_spoly(lat, seed, degrees=(0, 1), omega=wgen, n_modes=4).scale(0.1)
     g = _random_spoly(lat, seed + 1, degrees=(0, 2), omega=wgen, n_modes=4).scale(0.1)
-    assert bilinear_spoly(f, g, omega).reality_error() <= 1e-13
+    _assert_real(bilinear_spoly(f, g, omega))
 
 
 @pytest.mark.parametrize("omega", [3.0, -2.5])
@@ -433,9 +453,7 @@ def test_apply_expS_spoly_matches_reference_loop(name, omega):
     w = _root7(0.37)  # a second generator: w +/- g gets two parts
     extra = {}
     for k in ((1, 0, 1), (0, 0, 1), (1, 0, 0)):
-        c = np.array([0.0, 1.0, -1.0j])
-        extra[(k, 1, w)] = c
-        extra[(tuple(-x for x in k), 1, -w)] = np.conj(c)
+        extra[(k, 1, w)] = np.array([0.0, 1.0, -1.0j])
     f = _random_spoly(lat, seed=22, omega=omega) + SPoly(lat, extra)
     got, want = apply_expS_spoly(f, omega), _expS_reference(f, omega)
     _assert_identical(got, want)
@@ -449,8 +467,7 @@ def test_apply_expS_spoly_reality(name, seed, omega, degrees):
     lat = _LATTICES[name]
     f = _random_spoly(lat, seed, degrees, omega=omega, n_modes=6)
     for om in (omega, -omega):
-        g = apply_expS_spoly(f, om)
-        assert g.reality_error() <= 1e-13 * max(1.0, g.max_abs())
+        _assert_real(apply_expS_spoly(f, om))
 
 
 # -- JSON --------------------------------------------------------------------
@@ -497,6 +514,14 @@ def _doc_edit(key, value):
     return edit
 
 
+def _generator_edit(key, value):
+    """Set one field of the last frequency's first generator (the first
+    frequency is zero, with no generators)."""
+    def edit(doc):
+        doc["freqs"][-1]["combo"][0][key] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_doc_edit("m", lambda m: m[:-1]), "one length"),
     (_doc_edit("re", lambda re: re + [[0.0, 0.0, 0.0]]), "one length"),
@@ -517,9 +542,16 @@ def _doc_edit(key, value):
     (_doc_edit("freqs", lambda fs: [{"value": 0.0}] + fs[1:]), "KeyError"),
     (_doc_edit("freqs", lambda fs: fs[:1] + fs[:1] + fs[2:]), "twice"),
     (_doc_edit("w", lambda w: w[:1] * len(w)), "twice"),
+    (_generator_edit("s", 2.5), "frequency generator"),
+    (_generator_edit("s", True), "frequency generator"),
+    (_generator_edit("coef", 0.1), "frequency generator"),
+    (_generator_edit("unit", "3"), "frequency generator"),
+    (_doc_edit("L", lambda L: [L[0], L[1] / 2, L[2]]), "document's lattice"),
+    (_doc_edit("cutoff", "12"), "document's lattice"),
 ], ids=["short-m", "long-re", "null-k", "no-im", "no-freqs", "w-past-end", "w-negative",
         "w-float", "w-bool", "w-huge", "m-bool", "m-negative", "m-huge", "k-off-lattice",
-        "k-short", "im-string", "freq-no-combo", "freq-repeated", "key-repeated"])
+        "k-short", "im-string", "freq-no-combo", "freq-repeated", "key-repeated",
+        "s-float", "s-bool", "coef-float", "unit-string", "L-other", "cutoff-other"])
 def test_spoly_doc_refuses_malformed_columns(edit, message):
     """A malformed order document raises ValueError, never IndexError or KeyError."""
     doc = json.loads(json.dumps(spoly_to_doc(_random_spoly(LAT, seed=5, degrees=(0, 1)))))
@@ -583,11 +615,19 @@ def _ref_time_shift(f, T):
     return _ref_accumulate(items)
 
 
+def _ref_mirror(u):
+    """Each representative mode's conjugate partner set to its conjugate."""
+    for k, i in LAT_MODES.items():
+        if LAT.rep_mask[i]:
+            u[..., LAT_MODES[tuple(-x for x in k)], :] = np.conj(u[..., i, :])
+    return u
+
+
 def _ref_evaluate(f, t):
     u = np.zeros((LAT.n_modes, 3), dtype=complex)
     for (k, m, w), c in f.items():
         u[LAT_MODES[k]] += (t**m) * np.exp(1j * w.value * t) * c
-    return u
+    return _ref_mirror(u)
 
 
 def _ref_evaluate_many(f, ts):
@@ -598,7 +638,7 @@ def _ref_evaluate_many(f, ts):
         if s is None:
             s = series[(m, w)] = (ts**m * np.exp(1j * w.value * ts))[:, None]
         out[:, LAT_MODES[k], :] += s * c[None, :]
-    return out
+    return _ref_mirror(out)
 
 
 def _ref_ode_solve(beta, f):
@@ -618,7 +658,7 @@ def _ref_ode_solve(beta, f):
     if resonant:
         delta = np.zeros((LAT.n_modes, 3), dtype=complex) - _ref_evaluate(q, 0.0)
         extra = {(tuple(int(x) for x in LAT.ks[i]), 0, Frequency.zero()): delta[i]
-                 for i in range(LAT.n_modes) if np.any(delta[i])}
+                 for i in range(LAT.n_modes) if LAT.rep_mask[i] and np.any(delta[i])}
         q = _ref_add(q, _ref_canon(extra))
     return q
 
@@ -639,7 +679,9 @@ _W2 = _root7(0.37)
 # distinct objects for one frequency: (_W1 + _W2) - _W2 and 2 _W1 - _W1 are _W1
 _FREQ_POOL = [Frequency.zero(), _W1, -_W1, _W2, _W1 + _W2, _W2 + _W1,
               (_W1 + _W2) - _W2, (_W1 + _W1) - _W1]
-_MODE_POOL = [tuple(int(x) for x in LAT.ks[i]) for i in (0, 2, 3, 5, 6, 13, 19, 24)]
+# representative modes on all three shells: a term map drawn from them is a real polynomial
+_MODE_POOL = [tuple(int(x) for x in LAT.ks[i])
+              for i in np.flatnonzero(LAT.rep_mask)[[0, 1, 2, 3, 4, 7, 10, 12]]]
 _parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5]),
                    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
 _coefs = st.lists(st.tuples(_parts, _parts), min_size=3, max_size=3).map(
@@ -699,3 +741,31 @@ def test_columnar_calculus_matches_dict_reference(operands):
     got, want = f.evaluate_many(ts), _ref_evaluate_many(rf, ts)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert json.dumps(spoly_to_doc(f)) == json.dumps(_ref_doc(rf))
+
+
+# -- the representative half ---------------------------------------------------
+
+@given(st.sampled_from(["cube3", "aniso5"]), st.integers(0, 2**16), st.data())
+@settings(deadline=None, max_examples=40)
+def test_terms_are_read_on_either_half(name, seed, data):
+    """A term on a non-representative mode stands for its partner: a real
+    polynomial given by both halves, by its representative half or by the
+    other half is one SPoly, bit for bit.  A pair that disagrees is a key
+    given twice.  Evaluation gives exact conjugate pairs."""
+    lat = _LATTICES[name]
+    half = dict(_random_spoly(lat, seed, degrees=(0, 2), n_modes=4).terms)
+    other = dict(_partner(key, c) for key, c in half.items())
+    both = {}
+    for pair in zip(half.items(), other.items()):
+        both.update(pair if data.draw(st.booleans()) else pair[::-1])
+    want = SPoly(lat, half)
+    for terms in (both, other):
+        got = SPoly(lat, terms)
+        for col in ("mode", "deg", "fid"):
+            assert np.array_equal(getattr(got, col), getattr(want, col))
+        assert np.array_equal(got.coef.view(np.uint64), want.coef.view(np.uint64))
+    key, c = data.draw(st.sampled_from(list(half.items())))
+    pkey, pc = _partner(key, c)
+    with pytest.raises(ValueError, match="twice"):
+        SPoly(lat, {**half, pkey: pc + data.draw(st.sampled_from([1.0, 1e-12, -1j]))})
+    _assert_real(want)
