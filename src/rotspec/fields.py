@@ -158,25 +158,46 @@ def inner(u: SpectralField, v: SpectralField) -> float:
 _J_VERT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
+def _complex_ops(lattice: Lattice) -> Tuple[np.ndarray, np.ndarray]:
+    """(jk, proj) of the lattice as read-only complex (M,3,3) copies.
+
+    einsum casts a real operator to complex, through a buffer, on every call
+    that meets a complex field; these copies hold the cast values, so a
+    product with them gives the real operator's bits without the cast.
+    Cached per lattice.
+    """
+    ops = getattr(lattice, "_complex_ops", None)
+    if ops is None:
+        ops = tuple(a.astype(complex) for a in (lattice.jk, lattice.proj))
+        for a in ops:
+            a.flags.writeable = False
+        lattice._complex_ops = ops
+    return ops
+
+
 def apply_S(u: SpectralField) -> SpectralField:
     """Coriolis operator: Leray-projected vertical rotation P J P, mode-wise."""
-    inner_p = np.einsum("mij,mj->mi", u.lattice.proj, u.coeffs)
-    c = np.einsum("mij,mj->mi", u.lattice.proj, inner_p @ _J_VERT.T)
+    proj = _complex_ops(u.lattice)[1]
+    inner_p = np.einsum("mij,mj->mi", proj, u.coeffs)
+    c = np.einsum("mij,mj->mi", proj, inner_p @ _J_VERT.T)
     return SpectralField(u.lattice, c)
 
 
-def _rotate_coeffs(lattice: Lattice, coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Apply cos(theta_m) I + sin(theta_m) J_k per mode.
+def _rotate_coeffs(lattice: Lattice, coeffs: np.ndarray, c: np.ndarray, s: np.ndarray,
+                   rows=slice(None)) -> np.ndarray:
+    """Apply cos(theta_m) I + sin(theta_m) J_k per mode m of rows.
 
-    coeffs is (M,3) or a (B,M,3) stack; theta is (M,) or (B,M) to match.
+    coeffs is (R,3) or a (B,R,3) stack of the R = len(rows) modes rows
+    selects; c = cos(theta) and s = sin(theta) are (R,) or (B,R) to match.
     """
-    rot = np.einsum("mij,...mj->...mi", lattice.jk, coeffs)
-    return np.cos(theta)[..., None] * coeffs + np.sin(theta)[..., None] * rot
+    rot = np.einsum("mij,...mj->...mi", _complex_ops(lattice)[0][rows], coeffs)
+    return c[..., None] * coeffs + s[..., None] * rot
 
 
 def apply_expS(u: SpectralField, t: float) -> SpectralField:
     """Rotation-wave group exp(t*S): plane rotation by k3til*t in each mode plane."""
-    c = _rotate_coeffs(u.lattice, u.coeffs, u.lattice.kt3 * t)
+    theta = u.lattice.kt3 * t
+    c = _rotate_coeffs(u.lattice, u.coeffs, np.cos(theta), np.sin(theta))
     return SpectralField(u.lattice, c, u.mean)
 
 
@@ -298,11 +319,14 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     (B,) array of their times.  Inputs must obey the conjugate pairing
     X(-k) = conj(X(k)) (every field the package builds does): only the
     representative half of the product is computed.  With lam given, only
-    output modes on the Stokes shell lam are computed and every other row is
-    zero; each computed row equals the unrestricted one bit for bit.  With
-    omega == 0 no rotation is applied; when Y is X the input is rotated once.
-    A long stack is computed in chunks of samples, which are independent,
-    so chunking changes no bit.
+    output modes on the Stokes shell lam are computed, projected and rotated
+    back; every other row is the zero the convolution left there, whose sign
+    is unspecified, and each computed row equals the unrestricted one bit
+    for bit.  With omega == 0 no rotation is applied; when Y is X the input
+    is rotated once.  The operators are the lattice's cached complex copies
+    (_complex_ops), and one cos/sin of the angles serves both the input
+    rotations and the back-rotation.  A long stack is computed in chunks of
+    samples, which are independent, so chunking changes no bit.
     """
     if X.ndim == 3 and X.shape == Y.shape:  # convolve_advect refuses other shapes
         n_pairs = len(_conv_plan(lattice, lam)[0])
@@ -316,13 +340,28 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
                 out[c] = advect(lattice, Xc, Xc if Y is X else Y[c],
                                 t if t.ndim == 0 else t[c], omega, lam)
             return out
-    if omega == 0.0:
-        return np.einsum("mij,...mj->...mi", lattice.proj, convolve_advect(lattice, X, Y, lam))
-    theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
-    Xr = _rotate_coeffs(lattice, X, theta)
-    Yr = Xr if Y is X else _rotate_coeffs(lattice, Y, theta)
-    b = np.einsum("mij,...mj->...mi", lattice.proj, convolve_advect(lattice, Xr, Yr, lam))
-    return _rotate_coeffs(lattice, b, -theta)
+    if omega != 0.0:
+        theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
+        c, s = np.cos(theta), np.sin(theta)
+        Xr = _rotate_coeffs(lattice, X, c, s)
+        X, Y = Xr, Xr if Y is X else _rotate_coeffs(lattice, Y, c, s)
+    b = convolve_advect(lattice, X, Y, lam)
+    rows = slice(None) if lam is None else _shell_rows(lattice, lam)
+    b[..., rows, :] = np.einsum("mij,...mj->...mi", _complex_ops(lattice)[1][rows],
+                                b[..., rows, :])
+    if omega != 0.0:
+        # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s, bit for bit
+        b[..., rows, :] = _rotate_coeffs(lattice, b[..., rows, :], c[..., rows], -s[..., rows],
+                                         rows)
+    return b
+
+
+def _shell_rows(lattice: Lattice, lam) -> slice:
+    """The modes of the Stokes shell lam as a slice (modes are sorted by
+    eigenvalue); empty when lam is not an eigenvalue, whose shell is -1."""
+    s = lattice.shell(lam)
+    lo, hi = np.searchsorted(lattice.shell_of, [s, s + 1])
+    return slice(int(lo), int(hi))
 
 
 def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:

@@ -134,9 +134,10 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
 
     def make_prop(s: float):
         decay = np.exp(-s * lam)[:, None]
-        theta = -om * lat.kt3 * s
         if config.form == "u" and om != 0.0:
-            return lambda C: decay * _rotate_coeffs(lat, C, theta)
+            theta = -om * lat.kt3 * s
+            c, sn = np.cos(theta), np.sin(theta)
+            return lambda C: decay * _rotate_coeffs(lat, C, c, sn)
         return lambda C: decay * C
 
     Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
@@ -174,7 +175,8 @@ def transform_trajectory(traj: Trajectory, to_form: str) -> Trajectory:
         return traj
     sign = 1.0 if (traj.form, to_form) == ("u", "v") else -1.0
     lat = traj.lattice
-    out = _rotate_coeffs(lat, traj.coeffs, sign * traj.omega * lat.kt3 * traj.times[:, None])
+    theta = sign * traj.omega * lat.kt3 * traj.times[:, None]
+    out = _rotate_coeffs(lat, traj.coeffs, np.cos(theta), np.sin(theta))
     return Trajectory(lat, to_form, traj.omega, traj.times.copy(), out, dt=traj.dt)
 
 

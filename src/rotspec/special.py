@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattice import Lattice
-from .fields import (SpectralField, _J_VERT, _along_k, _gevrey_norms, _modes_of,
-                     _rotate_coeffs, convolve_advect, eigen_restrict)
+from .fields import (SpectralField, _J_VERT, _along_k, _complex_ops, _gevrey_norms,
+                     _modes_of, _rotate_coeffs, convolve_advect, eigen_restrict)
 from .spoly import SPoly, apply_expS_spoly
 from .solver import Trajectory
 from .expansion import fit_decay_rate
@@ -105,7 +105,8 @@ def linear_evolution(u0: SpectralField, t: float, omega: float) -> SpectralField
     system (the advection of colinear modes cancels identically).
     """
     lat = u0.lattice
-    c = _rotate_coeffs(lat, u0.coeffs, -omega * lat.kt3 * t)
+    theta = -omega * lat.kt3 * t
+    c = _rotate_coeffs(lat, u0.coeffs, np.cos(theta), np.sin(theta))
     c = c * np.exp(-lat.lam_f * t)[:, None]
     return SpectralField(lat, c, u0.mean)
 
@@ -255,7 +256,7 @@ class DriftingSolution:
         u = self.velocity(t)
         Ut = self.flow.U(t)
         drift_rate = 1j * (lat.kcheck @ Ut)
-        rot = np.einsum("mij,mj->mi", lat.jk, u.coeffs)
+        rot = np.einsum("mij,mj->mi", _complex_ops(lat)[0], u.coeffs)
         c = (-(lat.lam_f + 0j) - drift_rate)[:, None] * u.coeffs \
             - (self.omega * lat.kt3)[:, None] * rot
         dmean = -self.omega * (_J_VERT @ Ut)

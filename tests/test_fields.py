@@ -13,7 +13,10 @@ from rotspec.fields import (
     apply_S,
     apply_expS,
     bilinear_B,
+    _J_VERT,
+    _complex_ops,
     _conv_plan,
+    _rotate_coeffs,
     eigen_restrict,
     field_from_doc,
     field_to_doc,
@@ -21,7 +24,8 @@ from rotspec.fields import (
     random_gevrey,
 )
 from rotspec.lattice import build_lattice
-from rotspec.special import VkData
+from rotspec.solver import SolverConfig, integrate
+from rotspec.special import VkData, linear_evolution
 
 LAT3 = build_lattice(cutoff=3)
 U3 = random_gevrey(LAT3, seed=2)
@@ -407,6 +411,86 @@ def test_stacked_advect_reality_and_shells(name, seed, n, omega, shell):
         assert not np.any(out)
     elif lam is not None:
         assert not np.any(out[:, lat.shell_of != lat.eigenvalues.index(lam)])
+
+
+def test_complex_operators_are_cast_once_and_read_only():
+    lat = build_lattice(cutoff=4)  # fresh: nothing has cached its operators yet
+    assert getattr(lat, "_complex_ops", None) is None
+    jk, proj = _complex_ops(lat)
+    for op, real in ((jk, lat.jk), (proj, lat.proj)):
+        assert op.dtype == complex and real.dtype == float
+        _assert_bits_equal(op.real, real)  # signed zeros included
+        assert not np.any(np.ascontiguousarray(op.imag).view(np.uint64))  # +0.0 throughout
+        with pytest.raises(ValueError):
+            op[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            op *= 2.0
+    # every rotation user reads the one cached pair
+    u = random_gevrey(lat, seed=3)
+    advect(lat, u.coeffs, u.coeffs, 0.5, 2.0, lat.eigenvalues[1])
+    apply_S(apply_expS(u, 0.5))
+    linear_evolution(u, 0.5, 2.0)
+    integrate(u, SolverConfig(dt=0.01, t_end=0.01, omega=2.0, form="u"))
+    ops = _complex_ops(lat)
+    assert ops[0] is jk and ops[1] is proj
+    assert lat.jk.flags.writeable and lat.proj.flags.writeable
+
+
+def _rotate_reference(lat, C, theta):
+    """cos(theta) C + sin(theta) J_k C with the real operator, as einsum casts it."""
+    rot = np.einsum("mij,...mj->...mi", lat.jk, C)
+    return np.cos(theta)[..., None] * C + np.sin(theta)[..., None] * rot
+
+
+def _u_step_reference(lat, C, h, omega):
+    """One u-form step of integrate, its propagator built from the real operator."""
+    def prop(s):
+        decay = np.exp(-s * lat.lam_f)[:, None]
+        return lambda Z: decay * _rotate_reference(lat, Z, -omega * lat.kt3 * s)
+
+    def N(Z):
+        return -advect(lat, Z, Z)
+
+    Ph, Ph2 = prop(h), prop(0.5 * h)
+    a = N(C)
+    b = N(Ph2(C + 0.5 * h * a))
+    c = N(Ph2(C) + 0.5 * h * b)
+    d = N(Ph(C) + h * Ph2(c))
+    return Ph(C) + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
+
+
+@pytest.mark.parametrize("name", ["cube6", "ray10", "zeros6"])
+def test_rotation_users_match_real_operator_bits(name):
+    """apply_expS, apply_S, linear_evolution and a u-form integrate step give
+    the bits of the real-operator einsum formulas, signed zeros included."""
+    lat, samples = STACKS[name]
+    X, times = samples(lat, 7, 3)
+    omega = 5.0
+    for C, t in zip(X, times):
+        u = SpectralField(lat, C)
+        _assert_bits_equal(apply_expS(u, t).coeffs, _rotate_reference(lat, C, lat.kt3 * t))
+        inner_p = np.einsum("mij,mj->mi", lat.proj, C)
+        _assert_bits_equal(apply_S(u).coeffs,
+                           np.einsum("mij,mj->mi", lat.proj, inner_p @ _J_VERT.T))
+        _assert_bits_equal(linear_evolution(u, t, omega).coeffs,
+                           _rotate_reference(lat, C, -omega * lat.kt3 * t)
+                           * np.exp(-lat.lam_f * t)[:, None])
+    h = 0.01
+    got = integrate(SpectralField(lat, X[0]), SolverConfig(dt=h, t_end=h, omega=omega, form="u"))
+    _assert_bits_equal(got.coeffs[1], _u_step_reference(lat, X[0], h, omega))
+
+
+@pytest.mark.parametrize("name", ["cube6", "ray10"])
+def test_back_rotation_by_negated_sine_is_rotation_by_minus_theta(name):
+    """advect rotates back with (cos theta, -sin theta).  numpy's cos is even
+    and its sin odd bit for bit, so that is the rotation by -theta."""
+    lat, samples = STACKS[name]
+    X, times = samples(lat, 11, 40)
+    theta = -5.0 * lat.kt3 * times[:, None]
+    c, s = np.cos(theta), np.sin(theta)
+    _assert_bits_equal(np.cos(-theta), c)
+    _assert_bits_equal(np.sin(-theta), -s)
+    _assert_bits_equal(_rotate_coeffs(lat, X, c, -s), _rotate_reference(lat, X, -theta))
 
 
 def test_bilinear_energy_orthogonality():
