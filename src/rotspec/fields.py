@@ -203,66 +203,120 @@ def apply_expS(u: SpectralField, t: float) -> SpectralField:
 
 # -- bilinear form ----------------------------------------------------------
 
-def _conv_plan(lattice: Lattice, lam=None):
+def _conv_plan(lattice: Lattice, lam=None, support=None):
     """Row-sorted pairs whose output is a representative mode.
 
     With lam given, only pairs whose output lies on the Stokes shell lam are
-    kept (none if lam is not an eigenvalue); each kept row lists the same
-    pairs in the same order as in the full plan.  Returns
-    (im, ij, kcheck[out].T, indptr), the wave vectors as three contiguous
-    rows.  Cached per lattice and shell.
+    kept (none if lam is not an eigenvalue).  With support = (rows_u,
+    rows_v), two sorted arrays of mode indices, only the pairs (m, j) with m
+    in rows_u and j in rows_v are kept.  Either way each kept row lists its
+    pairs in the full plan's order.  Returns (im, ij, kcheck[out].T,
+    indptr), the wave vectors as three contiguous rows.  Cached as
+    _plan_entry says.
     """
-    plans = getattr(lattice, "_conv_plans", None)
-    if plans is None:
-        plans = lattice._conv_plans = {}
+    return _plan_entry(lattice, lam, support)[1]
+
+
+def _plan_entry(lattice: Lattice, lam, support):
+    """The cache entry (support key, plan, {n: block matrix}) of _conv_plan
+    and _block_csr, the plan built on a miss.
+
+    Each shell has two slots: the full plan (support None), kept for good,
+    and the plan of the last support asked for, which the next support
+    replaces together with its block matrices.  A run whose support changes
+    every step therefore holds one restricted plan per shell.
+    """
+    cache = lattice.__dict__.setdefault("_conv_plans", {})
     lam = None if lam is None else Fraction(lam)
-    if lam in plans:
-        return plans[lam]
+    key = None if support is None else tuple(r.tobytes() for r in support)
+    slot = (lam, key is None)
+    entry = cache.get(slot)
+    if entry is not None and entry[0] == key:
+        return entry
     M = lattice.n_modes
     keep = lattice.rep_mask
     if lam is not None:
         keep = keep & (lattice.shell_of == lattice.shell(lam))
     outs = np.flatnonzero(keep)
-    # pair[o, m] = j with k_j = k_outs[o] - k_m: the row-major non-zeros list
-    # the pairs by output, then by m.  divmod keeps the index arrays
-    # contiguous (np.nonzero's are strided), and every convolution reads them.
-    pair = lattice.pair_index(outs[:, None], lattice.conj_idx[None, :])
-    flat = np.flatnonzero(pair >= 0)
-    row, im = divmod(flat, M)
-    ij, io = pair.ravel()[flat], outs[row]
+    rows_u = np.arange(M) if support is None else support[0]
+    # pair[o, a] = j with k_j = k_outs[o] - k_m, m = rows_u[a]: the row-major
+    # non-zeros list the pairs by output, then by m.  divmod keeps the index
+    # arrays contiguous (np.nonzero's are strided), and every convolution
+    # reads them.
+    pair = lattice.pair_index(outs[:, None], lattice.conj_idx[rows_u][None, :])
+    live = pair >= 0
+    if support is not None:
+        in_v = np.zeros(M, dtype=bool)
+        in_v[support[1]] = True
+        live &= in_v[pair]  # pair = -1 reads the last mode, on a pair live drops
+    flat = np.flatnonzero(live)
+    row, a = divmod(flat, len(rows_u))
+    im, ij, io = rows_u[a], pair.ravel()[flat], outs[row]
     plan = (
         im,
         ij,
         np.ascontiguousarray(lattice.kcheck[io].T),  # output wave vectors, (3,P)
         np.r_[0, np.cumsum(np.bincount(io, minlength=M))],
     )
-    plans[lam] = plan
-    return plan
+    entry = cache[slot] = (key, plan, {})
+    return entry
 
 
-def _block_csr(lattice: Lattice, lam, n: int) -> sp.csr_matrix:
-    """CSR matrix of n diagonal copies of the plan, without data.
+def _block_csr(M: int, entry, n: int) -> sp.csr_matrix:
+    """CSR matrix of n diagonal copies of the plan of a _plan_entry entry,
+    without data.
 
-    convolve_advect sets the data to its pair products for one product and
-    drops them after it, so no call reads another's and the cache holds no
-    data between calls; two threads must not convolve on one lattice at the
-    same time.  Cached per lattice, shell and n.
+    The kernel sets the data to its pair products for one product and drops
+    them after it, so no call reads another's and the cache holds no data
+    between calls; two threads must not convolve on one lattice at the same
+    time.  Cached by n in the entry.
     """
-    blocks = getattr(lattice, "_conv_blocks", None)
-    if blocks is None:
-        blocks = lattice._conv_blocks = {}
-    key = (None if lam is None else Fraction(lam), n)
-    if key not in blocks:
-        _, ij, _, indptr = _conv_plan(lattice, lam)
-        M, P = lattice.n_modes, len(ij)
+    _, (_, ij, _, indptr), blocks = entry
+    if n not in blocks:
+        P = len(ij)
         offs = np.arange(n)[:, None]
         S = sp.csr_matrix(
             (np.zeros(n * P, dtype=complex), (ij + M * offs).ravel(),
              np.r_[0, (indptr[1:] + P * offs).ravel()]),
             shape=(n * M, n * M))
         S.data = None
-        blocks[key] = S
-    return blocks[key]
+        blocks[n] = S
+    return blocks[n]
+
+
+def _support(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam):
+    """The support that convolve_advect restricts its plan to, or None for
+    the full plan.
+
+    U and V must have one shape.  nnz(U) nnz(V), with nnz the count of
+    non-zero entries over every sample of a stack, bounds the pairs whose
+    two factors are both non-zero.  When it is below the pair count of the
+    plan of shell lam, the support is (rows_u, rows_v): the modes with a
+    non-zero entry in some sample of U and of V.  Every pair the restricted
+    plan drops has an exact zero factor.  With finite factors its product is
+    a zero, and a CSR row sum starts from +0, which no zero term changes,
+    signed zeros included.  Rotating a sample keeps its zero rows zero, so
+    advect takes the support of its unrotated stack, once for all chunks.
+    """
+    if U.shape != V.shape:
+        raise ValueError(f"U and V must have the same shape, not {U.shape} and {V.shape}")
+    P = len(_plan_entry(lattice, lam, None)[1][0])
+
+    def nnz_product(A, B):
+        nnz = np.count_nonzero(A)
+        return nnz * (nnz if V is U or not nnz else np.count_nonzero(B))
+
+    # a stack's first sample has no more non-zeros than the stack, so a
+    # dense first sample decides without a count of the rest
+    if (U.ndim == 3 and nnz_product(U[:1], V[:1]) >= P) or nnz_product(U, V) >= P:
+        return None
+    M = lattice.n_modes
+
+    def rows(A):
+        return np.flatnonzero(A.reshape(-1, 3 * M).any(axis=0).reshape(M, 3).any(axis=1))
+
+    rows_u = rows(U)
+    return rows_u, rows_u if V is U else rows(V)
 
 
 def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) -> np.ndarray:
@@ -275,19 +329,45 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) ->
     representative outputs, with the conjugate half mirrored.  With lam
     given, only outputs on that Stokes shell are formed; other rows are zero.
 
+    The plan follows the inputs' support (_support): when nnz(U) nnz(V) is
+    below the plan's pair count, only the pairs with U_m and V_j both
+    non-zero in some sample are formed.  Every output is the full plan's,
+    bit for bit, signed zeros included.
+
     Each pair's dot product is summed left to right over the three
     components, (U_m0 k0 + U_m1 k1) + U_m2 k2, one gathered component
     column at a time.
     """
-    if U.shape != V.shape:
-        raise ValueError(f"U and V must have the same shape, not {U.shape} and {V.shape}")
-    im, ij, kc, _ = _conv_plan(lattice, lam)
+    return _convolve(lattice, U, V, lam, _support(lattice, U, V, lam))
+
+
+def _convolve(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam, support) -> np.ndarray:
+    """convolve_advect with the plan of a support _support chose.
+
+    A pair the restricted plan drops is an exact zero only if its other
+    factor is finite.  The real and imaginary parts of a dot product
+    U_m . kcheck_k are below 4 max|U| max|kcheck|, with max|U| taken over
+    the support (U is zero elsewhere), so when that bound or the sum of V
+    is not finite the full plan is taken: it forms the NaN of inf times
+    zero.  (A bound or sum that merely overflows takes it too, which costs
+    time and changes no bit.)  The sign of a zero factor reaches no output:
+    its products are zeros, which no sum changes, or inf times zero, which
+    is the same NaN for either sign.
+    """
+    if support is not None and not (
+            np.isfinite(4.0 * np.abs(lattice.kcheck).max()
+                        * np.abs(U[..., support[0], :]).max(initial=0.0))
+            and (V is U or np.isfinite(V.sum()))):
+        support = None
+    entry = _plan_entry(lattice, lam, support)
+    im, ij, kc, _ = entry[1]
     M = lattice.n_modes
     n = V.size // (3 * M)
-    cols = np.ascontiguousarray(np.moveaxis(U, -1, 0))
+    # the components first; a transpose skips np.moveaxis's argument checks
+    cols = np.ascontiguousarray(U.transpose(U.ndim - 1, *range(U.ndim - 1)))
     dots = (cols[0].take(im, axis=-1) * kc[0] + cols[1].take(im, axis=-1) * kc[1]
             + cols[2].take(im, axis=-1) * kc[2])
-    S = _block_csr(lattice, lam, n)
+    S = _block_csr(M, entry, n)
     S.data = dots.ravel()
     out = 1j * (S @ V.reshape(n * M, 3)).reshape(V.shape)
     S.data = None
@@ -325,10 +405,17 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     for bit.  With omega == 0 no rotation is applied; when Y is X the input
     is rotated once.  The operators are the lattice's cached complex copies
     (_complex_ops), and one cos/sin of the angles serves both the input
-    rotations and the back-rotation.  A long stack is computed in chunks of
-    samples, which are independent, so chunking changes no bit.
+    rotations and the back-rotation.
+
+    The convolution follows the inputs' support as convolve_advect's does:
+    when nnz(X) nnz(Y) is below the plan's pair count, only the pairs whose
+    factors are both non-zero in some sample are formed, with every output
+    bit the full plan's.  The support is taken once per call, before a long
+    stack is computed in chunks of samples, sized by the full plan;
+    samples are independent, so chunking changes no bit.
     """
-    if X.ndim == 3 and X.shape == Y.shape:  # convolve_advect refuses other shapes
+    support = _support(lattice, X, Y, lam)
+    if X.ndim == 3:
         n_pairs = len(_conv_plan(lattice, lam)[0])
         chunk = max(1, _STACK_BLOCK_BYTES // (48 * max(n_pairs, lattice.n_modes)))
         if len(X) > chunk:
@@ -337,15 +424,37 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
             for start in range(0, len(X), chunk):
                 c = slice(start, start + chunk)
                 Xc = X[c]
-                out[c] = advect(lattice, Xc, Xc if Y is X else Y[c],
-                                t if t.ndim == 0 else t[c], omega, lam)
+                out[c] = _advect(lattice, Xc, Xc if Y is X else Y[c],
+                                 t if t.ndim == 0 else t[c], omega, lam, support)
             return out
+    return _advect(lattice, X, Y, t, omega, lam, support)
+
+
+def _advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray, t, omega: float, lam,
+            support) -> np.ndarray:
+    """advect on one block of samples, convolved with the plan of support.
+
+    Given a support that leaves out some modes, only its rows of X and Y
+    are rotated, and the others are +0: a restricted plan reads no other
+    row, and the full plan it may fall back to gets the same bits from any
+    zero (_convolve).
+    """
     if omega != 0.0:
         theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
         c, s = np.cos(theta), np.sin(theta)
-        Xr = _rotate_coeffs(lattice, X, c, s)
-        X, Y = Xr, Xr if Y is X else _rotate_coeffs(lattice, Y, c, s)
-    b = convolve_advect(lattice, X, Y, lam)
+
+        def rotate(A, rows):
+            if rows is None or len(rows) == lattice.n_modes:
+                return _rotate_coeffs(lattice, A, c, s)
+            out = np.zeros(A.shape, dtype=complex)
+            out[..., rows, :] = _rotate_coeffs(lattice, A[..., rows, :], c[..., rows],
+                                               s[..., rows], rows)
+            return out
+
+        rows_u, rows_v = support or (None, None)
+        Xr = rotate(X, rows_u)
+        X, Y = Xr, Xr if Y is X else rotate(Y, rows_v)
+    b = _convolve(lattice, X, Y, lam, support)
     rows = slice(None) if lam is None else _shell_rows(lattice, lam)
     b[..., rows, :] = np.einsum("mij,...mj->...mi", _complex_ops(lattice)[1][rows],
                                 b[..., rows, :])

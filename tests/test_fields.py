@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction
@@ -374,18 +375,186 @@ def test_stacked_advect_matches_reference(name, omega, n):
 
 
 def test_cached_block_matrix_keeps_no_data_between_calls():
-    """Interleaved (shell, stack size) calls on fresh inputs each match a fresh reference."""
+    """Interleaved (shell, stack size) calls on fresh inputs each match a fresh
+    reference; full-plan calls on dense data alternate with restricted-plan
+    calls on one-mode data."""
     lat = LATTICES["cube6"]
     every, shell1 = np.ones(lat.n_modes, dtype=bool), lat.shell_of == 0
-    for seed, n, lam, on in [(1, 3, lat.eigenvalues[0], shell1), (2, 1, None, every),
-                             (3, 3, lat.eigenvalues[0], shell1), (4, 1, None, every)]:
-        X, ts = _samples(lat, seed, n)
-        Y, _ = _samples(lat, seed + 100, n)
+    one_mode = functools.partial(_sparse_samples, keep=1)
+    for seed, n, lam, on, samples in [
+            (1, 3, lat.eigenvalues[0], shell1, _samples), (5, 3, None, every, one_mode),
+            (2, 1, None, every, _samples), (6, 1, lat.eigenvalues[0], shell1, one_mode),
+            (3, 3, lat.eigenvalues[0], shell1, _samples), (7, 1, None, every, one_mode),
+            (4, 1, None, every, _samples), (8, 3, None, every, one_mode)]:
+        X, ts = samples(lat, seed, n)
+        Y, _ = samples(lat, seed + 100, n)
+        _drop_restricted_plans(lat)
         got = advect(lat, X, Y, ts, 5.0, lam)
+        assert _restricted_plans(lat) == ({} if samples is _samples else
+                                          {lam: _support_key(lat, X, Y)})
         for b in range(n):
             want = _advect_reference(lat, X[b], Y[b], float(ts[b]), 5.0)
             _assert_bits_equal(got[b, on], want[on])
             assert not np.any(got[b, ~on])
+
+
+def _sparse_samples(lat, seed, n, keep):
+    """n real-paired fields as an (n,M,3) stack: each is random_gevrey data
+    with every representative mode but `keep` random ones zeroed, then
+    mirrored; and n sample times."""
+    X, ts = _samples(lat, seed, n)
+    rng = np.random.default_rng(seed)
+    reps = np.flatnonzero(lat.rep_mask)
+    for b in range(n):
+        X[b, rng.permutation(reps)[keep:]] = 0.0
+    X[:, lat.conj_idx[reps]] = np.conj(X[:, reps])
+    return X, ts
+
+
+def _restricted_plans(lat):
+    """{shell: support key} of the restricted plans the lattice has cached."""
+    return {lam: entry[0] for (lam, full), entry in lat.__dict__.get("_conv_plans", {}).items()
+            if not full}
+
+
+def _drop_restricted_plans(lat):
+    for slot in [s for s in lat.__dict__.get("_conv_plans", {}) if not s[1]]:
+        del lat._conv_plans[slot]
+
+
+def _support_key(lat, X, Y):
+    """The cache key of the plan restricted to the modes non-zero in some sample of X and of Y."""
+    def rows(A):
+        return np.flatnonzero(A.reshape(-1, lat.n_modes, 3).any(axis=(0, 2)))
+    return rows(X).tobytes(), rows(Y).tobytes()
+
+
+@given(st.sampled_from(["cube6", "ray10"]), st.integers(0, 2**16), st.sampled_from([1, 3]),
+       st.integers(0, 2), st.integers(0, 2), st.booleans(), st.sampled_from([0.0, 5.0]),
+       st.sampled_from(["none", "eigen", "other"]))
+@settings(deadline=None, max_examples=40)
+def test_restricted_plan_matches_reference(name, seed, n, keep_x, keep_y, same, omega, shell):
+    """advect on data zeroed off a few random representative modes gives the
+    full-plan reference's bits, through a restricted plan whenever
+    nnz(X) nnz(Y) is below the plan's pair count, which it always is
+    without a shell."""
+    lat = STACKS[name][0]
+    X, ts = _sparse_samples(lat, seed, n, keep_x)
+    Y = _sparse_samples(lat, seed + 1, n, keep_y)[0]
+    if n == 1:
+        X, Y, ts = X[0], Y[0], float(ts[0])
+    if same:
+        Y = X
+    rng = np.random.default_rng(seed)
+    lam = {"none": None, "eigen": lat.eigenvalues[rng.integers(len(lat.eigenvalues))],
+           "other": Fraction(1, 3)}[shell]
+    _drop_restricted_plans(lat)
+    got = advect(lat, X, Y, ts, omega, lam)
+    restricted = np.count_nonzero(X) * np.count_nonzero(Y) < len(_conv_plan(lat, lam)[0])
+    assert restricted or lam is not None
+    assert _restricted_plans(lat) == ({lam: _support_key(lat, X, Y)} if restricted else {})
+    Xs, Ys, tt = (X, Y, ts) if n > 1 else (X[None], Y[None], [ts])
+    on = np.ones(lat.n_modes, dtype=bool) if lam is None else lat.shell_of == lat.shell(lam)
+    for b in range(n):
+        want = _advect_reference(lat, Xs[b], Xs[b] if same else Ys[b], float(tt[b]), omega)
+        _assert_bits_equal(np.reshape(got, Xs.shape)[b, on], want[on])
+        assert not np.any(np.reshape(got, Xs.shape)[b, ~on])
+
+
+@pytest.mark.parametrize("lam", [None, Fraction(3)])
+@pytest.mark.parametrize("omega", [0.0, 5.0])
+def test_advect_of_zero_input_keeps_full_plan_bits(lam, omega):
+    """X = 0 against dense Y, as a stack and alone, with and without a shell:
+    the empty restricted plan gives the full plan's bits, as does Y = 0."""
+    lat = LATTICES["cube6"]
+    Y, ts = _samples(lat, 9, 4)
+    X = np.zeros_like(Y)
+    on = np.ones(lat.n_modes, dtype=bool) if lam is None else lat.shell_of == lat.shell(lam)
+    want = np.array([_advect_reference(lat, X[b], Y[b], float(ts[b]), omega) for b in range(4)])
+    for A, B, t, w in [(X, Y, ts, want), (X[0], Y[0], float(ts[0]), want[0])]:
+        _drop_restricted_plans(lat)
+        got = advect(lat, A, B, t, omega, lam)
+        assert _restricted_plans(lat) == {lam: _support_key(lat, A, B)}  # no rows of X
+        _assert_bits_equal(got[..., on, :], w[..., on, :])
+        assert not np.any(got[..., ~on, :])
+    got = advect(lat, Y, X, ts, omega, lam)
+    want = [_advect_reference(lat, Y[b], X[b], float(ts[b]), omega) for b in range(4)]
+    _assert_bits_equal(got[:, on], np.array(want)[:, on])
+    # a zero first sample does not make a dense stack sparse: nnz counts every sample
+    Z = Y.copy()
+    Z[0] = 0.0
+    _drop_restricted_plans(lat)
+    got = advect(lat, Z, Y, ts, omega, lam)
+    assert _restricted_plans(lat) == {}
+    want = [_advect_reference(lat, Z[b], Y[b], float(ts[b]), omega) for b in range(4)]
+    _assert_bits_equal(got[:, on], np.array(want)[:, on])
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e308])
+@pytest.mark.parametrize("omega", [0.0, 5.0])
+def test_restricted_plan_keeps_non_finite_products(value, omega):
+    """A non-finite entry, or one whose dot products overflow, takes the full
+    plan, which forms inf times zero as NaN: the bits are the reference's."""
+    lat = STACKS["ray10"][0]
+    X, ts = _sparse_samples(lat, 4, 1, keep=1)
+    Y, _ = _sparse_samples(lat, 5, 1, keep=2)
+    i = np.flatnonzero(X[0].any(axis=1))
+    X[0, i, 0] = value
+    with np.errstate(all="ignore"):
+        for A, B in [(X[0], Y[0]), (Y[0], X[0]), (X[0], X[0])]:
+            _assert_bits_equal(advect(lat, A, B, float(ts[0]), omega),
+                               _advect_reference(lat, A, B, float(ts[0]), omega))
+
+
+def test_plan_builder_restricts_the_full_plan_in_order():
+    """With full supports the builder gives today's plan array for array; with
+    random supports it gives the full plan's pairs (m, j) with m and j in
+    them, in the full plan's order."""
+    rng = np.random.default_rng(3)
+    for lat in (LAT3, LATTICES["cube6"], STACKS["ray10"][0]):
+        M, every = lat.n_modes, np.arange(lat.n_modes)
+        for lam in [None] + lat.eigenvalues + [Fraction(1, 3)]:
+            full = _conv_plan(lat, lam)
+            for got, want in zip(_conv_plan(lat, lam, (every, every)), full):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype and got.flags.c_contiguous
+            im, ij, kc, indptr = full
+            io = np.repeat(every, np.diff(indptr))
+            for size in (0, 1, 5, M // 3):
+                rows_u = np.sort(rng.choice(M, size, replace=False))
+                rows_v = np.sort(rng.choice(M, M - size, replace=False))
+                keep = np.isin(im, rows_u) & np.isin(ij, rows_v)
+                r_im, r_ij, r_kc, r_indptr = _conv_plan(lat, lam, (rows_u, rows_v))
+                np.testing.assert_array_equal(r_im, im[keep])
+                np.testing.assert_array_equal(r_ij, ij[keep])
+                np.testing.assert_array_equal(r_kc, kc[:, keep])
+                np.testing.assert_array_equal(
+                    r_indptr, np.r_[0, np.cumsum(np.bincount(io[keep], minlength=M))])
+
+
+def test_growing_support_keeps_one_restricted_plan_per_shell(monkeypatch):
+    """A u-form run from two non-colinear rays fills in new modes every step:
+    it goes through several restricted plans, and the lattice caches only
+    the last one, with block matrices for single samples only."""
+    import rotspec.fields as fields
+    lat = build_lattice(cutoff=10)
+    u0 = (VkData.random((1, 0, 1), (1,), 3, lat).field(lat)
+          + VkData.random((0, 1, 1), (1,), 4, lat).field(lat))
+    seen = set()
+    entry = fields._plan_entry
+
+    def spy(lattice, lam, support):
+        if support is not None:
+            seen.add(tuple(r.tobytes() for r in support))
+        return entry(lattice, lam, support)
+
+    monkeypatch.setattr(fields, "_plan_entry", spy)
+    traj = integrate(u0, SolverConfig(dt=0.01, t_end=0.05, omega=5.0, form="u"))
+    assert np.count_nonzero(traj.coeffs[-1].any(axis=1)) > np.count_nonzero(u0.coeffs.any(axis=1))
+    assert len(seen) >= 3
+    plans = _restricted_plans(lat)
+    assert list(plans) == [None] and plans[None] in seen
+    assert list(lat._conv_plans[None, False][2]) == [1]
 
 
 def test_advect_rejects_mismatched_stacks():
