@@ -161,25 +161,46 @@ _J_VERT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 def _complex_ops(lattice: Lattice) -> Tuple[np.ndarray, np.ndarray]:
     """(jk, proj) of the lattice as read-only complex (M,3,3) copies.
 
-    einsum casts a real operator to complex, through a buffer, on every call
-    that meets a complex field; these copies hold the cast values, so a
-    product with them gives the real operator's bits without the cast.
-    Cached per lattice.
+    A product of a real operator with a complex field casts the operator to
+    complex, through a buffer, on every call; these copies hold the cast
+    values, so a product with them gives the real operator's bits without
+    the cast.  Each copy is every other column of an (M,3,6) buffer: with
+    neither axis of a matrix at unit stride, np.matmul (_per_mode) forms
+    the per-mode products in its own loop instead of one BLAS call per
+    mode, in about half the time.  Cached per lattice.
     """
     ops = getattr(lattice, "_complex_ops", None)
     if ops is None:
-        ops = tuple(a.astype(complex) for a in (lattice.jk, lattice.proj))
-        for a in ops:
-            a.flags.writeable = False
-        lattice._complex_ops = ops
+        ops = []
+        for a in (lattice.jk, lattice.proj):
+            op = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=complex)[..., ::2]
+            op[...] = a
+            op.flags.writeable = False
+            ops.append(op)
+        ops = lattice._complex_ops = tuple(ops)
     return ops
+
+
+def _per_mode(op: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """op[m] @ coeffs[..., m, :] for every mode m: (R,3,3) operators on (R,3)
+    coefficients or on a (B,R,3) stack of them.
+
+    One batched matmul: its bits are einsum("mij,...mj->...mi")'s, and a
+    stack costs a fraction of einsum's time.
+    """
+    return np.matmul(op, coeffs[..., None])[..., 0]
+
+
+def _apply_jk(lattice: Lattice, coeffs: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """J_k coeffs per mode of rows, with the lattice's complex J_k
+    (_complex_ops): the one product of the rotation generator."""
+    return _per_mode(_complex_ops(lattice)[0][rows], coeffs)
 
 
 def apply_S(u: SpectralField) -> SpectralField:
     """Coriolis operator: Leray-projected vertical rotation P J P, mode-wise."""
     proj = _complex_ops(u.lattice)[1]
-    inner_p = np.einsum("mij,mj->mi", proj, u.coeffs)
-    c = np.einsum("mij,mj->mi", proj, inner_p @ _J_VERT.T)
+    c = _per_mode(proj, _per_mode(proj, u.coeffs) @ _J_VERT.T)
     return SpectralField(u.lattice, c)
 
 
@@ -189,9 +210,14 @@ def _rotate_coeffs(lattice: Lattice, coeffs: np.ndarray, c: np.ndarray, s: np.nd
 
     coeffs is (R,3) or a (B,R,3) stack of the R = len(rows) modes rows
     selects; c = cos(theta) and s = sin(theta) are (R,) or (B,R) to match.
+    Formed as c coeffs + s (J_k coeffs), in place where that keeps each
+    operation's operands in that order.
     """
-    rot = np.einsum("mij,...mj->...mi", _complex_ops(lattice)[0][rows], coeffs)
-    return c[..., None] * coeffs + s[..., None] * rot
+    rot = _apply_jk(lattice, coeffs, rows)
+    np.multiply(s[..., None], rot, out=rot)
+    out = c[..., None] * coeffs
+    out += rot
+    return out
 
 
 def apply_expS(u: SpectralField, t: float) -> SpectralField:
@@ -218,13 +244,15 @@ def _conv_plan(lattice: Lattice, lam=None, support=None):
 
 
 def _plan_entry(lattice: Lattice, lam, support):
-    """The cache entry (support key, plan, {n: block matrix}) of _conv_plan
-    and _block_csr, the plan built on a miss.
+    """The cache entry [support key, plan, {n: block matrix}, complex wave
+    vectors] of _conv_plan, _block_csr and _complex_kc, the plan built on a
+    miss.
 
     Each shell has two slots: the full plan (support None), kept for good,
     and the plan of the last support asked for, which the next support
-    replaces together with its block matrices.  A run whose support changes
-    every step therefore holds one restricted plan per shell.
+    replaces together with its block matrices and complex wave vectors.  A
+    run whose support changes every step therefore holds one restricted plan
+    per shell.
     """
     cache = lattice.__dict__.setdefault("_conv_plans", {})
     lam = None if lam is None else Fraction(lam)
@@ -258,7 +286,7 @@ def _plan_entry(lattice: Lattice, lam, support):
         np.ascontiguousarray(lattice.kcheck[io].T),  # output wave vectors, (3,P)
         np.r_[0, np.cumsum(np.bincount(io, minlength=M))],
     )
-    entry = cache[slot] = (key, plan, {})
+    entry = cache[slot] = [key, plan, {}, None]
     return entry
 
 
@@ -271,7 +299,7 @@ def _block_csr(M: int, entry, n: int) -> sp.csr_matrix:
     between calls; two threads must not convolve on one lattice at the same
     time.  Cached by n in the entry.
     """
-    _, (_, ij, _, indptr), blocks = entry
+    _, (_, ij, _, indptr), blocks, _ = entry
     if n not in blocks:
         P = len(ij)
         offs = np.arange(n)[:, None]
@@ -284,23 +312,38 @@ def _block_csr(M: int, entry, n: int) -> sp.csr_matrix:
     return blocks[n]
 
 
-def _support(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam):
+def _complex_kc(entry) -> np.ndarray:
+    """The (3,P) output wave vectors of a _plan_entry entry's plan as a
+    read-only complex copy, cast on the plan's first convolution.
+
+    A complex factor times a real one is cast to complex first, through a
+    buffer, on every call; the copy holds the cast values, so a product with
+    it has the real vectors' bits.  Built only for a plan that is convolved,
+    so a full plan that serves only as _support's pair count holds none.
+    """
+    kc = entry[3]
+    if kc is None:
+        kc = entry[3] = entry[1][2].astype(complex)
+        kc.flags.writeable = False
+    return kc
+
+
+def _support(lattice: Lattice, U: np.ndarray, V: np.ndarray, n_pairs: int):
     """The support that convolve_advect restricts its plan to, or None for
-    the full plan.
+    the full plan of n_pairs pairs.
 
     U and V must have one shape.  nnz(U) nnz(V), with nnz the count of
     non-zero entries over every sample of a stack, bounds the pairs whose
-    two factors are both non-zero.  When it is below the pair count of the
-    plan of shell lam, the support is (rows_u, rows_v): the modes with a
-    non-zero entry in some sample of U and of V.  Every pair the restricted
-    plan drops has an exact zero factor.  With finite factors its product is
-    a zero, and a CSR row sum starts from +0, which no zero term changes,
-    signed zeros included.  Rotating a sample keeps its zero rows zero, so
-    advect takes the support of its unrotated stack, once for all chunks.
+    two factors are both non-zero.  When it is below n_pairs, the support
+    is (rows_u, rows_v): the modes with a non-zero entry in some sample of
+    U and of V.  Every pair the restricted plan drops has an exact zero
+    factor.  With finite factors its product is a zero, and a CSR row sum
+    starts from +0, which no zero term changes, signed zeros included.
+    Rotating a sample keeps its zero rows zero, so advect takes the support
+    of its unrotated stack, once for all chunks.
     """
     if U.shape != V.shape:
         raise ValueError(f"U and V must have the same shape, not {U.shape} and {V.shape}")
-    P = len(_plan_entry(lattice, lam, None)[1][0])
 
     def nnz_product(A, B):
         nnz = np.count_nonzero(A)
@@ -308,7 +351,7 @@ def _support(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam):
 
     # a stack's first sample has no more non-zeros than the stack, so a
     # dense first sample decides without a count of the rest
-    if (U.ndim == 3 and nnz_product(U[:1], V[:1]) >= P) or nnz_product(U, V) >= P:
+    if (U.ndim == 3 and nnz_product(U[:1], V[:1]) >= n_pairs) or nnz_product(U, V) >= n_pairs:
         return None
     M = lattice.n_modes
 
@@ -335,14 +378,17 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) ->
     bit for bit, signed zeros included.
 
     Each pair's dot product is summed left to right over the three
-    components, (U_m0 k0 + U_m1 k1) + U_m2 k2, one gathered component
-    column at a time.
+    components, (U_m0 k0 + U_m1 k1) + U_m2 k2, on one (3, ..., P) gather of
+    U's components at the pairs.
     """
-    return _convolve(lattice, U, V, lam, _support(lattice, U, V, lam))
+    full = _plan_entry(lattice, lam, None)
+    return _convolve(lattice, U, V, lam, full, _support(lattice, U, V, len(full[1][0])))
 
 
-def _convolve(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam, support) -> np.ndarray:
-    """convolve_advect with the plan of a support _support chose.
+def _convolve(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam, full,
+              support) -> np.ndarray:
+    """convolve_advect with the plan of a support _support chose; full is
+    the _plan_entry entry of shell lam's full plan.
 
     A pair the restricted plan drops is an exact zero only if its other
     factor is finite.  The real and imaginary parts of a dot product
@@ -354,23 +400,27 @@ def _convolve(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam, support) -> n
     its products are zeros, which no sum changes, or inf times zero, which
     is the same NaN for either sign.
     """
-    if support is not None and not (
+    entry = full
+    if support is not None and (
             np.isfinite(4.0 * np.abs(lattice.kcheck).max()
                         * np.abs(U[..., support[0], :]).max(initial=0.0))
             and (V is U or np.isfinite(V.sum()))):
-        support = None
-    entry = _plan_entry(lattice, lam, support)
-    im, ij, kc, _ = entry[1]
+        entry = _plan_entry(lattice, lam, support)
+    im = entry[1][0]
     M = lattice.n_modes
     n = V.size // (3 * M)
-    # the components first; a transpose skips np.moveaxis's argument checks
-    cols = np.ascontiguousarray(U.transpose(U.ndim - 1, *range(U.ndim - 1)))
-    dots = (cols[0].take(im, axis=-1) * kc[0] + cols[1].take(im, axis=-1) * kc[1]
-            + cols[2].take(im, axis=-1) * kc[2])
+    # g[c]: component c of U at the pairs' first modes, (..., P)
+    g = U.transpose(U.ndim - 1, *range(U.ndim - 1)).take(im, axis=-1)
+    kc = _complex_kc(entry)
+    g *= kc.reshape(3, *(1,) * (U.ndim - 2), -1)
+    dots = g[0]
+    dots += g[1]
+    dots += g[2]
     S = _block_csr(M, entry, n)
     S.data = dots.ravel()
-    out = 1j * (S @ V.reshape(n * M, 3)).reshape(V.shape)
+    out = (S @ V.reshape(n * M, 3)).reshape(V.shape)
     S.data = None
+    np.multiply(1j, out, out=out)
     return _mirror(lattice, out)
 
 
@@ -378,10 +428,14 @@ def _mirror(lattice: Lattice, out: np.ndarray) -> np.ndarray:
     """Write the conjugate half of a real-paired (..., M, 3) array from its
     representative half, out[..., conj_idx[rep], :] = conj(out[..., rep, :]),
     in place; returns out.  The one writer of a conjugate half from a
-    representative half."""
-    rep = lattice.rep_mask
-    half = out[..., rep, :]
-    out[..., lattice.conj_idx[rep], :] = np.conjugate(half, out=half)
+    representative half.  The two halves' mode indices are cached per
+    lattice."""
+    rows = lattice.__dict__.get("_mirror_rows")
+    if rows is None:
+        rep = np.flatnonzero(lattice.rep_mask)
+        rows = lattice._mirror_rows = (rep, lattice.conj_idx[rep])
+    half = out.take(rows[0], axis=-2)
+    out[..., rows[1], :] = np.conjugate(half, out=half)
     return out
 
 
@@ -412,11 +466,13 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     factors are both non-zero in some sample are formed, with every output
     bit the full plan's.  The support is taken once per call, before a long
     stack is computed in chunks of samples, sized by the full plan;
-    samples are independent, so chunking changes no bit.
+    samples are independent, so chunking changes no bit.  One lookup of the
+    full plan serves the support, the chunk size and the convolution.
     """
-    support = _support(lattice, X, Y, lam)
+    full = _plan_entry(lattice, lam, None)
+    n_pairs = len(full[1][0])
+    support = _support(lattice, X, Y, n_pairs)
     if X.ndim == 3:
-        n_pairs = len(_conv_plan(lattice, lam)[0])
         chunk = max(1, _STACK_BLOCK_BYTES // (48 * max(n_pairs, lattice.n_modes)))
         if len(X) > chunk:
             t = np.asarray(t)
@@ -425,44 +481,52 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
                 c = slice(start, start + chunk)
                 Xc = X[c]
                 out[c] = _advect(lattice, Xc, Xc if Y is X else Y[c],
-                                 t if t.ndim == 0 else t[c], omega, lam, support)
+                                 t if t.ndim == 0 else t[c], omega, lam, full, support)
             return out
-    return _advect(lattice, X, Y, t, omega, lam, support)
+    return _advect(lattice, X, Y, t, omega, lam, full, support)
 
 
-def _advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray, t, omega: float, lam,
+def _advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray, t, omega: float, lam, full,
             support) -> np.ndarray:
-    """advect on one block of samples, convolved with the plan of support.
+    """advect on one block of samples, convolved with the plan of support;
+    full is the _plan_entry entry of shell lam's full plan.
 
-    Given a support that leaves out some modes, only its rows of X and Y
-    are rotated, and the others are +0: a restricted plan reads no other
-    row, and the full plan it may fall back to gets the same bits from any
-    zero (_convolve).
+    Without lam the projection and back-rotation act on the convolution's
+    whole array and return a new one; with lam they act on the shell's
+    rows, written back into it.
     """
     if omega != 0.0:
         theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
         c, s = np.cos(theta), np.sin(theta)
-
-        def rotate(A, rows):
-            if rows is None or len(rows) == lattice.n_modes:
-                return _rotate_coeffs(lattice, A, c, s)
-            out = np.zeros(A.shape, dtype=complex)
-            out[..., rows, :] = _rotate_coeffs(lattice, A[..., rows, :], c[..., rows],
-                                               s[..., rows], rows)
-            return out
-
         rows_u, rows_v = support or (None, None)
-        Xr = rotate(X, rows_u)
-        X, Y = Xr, Xr if Y is X else rotate(Y, rows_v)
-    b = _convolve(lattice, X, Y, lam, support)
+        Xr = _rotate_rows(lattice, X, c, s, rows_u)
+        X, Y = Xr, Xr if Y is X else _rotate_rows(lattice, Y, c, s, rows_v)
+    b = _convolve(lattice, X, Y, lam, full, support)
     rows = slice(None) if lam is None else _shell_rows(lattice, lam)
-    b[..., rows, :] = np.einsum("mij,...mj->...mi", _complex_ops(lattice)[1][rows],
-                                b[..., rows, :])
+    out = _per_mode(_complex_ops(lattice)[1][rows], b[..., rows, :])
     if omega != 0.0:
         # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s, bit for bit
-        b[..., rows, :] = _rotate_coeffs(lattice, b[..., rows, :], c[..., rows], -s[..., rows],
-                                         rows)
+        out = _rotate_coeffs(lattice, out, c[..., rows], -s[..., rows], rows)
+    if lam is None:
+        return out
+    b[..., rows, :] = out
     return b
+
+
+def _rotate_rows(lattice: Lattice, A: np.ndarray, c: np.ndarray, s: np.ndarray,
+                 rows) -> np.ndarray:
+    """_rotate_coeffs of A on the modes rows, +0 on every other mode; rows
+    None means all of them.
+
+    A restricted plan reads no row outside its support, and the full plan
+    it may fall back to gets the same bits from any zero (_convolve).
+    """
+    if rows is None or len(rows) == lattice.n_modes:
+        return _rotate_coeffs(lattice, A, c, s)
+    out = np.zeros(A.shape, dtype=complex)
+    out[..., rows, :] = _rotate_coeffs(lattice, A[..., rows, :], c[..., rows], s[..., rows],
+                                       rows)
+    return out
 
 
 def _shell_rows(lattice: Lattice, lam) -> slice:

@@ -157,8 +157,9 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
         a = N(t, C)
         b = N(t + 0.5 * h, Ph2(C + 0.5 * h * a))
         c = N(t + 0.5 * h, Ph2(C) + 0.5 * h * b)
-        d = N(t + h, Ph(C) + h * Ph2(c))
-        C = Ph(C) + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
+        PC = Ph(C)
+        d = N(t + h, PC + h * Ph2(c))
+        C = PC + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
         t = t0 + (step + 1) * h
         if not np.isfinite(C).all():
             raise FloatingPointError(

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .lattice import Lattice
-from .fields import (SpectralField, _J_VERT, _along_k, _complex_ops, _gevrey_norms,
+from .fields import (SpectralField, _J_VERT, _along_k, _apply_jk, _gevrey_norms,
                      _modes_of, _rotate_coeffs, convolve_advect, eigen_restrict)
 from .spoly import SPoly, apply_expS_spoly
 from .solver import Trajectory
@@ -256,9 +256,8 @@ class DriftingSolution:
         u = self.velocity(t)
         Ut = self.flow.U(t)
         drift_rate = 1j * (lat.kcheck @ Ut)
-        rot = np.einsum("mij,mj->mi", _complex_ops(lat)[0], u.coeffs)
         c = (-(lat.lam_f + 0j) - drift_rate)[:, None] * u.coeffs \
-            - (self.omega * lat.kt3)[:, None] * rot
+            - (self.omega * lat.kt3)[:, None] * _apply_jk(lat, u.coeffs)
         dmean = -self.omega * (_J_VERT @ Ut)
         return SpectralField(lat, c, dmean)
 

@@ -1,6 +1,8 @@
 import functools
+import gc
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,7 @@ from rotspec.fields import (
     random_gevrey,
 )
 from rotspec.lattice import build_lattice
-from rotspec.solver import SolverConfig, integrate
+from rotspec.solver import SolverConfig, Trajectory, integrate, transform_trajectory
 from rotspec.special import VkData, linear_evolution
 
 LAT3 = build_lattice(cutoff=3)
@@ -549,12 +551,28 @@ def test_growing_support_keeps_one_restricted_plan_per_shell(monkeypatch):
         return entry(lattice, lam, support)
 
     monkeypatch.setattr(fields, "_plan_entry", spy)
+    cast = []  # weak references to every complex wave-vector array handed out
+    complex_kc = fields._complex_kc
+
+    def spy_kc(e):
+        kc = complex_kc(e)
+        cast.append(weakref.ref(kc))
+        return kc
+
+    monkeypatch.setattr(fields, "_complex_kc", spy_kc)
     traj = integrate(u0, SolverConfig(dt=0.01, t_end=0.05, omega=5.0, form="u"))
     assert np.count_nonzero(traj.coeffs[-1].any(axis=1)) > np.count_nonzero(u0.coeffs.any(axis=1))
     assert len(seen) >= 3
     plans = _restricted_plans(lat)
     assert list(plans) == [None] and plans[None] in seen
     assert list(lat._conv_plans[None, False][2]) == [1]
+    # the complex wave vectors went away with the plans they belong to: only
+    # the last restricted plan's are alive, and the full plan, which only
+    # counted pairs, never cast its own
+    gc.collect()
+    live = {id(kc) for kc in (r() for r in cast) if kc is not None}
+    assert live == {id(lat._conv_plans[None, False][3])}
+    assert lat._conv_plans[None, True][3] is None
 
 
 def test_advect_rejects_mismatched_stacks():
@@ -605,6 +623,28 @@ def test_complex_operators_are_cast_once_and_read_only():
     assert lat.jk.flags.writeable and lat.proj.flags.writeable
 
 
+def test_plan_wave_vectors_are_cast_once_and_read_only():
+    """A plan's complex wave vectors are cast on its first convolution, once,
+    read-only, with the real vectors' bits; a plan that is only looked up
+    casts none."""
+    lat = build_lattice(cutoff=4)  # fresh: no plan cached yet
+    U, ts = _samples(lat, 3, 3)
+    lam = lat.eigenvalues[2]
+    for shell in (None, lam):
+        _conv_plan(lat, shell)
+        entry = lat._conv_plans[shell, True]
+        assert entry[3] is None
+        advect(lat, U, U, ts, 2.0, shell)
+        kc = entry[3]
+        assert kc.dtype == complex and kc.shape == entry[1][2].shape
+        _assert_bits_equal(kc.real, entry[1][2])
+        assert not np.any(np.ascontiguousarray(kc.imag).view(np.uint64))  # +0.0 throughout
+        with pytest.raises(ValueError):
+            kc[0, 0] = 1.0
+        advect(lat, U[0], U[0], float(ts[0]), 2.0, shell)
+        assert lat._conv_plans[shell, True][3] is kc
+
+
 def _rotate_reference(lat, C, theta):
     """cos(theta) C + sin(theta) J_k C with the real operator, as einsum casts it."""
     rot = np.einsum("mij,...mj->...mi", lat.jk, C)
@@ -647,6 +687,12 @@ def test_rotation_users_match_real_operator_bits(name):
     h = 0.01
     got = integrate(SpectralField(lat, X[0]), SolverConfig(dt=h, t_end=h, omega=omega, form="u"))
     _assert_bits_equal(got.coeffs[1], _u_step_reference(lat, X[0], h, omega))
+    # transform_trajectory on the stack, both directions, against the
+    # per-sample formula
+    for form, to_form, sign in (("u", "v", 1.0), ("v", "u", -1.0)):
+        traj = Trajectory(lat, form, omega, times, X)
+        want = [_rotate_reference(lat, C, sign * omega * lat.kt3 * t) for C, t in zip(X, times)]
+        _assert_bits_equal(transform_trajectory(traj, to_form).coeffs, want)
 
 
 @pytest.mark.parametrize("name", ["cube6", "ray10"])

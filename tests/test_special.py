@@ -210,6 +210,20 @@ def test_drifting_velocity_dt(drifting):
         np.testing.assert_allclose(ex.mean, fd_m, atol=1e-10)
 
 
+def test_drifting_velocity_dt_matches_real_operator_bits(drifting):
+    """velocity_dt's J_k product gives the bits of the formula with the real
+    operator, as einsum casts it."""
+    lat = drifting.lattice
+    for t in (0.0, 0.1, 0.7, 3.3):
+        u = drifting.velocity(t)
+        drift_rate = 1j * (lat.kcheck @ drifting.flow.U(t))
+        rot = np.einsum("mij,mj->mi", lat.jk, u.coeffs)
+        want = (-(lat.lam_f + 0j) - drift_rate)[:, None] * u.coeffs \
+            - (drifting.omega * lat.kt3)[:, None] * rot
+        got = drifting.velocity_dt(t)
+        np.testing.assert_array_equal(got.coeffs.view(np.uint64), want.view(np.uint64))
+
+
 def test_pressure_structure(drifting):
     p = drifting.pressure(0.4)
     assert (0, 0, 0) not in p
