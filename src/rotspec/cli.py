@@ -15,6 +15,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -420,6 +421,11 @@ def cmd_helicity(args) -> int:
 
 
 def cmd_sweep_omega(args) -> int:
+    # the window and the evaluation time are checked before any rate is integrated
+    if not (math.isfinite(args.T) and args.T > 0):
+        raise CliError(EXIT_CONFIG, "config", f"--T must be finite and positive, not {args.T}")
+    if not math.isfinite(args.t):
+        raise CliError(EXIT_CONFIG, "config", f"--t must be finite, not {args.t}")
     cfg = _load_config(args.config)
     omegas = [float(x) for x in args.omegas.split(",")]
     if len(omegas) < 2:

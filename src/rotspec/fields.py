@@ -229,108 +229,117 @@ def apply_expS(u: SpectralField, t: float) -> SpectralField:
 
 # -- bilinear form ----------------------------------------------------------
 
-def _conv_plan(lattice: Lattice, lam=None, support=None):
-    """Row-sorted pairs whose output is a representative mode.
+def _pairs(lattice: Lattice, lam, support):
+    """The one enumeration of a plan's pairs: (rows_u, outs, pair, live).
 
-    With lam given, only pairs whose output lies on the Stokes shell lam are
-    kept (none if lam is not an eigenvalue).  With support = (rows_u,
-    rows_v), two sorted arrays of mode indices, only the pairs (m, j) with m
-    in rows_u and j in rows_v are kept.  Either way each kept row lists its
-    pairs in the full plan's order.  Returns (im, ij, kcheck[out].T,
-    indptr), the wave vectors as three contiguous rows.  Cached as
-    _plan_entry says.
+    outs are the representative modes, only those on the Stokes shell lam
+    when lam is given (none if lam is not an eigenvalue), and rows_u the
+    first factor's modes: support[0] of a support (rows_u, rows_v), two
+    sorted arrays of mode indices, or every mode.  pair[o, a] = j with
+    k_j = k_outs[o] - k_m, m = rows_u[a], and live marks the pairs a plan
+    keeps: j is a mode, in rows_v when a support is given.
     """
-    return _plan_entry(lattice, lam, support)[1]
-
-
-def _plan_entry(lattice: Lattice, lam, support):
-    """The cache entry [support key, plan, {n: block matrix}, complex wave
-    vectors] of _conv_plan, _block_csr and _complex_kc, the plan built on a
-    miss.
-
-    Each shell has two slots: the full plan (support None), kept for good,
-    and the plan of the last support asked for, which the next support
-    replaces together with its block matrices and complex wave vectors.  A
-    run whose support changes every step therefore holds one restricted plan
-    per shell.
-    """
-    cache = lattice.__dict__.setdefault("_conv_plans", {})
-    lam = None if lam is None else Fraction(lam)
-    key = None if support is None else tuple(r.tobytes() for r in support)
-    slot = (lam, key is None)
-    entry = cache.get(slot)
-    if entry is not None and entry[0] == key:
-        return entry
     M = lattice.n_modes
     keep = lattice.rep_mask
     if lam is not None:
         keep = keep & (lattice.shell_of == lattice.shell(lam))
     outs = np.flatnonzero(keep)
     rows_u = np.arange(M) if support is None else support[0]
-    # pair[o, a] = j with k_j = k_outs[o] - k_m, m = rows_u[a]: the row-major
-    # non-zeros list the pairs by output, then by m.  divmod keeps the index
-    # arrays contiguous (np.nonzero's are strided), and every convolution
-    # reads them.
     pair = lattice.pair_index(outs[:, None], lattice.conj_idx[rows_u][None, :])
     live = pair >= 0
     if support is not None:
         in_v = np.zeros(M, dtype=bool)
         in_v[support[1]] = True
         live &= in_v[pair]  # pair = -1 reads the last mode, on a pair live drops
-    flat = np.flatnonzero(live)
-    row, a = divmod(flat, len(rows_u))
-    im, ij, io = rows_u[a], pair.ravel()[flat], outs[row]
-    plan = (
-        im,
-        ij,
-        np.ascontiguousarray(lattice.kcheck[io].T),  # output wave vectors, (3,P)
-        np.r_[0, np.cumsum(np.bincount(io, minlength=M))],
-    )
-    entry = cache[slot] = [key, plan, {}, None]
-    return entry
+    return rows_u, outs, pair, live
 
 
-def _block_csr(M: int, entry, n: int) -> sp.csr_matrix:
-    """CSR matrix of n diagonal copies of the plan of a _plan_entry entry,
-    without data.
+class _Plan:
+    """The live pairs of _pairs(lattice, lam, support), row-sorted.
 
-    The kernel sets the data to its pair products for one product and drops
-    them after it, so no call reads another's and the cache holds no data
-    between calls; two threads must not convolve on one lattice at the same
-    time.  Cached by n in the entry.
+    Pair p multiplies U_im[p] . kc[:, p] by V_ij[p] into output row o for
+    indptr[o] <= p < indptr[o + 1]; each row lists its pairs by first mode,
+    in the full plan's order.  kc holds the output wave vectors as three
+    contiguous rows, cast to complex and read-only: a complex factor times a
+    real one is cast to complex, through a buffer, on every call, so a
+    product with the cast values has the real vectors' bits without the
+    cast.  blocks caches the plan's block matrices by stack size (block).
     """
-    _, (_, ij, _, indptr), blocks, _ = entry
-    if n not in blocks:
-        P = len(ij)
-        offs = np.arange(n)[:, None]
-        S = sp.csr_matrix(
-            (np.zeros(n * P, dtype=complex), (ij + M * offs).ravel(),
-             np.r_[0, (indptr[1:] + P * offs).ravel()]),
-            shape=(n * M, n * M))
-        S.data = None
-        blocks[n] = S
-    return blocks[n]
+
+    def __init__(self, lattice: Lattice, lam, support):
+        rows_u, outs, pair, live = _pairs(lattice, lam, support)
+        # the row-major non-zeros of live list the pairs by output, then by
+        # m.  divmod keeps the index arrays contiguous (np.nonzero's are
+        # strided), and every convolution reads them.
+        flat = np.flatnonzero(live)
+        row, a = divmod(flat, len(rows_u))
+        io = outs[row]
+        self.im, self.ij = rows_u[a], pair.ravel()[flat]
+        self.indptr = np.r_[0, np.cumsum(np.bincount(io, minlength=lattice.n_modes))]
+        self.kc = np.ascontiguousarray(lattice.kcheck[io].T, dtype=complex)
+        self.kc.flags.writeable = False
+        self.blocks = {}
+
+    def block(self, M: int, n: int) -> sp.csr_matrix:
+        """CSR matrix of n diagonal copies of the plan, without data.
+
+        The kernel sets the data to its pair products for one product and
+        drops them after it, so no call reads another's and the cache holds
+        no data between calls; two threads must not convolve on one lattice
+        at the same time.
+        """
+        S = self.blocks.get(n)
+        if S is None:
+            P = len(self.ij)
+            offs = np.arange(n)[:, None]
+            S = self.blocks[n] = sp.csr_matrix(
+                (np.zeros(n * P, dtype=complex), (self.ij + M * offs).ravel(),
+                 np.r_[0, (self.indptr[1:] + P * offs).ravel()]),
+                shape=(n * M, n * M))
+            S.data = None
+        return S
 
 
-def _complex_kc(entry) -> np.ndarray:
-    """The (3,P) output wave vectors of a _plan_entry entry's plan as a
-    read-only complex copy, cast on the plan's first convolution.
+class _ShellPlans:
+    """The plan record of one Stokes shell of a lattice (lam None: every
+    representative output), cached per lattice by _shell_plans.
 
-    A complex factor times a real one is cast to complex first, through a
-    buffer, on every call; the copy holds the cast values, so a product with
-    it has the real vectors' bits.  Built only for a plan that is convolved,
-    so a full plan that serves only as _support's pair count holds none.
+    n_pairs is the full plan's pair count, counted on the one enumeration
+    the builder uses.  full is the full plan, built the first time a
+    convolution takes it, and kept for good.  restricted is the plan of the
+    latest support asked for, with that support's key: the next support
+    replaces both, so a run whose support changes every step holds one
+    restricted plan per shell.
     """
-    kc = entry[3]
-    if kc is None:
-        kc = entry[3] = entry[1][2].astype(complex)
-        kc.flags.writeable = False
-    return kc
+
+    __slots__ = ("lam", "n_pairs", "full", "key", "restricted")
+
+    def __init__(self, lattice: Lattice, lam):
+        self.lam = lam
+        self.n_pairs = int(np.count_nonzero(_pairs(lattice, lam, None)[3]))
+        self.full = self.key = self.restricted = None
+
+    def plan(self, lattice: Lattice, support) -> _Plan:
+        """The shell's plan restricted to support, or its full plan for None."""
+        if support is None:
+            self.full = self.full or _Plan(lattice, self.lam, None)
+            return self.full
+        key = tuple(r.tobytes() for r in support)
+        if key != self.key:
+            self.key, self.restricted = key, _Plan(lattice, self.lam, support)
+        return self.restricted
+
+
+def _shell_plans(lattice: Lattice, lam) -> _ShellPlans:
+    """The plan record of shell lam on the lattice, made on a miss."""
+    cache = lattice.__dict__.setdefault("_conv_plans", {})
+    lam = None if lam is None else Fraction(lam)
+    return cache.get(lam) or cache.setdefault(lam, _ShellPlans(lattice, lam))
 
 
 def _support(lattice: Lattice, U: np.ndarray, V: np.ndarray, n_pairs: int):
     """The support that convolve_advect restricts its plan to, or None for
-    the full plan of n_pairs pairs.
+    the full plan of n_pairs pairs (the shell record's count).
 
     U and V must have one shape.  nnz(U) nnz(V), with nnz the count of
     non-zero entries over every sample of a stack, bounds the pairs whose
@@ -373,22 +382,23 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) ->
     given, only outputs on that Stokes shell are formed; other rows are zero.
 
     The plan follows the inputs' support (_support): when nnz(U) nnz(V) is
-    below the plan's pair count, only the pairs with U_m and V_j both
+    below the shell's pair count, only the pairs with U_m and V_j both
     non-zero in some sample are formed.  Every output is the full plan's,
-    bit for bit, signed zeros included.
+    bit for bit, signed zeros included.  The full plan is built only when
+    a convolution takes it.
 
     Each pair's dot product is summed left to right over the three
     components, (U_m0 k0 + U_m1 k1) + U_m2 k2, on one (3, ..., P) gather of
     U's components at the pairs.
     """
-    full = _plan_entry(lattice, lam, None)
-    return _convolve(lattice, U, V, lam, full, _support(lattice, U, V, len(full[1][0])))
+    record = _shell_plans(lattice, lam)
+    return _convolve(lattice, U, V, record, _support(lattice, U, V, record.n_pairs))
 
 
-def _convolve(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam, full,
+def _convolve(lattice: Lattice, U: np.ndarray, V: np.ndarray, record: _ShellPlans,
               support) -> np.ndarray:
-    """convolve_advect with the plan of a support _support chose; full is
-    the _plan_entry entry of shell lam's full plan.
+    """convolve_advect on the shell of a _ShellPlans record, with the plan
+    of a support _support chose.
 
     A pair the restricted plan drops is an exact zero only if its other
     factor is finite.  The real and imaginary parts of a dot product
@@ -400,23 +410,21 @@ def _convolve(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam, full,
     its products are zeros, which no sum changes, or inf times zero, which
     is the same NaN for either sign.
     """
-    entry = full
-    if support is not None and (
+    if support is not None and not (
             np.isfinite(4.0 * np.abs(lattice.kcheck).max()
                         * np.abs(U[..., support[0], :]).max(initial=0.0))
             and (V is U or np.isfinite(V.sum()))):
-        entry = _plan_entry(lattice, lam, support)
-    im = entry[1][0]
+        support = None
+    plan = record.plan(lattice, support)
     M = lattice.n_modes
     n = V.size // (3 * M)
     # g[c]: component c of U at the pairs' first modes, (..., P)
-    g = U.transpose(U.ndim - 1, *range(U.ndim - 1)).take(im, axis=-1)
-    kc = _complex_kc(entry)
-    g *= kc.reshape(3, *(1,) * (U.ndim - 2), -1)
+    g = U.transpose(U.ndim - 1, *range(U.ndim - 1)).take(plan.im, axis=-1)
+    g *= plan.kc.reshape(3, *(1,) * (U.ndim - 2), -1)
     dots = g[0]
     dots += g[1]
     dots += g[2]
-    S = _block_csr(M, entry, n)
+    S = plan.block(M, n)
     S.data = dots.ravel()
     out = (S @ V.reshape(n * M, 3)).reshape(V.shape)
     S.data = None
@@ -462,18 +470,18 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     rotations and the back-rotation.
 
     The convolution follows the inputs' support as convolve_advect's does:
-    when nnz(X) nnz(Y) is below the plan's pair count, only the pairs whose
+    when nnz(X) nnz(Y) is below the shell's pair count, only the pairs whose
     factors are both non-zero in some sample are formed, with every output
     bit the full plan's.  The support is taken once per call, before a long
-    stack is computed in chunks of samples, sized by the full plan;
-    samples are independent, so chunking changes no bit.  One lookup of the
-    full plan serves the support, the chunk size and the convolution.
+    stack is computed in chunks of samples, sized by the pair count;
+    samples are independent, so chunking changes no bit.  The call looks up
+    the shell's plan record once (_shell_plans): its pair count serves the
+    support gate and the chunk size, and its plans the convolution.
     """
-    full = _plan_entry(lattice, lam, None)
-    n_pairs = len(full[1][0])
-    support = _support(lattice, X, Y, n_pairs)
+    record = _shell_plans(lattice, lam)
+    support = _support(lattice, X, Y, record.n_pairs)
     if X.ndim == 3:
-        chunk = max(1, _STACK_BLOCK_BYTES // (48 * max(n_pairs, lattice.n_modes)))
+        chunk = max(1, _STACK_BLOCK_BYTES // (48 * max(record.n_pairs, lattice.n_modes)))
         if len(X) > chunk:
             t = np.asarray(t)
             out = np.empty(X.shape, dtype=complex)
@@ -481,19 +489,19 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
                 c = slice(start, start + chunk)
                 Xc = X[c]
                 out[c] = _advect(lattice, Xc, Xc if Y is X else Y[c],
-                                 t if t.ndim == 0 else t[c], omega, lam, full, support)
+                                 t if t.ndim == 0 else t[c], omega, record, support)
             return out
-    return _advect(lattice, X, Y, t, omega, lam, full, support)
+    return _advect(lattice, X, Y, t, omega, record, support)
 
 
-def _advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray, t, omega: float, lam, full,
-            support) -> np.ndarray:
-    """advect on one block of samples, convolved with the plan of support;
-    full is the _plan_entry entry of shell lam's full plan.
+def _advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray, t, omega: float,
+            record: _ShellPlans, support) -> np.ndarray:
+    """advect on one block of samples, on the shell of a _ShellPlans record,
+    convolved with the plan of support.
 
-    Without lam the projection and back-rotation act on the convolution's
-    whole array and return a new one; with lam they act on the shell's
-    rows, written back into it.
+    Without a shell the projection and back-rotation act on the
+    convolution's whole array and return a new one; with one they act on
+    the shell's rows, written back into it.
     """
     if omega != 0.0:
         theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
@@ -501,13 +509,13 @@ def _advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray, t, omega: float, lam
         rows_u, rows_v = support or (None, None)
         Xr = _rotate_rows(lattice, X, c, s, rows_u)
         X, Y = Xr, Xr if Y is X else _rotate_rows(lattice, Y, c, s, rows_v)
-    b = _convolve(lattice, X, Y, lam, full, support)
-    rows = slice(None) if lam is None else _shell_rows(lattice, lam)
+    b = _convolve(lattice, X, Y, record, support)
+    rows = slice(None) if record.lam is None else _shell_rows(lattice, record.lam)
     out = _per_mode(_complex_ops(lattice)[1][rows], b[..., rows, :])
     if omega != 0.0:
         # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s, bit for bit
         out = _rotate_coeffs(lattice, out, c[..., rows], -s[..., rows], rows)
-    if lam is None:
+    if record.lam is None:
         return out
     b[..., rows, :] = out
     return b
@@ -560,9 +568,7 @@ def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,
     """
     rng = np.random.default_rng(seed)
     u = SpectralField(lattice)
-    for i in range(lattice.n_modes):
-        if not lattice.rep_mask[i]:
-            continue
+    for i in np.flatnonzero(lattice.rep_mask):
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         z = lattice.proj[i] @ z
         z *= math.exp(-sigma * math.sqrt(lattice.lam_f[i]))

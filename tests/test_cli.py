@@ -763,6 +763,31 @@ def test_sweep_omega_ragged_records_exit_before_integrating(tmp_path, capsys, mo
     assert "does not divide the 600 steps" in err["message"]
 
 
+@pytest.mark.parametrize("flag, value", [("--T", "0"), ("--T", "-0.2"), ("--T", "nan"),
+                                         ("--T", "inf"), ("--T", "-inf"), ("--t", "nan"),
+                                         ("--t", "inf"), ("--t", "-inf")])
+def test_sweep_omega_checks_window_and_time_before_integrating(tmp_path, capsys, monkeypatch,
+                                                               flag, value):
+    """A --T that is not finite and positive, or a --t that is not finite,
+    is a config error, reported as one JSON line before any rate is
+    integrated."""
+    cfg_path = tmp_path / "sweep.json"
+    _sweep_config(cfg_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated a sweep with a bad window or time")
+
+    monkeypatch.setattr("rotspec.cli.integrate", refuse)
+    values = {"--T": "0.2", "--t": "0.0", flag: value}
+    assert main(["sweep-omega", "--config", str(cfg_path), "--omegas", "10,20"]
+                + [f"{f}={v}" for f, v in values.items()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config" and flag in err["message"]
+
+
 def test_sweep_omega_has_no_order_flag(tmp_path, capsys, monkeypatch):
     """The sweep reads only q_1, so it takes no --order; an old command line
     that passes one is a usage error, reported as JSON before any run."""

@@ -46,7 +46,7 @@ TOP_LEVEL = ["SolverConfig", "build_lattice", "expand", "integrate", "random_gev
 DELETED = {
     "fields": ["leray_project", "apply_A_power", "low_pass", "bilinear_B_omega",
                "field_to_json", "field_from_json", "gevrey_norm", "_code_table", "_encode",
-               "_triads"],
+               "_triads", "_conv_plan", "_plan_entry", "_complex_kc"],
     "lattice": ["rationalize_period", "spectrum_to_json", "_cross_matrix"],
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
               "spoly_from_json", "_pair_table"],

@@ -17,9 +17,10 @@ from rotspec.fields import (
     apply_expS,
     bilinear_B,
     _J_VERT,
+    _Plan,
     _complex_ops,
-    _conv_plan,
     _rotate_coeffs,
+    _shell_plans,
     eigen_restrict,
     field_from_doc,
     field_to_doc,
@@ -267,14 +268,15 @@ def test_conv_plan_matches_reference_loop():
         im, ij, io = im[keep][order], ij[keep][order], io[keep][order]
         for lam in [None] + lat.eigenvalues:
             sel = slice(None) if lam is None else lat.shell_of[io] == lat.shell(lam)
-            p_im, p_ij, p_kc, p_indptr = _conv_plan(lat, lam)
-            np.testing.assert_array_equal(p_im, im[sel])
-            np.testing.assert_array_equal(p_ij, ij[sel])
-            np.testing.assert_array_equal(p_kc, lat.kcheck[io[sel]].T)
-            assert p_im.flags.c_contiguous and p_ij.flags.c_contiguous
-            assert p_kc.flags.c_contiguous
+            plan = _Plan(lat, lam, None)
+            np.testing.assert_array_equal(plan.im, im[sel])
+            np.testing.assert_array_equal(plan.ij, ij[sel])
+            np.testing.assert_array_equal(plan.kc, lat.kcheck[io[sel]].T)
+            assert plan.im.flags.c_contiguous and plan.ij.flags.c_contiguous
+            assert plan.kc.flags.c_contiguous
             np.testing.assert_array_equal(
-                p_indptr, np.r_[0, np.cumsum(np.bincount(io[sel], minlength=lat.n_modes))])
+                plan.indptr, np.r_[0, np.cumsum(np.bincount(io[sel], minlength=lat.n_modes))])
+            assert _shell_plans(lat, lam).n_pairs == len(plan.im)
 
 
 def _advect_reference(lattice, X, Y, t=0.0, omega=0.0):
@@ -288,7 +290,8 @@ def _advect_reference(lattice, X, Y, t=0.0, omega=0.0):
         return np.cos(theta)[:, None] * C + np.sin(theta)[:, None] * rot
 
     def convolve(U, V):
-        im, ij, _, indptr = _conv_plan(lattice)
+        plan = _Plan(lattice, None, None)
+        im, ij, indptr = plan.im, plan.ij, plan.indptr
         M = lattice.n_modes
         io = np.repeat(np.arange(M), np.diff(indptr))
         dots = (U[im] * lattice.kcheck[io]).sum(axis=1)
@@ -415,13 +418,13 @@ def _sparse_samples(lat, seed, n, keep):
 
 def _restricted_plans(lat):
     """{shell: support key} of the restricted plans the lattice has cached."""
-    return {lam: entry[0] for (lam, full), entry in lat.__dict__.get("_conv_plans", {}).items()
-            if not full}
+    return {lam: record.key for lam, record in lat.__dict__.get("_conv_plans", {}).items()
+            if record.restricted is not None}
 
 
 def _drop_restricted_plans(lat):
-    for slot in [s for s in lat.__dict__.get("_conv_plans", {}) if not s[1]]:
-        del lat._conv_plans[slot]
+    for record in lat.__dict__.get("_conv_plans", {}).values():
+        record.key = record.restricted = None
 
 
 def _support_key(lat, X, Y):
@@ -452,7 +455,7 @@ def test_restricted_plan_matches_reference(name, seed, n, keep_x, keep_y, same, 
            "other": Fraction(1, 3)}[shell]
     _drop_restricted_plans(lat)
     got = advect(lat, X, Y, ts, omega, lam)
-    restricted = np.count_nonzero(X) * np.count_nonzero(Y) < len(_conv_plan(lat, lam)[0])
+    restricted = np.count_nonzero(X) * np.count_nonzero(Y) < _shell_plans(lat, lam).n_pairs
     assert restricted or lam is not None
     assert _restricted_plans(lat) == ({lam: _support_key(lat, X, Y)} if restricted else {})
     Xs, Ys, tt = (X, Y, ts) if n > 1 else (X[None], Y[None], [ts])
@@ -516,63 +519,95 @@ def test_plan_builder_restricts_the_full_plan_in_order():
     for lat in (LAT3, LATTICES["cube6"], STACKS["ray10"][0]):
         M, every = lat.n_modes, np.arange(lat.n_modes)
         for lam in [None] + lat.eigenvalues + [Fraction(1, 3)]:
-            full = _conv_plan(lat, lam)
-            for got, want in zip(_conv_plan(lat, lam, (every, every)), full):
+            full = _Plan(lat, lam, None)
+            assert len(full.im) == _shell_plans(lat, lam).n_pairs
+            whole = _Plan(lat, lam, (every, every))
+            for name in ("im", "ij", "kc", "indptr"):
+                got, want = getattr(whole, name), getattr(full, name)
                 np.testing.assert_array_equal(got, want)
                 assert got.dtype == want.dtype and got.flags.c_contiguous
-            im, ij, kc, indptr = full
+            im, ij, kc, indptr = full.im, full.ij, full.kc, full.indptr
             io = np.repeat(every, np.diff(indptr))
             for size in (0, 1, 5, M // 3):
                 rows_u = np.sort(rng.choice(M, size, replace=False))
                 rows_v = np.sort(rng.choice(M, M - size, replace=False))
                 keep = np.isin(im, rows_u) & np.isin(ij, rows_v)
-                r_im, r_ij, r_kc, r_indptr = _conv_plan(lat, lam, (rows_u, rows_v))
-                np.testing.assert_array_equal(r_im, im[keep])
-                np.testing.assert_array_equal(r_ij, ij[keep])
-                np.testing.assert_array_equal(r_kc, kc[:, keep])
+                r = _Plan(lat, lam, (rows_u, rows_v))
+                np.testing.assert_array_equal(r.im, im[keep])
+                np.testing.assert_array_equal(r.ij, ij[keep])
+                np.testing.assert_array_equal(r.kc, kc[:, keep])
                 np.testing.assert_array_equal(
-                    r_indptr, np.r_[0, np.cumsum(np.bincount(io[keep], minlength=M))])
+                    r.indptr, np.r_[0, np.cumsum(np.bincount(io[keep], minlength=M))])
+
+
+def _spy_plans(monkeypatch):
+    """Record (support key, weak reference to the plan's complex wave
+    vectors) for every plan the kernel builds; the key is None for a full
+    plan."""
+    import rotspec.fields as fields
+    built = []
+    plan = fields._Plan
+
+    def spy(lattice, lam, support):
+        p = plan(lattice, lam, support)
+        key = None if support is None else tuple(r.tobytes() for r in support)
+        built.append((key, weakref.ref(p.kc)))
+        return p
+
+    monkeypatch.setattr(fields, "_Plan", spy)
+    return built
 
 
 def test_growing_support_keeps_one_restricted_plan_per_shell(monkeypatch):
     """A u-form run from two non-colinear rays fills in new modes every step:
     it goes through several restricted plans, and the lattice caches only
     the last one, with block matrices for single samples only."""
-    import rotspec.fields as fields
     lat = build_lattice(cutoff=10)
     u0 = (VkData.random((1, 0, 1), (1,), 3, lat).field(lat)
           + VkData.random((0, 1, 1), (1,), 4, lat).field(lat))
-    seen = set()
-    entry = fields._plan_entry
-
-    def spy(lattice, lam, support):
-        if support is not None:
-            seen.add(tuple(r.tobytes() for r in support))
-        return entry(lattice, lam, support)
-
-    monkeypatch.setattr(fields, "_plan_entry", spy)
-    cast = []  # weak references to every complex wave-vector array handed out
-    complex_kc = fields._complex_kc
-
-    def spy_kc(e):
-        kc = complex_kc(e)
-        cast.append(weakref.ref(kc))
-        return kc
-
-    monkeypatch.setattr(fields, "_complex_kc", spy_kc)
+    built = _spy_plans(monkeypatch)
     traj = integrate(u0, SolverConfig(dt=0.01, t_end=0.05, omega=5.0, form="u"))
     assert np.count_nonzero(traj.coeffs[-1].any(axis=1)) > np.count_nonzero(u0.coeffs.any(axis=1))
-    assert len(seen) >= 3
+    seen = {key for key, _ in built}
+    assert len(seen) >= 3 and None not in seen
     plans = _restricted_plans(lat)
     assert list(plans) == [None] and plans[None] in seen
-    assert list(lat._conv_plans[None, False][2]) == [1]
+    record = lat._conv_plans[None]
+    assert list(record.restricted.blocks) == [1]
     # the complex wave vectors went away with the plans they belong to: only
-    # the last restricted plan's are alive, and the full plan, which only
-    # counted pairs, never cast its own
+    # the last restricted plan's are alive, and the full plan, which no
+    # convolution took, was never built
     gc.collect()
-    live = {id(kc) for kc in (r() for r in cast) if kc is not None}
-    assert live == {id(lat._conv_plans[None, False][3])}
-    assert lat._conv_plans[None, True][3] is None
+    live = {id(kc) for kc in (r() for _, r in built) if kc is not None}
+    assert live == {id(record.restricted.kc)}
+    assert record.full is None
+
+
+def test_full_plan_is_built_only_when_used(monkeypatch):
+    """A u-form ray run on a fresh lattice caches the shell's pair count and
+    one restricted plan, and no full plan; a dense advect then builds
+    exactly one full plan, whose complex wave vectors are read-only with
+    the bits of kcheck at its outputs, and later calls reuse it."""
+    lat = build_lattice(cutoff=8)  # fresh: no plan cached yet
+    u0 = VkData.random((1, 0, 1), (1, 2), 3, lat).field(lat)
+    integrate(u0, SolverConfig(dt=0.01, t_end=0.03, omega=5.0, form="u"))
+    assert list(lat._conv_plans) == [None]
+    record = lat._conv_plans[None]
+    assert record.full is None and record.restricted is not None
+    assert record.n_pairs == len(_Plan(lat, None, None).im)
+    built = _spy_plans(monkeypatch)
+    X, ts = _samples(lat, 1, 2)
+    advect(lat, X, X, ts, 5.0)
+    assert [key for key, _ in built] == [None]
+    full = record.full
+    io = np.repeat(np.arange(lat.n_modes), np.diff(full.indptr))
+    assert full.kc.dtype == complex and full.kc.shape == (3, record.n_pairs)
+    _assert_bits_equal(full.kc.real, lat.kcheck[io].T)
+    assert not np.any(np.ascontiguousarray(full.kc.imag).view(np.uint64))  # +0.0 throughout
+    with pytest.raises(ValueError):
+        full.kc[0, 0] = 1.0
+    advect(lat, X[0], X[0], float(ts[0]), 5.0)
+    assert len(built) == 1 and lat._conv_plans[None].full is full
 
 
 def test_advect_rejects_mismatched_stacks():
@@ -624,25 +659,25 @@ def test_complex_operators_are_cast_once_and_read_only():
 
 
 def test_plan_wave_vectors_are_cast_once_and_read_only():
-    """A plan's complex wave vectors are cast on its first convolution, once,
-    read-only, with the real vectors' bits; a plan that is only looked up
-    casts none."""
+    """A plan's complex wave vectors are cast once, when a convolution first
+    takes the plan, read-only, with the real vectors' bits; a shell whose
+    record is only looked up builds no plan."""
     lat = build_lattice(cutoff=4)  # fresh: no plan cached yet
     U, ts = _samples(lat, 3, 3)
     lam = lat.eigenvalues[2]
     for shell in (None, lam):
-        _conv_plan(lat, shell)
-        entry = lat._conv_plans[shell, True]
-        assert entry[3] is None
+        record = _shell_plans(lat, shell)
+        assert record.full is None
         advect(lat, U, U, ts, 2.0, shell)
-        kc = entry[3]
-        assert kc.dtype == complex and kc.shape == entry[1][2].shape
-        _assert_bits_equal(kc.real, entry[1][2])
+        kc = record.full.kc
+        io = np.repeat(np.arange(lat.n_modes), np.diff(record.full.indptr))
+        assert kc.dtype == complex and kc.shape == (3, record.n_pairs)
+        _assert_bits_equal(kc.real, lat.kcheck[io].T)
         assert not np.any(np.ascontiguousarray(kc.imag).view(np.uint64))  # +0.0 throughout
         with pytest.raises(ValueError):
             kc[0, 0] = 1.0
         advect(lat, U[0], U[0], float(ts[0]), 2.0, shell)
-        assert lat._conv_plans[shell, True][3] is kc
+        assert lat._conv_plans[shell].full.kc is kc
 
 
 def _rotate_reference(lat, C, theta):
