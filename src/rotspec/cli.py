@@ -195,12 +195,18 @@ def _initial_field(cfg: dict, lat) -> SpectralField:
         return _vk_from(init).field(lat)
     try:  # "file", the schema's last kind
         with open(init["path"]) as fh:
-            return field_from_doc(json.load(fh), lat)
+            u0 = field_from_doc(json.load(fh), lat)
     except OSError as e:
         raise CliError(EXIT_CONFIG, "config", f"cannot read field file: {e}")
     except (KeyError, TypeError) as e:
         raise CliError(EXIT_CONFIG, "config",
                        f"field file is not a field document ({type(e).__name__}: {e})")
+    # integrate and the trajectory records carry no mean, so a run would drop it
+    if np.any(u0.mean != 0):
+        raise CliError(EXIT_CONFIG, "config",
+                       f"field file has mean {u0.mean.tolist()}; simulate integrates "
+                       "zero-mean fields only")
+    return u0
 
 
 def _resolve_out(path: Optional[str]) -> Optional[str]:

@@ -10,6 +10,7 @@ Parseval convention |u|^2 = L1*L2*L3 * sum_k |u_hat(k)|^2.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, Optional, Sequence, Tuple
@@ -158,26 +159,30 @@ def inner(u: SpectralField, v: SpectralField) -> float:
 _J_VERT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
+def _strided(a: np.ndarray) -> np.ndarray:
+    """A read-only complex copy of a real (R,3,3) operator stack, laid out
+    as _complex_ops lays out its copies: every other column of an (R,3,6)
+    buffer."""
+    op = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=complex)[..., ::2]
+    op[...] = a
+    op.flags.writeable = False
+    return op
+
+
 def _complex_ops(lattice: Lattice) -> Tuple[np.ndarray, np.ndarray]:
     """(jk, proj) of the lattice as read-only complex (M,3,3) copies.
 
     A product of a real operator with a complex field casts the operator to
     complex, through a buffer, on every call; these copies hold the cast
     values, so a product with them gives the real operator's bits without
-    the cast.  Each copy is every other column of an (M,3,6) buffer: with
-    neither axis of a matrix at unit stride, np.matmul (_per_mode) forms
-    the per-mode products in its own loop instead of one BLAS call per
-    mode, in about half the time.  Cached per lattice.
+    the cast.  Each copy is every other column of an (M,3,6) buffer
+    (_strided): with neither axis of a matrix at unit stride, np.matmul
+    (_per_mode) forms the per-mode products in its own loop instead of one
+    BLAS call per mode, in about half the time.  Cached per lattice.
     """
     ops = getattr(lattice, "_complex_ops", None)
     if ops is None:
-        ops = []
-        for a in (lattice.jk, lattice.proj):
-            op = np.empty(a.shape[:-1] + (2 * a.shape[-1],), dtype=complex)[..., ::2]
-            op[...] = a
-            op.flags.writeable = False
-            ops.append(op)
-        ops = lattice._complex_ops = tuple(ops)
+        ops = lattice._complex_ops = (_strided(lattice.jk), _strided(lattice.proj))
     return ops
 
 
@@ -191,10 +196,10 @@ def _per_mode(op: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.matmul(op, coeffs[..., None])[..., 0]
 
 
-def _apply_jk(lattice: Lattice, coeffs: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """J_k coeffs per mode of rows, with the lattice's complex J_k
-    (_complex_ops): the one product of the rotation generator."""
-    return _per_mode(_complex_ops(lattice)[0][rows], coeffs)
+def _apply_jk(lattice: Lattice, coeffs: np.ndarray) -> np.ndarray:
+    """J_k coeffs per mode, with the lattice's complex J_k (_complex_ops):
+    the one product of the rotation generator."""
+    return _per_mode(_complex_ops(lattice)[0], coeffs)
 
 
 def apply_S(u: SpectralField) -> SpectralField:
@@ -204,20 +209,26 @@ def apply_S(u: SpectralField) -> SpectralField:
     return SpectralField(u.lattice, c)
 
 
-def _rotate_coeffs(lattice: Lattice, coeffs: np.ndarray, c: np.ndarray, s: np.ndarray,
-                   rows=slice(None)) -> np.ndarray:
-    """Apply cos(theta_m) I + sin(theta_m) J_k per mode m of rows.
+def _rotate(jk: np.ndarray, coeffs: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Apply cos(theta_m) I + sin(theta_m) J_k per row m, with jk the rows'
+    complex J_k (_complex_ops, or a frame's slice of it).
 
-    coeffs is (R,3) or a (B,R,3) stack of the R = len(rows) modes rows
-    selects; c = cos(theta) and s = sin(theta) are (R,) or (B,R) to match.
-    Formed as c coeffs + s (J_k coeffs), in place where that keeps each
-    operation's operands in that order.
+    coeffs is (R,3) or a (B,R,3) stack of the R rows; c = cos(theta) and
+    s = sin(theta) are (R,) or (B,R) to match.  Formed as
+    c coeffs + s (J_k coeffs), in place where that keeps each operation's
+    operands in that order.
     """
-    rot = _apply_jk(lattice, coeffs, rows)
+    rot = _per_mode(jk, coeffs)
     np.multiply(s[..., None], rot, out=rot)
     out = c[..., None] * coeffs
     out += rot
     return out
+
+
+def _rotate_coeffs(lattice: Lattice, coeffs: np.ndarray, c: np.ndarray,
+                   s: np.ndarray) -> np.ndarray:
+    """_rotate on every mode of the lattice."""
+    return _rotate(_complex_ops(lattice)[0], coeffs, c, s)
 
 
 def apply_expS(u: SpectralField, t: float) -> SpectralField:
@@ -280,8 +291,20 @@ class _Plan:
         self.kc.flags.writeable = False
         self.blocks = {}
 
+    def reindexed(self, rows: np.ndarray) -> "_Plan":
+        """The plan on the frame of rows (sorted mode indices that hold every
+        mode the plan reads or writes): its modes become positions in rows.
+        The pairs, their order and kc are this plan's."""
+        pos = np.zeros(len(self.indptr) - 1, dtype=self.im.dtype)
+        pos[rows] = np.arange(len(rows))
+        plan = object.__new__(type(self))
+        plan.im, plan.ij = pos[self.im], pos[self.ij]
+        plan.indptr = np.r_[0, np.cumsum(np.diff(self.indptr)[rows])]
+        plan.kc, plan.blocks = self.kc, {}
+        return plan
+
     def block(self, M: int, n: int) -> sp.csr_matrix:
-        """CSR matrix of n diagonal copies of the plan, without data.
+        """CSR matrix of n diagonal copies of the plan on M rows, without data.
 
         The kernel sets the data to its pair products for one product and
         drops them after it, so no call reads another's and the cache holds
@@ -308,7 +331,7 @@ class _ShellPlans:
     the builder uses.  full is the full plan, built the first time a
     convolution takes it, and kept for good.  restricted is the plan of the
     latest support asked for, with that support's key: the next support
-    replaces both, so a run whose support changes every step holds one
+    replaces both, so a caller whose support changes every call holds one
     restricted plan per shell.
     """
 
@@ -335,6 +358,78 @@ def _shell_plans(lattice: Lattice, lam) -> _ShellPlans:
     cache = lattice.__dict__.setdefault("_conv_plans", {})
     lam = None if lam is None else Fraction(lam)
     return cache.get(lam) or cache.setdefault(lam, _ShellPlans(lattice, lam))
+
+
+class _Frame:
+    """The rows of a lattice that the advection kernel (_advect) acts on.
+
+    rows is None for every mode, or a sorted array of mode indices closed
+    under conjugation; the kernel's (..., n, 3) arrays hold the n rows in
+    that order.  The frame keeps what the kernel reads per row, taken once:
+    kt3, the complex J_k and P_k (sliced from _complex_ops' values and laid
+    out as those are, so _per_mode forms each row's product in the same
+    loop), and mirror, the frame positions of the representative rows and
+    of their conjugate partners (_mirror).  kbound is 4 max|kcheck| over
+    the lattice (_convolve).  plan is a closed support's plan, re-indexed
+    to frame positions (_closed_frame); the lattice frame has none and
+    takes its plans from the shell records.  The frame refers to its
+    lattice weakly: the lattice caches its own frame, and a reference back
+    would make a cycle that keeps a dropped lattice, with every plan it
+    caches, until the cyclic collector runs.
+    """
+
+    __slots__ = ("_lattice", "rows", "kt3", "jk", "proj", "mirror", "kbound", "plan")
+
+    def __init__(self, lattice: Lattice, rows: Optional[np.ndarray] = None,
+                 plan: Optional[_Plan] = None):
+        self._lattice, self.rows, self.plan = weakref.ref(lattice), rows, plan
+        if rows is None:
+            self.kt3 = lattice.kt3
+            self.jk, self.proj = _complex_ops(lattice)
+            rep = np.flatnonzero(lattice.rep_mask)
+            self.mirror = (rep, lattice.conj_idx[rep])
+        else:
+            self.kt3 = lattice.kt3[rows]
+            self.jk, self.proj = _strided(lattice.jk[rows]), _strided(lattice.proj[rows])
+            rep = np.flatnonzero(lattice.rep_mask[rows])
+            self.mirror = (rep, np.searchsorted(rows, lattice.conj_idx[rows[rep]]))
+        self.kbound = 4.0 * np.abs(lattice.kcheck).max()
+
+    @property
+    def lattice(self) -> Lattice:
+        return self._lattice()
+
+
+def _lattice_frame(lattice: Lattice) -> _Frame:
+    """The frame of every mode of the lattice, cached per lattice."""
+    frame = lattice.__dict__.get("_frame")
+    if frame is None:
+        frame = lattice._frame = _Frame(lattice)
+    return frame
+
+
+def _closed_frame(lattice: Lattice, C: np.ndarray) -> _Frame:
+    """The frame of the closed support S of a real-paired (M,3) field C.
+
+    S starts as C's non-zero modes and their conjugate partners.  It takes
+    in the output modes, and their partners, of the full plan restricted to
+    (S, S), until it stops changing.  No pair of modes in S then reaches a
+    mode outside S.  The frame is S with that plan, re-indexed, while 3|S|
+    non-zero entries would pass _support's gate: their product is below the
+    full plan's pair count.  Otherwise it is the lattice frame, whose
+    kernel takes the full plan.
+    """
+    record = _shell_plans(lattice, None)
+    live = C.any(axis=-1)
+    rows = np.flatnonzero(live | live[lattice.conj_idx])
+    while (3 * len(rows)) ** 2 < record.n_pairs:
+        plan = record.plan(lattice, (rows, rows))
+        outs = np.flatnonzero(np.diff(plan.indptr))
+        grown = np.union1d(rows, np.r_[outs, lattice.conj_idx[outs]])
+        if len(grown) == len(rows):
+            return _Frame(lattice, rows, plan.reindexed(rows))
+        rows = grown
+    return _lattice_frame(lattice)
 
 
 def _support(lattice: Lattice, U: np.ndarray, V: np.ndarray, n_pairs: int):
@@ -392,58 +487,81 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) ->
     U's components at the pairs.
     """
     record = _shell_plans(lattice, lam)
-    return _convolve(lattice, U, V, record, _support(lattice, U, V, record.n_pairs))
+    return _convolve(_lattice_frame(lattice), U, V, record,
+                     _support(lattice, U, V, record.n_pairs))
 
 
-def _convolve(lattice: Lattice, U: np.ndarray, V: np.ndarray, record: _ShellPlans,
+def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans,
               support) -> np.ndarray:
-    """convolve_advect on the shell of a _ShellPlans record, with the plan
-    of a support _support chose.
+    """convolve_advect in a frame, on the shell of a _ShellPlans record: on
+    the lattice frame with the plan of a support _support chose, on a
+    closed frame (lam None) with the frame's plan.
 
-    A pair the restricted plan drops is an exact zero only if its other
-    factor is finite.  The real and imaginary parts of a dot product
-    U_m . kcheck_k are below 4 max|U| max|kcheck|, with max|U| taken over
-    the support (U is zero elsewhere), so when that bound or the sum of V
-    is not finite the full plan is taken: it forms the NaN of inf times
-    zero.  (A bound or sum that merely overflows takes it too, which costs
-    time and changes no bit.)  The sign of a zero factor reaches no output:
-    its products are zeros, which no sum changes, or inf times zero, which
-    is the same NaN for either sign.
+    A pair a restricted or closed frame's plan drops is an exact zero only
+    if its other factor is finite.  The real and imaginary parts of a dot
+    product U_m . kcheck_k are below 4 max|U| max|kcheck|, with max|U|
+    taken over the support (U is zero elsewhere), so when that bound or the
+    sum of V is not finite the full plan is taken: it forms the NaN of inf
+    times zero.  (A bound or sum that merely overflows takes it too, which
+    costs time and changes no bit.)  A closed frame takes it on its inputs
+    padded to every mode (_convolve_padded).  The sign of a zero factor
+    reaches no output: its products are zeros, which no sum changes, or inf
+    times zero, which is the same NaN for either sign.
     """
-    if support is not None and not (
-            np.isfinite(4.0 * np.abs(lattice.kcheck).max()
-                        * np.abs(U[..., support[0], :]).max(initial=0.0))
+    if (support is not None or frame.plan is not None) and not (
+            math.isfinite(frame.kbound * np.abs(
+                U if support is None else U[..., support[0], :]).max(initial=0.0))
             and (V is U or np.isfinite(V.sum()))):
+        if frame.plan is not None:
+            return _convolve_padded(frame, U, V, record)
         support = None
-    plan = record.plan(lattice, support)
-    M = lattice.n_modes
-    n = V.size // (3 * M)
+    plan = frame.plan or record.plan(frame.lattice, support)
+    rows = V.shape[-2]
+    n = 1 if V.ndim == 2 else len(V)
     # g[c]: component c of U at the pairs' first modes, (..., P)
     g = U.transpose(U.ndim - 1, *range(U.ndim - 1)).take(plan.im, axis=-1)
     g *= plan.kc.reshape(3, *(1,) * (U.ndim - 2), -1)
     dots = g[0]
     dots += g[1]
     dots += g[2]
-    S = plan.block(M, n)
+    S = plan.block(rows, n)
     S.data = dots.ravel()
-    out = (S @ V.reshape(n * M, 3)).reshape(V.shape)
+    out = (S @ V.reshape(n * rows, 3)).reshape(V.shape)
     S.data = None
     np.multiply(1j, out, out=out)
-    return _mirror(lattice, out)
+    return _mirror(frame, out)
 
 
-def _mirror(lattice: Lattice, out: np.ndarray) -> np.ndarray:
-    """Write the conjugate half of a real-paired (..., M, 3) array from its
-    representative half, out[..., conj_idx[rep], :] = conj(out[..., rep, :]),
+def _convolve_padded(frame: _Frame, U: np.ndarray, V: np.ndarray,
+                     record: _ShellPlans) -> np.ndarray:
+    """_convolve of a closed frame through the lattice frame's full plan, on
+    U and V padded with +0 to every mode: the frame's rows of that product.
+    Where the product is not finite outside the frame, which the frame
+    cannot hold, every entry is NaN instead."""
+    lattice = frame.lattice
+
+    def pad(A):
+        out = np.zeros(A.shape[:-2] + (lattice.n_modes, 3), dtype=complex)
+        out[..., frame.rows, :] = A
+        return out
+
+    Up = pad(U)
+    full = _convolve(_lattice_frame(lattice), Up, Up if V is U else pad(V), record, None)
+    out = full[..., frame.rows, :]
+    if not np.isfinite(np.delete(full, frame.rows, axis=-2)).all():
+        out[...] = np.nan
+    return out
+
+
+def _mirror(frame: _Frame, out: np.ndarray) -> np.ndarray:
+    """Write the conjugate half of a real-paired (..., n, 3) array on a
+    frame's rows from its representative half,
+    out[..., conj, :] = conj(out[..., rep, :]) for (rep, conj) = frame.mirror,
     in place; returns out.  The one writer of a conjugate half from a
-    representative half.  The two halves' mode indices are cached per
-    lattice."""
-    rows = lattice.__dict__.get("_mirror_rows")
-    if rows is None:
-        rep = np.flatnonzero(lattice.rep_mask)
-        rows = lattice._mirror_rows = (rep, lattice.conj_idx[rep])
-    half = out.take(rows[0], axis=-2)
-    out[..., rows[1], :] = np.conjugate(half, out=half)
+    representative half."""
+    rep, conj = frame.mirror
+    half = out.take(rep, axis=-2)
+    out[..., conj, :] = np.conjugate(half, out=half)
     return out
 
 
@@ -480,6 +598,7 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     """
     record = _shell_plans(lattice, lam)
     support = _support(lattice, X, Y, record.n_pairs)
+    frame = _lattice_frame(lattice)
     if X.ndim == 3:
         chunk = max(1, _STACK_BLOCK_BYTES // (48 * max(record.n_pairs, lattice.n_modes)))
         if len(X) > chunk:
@@ -488,52 +607,52 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
             for start in range(0, len(X), chunk):
                 c = slice(start, start + chunk)
                 Xc = X[c]
-                out[c] = _advect(lattice, Xc, Xc if Y is X else Y[c],
+                out[c] = _advect(frame, Xc, Xc if Y is X else Y[c],
                                  t if t.ndim == 0 else t[c], omega, record, support)
             return out
-    return _advect(lattice, X, Y, t, omega, record, support)
+    return _advect(frame, X, Y, t, omega, record, support)
 
 
-def _advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray, t, omega: float,
+def _advect(frame: _Frame, X: np.ndarray, Y: np.ndarray, t, omega: float,
             record: _ShellPlans, support) -> np.ndarray:
-    """advect on one block of samples, on the shell of a _ShellPlans record,
-    convolved with the plan of support.
+    """advect on one block of samples of a frame's rows, on the shell of a
+    _ShellPlans record, convolved as _convolve convolves with support: the
+    one rotate, convolve, mirror, project, rotate-back sequence.
 
     Without a shell the projection and back-rotation act on the
     convolution's whole array and return a new one; with one they act on
-    the shell's rows, written back into it.
+    the shell's rows, written back into it.  A closed frame takes no shell.
     """
     if omega != 0.0:
-        theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
+        theta = -omega * frame.kt3 * np.asarray(t)[..., None]
         c, s = np.cos(theta), np.sin(theta)
         rows_u, rows_v = support or (None, None)
-        Xr = _rotate_rows(lattice, X, c, s, rows_u)
-        X, Y = Xr, Xr if Y is X else _rotate_rows(lattice, Y, c, s, rows_v)
-    b = _convolve(lattice, X, Y, record, support)
-    rows = slice(None) if record.lam is None else _shell_rows(lattice, record.lam)
-    out = _per_mode(_complex_ops(lattice)[1][rows], b[..., rows, :])
+        Xr = _rotate_rows(frame, X, c, s, rows_u)
+        X, Y = Xr, Xr if Y is X else _rotate_rows(frame, Y, c, s, rows_v)
+    b = _convolve(frame, X, Y, record, support)
+    rows = slice(None) if record.lam is None else _shell_rows(frame.lattice, record.lam)
+    out = _per_mode(frame.proj[rows], b[..., rows, :])
     if omega != 0.0:
         # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s, bit for bit
-        out = _rotate_coeffs(lattice, out, c[..., rows], -s[..., rows], rows)
+        out = _rotate(frame.jk[rows], out, c[..., rows], -s[..., rows])
     if record.lam is None:
         return out
     b[..., rows, :] = out
     return b
 
 
-def _rotate_rows(lattice: Lattice, A: np.ndarray, c: np.ndarray, s: np.ndarray,
+def _rotate_rows(frame: _Frame, A: np.ndarray, c: np.ndarray, s: np.ndarray,
                  rows) -> np.ndarray:
-    """_rotate_coeffs of A on the modes rows, +0 on every other mode; rows
+    """_rotate of A on the frame positions rows, +0 on every other row; rows
     None means all of them.
 
     A restricted plan reads no row outside its support, and the full plan
     it may fall back to gets the same bits from any zero (_convolve).
     """
-    if rows is None or len(rows) == lattice.n_modes:
-        return _rotate_coeffs(lattice, A, c, s)
+    if rows is None or len(rows) == A.shape[-2]:
+        return _rotate(frame.jk, A, c, s)
     out = np.zeros(A.shape, dtype=complex)
-    out[..., rows, :] = _rotate_coeffs(lattice, A[..., rows, :], c[..., rows], s[..., rows],
-                                       rows)
+    out[..., rows, :] = _rotate(frame.jk[rows], A[..., rows, :], c[..., rows], s[..., rows])
     return out
 
 
@@ -573,7 +692,7 @@ def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,
         z = lattice.proj[i] @ z
         z *= math.exp(-sigma * math.sqrt(lattice.lam_f[i]))
         u.coeffs[i] = z
-    _mirror(lattice, u.coeffs)
+    _mirror(_lattice_frame(lattice), u.coeffs)
     n = u.norm()
     if n > 0:
         u.coeffs *= amplitude / n

@@ -22,11 +22,14 @@ from . import __version__
 from .lattice import Lattice, build_lattice
 from .fields import (
     SpectralField,
-    advect,
     field_from_doc,
     field_to_doc,
+    _advect,
+    _closed_frame,
     _gevrey_norms,
+    _rotate,
     _rotate_coeffs,
+    _shell_plans,
 )
 
 __all__ = [
@@ -42,9 +45,10 @@ __all__ = [
 
 @dataclass
 class SolverConfig:
-    """One run.  (t_end - t0)/dt must be a whole number of steps, to relative
-    1e-12, and record_stride must divide it, so every recorded gap is
-    record_stride * dt and the trajectory is valid input to `expand`."""
+    """One run.  dt and omega must be finite, and (t_end - t0)/dt a whole
+    number of steps, at least one, to relative 1e-12; record_stride must
+    divide it, so every recorded gap is record_stride * dt and the
+    trajectory is valid input to `expand`."""
 
     dt: float = 1e-3
     t_end: float = 1.0
@@ -56,6 +60,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.form not in ("u", "v"):
             raise ValueError("form must be 'u' or 'v'")
+        for key in ("dt", "omega"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, not {getattr(self, key)}")
         if self.dt <= 0 or self.t_end <= self.t0:
             raise ValueError("need dt > 0 and t_end > t0")
         if self.record_stride < 1:
@@ -63,6 +70,8 @@ class SolverConfig:
         span = (self.t_end - self.t0) / self.dt
         if not (math.isfinite(span) and abs(span - round(span)) <= 1e-12 * span):
             raise ValueError(f"(t_end - t0)/dt = {span:.12g} is not a whole number of steps")
+        if self.n_steps == 0:
+            raise ValueError(f"(t_end - t0)/dt = {span:.12g} takes no step")
         if self.n_steps % self.record_stride:
             raise ValueError(f"record_stride {self.record_stride} does not divide "
                              f"the {self.n_steps} steps")
@@ -123,6 +132,19 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     exactly dt and records the initial state and every record_stride-th
     state after it.  A state that is no longer finite stops the run with a
     FloatingPointError naming the step and its time.
+
+    The run computes on the closed support S of u0 (fields._closed_frame).
+    S starts as u0's non-zero modes and their conjugate partners, and takes
+    in every mode that a pair of modes in S reaches, with its partner,
+    until it stops changing.  No pair of modes in S reaches a mode outside
+    S, and the propagator maps zero to zero, so the modes outside S stay
+    zero for the whole run: the state is the (|S|, 3) array of S's rows,
+    the convolution plan is built once on S, and every recorded mode
+    outside S holds a zero whose sign is unspecified.  On S every bit is
+    the one a step on all M modes gives, and a state that a step on all M
+    modes would make non-finite stops the run at the same step.  When S is
+    too large for a restricted plan to pay (fields._support's gate), S is
+    every mode and every convolution takes the full plan.
     """
     lat = u0.lattice
     h = config.dt
@@ -130,28 +152,29 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     t0 = config.t0
     n_steps = config.n_steps
 
-    lam = lat.lam_f
+    frame = _closed_frame(lat, u0.coeffs)
+    record = _shell_plans(lat, None)
+    rows = slice(None) if frame.rows is None else frame.rows
 
     def make_prop(s: float):
-        decay = np.exp(-s * lam)[:, None]
+        # formed on every mode and then sliced, so each row has its own bits
+        decay = np.exp(-s * lat.lam_f)[rows, None]
         if config.form == "u" and om != 0.0:
             theta = -om * lat.kt3 * s
-            c, sn = np.cos(theta), np.sin(theta)
-            return lambda C: decay * _rotate_coeffs(lat, C, c, sn)
+            c, sn = np.cos(theta)[rows], np.sin(theta)[rows]
+            return lambda C: decay * _rotate(frame.jk, C, c, sn)
         return lambda C: decay * C
 
     Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
+    om_b = om if config.form == "v" else 0.0  # the u-form nonlinearity is unrotated
 
-    if config.form == "u":
-        def N(t, C):
-            return -advect(lat, C, C)
-    else:
-        def N(t, C):
-            return -advect(lat, C, C, t, om)
+    def N(t, C):
+        return -_advect(frame, C, C, t, om_b, record, None)
 
-    C = u0.coeffs.astype(complex).copy()
+    C = u0.coeffs[rows].astype(complex)
     times: List[float] = [t0]
-    records: List[np.ndarray] = [C.copy()]
+    records = np.zeros((n_steps // config.record_stride + 1, lat.n_modes, 3), dtype=complex)
+    records[0, rows] = C
     t = t0
     for step in range(n_steps):
         a = N(t, C)
@@ -165,9 +188,9 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
             raise FloatingPointError(
                 f"state is not finite after step {step + 1} of {n_steps} (t = {t:.6g})")
         if (step + 1) % config.record_stride == 0:
+            records[len(times), rows] = C
             times.append(t)
-            records.append(C.copy())
-    return Trajectory(lat, config.form, om, np.array(times), np.array(records), dt=h)
+    return Trajectory(lat, config.form, om, np.array(times), records, dt=h)
 
 
 def transform_trajectory(traj: Trajectory, to_form: str) -> Trajectory:

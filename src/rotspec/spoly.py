@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .lattice import Lattice
-from .fields import SpectralField, _mirror, _modes_of, _rows
+from .fields import SpectralField, _lattice_frame, _mirror, _modes_of, _rows
 
 __all__ = [
     "Frequency", "SPoly", "ode_solve", "antiderivative", "apply_expS_spoly",
@@ -352,7 +352,7 @@ class SPoly:
             if s is None:
                 s = series[(m, wid)] = (ts**m * np.exp(1j * w * ts))[:, None]
             out[:, i, :] += s * c[None, :]
-        return _mirror(self.lattice, out)
+        return _mirror(_lattice_frame(self.lattice), out)
 
     def __repr__(self):
         return f"SPoly(terms={self.n_terms()}, deg={self.degree()}, max={self.max_abs():.3g})"

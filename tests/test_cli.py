@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -356,6 +357,35 @@ def test_mean_must_be_three_numbers(tmp_path, capsys, mean, message):
     """A field document's mean, when present, is three numbers on either path."""
     _refused_on_both_paths(tmp_path, capsys, lambda doc: doc.update(mean=mean), message,
                            part=lambda doc: doc)
+
+
+def test_simulate_refuses_a_non_zero_mean(tmp_path, capsys):
+    """A field file with a non-zero mean exits 2 with a JSON error instead
+    of a run that drops the mean; a zero mean and no mean give the same
+    trajectory bytes."""
+    doc = field_to_doc(random_gevrey(build_lattice(cutoff=3), seed=4, amplitude=0.02))
+    field_path = tmp_path / "u0.json"
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, lattice={"cutoff": 3}, omega=5.0,
+                  initial={"kind": "file", "path": str(field_path)},
+                  solver={"dt": 0.01, "t_end": 0.05, "form": "v"})
+    written = []
+    for mean in ([0, 0, 0], None):
+        field_path.write_text(json.dumps(
+            {k: v for k, v in doc.items() if k != "mean"} if mean is None
+            else dict(doc, mean=mean)))
+        out = tmp_path / "traj.jsonl"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    field_path.write_text(json.dumps(dict(doc, mean=[1, 0, 0.5])))
+    out = tmp_path / "mean.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config" and "mean [1.0, 0.0, 0.5]" in err["message"]
+    assert not out.exists()
 
 
 def test_coefficients_must_be_divergence_free(tmp_path, capsys):
@@ -786,6 +816,40 @@ def test_sweep_omega_checks_window_and_time_before_integrating(tmp_path, capsys,
     assert len(captured.err.splitlines()) == 1
     err = json.loads(captured.err)["error"]
     assert err["kind"] == "config" and flag in err["message"]
+
+
+@pytest.mark.parametrize("omegas", ["nan,10", "inf,10", "10,-inf"])
+def test_sweep_omega_refuses_non_finite_rates_before_integrating(tmp_path, capsys, monkeypatch,
+                                                                omegas):
+    """A rotation rate that is not finite is a config error, reported as one
+    JSON line, with no warning, before any rate is integrated."""
+    cfg_path = tmp_path / "sweep.json"
+    _sweep_config(cfg_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated a sweep with a non-finite rate")
+
+    monkeypatch.setattr("rotspec.cli.integrate", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep-omega", "--config", str(cfg_path), "--omegas", omegas,
+                     "--T", "0.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config" and "omega must be finite" in err["message"]
+
+
+def test_simulate_refuses_a_non_finite_rate(tmp_path, capsys):
+    """A config whose omega is NaN (which Python's JSON reads) exits 2."""
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, omega=float("nan"))
+    assert "NaN" in cfg_path.read_text()
+    out = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = _stderr_error(capsys)
+    assert err["kind"] == "config" and "omega must be finite" in err["message"]
+    assert not out.exists()
 
 
 def test_sweep_omega_has_no_order_flag(tmp_path, capsys, monkeypatch):

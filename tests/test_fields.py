@@ -18,7 +18,10 @@ from rotspec.fields import (
     bilinear_B,
     _J_VERT,
     _Plan,
+    _advect,
+    _closed_frame,
     _complex_ops,
+    _convolve_padded,
     _rotate_coeffs,
     _shell_plans,
     eigen_restrict,
@@ -559,19 +562,20 @@ def _spy_plans(monkeypatch):
 
 
 def test_growing_support_keeps_one_restricted_plan_per_shell(monkeypatch):
-    """A u-form run from two non-colinear rays fills in new modes every step:
-    it goes through several restricted plans, and the lattice caches only
-    the last one, with block matrices for single samples only."""
+    """advect on a field whose support grows call by call (one ray, then
+    two, then three) goes through a restricted plan per call, and the
+    lattice caches only the last one, with block matrices for single
+    samples only."""
     lat = build_lattice(cutoff=10)
-    u0 = (VkData.random((1, 0, 1), (1,), 3, lat).field(lat)
-          + VkData.random((0, 1, 1), (1,), 4, lat).field(lat))
     built = _spy_plans(monkeypatch)
-    traj = integrate(u0, SolverConfig(dt=0.01, t_end=0.05, omega=5.0, form="u"))
-    assert np.count_nonzero(traj.coeffs[-1].any(axis=1)) > np.count_nonzero(u0.coeffs.any(axis=1))
+    u = SpectralField(lat)
+    for seed, k in enumerate(RAYS):
+        u = u + VkData.random(k, (1,), seed, lat).field(lat)
+        advect(lat, u.coeffs, u.coeffs, 0.5, 5.0)
     seen = {key for key, _ in built}
-    assert len(seen) >= 3 and None not in seen
+    assert len(seen) == 3 and None not in seen
     plans = _restricted_plans(lat)
-    assert list(plans) == [None] and plans[None] in seen
+    assert list(plans) == [None] and plans[None] == _support_key(lat, u.coeffs, u.coeffs)
     record = lat._conv_plans[None]
     assert list(record.restricted.blocks) == [1]
     # the complex wave vectors went away with the plans they belong to: only
@@ -581,6 +585,41 @@ def test_growing_support_keeps_one_restricted_plan_per_shell(monkeypatch):
     live = {id(kc) for kc in (r() for _, r in built) if kc is not None}
     assert live == {id(record.restricted.kc)}
     assert record.full is None
+
+
+@pytest.mark.parametrize("value, padded", [(1e306, None), (2e307, "finite"), (1e308, "nan"),
+                                           (np.inf, "nan"), (np.nan, "nan")])
+@pytest.mark.parametrize("omega", [0.0, 5.0])
+def test_closed_frame_keeps_the_full_plans_non_finite_products(monkeypatch, value, padded, omega):
+    """On a closed support's frame, a product whose bound is not finite is
+    formed by the lattice's full plan on the padded inputs (padded is what
+    that product holds outside the frame).  The frame's rows carry its bits
+    while it is finite outside the frame, and NaN throughout once it is
+    not; a finite bound keeps the frame's own plan, with the same bits."""
+    import rotspec.fields as fields
+    lat = STACKS["ray10"][0]
+    X = _ray_samples(lat, 0, 1)[0][0]
+    i = lat.index_of(np.array([[0, 1, 1]]))[0]  # off the ray, one sum from it
+    X[i] = lat.proj[i] @ np.array([1.0, 0.5j, -0.3])
+    X[lat.conj_idx[i]] = np.conj(X[i])
+    frame = _closed_frame(lat, X)
+    assert frame.rows is not None and len(frame.rows) > 4
+    X[i, 0] = value
+    calls = []
+    monkeypatch.setattr(fields, "_convolve_padded",
+                        lambda *args: calls.append(1) or _convolve_padded(*args))
+    record = _shell_plans(lat, None)
+    t = 0.7
+    with np.errstate(all="ignore"):
+        want = advect(lat, X, X, t, omega)
+        got = _advect(frame, X[frame.rows], X[frame.rows], t, omega, record, None)
+    assert len(calls) == (padded is not None)
+    off = np.delete(want, frame.rows, axis=0)
+    if padded == "nan":
+        assert not np.isfinite(off).all() and np.isnan(got).all()
+    else:
+        assert np.isfinite(off).all() and not np.any(off)
+        _assert_bits_equal(got, want[frame.rows])
 
 
 def test_full_plan_is_built_only_when_used(monkeypatch):

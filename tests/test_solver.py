@@ -1,14 +1,19 @@
 import hashlib
 import io
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rotspec
-from rotspec.fields import SpectralField, apply_expS, random_gevrey
+import rotspec.fields
+from rotspec.fields import (SpectralField, _closed_frame, _rotate_coeffs, advect, apply_expS,
+                            random_gevrey)
 from rotspec.lattice import build_lattice
+from rotspec.special import VkData
 from rotspec.solver import (
     SolverConfig,
     Trajectory,
@@ -38,6 +43,23 @@ def test_config_validation():
         SolverConfig(dt=0.1, t_end=1.0, t0=0.02)
     with pytest.raises(ValueError, match="record_stride 7 does not divide the 50 steps"):
         SolverConfig(dt=0.01, t_end=0.5, record_stride=7)
+
+
+@pytest.mark.parametrize("key, value", [("dt", math.inf), ("dt", math.nan), ("omega", math.nan),
+                                        ("omega", math.inf), ("omega", -math.inf)])
+def test_config_rates_must_be_finite(key, value):
+    """A non-finite step or rotation rate is refused: dt = inf would take
+    no step at all, and omega = nan would integrate NaN angles."""
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        SolverConfig(**{key: value})
+
+
+def test_config_needs_a_step():
+    """A span that underflows to zero steps is refused, not run as a
+    trajectory of one sample."""
+    assert (5e-324 - 0.0) / 1e300 == 0.0
+    with pytest.raises(ValueError, match="takes no step"):
+        SolverConfig(dt=1e300, t_end=5e-324)
 
 
 def _ray_field(lat):
@@ -196,3 +218,155 @@ def test_jsonl_roundtrip(cube6):
     for (a, s), got in columns:
         assert got == traj.norms(a, s).tolist()
         assert got == [traj.field(i).norm(a, s) for i in range(traj.n_samples)]
+
+
+# ---------------------------------------------------------------------------
+# the closed-support run against a loop over every mode
+
+LAT10 = build_lattice(cutoff=10)
+RAYS = [(1, 0, 1), (0, 1, 1), (1, 1, 1), (1, -1, 0), (1, 1, -1)]
+
+
+def _rk4_reference(u0, config):
+    """integrate as a loop on all M modes: the propagator on every row and
+    advect per stage.  Returns (times, records) or raises integrate's
+    FloatingPointError."""
+    lat = u0.lattice
+    h, om, t0 = config.dt, config.omega, config.t0
+
+    def make_prop(s):
+        decay = np.exp(-s * lat.lam_f)[:, None]
+        if config.form == "u" and om != 0.0:
+            theta = -om * lat.kt3 * s
+            c, sn = np.cos(theta), np.sin(theta)
+            return lambda C: decay * _rotate_coeffs(lat, C, c, sn)
+        return lambda C: decay * C
+
+    Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
+    if config.form == "u":
+        def N(t, C):
+            return -advect(lat, C, C)
+    else:
+        def N(t, C):
+            return -advect(lat, C, C, t, om)
+
+    C = u0.coeffs.astype(complex)
+    times, records = [t0], [C.copy()]
+    t = t0
+    for step in range(config.n_steps):
+        a = N(t, C)
+        b = N(t + 0.5 * h, Ph2(C + 0.5 * h * a))
+        c = N(t + 0.5 * h, Ph2(C) + 0.5 * h * b)
+        PC = Ph(C)
+        d = N(t + h, PC + h * Ph2(c))
+        C = PC + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
+        t = t0 + (step + 1) * h
+        if not np.isfinite(C).all():
+            raise FloatingPointError(
+                f"state is not finite after step {step + 1} of {config.n_steps} (t = {t:.6g})")
+        if (step + 1) % config.record_stride == 0:
+            times.append(t)
+            records.append(C.copy())
+    return np.array(times), np.array(records)
+
+
+def _off_line_field(lat, ray, harmonics, seed, n_extra, amplitude=1.0):
+    """Ray data plus n_extra random modes off its line, each one sum away
+    from the ray's lowest harmonic, so that the closed support grows past
+    the data's own modes."""
+    u = VkData.random(ray, harmonics, seed, lat).field(lat)
+    rng = np.random.default_rng(seed)
+    k1 = lat.index_of(np.array([[min(harmonics) * c for c in ray]]))[0]
+    line = {tuple(m * np.array(ray)) for m in range(-6, 7)}
+    near = [i for i in np.flatnonzero(lat.rep_mask)
+            if tuple(lat.ks[i]) not in line and lat.pair_index(i, k1) >= 0]
+    for i in rng.choice(near, n_extra, replace=False):
+        z = lat.proj[i] @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        u.coeffs[i], u.coeffs[lat.conj_idx[i]] = z, np.conj(z)
+    return u * amplitude
+
+
+@given(st.sampled_from(RAYS), st.sets(st.integers(1, 3), min_size=1),
+       st.sampled_from([0.0, 5.0, -7.5]), st.sampled_from("uv"), st.sampled_from([1, 2, 5]),
+       st.integers(0, 2), st.integers(0, 2**16))
+@settings(deadline=None, max_examples=30)
+def test_closed_support_run_matches_reference_loop(ray, harmonics, omega, form, stride,
+                                                  n_extra, seed):
+    """integrate on the closed support S gives the all-mode loop's bits on S
+    and zeros off it, for invariant lines and for data off them."""
+    lat = LAT10
+    # the harmonics on the cutoff-10 cube, whose eigenvalue is |k|^2
+    harmonics = tuple(h for h in sorted(harmonics) if h * h * np.dot(ray, ray) <= 10) or (1,)
+    u0 = _off_line_field(lat, ray, harmonics, seed, n_extra)
+    config = SolverConfig(dt=0.02, t_end=0.2, omega=omega, form=form, record_stride=stride)
+    traj = integrate(u0, config)
+    times, want = _rk4_reference(u0, config)
+    np.testing.assert_array_equal(traj.times, times)
+    frame = _closed_frame(lat, u0.coeffs)
+    rows = np.arange(lat.n_modes) if frame.rows is None else frame.rows
+    if n_extra:
+        assert len(rows) > np.count_nonzero(u0.coeffs.any(axis=1))
+    np.testing.assert_array_equal(traj.coeffs[:, rows].view(np.uint64),
+                                  want[:, rows].view(np.uint64))
+    assert not np.any(np.delete(traj.coeffs, rows, axis=1))
+    assert not np.any(np.delete(want, rows, axis=1))
+
+
+def test_closed_support_is_taken_on_sparse_data_only(cube6):
+    """Ray data on the cutoff-30 lattice run on their six modes; a field one
+    mode off the line runs on a larger closed support; dense data run on
+    every mode."""
+    lat = build_lattice(cutoff=30)
+    u0 = VkData.random((1, 1, 1), (1, 2, 3), 1, lat).field(lat)
+    frame = _closed_frame(lat, u0.coeffs)
+    np.testing.assert_array_equal(frame.rows, np.flatnonzero(u0.coeffs.any(axis=1)))
+    assert len(frame.rows) == 6
+    off = _off_line_field(LAT10, (1, 0, 1), (1,), 3, 1)
+    assert len(_closed_frame(LAT10, off.coeffs).rows) > 4
+    assert _closed_frame(cube6, random_gevrey(cube6, seed=1).coeffs).rows is None
+
+
+@pytest.mark.parametrize("amplitude", [30.0, 100.0, 300.0])
+@pytest.mark.parametrize("form", ["u", "v"])
+def test_closed_support_stops_at_the_reference_step(amplitude, form):
+    """Sparse data off an invariant line, with a large amplitude and a large
+    step, go non-finite at the all-mode loop's step with its message; the
+    larger amplitudes pass through a product the closed support's plan
+    cannot vouch for (fields._convolve_padded)."""
+    u0 = _off_line_field(LAT10, (1, 0, 1), (1,), 3, 1, amplitude)
+    assert _closed_frame(LAT10, u0.coeffs).rows is not None
+    config = SolverConfig(dt=0.05, t_end=10.0, omega=5.0, form=form)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError) as want:
+            _rk4_reference(u0, config)
+        with pytest.raises(FloatingPointError) as got:
+            integrate(u0, config)
+    assert str(got.value) == str(want.value)
+    assert "after step" in str(got.value) and "of 200" in str(got.value)
+
+
+def test_closed_support_run_builds_its_plan_once(monkeypatch):
+    """A run on a closed support looks up the plan record, closes the
+    support and builds its plan at set-up: a longer run makes no more
+    lookups, no _support call and no plan."""
+    calls = {"_shell_plans": 0, "_Plan": 0}
+
+    def count(name):
+        original = getattr(rotspec.fields, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(rotspec.fields, name, count(name))
+    monkeypatch.setattr(rotspec.fields, "_support", None)  # a call would raise
+    u0 = _off_line_field(build_lattice(cutoff=10), (1, 0, 1), (1,), 3, 1)
+    seen = []
+    for t_end in (0.02, 0.2):
+        for name in calls:
+            calls[name] = 0
+        integrate(u0, SolverConfig(dt=0.01, t_end=t_end, omega=5.0, form="v"))
+        seen.append(dict(calls))
+    assert seen[0] == seen[1] and seen[0]["_Plan"] >= 2
