@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import jsonschema
 import numpy as np
@@ -299,11 +299,25 @@ def _read_trajectory(path: str):
     return traj, meta
 
 
+def _norm_pair(text: str) -> Tuple[float, float]:
+    """expand's --norm as (alpha, sigma): exactly two finite comma-separated
+    numbers, or a config error."""
+    try:
+        pair = [float(x) for x in text.split(",")]
+    except ValueError:
+        pair = []
+    if len(pair) != 2 or not all(map(math.isfinite, pair)):
+        raise CliError(EXIT_CONFIG, "config",
+                       f"--norm must be two finite comma-separated numbers, not {text!r}")
+    return pair[0], pair[1]
+
+
 def cmd_expand(args) -> int:
+    # the norm is checked before the trajectory is read
+    alpha, sigma = _norm_pair(args.norm)
     traj, meta = _read_trajectory(args.traj)
     if traj.form == "u":
         traj = transform_trajectory(traj, "v")
-    alpha, sigma = (float(x) for x in args.norm.split(","))
     exp = expand(traj, args.order, _xi_windows(meta.get("config")))
     verify = verify_expansion_system(exp)
 

@@ -16,7 +16,11 @@ from itertools import chain
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+# csr_matvecs(M, N, k, indptr, indices, data, X, Y) adds A @ X into Y, for
+# the (M, N) CSR matrix A = (data, indices, indptr) and C-ordered (N, k) X
+# and (M, k) Y: the compiled sum behind scipy.sparse's public product of a
+# CSR matrix and an (N, k) array, A @ X, which allocates a zero Y and calls it.
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .lattice import Lattice
 
@@ -274,7 +278,12 @@ class _Plan:
     contiguous rows, cast to complex and read-only: a complex factor times a
     real one is cast to complex, through a buffer, on every call, so a
     product with the cast values has the real vectors' bits without the
-    cast.  blocks caches the plan's block matrices by stack size (block).
+    cast.  blocks caches the CSR index arrays of the plan's block-diagonal
+    matrices by stack size (block).  A plan holds no per-call data: the
+    kernel passes each call's pair products to the sum as arguments.  Two
+    threads must still not convolve on one lattice at the same time:
+    _ShellPlans swaps its restricted plan and that plan's key in two
+    assignments, which another thread could read between.
     """
 
     def __init__(self, lattice: Lattice, lam, support):
@@ -303,24 +312,23 @@ class _Plan:
         plan.kc, plan.blocks = self.kc, {}
         return plan
 
-    def block(self, M: int, n: int) -> sp.csr_matrix:
-        """CSR matrix of n diagonal copies of the plan on M rows, without data.
-
-        The kernel sets the data to its pair products for one product and
-        drops them after it, so no call reads another's and the cache holds
-        no data between calls; two threads must not convolve on one lattice
-        at the same time.
-        """
-        S = self.blocks.get(n)
-        if S is None:
-            P = len(self.ij)
-            offs = np.arange(n)[:, None]
-            S = self.blocks[n] = sp.csr_matrix(
-                (np.zeros(n * P, dtype=complex), (self.ij + M * offs).ravel(),
-                 np.r_[0, (self.indptr[1:] + P * offs).ravel()]),
-                shape=(n * M, n * M))
-            S.data = None
-        return S
+    def block(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the CSR matrix of n diagonal copies of the
+        plan, one per sample of a stack of n, cached by n.  For n = 1 they
+        are the plan's own indptr and ij; for more, int32 where the values
+        fit, as scipy's CSR constructor stores them, which halves the cache."""
+        pair = self.blocks.get(n)
+        if pair is None:
+            if n == 1:
+                pair = self.indptr, self.ij
+            else:
+                M, P = len(self.indptr) - 1, len(self.ij)
+                offs = np.arange(n)[:, None]
+                idx = np.int32 if n * max(M, P) < 2**31 else np.int64
+                pair = (np.r_[0, (self.indptr[1:] + P * offs).ravel()].astype(idx),
+                        (self.ij + M * offs).ravel().astype(idx))
+            self.blocks[n] = pair
+        return pair
 
 
 class _ShellPlans:
@@ -516,18 +524,26 @@ def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans,
             return _convolve_padded(frame, U, V, record)
         support = None
     plan = frame.plan or record.plan(frame.lattice, support)
-    rows = V.shape[-2]
-    n = 1 if V.ndim == 2 else len(V)
+    rows = len(plan.indptr) - 1
+    # the compiled sum reads its arrays unchecked: a mis-shaped input would
+    # read past them instead of raising
+    if U.shape != V.shape or V.shape[-2:] != (rows, 3):
+        raise ValueError(f"the convolution takes two arrays of one shape (..., {rows}, 3), "
+                         f"not {U.shape} and {V.shape}")
+    n = math.prod(V.shape[:-2])
     # g[c]: component c of U at the pairs' first modes, (..., P)
     g = U.transpose(U.ndim - 1, *range(U.ndim - 1)).take(plan.im, axis=-1)
     g *= plan.kc.reshape(3, *(1,) * (U.ndim - 2), -1)
     dots = g[0]
     dots += g[1]
     dots += g[2]
-    S = plan.block(rows, n)
-    S.data = dots.ravel()
-    out = (S @ V.reshape(n * rows, 3)).reshape(V.shape)
-    S.data = None
+    indptr, indices = plan.block(n)
+    # scipy's S @ V, with S = (dots, indices, indptr): the same sum into a
+    # +0 output, on V as the C-ordered complex128 array that product takes
+    # for a V of complex128 or any narrower type
+    out = np.zeros(V.shape, dtype=complex)
+    csr_matvecs(n * rows, n * rows, 3, indptr, indices, dots.ravel(),
+                np.ascontiguousarray(V, dtype=complex).ravel(), out.ravel())
     np.multiply(1j, out, out=out)
     return _mirror(frame, out)
 
@@ -555,7 +571,7 @@ def _convolve_padded(frame: _Frame, U: np.ndarray, V: np.ndarray,
 
 def _mirror(frame: _Frame, out: np.ndarray) -> np.ndarray:
     """Write the conjugate half of a real-paired (..., n, 3) array on a
-    frame's rows from its representative half,
+    frame's rows (or of an (n, k) array of them) from its representative half,
     out[..., conj, :] = conj(out[..., rep, :]) for (rep, conj) = frame.mirror,
     in place; returns out.  The one writer of a conjugate half from a
     representative half."""

@@ -312,6 +312,8 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
         if not _is_finite_number(t):
             raise ValueError(f"trajectory line {n} key 't' must be a finite number, not {t!r}")
         times.append(t)
+    if not rows:
+        raise ValueError("trajectory file holds no sample lines, only its header")
     traj = Trajectory(lat, form, omega, np.array(times),
                       np.array(rows), dt=meta.get("dt", float("nan")))
     return traj, meta

@@ -342,17 +342,23 @@ class SPoly:
 
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
         """Coefficient array of shape (len(ts), M, 3): the rows summed term by
-        term on the representative modes, the conjugate half mirrored."""
+        term on the representative modes, the conjugate half mirrored.
+
+        Each term adds into its mode's contiguous (len(ts), 3) block of an
+        (M, len(ts), 3) buffer, mirrored as M rows of 3 len(ts) values; the
+        result is that buffer's transposed view.
+        """
         ts = np.asarray(ts, dtype=float)
-        out = np.zeros((len(ts), self.lattice.n_modes, 3), dtype=complex)
+        out_t = np.zeros((self.lattice.n_modes, len(ts), 3), dtype=complex)
         series: Dict[Tuple[int, int], np.ndarray] = {}  # one per distinct (m, w)
         for i, m, wid, w, c in zip(self.mode.tolist(), self.deg.tolist(), self.fid.tolist(),
                                    _freq_table(self.lattice).values(self.fid).tolist(), self.coef):
             s = series.get((m, wid))
             if s is None:
                 s = series[(m, wid)] = (ts**m * np.exp(1j * w * ts))[:, None]
-            out[:, i, :] += s * c[None, :]
-        return _mirror(_lattice_frame(self.lattice), out)
+            out_t[i] += s * c[None, :]
+        _mirror(_lattice_frame(self.lattice), out_t.reshape(len(out_t), 3 * len(ts)))
+        return out_t.transpose(1, 0, 2)
 
     def __repr__(self):
         return f"SPoly(terms={self.n_terms()}, deg={self.degree()}, max={self.max_abs():.3g})"

@@ -462,6 +462,25 @@ def test_expand_norm_argument(pipeline, capsys):
     assert 1.8 < doc["rates"][0]["slope"] < 2.2
 
 
+@pytest.mark.parametrize("norm", ["nan,0", "0,inf", "-inf,1", "1", "1,2,3", "a,1", "1,", ""])
+def test_expand_checks_norm_before_reading(pipeline, tmp_path, capsys, monkeypatch, norm):
+    """A --norm that is not exactly two finite comma-separated numbers is a
+    config error, reported as one JSON line that names --norm, before the
+    trajectory is read."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("read a trajectory for a bad --norm")
+
+    monkeypatch.setattr("rotspec.cli.trajectory_from_jsonl", refuse)
+    out = tmp_path / "expand.json"
+    assert main(["expand", "--traj", str(pipeline["traj"]), "--order", "1",
+                 f"--norm={norm}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config" and "--norm" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("order", ["0", "-1"])
 def test_expand_rejects_order_below_one(pipeline, tmp_path, capsys, order):
     out = tmp_path / "expand.json"
@@ -561,6 +580,22 @@ def test_trajectory_header_missing_key(tmp_path, capsys):
         assert main(argv) == 2, cmd
         err = _stderr_error(capsys)
         assert err["kind"] == "config" and "lattice" in err["message"], cmd
+
+
+@pytest.mark.parametrize("tail", ["", "\n\n  \n"], ids=["header-only", "trailing-blanks"])
+def test_trajectory_without_samples(tmp_path, capsys, tail):
+    """A file holding only its header line, with or without blank lines
+    after it, is refused as holding no samples by every reader."""
+    traj = tmp_path / "empty.jsonl"
+    _write_traj(traj, {"meta": _TRAJ_META}, [])
+    traj.write_text(traj.read_text() + tail)
+    out = tmp_path / "out"
+    for cmd in ("expand", "helicity"):
+        argv = [cmd, "--traj", str(traj), "--out", str(out)]
+        assert main(argv + (["--order", "1"] if cmd == "expand" else [])) == 2, cmd
+        err = _stderr_error(capsys)
+        assert err["kind"] == "config" and "no sample lines" in err["message"], cmd
+        assert not out.exists()
 
 
 def test_trajectory_unknown_mode(tmp_path, capsys):

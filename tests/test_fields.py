@@ -16,12 +16,16 @@ from rotspec.fields import (
     apply_S,
     apply_expS,
     bilinear_B,
+    convolve_advect,
     _J_VERT,
     _Plan,
     _advect,
+    _STACK_BLOCK_BYTES,
     _closed_frame,
     _complex_ops,
+    _convolve,
     _convolve_padded,
+    _lattice_frame,
     _rotate_coeffs,
     _shell_plans,
     eigen_restrict,
@@ -282,26 +286,31 @@ def test_conv_plan_matches_reference_loop():
             assert _shell_plans(lat, lam).n_pairs == len(plan.im)
 
 
-def _advect_reference(lattice, X, Y, t=0.0, omega=0.0):
-    """The single-sample kernel as a loop body: one CSR product per call.
+def _convolve_reference(lattice, U, V, plan, rows=None):
+    """One sample's convolution on a plan, as scipy's public CSR product.
 
-    Each pair's dot product is the length-3 sum over a (P,3) gather of the
-    output wave vectors, as numpy reduces it.
+    rows are the mode indices of the plan's frame (None: every mode), and U
+    and V are (len(rows), 3).  Each pair's dot product is the length-3 sum
+    over a (P,3) gather of the output wave vectors, as numpy reduces it.
     """
+    rows = np.arange(lattice.n_modes) if rows is None else rows
+    R = len(rows)
+    io = np.repeat(np.arange(R), np.diff(plan.indptr))
+    dots = (U[plan.im] * lattice.kcheck[rows[io]]).sum(axis=1)
+    out = 1j * (sp.csr_matrix((dots, plan.ij, plan.indptr), shape=(R, R)) @ V)
+    rep = np.flatnonzero(lattice.rep_mask[rows])
+    out[np.searchsorted(rows, lattice.conj_idx[rows[rep]])] = np.conj(out[rep])
+    return out
+
+
+def _advect_reference(lattice, X, Y, t=0.0, omega=0.0):
+    """The single-sample kernel as a loop body: one CSR product per call."""
     def rotate(C, theta):
         rot = np.einsum("mij,mj->mi", lattice.jk, C)
         return np.cos(theta)[:, None] * C + np.sin(theta)[:, None] * rot
 
     def convolve(U, V):
-        plan = _Plan(lattice, None, None)
-        im, ij, indptr = plan.im, plan.ij, plan.indptr
-        M = lattice.n_modes
-        io = np.repeat(np.arange(M), np.diff(indptr))
-        dots = (U[im] * lattice.kcheck[io]).sum(axis=1)
-        out = 1j * (sp.csr_matrix((dots, ij, indptr), shape=(M, M)) @ V)
-        rep = lattice.rep_mask
-        out[lattice.conj_idx[rep]] = np.conj(out[rep])
-        return out
+        return _convolve_reference(lattice, U, V, _Plan(lattice, None, None))
 
     if omega == 0.0:
         return np.einsum("mij,mj->mi", lattice.proj, convolve(X, Y))
@@ -564,8 +573,8 @@ def _spy_plans(monkeypatch):
 def test_growing_support_keeps_one_restricted_plan_per_shell(monkeypatch):
     """advect on a field whose support grows call by call (one ray, then
     two, then three) goes through a restricted plan per call, and the
-    lattice caches only the last one, with block matrices for single
-    samples only."""
+    lattice caches only the last one, with block index arrays for single
+    samples only: the plan's own indptr and ij."""
     lat = build_lattice(cutoff=10)
     built = _spy_plans(monkeypatch)
     u = SpectralField(lat)
@@ -578,6 +587,8 @@ def test_growing_support_keeps_one_restricted_plan_per_shell(monkeypatch):
     assert list(plans) == [None] and plans[None] == _support_key(lat, u.coeffs, u.coeffs)
     record = lat._conv_plans[None]
     assert list(record.restricted.blocks) == [1]
+    indptr, indices = record.restricted.blocks[1]
+    assert indptr is record.restricted.indptr and indices is record.restricted.ij
     # the complex wave vectors went away with the plans they belong to: only
     # the last restricted plan's are alive, and the full plan, which no
     # convolution took, was never built
@@ -585,6 +596,97 @@ def test_growing_support_keeps_one_restricted_plan_per_shell(monkeypatch):
     live = {id(kc) for kc in (r() for _, r in built) if kc is not None}
     assert live == {id(record.restricted.kc)}
     assert record.full is None
+
+
+def _handed_as(V, layout):
+    """V as a caller may hand it to the kernel: C-ordered, every other row
+    of a longer array, Fortran-ordered, read-only, or real (a contiguous
+    copy or the strided .real view)."""
+    if layout == "strided":
+        return np.repeat(V, 2, axis=-2)[..., ::2, :]
+    if layout == "fortran":
+        return np.asfortranarray(V)
+    if layout == "readonly":
+        V = V.copy()
+        V.flags.writeable = False
+        return V
+    if layout == "real":
+        return np.ascontiguousarray(V.real)
+    return V.real if layout == "real-view" else V
+
+
+@given(st.sampled_from(["full", "restricted", "closed"]), st.sampled_from(["one", 1, 3, "chunks"]),
+       st.sampled_from(["contiguous", "strided", "fortran", "readonly", "real", "real-view"]),
+       st.integers(0, 2**16))
+@settings(deadline=None, max_examples=40)
+def test_kernel_matches_scipys_public_product(kind, n, layout, seed):
+    """The convolution's sum is scipy's csr_matrix((dots, ij, indptr)) @ V
+    on the plan's own index arrays, bit for bit, per sample: on a shell's
+    full plan, on one restricted to random supports, and on a closed
+    support's re-indexed plan; for one sample, stacks of 1 and 3, and
+    stacks longer than one of advect's chunks; with V non-contiguous,
+    read-only or real.  A long stack through advect also gives the
+    per-sample reference's bits."""
+    rng = np.random.default_rng(seed)
+    if kind == "closed":
+        lat = STACKS["ray10"][0]
+        ray = RAYS[seed % 3]
+
+        def samples(s, count):
+            return np.array([VkData.random(ray, (1, 2), s + b, lat).field(lat).coeffs
+                             for b in range(count)])
+        frame = _closed_frame(lat, samples(seed, 1)[0])
+        assert frame.rows is not None
+        lam, support, plan, rows = None, None, frame.plan, frame.rows
+    else:
+        lat = LATTICES["cube6"]
+        M = lat.n_modes
+
+        def samples(s, count):
+            return _samples(lat, s, count)[0]
+        frame, rows = _lattice_frame(lat), None
+        lam = [None, *lat.eigenvalues][rng.integers(len(lat.eigenvalues) + 1)]
+        support = None if kind == "full" else tuple(
+            np.sort(rng.choice(M, rng.integers(M + 1), replace=False)) for _ in range(2))
+        plan = _Plan(lat, lam, support)
+    record = _shell_plans(lat, lam)
+    count = {"one": 1, "chunks": 1 + max(1, _STACK_BLOCK_BYTES // (
+        48 * max(record.n_pairs, lat.n_modes)))}.get(n, n)
+    X, Y = samples(seed, count), samples(seed + 1, count)
+    if rows is not None:
+        X, Y = X[:, rows], Y[:, rows]
+    if n == "one":
+        X, Y = X[0], Y[0]
+    V = _handed_as(Y, layout)
+    got = _convolve(frame, X, V, record, support)
+    want = [_convolve_reference(lat, U, W, plan, rows) for U, W in
+            zip(np.reshape(X, (-1, *X.shape[-2:])), np.reshape(V, (-1, *V.shape[-2:])))]
+    _assert_bits_equal(got, np.reshape(want, got.shape))
+    if kind == "full" and n == "chunks":
+        on = lat.shell_of == lat.shell(lam) if lam is not None else slice(None)
+        want = [_advect_reference(lat, U, W) for U, W in zip(X, V)]
+        _assert_bits_equal(advect(lat, X, V, 0.0, 0.0, lam)[:, on], np.array(want)[:, on])
+
+
+@pytest.mark.parametrize("extra", [1, 300])
+def test_kernel_refuses_arrays_off_the_plans_rows(extra):
+    """Arrays with more rows than the plan, or two arrays of different
+    shapes, raise ValueError before the compiled sum, which would read past
+    the plan's or the inputs' arrays: through convolve_advect, an unrotated
+    advect of one sample or a stack, and a closed frame's kernel."""
+    lat = LATTICES["cube6"]
+    X = random_gevrey(lat, seed=1).coeffs
+    U = np.concatenate([X, np.ones((extra, 3), dtype=complex)])
+    for call in (lambda: convolve_advect(lat, U, U), lambda: advect(lat, U, U),
+                 lambda: advect(lat, U[None], U[None])):
+        with pytest.raises(ValueError, match="one shape"):
+            call()
+    lat = STACKS["ray10"][0]
+    X = _ray_samples(lat, 0, 1)[0][0]
+    frame = _closed_frame(lat, X)
+    A = np.repeat(X[None, frame.rows], 3, axis=0)
+    with pytest.raises(ValueError, match="one shape"):
+        _convolve(frame, A[:2], A, _shell_plans(lat, None), None)
 
 
 @pytest.mark.parametrize("value, padded", [(1e306, None), (2e307, "finite"), (1e308, "nan"),
