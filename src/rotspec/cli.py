@@ -447,7 +447,11 @@ def cmd_sweep_omega(args) -> int:
     if not math.isfinite(args.t):
         raise CliError(EXIT_CONFIG, "config", f"--t must be finite, not {args.t}")
     cfg = _load_config(args.config)
-    omegas = [float(x) for x in args.omegas.split(",")]
+    try:
+        omegas = [float(x) for x in args.omegas.split(",")]
+    except ValueError:
+        raise CliError(EXIT_CONFIG, "config",
+                       f"--omegas must be comma-separated numbers, not {args.omegas!r}") from None
     if len(omegas) < 2:
         raise CliError(EXIT_CONFIG, "config", "sweep needs at least two rotation rates")
     lat = _lattice_from(cfg)
@@ -456,7 +460,11 @@ def cmd_sweep_omega(args) -> int:
     configs = [SolverConfig(omega=om, **cfg["solver"]) for om in omegas]
     norms = []
     for config in configs:
-        traj = integrate(u0, config)
+        try:
+            traj = integrate(u0, config)
+        except FloatingPointError as e:
+            raise CliError(EXIT_NUMERICAL, "numerical",
+                           f"the run at omega = {config.omega!r} failed: {e}") from None
         if traj.form == "u":
             traj = transform_trajectory(traj, "v")
         # q_1 depends on no later order, so one order is all the sweep reads

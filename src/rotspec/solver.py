@@ -1,10 +1,14 @@
 """Time integration of the Galerkin system in rotating (u) or transformed (v) form.
 
-The linear part (Stokes + rotation) is advanced exactly mode-by-mode through
-its diagonal/planar propagator; classical RK4 acts on the integrating-factor
-transformed nonlinearity.  Vanishing nonlinearity therefore reproduces the
-linear special solutions to machine precision, and the energy identity
-d/dt (|v|^2/2) + ||v||^2 = 0 holds exactly for the truncated system.
+Both forms take one integrating-factor (Lawson) RK4 step, in the rotating
+frame: the linear part (Stokes + rotation) is advanced exactly, mode by
+mode, by one fused operator decay (cos theta I + sin theta J_k), and
+classical RK4 acts on the unrotated nonlinearity.  The step commutes with
+the constant rotation exp(Omega t_n S), so a v-form run steps u and rotates
+only its records to v = exp(Omega t S) u.  Vanishing nonlinearity therefore
+reproduces the linear special solutions to machine precision, and the
+energy identity d/dt (|v|^2/2) + ||v||^2 = 0 holds exactly for the
+truncated system.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from .fields import (
     _advect,
     _closed_frame,
     _gevrey_norms,
-    _rotate,
+    _per_mode,
     _rotate_coeffs,
     _shell_plans,
+    _strided,
 )
 
 __all__ = [
@@ -125,13 +130,22 @@ class Trajectory:
 
 
 def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
-    """Integrating-factor RK4 for the truncated rotating Navier-Stokes system.
+    """Integrating-factor (Lawson) RK4 for the truncated rotating Navier-Stokes system.
 
     In u-form the state solves du/dt + Au + Omega*Su + B(u,u) = 0; in v-form
-    dv/dt + Av + B_Omega(t,v,v) = 0.  It takes config.n_steps steps of
-    exactly dt and records the initial state and every record_stride-th
-    state after it.  A state that is no longer finite stops the run with a
-    FloatingPointError naming the step and its time.
+    dv/dt + Av + B_Omega(t,v,v) = 0, with v = exp(Omega t S) u.  Both forms
+    step u: the linear part is advanced exactly, through one fused per-mode
+    operator exp(-sA) exp(-Omega s S) for each of the step lengths s = dt
+    and dt/2, and RK4 acts on the unrotated nonlinearity -B(u,u).  The
+    scheme commutes with the constant map exp(Omega t_n S), so stepping u
+    and rotating it is the v-form scheme with the rotated nonlinearity, in
+    exact arithmetic.  A v-form run steps u from exp(-Omega t0 S) u0 and
+    rotates each recorded state to v at its time, as transform_trajectory
+    rotates it (_rotate_by); its record 0 is u0 as given.  It takes
+    config.n_steps steps of exactly dt and records the initial state and
+    every record_stride-th state after it.  A u-state that is no longer
+    finite stops the run with a FloatingPointError naming the step and its
+    time.
 
     The run computes on the closed support S of u0 (fields._closed_frame).
     S starts as u0's non-zero modes and their conjugate partners, and takes
@@ -151,46 +165,57 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     om = config.omega
     t0 = config.t0
     n_steps = config.n_steps
+    v_form = config.form == "v"
 
     frame = _closed_frame(lat, u0.coeffs)
     record = _shell_plans(lat, None)
     rows = slice(None) if frame.rows is None else frame.rows
 
     def make_prop(s: float):
-        # formed on every mode and then sliced, so each row has its own bits
-        decay = np.exp(-s * lat.lam_f)[rows, None]
-        if config.form == "u" and om != 0.0:
-            theta = -om * lat.kt3 * s
-            c, sn = np.cos(theta)[rows], np.sin(theta)[rows]
-            return lambda C: decay * _rotate(frame.jk, C, c, sn)
-        return lambda C: decay * C
+        # decay (cos theta I + sin theta J_k) per mode, formed on every mode
+        # and then sliced, so each row has its own bits
+        theta = -om * lat.kt3 * s
+        op = np.exp(-s * lat.lam_f)[:, None, None] * (
+            np.cos(theta)[:, None, None] * np.eye(3) + np.sin(theta)[:, None, None] * lat.jk)
+        op = _strided(op[rows])
+        return lambda C: _per_mode(op, C)
 
     Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
-    om_b = om if config.form == "v" else 0.0  # the u-form nonlinearity is unrotated
 
-    def N(t, C):
-        return -_advect(frame, C, C, t, om_b, record, None)
+    def N(C):
+        return -_advect(frame, C, C, 0.0, 0.0, record, None)
 
-    C = u0.coeffs[rows].astype(complex)
-    times: List[float] = [t0]
+    C0 = u0.coeffs.astype(complex)
     records = np.zeros((n_steps // config.record_stride + 1, lat.n_modes, 3), dtype=complex)
-    records[0, rows] = C
-    t = t0
+    records[0] = C0
+    C = (_rotate_by(lat, C0, -om, t0) if v_form else C0)[rows]
+    times: List[float] = [t0]
     for step in range(n_steps):
-        a = N(t, C)
-        b = N(t + 0.5 * h, Ph2(C + 0.5 * h * a))
-        c = N(t + 0.5 * h, Ph2(C) + 0.5 * h * b)
+        a = N(C)
+        b = N(Ph2(C + 0.5 * h * a))
+        c = N(Ph2(C) + 0.5 * h * b)
         PC = Ph(C)
-        d = N(t + h, PC + h * Ph2(c))
+        d = N(PC + h * Ph2(c))
         C = PC + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
         t = t0 + (step + 1) * h
         if not np.isfinite(C).all():
             raise FloatingPointError(
                 f"state is not finite after step {step + 1} of {n_steps} (t = {t:.6g})")
         if (step + 1) % config.record_stride == 0:
-            records[len(times), rows] = C
+            rec = records[len(times)]
+            rec[rows] = C
+            if v_form:
+                rec[...] = _rotate_by(lat, rec, om, t)
             times.append(t)
     return Trajectory(lat, config.form, om, np.array(times), records, dt=h)
+
+
+def _rotate_by(lat: Lattice, coeffs: np.ndarray, rate: float, t) -> np.ndarray:
+    """exp(rate t S) of one (M,3) sample at the time t, or of an (R,M,3)
+    stack at its (R,) times t: the angles rate k3til t, formed per sample in
+    one operation order, so a sample rotated alone has its bits in a stack."""
+    theta = rate * lat.kt3 * np.asarray(t)[..., None]
+    return _rotate_coeffs(lat, coeffs, np.cos(theta), np.sin(theta))
 
 
 def transform_trajectory(traj: Trajectory, to_form: str) -> Trajectory:
@@ -198,10 +223,8 @@ def transform_trajectory(traj: Trajectory, to_form: str) -> Trajectory:
     if to_form == traj.form:
         return traj
     sign = 1.0 if (traj.form, to_form) == ("u", "v") else -1.0
-    lat = traj.lattice
-    theta = sign * traj.omega * lat.kt3 * traj.times[:, None]
-    out = _rotate_coeffs(lat, traj.coeffs, np.cos(theta), np.sin(theta))
-    return Trajectory(lat, to_form, traj.omega, traj.times.copy(), out, dt=traj.dt)
+    out = _rotate_by(traj.lattice, traj.coeffs, sign * traj.omega, traj.times)
+    return Trajectory(traj.lattice, to_form, traj.omega, traj.times.copy(), out, dt=traj.dt)
 
 
 _FD6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
@@ -278,9 +301,19 @@ def _is_finite_number(x) -> bool:
     return _is_number(x) and abs(x) <= sys.float_info.max  # false for NaN, Inf and huge ints
 
 
+def _json_line(line: str, where: str):
+    """json.loads of one line of a trajectory file; a syntax error raises
+    ValueError naming where the line sits in the file."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{where} is not valid JSON: {e.msg} at column {e.colno}") from None
+
+
 def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
-    """Returns (trajectory, meta-dict).  Malformed input raises ValueError."""
-    header = json.loads(stream.readline())
+    """Returns (trajectory, meta-dict).  Malformed input raises ValueError,
+    which names the file line at fault."""
+    header = _json_line(stream.readline(), "trajectory header (line 1)")
     try:
         meta = header["meta"]
         lat = build_lattice(ell=meta["lattice"]["ell"], cutoff=meta["lattice"]["cutoff"])
@@ -301,7 +334,7 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
+        rec = _json_line(line, f"trajectory line {n}")
         try:
             rows.append(field_from_doc(rec["field"], lat).coeffs)
             t = rec["t"]

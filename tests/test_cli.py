@@ -639,6 +639,38 @@ def test_trajectory_record_not_object(tmp_path, capsys):
     assert err["kind"] == "config" and "line 3" in err["message"]
 
 
+def test_trajectory_sample_line_cut_off(pipeline, tmp_path, capsys):
+    """A sample line cut off mid-record exits 2 naming its line in the file,
+    not json's line 1 of the one line it parsed."""
+    lines = pipeline["traj"].read_text().splitlines()
+    lines[3] = lines[3][:len(lines[3]) // 2]
+    traj = tmp_path / "cut.jsonl"
+    traj.write_text("\n".join(lines) + "\n")
+    for cmd in ("expand", "helicity"):
+        argv = [cmd, "--traj", str(traj)] + (["--order", "1"] if cmd == "expand" else [])
+        assert main(argv) == 2, cmd
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "config", cmd
+        assert err["message"].startswith("trajectory line 4 is not valid JSON: "), cmd
+
+
+@pytest.mark.parametrize("header", ["", '{"meta": {"form": "v",', "not json"],
+                         ids=["empty-file", "cut-off", "not-json"])
+def test_trajectory_header_not_json(pipeline, tmp_path, capsys, header):
+    """A header line that is not JSON exits 2 naming the header."""
+    lines = pipeline["traj"].read_text().splitlines(keepends=True)
+    traj = tmp_path / "badjson.jsonl"
+    traj.write_text(header and header + "\n" + "".join(lines[1:]))
+    assert main(["expand", "--traj", str(traj), "--order", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config"
+    assert err["message"].startswith("trajectory header (line 1) is not valid JSON: ")
+
+
 @pytest.mark.parametrize("key, value", [
     ("omega", None), ("omega", [1]), ("omega", "5"),
     ("dt", None), ("dt", "0.01"),
@@ -873,6 +905,46 @@ def test_sweep_omega_refuses_non_finite_rates_before_integrating(tmp_path, capsy
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     err = json.loads(captured.err)["error"]
     assert err["kind"] == "config" and "omega must be finite" in err["message"]
+
+
+@pytest.mark.parametrize("omegas", ["10,abc", "10,,20", "10;20"])
+def test_sweep_omega_refuses_rates_that_are_not_numbers(tmp_path, capsys, monkeypatch, omegas):
+    """An --omegas entry that is not a number is a config error naming
+    --omegas, before any rate is integrated."""
+    cfg_path = tmp_path / "sweep.json"
+    _sweep_config(cfg_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated a sweep with a rate that is not a number")
+
+    monkeypatch.setattr("rotspec.cli.integrate", refuse)
+    assert main(["sweep-omega", "--config", str(cfg_path), "--omegas", omegas,
+                 "--T", "0.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config" and "--omegas" in err["message"]
+    assert repr(omegas) in err["message"]
+
+
+def test_sweep_omega_names_the_rate_whose_run_fails(tmp_path, capsys):
+    """A rate whose run goes non-finite exits 3 naming that rate and the
+    step the run stopped at."""
+    cfg_path = tmp_path / "sweep.json"
+    cfg = _sweep_config(cfg_path)
+    cfg["lattice"] = {"cutoff": 3}
+    cfg["initial"] = {"kind": "random-gevrey", "seed": 1, "amplitude": 1e4}
+    cfg["solver"].update(dt=0.05, t_end=1.0)
+    cfg_path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert main(["sweep-omega", "--config", str(cfg_path), "--omegas", "10,-7.5",
+                     "--T", "0.2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "numerical"
+    assert err["message"].startswith("the run at omega = 10.0 failed: state is not finite "
+                                     "after step ")
 
 
 def test_simulate_refuses_a_non_finite_rate(tmp_path, capsys):

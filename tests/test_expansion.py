@@ -118,7 +118,11 @@ def test_fourth_order_expansion(o4_run):
     assert verify_expansion_system(exp)["max_residual"] <= 1e-12
     for d in exp.diagnostics:
         assert not any(k.startswith("xi_") and k.endswith("_warning") for k in d)
-    assert [q.n_terms() for q in exp.orders] == [3, 24, 301, 2431]
+    # q_3 and q_4 hold terms whose coefficients are round-off (below 1e-20;
+    # zero in exact arithmetic), and whether each sums to an exact zero
+    # depends on the trajectory's last bits: a change that moves the
+    # trajectory at round-off may move these counts by a few terms
+    assert [q.n_terms() for q in exp.orders] == [3, 24, 301, 2429]
     # one symbolic product per forcing pair; the fit's faster pairs are numeric
     assert sorted(o4_run["pairs"]) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
@@ -128,7 +132,7 @@ def test_fifth_order_expansion(o4_run):
     The resonant fit warns at this order, so its warnings are not checked."""
     exp = expand(o4_run["trajv"], 5, xi_windows=((6.0, 8.0), (8.0, 10.0)))
     assert exp.mus == [Fraction(n) for n in range(1, 6)]
-    assert [q.n_terms() for q in exp.orders] == [3, 24, 301, 2431, 11325]
+    assert [q.n_terms() for q in exp.orders] == [3, 24, 301, 2429, 11325]
     assert verify_expansion_system(exp)["max_residual"] <= 1e-12
 
 

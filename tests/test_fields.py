@@ -828,10 +828,13 @@ def _rotate_reference(lat, C, theta):
 
 
 def _u_step_reference(lat, C, h, omega):
-    """One u-form step of integrate, its propagator built from the real operator."""
+    """One u-form step of integrate, its propagator the real per-mode
+    operator decay (cos theta I + sin theta J_k)."""
     def prop(s):
-        decay = np.exp(-s * lat.lam_f)[:, None]
-        return lambda Z: decay * _rotate_reference(lat, Z, -omega * lat.kt3 * s)
+        theta = -omega * lat.kt3 * s
+        op = np.exp(-s * lat.lam_f)[:, None, None] * (
+            np.cos(theta)[:, None, None] * np.eye(3) + np.sin(theta)[:, None, None] * lat.jk)
+        return lambda Z: np.einsum("mij,mj->mi", op, Z)
 
     def N(Z):
         return -advect(lat, Z, Z)
