@@ -169,8 +169,24 @@ def _load_config(path: str) -> dict:
         raise CliError(EXIT_CONFIG, "config", f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise CliError(EXIT_CONFIG, "config", f"config is not valid JSON: {e}")
+    # json reads NaN, Infinity and overflowing literals, and no schema bound refuses NaN
+    bad = _non_finite(cfg)
+    if bad is not None:
+        raise CliError(EXIT_CONFIG, "config", f"{bad[0]} must be finite, not {bad[1]}")
     _schema_check(cfg, "config", "config")
     return cfg
+
+
+def _non_finite(doc, key: str = ""):
+    """(dotted key, value) of the first non-finite number in a JSON document,
+    list items keyed by [index], or None."""
+    if isinstance(doc, dict):
+        items = ((f"{key}.{k}" if key else k, v) for k, v in doc.items())
+    elif isinstance(doc, list):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(doc))
+    else:
+        return (key, doc) if isinstance(doc, float) and not math.isfinite(doc) else None
+    return next(filter(None, (_non_finite(v, k) for k, v in items)), None)
 
 
 def _lattice_from(cfg: dict):

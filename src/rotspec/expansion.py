@@ -161,14 +161,12 @@ def _fast_pair_forcing(exp: Expansion, mu: Fraction, shell: np.ndarray) -> np.nd
     lat = exp.lattice
     ts = exp.traj.times
     live = [a for a in range(exp.n_orders) if not exp.orders[a].is_zero]
-    partners = [(a, [b for b in live if exp.mus[a] + exp.mus[b] > mu]) for a in live]
-    partners = [(a, bs) for a, bs in partners if bs]
-    if not partners:
-        return np.zeros((len(ts), len(shell), 3), dtype=complex)
     acc = np.zeros((len(ts), len(shell), 3), dtype=complex)
-    for a, bs in partners:
-        Y = sum(exp.samples[b] for b in bs)
-        acc += advect(lat, exp.samples[a], Y, ts, exp.omega, mu)[:, shell]
+    for a in live:
+        bs = [b for b in live if exp.mus[a] + exp.mus[b] > mu]
+        if bs:
+            Y = sum(exp.samples[b] for b in bs)
+            acc += advect(lat, exp.samples[a], Y, ts, exp.omega, mu)[:, shell]
     return np.exp(float(mu) * ts)[:, None, None] * acc
 
 
@@ -196,7 +194,8 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
 
     # keep only the shell's rows of each product, so one full-size stack is alive at a time
     acc = advect(lat, r, v, ts, exp.omega, mu)[:, shell]
-    acc += advect(lat, s_eval, r, ts, exp.omega, mu)[:, shell]
+    if exp.n_orders:  # before the first order the partial sum is zero
+        acc += advect(lat, s_eval, r, ts, exp.omega, mu)[:, shell]
     g = -emu[:, None, None] * acc
     # pairs of earlier orders whose combined rate exceeds mu
     g -= _fast_pair_forcing(exp, mu, shell)

@@ -215,7 +215,7 @@ def apply_S(u: SpectralField) -> SpectralField:
 
 def _rotate(jk: np.ndarray, coeffs: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Apply cos(theta_m) I + sin(theta_m) J_k per row m, with jk the rows'
-    complex J_k (_complex_ops, or a frame's slice of it).
+    complex J_k (_complex_ops', or a shell's slice of it).
 
     coeffs is (R,3) or a (B,R,3) stack of the R rows; c = cos(theta) and
     s = sin(theta) are (R,) or (B,R) to match.  Formed as
@@ -280,10 +280,7 @@ class _Plan:
     product with the cast values has the real vectors' bits without the
     cast.  blocks caches the CSR index arrays of the plan's block-diagonal
     matrices by stack size (block).  A plan holds no per-call data: the
-    kernel passes each call's pair products to the sum as arguments.  Two
-    threads must still not convolve on one lattice at the same time:
-    _ShellPlans swaps its restricted plan and that plan's key in two
-    assignments, which another thread could read between.
+    kernel passes each call's pair products to the sum as arguments.
     """
 
     def __init__(self, lattice: Lattice, lam, support):
@@ -337,28 +334,20 @@ class _ShellPlans:
 
     n_pairs is the full plan's pair count, counted on the one enumeration
     the builder uses.  full is the full plan, built the first time a
-    convolution takes it, and kept for good.  restricted is the plan of the
-    latest support asked for, with that support's key: the next support
-    replaces both, so a caller whose support changes every call holds one
-    restricted plan per shell.
+    convolution takes it, and kept for good.
     """
 
-    __slots__ = ("lam", "n_pairs", "full", "key", "restricted")
+    __slots__ = ("lam", "n_pairs", "full")
 
     def __init__(self, lattice: Lattice, lam):
         self.lam = lam
         self.n_pairs = int(np.count_nonzero(_pairs(lattice, lam, None)[3]))
-        self.full = self.key = self.restricted = None
+        self.full = None
 
-    def plan(self, lattice: Lattice, support) -> _Plan:
-        """The shell's plan restricted to support, or its full plan for None."""
-        if support is None:
-            self.full = self.full or _Plan(lattice, self.lam, None)
-            return self.full
-        key = tuple(r.tobytes() for r in support)
-        if key != self.key:
-            self.key, self.restricted = key, _Plan(lattice, self.lam, support)
-        return self.restricted
+    def plan(self, lattice: Lattice) -> _Plan:
+        """The shell's full plan, built on the first call."""
+        self.full = self.full or _Plan(lattice, self.lam, None)
+        return self.full
 
 
 def _shell_plans(lattice: Lattice, lam) -> _ShellPlans:
@@ -374,31 +363,30 @@ class _Frame:
     rows is None for every mode, or a sorted array of mode indices closed
     under conjugation; the kernel's (..., n, 3) arrays hold the n rows in
     that order.  The frame keeps what the kernel reads per row, taken once:
-    kt3, the complex J_k and P_k (sliced from _complex_ops' values and laid
-    out as those are, so _per_mode forms each row's product in the same
-    loop), and mirror, the frame positions of the representative rows and
-    of their conjugate partners (_mirror).  kbound is 4 max|kcheck| over
-    the lattice (_convolve).  plan is a closed support's plan, re-indexed
-    to frame positions (_closed_frame); the lattice frame has none and
-    takes its plans from the shell records.  The frame refers to its
-    lattice weakly: the lattice caches its own frame, and a reference back
-    would make a cycle that keeps a dropped lattice, with every plan it
-    caches, until the cyclic collector runs.
+    the complex P_k (_complex_ops' value, or its rows sliced from the
+    lattice's and laid out as that is, so _per_mode forms each row's
+    product in the same loop), and mirror, the frame positions of the
+    representative rows and of their conjugate partners (_mirror).  kbound
+    is 4 max|kcheck| over the lattice (_convolve).  plan is a closed
+    support's plan, re-indexed to frame positions (_closed_frame); the
+    lattice frame has none and takes each shell's full plan from its
+    record.  Only the lattice frame rotates (_advect).  The frame refers to
+    its lattice weakly: the lattice caches its own frame, and a reference
+    back would make a cycle that keeps a dropped lattice, with every plan
+    it caches, until the cyclic collector runs.
     """
 
-    __slots__ = ("_lattice", "rows", "kt3", "jk", "proj", "mirror", "kbound", "plan")
+    __slots__ = ("_lattice", "rows", "proj", "mirror", "kbound", "plan")
 
     def __init__(self, lattice: Lattice, rows: Optional[np.ndarray] = None,
                  plan: Optional[_Plan] = None):
         self._lattice, self.rows, self.plan = weakref.ref(lattice), rows, plan
         if rows is None:
-            self.kt3 = lattice.kt3
-            self.jk, self.proj = _complex_ops(lattice)
+            self.proj = _complex_ops(lattice)[1]
             rep = np.flatnonzero(lattice.rep_mask)
             self.mirror = (rep, lattice.conj_idx[rep])
         else:
-            self.kt3 = lattice.kt3[rows]
-            self.jk, self.proj = _strided(lattice.jk[rows]), _strided(lattice.proj[rows])
+            self.proj = _strided(lattice.proj[rows])
             rep = np.flatnonzero(lattice.rep_mask[rows])
             self.mirror = (rep, np.searchsorted(rows, lattice.conj_idx[rows[rep]]))
         self.kbound = 4.0 * np.abs(lattice.kcheck).max()
@@ -420,58 +408,26 @@ def _closed_frame(lattice: Lattice, C: np.ndarray) -> _Frame:
     """The frame of the closed support S of a real-paired (M,3) field C.
 
     S starts as C's non-zero modes and their conjugate partners.  It takes
-    in the output modes, and their partners, of the full plan restricted to
-    (S, S), until it stops changing.  No pair of modes in S then reaches a
-    mode outside S.  The frame is S with that plan, re-indexed, while 3|S|
-    non-zero entries would pass _support's gate: their product is below the
-    full plan's pair count.  Otherwise it is the lattice frame, whose
-    kernel takes the full plan.
+    in the output modes, and their partners, of the plan of every output
+    restricted to (S, S), until it stops changing.  No pair of modes in S
+    then reaches a mode outside S.  The frame is S with that plan,
+    re-indexed, the one support-restricted plan a kernel takes, while
+    (3|S|)^2, the most pairs of non-zero entries two fields on S can have,
+    is below the full plan's pair count.  Otherwise it is the lattice
+    frame, whose kernel takes the full plan.  No plan this builds is cached
+    in the shell record.
     """
-    record = _shell_plans(lattice, None)
+    n_pairs = _shell_plans(lattice, None).n_pairs
     live = C.any(axis=-1)
     rows = np.flatnonzero(live | live[lattice.conj_idx])
-    while (3 * len(rows)) ** 2 < record.n_pairs:
-        plan = record.plan(lattice, (rows, rows))
+    while (3 * len(rows)) ** 2 < n_pairs:
+        plan = _Plan(lattice, None, (rows, rows))
         outs = np.flatnonzero(np.diff(plan.indptr))
         grown = np.union1d(rows, np.r_[outs, lattice.conj_idx[outs]])
         if len(grown) == len(rows):
             return _Frame(lattice, rows, plan.reindexed(rows))
         rows = grown
     return _lattice_frame(lattice)
-
-
-def _support(lattice: Lattice, U: np.ndarray, V: np.ndarray, n_pairs: int):
-    """The support that convolve_advect restricts its plan to, or None for
-    the full plan of n_pairs pairs (the shell record's count).
-
-    U and V must have one shape.  nnz(U) nnz(V), with nnz the count of
-    non-zero entries over every sample of a stack, bounds the pairs whose
-    two factors are both non-zero.  When it is below n_pairs, the support
-    is (rows_u, rows_v): the modes with a non-zero entry in some sample of
-    U and of V.  Every pair the restricted plan drops has an exact zero
-    factor.  With finite factors its product is a zero, and a CSR row sum
-    starts from +0, which no zero term changes, signed zeros included.
-    Rotating a sample keeps its zero rows zero, so advect takes the support
-    of its unrotated stack, once for all chunks.
-    """
-    if U.shape != V.shape:
-        raise ValueError(f"U and V must have the same shape, not {U.shape} and {V.shape}")
-
-    def nnz_product(A, B):
-        nnz = np.count_nonzero(A)
-        return nnz * (nnz if V is U or not nnz else np.count_nonzero(B))
-
-    # a stack's first sample has no more non-zeros than the stack, so a
-    # dense first sample decides without a count of the rest
-    if (U.ndim == 3 and nnz_product(U[:1], V[:1]) >= n_pairs) or nnz_product(U, V) >= n_pairs:
-        return None
-    M = lattice.n_modes
-
-    def rows(A):
-        return np.flatnonzero(A.reshape(-1, 3 * M).any(axis=0).reshape(M, 3).any(axis=1))
-
-    rows_u = rows(U)
-    return rows_u, rows_u if V is U else rows(V)
 
 
 def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) -> np.ndarray:
@@ -483,47 +439,37 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) ->
     matrix-vector product (block-diagonal over the samples) over the
     representative outputs, with the conjugate half mirrored.  With lam
     given, only outputs on that Stokes shell are formed; other rows are zero.
-
-    The plan follows the inputs' support (_support): when nnz(U) nnz(V) is
-    below the shell's pair count, only the pairs with U_m and V_j both
-    non-zero in some sample are formed.  Every output is the full plan's,
-    bit for bit, signed zeros included.  The full plan is built only when
-    a convolution takes it.
+    The sum runs over the shell's full plan, built the first time a
+    convolution takes it.
 
     Each pair's dot product is summed left to right over the three
     components, (U_m0 k0 + U_m1 k1) + U_m2 k2, on one (3, ..., P) gather of
     U's components at the pairs.
     """
-    record = _shell_plans(lattice, lam)
-    return _convolve(_lattice_frame(lattice), U, V, record,
-                     _support(lattice, U, V, record.n_pairs))
+    return _convolve(_lattice_frame(lattice), U, V, _shell_plans(lattice, lam))
 
 
-def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans,
-              support) -> np.ndarray:
+def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans) -> np.ndarray:
     """convolve_advect in a frame, on the shell of a _ShellPlans record: on
-    the lattice frame with the plan of a support _support chose, on a
-    closed frame (lam None) with the frame's plan.
+    the lattice frame with the shell's full plan, on a closed frame (lam
+    None) with the frame's plan.
 
-    A pair a restricted or closed frame's plan drops is an exact zero only
-    if its other factor is finite.  The real and imaginary parts of a dot
-    product U_m . kcheck_k are below 4 max|U| max|kcheck|, with max|U|
-    taken over the support (U is zero elsewhere), so when that bound or the
-    sum of V is not finite the full plan is taken: it forms the NaN of inf
-    times zero.  (A bound or sum that merely overflows takes it too, which
-    costs time and changes no bit.)  A closed frame takes it on its inputs
-    padded to every mode (_convolve_padded).  The sign of a zero factor
-    reaches no output: its products are zeros, which no sum changes, or inf
-    times zero, which is the same NaN for either sign.
+    A pair a closed frame's plan drops has a factor outside the frame,
+    where the inputs are zero; it is an exact zero only if its other factor
+    is finite.  The real and imaginary parts of a dot product U_m . kcheck_k
+    are below 4 max|U| max|kcheck|, so when that bound or the sum of V is
+    not finite the frame's rows are taken from the lattice frame's full
+    plan on the inputs padded to every mode (_convolve_padded), which forms
+    the NaN of inf times zero.  (A bound or sum that merely overflows takes
+    it too, which costs time and changes no bit.)  The sign of a zero
+    factor reaches no output: its products are zeros, which no sum
+    changes, or inf times zero, which is the same NaN for either sign.
     """
-    if (support is not None or frame.plan is not None) and not (
-            math.isfinite(frame.kbound * np.abs(
-                U if support is None else U[..., support[0], :]).max(initial=0.0))
+    if frame.plan is not None and not (
+            math.isfinite(frame.kbound * np.abs(U).max(initial=0.0))
             and (V is U or np.isfinite(V.sum()))):
-        if frame.plan is not None:
-            return _convolve_padded(frame, U, V, record)
-        support = None
-    plan = frame.plan or record.plan(frame.lattice, support)
+        return _convolve_padded(frame, U, V, record)
+    plan = frame.plan or record.plan(frame.lattice)
     rows = len(plan.indptr) - 1
     # the compiled sum reads its arrays unchecked: a mis-shaped input would
     # read past them instead of raising
@@ -562,7 +508,7 @@ def _convolve_padded(frame: _Frame, U: np.ndarray, V: np.ndarray,
         return out
 
     Up = pad(U)
-    full = _convolve(_lattice_frame(lattice), Up, Up if V is U else pad(V), record, None)
+    full = _convolve(_lattice_frame(lattice), Up, Up if V is U else pad(V), record)
     out = full[..., frame.rows, :]
     if not np.isfinite(np.delete(full, frame.rows, axis=-2)).all():
         out[...] = np.nan
@@ -592,28 +538,26 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
 
     B(x, y) = P (x.grad) y on the Galerkin set.  Operates on (M,3)
     coefficient arrays, or on (B,M,3) stacks of samples with t a scalar or a
-    (B,) array of their times.  Inputs must obey the conjugate pairing
-    X(-k) = conj(X(k)) (every field the package builds does): only the
-    representative half of the product is computed.  With lam given, only
-    output modes on the Stokes shell lam are computed, projected and rotated
-    back; every other row is the zero the convolution left there, whose sign
-    is unspecified, and each computed row equals the unrestricted one bit
-    for bit.  With omega == 0 no rotation is applied; when Y is X the input
-    is rotated once.  The operators are the lattice's cached complex copies
-    (_complex_ops), and one cos/sin of the angles serves both the input
-    rotations and the back-rotation.
+    (B,) array of their times; X and Y must have one shape.  Inputs must
+    obey the conjugate pairing X(-k) = conj(X(k)) (every field the package
+    builds does): only the representative half of the product is computed.
+    With lam given, only output modes on the Stokes shell lam are computed,
+    projected and rotated back; every other row is the zero the convolution
+    left there, whose sign is unspecified, and each computed row equals the
+    unrestricted one bit for bit.  With omega == 0 no rotation is applied;
+    when Y is X the input is rotated once.  The operators are the lattice's
+    cached complex copies (_complex_ops), and one cos/sin of the angles
+    serves both the input rotations and the back-rotation.
 
-    The convolution follows the inputs' support as convolve_advect's does:
-    when nnz(X) nnz(Y) is below the shell's pair count, only the pairs whose
-    factors are both non-zero in some sample are formed, with every output
-    bit the full plan's.  The support is taken once per call, before a long
-    stack is computed in chunks of samples, sized by the pair count;
-    samples are independent, so chunking changes no bit.  The call looks up
-    the shell's plan record once (_shell_plans): its pair count serves the
-    support gate and the chunk size, and its plans the convolution.
+    The convolution takes the shell's full plan, which the call looks up
+    once (_shell_plans).  A stack is computed in chunks of samples, sized
+    by the plan's pair count; samples are independent, so chunking changes
+    no bit.
     """
+    # checked before the rotation, which would broadcast one sample against a stack
+    if X.shape != Y.shape:
+        raise ValueError(f"X and Y must have the same shape, not {X.shape} and {Y.shape}")
     record = _shell_plans(lattice, lam)
-    support = _support(lattice, X, Y, record.n_pairs)
     frame = _lattice_frame(lattice)
     if X.ndim == 3:
         chunk = max(1, _STACK_BLOCK_BYTES // (48 * max(record.n_pairs, lattice.n_modes)))
@@ -624,52 +568,40 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
                 c = slice(start, start + chunk)
                 Xc = X[c]
                 out[c] = _advect(frame, Xc, Xc if Y is X else Y[c],
-                                 t if t.ndim == 0 else t[c], omega, record, support)
+                                 t if t.ndim == 0 else t[c], omega, record)
             return out
-    return _advect(frame, X, Y, t, omega, record, support)
+    return _advect(frame, X, Y, t, omega, record)
 
 
 def _advect(frame: _Frame, X: np.ndarray, Y: np.ndarray, t, omega: float,
-            record: _ShellPlans, support) -> np.ndarray:
+            record: _ShellPlans) -> np.ndarray:
     """advect on one block of samples of a frame's rows, on the shell of a
-    _ShellPlans record, convolved as _convolve convolves with support: the
-    one rotate, convolve, mirror, project, rotate-back sequence.
+    _ShellPlans record, convolved as _convolve convolves: the one rotate,
+    convolve, mirror, project, rotate-back sequence.
 
-    Without a shell the projection and back-rotation act on the
-    convolution's whole array and return a new one; with one they act on
-    the shell's rows, written back into it.  A closed frame takes no shell.
+    Only the lattice frame rotates, with the lattice's kt3 and complex J_k;
+    a closed frame takes omega 0 and no shell.  Without a shell the
+    projection and back-rotation act on the convolution's whole array and
+    return a new one; with one they act on the shell's rows, written back
+    into it.
     """
     if omega != 0.0:
-        theta = -omega * frame.kt3 * np.asarray(t)[..., None]
+        lattice = frame.lattice
+        jk = _complex_ops(lattice)[0]
+        theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
         c, s = np.cos(theta), np.sin(theta)
-        rows_u, rows_v = support or (None, None)
-        Xr = _rotate_rows(frame, X, c, s, rows_u)
-        X, Y = Xr, Xr if Y is X else _rotate_rows(frame, Y, c, s, rows_v)
-    b = _convolve(frame, X, Y, record, support)
+        Xr = _rotate(jk, X, c, s)
+        X, Y = Xr, Xr if Y is X else _rotate(jk, Y, c, s)
+    b = _convolve(frame, X, Y, record)
     rows = slice(None) if record.lam is None else _shell_rows(frame.lattice, record.lam)
     out = _per_mode(frame.proj[rows], b[..., rows, :])
     if omega != 0.0:
         # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s, bit for bit
-        out = _rotate(frame.jk[rows], out, c[..., rows], -s[..., rows])
+        out = _rotate(jk[rows], out, c[..., rows], -s[..., rows])
     if record.lam is None:
         return out
     b[..., rows, :] = out
     return b
-
-
-def _rotate_rows(frame: _Frame, A: np.ndarray, c: np.ndarray, s: np.ndarray,
-                 rows) -> np.ndarray:
-    """_rotate of A on the frame positions rows, +0 on every other row; rows
-    None means all of them.
-
-    A restricted plan reads no row outside its support, and the full plan
-    it may fall back to gets the same bits from any zero (_convolve).
-    """
-    if rows is None or len(rows) == A.shape[-2]:
-        return _rotate(frame.jk, A, c, s)
-    out = np.zeros(A.shape, dtype=complex)
-    out[..., rows, :] = _rotate(frame.jk[rows], A[..., rows, :], c[..., rows], s[..., rows])
-    return out
 
 
 def _shell_rows(lattice: Lattice, lam) -> slice:

@@ -157,8 +157,8 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     outside S holds a zero whose sign is unspecified.  On S every bit is
     the one a step on all M modes gives, and a state that a step on all M
     modes would make non-finite stops the run at the same step.  When S is
-    too large for a restricted plan to pay (fields._support's gate), S is
-    every mode and every convolution takes the full plan.
+    too large for its plan to pay, (3|S|)^2 being at least the full plan's
+    pair count, S is every mode and every convolution takes the full plan.
     """
     lat = u0.lattice
     h = config.dt
@@ -183,7 +183,7 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
 
     def N(C):
-        return -_advect(frame, C, C, 0.0, 0.0, record, None)
+        return -_advect(frame, C, C, 0.0, 0.0, record)
 
     C0 = u0.coeffs.astype(complex)
     records = np.zeros((n_steps // config.record_stride + 1, lat.n_modes, 3), dtype=complex)

@@ -959,6 +959,44 @@ def test_simulate_refuses_a_non_finite_rate(tmp_path, capsys):
     assert not out.exists()
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [  # (config block, its update, the key named, the value as named)
+    ("initial", {"amplitude": NAN}, "initial.amplitude", "nan"),
+    ("initial", {"sigma": NAN}, "initial.sigma", "nan"),
+    ("initial", {"amplitude": INF}, "initial.amplitude", "inf"),
+    ("initial", {"sigma": INF}, "initial.sigma", "inf"),
+    ("output", {"gevrey_norms": [[NAN, 0.1], [0.5, INF]]}, "output.gevrey_norms[0][0]", "nan"),
+    ("output", {"gevrey_norms": [[0.0, 0.1], [0.5, INF]]}, "output.gevrey_norms[1][1]", "inf"),
+    ("solver", {"t0": -INF}, "solver.t0", "-inf"),
+    ("expansion", {"xi_windows": [[3.0, INF]]}, "expansion.xi_windows[0][1]", "inf"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-omega"])
+@pytest.mark.parametrize("block, update, key, shown", NON_FINITE,
+                         ids=[f"{key}={shown}" for *_, key, shown in NON_FINITE])
+def test_config_refuses_non_finite_numbers(tmp_path, capsys, monkeypatch, command, block, update,
+                                           key, shown):
+    """A NaN or infinite number anywhere in a config (Python's JSON reads
+    NaN, Infinity and -Infinity) exits 2 naming its key, before anything is
+    integrated or written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg = _write_config(cfg_path)
+    cfg[block] = {**cfg.get(block, {}), **update}
+    cfg_path.write_text(json.dumps(cfg))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated a config with a non-finite number")
+
+    monkeypatch.setattr("rotspec.cli.integrate", refuse)
+    out = tmp_path / "out.json"
+    args = {"simulate": [], "sweep-omega": ["--omegas", "10,20", "--T", "0.2"]}[command]
+    assert main([command, "--config", str(cfg_path), "--out", str(out), *args]) == 2
+    err = _stderr_error(capsys)
+    assert err == {"code": 2, "kind": "config", "message": f"{key} must be finite, not {shown}"}
+    assert not out.exists()
+
+
 def test_sweep_omega_has_no_order_flag(tmp_path, capsys, monkeypatch):
     """The sweep reads only q_1, so it takes no --order; an old command line
     that passes one is a usage error, reported as JSON before any run."""

@@ -1,8 +1,6 @@
 import functools
-import gc
 import json
 import math
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -393,8 +391,8 @@ def test_stacked_advect_matches_reference(name, omega, n):
 
 def test_cached_block_matrix_keeps_no_data_between_calls():
     """Interleaved (shell, stack size) calls on fresh inputs each match a fresh
-    reference; full-plan calls on dense data alternate with restricted-plan
-    calls on one-mode data."""
+    reference; calls on dense data alternate with calls on one-mode data,
+    and each takes the shell's full plan."""
     lat = LATTICES["cube6"]
     every, shell1 = np.ones(lat.n_modes, dtype=bool), lat.shell_of == 0
     one_mode = functools.partial(_sparse_samples, keep=1)
@@ -405,10 +403,8 @@ def test_cached_block_matrix_keeps_no_data_between_calls():
             (4, 1, None, every, _samples), (8, 3, None, every, one_mode)]:
         X, ts = samples(lat, seed, n)
         Y, _ = samples(lat, seed + 100, n)
-        _drop_restricted_plans(lat)
         got = advect(lat, X, Y, ts, 5.0, lam)
-        assert _restricted_plans(lat) == ({} if samples is _samples else
-                                          {lam: _support_key(lat, X, Y)})
+        _assert_only_full_plan(lat, lam)
         for b in range(n):
             want = _advect_reference(lat, X[b], Y[b], float(ts[b]), 5.0)
             _assert_bits_equal(got[b, on], want[on])
@@ -428,22 +424,14 @@ def _sparse_samples(lat, seed, n, keep):
     return X, ts
 
 
-def _restricted_plans(lat):
-    """{shell: support key} of the restricted plans the lattice has cached."""
-    return {lam: record.key for lam, record in lat.__dict__.get("_conv_plans", {}).items()
-            if record.restricted is not None}
-
-
-def _drop_restricted_plans(lat):
-    for record in lat.__dict__.get("_conv_plans", {}).values():
-        record.key = record.restricted = None
-
-
-def _support_key(lat, X, Y):
-    """The cache key of the plan restricted to the modes non-zero in some sample of X and of Y."""
-    def rows(A):
-        return np.flatnonzero(A.reshape(-1, lat.n_modes, 3).any(axis=(0, 2)))
-    return rows(X).tobytes(), rows(Y).tobytes()
+def _assert_only_full_plan(lat, lam):
+    """The only plan shell lam's record holds is the shell's full plan, and
+    no record of the lattice holds any other plan."""
+    record = _shell_plans(lat, lam)
+    assert record.full is not None and len(record.full.im) == record.n_pairs
+    for r in lat._conv_plans.values():
+        held = [getattr(r, name) for name in r.__slots__]
+        assert [p for p in held if isinstance(p, _Plan)] == ([] if r.full is None else [r.full])
 
 
 @given(st.sampled_from(["cube6", "ray10"]), st.integers(0, 2**16), st.sampled_from([1, 3]),
@@ -452,9 +440,7 @@ def _support_key(lat, X, Y):
 @settings(deadline=None, max_examples=40)
 def test_restricted_plan_matches_reference(name, seed, n, keep_x, keep_y, same, omega, shell):
     """advect on data zeroed off a few random representative modes gives the
-    full-plan reference's bits, through a restricted plan whenever
-    nnz(X) nnz(Y) is below the plan's pair count, which it always is
-    without a shell."""
+    full-plan reference's bits, through the shell's full plan."""
     lat = STACKS[name][0]
     X, ts = _sparse_samples(lat, seed, n, keep_x)
     Y = _sparse_samples(lat, seed + 1, n, keep_y)[0]
@@ -465,11 +451,8 @@ def test_restricted_plan_matches_reference(name, seed, n, keep_x, keep_y, same, 
     rng = np.random.default_rng(seed)
     lam = {"none": None, "eigen": lat.eigenvalues[rng.integers(len(lat.eigenvalues))],
            "other": Fraction(1, 3)}[shell]
-    _drop_restricted_plans(lat)
     got = advect(lat, X, Y, ts, omega, lam)
-    restricted = np.count_nonzero(X) * np.count_nonzero(Y) < _shell_plans(lat, lam).n_pairs
-    assert restricted or lam is not None
-    assert _restricted_plans(lat) == ({lam: _support_key(lat, X, Y)} if restricted else {})
+    _assert_only_full_plan(lat, lam)
     Xs, Ys, tt = (X, Y, ts) if n > 1 else (X[None], Y[None], [ts])
     on = np.ones(lat.n_modes, dtype=bool) if lam is None else lat.shell_of == lat.shell(lam)
     for b in range(n):
@@ -481,28 +464,26 @@ def test_restricted_plan_matches_reference(name, seed, n, keep_x, keep_y, same, 
 @pytest.mark.parametrize("lam", [None, Fraction(3)])
 @pytest.mark.parametrize("omega", [0.0, 5.0])
 def test_advect_of_zero_input_keeps_full_plan_bits(lam, omega):
-    """X = 0 against dense Y, as a stack and alone, with and without a shell:
-    the empty restricted plan gives the full plan's bits, as does Y = 0."""
+    """X = 0 against dense Y, as a stack and alone, with and without a shell,
+    gives the full-plan reference's bits through the shell's full plan, as
+    does Y = 0, and a stack whose first sample is zero."""
     lat = LATTICES["cube6"]
     Y, ts = _samples(lat, 9, 4)
     X = np.zeros_like(Y)
     on = np.ones(lat.n_modes, dtype=bool) if lam is None else lat.shell_of == lat.shell(lam)
     want = np.array([_advect_reference(lat, X[b], Y[b], float(ts[b]), omega) for b in range(4)])
     for A, B, t, w in [(X, Y, ts, want), (X[0], Y[0], float(ts[0]), want[0])]:
-        _drop_restricted_plans(lat)
         got = advect(lat, A, B, t, omega, lam)
-        assert _restricted_plans(lat) == {lam: _support_key(lat, A, B)}  # no rows of X
+        _assert_only_full_plan(lat, lam)
         _assert_bits_equal(got[..., on, :], w[..., on, :])
         assert not np.any(got[..., ~on, :])
     got = advect(lat, Y, X, ts, omega, lam)
     want = [_advect_reference(lat, Y[b], X[b], float(ts[b]), omega) for b in range(4)]
     _assert_bits_equal(got[:, on], np.array(want)[:, on])
-    # a zero first sample does not make a dense stack sparse: nnz counts every sample
     Z = Y.copy()
     Z[0] = 0.0
-    _drop_restricted_plans(lat)
     got = advect(lat, Z, Y, ts, omega, lam)
-    assert _restricted_plans(lat) == {}
+    _assert_only_full_plan(lat, lam)
     want = [_advect_reference(lat, Z[b], Y[b], float(ts[b]), omega) for b in range(4)]
     _assert_bits_equal(got[:, on], np.array(want)[:, on])
 
@@ -510,8 +491,9 @@ def test_advect_of_zero_input_keeps_full_plan_bits(lam, omega):
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e308])
 @pytest.mark.parametrize("omega", [0.0, 5.0])
 def test_restricted_plan_keeps_non_finite_products(value, omega):
-    """A non-finite entry, or one whose dot products overflow, takes the full
-    plan, which forms inf times zero as NaN: the bits are the reference's."""
+    """A non-finite entry, or one whose dot products overflow, on sparse data:
+    the full plan forms inf times zero as NaN, and the bits are the
+    reference's."""
     lat = STACKS["ray10"][0]
     X, ts = _sparse_samples(lat, 4, 1, keep=1)
     Y, _ = _sparse_samples(lat, 5, 1, keep=2)
@@ -553,49 +535,18 @@ def test_plan_builder_restricts_the_full_plan_in_order():
 
 
 def _spy_plans(monkeypatch):
-    """Record (support key, weak reference to the plan's complex wave
-    vectors) for every plan the kernel builds; the key is None for a full
+    """Record the support of every plan the kernel builds, None for a full
     plan."""
     import rotspec.fields as fields
     built = []
     plan = fields._Plan
 
     def spy(lattice, lam, support):
-        p = plan(lattice, lam, support)
-        key = None if support is None else tuple(r.tobytes() for r in support)
-        built.append((key, weakref.ref(p.kc)))
-        return p
+        built.append(support)
+        return plan(lattice, lam, support)
 
     monkeypatch.setattr(fields, "_Plan", spy)
     return built
-
-
-def test_growing_support_keeps_one_restricted_plan_per_shell(monkeypatch):
-    """advect on a field whose support grows call by call (one ray, then
-    two, then three) goes through a restricted plan per call, and the
-    lattice caches only the last one, with block index arrays for single
-    samples only: the plan's own indptr and ij."""
-    lat = build_lattice(cutoff=10)
-    built = _spy_plans(monkeypatch)
-    u = SpectralField(lat)
-    for seed, k in enumerate(RAYS):
-        u = u + VkData.random(k, (1,), seed, lat).field(lat)
-        advect(lat, u.coeffs, u.coeffs, 0.5, 5.0)
-    seen = {key for key, _ in built}
-    assert len(seen) == 3 and None not in seen
-    plans = _restricted_plans(lat)
-    assert list(plans) == [None] and plans[None] == _support_key(lat, u.coeffs, u.coeffs)
-    record = lat._conv_plans[None]
-    assert list(record.restricted.blocks) == [1]
-    indptr, indices = record.restricted.blocks[1]
-    assert indptr is record.restricted.indptr and indices is record.restricted.ij
-    # the complex wave vectors went away with the plans they belong to: only
-    # the last restricted plan's are alive, and the full plan, which no
-    # convolution took, was never built
-    gc.collect()
-    live = {id(kc) for kc in (r() for _, r in built) if kc is not None}
-    assert live == {id(record.restricted.kc)}
-    assert record.full is None
 
 
 def _handed_as(V, layout):
@@ -615,18 +566,17 @@ def _handed_as(V, layout):
     return V.real if layout == "real-view" else V
 
 
-@given(st.sampled_from(["full", "restricted", "closed"]), st.sampled_from(["one", 1, 3, "chunks"]),
+@given(st.sampled_from(["full", "closed"]), st.sampled_from(["one", 1, 3, "chunks"]),
        st.sampled_from(["contiguous", "strided", "fortran", "readonly", "real", "real-view"]),
        st.integers(0, 2**16))
 @settings(deadline=None, max_examples=40)
 def test_kernel_matches_scipys_public_product(kind, n, layout, seed):
     """The convolution's sum is scipy's csr_matrix((dots, ij, indptr)) @ V
     on the plan's own index arrays, bit for bit, per sample: on a shell's
-    full plan, on one restricted to random supports, and on a closed
-    support's re-indexed plan; for one sample, stacks of 1 and 3, and
-    stacks longer than one of advect's chunks; with V non-contiguous,
-    read-only or real.  A long stack through advect also gives the
-    per-sample reference's bits."""
+    full plan and on a closed support's re-indexed plan; for one sample,
+    stacks of 1 and 3, and stacks longer than one of advect's chunks; with
+    V non-contiguous, read-only or real.  A long stack through advect also
+    gives the per-sample reference's bits."""
     rng = np.random.default_rng(seed)
     if kind == "closed":
         lat = STACKS["ray10"][0]
@@ -637,18 +587,15 @@ def test_kernel_matches_scipys_public_product(kind, n, layout, seed):
                              for b in range(count)])
         frame = _closed_frame(lat, samples(seed, 1)[0])
         assert frame.rows is not None
-        lam, support, plan, rows = None, None, frame.plan, frame.rows
+        lam, plan, rows = None, frame.plan, frame.rows
     else:
         lat = LATTICES["cube6"]
-        M = lat.n_modes
 
         def samples(s, count):
             return _samples(lat, s, count)[0]
         frame, rows = _lattice_frame(lat), None
         lam = [None, *lat.eigenvalues][rng.integers(len(lat.eigenvalues) + 1)]
-        support = None if kind == "full" else tuple(
-            np.sort(rng.choice(M, rng.integers(M + 1), replace=False)) for _ in range(2))
-        plan = _Plan(lat, lam, support)
+        plan = _Plan(lat, lam, None)
     record = _shell_plans(lat, lam)
     count = {"one": 1, "chunks": 1 + max(1, _STACK_BLOCK_BYTES // (
         48 * max(record.n_pairs, lat.n_modes)))}.get(n, n)
@@ -658,7 +605,7 @@ def test_kernel_matches_scipys_public_product(kind, n, layout, seed):
     if n == "one":
         X, Y = X[0], Y[0]
     V = _handed_as(Y, layout)
-    got = _convolve(frame, X, V, record, support)
+    got = _convolve(frame, X, V, record)
     want = [_convolve_reference(lat, U, W, plan, rows) for U, W in
             zip(np.reshape(X, (-1, *X.shape[-2:])), np.reshape(V, (-1, *V.shape[-2:])))]
     _assert_bits_equal(got, np.reshape(want, got.shape))
@@ -686,7 +633,7 @@ def test_kernel_refuses_arrays_off_the_plans_rows(extra):
     frame = _closed_frame(lat, X)
     A = np.repeat(X[None, frame.rows], 3, axis=0)
     with pytest.raises(ValueError, match="one shape"):
-        _convolve(frame, A[:2], A, _shell_plans(lat, None), None)
+        _convolve(frame, A[:2], A, _shell_plans(lat, None))
 
 
 @pytest.mark.parametrize("value, padded", [(1e306, None), (2e307, "finite"), (1e308, "nan"),
@@ -697,7 +644,9 @@ def test_closed_frame_keeps_the_full_plans_non_finite_products(monkeypatch, valu
     formed by the lattice's full plan on the padded inputs (padded is what
     that product holds outside the frame).  The frame's rows carry its bits
     while it is finite outside the frame, and NaN throughout once it is
-    not; a finite bound keeps the frame's own plan, with the same bits."""
+    not; a finite bound keeps the frame's own plan, with the same bits.
+    At omega != 0 the frame's unrotated product between rotations of every
+    mode gives the rotated advect's bits on the frame's rows."""
     import rotspec.fields as fields
     lat = STACKS["ray10"][0]
     X = _ray_samples(lat, 0, 1)[0][0]
@@ -711,10 +660,18 @@ def test_closed_frame_keeps_the_full_plans_non_finite_products(monkeypatch, valu
     monkeypatch.setattr(fields, "_convolve_padded",
                         lambda *args: calls.append(1) or _convolve_padded(*args))
     record = _shell_plans(lat, None)
-    t = 0.7
+    t, rows = 0.7, frame.rows
     with np.errstate(all="ignore"):
         want = advect(lat, X, X, t, omega)
-        got = _advect(frame, X[frame.rows], X[frame.rows], t, omega, record, None)
+        if omega == 0.0:
+            got = _advect(frame, X[rows], X[rows], t, omega, record)
+        else:  # a closed frame does not rotate: rotate every mode around it, as advect does
+            theta = -omega * lat.kt3 * t
+            c, s = np.cos(theta), np.sin(theta)
+            Xr = _rotate_coeffs(lat, X, c, s)[rows]
+            b = np.zeros_like(X)
+            b[rows] = _advect(frame, Xr, Xr, t, 0.0, record)
+            got = _rotate_coeffs(lat, b, c, -s)[rows]
     assert len(calls) == (padded is not None)
     off = np.delete(want, frame.rows, axis=0)
     if padded == "nan":
@@ -726,20 +683,21 @@ def test_closed_frame_keeps_the_full_plans_non_finite_products(monkeypatch, valu
 
 def test_full_plan_is_built_only_when_used(monkeypatch):
     """A u-form ray run on a fresh lattice caches the shell's pair count and
-    one restricted plan, and no full plan; a dense advect then builds
-    exactly one full plan, whose complex wave vectors are read-only with
-    the bits of kcheck at its outputs, and later calls reuse it."""
+    no plan; a dense advect then builds exactly one full plan, whose
+    complex wave vectors are read-only with the bits of kcheck at its
+    outputs, and later calls reuse it, a single sample with the plan's own
+    index arrays as its block."""
     lat = build_lattice(cutoff=8)  # fresh: no plan cached yet
     u0 = VkData.random((1, 0, 1), (1, 2), 3, lat).field(lat)
     integrate(u0, SolverConfig(dt=0.01, t_end=0.03, omega=5.0, form="u"))
     assert list(lat._conv_plans) == [None]
     record = lat._conv_plans[None]
-    assert record.full is None and record.restricted is not None
+    assert record.full is None
     assert record.n_pairs == len(_Plan(lat, None, None).im)
     built = _spy_plans(monkeypatch)
     X, ts = _samples(lat, 1, 2)
     advect(lat, X, X, ts, 5.0)
-    assert [key for key, _ in built] == [None]
+    assert built == [None]
     full = record.full
     io = np.repeat(np.arange(lat.n_modes), np.diff(full.indptr))
     assert full.kc.dtype == complex and full.kc.shape == (3, record.n_pairs)
@@ -749,14 +707,19 @@ def test_full_plan_is_built_only_when_used(monkeypatch):
         full.kc[0, 0] = 1.0
     advect(lat, X[0], X[0], float(ts[0]), 5.0)
     assert len(built) == 1 and lat._conv_plans[None].full is full
+    indptr, indices = full.blocks[1]
+    assert indptr is full.indptr and indices is full.ij
 
 
 def test_advect_rejects_mismatched_stacks():
+    """Arrays of two shapes raise ValueError, unrotated and where a rotation,
+    with or without a shell, would broadcast one sample against a stack."""
     lat = LATTICES["cube3"]
-    X, _ = _samples(lat, 1, 3)
-    for a, b in [(X, X[0]), (X[0], X), (X[:2], X)]:
-        with pytest.raises(ValueError):
-            advect(lat, a, b)
+    X, ts = _samples(lat, 1, 3)
+    for omega, lam in [(0.0, None), (5.0, None), (5.0, lat.eigenvalues[1])]:
+        for a, b in [(X, X[0]), (X[0], X), (X[:2], X)]:
+            with pytest.raises(ValueError):
+                advect(lat, a, b, float(ts[0]), omega, lam)
 
 
 @given(st.sampled_from(sorted(LATTICES)), st.integers(0, 2**16), st.integers(1, 4),

@@ -392,7 +392,7 @@ def test_closed_support_stops_at_the_reference_step(amplitude, form):
 def test_closed_support_run_builds_its_plan_once(monkeypatch):
     """A run on a closed support looks up the plan record, closes the
     support and builds its plan at set-up: a longer run makes no more
-    lookups, no _support call and no plan."""
+    lookups and no plan."""
     calls = {"_shell_plans": 0, "_Plan": 0}
 
     def count(name):
@@ -405,7 +405,6 @@ def test_closed_support_run_builds_its_plan_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(rotspec.fields, name, count(name))
-    monkeypatch.setattr(rotspec.fields, "_support", None)  # a call would raise
     u0 = _off_line_field(build_lattice(cutoff=10), (1, 0, 1), (1,), 3, 1)
     seen = []
     for t_end in (0.02, 0.2):
