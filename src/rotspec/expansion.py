@@ -29,7 +29,8 @@ from scipy.integrate import cumulative_simpson
 
 from .lattice import Lattice, SemigroupTable, semigroup_table
 from .fields import SpectralField, _gevrey_norms, advect
-from .spoly import SPoly, antiderivative, apply_expS_spoly, bilinear_spoly, ode_solve
+from .spoly import (SPoly, _sum_spoly, antiderivative, apply_expS_spoly, bilinear_spoly,
+                    ode_solve)
 from .solver import Trajectory
 
 __all__ = [
@@ -117,7 +118,7 @@ def expand(traj: Trajectory, n_orders: int,
 
     for n in range(n_orders):
         mu = table.mu[n]
-        forcing = SPoly.zero(lat)
+        products = []
         truncated = False
         for (a, b) in table.decompositions[n]:
             if exp.orders[a].is_zero or exp.orders[b].is_zero:
@@ -127,7 +128,8 @@ def expand(traj: Trajectory, n_orders: int,
             la, lb = exp.orders[a].support_lams()[-1], exp.orders[b].support_lams()[-1]
             if (math.sqrt(float(la)) + math.sqrt(float(lb))) ** 2 > float(lat.cutoff):
                 truncated = True
-            forcing = forcing - bilinear_spoly(exp.orders[a], exp.orders[b], exp.omega)
+            products.append(-bilinear_spoly(exp.orders[a], exp.orders[b], exp.omega))
+        forcing = _sum_spoly(products) if products else SPoly.zero(lat)
 
         particular = SPoly.zero(lat)
         if not forcing.is_zero:

@@ -336,7 +336,7 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
             continue
         rec = _json_line(line, f"trajectory line {n}")
         try:
-            rows.append(field_from_doc(rec["field"], lat).coeffs)
+            field = field_from_doc(rec["field"], lat)
             t = rec["t"]
         except KeyError as e:
             raise ValueError(f"trajectory line {n} lacks key {e}") from None
@@ -344,6 +344,11 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
             raise ValueError(f"trajectory line {n} is malformed: {e}") from None
         if not _is_finite_number(t):
             raise ValueError(f"trajectory line {n} key 't' must be a finite number, not {t!r}")
+        # a Trajectory holds zero-mean fields only, so a mean would be dropped
+        if field.mean.any():
+            raise ValueError(f"trajectory line {n} has mean {field.mean.tolist()}; "
+                             "trajectories hold zero-mean fields only")
+        rows.append(field.coeffs)
         times.append(t)
     if not rows:
         raise ValueError("trajectory file holds no sample lines, only its header")

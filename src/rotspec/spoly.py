@@ -9,6 +9,37 @@ squarefree integers (the rotation lattice contributes Omega * k3til, and
 sqrt(k3^2/|k|^2) rationalizes to (a/q) sqrt(s)).
 Distinct formal keys are never merged on numeric proximity: they stay
 distinct terms however close their values.
+
+Round-off terms.  Some values the algebra forms are zero in exact arithmetic
+and round-off in floats: the half (c -/+ i J_k c)/2 of a rotating term whose
+c is already circular (a Poincare wave), the dot c1 . kcheck_o of a pair
+whose output mode o lies on the line of c1's mode, the projection P_o c2 of
+a c2 along o, and key sums that cancel.  No value is dropped on its size alone.  Each
+value is a sum of contributions, and each contribution has a round-off
+scale, formed from the magnitudes of the operands that made it:
+    |c|_1                                 a rotation half of c,
+    (sum_i |c1_i| |kcheck_o,i|) |c2|_1    a pair of the bilinear form (the
+                                          dot's bound times the projection's;
+                                          P's entries are at most 1),
+    |c|_1                                 a summand of expand's sum over
+                                          products.
+A term is dropped when its largest component is at most ROUNDOFF = kappa *
+eps times the sum of its contributions' scales, with kappa = 2^10.  SPoly's
+own `+` and `-` keep every non-zero sum: verify_expansion_system measures
+round-off through them.
+
+kappa bounds the relative error the operands bring in.  Counting worst-case
+roundings (u = eps/2), one order of the recursion takes a coefficient
+through a rotation split and its inverse (about 6u each, J_k's entries
+included), a pair dot and a projection (about 6u each, kcheck's and P's
+entries included), their product (2u), the sum over products (at most 5u)
+and the mode ODE (about 5u per degree): below 30 eps per order.  An order-n
+operand so carries at most 30 (n - 1) eps, and a key summing N
+contributions adds (N - 1) u.  At order 6 on the cube-6 runs, where a
+product's key sums at most 96 contributions, that is about 200 eps; kappa =
+2^10 leaves a margin of 5.  Measured on those runs through order 7, the
+residues stay below 25 eps times their scale and the kept values lie above
+10^6 eps times it.
 """
 
 from __future__ import annotations
@@ -32,6 +63,9 @@ __all__ = [
 class OdeResonanceError(ValueError):
     """A numerically degenerate gamma = beta + i*omega that is not an exact resonance."""
 
+
+# kappa * eps, the round-off bound of the module docstring
+ROUNDOFF = 2.0**10 * np.finfo(float).eps
 
 # ---------------------------------------------------------------------------
 # formal frequencies
@@ -404,9 +438,13 @@ def _spread(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rep, np.arange(len(rep)) - (np.cumsum(counts) - counts)[rep]
 
 
-def _collect(lat: Lattice, mode, deg, fid, vals) -> SPoly:
+def _collect(lat: Lattice, mode, deg, fid, vals, scale=None) -> SPoly:
     """Contributions summed per key as `out[key] = out.get(key, 0.0) + val` does
-    in contribution order: keys in order of first contribution."""
+    in contribution order: keys in order of first contribution.
+
+    With `scale`, each contribution's round-off scale, a key whose sum has no
+    component above ROUNDOFF times its summed scale is dropped (the module
+    docstring)."""
     uniq, first, inv = np.unique(_codes(mode, deg, fid), return_index=True,
                                  return_inverse=True)
     order = np.argsort(first)
@@ -414,6 +452,9 @@ def _collect(lat: Lattice, mode, deg, fid, vals) -> SPoly:
     row[order] = np.arange(len(uniq))
     acc = np.zeros((len(uniq), 3), dtype=complex)
     np.add.at(acc, row[inv], vals)
+    if scale is not None:
+        bound = np.bincount(row[inv], weights=scale, minlength=len(uniq))
+        acc[np.abs(acc).max(axis=1) <= ROUNDOFF * bound] = 0
     keep = first[order]
     return SPoly._columns(lat, mode[keep], deg[keep], fid[keep], acc)
 
@@ -426,8 +467,9 @@ def apply_expS_spoly(f: SPoly, omega: float) -> SPoly:
     """exp(Omega t S) f, expanded into shifted frequencies.
 
     Per mode, the plane rotation by Omega*k3til*t splits each term into the
-    two circular components (c -/+ i J_k c)/2 at frequencies w +/- g_k.
-    Modes with k3 = 0 are untouched.
+    two circular components (c -/+ i J_k c)/2 at frequencies w +/- g_k, each
+    summed per key with round-off scale |c|_1 (the module docstring).  Modes
+    with k3 = 0 are untouched.
     """
     if omega == 0.0:
         return f
@@ -445,7 +487,8 @@ def apply_expS_spoly(f: SPoly, omega: float) -> SPoly:
     keep = np.stack((np.ones_like(spin), spin), axis=1).ravel()
     rep = np.repeat(np.arange(len(c)), 2)[keep]
     vals = np.stack((plus, 0.5 * (c + 1j * jc)), axis=1).reshape(-1, 3)[keep]
-    return _collect(lat, f.mode[rep], f.deg[rep], fid.ravel()[keep], vals)
+    return _collect(lat, f.mode[rep], f.deg[rep], fid.ravel()[keep], vals,
+                    np.abs(c).sum(axis=1)[rep])
 
 
 # candidate term pairs gathered at once: rows of f are joined in blocks
@@ -461,7 +504,9 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
     mode is representative are kept, and they are visited in the order of a
     double loop over the terms of f, then g.  Each output key sums its
     contributions in that order and keys appear in order of first
-    contribution, so the result does not depend on the block size.
+    contribution, so the result does not depend on the block size.  A key
+    whose sum lies within the round-off bound of its pairs' scales (the
+    module docstring) is dropped.
     """
     lat = f.lattice
     fr, gr = apply_expS_spoly(f, -omega), apply_expS_spoly(g, -omega)
@@ -470,7 +515,8 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
     (m1, d1, w1, c1), (m2, d2, w2, c2) = _both_halves(fr), _both_halves(gr)
     ftab = _freq_table(lat)
     rep_out = np.append(lat.rep_mask, False)  # pair_index's -1 (off the lattice) reads False
-    hits = []  # (row of f, row of g, output mode, value) per block
+    hits = []  # (row of f, row of g, output mode, value, scale) per block
+    size2 = np.abs(c2).sum(axis=1)
     rows = max(1, _PAIR_BLOCK // len(m2))
     for start in range(0, len(m1), rows):
         block = lat.pair_index(m1[start:start + rows, None], m2[None, :])
@@ -481,13 +527,25 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
         dot = 1j * np.matmul(c1[a, None, :], lat.kcheck[o, :, None])[:, 0, 0]
         live = dot != 0
         a, b, o, dot = a[live], b[live], o[live], dot[live]
-        hits.append((a, b, o, dot[:, None] * np.matmul(lat.proj[o], c2[b, :, None])[:, :, 0]))
-    a, b, o, val = (np.concatenate(col) for col in zip(*hits))
+        # the pair's round-off scale: the dot's bound times |c2|_1
+        size1 = np.matmul(np.abs(c1[a, None, :]), np.abs(lat.kcheck[o, :, None]))[:, 0, 0]
+        hits.append((a, b, o, dot[:, None] * np.matmul(lat.proj[o], c2[b, :, None])[:, :, 0],
+                     size1 * size2[b]))
+    a, b, o, val, scale = (np.concatenate(col) for col in zip(*hits))
     n_w = len(ftab.freqs)
     wpair, winv = np.unique(w1[a] * n_w + w2[b], return_inverse=True)
     wout = np.array([ftab.add(p // n_w, p % n_w) for p in wpair.tolist()],
                     dtype=np.intp)[winv]
-    return apply_expS_spoly(_collect(lat, o, d1[a] + d2[b], wout, val), omega)
+    return apply_expS_spoly(_collect(lat, o, d1[a] + d2[b], wout, val, scale), omega)
+
+
+def _sum_spoly(polys: List[SPoly]) -> SPoly:
+    """The sum of a non-empty list, as repeated `+` forms it (keys in order
+    of first appearance, summed in list order), except that a key whose sum
+    has no component above ROUNDOFF times its summands' |c|_1 is dropped."""
+    mode, deg, fid, coef = (np.concatenate(col) for col in
+                            zip(*((p.mode, p.deg, p.fid, p.coef) for p in polys)))
+    return _collect(polys[0].lattice, mode, deg, fid, coef, np.abs(coef).sum(axis=1))
 
 
 def _both_halves(f: SPoly) -> Tuple[np.ndarray, ...]:

@@ -639,6 +639,35 @@ def test_trajectory_record_not_object(tmp_path, capsys):
     assert err["kind"] == "config" and "line 3" in err["message"]
 
 
+def test_trajectory_refuses_a_non_zero_mean(pipeline, tmp_path, capsys):
+    """A sample record with a non-zero mean exits 2 naming its line, on
+    every reader, instead of a run that drops the mean; a zero mean and no
+    mean give the same expansion bytes."""
+    header, *records = pipeline["traj"].read_text().splitlines()
+    written = []
+    for mean in ([0, 0, 0], None, [1.0, 0.0, 0.5]):
+        recs = [json.loads(line) for line in records]
+        for rec in recs:
+            rec["field"].pop("mean")
+            if mean is not None:
+                rec["field"]["mean"] = mean
+        traj = tmp_path / "traj.jsonl"
+        traj.write_text("\n".join([header] + [json.dumps(rec) for rec in recs]) + "\n")
+        out = tmp_path / f"out{len(written)}.json"
+        argv = ["--traj", str(traj), "--out", str(out)]
+        if mean != [1.0, 0.0, 0.5]:
+            assert main(["expand", "--order", "1"] + argv) == 0
+            written.append(out.read_bytes())
+            continue
+        for cmd in (["expand", "--order", "1"], ["helicity"]):
+            assert main(cmd + argv) == 2, cmd
+            err = _stderr_error(capsys)
+            assert err["kind"] == "config", cmd
+            assert err["message"].startswith("trajectory line 2 has mean [1.0, 0.0, 0.5]"), cmd
+            assert not out.exists()
+    assert written[0] == written[1]
+
+
 def test_trajectory_sample_line_cut_off(pipeline, tmp_path, capsys):
     """A sample line cut off mid-record exits 2 naming its line in the file,
     not json's line 1 of the one line it parsed."""

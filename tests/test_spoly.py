@@ -10,8 +10,10 @@ from scipy.integrate import quad
 from rotspec.fields import SpectralField, advect, apply_expS, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.spoly import (
+    ROUNDOFF,
     _freq_doc,
     _freq_from_doc,
+    _sum_spoly,
     Frequency,
     OdeResonanceError,
     SPoly,
@@ -364,13 +366,20 @@ def _both_halves(f):
     return items + [_partner(key, c) for key, c in items]
 
 
+def _above_roundoff(out, scale):
+    """The terms of a dict whose largest component exceeds ROUNDOFF times
+    the key's summed round-off scale."""
+    return {key: c for key, c in out.items() if np.abs(c).max() > ROUNDOFF * scale[key]}
+
+
 def _bilinear_reference(f, g, omega):
     """The product as a double loop over the term pairs of the two factors'
-    both halves, one dict update per hit on a representative output mode."""
+    both halves, one dict update per hit on a representative output mode,
+    then the keys within round-off of their pairs' scales dropped."""
     lat = f.lattice
     fr = apply_expS_spoly(f, -omega)
     gr = apply_expS_spoly(g, -omega)
-    out = {}
+    out, scale = {}, {}
     idx = _mode_dict(lat)
     for (k1, m1, w1), c1 in _both_halves(fr):
         for (k2, m2, w2), c2 in _both_halves(gr):
@@ -384,7 +393,9 @@ def _bilinear_reference(f, g, omega):
             val = dot * (lat.proj[o] @ c2)
             key = (ko, m1 + m2, w1 + w2)
             out[key] = out.get(key, 0.0) + val
-    return apply_expS_spoly(SPoly(lat, out), omega)
+            scale[key] = scale.get(key, 0.0) \
+                + np.dot(np.abs(c1), np.abs(lat.kcheck[o])) * np.abs(c2).sum()
+    return apply_expS_spoly(SPoly(lat, _above_roundoff(out, scale)), omega)
 
 
 def _assert_identical(got, want):
@@ -397,20 +408,24 @@ def _assert_identical(got, want):
 
 
 def _expS_reference(f, omega):
-    """exp(Omega t S) f with the rotation and both shifted frequencies built per term."""
+    """exp(Omega t S) f with the rotation and both shifted frequencies built
+    per term, then the keys within round-off of their terms' |c|_1 dropped."""
     lat = f.lattice
     idx = _mode_dict(lat)
-    out = {}
+    out, scale = {}, {}
     for (k, m, w), c in f.terms.items():
         i = idx[k]
+        size = np.abs(c).sum()
         if lat.freq_coef[i] == 0:
             out[(k, m, w)] = out.get((k, m, w), 0.0) + c
+            scale[(k, m, w)] = scale.get((k, m, w), 0.0) + size
             continue
         g = Frequency.rotation(lat.freq_sqfree[i], lat.freq_coef[i], omega)
         jc = lat.jk[i] @ c
         for freq, val in ((w + g, 0.5 * (c - 1j * jc)), (w - g, 0.5 * (c + 1j * jc))):
             out[(k, m, freq)] = out.get((k, m, freq), 0.0) + val
-    return SPoly(lat, out)
+            scale[(k, m, freq)] = scale.get((k, m, freq), 0.0) + size
+    return SPoly(lat, _above_roundoff(out, scale))
 
 
 _LATTICES = {
@@ -468,6 +483,75 @@ def test_apply_expS_spoly_reality(name, seed, omega, degrees):
     f = _random_spoly(lat, seed, degrees, omega=omega, n_modes=6)
     for om in (omega, -omega):
         _assert_real(apply_expS_spoly(f, om))
+
+
+# -- round-off terms ---------------------------------------------------------
+# Each case forms, at one site of spoly's round-off rule, a value that is zero
+# in exact arithmetic and round-off in floats, plus d times a genuine value of
+# its scale; it returns the number of terms on that value's key.
+
+_C6 = _LATTICES["cube6"]
+_Z = Frequency.zero()
+_Z6 = np.array([0.3 + 0.1j, -0.7, 0.2j])
+
+
+def _split_case(d):
+    """A circular c (one half of c0) plus d times its other half, rotated."""
+    i = _C6.index_of((1, 0, 1))
+    c0 = _C6.proj[i] @ _Z6
+    halves = [0.5 * (c0 + s * 1j * (_C6.jk[i] @ c0)) for s in (-1, 1)]
+    c = halves[0] + d * halves[1]
+    jc = _C6.jk[i] @ c
+    assert min(np.abs(c - 1j * jc).max(), np.abs(c + 1j * jc).max()) > 0
+    return apply_expS_spoly(SPoly(_C6, {((1, 0, 1), 0, _Z): c}), OMEGA).n_terms() - 1
+
+
+def _on_110(h, deg=None):
+    return sum(1 for k, m, _ in h.terms if k == (1, 1, 0) and deg in (None, m))
+
+
+def _dot_case(d):
+    """c1 in o's plane plus d times kcheck_o, times a c2 that P_o keeps."""
+    o = _C6.index_of((1, 1, 0))
+    c1 = _C6.proj[o] @ _Z6 + d * _C6.kcheck[o]
+    assert c1 @ _C6.kcheck[o] != 0
+    f = SPoly(_C6, {((1, 0, 0), 0, _Z): c1})
+    return _on_110(bilinear_spoly(f, SPoly(_C6, {((0, 1, 0), 0, _Z): np.array([0, 0, 1.0])}), 0.0))
+
+
+def _projection_case(d):
+    """c2 along o plus d times a vector P_o keeps."""
+    o = _C6.index_of((1, 1, 0))
+    c2 = (0.3 - 0.8j) * _C6.kcheck[o] + d * np.array([0, 0, 1.0])
+    assert np.any(_C6.proj[o] @ c2 != 0)
+    f = SPoly(_C6, {((1, 0, 0), 0, _Z): np.array([0, 1.0, 1.0])})
+    return _on_110(bilinear_spoly(f, SPoly(_C6, {((0, 1, 0), 0, _Z): c2}), 0.0))
+
+
+def _key_sum_case(d):
+    """(c1 t + 3 c1) times (c2 t - (1 + d) c2/3 t^2): two pairs of degree 2
+    that cancel."""
+    c1, c2 = (0.3 + 0.1j) * np.array([0, 1.0, 1.0]), np.array([0.3, 0.1, 0.7j])
+    f = SPoly(_C6, {((1, 0, 0), 1, _Z): c1, ((1, 0, 0), 0, _Z): 3 * c1})
+    g = SPoly(_C6, {((0, 1, 0), 1, _Z): c2, ((0, 1, 0), 2, _Z): -(1 + d) * c2 / 3})
+    return _on_110(bilinear_spoly(f, g, 0.0), deg=2)
+
+
+def _products_case(d):
+    """p plus -(1 + d) (3 p)/3, summed as expand sums its products."""
+    p = SPoly(_C6, {((1, 1, 0), 0, _Z): _Z6})
+    q = SPoly(_C6, {((1, 1, 0), 0, _Z): -(1 + d) * (3 * _Z6) / 3})
+    assert not (p + q).is_zero
+    return _on_110(_sum_spoly([p, q]))
+
+
+@pytest.mark.parametrize("case", [_split_case, _dot_case, _projection_case, _key_sum_case,
+                                  _products_case], ids=lambda f: f.__name__[1:-5])
+def test_roundoff_terms_are_dropped(case):
+    """A value that is zero in exact arithmetic forms no term at any site;
+    one of 1e-10 times its scale is kept."""
+    assert case(0.0) == 0
+    assert case(1e-10) == 1
 
 
 # -- JSON --------------------------------------------------------------------
