@@ -261,11 +261,73 @@ def _stamp(doc: dict, cfg: Optional[dict]) -> dict:
     return doc
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(indent: str) -> json.JSONEncoder:
+    """json's encoder for the items of a container at one indent ("\n" and
+    its spaces): with no indent set json encodes in C, and this item
+    separator writes the line break and indent that indent=2 writes."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=("," + indent, ": "))
+
+
+def _scalars(items) -> bool:
+    return not any(isinstance(x, _CONTAINERS) for x in items)
+
+
+def _layout(o, indent: str, out: List[str]):
+    """Append to out the text json.dumps(..., sort_keys=True, indent=2,
+    allow_nan=False) writes for o at the line indent `indent`.  Containers
+    are walked here, and a container of scalars, or a list of non-empty
+    lists of scalars, goes to the C encoder whole."""
+    if not isinstance(o, _CONTAINERS):
+        out.append(_encoder(indent).encode(o))
+        return
+    if not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+        return
+    inner = indent + "  "
+    if _scalars(o.values() if isinstance(o, dict) else o):
+        text = _encoder(inner).encode(o)
+        out.append(text[0] + inner + text[1:-1] + indent + text[-1])
+    elif isinstance(o, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(sorted(o.items())):
+            # a key that is not a string is quoted as json quotes it
+            key = json.dumps(k) if isinstance(k, str) else _encoder(inner).encode({k: 0})[1:-4]
+            out.append(("," if i else "") + inner + key + ": ")
+            _layout(v, inner, out)
+        out.append(indent + "}")
+    elif all(isinstance(x, (list, tuple)) and x and _scalars(x) for x in o):
+        # rows encoded at the row items' indent: a separator after a "]"
+        # follows a row, as no scalar's text ends in "]" and a string's text
+        # holds no raw line break
+        row = inner + "  "
+        text = _encoder(row).encode(o)[2:-2]
+        out.append("[" + inner + "[" + row
+                   + text.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+                   + inner + "]" + indent + "]")
+    else:
+        out.append("[")
+        for i, x in enumerate(o):
+            out.append(("," if i else "") + inner)
+            _layout(x, inner, out)
+        out.append(indent + "]")
+
+
 def _dump(doc: dict) -> str:
+    """doc as json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    writes it, byte for byte, plus a newline.  With an indent json encodes
+    in Python; _layout gives the bulk of the document to its C encoder.  A
+    non-finite number exits 3."""
+    out: List[str] = []
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        _layout(doc, "\n", out)
     except ValueError as e:
         raise CliError(EXIT_NUMERICAL, "numerical", f"output holds a non-finite value: {e}")
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

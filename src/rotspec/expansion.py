@@ -12,6 +12,15 @@ projected remainder plus the accumulated projected forcing is constant in
 time), which makes the estimate window-independent instead of biased by
 O(exp(-gap t)) like a plain limit.
 
+The fit's forcing is the rotated bilinear form
+B_Omega(t, X, Y) = e^{Omega t S} B(e^{-Omega t S} X, e^{-Omega t S} Y) on
+the resonant shell.  The rotation acts mode by mode, so it commutes with the
+shell restriction R_mu and with the Leray projection:
+R_mu B_Omega(t, X, Y) = e^{Omega t S} R_mu B(X_u, Y_u), X_u = e^{-Omega t S} X.
+The fit therefore works in that rotating (u) frame, one block of samples at
+a time: each input is rotated once, every product is taken unrotated on the
+shell's rows only, and their sum is rotated back once.
+
 Everything here is a statement about the Galerkin system on the fixed
 lattice: products falling outside the cutoff are dropped identically in the
 integrator and in the symbolic bilinear form, so the expansion converges to
@@ -28,7 +37,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .lattice import Lattice, SemigroupTable, semigroup_table
-from .fields import SpectralField, _gevrey_norms, advect
+from .fields import (SpectralField, _advect, _complex_ops, _gevrey_norms, _lattice_frame,
+                     _rotate, _shell_plans, _shell_rows, _stack_block)
 from .spoly import (SPoly, _sum_spoly, antiderivative, apply_expS_spoly, bilinear_spoly,
                     ode_solve)
 from .solver import Trajectory
@@ -153,23 +163,57 @@ def expand(traj: Trajectory, n_orders: int,
     return exp
 
 
-def _fast_pair_forcing(exp: Expansion, mu: Fraction, shell: np.ndarray) -> np.ndarray:
-    """Sum over order pairs (a, b) with mu_a + mu_b > mu of
-    e^{mu t} R B_Omega(t, e^{-mu_a t} q_a, e^{-mu_b t} q_b) on the shell mu.
+def _shell_forcing(exp: Expansion, mu: Fraction) -> np.ndarray:
+    """The nonlinear forcing of the fit on the shell mu at the sample times,
+    R[B_Omega(t, r, v) + B_Omega(t, s, r) + sum_a B_Omega(t, s_a, sum_b s_b)],
+    (R, shell size, 3), with v the trajectory, s_m the cached samples of
+    order m, s their sum, r = v - s, and (a, b) the live orders with
+    mu_a + mu_b > mu.
 
-    Evaluated at the cached samples: one stacked advect per order a, against
-    the sum of its partners b.  Returns (R, len(shell), 3).
+    Formed in the u frame (module docstring), one block of samples at a time
+    (fields' _stack_block): each block rotates v and each live order's
+    samples once, forms r_u, s_u and the partner sums there, takes every
+    product unrotated on the shell's rows only, and rotates their sum back
+    once.
     """
     lat = exp.lattice
     ts = exp.traj.times
+    omega = exp.omega
+    record = _shell_plans(lat, mu)
+    frame = _lattice_frame(lat)
+    rows = _shell_rows(lat, mu)
+    jk = _complex_ops(lat)[0]
     live = [a for a in range(exp.n_orders) if not exp.orders[a].is_zero]
-    acc = np.zeros((len(ts), len(shell), 3), dtype=complex)
-    for a in live:
-        bs = [b for b in live if exp.mus[a] + exp.mus[b] > mu]
-        if bs:
-            Y = sum(exp.samples[b] for b in bs)
-            acc += advect(lat, exp.samples[a], Y, ts, exp.omega, mu)[:, shell]
-    return np.exp(float(mu) * ts)[:, None, None] * acc
+    pairs = [(a, bs) for a in live
+             if (bs := [b for b in live if exp.mus[a] + exp.mus[b] > mu])]
+    inputs = [exp.traj.coeffs, *(exp.samples[m] for m in live)]
+
+    def product(X, Y):
+        return _advect(frame, X, Y, 0.0, 0.0, record)[:, rows]
+
+    out = np.empty((len(ts), rows.stop - rows.start, 3), dtype=complex)
+    step = _stack_block(lat, record)
+    for start in range(0, len(ts), step):
+        blk = slice(start, start + step)
+        if omega != 0.0:
+            theta = -omega * lat.kt3 * ts[blk, None]
+            c, s = np.cos(theta), np.sin(theta)
+            u, *su = (_rotate(jk, X[blk], c, s) for X in inputs)
+        else:
+            u, *su = (X[blk] for X in inputs)
+        su = dict(zip(live, su))
+        s_u = sum(su.values(), np.zeros_like(u))
+        r_u = u - s_u
+        acc = product(r_u, u)
+        if live:  # before the first order the partial sum is zero
+            acc += product(s_u, r_u)
+        for a, bs in pairs:
+            acc += product(su[a], sum(su[b] for b in bs))
+        if omega != 0.0:
+            # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s
+            acc = _rotate(jk[rows], acc, c[:, rows], -s[:, rows])
+        out[blk] = acc
+    return out
 
 
 def _fit_resonant_constant(exp: Expansion, mu: Fraction,
@@ -178,34 +222,33 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
 
     With r = v - (partial sum), the projected quantity
         z(t) = e^{mu t} R r(t) - R particular(t)
-    satisfies z' = g with g the projected, rescaled bilinear residual below;
+    satisfies z' = g with g = -e^{mu t} times the shell forcing below;
     hence xi = z(t) + int_t^inf g.  The tail beyond the last sample is the
     same constant for every t, so it drops out of window comparisons and
     biases the value only by the (tiny) truncated integral.  The trajectory
     and the cached samples are exact conjugate pairs, and so is xi;
     SPoly.from_field keeps its representative half.
+
+    The forcing is R of B_Omega(r, v) + B_Omega(s, r), s the partial sum,
+    plus the pairs of earlier orders whose combined rate exceeds mu.  The
+    rotation e^{Omega t S} commutes with R and with the projection, so it is
+    formed in the u frame block by block, with each input rotated once, the
+    products unrotated on the shell's rows and their sum rotated back once
+    (_shell_forcing).  z reads the v-frame shell rows directly.
     """
     lat = exp.lattice
     ts = exp.traj.times
-    shell = lat.shell_indices(mu)
+    shell = _shell_rows(lat, mu)
     R = len(ts)
-    v = exp.traj.coeffs
-    s_eval = exp.partial_sum()
-    r = v - s_eval
     emu = np.exp(float(mu) * ts)
 
-    # keep only the shell's rows of each product, so one full-size stack is alive at a time
-    acc = advect(lat, r, v, ts, exp.omega, mu)[:, shell]
-    if exp.n_orders:  # before the first order the partial sum is zero
-        acc += advect(lat, s_eval, r, ts, exp.omega, mu)[:, shell]
-    g = -emu[:, None, None] * acc
-    # pairs of earlier orders whose combined rate exceeds mu
-    g -= _fast_pair_forcing(exp, mu, shell)
-
+    g = -emu[:, None, None] * _shell_forcing(exp, mu)
     # scipy's cumulative_simpson is real-only; integrate the parts separately
     G = cumulative_simpson(g.real, x=ts, axis=0, initial=0.0) \
         + 1j * cumulative_simpson(g.imag, x=ts, axis=0, initial=0.0)
-    z = emu[:, None, None] * r[:, shell, :]
+    # R r = R v - R s, the partial sum added as Expansion.partial_sum adds it
+    s_shell = sum((x[:, shell] for x in exp.samples), np.zeros(g.shape, complex))
+    z = emu[:, None, None] * (exp.traj.coeffs[:, shell] - s_shell)
     if not particular.is_zero:
         z = z - particular.restrict_shell(mu).evaluate_many(ts)[:, shell, :]
     xi_t = z + (G[-1] - G)
@@ -218,17 +261,21 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
             raise ValueError(f"fit window ({a}, {b}) contains no samples")
         union |= mask
         means.append(xi_t[mask].mean(axis=0))
-    xi_bar = xi_t[union].mean(axis=0)
+    xi_u = xi_t[union]
+    xi_bar = xi_u.mean(axis=0)
     scale = max(float(np.linalg.norm(xi_bar)), 1e-300)
     spread = max(
         float(np.linalg.norm(mi - mj)) / scale
         for i, mi in enumerate(means) for mj in means[i + 1:]
     ) if len(means) > 1 else 0.0
-    # linear-drift rejection: a converged estimate is constant over the union
-    tu = ts[union]
-    A = np.column_stack([np.ones_like(tu), tu - tu.mean()])
-    sol, *_ = np.linalg.lstsq(A, xi_t[union].reshape(len(tu), -1), rcond=None)
-    drift_rate = float(np.linalg.norm(sol[1])) / scale
+    # linear-drift rejection: a converged estimate is constant over the
+    # union.  The least-squares line's columns 1 and t - mean(t) are
+    # orthogonal, so its slope is sum((t - mean) y) / sum((t - mean)^2),
+    # with y taken about its mean, whose product with the centred times is
+    # zero only in exact arithmetic.
+    tc = ts[union] - ts[union].mean()
+    slope = (tc @ (xi_u - xi_bar).reshape(len(tc), -1)) / (tc @ tc)
+    drift_rate = float(np.linalg.norm(slope)) / scale
 
     full = np.zeros((lat.n_modes, 3), dtype=complex)
     full[shell] = xi_bar

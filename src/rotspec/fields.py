@@ -527,9 +527,17 @@ def _mirror(frame: _Frame, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# samples per convolution of a stacked advect: the three gathered components
+# samples per convolution of a stacked product: the three gathered components
 # of the plan's pairs, 48 B per sample and pair, stay near this many bytes
 _STACK_BLOCK_BYTES = 1 << 20
+
+
+def _stack_block(lattice: Lattice, record: _ShellPlans) -> int:
+    """Samples per block of a stack whose products take the shell of a
+    _ShellPlans record: the one block-size rule, read by advect and by the
+    resonant fit (expansion).  Samples are independent, so no block size
+    changes a bit."""
+    return max(1, _STACK_BLOCK_BYTES // (48 * max(record.n_pairs, lattice.n_modes)))
 
 
 def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
@@ -550,9 +558,9 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     serves both the input rotations and the back-rotation.
 
     The convolution takes the shell's full plan, which the call looks up
-    once (_shell_plans).  A stack is computed in chunks of samples, sized
-    by the plan's pair count; samples are independent, so chunking changes
-    no bit.
+    once (_shell_plans).  A stack is computed in blocks of samples, sized
+    by the plan's pair count (_stack_block); samples are independent, so
+    blocking changes no bit.
     """
     # checked before the rotation, which would broadcast one sample against a stack
     if X.shape != Y.shape:
@@ -560,7 +568,7 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     record = _shell_plans(lattice, lam)
     frame = _lattice_frame(lattice)
     if X.ndim == 3:
-        chunk = max(1, _STACK_BLOCK_BYTES // (48 * max(record.n_pairs, lattice.n_modes)))
+        chunk = _stack_block(lattice, record)
         if len(X) > chunk:
             t = np.asarray(t)
             out = np.empty(X.shape, dtype=complex)

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from rotspec import __version__
-from rotspec.cli import CONFIG_SCHEMA, OUTDIR_ENV, _validator, main
+from rotspec.cli import (CONFIG_SCHEMA, EXIT_NUMERICAL, OUTDIR_ENV, CliError, _dump,
+                         _validator, main)
 from rotspec.expansion import expand, time_average_Q, to_u_expansion
 from rotspec.fields import field_to_doc, random_gevrey
 from rotspec.lattice import build_lattice
@@ -452,6 +453,49 @@ def test_expand_orders_round_trip_through_json(pipeline, tmp_path, monkeypatch):
         assert list(back.terms) == [key for key, _ in want]
         for c, (_, w) in zip(back.terms.values(), want):
             assert np.array_equal(c.view(np.uint64), w.view(np.uint64))
+
+
+_DUMP_DOCS = [
+    {"b": [1, -2.5e-300, None, True, False, "x"], "a": {"z": [], "y": {}, "x": 0.1}},
+    {"rows": [[1, 2.5], [3, -4.0]], "ragged": [[1], [2, 3, 4]], "deep": [[[1, 2]], [[3]]],
+     "with empty": [[1], []], "mixed": [[1], 2, [3, [4]], {"k": []}], "tuple": ((1, 2), (3,))},
+    {"bracket strings": [["a]", "[b"], ["],\n  [", "}"]], "rows of strings": [["]"], ["["]],
+     "nested": {"one": {"two": {"three": [{}]}}}, "dicts": [{"b": 1, "a": [1.5]}, {}]},
+    {"\u00fcn\u00efc\u00f6de": ["\u00e7", "\u2603", "\U0001f600", "tab\tnew\nline\"quote\\"],
+     "\u2603": {"\u00e9": [["\u00e9", 1]]}},
+    {2: "int keys sort as numbers", 10: [1], 1: {0.5: "float key", 3: [None]}},
+    [[]], [], {}, [[[]]], "scalar", 1.5,
+]
+
+
+@pytest.mark.parametrize("doc", _DUMP_DOCS)
+def test_dump_writes_json_dumps_indented_bytes(doc):
+    """The output writer lays out containers itself and hands containers of
+    scalars to json's C encoder; its bytes are json.dumps' with indent=2."""
+    assert _dump(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_of_an_expand_document_is_json_dumps_indented(pipeline):
+    text = Path(pipeline["report"]).read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": float("nan")}, {"a": [1.0, float("inf")]}, {"a": [[1.0], [-float("inf")]]},
+    {"a": [[1.0], {"b": [float("nan")]}]}, {float("nan"): 1}, {float("nan"): [1]},
+])
+def test_dump_of_a_non_finite_number_exits_3(doc):
+    with pytest.raises(CliError) as e:
+        _dump(doc)
+    assert e.value.code == EXIT_NUMERICAL and "non-finite" in str(e.value)
+
+
+def test_non_finite_output_document_exits_3(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr("rotspec.cli.spectrum_to_doc",
+                        lambda lat, table: {"eigenvalues": [[1.0], [float("nan")]]})
+    assert main(["spectrum", "--cutoff", "2", "--out", str(tmp_path / "s.json")]) == 3
+    err = _stderr_error(capsys)
+    assert err["code"] == 3 and err["kind"] == "numerical"
 
 
 def test_expand_norm_argument(pipeline, capsys):

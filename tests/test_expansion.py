@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import simpson
 
 from rotspec.expansion import (
-    _fast_pair_forcing,
+    _shell_forcing,
     expand,
     fit_decay_rate,
     fit_log_slope,
@@ -164,17 +165,43 @@ def test_partial_sum_cached_at_sample_times(o4_run):
                 * exp.orders[n].evaluate_many(ts)
 
 
-def test_fast_pair_forcing_matches_symbolic():
-    """The fit's numeric sum over pairs with mu_a + mu_b > mu equals the
-    symbolic one: shell-restricted full products, each with its own decay.
-    With large data at early times these pairs carry a sizeable share of
-    the shell's whole nonlinear term."""
+@pytest.fixture(scope="module")
+def fast_run():
+    """Orders 1-3 of a cutoff-3 run with large data at early times, where the
+    pairs of orders with mu_a + mu_b > mu carry a sizeable share of each
+    shell's whole nonlinear term."""
     lat = build_lattice(cutoff=3)
     v0 = random_gevrey(lat, seed=5, amplitude=2.0)
     traj = integrate(v0, SolverConfig(dt=0.01, t_end=1.0, omega=3.0, form="v"))
     exp = expand(traj, 3)
     assert not any(q.is_zero for q in exp.orders)
-    ts = traj.times
+    return exp
+
+
+def _v_frame_forcing(exp, mu, shell):
+    """The fit's shell forcing as a sum of v-frame B_Omega products (advect's
+    rotating path), split into the remainder products and the fast pairs."""
+    lat, ts, v = exp.lattice, exp.traj.times, exp.traj.coeffs
+    s = exp.partial_sum()
+    r = v - s
+    whole = advect(lat, r, v, ts, exp.omega, mu)[:, shell] \
+        + advect(lat, s, r, ts, exp.omega, mu)[:, shell]
+    fast = np.zeros_like(whole)
+    for a in range(exp.n_orders):
+        bs = [b for b in range(exp.n_orders) if exp.mus[a] + exp.mus[b] > mu]
+        if bs:
+            Y = sum(exp.samples[b] for b in bs)
+            fast += advect(lat, exp.samples[a], Y, ts, exp.omega, mu)[:, shell]
+    return whole, fast
+
+
+def test_fast_pair_forcing_matches_symbolic(fast_run):
+    """The fit's numeric sum over pairs with mu_a + mu_b > mu equals the
+    symbolic one: shell-restricted full products, each with its own decay.
+    The fit's forcing holds these pairs next to the remainder products, which
+    are taken here through advect."""
+    exp = fast_run
+    lat, ts = exp.lattice, exp.traj.times
     for mu in exp.mus:
         shell = lat.shell_indices(mu)
         want = np.zeros((len(ts), len(shell), 3), dtype=complex)
@@ -187,10 +214,62 @@ def test_fast_pair_forcing_matches_symbolic():
                 decay = np.exp(-float(total - mu) * ts)
                 want += decay[:, None, None] \
                     * ps.restrict_shell(mu).evaluate_many(ts)[:, shell]
-        got = _fast_pair_forcing(exp, mu, shell)
-        whole = advect(lat, traj.coeffs, traj.coeffs, ts, exp.omega, mu)[:, shell]
-        assert np.abs(want).max() > 1e-3 * np.abs(whole).max()
+        want *= np.exp(-float(mu) * ts)[:, None, None]
+        whole, _ = _v_frame_forcing(exp, mu, shell)
+        full = advect(lat, exp.traj.coeffs, exp.traj.coeffs, ts, exp.omega, mu)[:, shell]
+        assert np.abs(want).max() > 1e-3 * np.abs(full).max()
+        got = _shell_forcing(exp, mu) - whole
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_shell_forcing_is_the_rotated_frame_products(fast_run):
+    """R and P commute with e^{Omega t S}: the fit's forcing, formed in the u
+    frame with each input rotated once and the sum rotated back once, equals
+    the sum of advect's rotated products of the v-frame inputs."""
+    exp = fast_run
+    lat = exp.lattice
+    for mu in exp.mus:
+        shell = lat.shell_indices(mu)
+        whole, fast = _v_frame_forcing(exp, mu, shell)
+        want = whole + fast
+        got = _shell_forcing(exp, mu)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _assert_same_expansion(a, b):
+    """Two expansions with bit-equal orders, samples and diagnostics."""
+    for p, q in zip(a.orders, b.orders, strict=True):
+        for name in ("mode", "deg", "fid"):
+            assert np.array_equal(getattr(p, name), getattr(q, name))
+        assert np.array_equal(p.coef.view(np.uint64), q.coef.view(np.uint64))
+    for x, y in zip(a.samples, b.samples, strict=True):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 40])
+def test_fit_block_size_changes_no_bit(o4_run, monkeypatch, block_bytes):
+    """The fit forms its forcing in blocks of samples sized by fields'
+    block rule; a block of one sample and a block of the whole stack give
+    the same xi and diagnostics, bit for bit."""
+    monkeypatch.setattr("rotspec.fields._STACK_BLOCK_BYTES", block_bytes)
+    exp = expand(o4_run["trajv"], 4, xi_windows=((6.0, 8.0), (8.0, 10.0)))
+    _assert_same_expansion(exp, o4_run["exp"])
+
+
+def test_fit_memory_is_bounded_by_its_block(o4_run):
+    """expand's traced peak stays within a few trajectory stacks: the fit
+    holds the cached samples and shell-sized arrays, and forms everything
+    else one block of samples at a time."""
+    trajv = o4_run["trajv"]
+    tracemalloc.start()
+    try:
+        expand(trajv, 4, xi_windows=((6.0, 8.0), (8.0, 10.0)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * trajv.coeffs.nbytes
 
 
 def test_expand_rejects_u_form(cube_run):

@@ -52,7 +52,7 @@ DELETED = {
               "spoly_from_json", "_pair_table"],
     "cli": ["_require_whole_records"],
     "expansion": ["FitPolicy", "_require_uniform", "_fit_chunks", "_FIT_BLOCK_BYTES",
-                  "_order_samples", "_partial_sum"],
+                  "_order_samples", "_partial_sum", "_fast_pair_forcing"],
 }
 
 
