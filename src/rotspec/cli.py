@@ -394,8 +394,7 @@ def cmd_expand(args) -> int:
     # the norm is checked before the trajectory is read
     alpha, sigma = _norm_pair(args.norm)
     traj, meta = _read_trajectory(args.traj)
-    if traj.form == "u":
-        traj = transform_trajectory(traj, "v")
+    traj = transform_trajectory(traj, "v")
     exp = expand(traj, args.order, _xi_windows(meta.get("config")))
     verify = verify_expansion_system(exp)
 
@@ -508,8 +507,7 @@ def cmd_verify_special(args) -> int:
 
 def cmd_helicity(args) -> int:
     traj, _ = _read_trajectory(args.traj)
-    if traj.form == "v":
-        traj = transform_trajectory(traj, "u")
+    traj = transform_trajectory(traj, "u")
     rows = [(float(t), helicity(traj.field(i))) for i, t in enumerate(traj.times)]
     with _output(args.out, newline="") as stream:
         w = csv.writer(stream)
@@ -543,8 +541,7 @@ def cmd_sweep_omega(args) -> int:
         except FloatingPointError as e:
             raise CliError(EXIT_NUMERICAL, "numerical",
                            f"the run at omega = {config.omega!r} failed: {e}") from None
-        if traj.form == "u":
-            traj = transform_trajectory(traj, "v")
+        traj = transform_trajectory(traj, "v")
         # q_1 depends on no later order, so one order is all the sweep reads
         exp = expand(traj, 1, _xi_windows(cfg))
         mu1, Q1 = to_u_expansion(exp)[0]
@@ -644,7 +641,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # an overflow or invalid value inside a command is a numerical error
+        # (exit 3), never a warning beside a result
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except CliError as e:
         error = e
     except (OdeResonanceError, FloatingPointError) as e:

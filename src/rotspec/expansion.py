@@ -37,8 +37,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .lattice import Lattice, SemigroupTable, semigroup_table
-from .fields import (SpectralField, _advect, _complex_ops, _gevrey_norms, _lattice_frame,
-                     _rotate, _shell_plans, _shell_rows, _stack_block)
+from .fields import (SpectralField, _advect, _angles, _complex_ops, _gevrey_norms,
+                     _lattice_frame, _rotate, _shell_plans, _shell_rows, _stack_block)
 from .spoly import (SPoly, _sum_spoly, antiderivative, apply_expS_spoly, bilinear_spoly,
                     ode_solve)
 from .solver import Trajectory
@@ -189,15 +189,14 @@ def _shell_forcing(exp: Expansion, mu: Fraction) -> np.ndarray:
     inputs = [exp.traj.coeffs, *(exp.samples[m] for m in live)]
 
     def product(X, Y):
-        return _advect(frame, X, Y, 0.0, 0.0, record)[:, rows]
+        return _advect(frame, X, Y, record)[:, rows]
 
     out = np.empty((len(ts), rows.stop - rows.start, 3), dtype=complex)
     step = _stack_block(lat, record)
     for start in range(0, len(ts), step):
         blk = slice(start, start + step)
         if omega != 0.0:
-            theta = -omega * lat.kt3 * ts[blk, None]
-            c, s = np.cos(theta), np.sin(theta)
+            c, s = _angles(lat, -omega, ts[blk])
             u, *su = (_rotate(jk, X[blk], c, s) for X in inputs)
         else:
             u, *su = (X[blk] for X in inputs)

@@ -5,6 +5,21 @@ mode order, plus a real 3-vector spatial mean.  Every coefficient lives in
 the plane orthogonal to its dual wave vector; the conjugate-mode pairing
 u_hat(-k) = conj(u_hat(k)) keeps the velocity real.  Norms follow the
 Parseval convention |u|^2 = L1*L2*L3 * sum_k |u_hat(k)|^2.
+
+Rotation sits at the edges of one unrotated advection kernel, _advect
+(convolve, mirror, project on a row frame, _Frame).  Every angle of
+exp(rate t S) comes from _angles, the package's only np.cos/np.sin caller;
+_rotate_by rotates whole samples (apply_expS, linear_evolution,
+transform_trajectory, the integrator's records).  Around the kernel,
+advect, the rotated B_Omega, rotates each block of samples (_stack_block;
+one sample is one block) once and rotates the shell's rows back; the
+integrator rotates only through its fused propagators (rotspec.solver);
+the resonant fit rotates its own blocks (rotspec.expansion).  Rotation and
+projection multiply by the lattice's cached complex operators
+(_complex_ops).  The convolution sums its pairs in scipy's compiled CSR
+routine with a shell's full plan (_ShellPlans) or a closed support's
+re-indexed plan (_closed_frame), and _mirror writes every conjugate half:
+the convolution's, random_gevrey's and SPoly.evaluate_many's.
 """
 
 from __future__ import annotations
@@ -213,14 +228,24 @@ def apply_S(u: SpectralField) -> SpectralField:
     return SpectralField(u.lattice, c)
 
 
+def _angles(lattice: Lattice, rate: float, t) -> Tuple[np.ndarray, np.ndarray]:
+    """(cos theta, sin theta) of the angles theta = rate k3til t of the
+    rotation exp(rate t S): (M,) for a scalar time t, (R,M) for an (R,)
+    array of times.  The one angle rule: theta is formed per sample in one
+    operation order, so a sample rotated alone has its bits in a stack."""
+    theta = rate * lattice.kt3 * np.asarray(t)[..., None]
+    return np.cos(theta), np.sin(theta)
+
+
 def _rotate(jk: np.ndarray, coeffs: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Apply cos(theta_m) I + sin(theta_m) J_k per row m, with jk the rows'
     complex J_k (_complex_ops', or a shell's slice of it).
 
     coeffs is (R,3) or a (B,R,3) stack of the R rows; c = cos(theta) and
-    s = sin(theta) are (R,) or (B,R) to match.  Formed as
+    s = sin(theta) are (R,) or (B,R) to match (_angles).  Formed as
     c coeffs + s (J_k coeffs), in place where that keeps each operation's
-    operands in that order.
+    operands in that order.  The rotation by -theta is (c, -s): numpy's cos
+    is even and its sin odd, bit for bit.
     """
     rot = _per_mode(jk, coeffs)
     np.multiply(s[..., None], rot, out=rot)
@@ -229,17 +254,15 @@ def _rotate(jk: np.ndarray, coeffs: np.ndarray, c: np.ndarray, s: np.ndarray) ->
     return out
 
 
-def _rotate_coeffs(lattice: Lattice, coeffs: np.ndarray, c: np.ndarray,
-                   s: np.ndarray) -> np.ndarray:
-    """_rotate on every mode of the lattice."""
-    return _rotate(_complex_ops(lattice)[0], coeffs, c, s)
+def _rotate_by(lattice: Lattice, coeffs: np.ndarray, rate: float, t) -> np.ndarray:
+    """exp(rate t S) of one (M,3) sample at the time t, or of an (R,M,3)
+    stack at its (R,) times t: _rotate on every mode, at _angles' angles."""
+    return _rotate(_complex_ops(lattice)[0], coeffs, *_angles(lattice, rate, t))
 
 
 def apply_expS(u: SpectralField, t: float) -> SpectralField:
     """Rotation-wave group exp(t*S): plane rotation by k3til*t in each mode plane."""
-    theta = u.lattice.kt3 * t
-    c = _rotate_coeffs(u.lattice, u.coeffs, np.cos(theta), np.sin(theta))
-    return SpectralField(u.lattice, c, u.mean)
+    return SpectralField(u.lattice, _rotate_by(u.lattice, u.coeffs, 1.0, t), u.mean)
 
 
 # -- bilinear form ----------------------------------------------------------
@@ -370,10 +393,10 @@ class _Frame:
     is 4 max|kcheck| over the lattice (_convolve).  plan is a closed
     support's plan, re-indexed to frame positions (_closed_frame); the
     lattice frame has none and takes each shell's full plan from its
-    record.  Only the lattice frame rotates (_advect).  The frame refers to
-    its lattice weakly: the lattice caches its own frame, and a reference
-    back would make a cycle that keeps a dropped lattice, with every plan
-    it caches, until the cyclic collector runs.
+    record.  No frame rotates: the kernel is unrotated (_advect).  The
+    frame refers to its lattice weakly: the lattice caches its own frame,
+    and a reference back would make a cycle that keeps a dropped lattice,
+    with every plan it caches, until the cyclic collector runs.
     """
 
     __slots__ = ("_lattice", "rows", "proj", "mirror", "kbound", "plan")
@@ -552,63 +575,51 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     With lam given, only output modes on the Stokes shell lam are computed,
     projected and rotated back; every other row is the zero the convolution
     left there, whose sign is unspecified, and each computed row equals the
-    unrestricted one bit for bit.  With omega == 0 no rotation is applied;
-    when Y is X the input is rotated once.  The operators are the lattice's
-    cached complex copies (_complex_ops), and one cos/sin of the angles
-    serves both the input rotations and the back-rotation.
+    unrestricted one bit for bit.
 
-    The convolution takes the shell's full plan, which the call looks up
-    once (_shell_plans).  A stack is computed in blocks of samples, sized
-    by the plan's pair count (_stack_block); samples are independent, so
-    blocking changes no bit.
+    The rotations sit at the edges of the unrotated kernel, block by block
+    (module docstring); samples are independent, so blocking changes no
+    bit.
     """
     # checked before the rotation, which would broadcast one sample against a stack
     if X.shape != Y.shape:
         raise ValueError(f"X and Y must have the same shape, not {X.shape} and {Y.shape}")
     record = _shell_plans(lattice, lam)
     frame = _lattice_frame(lattice)
-    if X.ndim == 3:
-        chunk = _stack_block(lattice, record)
-        if len(X) > chunk:
-            t = np.asarray(t)
-            out = np.empty(X.shape, dtype=complex)
-            for start in range(0, len(X), chunk):
-                c = slice(start, start + chunk)
-                Xc = X[c]
-                out[c] = _advect(frame, Xc, Xc if Y is X else Y[c],
-                                 t if t.ndim == 0 else t[c], omega, record)
-            return out
-    return _advect(frame, X, Y, t, omega, record)
+    rows = slice(None) if lam is None else _shell_rows(lattice, lam)
+    jk = _complex_ops(lattice)[0]
+    Xs, Ys = (X, Y) if X.ndim == 3 else (X[None], Y[None])
+    out = np.empty(Xs.shape, dtype=complex)
+    step = _stack_block(lattice, record)
+    for start in range(0, len(Xs), step):
+        blk = slice(start, start + step)
+        Xb = Xs[blk]
+        Yb = Xb if Y is X else Ys[blk]
+        if omega != 0.0:
+            c, s = _angles(lattice, -omega, t if np.ndim(t) == 0 else np.asarray(t)[blk])
+            Xb = _rotate(jk, Xb, c, s)
+            Yb = Xb if Y is X else _rotate(jk, Yb, c, s)
+        out[blk] = _advect(frame, Xb, Yb, record)
+        if omega != 0.0:
+            out[blk, rows] = _rotate(jk[rows], out[blk, rows], c[..., rows], -s[..., rows])
+    return out if X.ndim == 3 else out[0]
 
 
-def _advect(frame: _Frame, X: np.ndarray, Y: np.ndarray, t, omega: float,
-            record: _ShellPlans) -> np.ndarray:
-    """advect on one block of samples of a frame's rows, on the shell of a
-    _ShellPlans record, convolved as _convolve convolves: the one rotate,
-    convolve, mirror, project, rotate-back sequence.
+def _advect(frame: _Frame, X: np.ndarray, Y: np.ndarray, record: _ShellPlans) -> np.ndarray:
+    """The unrotated kernel B(X, Y) on one block of samples of a frame's
+    rows, on the shell of a _ShellPlans record: convolve (as _convolve
+    convolves), mirror, project.  Every rotation is the caller's (advect,
+    the integrator's propagator, the resonant fit's forcing).
 
-    Only the lattice frame rotates, with the lattice's kt3 and complex J_k;
-    a closed frame takes omega 0 and no shell.  Without a shell the
-    projection and back-rotation act on the convolution's whole array and
-    return a new one; with one they act on the shell's rows, written back
-    into it.
+    Without a shell the projection acts on the convolution's whole array
+    and returns a new one; with one it acts on the shell's rows, written
+    back into it.
     """
-    if omega != 0.0:
-        lattice = frame.lattice
-        jk = _complex_ops(lattice)[0]
-        theta = -omega * lattice.kt3 * np.asarray(t)[..., None]
-        c, s = np.cos(theta), np.sin(theta)
-        Xr = _rotate(jk, X, c, s)
-        X, Y = Xr, Xr if Y is X else _rotate(jk, Y, c, s)
     b = _convolve(frame, X, Y, record)
-    rows = slice(None) if record.lam is None else _shell_rows(frame.lattice, record.lam)
-    out = _per_mode(frame.proj[rows], b[..., rows, :])
-    if omega != 0.0:
-        # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s, bit for bit
-        out = _rotate(jk[rows], out, c[..., rows], -s[..., rows])
     if record.lam is None:
-        return out
-    b[..., rows, :] = out
+        return _per_mode(frame.proj, b)
+    rows = _shell_rows(frame.lattice, record.lam)
+    b[..., rows, :] = _per_mode(frame.proj[rows], b[..., rows, :])
     return b
 
 

@@ -2,10 +2,11 @@
 
 Both forms take one integrating-factor (Lawson) RK4 step, in the rotating
 frame: the linear part (Stokes + rotation) is advanced exactly, mode by
-mode, by one fused operator decay (cos theta I + sin theta J_k), and
-classical RK4 acts on the unrotated nonlinearity.  The step commutes with
-the constant rotation exp(Omega t_n S), so a v-form run steps u and rotates
-only its records to v = exp(Omega t S) u.  Vanishing nonlinearity therefore
+mode, by one fused operator decay (cos theta I + sin theta J_k) at
+fields._angles' angles, and classical RK4 acts on the unrotated kernel
+(fields._advect).  The step commutes with the constant rotation
+exp(Omega t_n S), so a v-form run steps u and rotates only its records to
+v = exp(Omega t S) u (fields._rotate_by).  Vanishing nonlinearity therefore
 reproduces the linear special solutions to machine precision, and the
 energy identity d/dt (|v|^2/2) + ||v||^2 = 0 holds exactly for the
 truncated system.
@@ -29,10 +30,11 @@ from .fields import (
     field_from_doc,
     field_to_doc,
     _advect,
+    _angles,
     _closed_frame,
     _gevrey_norms,
     _per_mode,
-    _rotate_coeffs,
+    _rotate_by,
     _shell_plans,
     _strided,
 )
@@ -141,11 +143,13 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     and rotating it is the v-form scheme with the rotated nonlinearity, in
     exact arithmetic.  A v-form run steps u from exp(-Omega t0 S) u0 and
     rotates each recorded state to v at its time, as transform_trajectory
-    rotates it (_rotate_by); its record 0 is u0 as given.  It takes
+    rotates it (fields._rotate_by); its record 0 is u0 as given.  It takes
     config.n_steps steps of exactly dt and records the initial state and
     every record_stride-th state after it.  A u-state that is no longer
     finite stops the run with a FloatingPointError naming the step and its
-    time.
+    time; numpy's overflow and invalid-value flags stay quiet inside the
+    steps, whatever the caller's np.errstate, so that check is the one that
+    stops it.
 
     The run computes on the closed support S of u0 (fields._closed_frame).
     S starts as u0's non-zero modes and their conjugate partners, and takes
@@ -174,48 +178,40 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     def make_prop(s: float):
         # decay (cos theta I + sin theta J_k) per mode, formed on every mode
         # and then sliced, so each row has its own bits
-        theta = -om * lat.kt3 * s
+        c, sn = _angles(lat, -om, s)
         op = np.exp(-s * lat.lam_f)[:, None, None] * (
-            np.cos(theta)[:, None, None] * np.eye(3) + np.sin(theta)[:, None, None] * lat.jk)
+            c[:, None, None] * np.eye(3) + sn[:, None, None] * lat.jk)
         op = _strided(op[rows])
         return lambda C: _per_mode(op, C)
 
-    Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
-
     def N(C):
-        return -_advect(frame, C, C, 0.0, 0.0, record)
+        return -_advect(frame, C, C, record)
 
     C0 = u0.coeffs.astype(complex)
     records = np.zeros((n_steps // config.record_stride + 1, lat.n_modes, 3), dtype=complex)
     records[0] = C0
-    C = (_rotate_by(lat, C0, -om, t0) if v_form else C0)[rows]
-    times: List[float] = [t0]
-    for step in range(n_steps):
-        a = N(C)
-        b = N(Ph2(C + 0.5 * h * a))
-        c = N(Ph2(C) + 0.5 * h * b)
-        PC = Ph(C)
-        d = N(PC + h * Ph2(c))
-        C = PC + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
-        t = t0 + (step + 1) * h
-        if not np.isfinite(C).all():
-            raise FloatingPointError(
-                f"state is not finite after step {step + 1} of {n_steps} (t = {t:.6g})")
-        if (step + 1) % config.record_stride == 0:
-            rec = records[len(times)]
-            rec[rows] = C
-            if v_form:
-                rec[...] = _rotate_by(lat, rec, om, t)
-            times.append(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
+        C = (_rotate_by(lat, C0, -om, t0) if v_form else C0)[rows]
+        times: List[float] = [t0]
+        for step in range(n_steps):
+            a = N(C)
+            b = N(Ph2(C + 0.5 * h * a))
+            c = N(Ph2(C) + 0.5 * h * b)
+            PC = Ph(C)
+            d = N(PC + h * Ph2(c))
+            C = PC + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
+            t = t0 + (step + 1) * h
+            if not np.isfinite(C).all():
+                raise FloatingPointError(
+                    f"state is not finite after step {step + 1} of {n_steps} (t = {t:.6g})")
+            if (step + 1) % config.record_stride == 0:
+                rec = records[len(times)]
+                rec[rows] = C
+                if v_form:
+                    rec[...] = _rotate_by(lat, rec, om, t)
+                times.append(t)
     return Trajectory(lat, config.form, om, np.array(times), records, dt=h)
-
-
-def _rotate_by(lat: Lattice, coeffs: np.ndarray, rate: float, t) -> np.ndarray:
-    """exp(rate t S) of one (M,3) sample at the time t, or of an (R,M,3)
-    stack at its (R,) times t: the angles rate k3til t, formed per sample in
-    one operation order, so a sample rotated alone has its bits in a stack."""
-    theta = rate * lat.kt3 * np.asarray(t)[..., None]
-    return _rotate_coeffs(lat, coeffs, np.cos(theta), np.sin(theta))
 
 
 def transform_trajectory(traj: Trajectory, to_form: str) -> Trajectory:

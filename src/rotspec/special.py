@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .lattice import Lattice
 from .fields import (SpectralField, _J_VERT, _along_k, _apply_jk, _gevrey_norms,
-                     _modes_of, _rotate_coeffs, convolve_advect, eigen_restrict)
-from .spoly import SPoly, apply_expS_spoly
+                     _modes_of, _rotate_by, convolve_advect)
+from .spoly import SPoly
 from .solver import Trajectory
 from .expansion import fit_decay_rate
 
@@ -28,7 +28,6 @@ __all__ = [
     "VkData",
     "MeanFlow",
     "linear_evolution",
-    "linear_expansion_terms",
     "helicity",
     "helicity_series",
     "field_shift",
@@ -105,26 +104,8 @@ def linear_evolution(u0: SpectralField, t: float, omega: float) -> SpectralField
     system (the advection of colinear modes cancels identically).
     """
     lat = u0.lattice
-    theta = -omega * lat.kt3 * t
-    c = _rotate_coeffs(lat, u0.coeffs, np.cos(theta), np.sin(theta))
-    c = c * np.exp(-lat.lam_f * t)[:, None]
+    c = _rotate_by(lat, u0.coeffs, -omega, t) * np.exp(-lat.lam_f * t)[:, None]
     return SpectralField(lat, c, u0.mean)
-
-
-def linear_expansion_terms(u0: SpectralField, omega: float) -> List[Tuple[Fraction, SPoly]]:
-    """Per-shell oscillating coefficients of the linear flow.
-
-    Returns [(lam_n, Q_n)] with u(t) = sum_n Q_n(t) exp(-lam_n t) and
-    Q_n(t) = exp(-Omega t S) R_n u0 as a polynomial (constant in amplitude,
-    oscillating through the wave group).
-    """
-    out = []
-    for lam in u0.lattice.eigenvalues:
-        part = eigen_restrict(u0, lam)
-        if not np.any(part.coeffs):
-            continue
-        out.append((lam, apply_expS_spoly(SPoly.from_field(part), -omega)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from rotspec import __version__
 from rotspec.cli import (CONFIG_SCHEMA, EXIT_NUMERICAL, OUTDIR_ENV, CliError, _dump,
                          _validator, main)
 from rotspec.expansion import expand, time_average_Q, to_u_expansion
-from rotspec.fields import field_to_doc, random_gevrey
+from rotspec.fields import SpectralField, field_to_doc, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import SolverConfig, integrate, transform_trajectory
 from rotspec.spoly import spoly_from_doc
@@ -140,6 +140,7 @@ def test_simulate_blowup_exits_3(tmp_path, capsys):
     err = _stderr_error(capsys)
     assert err["code"] == 3
     assert err["kind"] == "numerical"
+    assert err["message"].startswith("state is not finite after step ")
 
 
 def test_simulate_config_errors(tmp_path, capsys):
@@ -836,6 +837,47 @@ def test_verify_special_drift(capsys):
     assert doc["pass"] is False
     failing = [c["name"] for c in doc["checks"] if not c["pass"]]
     assert failing == ["zeroed_pressure_residual"]
+
+
+@pytest.mark.parametrize("omega", ["1e308", "inf"])
+def test_overflow_inside_a_command_exits_3(capsys, omega):
+    """A finite rate whose rotation angles overflow, like an infinite one,
+    exits 3 with one JSON error line on stderr and no warning, never 0."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify-special", "--case", "helicity", "--omega", omega])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and caught == []
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"]["kind"] == "numerical"
+
+
+def test_simulate_blow_up_through_an_overflow_names_the_step(tmp_path, capsys):
+    """Sparse data near the largest float overflow the closed support's
+    product bound (fields._convolve) inside the first step, before the
+    state is checked; the run still exits 3 with the integrator's message,
+    which names the step."""
+    lat = build_lattice(cutoff=6)
+    C = np.zeros((lat.n_modes, 3), dtype=complex)
+    rng = np.random.default_rng(0)
+    for k in ([1, 0, 1], [0, 1, 1]):
+        i = lat.index_of(np.array([k]))[0]
+        z = lat.proj[i] @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        C[i], C[lat.conj_idx[i]] = z, np.conj(z)
+    field_path = tmp_path / "u0.json"
+    field_path.write_text(json.dumps(field_to_doc(SpectralField(lat, 5e307 * C))))
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, lattice={"cutoff": 6}, omega=5.0,
+                  initial={"kind": "file", "path": str(field_path)},
+                  solver={"dt": 0.05, "t_end": 1.0, "form": "v"})
+    out = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "numerical"
+    assert err["message"] == "state is not finite after step 1 of 20 (t = 0.05)"
+    assert not out.exists()
 
 
 def test_verify_special_unknown_case(capsys):

@@ -46,11 +46,12 @@ TOP_LEVEL = ["SolverConfig", "build_lattice", "expand", "integrate", "random_gev
 DELETED = {
     "fields": ["leray_project", "apply_A_power", "low_pass", "bilinear_B_omega",
                "field_to_json", "field_from_json", "gevrey_norm", "_code_table", "_encode",
-               "_triads", "_conv_plan", "_plan_entry", "_complex_kc"],
+               "_triads", "_conv_plan", "_plan_entry", "_complex_kc", "_rotate_coeffs"],
     "lattice": ["rationalize_period", "spectrum_to_json", "_cross_matrix"],
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
               "spoly_from_json", "_pair_table"],
     "cli": ["_require_whole_records"],
+    "special": ["linear_expansion_terms"],
     "expansion": ["FitPolicy", "_require_uniform", "_fit_chunks", "_FIT_BLOCK_BYTES",
                   "_order_samples", "_partial_sum", "_fast_pair_forcing"],
 }
@@ -134,6 +135,25 @@ def test_json_text_only_in_cli_and_solver():
                     or isinstance(node, ast.ImportFrom) and node.module == "json":
                 importers.append(name)
     assert sorted(set(importers)) == ["cli", "solver"]
+
+
+def test_rotation_angles_only_in_fields_angles():
+    """np.cos and np.sin are called in the package only inside
+    fields._angles, the one rule for the angles rate k3til t."""
+    def trig(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                and node.func.attr in ("cos", "sin"))
+
+    inside, outside = [], []
+    for name in MODULES + ["__init__"]:
+        tree = ast.parse((Path(rotspec.__file__).parent / f"{name}.py").read_text())
+        angles = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_angles"]
+        owned = {id(n) for f in angles for n in ast.walk(f)} if name == "fields" else set()
+        for node in filter(trig, ast.walk(tree)):
+            (inside if id(node) in owned else outside).append((name, node.lineno))
+    assert outside == []
+    assert len(inside) == 2
 
 
 # -- names the benchmark reads --------------------------------------------------

@@ -18,13 +18,14 @@ from rotspec.fields import (
     _J_VERT,
     _Plan,
     _advect,
+    _angles,
     _STACK_BLOCK_BYTES,
     _closed_frame,
     _complex_ops,
     _convolve,
     _convolve_padded,
     _lattice_frame,
-    _rotate_coeffs,
+    _rotate,
     _shell_plans,
     eigen_restrict,
     field_from_doc,
@@ -664,14 +665,14 @@ def test_closed_frame_keeps_the_full_plans_non_finite_products(monkeypatch, valu
     with np.errstate(all="ignore"):
         want = advect(lat, X, X, t, omega)
         if omega == 0.0:
-            got = _advect(frame, X[rows], X[rows], t, omega, record)
+            got = _advect(frame, X[rows], X[rows], record)
         else:  # a closed frame does not rotate: rotate every mode around it, as advect does
-            theta = -omega * lat.kt3 * t
-            c, s = np.cos(theta), np.sin(theta)
-            Xr = _rotate_coeffs(lat, X, c, s)[rows]
+            jk = _complex_ops(lat)[0]
+            c, s = _angles(lat, -omega, t)
+            Xr = _rotate(jk, X, c, s)[rows]
             b = np.zeros_like(X)
-            b[rows] = _advect(frame, Xr, Xr, t, 0.0, record)
-            got = _rotate_coeffs(lat, b, c, -s)[rows]
+            b[rows] = _advect(frame, Xr, Xr, record)
+            got = _rotate(jk, b, c, -s)[rows]
     assert len(calls) == (padded is not None)
     off = np.delete(want, frame.rows, axis=0)
     if padded == "nan":
@@ -847,7 +848,8 @@ def test_back_rotation_by_negated_sine_is_rotation_by_minus_theta(name):
     c, s = np.cos(theta), np.sin(theta)
     _assert_bits_equal(np.cos(-theta), c)
     _assert_bits_equal(np.sin(-theta), -s)
-    _assert_bits_equal(_rotate_coeffs(lat, X, c, -s), _rotate_reference(lat, X, -theta))
+    _assert_bits_equal(_rotate(_complex_ops(lat)[0], X, c, -s),
+                       _rotate_reference(lat, X, -theta))
 
 
 def test_bilinear_energy_orthogonality():

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import rotspec
 import rotspec.fields
-from rotspec.fields import (SpectralField, _closed_frame, _rotate_coeffs, advect, apply_expS,
-                            random_gevrey)
+from rotspec.fields import (SpectralField, _closed_frame, _complex_ops, _rotate, advect,
+                            apply_expS, random_gevrey)
 from rotspec.lattice import build_lattice
 from rotspec.special import VkData
 from rotspec.solver import (
@@ -288,7 +288,7 @@ def _rotated_rk4_reference(u0, config):
         if config.form == "u" and om != 0.0:
             theta = -om * lat.kt3 * s
             c, sn = np.cos(theta), np.sin(theta)
-            return lambda C: decay * _rotate_coeffs(lat, C, c, sn)
+            return lambda C: decay * _rotate(_complex_ops(lat)[0], C, c, sn)
         return lambda C: decay * C
 
     Ph, Ph2 = make_prop(h), make_prop(0.5 * h)

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotspec.fields import SpectralField, random_gevrey
+from rotspec.fields import SpectralField, eigen_restrict, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import SolverConfig, Trajectory, integrate
+from rotspec.spoly import SPoly, apply_expS_spoly
 from rotspec.special import (
     DriftingSolution,
     MeanFlow,
@@ -16,7 +17,6 @@ from rotspec.special import (
     helicity,
     helicity_series,
     linear_evolution,
-    linear_expansion_terms,
     pde_residual,
     shift_trajectory,
     verify_ss_expansion,
@@ -81,18 +81,6 @@ def test_linear_evolution_rodrigues(cube6):
             + (1 - math.cos(theta)) * np.outer(axis, axis)
         want = math.exp(-cube6.lam_f[i] * t) * (R @ u0.coeffs[i])
         np.testing.assert_allclose(got.coeffs[i], want, atol=1e-14)
-
-
-def test_linear_expansion_terms(cube6):
-    u0 = random_gevrey(cube6, seed=2, amplitude=1.0)
-    om = 2.5
-    terms = linear_expansion_terms(u0, om)
-    assert [mu for mu, _ in terms] == cube6.eigenvalues
-    for t in (0.0, 0.6, 1.7):
-        total = np.zeros((cube6.n_modes, 3), dtype=complex)
-        for mu, Q in terms:
-            total += math.exp(-float(mu) * t) * Q.evaluate(t).coeffs
-        np.testing.assert_allclose(total, linear_evolution(u0, t, om).coeffs, atol=1e-13)
 
 
 # -- helicity ----------------------------------------------------------------
@@ -261,6 +249,14 @@ def test_momentum_residual_negative_controls(drifting):
 
 # -- drifting expansion ------------------------------------------------------
 
+def _linear_terms(u0, omega):
+    """[(lam, Q)] of the linear flow u(t) = sum Q(t) exp(-lam t) from u0:
+    Q = exp(-Omega t S) R_lam u0 on each shell that u0 occupies."""
+    parts = [(lam, eigen_restrict(u0, lam)) for lam in u0.lattice.eigenvalues]
+    return [(lam, apply_expS_spoly(SPoly.from_field(part), -omega))
+            for lam, part in parts if part.coeffs.any()]
+
+
 @pytest.mark.parametrize("omega", [4.0, 0.0])
 def test_verify_ss_expansion(cube6, omega):
     vk = VkData.random((1, 0, 0), (1, 2), seed=12, lattice=cube6)
@@ -271,7 +267,7 @@ def test_verify_ss_expansion(cube6, omega):
     means = np.array([sol.velocity(float(t)).mean for t in ts])
     traj = Trajectory(cube6, "u", flow.omega, ts, coeffs, dt=ts[1] - ts[0])
 
-    terms = linear_expansion_terms(sol.base, flow.omega)
+    terms = _linear_terms(sol.base, flow.omega)
     assert [mu for mu, _ in terms] == [Fraction(1), Fraction(4)]
     # keeping only the first shell leaves a remainder decaying at the next rate
     fit = verify_ss_expansion(traj, means, flow, terms[:1])
