@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import jsonschema
 import numpy as np
@@ -336,8 +336,6 @@ def _dump(doc: dict) -> str:
 
 def cmd_spectrum(args) -> int:
     ell = args.L.split(",")
-    if len(ell) != 3:
-        raise CliError(EXIT_CONFIG, "config", "--L needs three comma-separated rationals")
     lat = build_lattice(ell=ell, cutoff=args.cutoff)
     table = semigroup_table(lat, args.cap)
     doc = _stamp(spectrum_to_doc(lat, table), {"L": ell, "cutoff": args.cutoff, "cap": args.cap})
@@ -377,22 +375,8 @@ def _read_trajectory(path: str):
     return traj, meta
 
 
-def _norm_pair(text: str) -> Tuple[float, float]:
-    """expand's --norm as (alpha, sigma): exactly two finite comma-separated
-    numbers, or a config error."""
-    try:
-        pair = [float(x) for x in text.split(",")]
-    except ValueError:
-        pair = []
-    if len(pair) != 2 or not all(map(math.isfinite, pair)):
-        raise CliError(EXIT_CONFIG, "config",
-                       f"--norm must be two finite comma-separated numbers, not {text!r}")
-    return pair[0], pair[1]
-
-
 def cmd_expand(args) -> int:
-    # the norm is checked before the trajectory is read
-    alpha, sigma = _norm_pair(args.norm)
+    alpha, sigma = args.norm
     traj, meta = _read_trajectory(args.traj)
     traj = transform_trajectory(traj, "v")
     exp = expand(traj, args.order, _xi_windows(meta.get("config")))
@@ -517,23 +501,11 @@ def cmd_helicity(args) -> int:
 
 
 def cmd_sweep_omega(args) -> int:
-    # the window and the evaluation time are checked before any rate is integrated
-    if not (math.isfinite(args.T) and args.T > 0):
-        raise CliError(EXIT_CONFIG, "config", f"--T must be finite and positive, not {args.T}")
-    if not math.isfinite(args.t):
-        raise CliError(EXIT_CONFIG, "config", f"--t must be finite, not {args.t}")
     cfg = _load_config(args.config)
-    try:
-        omegas = [float(x) for x in args.omegas.split(",")]
-    except ValueError:
-        raise CliError(EXIT_CONFIG, "config",
-                       f"--omegas must be comma-separated numbers, not {args.omegas!r}") from None
-    if len(omegas) < 2:
-        raise CliError(EXIT_CONFIG, "config", "sweep needs at least two rotation rates")
     lat = _lattice_from(cfg)
     u0 = _initial_field(cfg, lat)
     # a bad config is rejected before any rate is integrated
-    configs = [SolverConfig(omega=om, **cfg["solver"]) for om in omegas]
+    configs = [SolverConfig(omega=om, **cfg["solver"]) for om in args.omegas]
     norms = []
     for config in configs:
         try:
@@ -549,7 +521,7 @@ def cmd_sweep_omega(args) -> int:
         norms.append(qbar.evaluate(args.t).norm())
     ratios = [norms[i + 1] / norms[i] if norms[i] else None  # written as null
               for i in range(len(norms) - 1)]
-    doc = _stamp({"omega": omegas, "qbar_norm": norms, "ratio": ratios,
+    doc = _stamp({"omega": args.omegas, "qbar_norm": norms, "ratio": ratios,
                   "T": args.T, "t": args.t}, cfg)
     _write_text(args.out, _dump(doc))
     return EXIT_OK
@@ -588,6 +560,28 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_CONFIG, "config", message)
 
 
+def _numbers(what: str, count: int = 1, low: float = -math.inf, kind=float):
+    """argparse type= for `count` comma-separated finite numbers of `kind`
+    (count 0: two or more), each above `low`; one number for count 1, else a
+    list.  Anything else is an ArgumentTypeError, reported naming the flag."""
+    def convert(text: str):
+        try:
+            xs = [kind(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if (len(xs) < 2) if count == 0 else (len(xs) != count):
+            raise argparse.ArgumentTypeError(
+                f"{what} takes {count or 'two or more'} comma-separated numbers, not {text!r}")
+        for x in xs:
+            if kind is float and not math.isfinite(x):  # an int is finite, and may be no float
+                raise argparse.ArgumentTypeError(f"{what} must be finite, not {x}")
+            if not x > low:
+                least = f"at least {low + 1}" if kind is int else f"above {low}"
+                raise argparse.ArgumentTypeError(f"{what} must be {least}, got {x}")
+        return xs[0] if count == 1 else xs
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="rotspec", description="spectral rotating-flow toolbox")
     sub = p.add_subparsers(dest="command", required=True)
@@ -606,15 +600,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("expand", help="fit the long-time expansion of a trajectory")
     s.add_argument("--traj", required=True)
-    s.add_argument("--order", type=int, required=True)
-    s.add_argument("--norm", default="0,0", help="alpha,sigma for reported norms")
+    s.add_argument("--order", type=_numbers("order", low=0, kind=int), required=True)
+    s.add_argument("--norm", type=_numbers("norm", count=2), default="0,0",
+                   help="alpha,sigma for reported norms")
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_expand)
 
     s = sub.add_parser("verify-special", help="closed-form solution checks")
     s.add_argument("--case", required=True, choices=["ray-closed-form", "drift", "helicity"])
-    s.add_argument("--omega", type=float, default=10.0)
-    s.add_argument("--seed", type=int, default=1)
+    s.add_argument("--omega", type=_numbers("omega"), default=10.0)
+    s.add_argument("--seed", type=_numbers("seed", low=-1, kind=int), default=1)
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_verify_special)
 
@@ -625,9 +620,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep-omega", help="averaged leading coefficient vs rotation")
     s.add_argument("--config", required=True)
-    s.add_argument("--omegas", required=True, help="comma-separated rotation rates")
-    s.add_argument("--T", type=float, required=True, help="averaging window length")
-    s.add_argument("--t", type=float, default=0.0, help="evaluation time")
+    s.add_argument("--omegas", type=_numbers("omega", count=0), required=True,
+                   help="comma-separated rotation rates")
+    s.add_argument("--T", type=_numbers("T", low=0), required=True,
+                   help="averaging window length")
+    s.add_argument("--t", type=_numbers("t"), default=0.0, help="evaluation time")
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_sweep_omega)
 

@@ -8,6 +8,7 @@ and membership / resonance questions are decided without float comparison.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,6 +34,19 @@ class LatticeError(ValueError):
 
 # trial division stops below this bound; see squarefree_decompose
 _TRIAL_BOUND = 1 << 16
+# a semigroup closure stops past this many elements: its decomposition pass is
+# quadratic in them (the cube's cutoff 4095 at its default cap has 4095)
+_SEMIGROUP_BOUND = 1 << 12
+
+
+def _rational(name: str, value) -> Fraction:
+    """A lattice parameter (ell, cutoff, cap) as an exact Fraction.  What
+    Fraction cannot read exactly (text that is no rational, nan, inf, a zero
+    denominator) raises LatticeError naming the parameter."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise LatticeError(f"{name} must be a rational number, not {value!r}") from None
 
 
 def squarefree_decompose(n: int) -> Tuple[int, int]:
@@ -94,9 +108,9 @@ class Lattice:
     """
 
     def __init__(self, ell: Sequence[Fraction | int | str], cutoff: Fraction | int | str):
-        ell = tuple(Fraction(e) for e in ell)
+        ell = tuple(_rational("ell", e) for e in ell)
         if len(ell) != 3:
-            raise LatticeError("need three periods")
+            raise LatticeError(f"ell needs three periods, got {len(ell)}")
         if any(e <= 0 for e in ell):
             raise LatticeError("periods must be positive")
         if max(ell) != 1:
@@ -104,7 +118,9 @@ class Lattice:
                 "normalization requires max period = 2*pi (max ell_j = 1); "
                 f"got ell = {tuple(str(e) for e in ell)}"
             )
-        cutoff = Fraction(cutoff)
+        if min(ell) ** -2 > sys.float_info.max:
+            raise LatticeError("ell has a period whose q = 1/ell^2 is too large for a float")
+        cutoff = _rational("cutoff", cutoff)
         if cutoff < 1:
             raise LatticeError("cutoff below the smallest eigenvalue retains nothing")
 
@@ -233,8 +249,9 @@ class SemigroupTable:
     """
 
     def __init__(self, eigenvalues: Sequence[Fraction], cap: Fraction | int | str):
-        cap = Fraction(cap)
-        base = sorted({Fraction(e) for e in eigenvalues if Fraction(e) <= cap})
+        cap = _rational("cap", cap)
+        eigenvalues = [_rational("eigenvalue", e) for e in eigenvalues]
+        base = sorted({e for e in eigenvalues if e <= cap})
         if not base:
             raise LatticeError("no eigenvalues at or below the cap")
         elems = set(base)
@@ -248,6 +265,9 @@ class SemigroupTable:
                         fresh.add(z)
             elems |= fresh
             frontier = fresh
+            if len(elems) > _SEMIGROUP_BOUND:
+                raise LatticeError(f"the semigroup below cap {cap} has more than "
+                                   f"{_SEMIGROUP_BOUND} elements")
         # Closed under sums of elements too: every element is a sum of
         # eigenvalues whose partial sums all stay <= cap, so x + y is reached
         # from x by adding the eigenvalues of y one at a time.

@@ -238,6 +238,31 @@ def test_period_validation():
         build_lattice(cutoff="1/2")  # no modes at all
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"cutoff": "1/0"}, "cutoff"), ({"cutoff": float("nan")}, "cutoff"),
+    ({"cutoff": float("inf")}, "cutoff"), ({"cutoff": [6]}, "cutoff"),
+    ({"ell": (1, 1, "1/0")}, "ell"), ({"ell": (1, "abc", 1)}, "ell"),
+    ({"ell": (1, 1)}, "ell"), ({"ell": (1, 1, "1e-308")}, "ell"),
+])
+def test_lattice_names_a_bad_parameter(kwargs, name):
+    with pytest.raises(LatticeError, match=f"^{name} "):
+        build_lattice(**kwargs)
+
+
+@pytest.mark.parametrize("cap", ["1/0", "nan", float("-inf"), None])
+def test_semigroup_names_a_bad_cap(cap):
+    with pytest.raises(LatticeError, match="^cap must be a rational number"):
+        SemigroupTable([Fraction(1)], cap)
+
+
+@pytest.mark.parametrize("eigenvalues, cap", [([1], 10**9), ([-1, 1], 5)])
+def test_semigroup_closure_is_bounded(eigenvalues, cap):
+    """A closure past 2**12 elements (one the cap leaves unbounded, or one
+    below a negative eigenvalue) stops with an error naming the cap."""
+    with pytest.raises(LatticeError, match=f"below cap {cap} has more than 4096 elements"):
+        SemigroupTable(eigenvalues, cap)
+
+
 def test_semigroup_brute_force():
     """Unbounded-knapsack reachability as an independent oracle."""
     lat = build_lattice(cutoff=12)
