@@ -644,9 +644,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return args.func(args)
     except CliError as e:
         error = e
-    except (OdeResonanceError, FloatingPointError) as e:
-        # before ValueError: the resonance error is a ValueError subclass
+    except OdeResonanceError as e:  # before ValueError, its base class
         error = CliError(EXIT_NUMERICAL, "numerical", str(e))
+    except FloatingPointError as e:  # numpy's message names no command
+        error = CliError(EXIT_NUMERICAL, "numerical", f"{args.command}: {e}")
     except (LatticeError, ValueError) as e:
         error = CliError(EXIT_CONFIG, "config", str(e))
     sys.stderr.write(json.dumps(

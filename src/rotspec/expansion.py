@@ -17,9 +17,8 @@ B_Omega(t, X, Y) = e^{Omega t S} B(e^{-Omega t S} X, e^{-Omega t S} Y) on
 the resonant shell.  The rotation acts mode by mode, so it commutes with the
 shell restriction R_mu and with the Leray projection:
 R_mu B_Omega(t, X, Y) = e^{Omega t S} R_mu B(X_u, Y_u), X_u = e^{-Omega t S} X.
-The fit therefore works in that rotating (u) frame, one block of samples at
-a time: each input is rotated once, every product is taken unrotated on the
-shell's rows only, and their sum is rotated back once.
+The fit therefore forms its products in that rotating (u) frame, through
+the one block loop of B_Omega (fields' _rotated_products).
 
 Everything here is a statement about the Galerkin system on the fixed
 lattice: products falling outside the cutoff are dropped identically in the
@@ -37,8 +36,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .lattice import Lattice, SemigroupTable, semigroup_table
-from .fields import (SpectralField, _advect, _angles, _complex_ops, _gevrey_norms,
-                     _lattice_frame, _rotate, _shell_plans, _shell_rows, _stack_block)
+from .fields import SpectralField, _gevrey_norms, _rotated_products, _shell_rows
 from .spoly import (SPoly, _sum_spoly, antiderivative, apply_expS_spoly, bilinear_spoly,
                     ode_solve)
 from .solver import Trajectory
@@ -48,7 +46,6 @@ __all__ = [
     "expand",
     "verify_expansion_system",
     "remainder_rate",
-    "fit_log_slope",
     "fit_decay_rate",
     "to_u_expansion",
     "time_average_Q",
@@ -170,49 +167,25 @@ def _shell_forcing(exp: Expansion, mu: Fraction) -> np.ndarray:
     order m, s their sum, r = v - s, and (a, b) the live orders with
     mu_a + mu_b > mu.
 
-    Formed in the u frame (module docstring), one block of samples at a time
-    (fields' _stack_block): each block rotates v and each live order's
-    samples once, forms r_u, s_u and the partner sums there, takes every
-    product unrotated on the shell's rows only, and rotates their sum back
-    once.
+    Formed in the u frame by fields' _rotated_products: per block, r_u,
+    s_u and the partner sums come from the rotated v and live samples.
     """
-    lat = exp.lattice
-    ts = exp.traj.times
-    omega = exp.omega
-    record = _shell_plans(lat, mu)
-    frame = _lattice_frame(lat)
-    rows = _shell_rows(lat, mu)
-    jk = _complex_ops(lat)[0]
-    live = [a for a in range(exp.n_orders) if not exp.orders[a].is_zero]
-    pairs = [(a, bs) for a in live
-             if (bs := [b for b in live if exp.mus[a] + exp.mus[b] > mu])]
-    inputs = [exp.traj.coeffs, *(exp.samples[m] for m in live)]
+    live = [m for m in range(exp.n_orders) if not exp.orders[m].is_zero]
+    pairs = [(i, bs) for i, a in enumerate(live)
+             if (bs := [j for j, b in enumerate(live) if exp.mus[a] + exp.mus[b] > mu])]
 
-    def product(X, Y):
-        return _advect(frame, X, Y, record)[:, rows]
-
-    out = np.empty((len(ts), rows.stop - rows.start, 3), dtype=complex)
-    step = _stack_block(lat, record)
-    for start in range(0, len(ts), step):
-        blk = slice(start, start + step)
-        if omega != 0.0:
-            c, s = _angles(lat, -omega, ts[blk])
-            u, *su = (_rotate(jk, X[blk], c, s) for X in inputs)
-        else:
-            u, *su = (X[blk] for X in inputs)
-        su = dict(zip(live, su))
-        s_u = sum(su.values(), np.zeros_like(u))
+    def form(B, u, *su):
+        s_u = sum(su, np.zeros_like(u))
         r_u = u - s_u
-        acc = product(r_u, u)
-        if live:  # before the first order the partial sum is zero
-            acc += product(s_u, r_u)
+        acc = B(r_u, u)
+        if su:  # before the first order the partial sum is zero
+            acc += B(s_u, r_u)
         for a, bs in pairs:
-            acc += product(su[a], sum(su[b] for b in bs))
-        if omega != 0.0:
-            # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s
-            acc = _rotate(jk[rows], acc, c[:, rows], -s[:, rows])
-        out[blk] = acc
-    return out
+            acc += B(su[a], sum(su[b] for b in bs))
+        return acc
+
+    inputs = [exp.traj.coeffs, *(exp.samples[m] for m in live)]
+    return _rotated_products(exp.lattice, mu, exp.traj.times, exp.omega, inputs, form)
 
 
 def _fit_resonant_constant(exp: Expansion, mu: Fraction,
@@ -229,11 +202,9 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
     SPoly.from_field keeps its representative half.
 
     The forcing is R of B_Omega(r, v) + B_Omega(s, r), s the partial sum,
-    plus the pairs of earlier orders whose combined rate exceeds mu.  The
-    rotation e^{Omega t S} commutes with R and with the projection, so it is
-    formed in the u frame block by block, with each input rotated once, the
-    products unrotated on the shell's rows and their sum rotated back once
-    (_shell_forcing).  z reads the v-frame shell rows directly.
+    plus the pairs of earlier orders whose combined rate exceeds mu, formed
+    in the u frame (_shell_forcing).  z reads the v-frame shell rows
+    directly.
     """
     lat = exp.lattice
     ts = exp.traj.times
@@ -319,7 +290,7 @@ def _lstsq_cov(X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return coef, cov
 
 
-def fit_log_slope(t: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+def _fit_log_slope(t: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
     """Least-squares decay rate of y ~ C exp(-s t); returns (s, half width).
 
     The half width is a 2-sigma confidence from the fit residual, useful to
@@ -349,7 +320,7 @@ def fit_decay_rate(t: np.ndarray, y: np.ndarray) -> dict:
     if len(t) < 4:
         raise ValueError("need at least 4 positive samples for a rate fit")
     coef, cov = _lstsq_cov(np.column_stack([np.ones_like(t), -t, np.log(t)]), np.log(y))
-    plain, plain_half = fit_log_slope(t, y)
+    plain, plain_half = _fit_log_slope(t, y)
     return {
         "slope": float(coef[1]),
         "confidence": 2.0 * float(np.sqrt(cov[1, 1])),

@@ -9,12 +9,13 @@ Parseval convention |u|^2 = L1*L2*L3 * sum_k |u_hat(k)|^2.
 Rotation sits at the edges of one unrotated advection kernel, _advect
 (convolve, mirror, project on a row frame, _Frame).  Every angle of
 exp(rate t S) comes from _angles, the package's only np.cos/np.sin caller;
-_rotate_by rotates whole samples (apply_expS, linear_evolution,
-transform_trajectory, the integrator's records).  Around the kernel,
-advect, the rotated B_Omega, rotates each block of samples (_stack_block;
-one sample is one block) once and rotates the shell's rows back; the
-integrator rotates only through its fused propagators (rotspec.solver);
-the resonant fit rotates its own blocks (rotspec.expansion).  Rotation and
+_rotate_by rotates whole samples (linear_evolution, transform_trajectory,
+the integrator's records).  _rotated_products is the one loop of the
+rotated B_Omega over a stack of samples, behind advect and the resonant
+fit (rotspec.expansion): it rotates each block of samples (_stack_block;
+one sample is one block) once, forms the caller's products unrotated on a
+shell's rows and rotates their sum back once.  The integrator rotates
+only through its fused propagators (rotspec.solver).  Rotation and
 projection multiply by the lattice's cached complex operators
 (_complex_ops).  The convolution sums its pairs in scipy's compiled CSR
 routine with a shell's full plan (_ShellPlans) or a closed support's
@@ -28,7 +29,7 @@ import math
 import weakref
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 # csr_matvecs(M, N, k, indptr, indices, data, X, Y) adds A @ X into Y, for
@@ -44,10 +45,8 @@ __all__ = [
     "random_gevrey",
     "inner",
     "apply_S",
-    "apply_expS",
     "advect",
     "bilinear_B",
-    "eigen_restrict",
     "field_to_doc",
     "field_from_doc",
 ]
@@ -260,11 +259,6 @@ def _rotate_by(lattice: Lattice, coeffs: np.ndarray, rate: float, t) -> np.ndarr
     return _rotate(_complex_ops(lattice)[0], coeffs, *_angles(lattice, rate, t))
 
 
-def apply_expS(u: SpectralField, t: float) -> SpectralField:
-    """Rotation-wave group exp(t*S): plane rotation by k3til*t in each mode plane."""
-    return SpectralField(u.lattice, _rotate_by(u.lattice, u.coeffs, 1.0, t), u.mean)
-
-
 # -- bilinear form ----------------------------------------------------------
 
 def _pairs(lattice: Lattice, lam, support):
@@ -453,23 +447,22 @@ def _closed_frame(lattice: Lattice, C: np.ndarray) -> _Frame:
     return _lattice_frame(lattice)
 
 
-def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray, lam=None) -> np.ndarray:
+def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Raw advection coefficients of (u.grad)v, truncated to the lattice.
 
     Zero-mean, real-paired inputs of shape (M,3), or (B,M,3) stacks of B
     samples; returns the un-projected array of the same shape,
     b_k = sum_{m+j=k} i (U_m . kcheck_k) V_j, accumulated as one sparse
     matrix-vector product (block-diagonal over the samples) over the
-    representative outputs, with the conjugate half mirrored.  With lam
-    given, only outputs on that Stokes shell are formed; other rows are zero.
-    The sum runs over the shell's full plan, built the first time a
-    convolution takes it.
+    representative outputs, with the conjugate half mirrored.  The sum runs
+    over the lattice's full plan, built the first time a convolution takes
+    it.
 
     Each pair's dot product is summed left to right over the three
     components, (U_m0 k0 + U_m1 k1) + U_m2 k2, on one (3, ..., P) gather of
     U's components at the pairs.
     """
-    return _convolve(_lattice_frame(lattice), U, V, _shell_plans(lattice, lam))
+    return _convolve(_lattice_frame(lattice), U, V, _shell_plans(lattice, None))
 
 
 def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans) -> np.ndarray:
@@ -557,10 +550,45 @@ _STACK_BLOCK_BYTES = 1 << 20
 
 def _stack_block(lattice: Lattice, record: _ShellPlans) -> int:
     """Samples per block of a stack whose products take the shell of a
-    _ShellPlans record: the one block-size rule, read by advect and by the
-    resonant fit (expansion).  Samples are independent, so no block size
-    changes a bit."""
+    _ShellPlans record: the one block-size rule (_rotated_products).
+    Samples are independent, so no block size changes a bit."""
     return max(1, _STACK_BLOCK_BYTES // (48 * max(record.n_pairs, lattice.n_modes)))
+
+
+def _rotated_products(lattice: Lattice, lam, t, omega: float,
+                      inputs: Sequence[np.ndarray], form: Callable) -> np.ndarray:
+    """The rotated form on the shell lam (every mode for None) over (R,M,3)
+    sample stacks at their times t, a scalar or (R,): (R, shell size, 3).
+
+    The one block loop of B_Omega.  Per block, each input is rotated once
+    into the u frame, X_u = exp(-Omega t S) X; form(B, *blocks) returns a
+    sum of products B(X_u, Y_u) of the unrotated kernel on the shell's rows
+    (_advect), and the sum is rotated back once.  The rotation acts mode by
+    mode, so it commutes with the shell restriction and the projection.
+    """
+    record = _shell_plans(lattice, lam)
+    frame = _lattice_frame(lattice)
+    rows = slice(0, lattice.n_modes) if lam is None else _shell_rows(lattice, lam)
+    jk = _complex_ops(lattice)[0]
+
+    def B(X, Y):
+        return _advect(frame, X, Y, record)[:, rows]
+
+    n = len(inputs[0])
+    out = np.empty((n, rows.stop - rows.start, 3), dtype=complex)
+    step = _stack_block(lattice, record)
+    for start in range(0, n, step):
+        blk = slice(start, start + step)
+        blocks = [X[blk] for X in inputs]
+        if omega != 0.0:
+            c, s = _angles(lattice, -omega, t if np.ndim(t) == 0 else np.asarray(t)[blk])
+            blocks = [_rotate(jk, X, c, s) for X in blocks]
+        acc = form(B, *blocks)
+        if omega != 0.0:
+            # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s
+            acc = _rotate(jk[rows], acc, c[..., rows], -s[..., rows])
+        out[blk] = acc
+    return out
 
 
 def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
@@ -573,43 +601,28 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     obey the conjugate pairing X(-k) = conj(X(k)) (every field the package
     builds does): only the representative half of the product is computed.
     With lam given, only output modes on the Stokes shell lam are computed,
-    projected and rotated back; every other row is the zero the convolution
-    left there, whose sign is unspecified, and each computed row equals the
-    unrestricted one bit for bit.
-
-    The rotations sit at the edges of the unrotated kernel, block by block
-    (module docstring); samples are independent, so blocking changes no
-    bit.
+    projected and rotated back; every other row is zero, and each computed
+    row equals the unrestricted one bit for bit.  The stack is taken in
+    blocks (_rotated_products), with X rotated once when Y is X.
     """
     # checked before the rotation, which would broadcast one sample against a stack
     if X.shape != Y.shape:
         raise ValueError(f"X and Y must have the same shape, not {X.shape} and {Y.shape}")
-    record = _shell_plans(lattice, lam)
-    frame = _lattice_frame(lattice)
-    rows = slice(None) if lam is None else _shell_rows(lattice, lam)
-    jk = _complex_ops(lattice)[0]
     Xs, Ys = (X, Y) if X.ndim == 3 else (X[None], Y[None])
-    out = np.empty(Xs.shape, dtype=complex)
-    step = _stack_block(lattice, record)
-    for start in range(0, len(Xs), step):
-        blk = slice(start, start + step)
-        Xb = Xs[blk]
-        Yb = Xb if Y is X else Ys[blk]
-        if omega != 0.0:
-            c, s = _angles(lattice, -omega, t if np.ndim(t) == 0 else np.asarray(t)[blk])
-            Xb = _rotate(jk, Xb, c, s)
-            Yb = Xb if Y is X else _rotate(jk, Yb, c, s)
-        out[blk] = _advect(frame, Xb, Yb, record)
-        if omega != 0.0:
-            out[blk, rows] = _rotate(jk[rows], out[blk, rows], c[..., rows], -s[..., rows])
+    # one input when Y is X, so that the convolution sees V is U
+    out = _rotated_products(lattice, lam, t, omega, (Xs,) if Y is X else (Xs, Ys),
+                            lambda B, *XY: B(XY[0], XY[-1]))
+    if lam is not None:
+        shell, out = out, np.zeros(Xs.shape, dtype=complex)
+        out[:, _shell_rows(lattice, lam)] = shell
     return out if X.ndim == 3 else out[0]
 
 
 def _advect(frame: _Frame, X: np.ndarray, Y: np.ndarray, record: _ShellPlans) -> np.ndarray:
     """The unrotated kernel B(X, Y) on one block of samples of a frame's
     rows, on the shell of a _ShellPlans record: convolve (as _convolve
-    convolves), mirror, project.  Every rotation is the caller's (advect,
-    the integrator's propagator, the resonant fit's forcing).
+    convolves), mirror, project.  Every rotation is the caller's
+    (_rotated_products, the integrator's propagator).
 
     Without a shell the projection acts on the convolution's whole array
     and returns a new one; with one it acts on the shell's rows, written
@@ -634,14 +647,6 @@ def _shell_rows(lattice: Lattice, lam) -> slice:
 def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     """Leray-projected advection B(u, v) = P (u.grad) v on the Galerkin set."""
     return SpectralField(u.lattice, advect(u.lattice, u.coeffs, v.coeffs))
-
-
-def eigen_restrict(u: SpectralField, lam: Fraction | int | str) -> SpectralField:
-    """Eigenprojection onto a single Stokes shell."""
-    idx = u.lattice.shell_indices(Fraction(lam))
-    c = np.zeros_like(u.coeffs)
-    c[idx] = u.coeffs[idx]
-    return SpectralField(u.lattice, c)
 
 
 def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,

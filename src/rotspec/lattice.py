@@ -8,6 +8,7 @@ and membership / resonance questions are decided without float comparison.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,18 +22,24 @@ __all__ = [
     "LatticeError",
     "SemigroupTable",
     "build_lattice",
-    "stokes_spectrum",
     "semigroup_table",
-    "squarefree_decompose",
     "spectrum_to_doc",
 ]
 
 
 class LatticeError(ValueError):
-    """Raised when lattice parameters are rejected (non-rational, wrong normalization)."""
+    """Raised when lattice parameters are rejected (non-rational, wrong normalization).
+
+    The message prints a number of more than 30 digits (an exact cutoff,
+    cap or period, or a count formed from one) as its leading digits and
+    its length, so that one huge parameter gives a short line."""
+
+    def __init__(self, message: str):
+        super().__init__(re.sub(r"\d{31,}", lambda m: f"{m[0][:6]}... ({len(m[0])} digits)",
+                                message))
 
 
-# trial division stops below this bound; see squarefree_decompose
+# trial division stops below this bound; see _squarefree_decompose
 _TRIAL_BOUND = 1 << 16
 # a semigroup closure stops past this many elements: its decomposition pass is
 # quadratic in them (the cube's cutoff 4095 at its default cap has 4095)
@@ -49,7 +56,7 @@ def _rational(name: str, value) -> Fraction:
         raise LatticeError(f"{name} must be a rational number, not {value!r}") from None
 
 
-def squarefree_decompose(n: int) -> Tuple[int, int]:
+def _squarefree_decompose(n: int) -> Tuple[int, int]:
     """Write a positive integer as a^2 * s with s squarefree.
 
     Trial division runs over d < B = 2^16 only, so a number near 10^36
@@ -187,7 +194,7 @@ class Lattice:
             ratio = (self.q[2] * k3 * k3) / self.lam[i]  # k3til^2, exact in (0,1]
             p, qd = ratio.numerator, ratio.denominator
             try:
-                a, s = squarefree_decompose(p * qd)
+                a, s = _squarefree_decompose(p * qd)
             except LatticeError as err:
                 raise LatticeError(f"the periods {tuple(str(e) for e in ell)} cannot be put "
                                    f"in radical form: {err}") from None
@@ -233,11 +240,6 @@ def build_lattice(cutoff: Fraction | int | str = 6,
                   ell: Sequence[Fraction | int | str] | None = None) -> Lattice:
     """Build a lattice from exact period ratios L/(2*pi) (default: the 2*pi cube)."""
     return Lattice((1, 1, 1) if ell is None else ell, cutoff)
-
-
-def stokes_spectrum(lattice: Lattice) -> List[Tuple[Fraction, int]]:
-    """Distinct eigenvalues with multiplicities, ascending."""
-    return list(zip(lattice.eigenvalues, lattice.multiplicity))
 
 
 class SemigroupTable:
@@ -305,7 +307,7 @@ def spectrum_to_doc(lattice: Lattice, table: Optional[SemigroupTable] = None) ->
         "cutoff": str(lattice.cutoff),
         "eigenvalues": [
             {**_frac_json(l), "multiplicity": m}
-            for l, m in stokes_spectrum(lattice)
+            for l, m in zip(lattice.eigenvalues, lattice.multiplicity)
         ],
     }
     if table is not None:

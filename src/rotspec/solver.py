@@ -141,7 +141,9 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     and dt/2, and RK4 acts on the unrotated nonlinearity -B(u,u).  The
     scheme commutes with the constant map exp(Omega t_n S), so stepping u
     and rotating it is the v-form scheme with the rotated nonlinearity, in
-    exact arithmetic.  A v-form run steps u from exp(-Omega t0 S) u0 and
+    exact arithmetic; against stepping v with the rotated nonlinearity, a
+    cutoff-6 v-form run differs by at most a few 1e-15 of its largest
+    coefficient.  A v-form run steps u from exp(-Omega t0 S) u0 and
     rotates each recorded state to v at its time, as transform_trajectory
     rotates it (fields._rotate_by); its record 0 is u0 as given.  It takes
     config.n_steps steps of exactly dt and records the initial state and
@@ -157,12 +159,16 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     until it stops changing.  No pair of modes in S reaches a mode outside
     S, and the propagator maps zero to zero, so the modes outside S stay
     zero for the whole run: the state is the (|S|, 3) array of S's rows,
-    the convolution plan is built once on S, and every recorded mode
-    outside S holds a zero whose sign is unspecified.  On S every bit is
-    the one a step on all M modes gives, and a state that a step on all M
-    modes would make non-finite stops the run at the same step.  When S is
-    too large for its plan to pay, (3|S|)^2 being at least the full plan's
-    pair count, S is every mode and every convolution takes the full plan.
+    the convolution plan is built once on S and re-indexed to positions in
+    S, the propagator, projection and mirror act on S's rows only, and
+    every recorded mode outside S holds a zero whose sign is unspecified.
+    On S every bit is the one a step on all M modes gives, and a state
+    that a step on all M modes would make non-finite stops the run at the
+    same step (fields._convolve).  When S is too large for its plan to
+    pay, (3|S|)^2 being at least the full plan's pair count, S is every
+    mode and every convolution takes the full plan.  Ray data have their
+    line as S: a cutoff-30 ray run holds 6 of 738 modes, forms 9 of 127,188
+    pairs per stage and never builds the full plan.
     """
     lat = u0.lattice
     h = config.dt

@@ -30,11 +30,9 @@ __all__ = [
     "linear_evolution",
     "helicity",
     "helicity_series",
-    "field_shift",
     "shift_trajectory",
     "DriftingSolution",
     "pde_residual",
-    "eval_on_grid",
     "verify_ss_expansion",
 ]
 
@@ -167,7 +165,7 @@ class MeanFlow:
         return M @ self.U0
 
 
-def field_shift(u: SpectralField, shift: np.ndarray,
+def _field_shift(u: SpectralField, shift: np.ndarray,
                 mean_delta: Optional[np.ndarray] = None) -> SpectralField:
     """u(x + shift) plus an optional mean offset (spectral phase multiply)."""
     lat = u.lattice
@@ -228,7 +226,7 @@ class DriftingSolution:
 
     def velocity(self, t: float) -> SpectralField:
         core = self._core(t)
-        out = field_shift(core, -self.flow.V(t))
+        out = _field_shift(core, -self.flow.V(t))
         out.mean = self.flow.U(t)
         return out
 
@@ -269,7 +267,7 @@ class DriftingSolution:
 # pointwise residual of the momentum equation on a quadrature grid
 
 
-def eval_on_grid(lattice: Lattice, coeffs: np.ndarray, mean: np.ndarray, n: int) -> np.ndarray:
+def _eval_on_grid(lattice: Lattice, coeffs: np.ndarray, mean: np.ndarray, n: int) -> np.ndarray:
     """Evaluate a spectral field on the uniform n^3 grid (complex output).
 
     Phases factorize over axes, so each mode adds an outer product of three
@@ -324,7 +322,7 @@ def pde_residual(velocity: Callable[[float], SpectralField],
         for i, ph in zip(idx, p.values()):
             res_c[i] += 1j * lat.kcheck[i] * ph             # grad p
         res_mean = ut.mean + omega * (_J_VERT @ u.mean)
-        grid = eval_on_grid(lat, res_c, res_mean, grid_n)
+        grid = _eval_on_grid(lat, res_c, res_mean, grid_n)
         per_time.append(float(np.abs(grid).max()))
     return {
         "times": [float(t) for t in times],

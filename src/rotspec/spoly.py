@@ -40,6 +40,16 @@ product's key sums at most 96 contributions, that is about 200 eps; kappa =
 2^10 leaves a margin of 5.  Measured on those runs through order 7, the
 residues stay below 25 eps times their scale and the kept values lie above
 10^6 eps times it.
+
+Document versions, told apart by the artifact stamp of the file that holds
+them.  0.1.0 wrote a "terms" list that repeated the full frequency in every
+term; the reader takes only the columnar layout that 0.2.0 introduced
+(spoly_to_doc).  0.3.0 writes only the representative rows, half of
+0.2.0's.  A 0.2.0 order holds both halves: the reader refuses it ("twice")
+unless every pair is an exact conjugate, when it reads the polynomial that
+0.3.0 writes, so the orders of an expansion from 3 up are refused.  0.4.0
+leaves out the round-off terms above, so orders from 3 up hold far fewer
+terms; a 0.3.0 document still reads bit for bit.
 """
 
 from __future__ import annotations

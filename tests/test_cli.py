@@ -117,6 +117,18 @@ def test_spectrum_period_past_a_float_names_ell(capsys, ell):
     assert err["kind"] == "config" and err["message"].startswith("ell ")
 
 
+@pytest.mark.parametrize("flag, name", [("--cutoff", "cutoff"), ("--cap", "cap")])
+def test_spectrum_huge_rational_gives_a_short_line(capsys, flag, name):
+    """A 309-digit cutoff or cap exits 2 with one short JSON line that names
+    it, its digits abbreviated (the cutoff's line held 890 bytes)."""
+    assert main(["spectrum", flag, "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert len(captured.err.encode()) < 200
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "config" and f"{name} 100000... (309 digits)" in err["message"]
+
+
 @pytest.mark.parametrize("argv", [["spectrum", "--cap", "1e9"], ["expand", "--order", "100000"]],
                          ids=["spectrum-cap", "expand-order"])
 def test_semigroup_closure_is_bounded(pipeline, capsys, argv):
@@ -169,7 +181,7 @@ def test_simulate_blowup_exits_3(tmp_path, capsys):
     err = _stderr_error(capsys)
     assert err["code"] == 3
     assert err["kind"] == "numerical"
-    assert err["message"].startswith("state is not finite after step ")
+    assert err["message"].startswith("simulate: state is not finite after step ")
 
 
 def test_simulate_config_errors(tmp_path, capsys):
@@ -906,14 +918,17 @@ def test_verify_special_drift(capsys):
 def test_overflow_inside_a_command_exits_3(capsys, omega):
     """A finite rate whose rotation angles overflow exits 3 with one JSON
     error line on stderr and no warning, never 0 (an infinite one is a usage
-    error: test_numeric_flag_refuses_bad_values)."""
+    error: test_numeric_flag_refuses_bad_values); the message names the
+    command before numpy's text."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["verify-special", "--case", "helicity", "--omega", omega])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == "" and caught == []
     assert len(captured.err.splitlines()) == 1
-    assert json.loads(captured.err)["error"]["kind"] == "numerical"
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "numerical"
+    assert err["message"] == "verify-special: overflow encountered in multiply"
 
 
 def test_simulate_blow_up_through_an_overflow_names_the_step(tmp_path, capsys):
@@ -940,7 +955,7 @@ def test_simulate_blow_up_through_an_overflow_names_the_step(tmp_path, capsys):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     err = json.loads(captured.err)["error"]
     assert err["kind"] == "numerical"
-    assert err["message"] == "state is not finite after step 1 of 20 (t = 0.05)"
+    assert err["message"] == "simulate: state is not finite after step 1 of 20 (t = 0.05)"
     assert not out.exists()
 
 

@@ -7,16 +7,16 @@ import pytest
 from scipy.integrate import simpson
 
 from rotspec.expansion import (
+    _fit_log_slope,
     _shell_forcing,
     expand,
     fit_decay_rate,
-    fit_log_slope,
     remainder_rate,
     time_average_Q,
     to_u_expansion,
     verify_expansion_system,
 )
-from rotspec.fields import SpectralField, advect, apply_expS, random_gevrey
+from rotspec.fields import SpectralField, _rotate_by, advect, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import SolverConfig, Trajectory, integrate
 from rotspec.spoly import Frequency, SPoly, apply_expS_spoly, bilinear_spoly
@@ -335,8 +335,8 @@ def test_to_u_orders(cube_run):
     assert [mu for mu, _ in pairs] == exp.mus
     t = 0.7
     for (mu, Q), q in zip(pairs, exp.orders):
-        want = apply_expS(q.evaluate(t), -exp.omega * t)
-        np.testing.assert_allclose(Q.evaluate(t).coeffs, want.coeffs, atol=1e-14)
+        want = _rotate_by(exp.lattice, q.evaluate(t).coeffs, 1.0, -exp.omega * t)
+        np.testing.assert_allclose(Q.evaluate(t).coeffs, want, atol=1e-14)
 
 
 # -- rate fitting on synthetic data -----------------------------------------
@@ -354,11 +354,11 @@ def test_fit_decay_rate_synthetic():
 
 def test_fit_log_slope_exact():
     t = np.linspace(0.0, 5.0, 60)
-    slope, half = fit_log_slope(t, 5.0 * np.exp(-1.2 * t))
+    slope, half = _fit_log_slope(t, 5.0 * np.exp(-1.2 * t))
     assert slope == pytest.approx(1.2, abs=1e-12)
     assert half < 1e-12
     with pytest.raises(ValueError):
-        fit_log_slope(t[:4], np.zeros(4))
+        _fit_log_slope(t[:4], np.zeros(4))
     with pytest.raises(ValueError):
         fit_decay_rate(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.2]))
 

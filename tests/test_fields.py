@@ -12,7 +12,6 @@ from rotspec.fields import (
     SpectralField,
     advect,
     apply_S,
-    apply_expS,
     bilinear_B,
     convolve_advect,
     _J_VERT,
@@ -26,8 +25,8 @@ from rotspec.fields import (
     _convolve_padded,
     _lattice_frame,
     _rotate,
+    _rotate_by,
     _shell_plans,
-    eigen_restrict,
     field_from_doc,
     field_to_doc,
     inner,
@@ -123,10 +122,15 @@ def test_coriolis_antisymmetry():
     assert su.divergence_error() < 1e-14
 
 
+def _expS(u, t):
+    """exp(tS) u: the whole field rotated at rate 1, its mean kept."""
+    return SpectralField(u.lattice, _rotate_by(u.lattice, u.coeffs, 1.0, t), u.mean)
+
+
 @given(ts)
 @settings(max_examples=50, deadline=None)
 def test_rotation_group_isometry(t):
-    w = apply_expS(U3, t)
+    w = _expS(U3, t)
     assert w.norm() == pytest.approx(U3.norm(), rel=1e-12)
     assert w.norm(sigma=0.7) == pytest.approx(U3.norm(sigma=0.7), rel=1e-12)
     assert w.reality_error() < 1e-14
@@ -136,22 +140,22 @@ def test_rotation_group_isometry(t):
 @given(ts, ts)
 @settings(max_examples=50, deadline=None)
 def test_rotation_group_law(t, s):
-    a = apply_expS(apply_expS(U3, t), s)
-    b = apply_expS(U3, t + s)
+    a = _expS(_expS(U3, t), s)
+    b = _expS(U3, t + s)
     np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-13)
 
 
 def test_rotation_group_generator():
     # d/dt exp(tS)u = S exp(tS)u, checked by central difference
     t, h = 0.37, 1e-6
-    lhs = (apply_expS(U3, t + h) - apply_expS(U3, t - h)) * (0.5 / h)
-    rhs = apply_S(apply_expS(U3, t))
+    lhs = (_expS(U3, t + h) - _expS(U3, t - h)) * (0.5 / h)
+    rhs = apply_S(_expS(U3, t))
     assert (lhs - rhs).norm() < 1e-9 * rhs.norm()
 
 
 def test_rotation_commutes_with_stokes():
-    a = _stokes(apply_expS(U3, 0.9))
-    b = apply_expS(_stokes(U3), 0.9)
+    a = _stokes(_expS(U3, 0.9))
+    b = _expS(_stokes(U3), 0.9)
     np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-14)
 
 
@@ -168,11 +172,15 @@ def test_stokes_powers():
 def test_shell_partition():
     lat = LAT3
     total = SpectralField(lat)
+    parts = []
     for lam in lat.eigenvalues:
-        total = total + eigen_restrict(U3, lam)
+        idx = lat.shell_indices(lam)
+        c = np.zeros_like(U3.coeffs)
+        c[idx] = U3.coeffs[idx]
+        parts.append(SpectralField(lat, c))
+        total = total + parts[-1]
     np.testing.assert_allclose(total.coeffs, U3.coeffs, atol=1e-16)
-    assert sum(eigen_restrict(U3, lam).norm() ** 2 for lam in lat.eigenvalues) \
-        == pytest.approx(U3.norm() ** 2, rel=1e-13)
+    assert sum(part.norm() ** 2 for part in parts) == pytest.approx(U3.norm() ** 2, rel=1e-13)
 
 
 def test_random_gevrey_properties():
@@ -755,7 +763,7 @@ def test_complex_operators_are_cast_once_and_read_only():
     # every rotation user reads the one cached pair
     u = random_gevrey(lat, seed=3)
     advect(lat, u.coeffs, u.coeffs, 0.5, 2.0, lat.eigenvalues[1])
-    apply_S(apply_expS(u, 0.5))
+    apply_S(_expS(u, 0.5))
     linear_evolution(u, 0.5, 2.0)
     integrate(u, SolverConfig(dt=0.01, t_end=0.01, omega=2.0, form="u"))
     ops = _complex_ops(lat)
@@ -813,14 +821,14 @@ def _u_step_reference(lat, C, h, omega):
 
 @pytest.mark.parametrize("name", ["cube6", "ray10", "zeros6"])
 def test_rotation_users_match_real_operator_bits(name):
-    """apply_expS, apply_S, linear_evolution and a u-form integrate step give
+    """_rotate_by, apply_S, linear_evolution and a u-form integrate step give
     the bits of the real-operator einsum formulas, signed zeros included."""
     lat, samples = STACKS[name]
     X, times = samples(lat, 7, 3)
     omega = 5.0
     for C, t in zip(X, times):
         u = SpectralField(lat, C)
-        _assert_bits_equal(apply_expS(u, t).coeffs, _rotate_reference(lat, C, lat.kt3 * t))
+        _assert_bits_equal(_expS(u, t).coeffs, _rotate_reference(lat, C, lat.kt3 * t))
         inner_p = np.einsum("mij,mj->mi", lat.proj, C)
         _assert_bits_equal(apply_S(u).coeffs,
                            np.einsum("mij,mj->mi", lat.proj, inner_p @ _J_VERT.T))
@@ -864,8 +872,8 @@ def test_bilinear_energy_orthogonality():
 def test_rotated_bilinear_composition():
     t, om = 0.42, 3.0
     direct = SpectralField(LAT3, advect(LAT3, U3.coeffs, V3.coeffs, t, om))
-    composed = apply_expS(
-        bilinear_B(apply_expS(U3, -om * t), apply_expS(V3, -om * t)), om * t)
+    composed = _expS(
+        bilinear_B(_expS(U3, -om * t), _expS(V3, -om * t)), om * t)
     np.testing.assert_allclose(direct.coeffs, composed.coeffs, atol=1e-14)
     assert abs(inner(direct, V3)) < 1e-13 * U3.norm() * V3.norm()
     assert advect(LAT3, U3.coeffs, V3.coeffs, t, 0.0) == pytest.approx(bilinear_B(U3, V3).coeffs)

@@ -13,15 +13,14 @@ from rotspec.lattice import (
     LatticeError,
     SemigroupTable,
     build_lattice,
+    _squarefree_decompose,
     semigroup_table,
-    squarefree_decompose,
-    stokes_spectrum,
 )
 
 @given(st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=200)
 def test_squarefree_decompose(n):
-    a, s = squarefree_decompose(n)
+    a, s = _squarefree_decompose(n)
     assert a * a * s == n
     for p in range(2, int(math.isqrt(s)) + 1):
         assert s % (p * p) != 0
@@ -39,12 +38,12 @@ def test_cube_eigenvalues_brute_force():
                     seen[n] = seen.get(n, 0) + 1
     assert [int(l) for l in lat.eigenvalues] == sorted(seen)
     assert sorted(seen) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12]  # 7 is no sum of 3 squares
-    for lam, mult in stokes_spectrum(lat):
+    for lam, mult in zip(lat.eigenvalues, lat.multiplicity):
         assert seen[int(lam)] == mult
 
 
 def test_cube_multiplicity_table(cube6):
-    assert {int(l): m for l, m in stokes_spectrum(cube6)} == {
+    assert {int(l): m for l, m in zip(cube6.eigenvalues, cube6.multiplicity)} == {
         1: 6, 2: 12, 3: 8, 4: 6, 5: 24, 6: 24,
     }
 
@@ -151,7 +150,7 @@ def _reference_lattice(ell, cutoff):
             freq_coef.append(Fraction(0))
             continue
         ratio = q[2] * k[2] * k[2] / l
-        a, sqfree = squarefree_decompose(ratio.numerator * ratio.denominator)
+        a, sqfree = _squarefree_decompose(ratio.numerator * ratio.denominator)
         freq_sqfree.append(sqfree)
         freq_coef.append(Fraction(a, ratio.denominator) * (1 if k[2] > 0 else -1))
     return {
@@ -197,12 +196,12 @@ def test_lattice_matches_reference_loop(ell, cutoff):
 def test_squarefree_decompose_past_the_trial_bound():
     """Cofactors with no prime below 2^16: a prime, a square, two primes, or refused."""
     p, q, r = 65537, 65539, 1000003  # primes above the bound
-    assert squarefree_decompose(12 * p) == (2, 3 * p)
-    assert squarefree_decompose(18 * p * p) == (3 * p, 2)
-    assert squarefree_decompose(5 * p * q) == (1, 5 * p * q)
-    assert squarefree_decompose(4 * (p * q) ** 2) == (2 * p * q, 1)
+    assert _squarefree_decompose(12 * p) == (2, 3 * p)
+    assert _squarefree_decompose(18 * p * p) == (3 * p, 2)
+    assert _squarefree_decompose(5 * p * q) == (1, 5 * p * q)
+    assert _squarefree_decompose(4 * (p * q) ** 2) == (2 * p * q, 1)
     with pytest.raises(LatticeError, match="square-free part"):
-        squarefree_decompose(p * q * r)
+        _squarefree_decompose(p * q * r)
 
 
 def test_large_period_denominators_are_refused_quickly(capsys):
@@ -341,3 +340,10 @@ def test_shell_indices(cube6):
         total += len(idx)
         assert all(lat.lam[i] == lam for i in idx)
     assert total == lat.n_modes
+
+
+def test_lattice_error_abbreviates_huge_numbers():
+    """A run of more than 30 digits prints as its leading digits and its
+    length; one of 30 prints whole."""
+    assert str(LatticeError(f"cap {10**29}")) == f"cap {10**29}"
+    assert str(LatticeError(f"cap {10**30}/3")) == "cap 100000... (31 digits)/3"

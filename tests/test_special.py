@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotspec.fields import SpectralField, eigen_restrict, random_gevrey
+from rotspec.fields import SpectralField, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import SolverConfig, Trajectory, integrate
 from rotspec.spoly import SPoly, apply_expS_spoly
@@ -12,8 +12,8 @@ from rotspec.special import (
     DriftingSolution,
     MeanFlow,
     VkData,
-    eval_on_grid,
-    field_shift,
+    _eval_on_grid,
+    _field_shift,
     helicity,
     helicity_series,
     linear_evolution,
@@ -97,9 +97,9 @@ def test_helicity_grid_quadrature():
     lat = build_lattice(cutoff=3)
     u = random_gevrey(lat, seed=4, amplitude=1.0)
     n = 8
-    uu = eval_on_grid(lat, u.coeffs, np.zeros(3), n).real
+    uu = _eval_on_grid(lat, u.coeffs, np.zeros(3), n).real
     curl_c = 1j * np.cross(lat.kcheck, u.coeffs)
-    cc = eval_on_grid(lat, curl_c, np.zeros(3), n).real
+    cc = _eval_on_grid(lat, curl_c, np.zeros(3), n).real
     want = lat.volume * (uu * cc).sum() / n**3
     assert helicity(u) == pytest.approx(want, rel=1e-11)
 
@@ -147,7 +147,7 @@ def test_mean_flow_kinematics():
 def test_field_shift_pointwise(cube6):
     u = random_gevrey(cube6, seed=7, amplitude=1.0)
     s = np.array([0.3, -1.1, 0.7])
-    shifted = field_shift(u, s, mean_delta=[1.0, 0.0, 0.0])
+    shifted = _field_shift(u, s, mean_delta=[1.0, 0.0, 0.0])
     for x in (np.zeros(3), np.array([0.5, 0.2, -0.9])):
         want = _value_at(u, x + s) + np.array([1.0, 0.0, 0.0])
         np.testing.assert_allclose(_value_at(shifted, x), want, atol=1e-12)
@@ -158,7 +158,7 @@ def test_eval_on_grid_matches_pointwise():
     u = random_gevrey(lat, seed=8, amplitude=1.0)
     u.mean[:] = [0.2, 0.0, -0.1]
     n = 4
-    grid = eval_on_grid(lat, u.coeffs, u.mean, n)
+    grid = _eval_on_grid(lat, u.coeffs, u.mean, n)
     for idx in ((0, 0, 0), (1, 3, 2), (3, 1, 0)):
         x = np.array([idx[j] * lat.L[j] / n for j in range(3)])
         np.testing.assert_allclose(grid[idx], _value_at(u, x), atol=1e-12)
@@ -252,7 +252,12 @@ def test_momentum_residual_negative_controls(drifting):
 def _linear_terms(u0, omega):
     """[(lam, Q)] of the linear flow u(t) = sum Q(t) exp(-lam t) from u0:
     Q = exp(-Omega t S) R_lam u0 on each shell that u0 occupies."""
-    parts = [(lam, eigen_restrict(u0, lam)) for lam in u0.lattice.eigenvalues]
+    parts = []
+    for lam in u0.lattice.eigenvalues:
+        idx = u0.lattice.shell_indices(lam)
+        c = np.zeros_like(u0.coeffs)
+        c[idx] = u0.coeffs[idx]
+        parts.append((lam, SpectralField(u0.lattice, c)))
     return [(lam, apply_expS_spoly(SPoly.from_field(part), -omega))
             for lam, part in parts if part.coeffs.any()]
 
