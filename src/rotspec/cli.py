@@ -237,7 +237,8 @@ def _resolve_out(path: Optional[str]) -> Optional[str]:
 @contextlib.contextmanager
 def _output(path: Optional[str], newline: Optional[str] = None):
     """Stream for an --out path (stdout for "-"); a path that cannot be
-    opened for writing is a config error."""
+    opened for writing is a config error, and a command that fails while
+    writing leaves no file."""
     path = _resolve_out(path)
     if path is None or path == "-":
         yield sys.stdout
@@ -246,8 +247,13 @@ def _output(path: Optional[str], newline: Optional[str] = None):
         fh = open(path, "w", newline=newline)
     except OSError as e:
         raise CliError(EXIT_CONFIG, "config", f"cannot write output: {e}")
-    with fh:
-        yield fh
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
 
 
 def _write_text(path: Optional[str], text: str):
@@ -350,7 +356,10 @@ def cmd_simulate(args) -> int:
     traj = integrate(u0, SolverConfig(omega=cfg["omega"], **cfg["solver"]))
     gevrey = [tuple(g) for g in cfg.get("output", {}).get("gevrey_norms", [])]
     with _output(args.out) as fh:
-        trajectory_to_jsonl(traj, fh, config_doc=cfg, gevrey=gevrey)
+        try:
+            trajectory_to_jsonl(traj, fh, config_doc=cfg, gevrey=gevrey)
+        except ValueError as e:  # a norm that overflows
+            raise CliError(EXIT_NUMERICAL, "numerical", f"simulate: {e}") from None
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ import math
 import weakref
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 # csr_matvecs(M, N, k, indptr, indices, data, X, Y) adds A @ X into Y, for
@@ -81,25 +81,8 @@ class SpectralField:
         n = len(modes)
         ks = np.array(list(modes), dtype=int).reshape(n, 3)
         z = np.array(list(modes.values()), dtype=complex).reshape(n, 3)
-        return cls._from_arrays(lattice, _modes_of(lattice, ks), z, mean)
-
-    @classmethod
-    def _from_arrays(cls, lattice: Lattice, idx: np.ndarray, z: np.ndarray,
-                     mean: Optional[Sequence[float]]) -> "SpectralField":
-        """from_modes on N mode indices and their (N,3) coefficients.
-
-        A repeated mode takes its last coefficient.
-        """
-        u = cls(lattice, mean=mean)
-        u.coeffs[idx] = z
-        seen = np.zeros(lattice.n_modes, dtype=bool)
-        seen[idx] = True
-        alone = idx[~seen[lattice.conj_idx[idx]]]
-        u.coeffs[lattice.conj_idx[alone]] = np.conj(u.coeffs[alone])
-        err = u.reality_error()
-        if err > 1e-10 * max(1.0, float(np.abs(u.coeffs).max())):
-            raise ValueError(f"conjugate-mode pairing violated (error {err:.2e})")
-        return u
+        parts = np.stack([z.real, z.imag])
+        return cls(lattice, _scatter(lattice, [n], _modes_of(lattice, ks), parts)[0], mean)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.lattice, self.coeffs.copy(), self.mean.copy())
@@ -130,13 +113,20 @@ class SpectralField:
         return float(_gevrey_norms(self.lattice, self.coeffs, alpha, sigma, self.mean))
 
 
-def _modes_of(lattice: Lattice, ks: np.ndarray) -> np.ndarray:
+def _unnamed(i: int) -> str:
+    return ""
+
+
+def _modes_of(lattice: Lattice, ks: np.ndarray,
+              where: Callable[[int], str] = _unnamed) -> np.ndarray:
     """Lattice.index_of for an (N,3) integer array whose wave vectors must all
-    be modes; ValueError names the first one that is not."""
+    be modes; ValueError names the first one that is not, after where(n)
+    for its row n."""
     idx = lattice.index_of(ks)
     if np.any(idx < 0):
-        k = tuple(int(c) for c in ks[np.argmax(idx < 0)])
-        raise ValueError(f"mode {k} is outside the lattice (cutoff {lattice.cutoff})")
+        n = int(np.argmax(idx < 0))
+        k = tuple(int(c) for c in ks[n])
+        raise ValueError(f"{where(n)}mode {k} is outside the lattice (cutoff {lattice.cutoff})")
     return idx
 
 
@@ -672,18 +662,34 @@ def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,
 
 
 # -- JSON interchange -------------------------------------------------------
+#
+# One codec serves one field document and a stack of them (the trajectory
+# stream, rotspec.solver): _field_docs writes the documents of a stack,
+# _doc_rows reads one document's rows and _fields_of checks and scatters the
+# rows of any number of documents at once.  field_to_doc and field_from_doc
+# are their one-sample case.
+
+def _field_docs(lattice: Lattice, coeffs: np.ndarray,
+                means: Optional[np.ndarray] = None) -> Iterator[dict]:
+    """field_to_doc of each sample of an (R,M,3) stack, in order, with the
+    (R,3) means (zero when None): one non-zero mask and one gather serve the
+    whole stack."""
+    L = [float(x) for x in lattice.L]
+    means = np.zeros((len(coeffs), 3)) if means is None else means
+    keep = lattice.rep_mask & np.any(coeffs != 0, axis=-1)
+    sample, idx = np.nonzero(keep)
+    ks, z = lattice.ks[idx], coeffs[sample, idx]
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    for mean, start, end in zip(means.tolist(), [0] + ends, ends):
+        rows = slice(start, end)
+        yield {"L": list(L), "mean": mean,
+               "modes": [{"k": k, "re": re, "im": im} for k, re, im in
+                         zip(ks[rows].tolist(), z[rows].real.tolist(), z[rows].imag.tolist())]}
+
 
 def field_to_doc(u: SpectralField) -> dict:
     """One representative per conjugate pair, non-zero modes, lattice order."""
-    lat = u.lattice
-    idx = np.flatnonzero(lat.rep_mask & np.any(u.coeffs != 0, axis=1))
-    z = u.coeffs[idx]
-    return {
-        "L": [float(x) for x in lat.L],
-        "mean": u.mean.tolist(),
-        "modes": [{"k": k, "re": re, "im": im} for k, re, im in
-                  zip(lat.ks[idx].tolist(), z.real.tolist(), z.imag.tolist())],
-    }
+    return next(_field_docs(u.lattice, u.coeffs[None], u.mean[None]))
 
 
 # What a document row holds: its element types, the dtype it is read as, the
@@ -704,7 +710,7 @@ def _rows(rows: list, what: str) -> np.ndarray:
     types, dtype, noun, beyond = _ROWS[what]
     try:  # the common case, checked at C speed
         if set(map(len, rows)) <= {3} and set(map(type, chain.from_iterable(rows))) <= types:
-            return np.array(rows, dtype=dtype).reshape(len(rows), 3)
+            return np.fromiter(chain.from_iterable(rows), dtype, 3 * len(rows)).reshape(-1, 3)
     except (TypeError, OverflowError):
         pass
     for r in rows:
@@ -716,6 +722,79 @@ def _rows(rows: list, what: str) -> np.ndarray:
             raise ValueError(f"{what} {tuple(r)} is {beyond}") from None
 
 
+def _doc_rows(doc: dict) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """A field document's N wave vectors, (N,3) int64, the real and imaginary
+    parts of their coefficients, (2,N,3) float, and its mean, (3,) float or
+    None when absent, each row read as _rows reads it.  A missing "modes"
+    raises KeyError."""
+    modes = doc["modes"]
+    n = len(modes)
+    ks = _rows([m["k"] for m in modes], "wave vector")
+    parts = _rows([m["re"] for m in modes] + [m["im"] for m in modes], "coefficient")
+    mean = _rows([doc["mean"]], "mean")[0] if "mean" in doc else None
+    return ks, parts.reshape(2, n, 3), mean
+
+
+def _fields_of(lattice: Lattice, counts: Sequence[int], ks: np.ndarray, parts: np.ndarray,
+               where: Callable[[int], str] = _unnamed) -> np.ndarray:
+    """The (R,M,3) stack of R documents' rows, as _doc_rows reads them and
+    concatenated over the documents, of which document i holds counts[i].
+
+    Every wave vector must be a mode and each coefficient orthogonal to its
+    wave vector; the rest is checked as _scatter checks it.  Each check
+    runs once over all the rows.  ValueError names the first document i at
+    fault after where(i).
+    """
+    sample = np.repeat(np.arange(len(counts)), counts)
+
+    def row_where(n: int) -> str:
+        return where(int(sample[n]))
+
+    idx = _modes_of(lattice, ks, row_where)
+    off = _along_k(lattice, idx, parts)
+    if off.any():
+        n = int(np.argmax(off))
+        k = tuple(int(c) for c in ks[n])
+        raise ValueError(f"{row_where(n)}the coefficient of mode {k} "
+                         "is not orthogonal to its wave vector")
+    return _scatter(lattice, counts, idx, parts, where)
+
+
+def _scatter(lattice: Lattice, counts: Sequence[int], idx: np.ndarray, parts: np.ndarray,
+             where: Callable[[int], str] = _unnamed) -> np.ndarray:
+    """The (R,M,3) stack of R fields given by mode indices idx and the real
+    and imaginary parts of their coefficients, (2,N,3), of which sample i
+    holds the next counts[i], with conjugates filled by pairing.  Parts are
+    copied bit for bit, the sign of a zero included.  A repeated mode takes
+    its last coefficient.  A sample given both members of a pair must keep
+    reality_error within 1e-10 * max(1, max |coefficient|), or ValueError
+    names the first such sample i after where(i).
+    """
+    sample = np.repeat(np.arange(len(counts)), counts)
+    out = np.zeros((len(counts), lattice.n_modes, 3), dtype=complex)
+    out.real[sample, idx], out.imag[sample, idx] = parts
+    seen = np.zeros(out.shape[:2], dtype=bool)
+    seen[sample, idx] = True
+    partner = lattice.conj_idx[idx]
+    alone = ~seen[sample, partner]
+    s = sample[alone]
+    fill = out[s, idx[alone]]
+    out[s, partner[alone]] = np.conjugate(fill, out=fill)
+    # a partner filled by np.conj pairs exactly, so only samples given both
+    # members of a pair are checked, a block of samples at a time
+    paired = np.unique(sample[~alone])
+    step = max(1, _STACK_BLOCK_BYTES // (48 * lattice.n_modes))
+    for start in range(0, len(paired), step):
+        blk = out[paired[start:start + step]]
+        err = np.abs(blk[:, lattice.conj_idx] - np.conj(blk)).max(axis=(1, 2))
+        bad = err > 1e-10 * np.maximum(1.0, np.abs(blk).max(axis=(1, 2)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{where(int(paired[start + i]))}conjugate-mode pairing "
+                             f"violated (error {err[i]:.2e})")
+    return out
+
+
 def field_from_doc(doc: dict, lattice: Lattice) -> SpectralField:
     """Inverse of field_to_doc on a given lattice; conjugates filled by pairing.
 
@@ -725,15 +804,5 @@ def field_from_doc(doc: dict, lattice: Lattice) -> SpectralField:
     such row of three numbers; an absent mean is zero.  A missing "modes"
     raises KeyError.
     """
-    modes = doc["modes"]
-    n = len(modes)
-    ks = _rows([m["k"] for m in modes], "wave vector")
-    parts = _rows([m["re"] for m in modes] + [m["im"] for m in modes], "coefficient")
-    parts = parts.reshape(2, n, 3)
-    idx = _modes_of(lattice, ks)
-    off = _along_k(lattice, idx, parts)
-    if off.any():
-        k = tuple(int(c) for c in ks[np.argmax(off)])
-        raise ValueError(f"the coefficient of mode {k} is not orthogonal to its wave vector")
-    mean = _rows([doc["mean"]], "mean")[0] if "mean" in doc else None
-    return SpectralField._from_arrays(lattice, idx, parts[0] + 1j * parts[1], mean)
+    ks, parts, mean = _doc_rows(doc)
+    return SpectralField(lattice, _fields_of(lattice, [len(ks)], ks, parts)[0], mean)

@@ -27,11 +27,12 @@ from . import __version__
 from .lattice import Lattice, build_lattice
 from .fields import (
     SpectralField,
-    field_from_doc,
-    field_to_doc,
     _advect,
     _angles,
     _closed_frame,
+    _doc_rows,
+    _field_docs,
+    _fields_of,
     _gevrey_norms,
     _per_mode,
     _rotate_by,
@@ -270,6 +271,30 @@ def config_hash(doc: dict) -> str:
 def trajectory_to_jsonl(traj: Trajectory, stream: IO[str],
                         config_doc: Optional[dict] = None,
                         gevrey: Sequence[Tuple[float, float]] = ()) -> None:
+    """Write traj as JSON lines: a header line, then one record per sample.
+
+    The header is json.dumps with sorted keys, so config_hash reads the
+    config as it always has.  Each record holds the sample's time, its
+    field document (fields.field_to_doc) and its norms: L2, H1 and one per
+    (alpha, sigma) in gevrey.  Records are written by orjson with sorted
+    keys, compact, with every float in its shortest round-trip form, so
+    json.loads reads each number back to the same bits.  JSON has no
+    spelling for NaN or infinity, and orjson writes them as null, which
+    reads back as no number at all; so a sample whose time, coefficients or
+    norms are not all finite raises ValueError naming its index and time,
+    before anything is written.
+    """
+    import orjson
+
+    norms = np.stack([traj.norms(), traj.norms(0.5, 0.0)]
+                     + [traj.norms(a, s) for a, s in gevrey], axis=1)
+    finite = (np.isfinite(traj.times) & np.isfinite(norms).all(axis=1)
+              & np.isfinite(traj.coeffs).all(axis=(1, 2)))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"trajectory sample {i} (t = {float(traj.times[i])!r}) holds a "
+                         "time, coefficient or norm that is not finite; JSON records "
+                         "hold finite numbers only")
     meta = {
         "meta": {
             "form": traj.form,
@@ -284,15 +309,11 @@ def trajectory_to_jsonl(traj: Trajectory, stream: IO[str],
         }
     }
     stream.write(json.dumps(meta, sort_keys=True) + "\n")
-    l2, h1 = traj.norms().tolist(), traj.norms(0.5, 0.0).tolist()
-    gev = [traj.norms(a, s).tolist() for a, s in gevrey]
-    for i, t in enumerate(traj.times):
-        rec = {
-            "t": float(t),
-            "field": field_to_doc(SpectralField(traj.lattice, traj.coeffs[i])),
-            "norms": {"l2": l2[i], "h1": h1[i], "gevrey": [g[i] for g in gev]},
-        }
-        stream.write(json.dumps(rec, sort_keys=True) + "\n")
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+    docs = _field_docs(traj.lattice, traj.coeffs)
+    for t, doc, (l2, h1, *gev) in zip(traj.times.tolist(), docs, norms.tolist()):
+        rec = {"t": t, "field": doc, "norms": {"l2": l2, "h1": h1, "gevrey": gev}}
+        stream.write(orjson.dumps(rec, option=option).decode())
 
 
 def _is_number(x) -> bool:
@@ -331,29 +352,47 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
     if "dt" in meta and not _is_number(meta["dt"]):
         raise ValueError(f"trajectory header key 'dt' must be a number, not {meta['dt']!r}")
     times: List[float] = []
-    rows: List[np.ndarray] = []
+    lines: List[int] = []
+    counts: List[int] = []
+    # each line's rows are appended to growing buffers: thousands of small
+    # arrays kept to the end of the read would fragment the heap
+    ks, real, imag, means = bytearray(), bytearray(), bytearray(), bytearray()
     for n, line in enumerate(stream, start=2):
         line = line.strip()
         if not line:
             continue
         rec = _json_line(line, f"trajectory line {n}")
         try:
-            field = field_from_doc(rec["field"], lat)
+            k, p, mean = _doc_rows(rec["field"])
             t = rec["t"]
         except KeyError as e:
             raise ValueError(f"trajectory line {n} lacks key {e}") from None
         except TypeError as e:
             raise ValueError(f"trajectory line {n} is malformed: {e}") from None
+        except ValueError as e:
+            raise ValueError(f"trajectory line {n}: {e}") from None
         if not _is_finite_number(t):
             raise ValueError(f"trajectory line {n} key 't' must be a finite number, not {t!r}")
-        # a Trajectory holds zero-mean fields only, so a mean would be dropped
-        if field.mean.any():
-            raise ValueError(f"trajectory line {n} has mean {field.mean.tolist()}; "
-                             "trajectories hold zero-mean fields only")
-        rows.append(field.coeffs)
         times.append(t)
-    if not rows:
+        lines.append(n)
+        counts.append(len(k))
+        ks += k.tobytes()
+        real += p[0].tobytes()
+        imag += p[1].tobytes()
+        means += bytes(24) if mean is None else mean.tobytes()  # absent: three +0.0
+    if not times:
         raise ValueError("trajectory file holds no sample lines, only its header")
-    traj = Trajectory(lat, form, omega, np.array(times),
-                      np.array(rows), dt=meta.get("dt", float("nan")))
+    parts = np.stack([np.frombuffer(real).reshape(-1, 3), np.frombuffer(imag).reshape(-1, 3)])
+    del real, imag
+    coeffs = _fields_of(lat, counts, np.frombuffer(ks, np.int64).reshape(-1, 3), parts,
+                        lambda i: f"trajectory line {lines[i]}: ")
+    # a Trajectory holds zero-mean fields only, so a mean would be dropped
+    means = np.frombuffer(means).reshape(-1, 3)
+    nonzero = np.any(means, axis=1)
+    if nonzero.any():
+        i = int(np.argmax(nonzero))
+        raise ValueError(f"trajectory line {lines[i]} has mean {means[i].tolist()}; "
+                         "trajectories hold zero-mean fields only")
+    traj = Trajectory(lat, form, omega, np.array(times), coeffs,
+                      dt=meta.get("dt", float("nan")))
     return traj, meta

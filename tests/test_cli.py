@@ -8,7 +8,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -17,6 +20,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import rotspec
 from rotspec import __version__
 from rotspec.cli import (CONFIG_SCHEMA, EXIT_NUMERICAL, OUTDIR_ENV, CliError, _dump,
                          _validator, build_parser, main)
@@ -341,6 +345,23 @@ def test_simulate_file_initial_nan_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_refuses_norms_that_overflow(tmp_path, capsys):
+    """A finite run whose norms overflow exits 3 and leaves no file: JSON
+    has no number for the infinite norm (earlier versions wrote `Infinity`)."""
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path, lattice={"cutoff": 2},
+                  initial={"kind": "vk", "k": [1, 0, 0],
+                           "coefficients": {"1": [[0.0, 0.0], [1e160, 0.0], [0.0, 0.0]]}},
+                  solver={"dt": 0.01, "t_end": 0.05, "form": "u"})
+    out = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = _stderr_error(capsys)
+    assert err["kind"] == "numerical"
+    assert err["message"].startswith("simulate: trajectory sample 0 (t = 0.0) holds a time, "
+                                     "coefficient or norm that is not finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, error", [([1, 2], "TypeError"),
                                         ({"L": [1, 1, 1]}, "KeyError")],
                          ids=["list", "no-modes"])
@@ -360,7 +381,7 @@ def test_simulate_file_initial_wrong_shape(tmp_path, capsys, doc, error):
 def _refused_on_both_paths(tmp_path, capsys, edit, message, part=lambda doc: doc["modes"][0]):
     """Apply edit to part of a field file and of a trajectory record (by
     default their first mode); simulate and expand must each exit 2 with a
-    JSON config error."""
+    JSON config error, and the trajectory's names the record's line."""
     field_path = tmp_path / "u0.json"
     field_path.write_text(json.dumps(
         field_to_doc(random_gevrey(build_lattice(cutoff=3), seed=4, amplitude=0.02))))
@@ -385,6 +406,7 @@ def _refused_on_both_paths(tmp_path, capsys, edit, message, part=lambda doc: doc
     assert main(["expand", "--traj", str(traj_path), "--order", "1"]) == 2
     err = _stderr_error(capsys)
     assert err["kind"] == "config" and message in err["message"]
+    assert err["message"].startswith("trajectory line 2")
 
 
 @pytest.mark.parametrize("k, message", [([1.5, 0, 0], "not three integers"),
@@ -454,6 +476,16 @@ def test_coefficients_must_be_divergence_free(tmp_path, capsys):
     def along_k(mode):
         mode.update(re=[float(c) for c in mode["k"]], im=[0.0, 0.0, 0.0])
     _refused_on_both_paths(tmp_path, capsys, along_k, "not orthogonal to its wave vector")
+
+
+def test_conjugate_pairs_must_agree(tmp_path, capsys):
+    """A document giving both members of a conjugate pair, which are not
+    conjugates, exits 2 on either path."""
+    def both_members(doc):
+        mode = doc["modes"][0]
+        doc["modes"].append({"k": [-c for c in mode["k"]], "re": mode["re"], "im": mode["im"]})
+    _refused_on_both_paths(tmp_path, capsys, both_members, "conjugate-mode pairing violated",
+                           part=lambda doc: doc)
 
 
 # ---------------------------------------------------------------------------
@@ -1460,3 +1492,19 @@ def test_outdir_env_redirects_relative_paths(tmp_path, monkeypatch):
     assert main(["spectrum", "--cutoff", "2", "--out", str(absolute)]) == 0
     assert absolute.is_file()
     assert not (outdir / "direct.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_import_of_the_cli_leaves_orjson_unloaded():
+    """Only the trajectory writer imports orjson, so a command that writes
+    no trajectory never loads it."""
+    src = str(Path(rotspec.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, rotspec.cli; print('orjson' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert (run.returncode, run.stdout.strip()) == (0, "False"), run.stderr

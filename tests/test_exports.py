@@ -90,6 +90,7 @@ PRIVATE_IMPORTS = {
     "expansion": ["fields._gevrey_norms", "fields._rotated_products", "fields._shell_rows",
                   "spoly._sum_spoly"],
     "solver": ["fields._advect", "fields._angles", "fields._closed_frame",
+               "fields._doc_rows", "fields._field_docs", "fields._fields_of",
                "fields._gevrey_norms", "fields._per_mode", "fields._rotate_by",
                "fields._shell_plans", "fields._strided"],
     "special": ["fields._J_VERT", "fields._along_k", "fields._apply_jk", "fields._gevrey_norms",

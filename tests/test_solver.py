@@ -220,6 +220,86 @@ def test_jsonl_roundtrip(cube6):
         assert got == [traj.field(i).norm(a, s) for i in range(traj.n_samples)]
 
 
+def test_writer_refuses_a_non_finite_sample(cube6):
+    """orjson would write NaN as null, which reads back as no number, so the
+    writer refuses the stack, naming the first non-finite sample, before it
+    writes a byte."""
+    u = random_gevrey(cube6, seed=2)
+    coeffs = np.stack([u.coeffs] * 3)
+    coeffs[1, 5, 0] = np.nan
+    traj = Trajectory(cube6, "v", 1.0, [0.0, 0.5, 1.0], coeffs, dt=0.5)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape("trajectory sample 1 (t = 0.5) holds")):
+        trajectory_to_jsonl(traj, buf)
+    assert buf.getvalue() == ""
+
+
+RT_LATTICES = {"cube": build_lattice(cutoff=3), "ell": build_lattice(ell=(1, 1, "1/2"), cutoff=3)}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@given(st.sampled_from(sorted(RT_LATTICES)), st.sampled_from(["u", "v"]), st.integers(0, 2**16),
+       st.floats(-300.0, 300.0), st.floats(-1e6, 1e6), st.floats(1e-6, 10.0),
+       st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(["subnormal", "-0", "mixed"])),
+                max_size=6), st.booleans())
+@settings(deadline=None, max_examples=60)
+def test_jsonl_round_trip_is_bit_exact(name, form, seed, log_amp, t0, dt, edits, minus_zeros):
+    """Random-gevrey stacks scaled by 1e-300 to 1e300, with some conjugate
+    pairs set to subnormals, -0.0 or a mix, and optionally every zero part
+    made -0.0, read back bit for bit: the
+    coefficients, the times, and the norms recorded and recomputed.  A
+    mode written with no non-zero part reads back as +0.0, as the format
+    writes no zero mode.  The same records spelled by stdlib json.dumps, as
+    earlier versions wrote them, read back to the same bits.  A stack whose
+    norms overflow is refused before a byte is written."""
+    lat = RT_LATTICES[name]
+    rep, conj = np.flatnonzero(lat.rep_mask), lat.conj_idx[lat.rep_mask]
+    rng = np.random.default_rng(seed)
+    z = np.stack([random_gevrey(lat, seed + r).coeffs[rep] for r in range(4)])
+    half = np.empty_like(z)
+    half.real, half.imag = z.real * 10.0 ** log_amp, z.imag * 10.0 ** log_amp
+    for pick, kind in edits:  # subnormal parts stay within the orthogonality bound
+        parts = rng.choice([-1, 1], (2, 3)) * rng.integers(1, 2**52, (2, 3)) * 5e-324
+        if kind != "subnormal":
+            parts[(rng.random((2, 3)) < 0.5) | (kind == "-0")] = -0.0
+        row = (pick % len(half), pick // len(half) % len(rep))
+        half.real[row], half.imag[row] = parts
+    if minus_zeros:
+        half.real[half.real == 0], half.imag[half.imag == 0] = -0.0, -0.0
+    coeffs = np.zeros((len(half), lat.n_modes, 3), dtype=complex)
+    coeffs[:, rep] = half
+    coeffs[:, conj] = np.conj(half)  # exact pairs, as the reader fills them
+    times = t0 + dt * np.arange(len(coeffs))
+    traj = Trajectory(lat, form, 2.5, times, coeffs, dt=dt)
+    gevrey = [(0.0, 1.0)]
+    norms = [traj.norms(), traj.norms(0.5, 0.0), traj.norms(0.0, 1.0)]
+    buf = io.StringIO()
+    if not np.isfinite(norms).all():
+        with pytest.raises(ValueError, match="trajectory sample 0 "):
+            trajectory_to_jsonl(traj, buf, gevrey=gevrey)
+        assert buf.getvalue() == ""
+        return
+    trajectory_to_jsonl(traj, buf, gevrey=gevrey)
+    want = coeffs.copy()
+    want[~np.any(coeffs != 0, axis=-1)] = 0.0
+    header, *records = buf.getvalue().splitlines()
+    docs = [json.loads(line) for line in records]
+    recorded = [[d["norms"]["l2"] for d in docs], [d["norms"]["h1"] for d in docs],
+                [d["norms"]["gevrey"][0] for d in docs]]
+    np.testing.assert_array_equal(_bits(recorded), _bits(norms))
+    stdlib = "\n".join([header] + [json.dumps(d, sort_keys=True) for d in docs])
+    for text in (buf.getvalue(), stdlib):
+        back, meta = trajectory_from_jsonl(io.StringIO(text))
+        assert (meta["form"], back.form) == (form, form)
+        np.testing.assert_array_equal(back.coeffs.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(_bits(back.times), _bits(times))
+        for (a, s), got in zip([(0.0, 0.0), (0.5, 0.0), (0.0, 1.0)], norms):
+            np.testing.assert_array_equal(_bits(back.norms(a, s)), _bits(got))
+
+
 # ---------------------------------------------------------------------------
 # the closed-support run against a loop over every mode
 
