@@ -7,20 +7,24 @@ u_hat(-k) = conj(u_hat(k)) keeps the velocity real.  Norms follow the
 Parseval convention |u|^2 = L1*L2*L3 * sum_k |u_hat(k)|^2.
 
 Rotation sits at the edges of one unrotated advection kernel, _advect
-(convolve, mirror, project on a row frame, _Frame).  Every angle of
-exp(rate t S) comes from _angles, the package's only np.cos/np.sin caller;
-_rotate_by rotates whole samples (linear_evolution, transform_trajectory,
-the integrator's records).  _rotated_products is the one loop of the
-rotated B_Omega over a stack of samples, behind advect and the resonant
-fit (rotspec.expansion): it rotates each block of samples (_stack_block;
-one sample is one block) once, forms the caller's products unrotated on a
-shell's rows and rotates their sum back once.  The integrator rotates
-only through its fused propagators (rotspec.solver).  Rotation and
+(convolve, project on a row frame, _Frame), which returns the
+representative outputs only: real-paired inputs make the other half their
+conjugates.  Every angle of exp(rate t S) comes from _angles, the
+package's only np.cos/np.sin caller; _rotate_by rotates whole samples
+(linear_evolution, transform_trajectory).  _rotated_products is the one
+loop of the rotated B_Omega over a stack of samples, behind advect and
+the resonant fit (rotspec.expansion): it rotates each block of samples
+(_stack_block; one sample is one block) once, forms the caller's products
+unrotated on a shell's representative rows and rotates their sum back
+once.  The integrator (rotspec.solver) steps the representative half of
+a frame whose rows list the representatives first, rotates only through
+its fused propagators and its records' representative rows.  Rotation and
 projection multiply by the lattice's cached complex operators
 (_complex_ops).  The convolution sums its pairs in scipy's compiled CSR
-routine with a shell's full plan (_ShellPlans) or a closed support's
-re-indexed plan (_closed_frame), and _mirror writes every conjugate half:
-the convolution's, random_gevrey's and SPoly.evaluate_many's.
+routine with a shell's full plan (_ShellPlans) or a frame's re-indexed
+plan (_closed_frame, _paired_frame).  _mirror writes every conjugate half, and only the
+callers that need full rows call it: convolve_advect, _rotated_products,
+the integrator's records, random_gevrey and SPoly.evaluate_many.
 """
 
 from __future__ import annotations
@@ -133,9 +137,11 @@ def _modes_of(lattice: Lattice, ks: np.ndarray,
 def _along_k(lattice: Lattice, idx: np.ndarray, parts: np.ndarray) -> np.ndarray:
     """Per mode idx[n], whether its coefficient z = parts[0, n] + i*parts[1, n]
     leaves the plane orthogonal to its wave vector: |Re z.ktil| + |Im z.ktil|
-    is above 1e-10 * max(1, max_c |z_c|)."""
-    off = np.abs(np.einsum("snc,nc->sn", parts, lattice.ktil[idx])).sum(axis=0)
-    return off > 1e-10 * np.maximum(1.0, np.hypot(*parts).max(axis=1))
+    is above 1e-10 * max(1, max_c |z_c|).  Parts near the float range may
+    make either side infinite, which the comparison reads as it stands."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = np.abs(np.einsum("snc,nc->sn", parts, lattice.ktil[idx])).sum(axis=0)
+        return off > 1e-10 * np.maximum(1.0, np.hypot(*parts).max(axis=1))
 
 
 def _gevrey_norms(lattice: Lattice, coeffs: np.ndarray, alpha: float = 0.0,
@@ -281,7 +287,9 @@ class _Plan:
 
     Pair p multiplies U_im[p] . kc[:, p] by V_ij[p] into output row o for
     indptr[o] <= p < indptr[o + 1]; each row lists its pairs by first mode,
-    in the full plan's order.  kc holds the output wave vectors as three
+    in the full plan's order.  The output rows are the lattice's
+    representative modes, in mode order (empty off the shell lam), and
+    the inputs its n_in modes.  kc holds the output wave vectors as three
     contiguous rows, cast to complex and read-only: a complex factor times a
     real one is cast to complex, through a buffer, on every call, so a
     product with the cast values has the real vectors' bits without the
@@ -299,21 +307,27 @@ class _Plan:
         row, a = divmod(flat, len(rows_u))
         io = outs[row]
         self.im, self.ij = rows_u[a], pair.ravel()[flat]
-        self.indptr = np.r_[0, np.cumsum(np.bincount(io, minlength=lattice.n_modes))]
+        reps = np.flatnonzero(lattice.rep_mask)
+        self.indptr = np.r_[0, np.cumsum(np.bincount(np.searchsorted(reps, io),
+                                                     minlength=len(reps)))]
+        self.n_in = lattice.n_modes
         self.kc = np.ascontiguousarray(lattice.kcheck[io].T, dtype=complex)
         self.kc.flags.writeable = False
         self.blocks = {}
 
-    def reindexed(self, rows: np.ndarray) -> "_Plan":
-        """The plan on the frame of rows (sorted mode indices that hold every
-        mode the plan reads or writes): its modes become positions in rows.
-        The pairs, their order and kc are this plan's."""
-        pos = np.zeros(len(self.indptr) - 1, dtype=self.im.dtype)
+    def reindexed(self, lattice: Lattice, rows: np.ndarray) -> "_Plan":
+        """The plan on a frame of rows (representative modes, sorted, then
+        their partners in that order: _Frame) that hold every mode the plan
+        reads or writes: its modes become positions in rows and its output
+        rows the frame's representatives.  The pairs, their order and kc
+        are this plan's."""
+        pos = np.zeros(self.n_in, dtype=self.im.dtype)
         pos[rows] = np.arange(len(rows))
+        outs = np.searchsorted(np.flatnonzero(lattice.rep_mask), rows[:len(rows) // 2])
         plan = object.__new__(type(self))
         plan.im, plan.ij = pos[self.im], pos[self.ij]
-        plan.indptr = np.r_[0, np.cumsum(np.diff(self.indptr)[rows])]
-        plan.kc, plan.blocks = self.kc, {}
+        plan.indptr = np.r_[0, np.cumsum(np.diff(self.indptr)[outs])]
+        plan.n_in, plan.kc, plan.blocks = len(rows), self.kc, {}
         return plan
 
     def block(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -326,11 +340,11 @@ class _Plan:
             if n == 1:
                 pair = self.indptr, self.ij
             else:
-                M, P = len(self.indptr) - 1, len(self.ij)
+                R, P = len(self.indptr) - 1, len(self.ij)
                 offs = np.arange(n)[:, None]
-                idx = np.int32 if n * max(M, P) < 2**31 else np.int64
+                idx = np.int32 if n * max(R, self.n_in, P) < 2**31 else np.int64
                 pair = (np.r_[0, (self.indptr[1:] + P * offs).ravel()].astype(idx),
-                        (self.ij + M * offs).ravel().astype(idx))
+                        (self.ij + self.n_in * offs).ravel().astype(idx))
             self.blocks[n] = pair
         return pair
 
@@ -367,36 +381,35 @@ def _shell_plans(lattice: Lattice, lam) -> _ShellPlans:
 class _Frame:
     """The rows of a lattice that the advection kernel (_advect) acts on.
 
-    rows is None for every mode, or a sorted array of mode indices closed
-    under conjugation; the kernel's (..., n, 3) arrays hold the n rows in
-    that order.  The frame keeps what the kernel reads per row, taken once:
-    the complex P_k (_complex_ops' value, or its rows sliced from the
-    lattice's and laid out as that is, so _per_mode forms each row's
-    product in the same loop), and mirror, the frame positions of the
-    representative rows and of their conjugate partners (_mirror).  kbound
-    is 4 max|kcheck| over the lattice (_convolve).  plan is a closed
-    support's plan, re-indexed to frame positions (_closed_frame); the
+    rows is None for every mode in mode order (the lattice frame), or the
+    frame's modes: its representative modes, sorted, then their conjugate
+    partners in the same order.  The kernel takes (..., n, 3) arrays of the
+    n rows in frame order and returns the rows of the frame's
+    representative modes, outs (sorted).  The frame keeps what the kernel
+    and its callers read per output row, taken once: the complex P_k and
+    J_k, sliced from the lattice's and laid out as _complex_ops lays them
+    out, so _per_mode forms each row's product in the same loop; and
+    mirror, the frame's representative modes and their partners (_mirror),
+    where a caller writes full (M, 3) rows.  plan is the frame's own plan,
+    re-indexed to frame positions (_closed_frame, _paired_frame); the
     lattice frame has none and takes each shell's full plan from its
-    record.  No frame rotates: the kernel is unrotated (_advect).  The
-    frame refers to its lattice weakly: the lattice caches its own frame,
-    and a reference back would make a cycle that keeps a dropped lattice,
-    with every plan it caches, until the cyclic collector runs.
+    record.  kbound is 4 max|kcheck| over the lattice on a frame whose plan
+    drops pairs (a closed support, _convolve), None on one that drops
+    none.  No frame rotates: the kernel is unrotated (_advect).  The frame refers to its
+    lattice weakly: the lattice caches its own frames, and a reference
+    back would make a cycle that keeps a dropped lattice, with every plan
+    it caches, until the cyclic collector runs.
     """
 
-    __slots__ = ("_lattice", "rows", "proj", "mirror", "kbound", "plan")
+    __slots__ = ("_lattice", "rows", "outs", "proj", "jk", "mirror", "kbound", "plan")
 
     def __init__(self, lattice: Lattice, rows: Optional[np.ndarray] = None,
-                 plan: Optional[_Plan] = None):
+                 plan: Optional[_Plan] = None, drops: bool = False):
         self._lattice, self.rows, self.plan = weakref.ref(lattice), rows, plan
-        if rows is None:
-            self.proj = _complex_ops(lattice)[1]
-            rep = np.flatnonzero(lattice.rep_mask)
-            self.mirror = (rep, lattice.conj_idx[rep])
-        else:
-            self.proj = _strided(lattice.proj[rows])
-            rep = np.flatnonzero(lattice.rep_mask[rows])
-            self.mirror = (rep, np.searchsorted(rows, lattice.conj_idx[rows[rep]]))
-        self.kbound = 4.0 * np.abs(lattice.kcheck).max()
+        self.outs = np.flatnonzero(lattice.rep_mask) if rows is None else rows[:len(rows) // 2]
+        self.mirror = (self.outs, lattice.conj_idx[self.outs])
+        self.proj, self.jk = _strided(lattice.proj[self.outs]), _strided(lattice.jk[self.outs])
+        self.kbound = 4.0 * np.abs(lattice.kcheck).max() if drops else None
 
     @property
     def lattice(self) -> Lattice:
@@ -411,30 +424,51 @@ def _lattice_frame(lattice: Lattice) -> _Frame:
     return frame
 
 
-def _closed_frame(lattice: Lattice, C: np.ndarray) -> _Frame:
-    """The frame of the closed support S of a real-paired (M,3) field C.
+def _paired_rows(lattice: Lattice, rows: np.ndarray) -> np.ndarray:
+    """rows (sorted, closed under conjugation) in frame order: their
+    representative modes, then those modes' partners."""
+    rep = rows[lattice.rep_mask[rows]]
+    return np.r_[rep, lattice.conj_idx[rep]]
 
-    S starts as C's non-zero modes and their conjugate partners.  It takes
-    in the output modes, and their partners, of the plan of every output
-    restricted to (S, S), until it stops changing.  No pair of modes in S
-    then reaches a mode outside S.  The frame is S with that plan,
-    re-indexed, the one support-restricted plan a kernel takes, while
-    (3|S|)^2, the most pairs of non-zero entries two fields on S can have,
-    is below the full plan's pair count.  Otherwise it is the lattice
-    frame, whose kernel takes the full plan.  No plan this builds is cached
-    in the shell record.
+
+def _paired_frame(lattice: Lattice) -> _Frame:
+    """The frame of every mode of the lattice in frame order, with the full
+    plan re-indexed to it, cached per lattice: the integrator's frame on
+    dense data.  Its plan drops no pair."""
+    frame = lattice.__dict__.get("_paired_frame")
+    if frame is None:
+        rows = _paired_rows(lattice, np.arange(lattice.n_modes))
+        plan = _shell_plans(lattice, None).plan(lattice).reindexed(lattice, rows)
+        frame = lattice._paired_frame = _Frame(lattice, rows, plan)
+    return frame
+
+
+def _closed_frame(lattice: Lattice, C: np.ndarray) -> _Frame:
+    """The integrator's frame for a real-paired (M,3) field C.
+
+    The closed support S starts as C's non-zero modes and their conjugate
+    partners.  It takes in the output modes, and their partners, of the
+    plan of every output restricted to (S, S), until it stops changing.
+    No pair of modes in S then reaches a mode outside S.  The frame is S
+    with that plan, re-indexed, the one support-restricted plan a kernel
+    takes, while (3|S|)^2, the most pairs of non-zero entries two fields on
+    S can have, is below the full plan's pair count.  Otherwise it is the
+    lattice's paired frame (_paired_frame), whose plan is the full plan.
+    No plan this builds is cached in the shell record.
     """
     n_pairs = _shell_plans(lattice, None).n_pairs
+    reps = np.flatnonzero(lattice.rep_mask)
     live = C.any(axis=-1)
     rows = np.flatnonzero(live | live[lattice.conj_idx])
     while (3 * len(rows)) ** 2 < n_pairs:
         plan = _Plan(lattice, None, (rows, rows))
-        outs = np.flatnonzero(np.diff(plan.indptr))
+        outs = reps[np.flatnonzero(np.diff(plan.indptr))]
         grown = np.union1d(rows, np.r_[outs, lattice.conj_idx[outs]])
         if len(grown) == len(rows):
-            return _Frame(lattice, rows, plan.reindexed(rows))
+            rows = _paired_rows(lattice, rows)
+            return _Frame(lattice, rows, plan.reindexed(lattice, rows), drops=True)
         rows = grown
-    return _lattice_frame(lattice)
+    return _paired_frame(lattice)
 
 
 def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -444,21 +478,24 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray) -> np.ndarra
     samples; returns the un-projected array of the same shape,
     b_k = sum_{m+j=k} i (U_m . kcheck_k) V_j, accumulated as one sparse
     matrix-vector product (block-diagonal over the samples) over the
-    representative outputs, with the conjugate half mirrored.  The sum runs
-    over the lattice's full plan, built the first time a convolution takes
-    it.
+    representative outputs (_convolve), with the conjugate half mirrored.
+    The sum runs over the lattice's full plan, built the first time a
+    convolution takes it.
 
     Each pair's dot product is summed left to right over the three
     components, (U_m0 k0 + U_m1 k1) + U_m2 k2, on one (3, ..., P) gather of
     U's components at the pairs.
     """
-    return _convolve(_lattice_frame(lattice), U, V, _shell_plans(lattice, None))
+    frame = _lattice_frame(lattice)
+    half = _convolve(frame, U, V, _shell_plans(lattice, None))
+    return _mirror(frame.mirror, np.empty(half.shape[:-2] + U.shape[-2:], dtype=complex), half)
 
 
 def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans) -> np.ndarray:
-    """convolve_advect in a frame, on the shell of a _ShellPlans record: on
-    the lattice frame with the shell's full plan, on a closed frame (lam
-    None) with the frame's plan.
+    """convolve_advect's representative outputs in a frame, (..., n_out, 3)
+    for (..., n, 3) inputs on the frame's rows, on the shell of a
+    _ShellPlans record: on the lattice frame with the shell's full plan, on
+    another frame (lam None) with the frame's plan.  Nothing is mirrored.
 
     A pair a closed frame's plan drops has a factor outside the frame,
     where the inputs are zero; it is an exact zero only if its other factor
@@ -471,12 +508,12 @@ def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans) 
     factor reaches no output: its products are zeros, which no sum
     changes, or inf times zero, which is the same NaN for either sign.
     """
-    if frame.plan is not None and not (
+    if frame.kbound is not None and not (
             math.isfinite(frame.kbound * np.abs(U).max(initial=0.0))
             and (V is U or np.isfinite(V.sum()))):
         return _convolve_padded(frame, U, V, record)
     plan = frame.plan or record.plan(frame.lattice)
-    rows = len(plan.indptr) - 1
+    rows, outs = plan.n_in, len(plan.indptr) - 1
     # the compiled sum reads its arrays unchecked: a mis-shaped input would
     # read past them instead of raising
     if U.shape != V.shape or V.shape[-2:] != (rows, 3):
@@ -493,20 +530,21 @@ def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans) 
     # scipy's S @ V, with S = (dots, indices, indptr): the same sum into a
     # +0 output, on V as the C-ordered complex128 array that product takes
     # for a V of complex128 or any narrower type
-    out = np.zeros(V.shape, dtype=complex)
-    csr_matvecs(n * rows, n * rows, 3, indptr, indices, dots.ravel(),
+    out = np.zeros(V.shape[:-2] + (outs, 3), dtype=complex)
+    csr_matvecs(n * outs, n * rows, 3, indptr, indices, dots.ravel(),
                 np.ascontiguousarray(V, dtype=complex).ravel(), out.ravel())
     np.multiply(1j, out, out=out)
-    return _mirror(frame, out)
+    return out
 
 
 def _convolve_padded(frame: _Frame, U: np.ndarray, V: np.ndarray,
                      record: _ShellPlans) -> np.ndarray:
     """_convolve of a closed frame through the lattice frame's full plan, on
-    U and V padded with +0 to every mode: the frame's rows of that product.
-    Where the product is not finite outside the frame, which the frame
-    cannot hold, every entry is NaN instead."""
+    U and V padded with +0 to every mode: the frame's representative rows
+    of that product.  Where the product is not finite outside the frame,
+    which the frame cannot hold, every entry is NaN instead."""
     lattice = frame.lattice
+    whole = _lattice_frame(lattice)
 
     def pad(A):
         out = np.zeros(A.shape[:-2] + (lattice.n_modes, 3), dtype=complex)
@@ -514,22 +552,30 @@ def _convolve_padded(frame: _Frame, U: np.ndarray, V: np.ndarray,
         return out
 
     Up = pad(U)
-    full = _convolve(_lattice_frame(lattice), Up, Up if V is U else pad(V), record)
-    out = full[..., frame.rows, :]
-    if not np.isfinite(np.delete(full, frame.rows, axis=-2)).all():
+    full = _convolve(whole, Up, Up if V is U else pad(V), record)
+    outs = np.searchsorted(whole.outs, frame.outs)
+    out = full[..., outs, :]
+    if not np.isfinite(np.delete(full, outs, axis=-2)).all():
         out[...] = np.nan
     return out
 
 
-def _mirror(frame: _Frame, out: np.ndarray) -> np.ndarray:
-    """Write the conjugate half of a real-paired (..., n, 3) array on a
-    frame's rows (or of an (n, k) array of them) from its representative half,
-    out[..., conj, :] = conj(out[..., rep, :]) for (rep, conj) = frame.mirror,
-    in place; returns out.  The one writer of a conjugate half from a
-    representative half."""
-    rep, conj = frame.mirror
-    half = out.take(rep, axis=-2)
-    out[..., conj, :] = np.conjugate(half, out=half)
+def _mirror(pairing: Tuple[np.ndarray, np.ndarray], out: np.ndarray,
+            half: Optional[np.ndarray] = None) -> np.ndarray:
+    """Write the conjugate half of a real-paired (..., n, 3) array (or of an
+    (n, k) array of rows) from its representative half,
+    out[..., conj, :] = conj(out[..., rep, :]) for (rep, conj) = pairing (a
+    frame's mirror), in place; returns out.  When half, the (..., len(rep),
+    3) representative rows, is given, it is written first.  The one writer
+    of a conjugate half from a representative half."""
+    rep, conj = pairing
+    if half is None:
+        half = out.take(rep, axis=-2)
+        np.conjugate(half, out=half)
+    else:
+        out[..., rep, :] = half
+        half = np.conjugate(half)
+    out[..., conj, :] = half
     return out
 
 
@@ -552,17 +598,23 @@ def _rotated_products(lattice: Lattice, lam, t, omega: float,
 
     The one block loop of B_Omega.  Per block, each input is rotated once
     into the u frame, X_u = exp(-Omega t S) X; form(B, *blocks) returns a
-    sum of products B(X_u, Y_u) of the unrotated kernel on the shell's rows
-    (_advect), and the sum is rotated back once.  The rotation acts mode by
-    mode, so it commutes with the shell restriction and the projection.
+    sum of products B(X_u, Y_u) of the unrotated kernel on the shell's
+    representative rows (_advect), the sum is rotated back once and its
+    conjugates fill the partners' rows (_mirror).  The rotation acts mode
+    by mode, so it commutes with the shell restriction and the projection.
     """
     record = _shell_plans(lattice, lam)
     frame = _lattice_frame(lattice)
     rows = slice(0, lattice.n_modes) if lam is None else _shell_rows(lattice, lam)
+    outs = slice(None) if lam is None else _shell_outs(frame, lam)
+    reps = frame.outs[outs]
+    # the shell's representatives and their partners, as positions in its rows
+    pairing = frame.mirror if lam is None else (reps - rows.start,
+                                                lattice.conj_idx[reps] - rows.start)
     jk = _complex_ops(lattice)[0]
 
     def B(X, Y):
-        return _advect(frame, X, Y, record)[:, rows]
+        return _advect(frame, X, Y, record)[:, outs]
 
     n = len(inputs[0])
     out = np.empty((n, rows.stop - rows.start, 3), dtype=complex)
@@ -576,8 +628,8 @@ def _rotated_products(lattice: Lattice, lam, t, omega: float,
         acc = form(B, *blocks)
         if omega != 0.0:
             # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s
-            acc = _rotate(jk[rows], acc, c[..., rows], -s[..., rows])
-        out[blk] = acc
+            acc = _rotate(frame.jk[outs], acc, c[..., reps], -s[..., reps])
+        _mirror(pairing, out[blk], acc)
     return out
 
 
@@ -589,8 +641,9 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     coefficient arrays, or on (B,M,3) stacks of samples with t a scalar or a
     (B,) array of their times; X and Y must have one shape.  Inputs must
     obey the conjugate pairing X(-k) = conj(X(k)) (every field the package
-    builds does): only the representative half of the product is computed.
-    With lam given, only output modes on the Stokes shell lam are computed,
+    builds does): only the representative half of the product is computed,
+    and each partner row is np.conj of its representative's.  With lam
+    given, only output modes on the Stokes shell lam are computed,
     projected and rotated back; every other row is zero, and each computed
     row equals the unrestricted one bit for bit.  The stack is taken in
     blocks (_rotated_products), with X rotated once when Y is X.
@@ -610,19 +663,19 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
 
 def _advect(frame: _Frame, X: np.ndarray, Y: np.ndarray, record: _ShellPlans) -> np.ndarray:
     """The unrotated kernel B(X, Y) on one block of samples of a frame's
-    rows, on the shell of a _ShellPlans record: convolve (as _convolve
-    convolves), mirror, project.  Every rotation is the caller's
-    (_rotated_products, the integrator's propagator).
+    rows, on the shell of a _ShellPlans record: the representative
+    outputs, convolved (_convolve) and projected.  Every rotation, and every
+    mirror, is the caller's (_rotated_products, the integrator).
 
     Without a shell the projection acts on the convolution's whole array
-    and returns a new one; with one it acts on the shell's rows, written
-    back into it.
+    and returns a new one; with one it acts on the shell's rows
+    (_shell_outs), written back into it.
     """
     b = _convolve(frame, X, Y, record)
     if record.lam is None:
         return _per_mode(frame.proj, b)
-    rows = _shell_rows(frame.lattice, record.lam)
-    b[..., rows, :] = _per_mode(frame.proj[rows], b[..., rows, :])
+    outs = _shell_outs(frame, record.lam)
+    b[..., outs, :] = _per_mode(frame.proj[outs], b[..., outs, :])
     return b
 
 
@@ -631,6 +684,15 @@ def _shell_rows(lattice: Lattice, lam) -> slice:
     eigenvalue); empty when lam is not an eigenvalue, whose shell is -1."""
     s = lattice.shell(lam)
     lo, hi = np.searchsorted(lattice.shell_of, [s, s + 1])
+    return slice(int(lo), int(hi))
+
+
+def _shell_outs(frame: _Frame, lam) -> slice:
+    """The kernel's output rows on a frame (frame.outs) that lie on the
+    Stokes shell lam, as a slice: outs are sorted, and a shell's modes are
+    a slice of the lattice (_shell_rows)."""
+    rows = _shell_rows(frame.lattice, lam)
+    lo, hi = np.searchsorted(frame.outs, [rows.start, rows.stop])
     return slice(int(lo), int(hi))
 
 
@@ -645,7 +707,9 @@ def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,
 
     Coefficients are drawn per representative mode, Leray-projected, damped
     by exp(-sigma sqrt(lam)), mirrored to the conjugate modes and scaled so
-    the L2 norm equals `amplitude`.  Deterministic in (lattice, seed, sigma).
+    the L2 norm equals `amplitude`; each partner is np.conj of its
+    representative, the sign of a zero included.  Deterministic in
+    (lattice, seed, sigma).
     """
     rng = np.random.default_rng(seed)
     u = SpectralField(lattice)
@@ -654,10 +718,12 @@ def random_gevrey(lattice: Lattice, seed: int, sigma: float = 1.0,
         z = lattice.proj[i] @ z
         z *= math.exp(-sigma * math.sqrt(lattice.lam_f[i]))
         u.coeffs[i] = z
-    _mirror(_lattice_frame(lattice), u.coeffs)
+    mirror = _lattice_frame(lattice).mirror
+    _mirror(mirror, u.coeffs)
     n = u.norm()
     if n > 0:
         u.coeffs *= amplitude / n
+        _mirror(mirror, u.coeffs)  # the complex product may flip a zero part's sign
     return u
 
 
@@ -771,18 +837,19 @@ def _scatter(lattice: Lattice, counts: Sequence[int], idx: np.ndarray, parts: np
     names the first such sample i after where(i).
     """
     sample = np.repeat(np.arange(len(counts)), counts)
+    partner = lattice.conj_idx[idx]
     out = np.zeros((len(counts), lattice.n_modes, 3), dtype=complex)
+    # every given mode's partner first, as np.conj of it, part by part from
+    # the parts themselves; then the given modes, which overwrite a partner
+    # that is given too
+    out.real[sample, partner] = parts[0]
+    out.imag[sample, partner] = np.negative(parts[1])
     out.real[sample, idx], out.imag[sample, idx] = parts
     seen = np.zeros(out.shape[:2], dtype=bool)
     seen[sample, idx] = True
-    partner = lattice.conj_idx[idx]
-    alone = ~seen[sample, partner]
-    s = sample[alone]
-    fill = out[s, idx[alone]]
-    out[s, partner[alone]] = np.conjugate(fill, out=fill)
     # a partner filled by np.conj pairs exactly, so only samples given both
     # members of a pair are checked, a block of samples at a time
-    paired = np.unique(sample[~alone])
+    paired = np.unique(sample[seen[sample, partner]])
     step = max(1, _STACK_BLOCK_BYTES // (48 * lattice.n_modes))
     for start in range(0, len(paired), step):
         blk = out[paired[start:start + step]]

@@ -4,9 +4,10 @@ Both forms take one integrating-factor (Lawson) RK4 step, in the rotating
 frame: the linear part (Stokes + rotation) is advanced exactly, mode by
 mode, by one fused operator decay (cos theta I + sin theta J_k) at
 fields._angles' angles, and classical RK4 acts on the unrotated kernel
-(fields._advect).  The step commutes with the constant rotation
-exp(Omega t_n S), so a v-form run steps u and rotates only its records to
-v = exp(Omega t S) u (fields._rotate_by).  Vanishing nonlinearity therefore
+(fields._advect).  The state is the representative half of a real field;
+its partners are its conjugates.  The step commutes with the constant
+rotation exp(Omega t_n S), so a v-form run steps u and rotates only its
+records to v = exp(Omega t S) u.  Vanishing nonlinearity therefore
 reproduces the linear special solutions to machine precision, and the
 energy identity d/dt (|v|^2/2) + ||v||^2 = 0 holds exactly for the
 truncated system.
@@ -34,7 +35,9 @@ from .fields import (
     _field_docs,
     _fields_of,
     _gevrey_norms,
+    _mirror,
     _per_mode,
+    _rotate,
     _rotate_by,
     _shell_plans,
     _strided,
@@ -145,31 +148,38 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     exact arithmetic; against stepping v with the rotated nonlinearity, a
     cutoff-6 v-form run differs by at most a few 1e-15 of its largest
     coefficient.  A v-form run steps u from exp(-Omega t0 S) u0 and
-    rotates each recorded state to v at its time, as transform_trajectory
-    rotates it (fields._rotate_by); its record 0 is u0 as given.  It takes
-    config.n_steps steps of exactly dt and records the initial state and
-    every record_stride-th state after it.  A u-state that is no longer
+    rotates each recorded state's representative rows to v at its time, as
+    transform_trajectory rotates them (fields._rotate_by); its record 0 is
+    u0 as given.  It takes config.n_steps steps of exactly dt and records
+    the initial state and every record_stride-th state after it.  A u-state that is no longer
     finite stops the run with a FloatingPointError naming the step and its
     time; numpy's overflow and invalid-value flags stay quiet inside the
     steps, whatever the caller's np.errstate, so that check is the one that
     stops it.
 
-    The run computes on the closed support S of u0 (fields._closed_frame).
-    S starts as u0's non-zero modes and their conjugate partners, and takes
+    The state is real, u(-k) = conj(u(k)), so the run steps only the
+    representative half; u0 is read on its representative modes.  It
+    computes on the closed support S of u0 (fields._closed_frame).  S
+    starts as u0's non-zero modes and their conjugate partners, and takes
     in every mode that a pair of modes in S reaches, with its partner,
     until it stops changing.  No pair of modes in S reaches a mode outside
     S, and the propagator maps zero to zero, so the modes outside S stay
-    zero for the whole run: the state is the (|S|, 3) array of S's rows,
-    the convolution plan is built once on S and re-indexed to positions in
-    S, the propagator, projection and mirror act on S's rows only, and
-    every recorded mode outside S holds a zero whose sign is unspecified.
-    On S every bit is the one a step on all M modes gives, and a state
-    that a step on all M modes would make non-finite stops the run at the
-    same step (fields._convolve).  When S is too large for its plan to
-    pay, (3|S|)^2 being at least the full plan's pair count, S is every
-    mode and every convolution takes the full plan.  Ray data have their
-    line as S: a cutoff-30 ray run holds 6 of 738 modes, forms 9 of 127,188
-    pairs per stage and never builds the full plan.
+    zero for the whole run.  The state is the (|S|/2, 3) array of S's
+    representative rows; each stage writes it and its conjugate into one
+    (|S|, 3) buffer of S's rows, representatives first, and convolves that
+    with the plan built once on S and re-indexed to those positions.  The
+    kernel sums and projects the representative outputs only, and the
+    propagator, the RK4 combinations and the finiteness check act on the
+    representative rows only.  Each record holds the representative rows
+    and their np.conj (fields._mirror); every recorded mode outside S is
+    +0.  The representative rows carry the bits of a step on all M modes
+    (one that forms -B(u, u) and mirrors each stage), and a state that such
+    a step would make non-finite stops the run at the same step
+    (fields._convolve).  When S is too large for its plan to pay, (3|S|)^2
+    being at least the full plan's pair count, S is every mode and every
+    convolution takes the full plan.  Ray data have their line as S: a
+    cutoff-30 ray run holds 6 of 738 modes, forms 9 of 127,188 pairs per
+    stage and never builds the full plan.
     """
     lat = u0.lattice
     h = config.dt
@@ -180,7 +190,8 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
 
     frame = _closed_frame(lat, u0.coeffs)
     record = _shell_plans(lat, None)
-    rows = slice(None) if frame.rows is None else frame.rows
+    reps = frame.outs
+    n = len(reps)
 
     def make_prop(s: float):
         # decay (cos theta I + sin theta J_k) per mode, formed on every mode
@@ -188,35 +199,44 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
         c, sn = _angles(lat, -om, s)
         op = np.exp(-s * lat.lam_f)[:, None, None] * (
             c[:, None, None] * np.eye(3) + sn[:, None, None] * lat.jk)
-        op = _strided(op[rows])
+        op = _strided(op[reps])
         return lambda C: _per_mode(op, C)
 
-    def N(C):
-        return -_advect(frame, C, C, record)
+    rows = np.empty((2 * n, 3), dtype=complex)
+
+    def B(C):
+        # the frame's rows: C, then its conjugate on the partners
+        rows[:n] = C
+        np.conjugate(C, out=rows[n:])
+        return _advect(frame, rows, rows, record)
 
     C0 = u0.coeffs.astype(complex)
     records = np.zeros((n_steps // config.record_stride + 1, lat.n_modes, 3), dtype=complex)
     records[0] = C0
     with np.errstate(over="ignore", invalid="ignore"):
         Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
-        C = (_rotate_by(lat, C0, -om, t0) if v_form else C0)[rows]
+        C = (_rotate_by(lat, C0, -om, t0) if v_form else C0)[reps]
         times: List[float] = [t0]
         for step in range(n_steps):
-            a = N(C)
-            b = N(Ph2(C + 0.5 * h * a))
-            c = N(Ph2(C) + 0.5 * h * b)
+            # RK4 on N = -B: each stage's sign sits in the combinations,
+            # which IEEE rounding, symmetric in sign, leaves bit for bit
+            a = B(C)
+            b = B(Ph2(C - 0.5 * h * a))
+            c = B(Ph2(C) - 0.5 * h * b)
             PC = Ph(C)
-            d = N(PC + h * Ph2(c))
-            C = PC + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
+            d = B(PC - h * Ph2(c))
+            C = PC - (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
             t = t0 + (step + 1) * h
             if not np.isfinite(C).all():
                 raise FloatingPointError(
                     f"state is not finite after step {step + 1} of {n_steps} (t = {t:.6g})")
             if (step + 1) % config.record_stride == 0:
-                rec = records[len(times)]
-                rec[rows] = C
                 if v_form:
-                    rec[...] = _rotate_by(lat, rec, om, t)
+                    cos, sin = _angles(lat, om, t)
+                    rec = _rotate(frame.jk, C, cos[reps], sin[reps])
+                else:
+                    rec = C
+                _mirror(frame.mirror, records[len(times)], rec)
                 times.append(t)
     return Trajectory(lat, config.form, om, np.array(times), records, dt=h)
 
@@ -286,8 +306,9 @@ def trajectory_to_jsonl(traj: Trajectory, stream: IO[str],
     """
     import orjson
 
-    norms = np.stack([traj.norms(), traj.norms(0.5, 0.0)]
-                     + [traj.norms(a, s) for a, s in gevrey], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, naming the sample
+        norms = np.stack([traj.norms(), traj.norms(0.5, 0.0)]
+                         + [traj.norms(a, s) for a, s in gevrey], axis=1)
     finite = (np.isfinite(traj.times) & np.isfinite(norms).all(axis=1)
               & np.isfinite(traj.coeffs).all(axis=(1, 2)))
     if not finite.all():
@@ -333,9 +354,39 @@ def _json_line(line: str, where: str):
         raise ValueError(f"{where} is not valid JSON: {e.msg} at column {e.colno}") from None
 
 
+def _record_rows(rec, n: int):
+    """(t, (wave vectors, parts, mean)) of the parsed record rec on file line
+    n, each row read as fields._doc_rows reads it; a record of the wrong
+    shape raises ValueError naming the line."""
+    try:
+        rows = _doc_rows(rec["field"])
+        t = rec["t"]
+    except KeyError as e:
+        raise ValueError(f"trajectory line {n} lacks key {e}") from None
+    except TypeError as e:
+        raise ValueError(f"trajectory line {n} is malformed: {e}") from None
+    except ValueError as e:
+        raise ValueError(f"trajectory line {n}: {e}") from None
+    if not _is_finite_number(t):
+        raise ValueError(f"trajectory line {n} key 't' must be a finite number, not {t!r}")
+    return t, rows
+
+
 def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
     """Returns (trajectory, meta-dict).  Malformed input raises ValueError,
-    which names the file line at fault."""
+    which names the file line at fault.
+
+    The header is read by json.loads, each record by orjson.loads.  A record
+    line that orjson, or the checks on what it read, refuse is read again by
+    json.loads, through the same checks, so every refusal is the one the
+    stdlib parser gives: orjson reads an integer past 2**64 as a float, so
+    a wave vector of one would not be three integers, and it refuses a
+    number beyond the float range and NaN, which json.loads reads as a
+    number that the checks, or the caller, refuse.  Every number both
+    parsers read, they read to the same bits.
+    """
+    import orjson
+
     header = _json_line(stream.readline(), "trajectory header (line 1)")
     try:
         meta = header["meta"]
@@ -361,18 +412,10 @@ def trajectory_from_jsonl(stream: IO[str]) -> Tuple[Trajectory, dict]:
         line = line.strip()
         if not line:
             continue
-        rec = _json_line(line, f"trajectory line {n}")
         try:
-            k, p, mean = _doc_rows(rec["field"])
-            t = rec["t"]
-        except KeyError as e:
-            raise ValueError(f"trajectory line {n} lacks key {e}") from None
-        except TypeError as e:
-            raise ValueError(f"trajectory line {n} is malformed: {e}") from None
-        except ValueError as e:
-            raise ValueError(f"trajectory line {n}: {e}") from None
-        if not _is_finite_number(t):
-            raise ValueError(f"trajectory line {n} key 't' must be a finite number, not {t!r}")
+            t, (k, p, mean) = _record_rows(orjson.loads(line), n)
+        except ValueError:  # orjson.JSONDecodeError is one
+            t, (k, p, mean) = _record_rows(_json_line(line, f"trajectory line {n}"), n)
         times.append(t)
         lines.append(n)
         counts.append(len(k))

@@ -401,7 +401,7 @@ class SPoly:
             if s is None:
                 s = series[(m, wid)] = (ts**m * np.exp(1j * w * ts))[:, None]
             out_t[i] += s * c[None, :]
-        _mirror(_lattice_frame(self.lattice), out_t.reshape(len(out_t), 3 * len(ts)))
+        _mirror(_lattice_frame(self.lattice).mirror, out_t.reshape(len(out_t), 3 * len(ts)))
         return out_t.transpose(1, 0, 2)
 
     def __repr__(self):

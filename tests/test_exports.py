@@ -91,8 +91,8 @@ PRIVATE_IMPORTS = {
                   "spoly._sum_spoly"],
     "solver": ["fields._advect", "fields._angles", "fields._closed_frame",
                "fields._doc_rows", "fields._field_docs", "fields._fields_of",
-               "fields._gevrey_norms", "fields._per_mode", "fields._rotate_by",
-               "fields._shell_plans", "fields._strided"],
+               "fields._gevrey_norms", "fields._mirror", "fields._per_mode", "fields._rotate",
+               "fields._rotate_by", "fields._shell_plans", "fields._strided"],
     "special": ["fields._J_VERT", "fields._along_k", "fields._apply_jk", "fields._gevrey_norms",
                 "fields._modes_of", "fields._rotate_by"],
     "spoly": ["fields._lattice_frame", "fields._mirror", "fields._modes_of", "fields._rows"],

@@ -24,6 +24,7 @@ from rotspec.fields import (
     _convolve,
     _convolve_padded,
     _lattice_frame,
+    _mirror,
     _rotate,
     _rotate_by,
     _shell_plans,
@@ -288,43 +289,65 @@ def test_conv_plan_matches_reference_loop():
             np.testing.assert_array_equal(plan.kc, lat.kcheck[io[sel]].T)
             assert plan.im.flags.c_contiguous and plan.ij.flags.c_contiguous
             assert plan.kc.flags.c_contiguous
-            np.testing.assert_array_equal(
-                plan.indptr, np.r_[0, np.cumsum(np.bincount(io[sel], minlength=lat.n_modes))])
+            np.testing.assert_array_equal(plan.indptr, _indptr(lat, io[sel]))
             assert _shell_plans(lat, lam).n_pairs == len(plan.im)
 
 
+def _indptr(lat, io):
+    """A plan's indptr for pairs with output modes io: one row per
+    representative mode of the lattice, in mode order."""
+    reps = np.flatnonzero(lat.rep_mask)
+    return np.r_[0, np.cumsum(np.bincount(np.searchsorted(reps, io), minlength=len(reps)))]
+
+
+def _plan_outs(lattice, rows=None):
+    """The output modes of a plan on a frame of rows (None: every mode):
+    the frame's representative modes."""
+    return np.flatnonzero(lattice.rep_mask) if rows is None else rows[:len(rows) // 2]
+
+
+def _mirrored(lattice, out):
+    """out (.., M, 3) with each partner row set to np.conj of its
+    representative's, in place."""
+    rep = np.flatnonzero(lattice.rep_mask)
+    out[..., lattice.conj_idx[rep], :] = np.conj(out[..., rep, :])
+    return out
+
+
 def _convolve_reference(lattice, U, V, plan, rows=None):
-    """One sample's convolution on a plan, as scipy's public CSR product.
+    """One sample's convolution on a plan, as scipy's public CSR product:
+    its representative output rows.
 
     rows are the mode indices of the plan's frame (None: every mode), and U
     and V are (len(rows), 3).  Each pair's dot product is the length-3 sum
     over a (P,3) gather of the output wave vectors, as numpy reduces it.
     """
-    rows = np.arange(lattice.n_modes) if rows is None else rows
-    R = len(rows)
-    io = np.repeat(np.arange(R), np.diff(plan.indptr))
-    dots = (U[plan.im] * lattice.kcheck[rows[io]]).sum(axis=1)
-    out = 1j * (sp.csr_matrix((dots, plan.ij, plan.indptr), shape=(R, R)) @ V)
-    rep = np.flatnonzero(lattice.rep_mask[rows])
-    out[np.searchsorted(rows, lattice.conj_idx[rows[rep]])] = np.conj(out[rep])
-    return out
+    outs = _plan_outs(lattice, rows)
+    io = np.repeat(np.arange(len(outs)), np.diff(plan.indptr))
+    dots = (U[plan.im] * lattice.kcheck[outs[io]]).sum(axis=1)
+    return 1j * (sp.csr_matrix((dots, plan.ij, plan.indptr), shape=(len(outs), len(U))) @ V)
 
 
 def _advect_reference(lattice, X, Y, t=0.0, omega=0.0):
-    """The single-sample kernel as a loop body: one CSR product per call."""
+    """The single-sample kernel as a loop body: one CSR product per call,
+    mirrored, projected and rotated on every mode; then each partner row
+    is set to np.conj of its representative's, as the kernel returns it."""
     def rotate(C, theta):
         rot = np.einsum("mij,mj->mi", lattice.jk, C)
         return np.cos(theta)[:, None] * C + np.sin(theta)[:, None] * rot
 
     def convolve(U, V):
-        return _convolve_reference(lattice, U, V, _Plan(lattice, None, None))
+        out = np.empty(U.shape, dtype=complex)
+        out[lattice.rep_mask] = _convolve_reference(lattice, U, V, _Plan(lattice, None, None))
+        return _mirrored(lattice, out)
 
     if omega == 0.0:
-        return np.einsum("mij,mj->mi", lattice.proj, convolve(X, Y))
+        return _mirrored(lattice, np.einsum("mij,mj->mi", lattice.proj, convolve(X, Y)))
     theta = -omega * lattice.kt3 * t
     Xr = rotate(X, theta)
     Yr = Xr if Y is X else rotate(Y, theta)
-    return rotate(np.einsum("mij,mj->mi", lattice.proj, convolve(Xr, Yr)), -theta)
+    return _mirrored(lattice, rotate(np.einsum("mij,mj->mi", lattice.proj, convolve(Xr, Yr)),
+                                     -theta))
 
 
 def _assert_bits_equal(got, want):
@@ -530,7 +553,7 @@ def test_plan_builder_restricts_the_full_plan_in_order():
                 np.testing.assert_array_equal(got, want)
                 assert got.dtype == want.dtype and got.flags.c_contiguous
             im, ij, kc, indptr = full.im, full.ij, full.kc, full.indptr
-            io = np.repeat(every, np.diff(indptr))
+            io = np.repeat(_plan_outs(lat), np.diff(indptr))
             for size in (0, 1, 5, M // 3):
                 rows_u = np.sort(rng.choice(M, size, replace=False))
                 rows_v = np.sort(rng.choice(M, M - size, replace=False))
@@ -539,8 +562,7 @@ def test_plan_builder_restricts_the_full_plan_in_order():
                 np.testing.assert_array_equal(r.im, im[keep])
                 np.testing.assert_array_equal(r.ij, ij[keep])
                 np.testing.assert_array_equal(r.kc, kc[:, keep])
-                np.testing.assert_array_equal(
-                    r.indptr, np.r_[0, np.cumsum(np.bincount(io[keep], minlength=M))])
+                np.testing.assert_array_equal(r.indptr, _indptr(lat, io[keep]))
 
 
 def _spy_plans(monkeypatch):
@@ -672,15 +694,19 @@ def test_closed_frame_keeps_the_full_plans_non_finite_products(monkeypatch, valu
     t, rows = 0.7, frame.rows
     with np.errstate(all="ignore"):
         want = advect(lat, X, X, t, omega)
+        got = np.zeros_like(X)
         if omega == 0.0:
-            got = _advect(frame, X[rows], X[rows], record)
+            half = _advect(frame, X[rows], X[rows], record)
         else:  # a closed frame does not rotate: rotate every mode around it, as advect does
             jk = _complex_ops(lat)[0]
             c, s = _angles(lat, -omega, t)
             Xr = _rotate(jk, X, c, s)[rows]
             b = np.zeros_like(X)
-            b[rows] = _advect(frame, Xr, Xr, record)
-            got = _rotate(jk, b, c, -s)[rows]
+            b[frame.outs] = _advect(frame, Xr, Xr, record)
+            half = _rotate(jk, b, c, -s)[frame.outs]
+        # the kernel returns the frame's representative rows, and advect
+        # sets each partner to their conjugate
+        got = _mirror(frame.mirror, got, half)[rows]
     assert len(calls) == (padded is not None)
     off = np.delete(want, frame.rows, axis=0)
     if padded == "nan":
@@ -708,7 +734,7 @@ def test_full_plan_is_built_only_when_used(monkeypatch):
     advect(lat, X, X, ts, 5.0)
     assert built == [None]
     full = record.full
-    io = np.repeat(np.arange(lat.n_modes), np.diff(full.indptr))
+    io = np.repeat(_plan_outs(lat), np.diff(full.indptr))
     assert full.kc.dtype == complex and full.kc.shape == (3, record.n_pairs)
     _assert_bits_equal(full.kc.real, lat.kcheck[io].T)
     assert not np.any(np.ascontiguousarray(full.kc.imag).view(np.uint64))  # +0.0 throughout
@@ -783,7 +809,7 @@ def test_plan_wave_vectors_are_cast_once_and_read_only():
         assert record.full is None
         advect(lat, U, U, ts, 2.0, shell)
         kc = record.full.kc
-        io = np.repeat(np.arange(lat.n_modes), np.diff(record.full.indptr))
+        io = np.repeat(_plan_outs(lat), np.diff(record.full.indptr))
         assert kc.dtype == complex and kc.shape == (3, record.n_pairs)
         _assert_bits_equal(kc.real, lat.kcheck[io].T)
         assert not np.any(np.ascontiguousarray(kc.imag).view(np.uint64))  # +0.0 throughout
@@ -816,7 +842,13 @@ def _u_step_reference(lat, C, h, omega):
     b = N(Ph2(C + 0.5 * h * a))
     c = N(Ph2(C) + 0.5 * h * b)
     d = N(Ph(C) + h * Ph2(c))
-    return Ph(C) + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
+    out = Ph(C) + (h / 6.0) * (Ph(a) + 2.0 * Ph2(b + c) + d)
+    # integrate records each partner on the run's closed support as np.conj
+    # of its representative, and +0 off the support
+    rows = _closed_frame(lat, C).rows
+    rep = rows[lat.rep_mask[rows]]
+    out[lat.conj_idx[rep]] = np.conj(out[rep])
+    return out
 
 
 @pytest.mark.parametrize("name", ["cube6", "ray10", "zeros6"])

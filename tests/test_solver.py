@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -275,7 +276,8 @@ def test_jsonl_round_trip_is_bit_exact(name, form, seed, log_amp, t0, dt, edits,
     times = t0 + dt * np.arange(len(coeffs))
     traj = Trajectory(lat, form, 2.5, times, coeffs, dt=dt)
     gevrey = [(0.0, 1.0)]
-    norms = [traj.norms(), traj.norms(0.5, 0.0), traj.norms(0.0, 1.0)]
+    with np.errstate(over="ignore"):  # a norm may overflow, which the writer refuses
+        norms = [traj.norms(), traj.norms(0.5, 0.0), traj.norms(0.0, 1.0)]
     buf = io.StringIO()
     if not np.isfinite(norms).all():
         with pytest.raises(ValueError, match="trajectory sample 0 "):
@@ -300,6 +302,116 @@ def test_jsonl_round_trip_is_bit_exact(name, form, seed, log_amp, t0, dt, edits,
             np.testing.assert_array_equal(_bits(back.norms(a, s)), _bits(got))
 
 
+def _read_back(traj):
+    buf = io.StringIO()
+    trajectory_to_jsonl(traj, buf)
+    buf.seek(0)
+    return trajectory_from_jsonl(buf)[0]
+
+
+@pytest.mark.parametrize("kind", ["cube", "ray"])
+@pytest.mark.parametrize("form", ["u", "v"])
+def test_integrated_trajectory_reads_back_bit_for_bit(kind, form):
+    """A trajectory integrate returns reads back from its JSON lines bit for
+    bit, the sign of every zero part included: the format holds the
+    representatives and the reader fills each partner with their np.conj,
+    as integrate records it.  On the cutoff-6 cube and on a cutoff-10 ray,
+    at Omega = 5."""
+    if kind == "cube":
+        u0 = random_gevrey(build_lattice(cutoff=6), seed=1, amplitude=0.1)
+    else:
+        u0 = VkData.random((1, 0, 1), (1, 2), 3, LAT10).field(LAT10)
+    traj = integrate(u0, SolverConfig(dt=0.01, t_end=2.0, omega=5.0, form=form, record_stride=2))
+    back = _read_back(traj)
+    np.testing.assert_array_equal(_bits(back.times), _bits(traj.times))
+    np.testing.assert_array_equal(back.coeffs.view(np.int64), traj.coeffs.view(np.int64))
+
+
+def _spellings(x: float):
+    """JSON spellings of the float x that json.loads reads back as x, sign
+    of zero included: the shortest repr, 40 digits, the exact decimal
+    expansion, the repr's digits as an integer mantissa with its exponent
+    lowered by 6 and behind "0.000000" with it raised by as many, and, for
+    an integral x, the integer literal.  Exponents reach about +-330."""
+    sign, digits, exp = Decimal(repr(x)).as_tuple()
+    m, s = "".join(map(str, digits)), "-" * sign
+    out = [repr(x), f"{x:.40e}", str(Decimal(x)), f"{s}{m}000000e{exp - 6}",
+           f"{s}0.000000{m}E{exp + len(m) + 6:+d}"]
+    if x.is_integer():
+        out.append(str(int(x)))
+
+    def reads_as_x(t):
+        try:
+            return _bits(float(json.loads(t))) == _bits(x)
+        except ValueError:  # a mantissa of leading zeros is no JSON number
+            return False
+    return [t for t in out if reads_as_x(t)]
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and zeros
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, 1e22, 1e23]),
+    st.integers(2**64, 10**300).map(float))
+
+# spellings of zeros, of values that round into or under the subnormals and
+# of integers past 2**64, each read by json.loads to a finite float or int
+_EXTREME = ["-0", "0e0", "-0.0E+400", "0.0e-400", "1e-330", "-1e-330", "2.4703282292062328e-324",
+            "2.4703282292062327e-324", "4.9406564584124654e-324", "1" + "0" * 25,
+            "-" + "9" * 30, "18446744073709551617", "1.0000000000000001110223024625156540e0",
+            "0." + "0" * 320 + "1e0"]
+
+
+@given(st.lists(_NUMBERS, min_size=4, max_size=24), st.lists(st.sampled_from(_EXTREME),
+                                                              max_size=6),
+       st.integers(0, 2**16))
+@settings(deadline=None, max_examples=60)
+def test_record_parsers_read_every_spelling_to_the_same_bits(numbers, extreme, seed):
+    """Record numbers spelled in every JSON form (long mantissas, exact
+    decimal expansions, exponents past +-308, subnormals, -0.0 and integer
+    literals past 2**64) are read by orjson.loads and json.loads to the same
+    bits, and a trajectory of records spelled so reads back, through the
+    reader's orjson-first path, to the bits of a stdlib-only read."""
+    import orjson
+    rng = np.random.default_rng(seed)
+    texts = [t for x in numbers for t in _spellings(x)] + extreme
+    for t in texts:
+        want = json.loads(t)
+        try:
+            got = orjson.loads(t)
+        except orjson.JSONDecodeError:
+            assert not math.isfinite(float(want))  # orjson refuses past the float range only
+            continue
+        assert _bits(float(got)) == _bits(float(want)), t
+    # a record per four spellings: mode (1,0,0), whose first component is
+    # along its wave vector, holds two spelled numbers in each of its parts
+    # and a zero spelling along k; t is spelled too
+    lat = RT_LATTICES["cube"]
+    zeros = ["-0", "0", "0e0", "-0.0", "0.0e-400", "-0E+400"]
+    lines = [json.dumps({"meta": {"form": "v", "omega": 2.5, "dt": 0.5, "lattice": {
+        "ell": ["1", "1", "1"], "cutoff": "3"}}})]
+    for i in range(0, len(texts) - 3, 4):
+        a, b, c, d = texts[i:i + 4]
+        z0, z1 = rng.choice(zeros, 2)
+        t = rng.choice([repr(0.5 * i), f"{0.5 * i:.30e}", str(i // 2) if i % 4 == 0 else "1e0"])
+        lines.append(f'{{"field":{{"L":[1.0,1.0,1.0],"mean":[0,-0.0,0e0],"modes":[{{"k":[1,0,0],'
+                     f'"re":[{z0},{a},{b}],"im":[{z1},{c},{d}]}}]}},"t":{t}}}')
+    if len(lines) == 1:
+        return
+    text = "\n".join(lines) + "\n"
+    got, _ = trajectory_from_jsonl(io.StringIO(text))
+
+    def refuse(line):
+        raise orjson.JSONDecodeError("refused", "", 0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orjson, "loads", refuse)
+        want, _ = trajectory_from_jsonl(io.StringIO(text))
+    np.testing.assert_array_equal(_bits(got.times), _bits(want.times))
+    np.testing.assert_array_equal(got.coeffs.view(np.int64), want.coeffs.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # the closed-support run against a loop over every mode
 
@@ -312,8 +424,9 @@ def _rk4_reference(u0, config):
     the fused propagator decay (cos theta I + sin theta J_k) on every row and
     the unrotated advect per stage.  A v-form run starts from
     exp(-Omega t0 S) u0 and rotates each later record to v at its time;
-    record 0 is u0.  Returns (times, records) or raises integrate's
-    FloatingPointError."""
+    record 0 is u0.  Each later record holds the representative rows and
+    their np.conj, as integrate records them.  Returns (times, records) or
+    raises integrate's FloatingPointError."""
     lat = u0.lattice
     h, om, t0 = config.dt, config.omega, config.t0
 
@@ -330,6 +443,11 @@ def _rk4_reference(u0, config):
 
     def N(C):
         return -advect(lat, C, C)
+
+    def mirrored(C):
+        rep = np.flatnonzero(lat.rep_mask)
+        C[lat.conj_idx[rep]] = np.conj(C[rep])
+        return C
 
     Ph, Ph2 = make_prop(h), make_prop(0.5 * h)
     v_form = config.form == "v"
@@ -350,7 +468,7 @@ def _rk4_reference(u0, config):
                 f"state is not finite after step {step + 1} of {config.n_steps} (t = {t:.6g})")
         if (step + 1) % config.record_stride == 0:
             times.append(t)
-            records.append(rotate(C, t, 1.0) if v_form else C.copy())
+            records.append(mirrored(rotate(C, t, 1.0) if v_form else C.copy()))
     return np.array(times), np.array(records)
 
 
@@ -426,8 +544,7 @@ def test_closed_support_run_matches_reference_loop(ray, harmonics, omega, form, 
     traj = integrate(u0, config)
     times, want = _rk4_reference(u0, config)
     np.testing.assert_array_equal(traj.times, times)
-    frame = _closed_frame(lat, u0.coeffs)
-    rows = np.arange(lat.n_modes) if frame.rows is None else frame.rows
+    rows = _closed_frame(lat, u0.coeffs).rows
     if n_extra:
         assert len(rows) > np.count_nonzero(u0.coeffs.any(axis=1))
     np.testing.assert_array_equal(traj.coeffs[:, rows].view(np.uint64),
@@ -443,11 +560,12 @@ def test_closed_support_is_taken_on_sparse_data_only(cube6):
     lat = build_lattice(cutoff=30)
     u0 = VkData.random((1, 1, 1), (1, 2, 3), 1, lat).field(lat)
     frame = _closed_frame(lat, u0.coeffs)
-    np.testing.assert_array_equal(frame.rows, np.flatnonzero(u0.coeffs.any(axis=1)))
+    np.testing.assert_array_equal(np.sort(frame.rows), np.flatnonzero(u0.coeffs.any(axis=1)))
     assert len(frame.rows) == 6
     off = _off_line_field(LAT10, (1, 0, 1), (1,), 3, 1)
-    assert len(_closed_frame(LAT10, off.coeffs).rows) > 4
-    assert _closed_frame(cube6, random_gevrey(cube6, seed=1).coeffs).rows is None
+    assert 4 < len(_closed_frame(LAT10, off.coeffs).rows) < LAT10.n_modes
+    dense = _closed_frame(cube6, random_gevrey(cube6, seed=1).coeffs)
+    np.testing.assert_array_equal(np.sort(dense.rows), np.arange(cube6.n_modes))
 
 
 @pytest.mark.parametrize("amplitude", [30.0, 100.0, 300.0])
@@ -458,7 +576,7 @@ def test_closed_support_stops_at_the_reference_step(amplitude, form):
     larger amplitudes pass through a product the closed support's plan
     cannot vouch for (fields._convolve_padded)."""
     u0 = _off_line_field(LAT10, (1, 0, 1), (1,), 3, 1, amplitude)
-    assert _closed_frame(LAT10, u0.coeffs).rows is not None
+    assert len(_closed_frame(LAT10, u0.coeffs).rows) < LAT10.n_modes
     config = SolverConfig(dt=0.05, t_end=10.0, omega=5.0, form=form)
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError) as want:
@@ -495,6 +613,38 @@ def test_closed_support_run_builds_its_plan_once(monkeypatch):
     assert seen[0] == seen[1] and seen[0]["_Plan"] >= 2
 
 
+@pytest.mark.parametrize("kind", ["dense", "ray"])
+@pytest.mark.parametrize("form", ["u", "v"])
+def test_a_step_convolves_the_representative_half_four_times(monkeypatch, kind, form):
+    """Each step forms four products (fields._convolve), each on the
+    frame's rows and returning its representative rows, and no stage
+    mirrors: fields._mirror writes only each later record's partners."""
+    import rotspec.solver
+    u0 = _initial(kind, 1)
+    n_rows = len(_closed_frame(u0.lattice, u0.coeffs).rows)
+    shapes, mirrors = [], []
+    convolve, mirror = rotspec.fields._convolve, rotspec.fields._mirror
+
+    def convolve_spy(frame, U, V, record):
+        out = convolve(frame, U, V, record)
+        shapes.append((U.shape, V.shape, out.shape))
+        return out
+
+    def mirror_spy(*args):
+        mirrors.append(1)
+        return mirror(*args)
+
+    monkeypatch.setattr(rotspec.fields, "_convolve", convolve_spy)
+    for module in (rotspec.fields, rotspec.solver):
+        monkeypatch.setattr(module, "_mirror", mirror_spy)
+    n = 6
+    traj = integrate(u0, SolverConfig(dt=0.02, t_end=n * 0.02, omega=5.0, form=form,
+                                      record_stride=2))
+    assert traj.n_samples == n // 2 + 1
+    assert shapes == [((n_rows, 3), (n_rows, 3), (n_rows // 2, 3))] * (4 * n)
+    assert len(mirrors) == n // 2
+
+
 # ---------------------------------------------------------------------------
 # one Lawson step of u for both forms
 
@@ -525,15 +675,24 @@ def test_run_matches_the_rotated_scheme_at_round_off(kind, omega, form, t0, seed
 @pytest.mark.parametrize("omega", [5.0, -7.5])
 def test_v_form_run_is_the_transformed_u_form_run(kind, omega):
     """From t0 = 0 a v-form run rotates the u-form run's records with
-    transform_trajectory's own angles, bit for bit, on the lattice frame
-    and on a closed support."""
+    transform_trajectory's own angles, bit for bit, on every mode and on a
+    closed support: on the representative rows, and each later record's
+    partners are np.conj of its representatives, as integrate records them.
+    Off a closed support both runs hold zeros.  Record 0 is u0 as given."""
     u0 = _initial(kind, 1)
-    assert (_closed_frame(u0.lattice, u0.coeffs).rows is None) == (kind == "dense")
+    rows = _closed_frame(u0.lattice, u0.coeffs).rows
+    assert (len(rows) == u0.lattice.n_modes) == (kind == "dense")
     cfg = dict(dt=0.02, t_end=0.4, omega=omega, record_stride=2)
     trajv = integrate(u0, SolverConfig(form="v", **cfg))
     tv = transform_trajectory(integrate(u0, SolverConfig(form="u", **cfg)), "v")
     np.testing.assert_array_equal(trajv.times, tv.times)
-    np.testing.assert_array_equal(trajv.coeffs.view(np.uint64), tv.coeffs.view(np.uint64))
+    want, n = tv.coeffs, len(rows) // 2  # the frame lists representatives, then partners
+    want[0] = u0.coeffs
+    want[1:, rows[n:]] = np.conj(want[1:, rows[:n]])
+    np.testing.assert_array_equal(trajv.coeffs[:, rows].view(np.uint64),
+                                  want[:, rows].view(np.uint64))
+    assert not np.any(np.delete(trajv.coeffs, rows, axis=1))
+    assert not np.any(np.delete(want, rows, axis=1))
 
 
 @pytest.mark.parametrize("kind", ["dense", "ray"])
