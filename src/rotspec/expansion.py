@@ -56,6 +56,8 @@ __all__ = [
 # is flagged; expand needs at least MIN_SAMPLES uniformly spaced samples
 XI_REL_TOL = 1e-6
 MIN_SAMPLES = 64
+# log of the largest float: e^x is beyond the float range for x above it
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 class Expansion:
@@ -105,6 +107,10 @@ def expand(traj: Trajectory, n_orders: int,
     estimate over their union, and the spread between window means is
     reported as a consistency diagnostic.  None takes 50-70 % and 70-90 %
     of the run.
+
+    Each order is q_n(t) e^{-mu_n t} in absolute t, so q_n and the fit's
+    weights carry e^{mu_n t}, and norms square them: a run whose last sample
+    time t puts e^{2 mu_n t} beyond the float range raises ValueError first.
     """
     if n_orders < 1:
         raise ValueError(f"order must be at least 1, got {n_orders}")
@@ -121,6 +127,11 @@ def expand(traj: Trajectory, n_orders: int,
 
     # the smallest eigenvalue is 1, so 1..n_orders+1 are all semigroup elements
     table = semigroup_table(lat, max(lat.cutoff, n_orders + 1))
+    t_last = float(ts[-1])
+    for n, mu in enumerate(table.mu[:n_orders]):
+        if 2.0 * float(mu) * t_last > _LOG_MAX:
+            raise ValueError(f"order {n + 1} (mu = {mu}) cannot be expanded up to the last "
+                             f"sample time t = {t_last!r}: e^(2 mu t) is beyond the float range")
     exp = Expansion(traj, table, xi_windows)
 
     for n in range(n_orders):

@@ -7,24 +7,30 @@ u_hat(-k) = conj(u_hat(k)) keeps the velocity real.  Norms follow the
 Parseval convention |u|^2 = L1*L2*L3 * sum_k |u_hat(k)|^2.
 
 Rotation sits at the edges of one unrotated advection kernel, _advect
-(convolve, project on a row frame, _Frame), which returns the
-representative outputs only: real-paired inputs make the other half their
-conjugates.  Every angle of exp(rate t S) comes from _angles, the
+(convolve, then project), whose one input layout is the representative
+half: it takes (..., n, 3) arrays on a frame's n representative rows,
+writes their conjugates on the partners' rows into its own buffer and
+returns the representative outputs.  A frame (_Frame) lists its rows as
+its representative modes, sorted, then their partners, and owns its
+plans, one per Stokes shell, each built on those row positions.  There
+are two: the lattice frame of every mode (_lattice_frame), and the frame
+of a closed support (_closed_frame), which is the lattice frame itself on
+dense data.  Every angle of exp(rate t S) comes from _angles, the
 package's only np.cos/np.sin caller; _rotate_by rotates whole samples
 (linear_evolution, transform_trajectory).  _rotated_products is the one
 loop of the rotated B_Omega over a stack of samples, behind advect and
-the resonant fit (rotspec.expansion): it rotates each block of samples
-(_stack_block; one sample is one block) once, forms the caller's products
-unrotated on a shell's representative rows and rotates their sum back
-once.  The integrator (rotspec.solver) steps the representative half of
-a frame whose rows list the representatives first, rotates only through
-its fused propagators and its records' representative rows.  Rotation and
-projection multiply by the lattice's cached complex operators
-(_complex_ops).  The convolution sums its pairs in scipy's compiled CSR
-routine with a shell's full plan (_ShellPlans) or a frame's re-indexed
-plan (_closed_frame, _paired_frame).  _mirror writes every conjugate half, and only the
-callers that need full rows call it: convolve_advect, _rotated_products,
-the integrator's records, random_gevrey and SPoly.evaluate_many.
+the resonant fit (rotspec.expansion): per block of samples (_stack_block;
+one sample is one block) it gathers and rotates each input's
+representative rows once, forms the caller's products unrotated on a
+shell's representative outputs and rotates their sum back once.  The
+integrator (rotspec.solver) steps the representative half on its closed
+frame and rotates only through its fused propagators and its records'
+representative rows.  Rotation and projection multiply by the lattice's
+cached complex operators (_complex_ops).  The convolution sums its pairs
+in scipy's compiled CSR routine.  _mirror writes every conjugate half,
+and only the callers that need full rows call it: convolve_advect,
+_rotated_products, the integrator's records, random_gevrey and
+SPoly.evaluate_many.
 """
 
 from __future__ import annotations
@@ -283,52 +289,40 @@ def _pairs(lattice: Lattice, lam, support):
 
 
 class _Plan:
-    """The live pairs of _pairs(lattice, lam, support), row-sorted.
+    """The live pairs of pairs = _pairs(lattice, lam, frame.support) on a
+    frame's rows, row-sorted.
 
     Pair p multiplies U_im[p] . kc[:, p] by V_ij[p] into output row o for
-    indptr[o] <= p < indptr[o + 1]; each row lists its pairs by first mode,
-    in the full plan's order.  The output rows are the lattice's
-    representative modes, in mode order (empty off the shell lam), and
-    the inputs its n_in modes.  kc holds the output wave vectors as three
-    contiguous rows, cast to complex and read-only: a complex factor times a
-    real one is cast to complex, through a buffer, on every call, so a
+    indptr[o] <= p < indptr[o + 1]: im and ij are positions in the frame's
+    rows, and the output rows are its representative modes on the shell lam
+    (every one for None).  Each row lists its pairs by first mode, in the
+    full plan's order.  kc holds the output wave vectors as three
+    contiguous rows, cast to complex and read-only: a complex factor times
+    a real one is cast to complex, through a buffer, on every call, so a
     product with the cast values has the real vectors' bits without the
     cast.  blocks caches the CSR index arrays of the plan's block-diagonal
-    matrices by stack size (block).  A plan holds no per-call data: the
-    kernel passes each call's pair products to the sum as arguments.
+    matrices by stack size (block).  A plan holds no per-call data.
     """
 
-    def __init__(self, lattice: Lattice, lam, support):
-        rows_u, outs, pair, live = _pairs(lattice, lam, support)
+    def __init__(self, frame: "_Frame", lam, pairs):
+        rows_u, outs, pair, live = pairs
         # the row-major non-zeros of live list the pairs by output, then by
         # m.  divmod keeps the index arrays contiguous (np.nonzero's are
         # strided), and every convolution reads them.
         flat = np.flatnonzero(live)
         row, a = divmod(flat, len(rows_u))
         io = outs[row]
-        self.im, self.ij = rows_u[a], pair.ravel()[flat]
-        reps = np.flatnonzero(lattice.rep_mask)
+        lattice = frame.lattice
+        pos = np.zeros(lattice.n_modes, dtype=np.intp)
+        pos[frame.rows] = np.arange(len(frame.rows))
+        self.im, self.ij = pos[rows_u[a]], pos[pair.ravel()[flat]]
+        reps = frame.outs[_shell_outs(frame, lam)]
         self.indptr = np.r_[0, np.cumsum(np.bincount(np.searchsorted(reps, io),
                                                      minlength=len(reps)))]
-        self.n_in = lattice.n_modes
+        self.n_in = len(frame.rows)
         self.kc = np.ascontiguousarray(lattice.kcheck[io].T, dtype=complex)
         self.kc.flags.writeable = False
         self.blocks = {}
-
-    def reindexed(self, lattice: Lattice, rows: np.ndarray) -> "_Plan":
-        """The plan on a frame of rows (representative modes, sorted, then
-        their partners in that order: _Frame) that hold every mode the plan
-        reads or writes: its modes become positions in rows and its output
-        rows the frame's representatives.  The pairs, their order and kc
-        are this plan's."""
-        pos = np.zeros(self.n_in, dtype=self.im.dtype)
-        pos[rows] = np.arange(len(rows))
-        outs = np.searchsorted(np.flatnonzero(lattice.rep_mask), rows[:len(rows) // 2])
-        plan = object.__new__(type(self))
-        plan.im, plan.ij = pos[self.im], pos[self.ij]
-        plan.indptr = np.r_[0, np.cumsum(np.diff(self.indptr)[outs])]
-        plan.n_in, plan.kc, plan.blocks = len(rows), self.kc, {}
-        return plan
 
     def block(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) of the CSR matrix of n diagonal copies of the
@@ -349,97 +343,64 @@ class _Plan:
         return pair
 
 
-class _ShellPlans:
-    """The plan record of one Stokes shell of a lattice (lam None: every
-    representative output), cached per lattice by _shell_plans.
-
-    n_pairs is the full plan's pair count, counted on the one enumeration
-    the builder uses.  full is the full plan, built the first time a
-    convolution takes it, and kept for good.
-    """
-
-    __slots__ = ("lam", "n_pairs", "full")
-
-    def __init__(self, lattice: Lattice, lam):
-        self.lam = lam
-        self.n_pairs = int(np.count_nonzero(_pairs(lattice, lam, None)[3]))
-        self.full = None
-
-    def plan(self, lattice: Lattice) -> _Plan:
-        """The shell's full plan, built on the first call."""
-        self.full = self.full or _Plan(lattice, self.lam, None)
-        return self.full
-
-
-def _shell_plans(lattice: Lattice, lam) -> _ShellPlans:
-    """The plan record of shell lam on the lattice, made on a miss."""
-    cache = lattice.__dict__.setdefault("_conv_plans", {})
-    lam = None if lam is None else Fraction(lam)
-    return cache.get(lam) or cache.setdefault(lam, _ShellPlans(lattice, lam))
-
-
 class _Frame:
     """The rows of a lattice that the advection kernel (_advect) acts on.
 
-    rows is None for every mode in mode order (the lattice frame), or the
-    frame's modes: its representative modes, sorted, then their conjugate
-    partners in the same order.  The kernel takes (..., n, 3) arrays of the
-    n rows in frame order and returns the rows of the frame's
-    representative modes, outs (sorted).  The frame keeps what the kernel
-    and its callers read per output row, taken once: the complex P_k and
-    J_k, sliced from the lattice's and laid out as _complex_ops lays them
-    out, so _per_mode forms each row's product in the same loop; and
-    mirror, the frame's representative modes and their partners (_mirror),
-    where a caller writes full (M, 3) rows.  plan is the frame's own plan,
-    re-indexed to frame positions (_closed_frame, _paired_frame); the
-    lattice frame has none and takes each shell's full plan from its
-    record.  kbound is 4 max|kcheck| over the lattice on a frame whose plan
-    drops pairs (a closed support, _convolve), None on one that drops
-    none.  No frame rotates: the kernel is unrotated (_advect).  The frame refers to its
-    lattice weakly: the lattice caches its own frames, and a reference
-    back would make a cycle that keeps a dropped lattice, with every plan
-    it caches, until the cyclic collector runs.
+    rows are its representative modes outs, sorted, then their partners in
+    that order; the kernel takes and returns arrays on the representative
+    rows.  support is None on the lattice frame (_lattice_frame) and (S, S)
+    on a closed support S (_closed_frame).  plans holds each shell's plan on
+    the frame's rows (plan), and counts each shell's pair count (n_pairs).
+    The frame keeps what the kernel and its callers read per output row,
+    taken once: the complex P_k and J_k, sliced from the lattice's and laid
+    out as _complex_ops lays them out, so _per_mode forms each row's
+    product in the same loop; and mirror, (outs, their partners), for
+    _mirror.  kbound is 4 max|kcheck| over the lattice on a closed support,
+    whose plans drop pairs (_convolve), and None on the lattice frame.  The
+    frame refers to its lattice weakly: the lattice caches its own frame,
+    and a reference back would make a cycle that keeps a dropped lattice,
+    with every plan its frame holds, until the cyclic collector runs.
     """
 
-    __slots__ = ("_lattice", "rows", "outs", "proj", "jk", "mirror", "kbound", "plan")
+    __slots__ = ("_lattice", "rows", "outs", "support", "proj", "jk", "mirror", "kbound",
+                 "plans", "counts")
 
-    def __init__(self, lattice: Lattice, rows: Optional[np.ndarray] = None,
-                 plan: Optional[_Plan] = None, drops: bool = False):
-        self._lattice, self.rows, self.plan = weakref.ref(lattice), rows, plan
-        self.outs = np.flatnonzero(lattice.rep_mask) if rows is None else rows[:len(rows) // 2]
-        self.mirror = (self.outs, lattice.conj_idx[self.outs])
-        self.proj, self.jk = _strided(lattice.proj[self.outs]), _strided(lattice.jk[self.outs])
-        self.kbound = 4.0 * np.abs(lattice.kcheck).max() if drops else None
+    def __init__(self, lattice: Lattice, reps: np.ndarray,
+                 support: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+        self._lattice, self.support = weakref.ref(lattice), support
+        self.rows = np.r_[reps, lattice.conj_idx[reps]]
+        self.outs = self.rows[:len(reps)]
+        self.mirror = (self.outs, self.rows[len(reps):])
+        self.proj, self.jk = _strided(lattice.proj[reps]), _strided(lattice.jk[reps])
+        self.kbound = None if support is None else 4.0 * np.abs(lattice.kcheck).max()
+        self.plans, self.counts = {}, {}
 
     @property
     def lattice(self) -> Lattice:
         return self._lattice()
+
+    def plan(self, lam=None) -> _Plan:
+        """The plan of the shell lam (None: every output), built on the first call."""
+        key = None if lam is None else Fraction(lam)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = self.plans[key] = _Plan(self, key, _pairs(self.lattice, key, self.support))
+        return plan
+
+    def n_pairs(self, lam=None) -> int:
+        """len(plan(lam).im), counted on the one enumeration without building
+        the plan, once per shell."""
+        key = None if lam is None else Fraction(lam)
+        if key not in self.counts:
+            self.counts[key] = int(np.count_nonzero(_pairs(self.lattice, key, self.support)[3]))
+        return self.counts[key]
 
 
 def _lattice_frame(lattice: Lattice) -> _Frame:
     """The frame of every mode of the lattice, cached per lattice."""
     frame = lattice.__dict__.get("_frame")
     if frame is None:
-        frame = lattice._frame = _Frame(lattice)
-    return frame
-
-
-def _paired_rows(lattice: Lattice, rows: np.ndarray) -> np.ndarray:
-    """rows (sorted, closed under conjugation) in frame order: their
-    representative modes, then those modes' partners."""
-    rep = rows[lattice.rep_mask[rows]]
-    return np.r_[rep, lattice.conj_idx[rep]]
-
-
-def _paired_frame(lattice: Lattice) -> _Frame:
-    """The frame of every mode of the lattice in frame order, with the full
-    plan re-indexed to it, cached per lattice: the integrator's frame on
-    dense data.  Its plan drops no pair."""
-    frame = lattice.__dict__.get("_paired_frame")
-    if frame is None:
-        rows = _paired_rows(lattice, np.arange(lattice.n_modes))
-        plan = _shell_plans(lattice, None).plan(lattice).reindexed(lattice, rows)
-        frame = lattice._paired_frame = _Frame(lattice, rows, plan)
+        frame = lattice._frame = _Frame(lattice, np.flatnonzero(lattice.rep_mask))
     return frame
 
 
@@ -447,28 +408,37 @@ def _closed_frame(lattice: Lattice, C: np.ndarray) -> _Frame:
     """The integrator's frame for a real-paired (M,3) field C.
 
     The closed support S starts as C's non-zero modes and their conjugate
-    partners.  It takes in the output modes, and their partners, of the
-    plan of every output restricted to (S, S), until it stops changing.
-    No pair of modes in S then reaches a mode outside S.  The frame is S
-    with that plan, re-indexed, the one support-restricted plan a kernel
-    takes, while (3|S|)^2, the most pairs of non-zero entries two fields on
-    S can have, is below the full plan's pair count.  Otherwise it is the
-    lattice's paired frame (_paired_frame), whose plan is the full plan.
-    No plan this builds is cached in the shell record.
+    partners.  It takes in the outputs of the pairs that (S, S) keeps
+    (_pairs), and their partners, until it stops changing.  No pair of
+    modes in S then reaches a mode outside S.  The frame is S with its one
+    plan, built once, while (3|S|)^2, the most pairs of non-zero entries
+    two fields on S can have, is below the lattice's pair count
+    (_Frame.n_pairs, counted without building the full plan).  Otherwise
+    it is the lattice frame itself, whose plan is the full plan.
     """
-    n_pairs = _shell_plans(lattice, None).n_pairs
-    reps = np.flatnonzero(lattice.rep_mask)
+    whole = _lattice_frame(lattice)
+    n_pairs = whole.n_pairs()
     live = C.any(axis=-1)
     rows = np.flatnonzero(live | live[lattice.conj_idx])
     while (3 * len(rows)) ** 2 < n_pairs:
-        plan = _Plan(lattice, None, (rows, rows))
-        outs = reps[np.flatnonzero(np.diff(plan.indptr))]
+        pairs = _pairs(lattice, None, (rows, rows))
+        outs = pairs[1][pairs[3].any(axis=1)]
         grown = np.union1d(rows, np.r_[outs, lattice.conj_idx[outs]])
         if len(grown) == len(rows):
-            rows = _paired_rows(lattice, rows)
-            return _Frame(lattice, rows, plan.reindexed(lattice, rows), drops=True)
+            frame = _Frame(lattice, rows[lattice.rep_mask[rows]], (rows, rows))
+            frame.plans[None] = _Plan(frame, None, pairs)
+            return frame
         rows = grown
-    return _paired_frame(lattice)
+    return whole
+
+
+def _check_shapes(U: np.ndarray, V: np.ndarray, rows: int) -> None:
+    """ValueError unless U and V have one shape (..., rows, 3).  The compiled
+    sum reads its arrays unchecked, and a gather of the representative rows
+    would drop extra rows silently."""
+    if U.shape != V.shape or V.shape[-2:] != (rows, 3):
+        raise ValueError(f"the kernel takes two arrays of one shape (..., {rows}, 3), "
+                         f"not {U.shape} and {V.shape}")
 
 
 def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -479,23 +449,34 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray) -> np.ndarra
     b_k = sum_{m+j=k} i (U_m . kcheck_k) V_j, accumulated as one sparse
     matrix-vector product (block-diagonal over the samples) over the
     representative outputs (_convolve), with the conjugate half mirrored.
-    The sum runs over the lattice's full plan, built the first time a
-    convolution takes it.
+    Only the inputs' representative rows are read: each partner is taken
+    as np.conj of its representative.  The sum runs over the lattice's
+    full plan, built the first time a convolution takes it.
 
     Each pair's dot product is summed left to right over the three
     components, (U_m0 k0 + U_m1 k1) + U_m2 k2, on one (3, ..., P) gather of
     U's components at the pairs.
     """
+    _check_shapes(U, V, lattice.n_modes)
     frame = _lattice_frame(lattice)
-    half = _convolve(frame, U, V, _shell_plans(lattice, None))
-    return _mirror(frame.mirror, np.empty(half.shape[:-2] + U.shape[-2:], dtype=complex), half)
+    Ur = U[..., frame.outs, :]
+    half = _convolve(frame, Ur, Ur if V is U else V[..., frame.outs, :])
+    return _mirror(frame.mirror, np.empty(U.shape, dtype=complex), half)
 
 
-def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans) -> np.ndarray:
-    """convolve_advect's representative outputs in a frame, (..., n_out, 3)
-    for (..., n, 3) inputs on the frame's rows, on the shell of a
-    _ShellPlans record: on the lattice frame with the shell's full plan, on
-    another frame (lam None) with the frame's plan.  Nothing is mirrored.
+def _with_partners(A: np.ndarray) -> np.ndarray:
+    """A frame's rows of the (..., n, 3) representative rows A: A, then
+    np.conj(A) on the partners' rows, as one C-ordered complex
+    (..., 2n, 3) array."""
+    return np.concatenate((A, np.conjugate(A)), axis=-2, dtype=complex)
+
+
+def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, lam=None) -> np.ndarray:
+    """convolve_advect's representative outputs on the shell lam (every
+    output for None) in a frame, (..., n_out, 3), for (..., n, 3) inputs on
+    the frame's n representative rows, with the frame's plan for lam.  Each
+    input's partners are its np.conj, written into the kernel's own buffer
+    (_with_partners); nothing is mirrored.
 
     A pair a closed frame's plan drops has a factor outside the frame,
     where the inputs are zero; it is an exact zero only if its other factor
@@ -508,52 +489,49 @@ def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, record: _ShellPlans) 
     factor reaches no output: its products are zeros, which no sum
     changes, or inf times zero, which is the same NaN for either sign.
     """
+    n = len(frame.outs)
+    _check_shapes(U, V, n)
     if frame.kbound is not None and not (
             math.isfinite(frame.kbound * np.abs(U).max(initial=0.0))
             and (V is U or np.isfinite(V.sum()))):
-        return _convolve_padded(frame, U, V, record)
-    plan = frame.plan or record.plan(frame.lattice)
-    rows, outs = plan.n_in, len(plan.indptr) - 1
-    # the compiled sum reads its arrays unchecked: a mis-shaped input would
-    # read past them instead of raising
-    if U.shape != V.shape or V.shape[-2:] != (rows, 3):
-        raise ValueError(f"the convolution takes two arrays of one shape (..., {rows}, 3), "
-                         f"not {U.shape} and {V.shape}")
-    n = math.prod(V.shape[:-2])
+        return _convolve_padded(frame, U, V)
+    plan = frame.plan(lam)
+    outs = len(plan.indptr) - 1
+    count = math.prod(V.shape[:-2])
+    Uf = _with_partners(U)
+    Vf = Uf if V is U else _with_partners(V)
     # g[c]: component c of U at the pairs' first modes, (..., P)
-    g = U.transpose(U.ndim - 1, *range(U.ndim - 1)).take(plan.im, axis=-1)
-    g *= plan.kc.reshape(3, *(1,) * (U.ndim - 2), -1)
+    g = Uf.transpose(Uf.ndim - 1, *range(Uf.ndim - 1)).take(plan.im, axis=-1)
+    g *= plan.kc.reshape(3, *(1,) * (Uf.ndim - 2), -1)
     dots = g[0]
     dots += g[1]
     dots += g[2]
-    indptr, indices = plan.block(n)
+    indptr, indices = plan.block(count)
     # scipy's S @ V, with S = (dots, indices, indptr): the same sum into a
     # +0 output, on V as the C-ordered complex128 array that product takes
-    # for a V of complex128 or any narrower type
     out = np.zeros(V.shape[:-2] + (outs, 3), dtype=complex)
-    csr_matvecs(n * outs, n * rows, 3, indptr, indices, dots.ravel(),
-                np.ascontiguousarray(V, dtype=complex).ravel(), out.ravel())
+    csr_matvecs(count * outs, count * 2 * n, 3, indptr, indices, dots.ravel(), Vf.ravel(),
+                out.ravel())
     np.multiply(1j, out, out=out)
     return out
 
 
-def _convolve_padded(frame: _Frame, U: np.ndarray, V: np.ndarray,
-                     record: _ShellPlans) -> np.ndarray:
+def _convolve_padded(frame: _Frame, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """_convolve of a closed frame through the lattice frame's full plan, on
-    U and V padded with +0 to every mode: the frame's representative rows
-    of that product.  Where the product is not finite outside the frame,
-    which the frame cannot hold, every entry is NaN instead."""
-    lattice = frame.lattice
-    whole = _lattice_frame(lattice)
+    U and V padded with +0 to every representative mode: the frame's
+    representative rows of that product.  Where the product is not finite
+    outside the frame, which the frame cannot hold, every entry is NaN
+    instead."""
+    whole = _lattice_frame(frame.lattice)
+    outs = np.searchsorted(whole.outs, frame.outs)
 
     def pad(A):
-        out = np.zeros(A.shape[:-2] + (lattice.n_modes, 3), dtype=complex)
-        out[..., frame.rows, :] = A
+        out = np.zeros(A.shape[:-2] + (len(whole.outs), 3), dtype=complex)
+        out[..., outs, :] = A
         return out
 
     Up = pad(U)
-    full = _convolve(whole, Up, Up if V is U else pad(V), record)
-    outs = np.searchsorted(whole.outs, frame.outs)
+    full = _convolve(whole, Up, Up if V is U else pad(V))
     out = full[..., outs, :]
     if not np.isfinite(np.delete(full, outs, axis=-2)).all():
         out[...] = np.nan
@@ -584,11 +562,11 @@ def _mirror(pairing: Tuple[np.ndarray, np.ndarray], out: np.ndarray,
 _STACK_BLOCK_BYTES = 1 << 20
 
 
-def _stack_block(lattice: Lattice, record: _ShellPlans) -> int:
-    """Samples per block of a stack whose products take the shell of a
-    _ShellPlans record: the one block-size rule (_rotated_products).
+def _stack_block(frame: _Frame, lam) -> int:
+    """Samples per block of a stack whose products take the frame's plan
+    for the shell lam: the one block-size rule (_rotated_products).
     Samples are independent, so no block size changes a bit."""
-    return max(1, _STACK_BLOCK_BYTES // (48 * max(record.n_pairs, lattice.n_modes)))
+    return max(1, _STACK_BLOCK_BYTES // (48 * max(frame.n_pairs(lam), len(frame.rows))))
 
 
 def _rotated_products(lattice: Lattice, lam, t, omega: float,
@@ -596,39 +574,39 @@ def _rotated_products(lattice: Lattice, lam, t, omega: float,
     """The rotated form on the shell lam (every mode for None) over (R,M,3)
     sample stacks at their times t, a scalar or (R,): (R, shell size, 3).
 
-    The one block loop of B_Omega.  Per block, each input is rotated once
-    into the u frame, X_u = exp(-Omega t S) X; form(B, *blocks) returns a
-    sum of products B(X_u, Y_u) of the unrotated kernel on the shell's
-    representative rows (_advect), the sum is rotated back once and its
+    The one block loop of B_Omega.  Per block, each input's representative
+    rows are gathered and rotated once into the u frame,
+    X_u = exp(-Omega t S) X; form(B, *blocks) returns a sum of products
+    B(X_u, Y_u) of the unrotated kernel (_advect) on the shell's
+    representative outputs, the sum is rotated back once and its
     conjugates fill the partners' rows (_mirror).  The rotation acts mode
-    by mode, so it commutes with the shell restriction and the projection.
+    by mode, so it commutes with the shell restriction, the projection and
+    the conjugate pairing: no input's partner rows are read.
     """
-    record = _shell_plans(lattice, lam)
     frame = _lattice_frame(lattice)
     rows = slice(0, lattice.n_modes) if lam is None else _shell_rows(lattice, lam)
-    outs = slice(None) if lam is None else _shell_outs(frame, lam)
+    outs = _shell_outs(frame, lam)
     reps = frame.outs[outs]
     # the shell's representatives and their partners, as positions in its rows
-    pairing = frame.mirror if lam is None else (reps - rows.start,
-                                                lattice.conj_idx[reps] - rows.start)
-    jk = _complex_ops(lattice)[0]
+    pairing = (reps - rows.start, lattice.conj_idx[reps] - rows.start)
 
     def B(X, Y):
-        return _advect(frame, X, Y, record)[:, outs]
+        return _advect(frame, X, Y, lam)
 
     n = len(inputs[0])
     out = np.empty((n, rows.stop - rows.start, 3), dtype=complex)
-    step = _stack_block(lattice, record)
+    step = _stack_block(frame, lam)
     for start in range(0, n, step):
         blk = slice(start, start + step)
-        blocks = [X[blk] for X in inputs]
+        blocks = [X[blk, frame.outs] for X in inputs]
         if omega != 0.0:
             c, s = _angles(lattice, -omega, t if np.ndim(t) == 0 else np.asarray(t)[blk])
-            blocks = [_rotate(jk, X, c, s) for X in blocks]
+            c, s = c[..., frame.outs], s[..., frame.outs]
+            blocks = [_rotate(frame.jk, X, c, s) for X in blocks]
         acc = form(B, *blocks)
         if omega != 0.0:
             # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s
-            acc = _rotate(frame.jk[outs], acc, c[..., reps], -s[..., reps])
+            acc = _rotate(frame.jk[outs], acc, c[..., outs], -s[..., outs])
         _mirror(pairing, out[blk], acc)
     return out
 
@@ -641,16 +619,16 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     coefficient arrays, or on (B,M,3) stacks of samples with t a scalar or a
     (B,) array of their times; X and Y must have one shape.  Inputs must
     obey the conjugate pairing X(-k) = conj(X(k)) (every field the package
-    builds does): only the representative half of the product is computed,
-    and each partner row is np.conj of its representative's.  With lam
-    given, only output modes on the Stokes shell lam are computed,
-    projected and rotated back; every other row is zero, and each computed
-    row equals the unrestricted one bit for bit.  The stack is taken in
-    blocks (_rotated_products), with X rotated once when Y is X.
+    builds does): only the representative rows of X and Y are read, only
+    the representative half of the product is computed, and each partner
+    row is np.conj of its representative's.  With lam given, only output
+    modes on the Stokes shell lam are computed, projected and rotated back;
+    every other row is zero, and each computed row equals the unrestricted
+    one bit for bit.  The stack is taken in blocks (_rotated_products),
+    with X rotated once when Y is X.
     """
     # checked before the rotation, which would broadcast one sample against a stack
-    if X.shape != Y.shape:
-        raise ValueError(f"X and Y must have the same shape, not {X.shape} and {Y.shape}")
+    _check_shapes(X, Y, lattice.n_modes)
     Xs, Ys = (X, Y) if X.ndim == 3 else (X[None], Y[None])
     # one input when Y is X, so that the convolution sees V is U
     out = _rotated_products(lattice, lam, t, omega, (Xs,) if Y is X else (Xs, Ys),
@@ -661,22 +639,14 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     return out if X.ndim == 3 else out[0]
 
 
-def _advect(frame: _Frame, X: np.ndarray, Y: np.ndarray, record: _ShellPlans) -> np.ndarray:
+def _advect(frame: _Frame, X: np.ndarray, Y: np.ndarray, lam=None) -> np.ndarray:
     """The unrotated kernel B(X, Y) on one block of samples of a frame's
-    rows, on the shell of a _ShellPlans record: the representative
-    outputs, convolved (_convolve) and projected.  Every rotation, and every
-    mirror, is the caller's (_rotated_products, the integrator).
-
-    Without a shell the projection acts on the convolution's whole array
-    and returns a new one; with one it acts on the shell's rows
-    (_shell_outs), written back into it.
-    """
-    b = _convolve(frame, X, Y, record)
-    if record.lam is None:
-        return _per_mode(frame.proj, b)
-    outs = _shell_outs(frame, record.lam)
-    b[..., outs, :] = _per_mode(frame.proj[outs], b[..., outs, :])
-    return b
+    representative rows: the representative outputs on the shell lam
+    (every one for None), convolved (_convolve) and projected.  Every
+    rotation, and every mirror, is the caller's (_rotated_products, the
+    integrator)."""
+    proj = frame.proj if lam is None else frame.proj[_shell_outs(frame, lam)]
+    return _per_mode(proj, _convolve(frame, X, Y, lam))
 
 
 def _shell_rows(lattice: Lattice, lam) -> slice:
@@ -688,9 +658,11 @@ def _shell_rows(lattice: Lattice, lam) -> slice:
 
 
 def _shell_outs(frame: _Frame, lam) -> slice:
-    """The kernel's output rows on a frame (frame.outs) that lie on the
-    Stokes shell lam, as a slice: outs are sorted, and a shell's modes are
-    a slice of the lattice (_shell_rows)."""
+    """The frame's representative rows (frame.outs) on the Stokes shell lam,
+    every one for None, as a slice: outs are sorted, and a shell's modes
+    are a slice of the lattice (_shell_rows)."""
+    if lam is None:
+        return slice(0, len(frame.outs))
     rows = _shell_rows(frame.lattice, lam)
     lo, hi = np.searchsorted(frame.outs, [rows.start, rows.stop])
     return slice(int(lo), int(hi))

@@ -3,6 +3,17 @@
 All eigenvalue arithmetic is exact: periods are rational multiples of 2*pi,
 so every eigenvalue |k_check|^2 = sum_j q_j k_j^2 is a `fractions.Fraction`
 and membership / resonance questions are decided without float comparison.
+
+Every eigenvalue is an integer numerator over one common denominator D (the
+lcm of the denominators of q_j = 1/ell_j^2), so `Lattice` builds the
+spectrum as one integer array over the box |k_j| <= floor(sqrt(cutoff/q_j))
+and reads the mode order (by lam, then lexicographic k), the shells,
+multiplicities, exact and float eigenvalues, representatives and the
+rotation generators off it.  Each wave vector of the box
+|k_j| <= 2 max_j floor(sqrt(cutoff/q_j)), which holds every sum of two
+modes, has one integer code, and codes add like the vectors;
+`Lattice.index_of` and `Lattice.pair_index` answer every lookup through
+them.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from .fields import (
     _per_mode,
     _rotate,
     _rotate_by,
-    _shell_plans,
     _strided,
 )
 
@@ -119,14 +118,20 @@ class Trajectory:
 
     def uniform_spacing(self, min_samples: int) -> float:
         """Mean gap of >= min_samples samples at finite, increasing times whose
-        gaps agree to 1e-9 of the first; otherwise ValueError."""
+        gaps agree to 1e-9 of the first plus 8 ulp of the largest |t|;
+        otherwise ValueError.
+
+        The ulp term is the resolution of the times themselves: integrate
+        records t0 + k dt rounded twice, each within 1.5 ulp of max|t|, so
+        its gaps spread by up to 6 ulp, more than 1e-9 of a gap once max|t|
+        is about 1e6 gaps."""
         ts = self.times
         if len(ts) < min_samples:
             raise ValueError(f"need at least {min_samples} recorded samples, have {len(ts)}")
         gaps = np.diff(ts)
         # written so that a NaN gap fails: every comparison with NaN is false
         if not (np.all(gaps > 0) and np.all(np.isfinite(gaps))
-                and np.ptp(gaps) <= 1e-9 * gaps[0]):
+                and np.ptp(gaps) <= 1e-9 * gaps[0] + 8.0 * np.spacing(np.abs(ts).max())):
             raise ValueError("need uniformly spaced samples at finite, increasing times")
         return float(gaps.mean())
 
@@ -151,11 +156,11 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     rotates each recorded state's representative rows to v at its time, as
     transform_trajectory rotates them (fields._rotate_by); its record 0 is
     u0 as given.  It takes config.n_steps steps of exactly dt and records
-    the initial state and every record_stride-th state after it.  A u-state that is no longer
-    finite stops the run with a FloatingPointError naming the step and its
-    time; numpy's overflow and invalid-value flags stay quiet inside the
-    steps, whatever the caller's np.errstate, so that check is the one that
-    stops it.
+    the initial state and every record_stride-th state after it.  A u-state
+    that is no longer finite stops the run with a FloatingPointError naming
+    the step and its time; numpy's overflow and invalid-value flags stay
+    quiet inside the steps, whatever the caller's np.errstate, so that check
+    is the one that stops it.
 
     The state is real, u(-k) = conj(u(k)), so the run steps only the
     representative half; u0 is read on its representative modes.  It
@@ -165,9 +170,9 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     until it stops changing.  No pair of modes in S reaches a mode outside
     S, and the propagator maps zero to zero, so the modes outside S stay
     zero for the whole run.  The state is the (|S|/2, 3) array of S's
-    representative rows; each stage writes it and its conjugate into one
-    (|S|, 3) buffer of S's rows, representatives first, and convolves that
-    with the plan built once on S and re-indexed to those positions.  The
+    representative rows, which is the kernel's input layout (fields._advect):
+    each stage passes the state itself, and the kernel conjugates it onto
+    the partners' rows and convolves with the plan built once on S.  The
     kernel sums and projects the representative outputs only, and the
     propagator, the RK4 combinations and the finiteness check act on the
     representative rows only.  Each record holds the representative rows
@@ -189,9 +194,7 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     v_form = config.form == "v"
 
     frame = _closed_frame(lat, u0.coeffs)
-    record = _shell_plans(lat, None)
     reps = frame.outs
-    n = len(reps)
 
     def make_prop(s: float):
         # decay (cos theta I + sin theta J_k) per mode, formed on every mode
@@ -202,13 +205,8 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
         op = _strided(op[reps])
         return lambda C: _per_mode(op, C)
 
-    rows = np.empty((2 * n, 3), dtype=complex)
-
     def B(C):
-        # the frame's rows: C, then its conjugate on the partners
-        rows[:n] = C
-        np.conjugate(C, out=rows[n:])
-        return _advect(frame, rows, rows, record)
+        return _advect(frame, C, C)
 
     C0 = u0.coeffs.astype(complex)
     records = np.zeros((n_steps // config.record_stride + 1, lat.n_modes, 3), dtype=complex)

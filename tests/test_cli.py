@@ -666,6 +666,26 @@ def test_expand_nan_trajectory_exits_3(tmp_path, capsys):
     assert _stderr_error(capsys)["kind"] == "numerical"
 
 
+@pytest.mark.parametrize("t0, order", [(200.0, 2), (400.0, 1)])
+def test_expand_refuses_a_late_start_whose_weights_overflow(tmp_path, capsys, t0, order):
+    """A late start whose e^{mu_n t} squared leaves the float range exits 2
+    with a message naming the order, its rate and the last sample time, not
+    numpy's bare overflow (exit 3)."""
+    cfg = {"lattice": {"cutoff": 2}, "omega": 5.0,
+           "initial": {"kind": "random-gevrey", "seed": 1, "amplitude": 0.1},
+           "solver": {"dt": 2.0 ** -7, "t0": t0, "t_end": t0 + 1.0, "form": "v"}}
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    traj = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(tmp_path / "run.json"), "--out", str(traj)]) == 0
+    out = tmp_path / "exp.json"
+    assert main(["expand", "--traj", str(traj), "--order", "2", "--out", str(out)]) == 2
+    err = _stderr_error(capsys)
+    assert err["code"] == 2
+    assert f"order {order} (mu = {order})" in err["message"]
+    assert f"last sample time t = {t0 + 1.0!r}" in err["message"]
+    assert not out.exists()
+
+
 def test_helicity_nan_trajectory_exits_3(tmp_path, capsys):
     traj = _nan_trajectory(tmp_path / "nan.jsonl")
     out = tmp_path / "hel.csv"

@@ -304,6 +304,22 @@ def test_expand_rejects_non_finite_or_decreasing_times(cube6, edit):
         expand(bad, 1)
 
 
+@pytest.mark.parametrize("t0, order", [(200.0, 2), (400.0, 1)])
+def test_expand_refuses_weights_beyond_the_float_range(t0, order):
+    """Each order is q_n(t) e^{-mu_n t} in absolute t, so a late start puts
+    e^{mu_n t} into the fit's weights and the orders, and norms square it:
+    expand refuses the run up front, naming the first such order, its rate
+    and the last sample time.  The same run from t0 = 0 expands."""
+    lat = build_lattice(cutoff=2)
+    u0 = random_gevrey(lat, seed=1)
+    h = 2.0 ** -7
+    traj = integrate(u0, SolverConfig(dt=h, t0=t0, t_end=t0 + 128 * h, omega=5.0))
+    with pytest.raises(ValueError, match=rf"order {order} \(mu = {order}\) .* t = {t0 + 1.0!r}"):
+        expand(traj, 2)
+    exp = expand(integrate(u0, SolverConfig(dt=h, t_end=128 * h, omega=5.0)), 2)
+    assert all(np.isfinite(d["xi_norm"]) for d in exp.diagnostics)
+
+
 def test_expand_sizes_its_semigroup():
     """With the smallest eigenvalue 1, every order has its rate however far
     past the cutoff it lies."""

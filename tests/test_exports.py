@@ -47,7 +47,8 @@ DELETED = {
     "fields": ["leray_project", "apply_A_power", "low_pass", "bilinear_B_omega",
                "field_to_json", "field_from_json", "gevrey_norm", "_code_table", "_encode",
                "_triads", "_conv_plan", "_plan_entry", "_complex_kc", "_rotate_coeffs",
-               "apply_expS", "eigen_restrict"],
+               "apply_expS", "eigen_restrict", "_ShellPlans", "_shell_plans", "_paired_frame",
+               "_paired_rows"],
     "lattice": ["rationalize_period", "spectrum_to_json", "_cross_matrix", "stokes_spectrum",
                 "squarefree_decompose"],
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
@@ -92,7 +93,7 @@ PRIVATE_IMPORTS = {
     "solver": ["fields._advect", "fields._angles", "fields._closed_frame",
                "fields._doc_rows", "fields._field_docs", "fields._fields_of",
                "fields._gevrey_norms", "fields._mirror", "fields._per_mode", "fields._rotate",
-               "fields._rotate_by", "fields._shell_plans", "fields._strided"],
+               "fields._rotate_by", "fields._strided"],
     "special": ["fields._J_VERT", "fields._along_k", "fields._apply_jk", "fields._gevrey_norms",
                 "fields._modes_of", "fields._rotate_by"],
     "spoly": ["fields._lattice_frame", "fields._mirror", "fields._modes_of", "fields._rows"],
@@ -156,6 +157,21 @@ def test_trimmed_signatures_and_knobs():
     params = inspect.signature(pde_residual).parameters
     assert "fd_h" not in params
     assert params["velocity_dt"].default is inspect.Parameter.empty
+
+
+def test_one_frame_kind():
+    """Every frame lists its representative modes, then their partners, and
+    owns plans built on those rows: a closed support on dense data is the
+    lattice frame itself, and no plan is re-indexed from another."""
+    from rotspec.fields import _Plan, _closed_frame, _lattice_frame, random_gevrey
+    from rotspec.lattice import build_lattice
+
+    lat = build_lattice(cutoff=4)
+    frame = _lattice_frame(lat)
+    reps = np.flatnonzero(lat.rep_mask)
+    np.testing.assert_array_equal(frame.rows, np.r_[reps, lat.conj_idx[reps]])
+    assert _closed_frame(lat, random_gevrey(lat, seed=1).coeffs) is frame
+    assert not hasattr(_Plan, "reindexed")
 
 
 def test_expansion_keeps_one_set_of_samples():

@@ -15,6 +15,7 @@ from rotspec.fields import (
     bilinear_B,
     convolve_advect,
     _J_VERT,
+    _Frame,
     _Plan,
     _advect,
     _angles,
@@ -25,9 +26,9 @@ from rotspec.fields import (
     _convolve_padded,
     _lattice_frame,
     _mirror,
+    _pairs,
     _rotate,
     _rotate_by,
-    _shell_plans,
     field_from_doc,
     field_to_doc,
     inner,
@@ -270,8 +271,10 @@ def _triads_loop(lat):
 def test_conv_plan_matches_reference_loop():
     """pair_index against the double loop, and the full plan and every shell
     plan against the pair list filtered to representative outputs, stably
-    sorted by output and restricted to the shell."""
+    sorted by output and restricted to the shell, its modes read off the
+    frame's rows; a frame counts each shell's pairs before building its plan."""
     for lat in (LAT3, build_lattice(cutoff=6), build_lattice(ell=(1, 1, "1/2"), cutoff=5)):
+        frame = _Frame(lat, np.flatnonzero(lat.rep_mask))
         want = _triads_loop(lat)
         pair = np.full((lat.n_modes, lat.n_modes), -1)
         pair[want[0], want[1]] = want[2]
@@ -283,27 +286,29 @@ def test_conv_plan_matches_reference_loop():
         im, ij, io = im[keep][order], ij[keep][order], io[keep][order]
         for lam in [None] + lat.eigenvalues:
             sel = slice(None) if lam is None else lat.shell_of[io] == lat.shell(lam)
-            plan = _Plan(lat, lam, None)
-            np.testing.assert_array_equal(plan.im, im[sel])
-            np.testing.assert_array_equal(plan.ij, ij[sel])
+            n_pairs = frame.n_pairs(lam)
+            plan = frame.plan(lam)
+            np.testing.assert_array_equal(frame.rows[plan.im], im[sel])
+            np.testing.assert_array_equal(frame.rows[plan.ij], ij[sel])
             np.testing.assert_array_equal(plan.kc, lat.kcheck[io[sel]].T)
             assert plan.im.flags.c_contiguous and plan.ij.flags.c_contiguous
             assert plan.kc.flags.c_contiguous
-            np.testing.assert_array_equal(plan.indptr, _indptr(lat, io[sel]))
-            assert _shell_plans(lat, lam).n_pairs == len(plan.im)
+            np.testing.assert_array_equal(plan.indptr, _indptr(io[sel], _plan_outs(frame, lam)))
+            assert n_pairs == len(plan.im) == frame.n_pairs(lam)
 
 
-def _indptr(lat, io):
-    """A plan's indptr for pairs with output modes io: one row per
-    representative mode of the lattice, in mode order."""
-    reps = np.flatnonzero(lat.rep_mask)
-    return np.r_[0, np.cumsum(np.bincount(np.searchsorted(reps, io), minlength=len(reps)))]
+def _indptr(io, outs):
+    """A plan's indptr for pairs with output modes io: one row per output
+    mode outs, in mode order."""
+    return np.r_[0, np.cumsum(np.bincount(np.searchsorted(outs, io), minlength=len(outs)))]
 
 
-def _plan_outs(lattice, rows=None):
-    """The output modes of a plan on a frame of rows (None: every mode):
-    the frame's representative modes."""
-    return np.flatnonzero(lattice.rep_mask) if rows is None else rows[:len(rows) // 2]
+def _plan_outs(frame, lam=None):
+    """The output modes of a frame's plan for the shell lam (None: every
+    one): the frame's representative modes on that shell."""
+    reps = frame.rows[:len(frame.rows) // 2]
+    lat = frame.lattice
+    return reps if lam is None else reps[lat.shell_of[reps] == lat.shell(lam)]
 
 
 def _mirrored(lattice, out):
@@ -314,17 +319,19 @@ def _mirrored(lattice, out):
     return out
 
 
-def _convolve_reference(lattice, U, V, plan, rows=None):
-    """One sample's convolution on a plan, as scipy's public CSR product:
-    its representative output rows.
+def _convolve_reference(frame, U, V, plan, lam=None):
+    """One sample's convolution on a frame's plan for the shell lam, as
+    scipy's public CSR product: its representative output rows.
 
-    rows are the mode indices of the plan's frame (None: every mode), and U
-    and V are (len(rows), 3).  Each pair's dot product is the length-3 sum
-    over a (P,3) gather of the output wave vectors, as numpy reduces it.
+    U and V are (n, 3) on the frame's n representative rows; the frame's
+    partner rows are their np.conj.  Each pair's dot product is the
+    length-3 sum over a (P,3) gather of the output wave vectors, as numpy
+    reduces it.
     """
-    outs = _plan_outs(lattice, rows)
+    outs = _plan_outs(frame, lam)
+    U, V = np.concatenate([U, np.conj(U)]), np.concatenate([V, np.conj(V)])
     io = np.repeat(np.arange(len(outs)), np.diff(plan.indptr))
-    dots = (U[plan.im] * lattice.kcheck[outs[io]]).sum(axis=1)
+    dots = (U[plan.im] * frame.lattice.kcheck[outs[io]]).sum(axis=1)
     return 1j * (sp.csr_matrix((dots, plan.ij, plan.indptr), shape=(len(outs), len(U))) @ V)
 
 
@@ -336,9 +343,11 @@ def _advect_reference(lattice, X, Y, t=0.0, omega=0.0):
         rot = np.einsum("mij,mj->mi", lattice.jk, C)
         return np.cos(theta)[:, None] * C + np.sin(theta)[:, None] * rot
 
+    frame = _lattice_frame(lattice)
+
     def convolve(U, V):
         out = np.empty(U.shape, dtype=complex)
-        out[lattice.rep_mask] = _convolve_reference(lattice, U, V, _Plan(lattice, None, None))
+        out[frame.outs] = _convolve_reference(frame, U[frame.outs], V[frame.outs], frame.plan())
         return _mirrored(lattice, out)
 
     if omega == 0.0:
@@ -457,13 +466,12 @@ def _sparse_samples(lat, seed, n, keep):
 
 
 def _assert_only_full_plan(lat, lam):
-    """The only plan shell lam's record holds is the shell's full plan, and
-    no record of the lattice holds any other plan."""
-    record = _shell_plans(lat, lam)
-    assert record.full is not None and len(record.full.im) == record.n_pairs
-    for r in lat._conv_plans.values():
-        held = [getattr(r, name) for name in r.__slots__]
-        assert [p for p in held if isinstance(p, _Plan)] == ([] if r.full is None else [r.full])
+    """The lattice frame holds shell lam's full plan, and every plan it
+    holds is a full plan, with its shell's full pair count."""
+    frame = _lattice_frame(lat)
+    assert frame.support is None and (None if lam is None else Fraction(lam)) in frame.plans
+    for key, plan in frame.plans.items():
+        assert len(plan.im) == np.count_nonzero(_pairs(lat, key, None)[3])
 
 
 @given(st.sampled_from(["cube6", "ray10"]), st.integers(0, 2**16), st.sampled_from([1, 3]),
@@ -544,25 +552,27 @@ def test_plan_builder_restricts_the_full_plan_in_order():
     rng = np.random.default_rng(3)
     for lat in (LAT3, LATTICES["cube6"], STACKS["ray10"][0]):
         M, every = lat.n_modes, np.arange(lat.n_modes)
+        frame = _lattice_frame(lat)
         for lam in [None] + lat.eigenvalues + [Fraction(1, 3)]:
-            full = _Plan(lat, lam, None)
-            assert len(full.im) == _shell_plans(lat, lam).n_pairs
-            whole = _Plan(lat, lam, (every, every))
+            full = frame.plan(lam)
+            assert len(full.im) == frame.n_pairs(lam)
+            whole = _Plan(frame, lam, _pairs(lat, lam, (every, every)))
             for name in ("im", "ij", "kc", "indptr"):
                 got, want = getattr(whole, name), getattr(full, name)
                 np.testing.assert_array_equal(got, want)
                 assert got.dtype == want.dtype and got.flags.c_contiguous
-            im, ij, kc, indptr = full.im, full.ij, full.kc, full.indptr
-            io = np.repeat(_plan_outs(lat), np.diff(indptr))
+            im, ij, kc, indptr = frame.rows[full.im], frame.rows[full.ij], full.kc, full.indptr
+            outs = _plan_outs(frame, lam)
+            io = np.repeat(outs, np.diff(indptr))
             for size in (0, 1, 5, M // 3):
                 rows_u = np.sort(rng.choice(M, size, replace=False))
                 rows_v = np.sort(rng.choice(M, M - size, replace=False))
                 keep = np.isin(im, rows_u) & np.isin(ij, rows_v)
-                r = _Plan(lat, lam, (rows_u, rows_v))
-                np.testing.assert_array_equal(r.im, im[keep])
-                np.testing.assert_array_equal(r.ij, ij[keep])
+                r = _Plan(frame, lam, _pairs(lat, lam, (rows_u, rows_v)))
+                np.testing.assert_array_equal(frame.rows[r.im], im[keep])
+                np.testing.assert_array_equal(frame.rows[r.ij], ij[keep])
                 np.testing.assert_array_equal(r.kc, kc[:, keep])
-                np.testing.assert_array_equal(r.indptr, _indptr(lat, io[keep]))
+                np.testing.assert_array_equal(r.indptr, _indptr(io[keep], outs))
 
 
 def _spy_plans(monkeypatch):
@@ -572,9 +582,9 @@ def _spy_plans(monkeypatch):
     built = []
     plan = fields._Plan
 
-    def spy(lattice, lam, support):
-        built.append(support)
-        return plan(lattice, lam, support)
+    def spy(frame, lam, pairs):
+        built.append(frame.support)
+        return plan(frame, lam, pairs)
 
     monkeypatch.setattr(fields, "_Plan", spy)
     return built
@@ -604,9 +614,9 @@ def _handed_as(V, layout):
 def test_kernel_matches_scipys_public_product(kind, n, layout, seed):
     """The convolution's sum is scipy's csr_matrix((dots, ij, indptr)) @ V
     on the plan's own index arrays, bit for bit, per sample: on a shell's
-    full plan and on a closed support's re-indexed plan; for one sample,
-    stacks of 1 and 3, and stacks longer than one of advect's chunks; with
-    V non-contiguous, read-only or real.  A long stack through advect also
+    full plan and on a closed support's plan; for one sample, stacks of 1
+    and 3, and stacks longer than one of advect's chunks; with V
+    non-contiguous, read-only or real.  A long stack through advect also
     gives the per-sample reference's bits."""
     rng = np.random.default_rng(seed)
     if kind == "closed":
@@ -617,33 +627,32 @@ def test_kernel_matches_scipys_public_product(kind, n, layout, seed):
             return np.array([VkData.random(ray, (1, 2), s + b, lat).field(lat).coeffs
                              for b in range(count)])
         frame = _closed_frame(lat, samples(seed, 1)[0])
-        assert frame.rows is not None
-        lam, plan, rows = None, frame.plan, frame.rows
+        assert frame.support is not None
+        lam = None
     else:
         lat = LATTICES["cube6"]
 
         def samples(s, count):
             return _samples(lat, s, count)[0]
-        frame, rows = _lattice_frame(lat), None
+        frame = _lattice_frame(lat)
         lam = [None, *lat.eigenvalues][rng.integers(len(lat.eigenvalues) + 1)]
-        plan = _Plan(lat, lam, None)
-    record = _shell_plans(lat, lam)
+    plan = frame.plan(lam)
     count = {"one": 1, "chunks": 1 + max(1, _STACK_BLOCK_BYTES // (
-        48 * max(record.n_pairs, lat.n_modes)))}.get(n, n)
-    X, Y = samples(seed, count), samples(seed + 1, count)
-    if rows is not None:
-        X, Y = X[:, rows], Y[:, rows]
+        48 * max(frame.n_pairs(lam), lat.n_modes)))}.get(n, n)
+    Xm, Ym = samples(seed, count), samples(seed + 1, count)
+    X, Y = Xm[:, frame.outs], Ym[:, frame.outs]
     if n == "one":
         X, Y = X[0], Y[0]
     V = _handed_as(Y, layout)
-    got = _convolve(frame, X, V, record)
-    want = [_convolve_reference(lat, U, W, plan, rows) for U, W in
+    got = _convolve(frame, X, V, lam)
+    want = [_convolve_reference(frame, U, W, plan, lam) for U, W in
             zip(np.reshape(X, (-1, *X.shape[-2:])), np.reshape(V, (-1, *V.shape[-2:])))]
     _assert_bits_equal(got, np.reshape(want, got.shape))
     if kind == "full" and n == "chunks":
         on = lat.shell_of == lat.shell(lam) if lam is not None else slice(None)
-        want = [_advect_reference(lat, U, W) for U, W in zip(X, V)]
-        _assert_bits_equal(advect(lat, X, V, 0.0, 0.0, lam)[:, on], np.array(want)[:, on])
+        Vm = _handed_as(Ym, layout)
+        want = [_advect_reference(lat, U, W) for U, W in zip(Xm, Vm)]
+        _assert_bits_equal(advect(lat, Xm, Vm, 0.0, 0.0, lam)[:, on], np.array(want)[:, on])
 
 
 @pytest.mark.parametrize("extra", [1, 300])
@@ -662,9 +671,11 @@ def test_kernel_refuses_arrays_off_the_plans_rows(extra):
     lat = STACKS["ray10"][0]
     X = _ray_samples(lat, 0, 1)[0][0]
     frame = _closed_frame(lat, X)
-    A = np.repeat(X[None, frame.rows], 3, axis=0)
+    A = np.repeat(X[None, frame.outs], 3, axis=0)
     with pytest.raises(ValueError, match="one shape"):
-        _convolve(frame, A[:2], A, _shell_plans(lat, None))
+        _convolve(frame, A[:2], A)
+    with pytest.raises(ValueError, match="one shape"):
+        _convolve(frame, X[None, frame.rows], X[None, frame.rows])
 
 
 @pytest.mark.parametrize("value, padded", [(1e306, None), (2e307, "finite"), (1e308, "nan"),
@@ -685,24 +696,23 @@ def test_closed_frame_keeps_the_full_plans_non_finite_products(monkeypatch, valu
     X[i] = lat.proj[i] @ np.array([1.0, 0.5j, -0.3])
     X[lat.conj_idx[i]] = np.conj(X[i])
     frame = _closed_frame(lat, X)
-    assert frame.rows is not None and len(frame.rows) > 4
+    assert frame.support is not None and len(frame.rows) > 4
     X[i, 0] = value
     calls = []
     monkeypatch.setattr(fields, "_convolve_padded",
                         lambda *args: calls.append(1) or _convolve_padded(*args))
-    record = _shell_plans(lat, None)
     t, rows = 0.7, frame.rows
     with np.errstate(all="ignore"):
         want = advect(lat, X, X, t, omega)
         got = np.zeros_like(X)
         if omega == 0.0:
-            half = _advect(frame, X[rows], X[rows], record)
+            half = _advect(frame, X[frame.outs], X[frame.outs])
         else:  # a closed frame does not rotate: rotate every mode around it, as advect does
             jk = _complex_ops(lat)[0]
             c, s = _angles(lat, -omega, t)
-            Xr = _rotate(jk, X, c, s)[rows]
+            Xr = _rotate(jk, X, c, s)[frame.outs]
             b = np.zeros_like(X)
-            b[frame.outs] = _advect(frame, Xr, Xr, record)
+            b[frame.outs] = _advect(frame, Xr, Xr)
             half = _rotate(jk, b, c, -s)[frame.outs]
         # the kernel returns the frame's representative rows, and advect
         # sets each partner to their conjugate
@@ -717,33 +727,63 @@ def test_closed_frame_keeps_the_full_plans_non_finite_products(monkeypatch, valu
 
 
 def test_full_plan_is_built_only_when_used(monkeypatch):
-    """A u-form ray run on a fresh lattice caches the shell's pair count and
-    no plan; a dense advect then builds exactly one full plan, whose
-    complex wave vectors are read-only with the bits of kcheck at its
-    outputs, and later calls reuse it, a single sample with the plan's own
-    index arrays as its block."""
+    """A u-form ray run on a fresh lattice counts the lattice frame's pairs
+    and builds no plan of it; a dense advect then builds exactly one full
+    plan, whose complex wave vectors are read-only with the bits of kcheck
+    at its outputs, and later calls reuse it, a single sample with the
+    plan's own index arrays as its block."""
     lat = build_lattice(cutoff=8)  # fresh: no plan cached yet
     u0 = VkData.random((1, 0, 1), (1, 2), 3, lat).field(lat)
     integrate(u0, SolverConfig(dt=0.01, t_end=0.03, omega=5.0, form="u"))
-    assert list(lat._conv_plans) == [None]
-    record = lat._conv_plans[None]
-    assert record.full is None
-    assert record.n_pairs == len(_Plan(lat, None, None).im)
+    frame = _lattice_frame(lat)
+    assert frame.plans == {} and list(frame.counts) == [None]
+    assert frame.counts[None] == np.count_nonzero(_pairs(lat, None, None)[3])
     built = _spy_plans(monkeypatch)
     X, ts = _samples(lat, 1, 2)
     advect(lat, X, X, ts, 5.0)
     assert built == [None]
-    full = record.full
-    io = np.repeat(_plan_outs(lat), np.diff(full.indptr))
-    assert full.kc.dtype == complex and full.kc.shape == (3, record.n_pairs)
+    full = frame.plans[None]
+    io = np.repeat(_plan_outs(frame), np.diff(full.indptr))
+    assert full.kc.dtype == complex and full.kc.shape == (3, frame.counts[None])
     _assert_bits_equal(full.kc.real, lat.kcheck[io].T)
     assert not np.any(np.ascontiguousarray(full.kc.imag).view(np.uint64))  # +0.0 throughout
     with pytest.raises(ValueError):
         full.kc[0, 0] = 1.0
     advect(lat, X[0], X[0], float(ts[0]), 5.0)
-    assert len(built) == 1 and lat._conv_plans[None].full is full
+    assert len(built) == 1 and frame.plans[None] is full
     indptr, indices = full.blocks[1]
     assert indptr is full.indptr and indices is full.ij
+
+
+@given(st.sampled_from(["cube6", "ray10"]), st.integers(0, 2**16),
+       st.sampled_from(["one", 1, 3]), st.booleans(), st.booleans())
+@settings(deadline=None, max_examples=30)
+def test_kernel_reads_only_the_representative_rows(name, seed, n, same, shell):
+    """advect, for one sample and for stacks at Omega != 0, on every shell
+    or on one, and convolve_advect give the same bits when the inputs'
+    partner rows hold arbitrary finite values: every partner is taken as
+    np.conj of its representative."""
+    lat, samples = STACKS[name]
+    X, ts = samples(lat, seed, 1 if n == "one" else n)
+    Y = X if same else samples(lat, seed + 1, len(X))[0]
+    rng = np.random.default_rng(seed)
+    lam = lat.eigenvalues[rng.integers(len(lat.eigenvalues))] if shell else None
+    partners = lat.conj_idx[np.flatnonzero(lat.rep_mask)]
+
+    def scrambled(A):
+        A = A.copy()
+        size = A[:, partners].shape
+        A[:, partners] = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) \
+            * 10.0 ** rng.integers(-300, 300, size)
+        return A
+
+    Xb = scrambled(X)
+    Yb = Xb if same else scrambled(Y)
+    if n == "one":
+        X, Y, Xb, Yb, ts = X[0], Y[0], Xb[0], Yb[0], float(ts[0])
+        Y, Yb = (X, Xb) if same else (Y, Yb)
+    _assert_bits_equal(advect(lat, Xb, Yb, ts, 5.0, lam), advect(lat, X, Y, ts, 5.0, lam))
+    _assert_bits_equal(convolve_advect(lat, Xb, Yb), convolve_advect(lat, X, Y))
 
 
 def test_advect_rejects_mismatched_stacks():
@@ -800,23 +840,24 @@ def test_complex_operators_are_cast_once_and_read_only():
 def test_plan_wave_vectors_are_cast_once_and_read_only():
     """A plan's complex wave vectors are cast once, when a convolution first
     takes the plan, read-only, with the real vectors' bits; a shell whose
-    record is only looked up builds no plan."""
+    pairs are only counted builds no plan."""
     lat = build_lattice(cutoff=4)  # fresh: no plan cached yet
     U, ts = _samples(lat, 3, 3)
     lam = lat.eigenvalues[2]
+    frame = _lattice_frame(lat)
     for shell in (None, lam):
-        record = _shell_plans(lat, shell)
-        assert record.full is None
+        n_pairs = frame.n_pairs(shell)
+        assert shell not in frame.plans
         advect(lat, U, U, ts, 2.0, shell)
-        kc = record.full.kc
-        io = np.repeat(_plan_outs(lat), np.diff(record.full.indptr))
-        assert kc.dtype == complex and kc.shape == (3, record.n_pairs)
+        kc = frame.plans[shell].kc
+        io = np.repeat(_plan_outs(frame, shell), np.diff(frame.plans[shell].indptr))
+        assert kc.dtype == complex and kc.shape == (3, n_pairs)
         _assert_bits_equal(kc.real, lat.kcheck[io].T)
         assert not np.any(np.ascontiguousarray(kc.imag).view(np.uint64))  # +0.0 throughout
         with pytest.raises(ValueError):
             kc[0, 0] = 1.0
         advect(lat, U[0], U[0], float(ts[0]), 2.0, shell)
-        assert lat._conv_plans[shell].full.kc is kc
+        assert frame.plans[shell].kc is kc
 
 
 def _rotate_reference(lat, C, theta):

@@ -7,12 +7,12 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rotspec
 import rotspec.fields
-from rotspec.fields import (SpectralField, _closed_frame, _complex_ops, _rotate, _rotate_by,
-                            advect, random_gevrey)
+from rotspec.fields import (SpectralField, _closed_frame, _complex_ops, _lattice_frame, _rotate,
+                            _rotate_by, advect, random_gevrey)
 from rotspec.lattice import build_lattice
 from rotspec.special import VkData
 from rotspec.solver import (
@@ -151,6 +151,32 @@ def test_energy_report(cube_run):
     assert rep["energy"][0] == pytest.approx(0.5 * 0.1**2, rel=1e-12)
     # dissipation >= 2 * energy: smallest eigenvalue is 1
     assert np.all(rep["dissipation"] >= 2.0 * rep["energy"] - 1e-15)
+
+
+LAT2 = build_lattice(cutoff=2)
+U2 = random_gevrey(LAT2, seed=1)
+
+
+@given(st.one_of(st.integers(-10**6, 10**6).map(float), st.floats(-1e6, 1e6)),
+       st.one_of(st.sampled_from([2.0**-7, 0.25, 0.01, 0.005, 1e-3, 0.3]),
+                 st.floats(1e-3, 1.0)),
+       st.integers(1, 4), st.integers(1, 30))
+@example(1e6, 0.01, 1, 100)
+@settings(deadline=None, max_examples=60)
+def test_every_accepted_run_is_uniformly_spaced(t0, dt, stride, records):
+    """Whenever SolverConfig accepts a run, up to t0 = 1e6, the times
+    integrate records pass Trajectory.uniform_spacing, and so energy_report's
+    and expand's spacing check: each t0 + k dt is rounded to the resolution
+    of the times, a few ulp of max|t|, which at t0 = 1e6 is about 1e-8 of a
+    gap of 0.01."""
+    n = stride * records
+    try:
+        config = SolverConfig(dt=dt, t0=t0, t_end=t0 + n * dt, omega=5.0, form="u",
+                              record_stride=stride)
+    except ValueError:
+        return
+    traj = integrate(U2, config)
+    assert traj.uniform_spacing(traj.n_samples) > 0
 
 
 def test_energy_report_input_checks(cube6):
@@ -588,10 +614,11 @@ def test_closed_support_stops_at_the_reference_step(amplitude, form):
 
 
 def test_closed_support_run_builds_its_plan_once(monkeypatch):
-    """A run on a closed support looks up the plan record, closes the
-    support and builds its plan at set-up: a longer run makes no more
-    lookups and no plan."""
-    calls = {"_shell_plans": 0, "_Plan": 0}
+    """A run on a closed support closes the support and builds its one plan
+    at set-up: a longer run enumerates no more pairs and builds no more
+    plans.  The lattice's pair count, which decides for the closed support,
+    is counted once, and no full plan is built."""
+    calls = {"_pairs": 0, "_Plan": 0}
 
     def count(name):
         original = getattr(rotspec.fields, name)
@@ -603,30 +630,33 @@ def test_closed_support_run_builds_its_plan_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(rotspec.fields, name, count(name))
-    u0 = _off_line_field(build_lattice(cutoff=10), (1, 0, 1), (1,), 3, 1)
+    lat = build_lattice(cutoff=10)
+    u0 = _off_line_field(lat, (1, 0, 1), (1,), 3, 1)
     seen = []
-    for t_end in (0.02, 0.2):
+    for t_end in (0.02, 0.02, 0.2):
         for name in calls:
             calls[name] = 0
         integrate(u0, SolverConfig(dt=0.01, t_end=t_end, omega=5.0, form="v"))
         seen.append(dict(calls))
-    assert seen[0] == seen[1] and seen[0]["_Plan"] >= 2
+    assert seen[1] == seen[2] and seen[1]["_Plan"] == 1
+    assert seen[0] == {"_pairs": seen[1]["_pairs"] + 1, "_Plan": 1}
+    assert _lattice_frame(lat).plans == {}
 
 
 @pytest.mark.parametrize("kind", ["dense", "ray"])
 @pytest.mark.parametrize("form", ["u", "v"])
 def test_a_step_convolves_the_representative_half_four_times(monkeypatch, kind, form):
-    """Each step forms four products (fields._convolve), each on the
-    frame's rows and returning its representative rows, and no stage
-    mirrors: fields._mirror writes only each later record's partners."""
+    """Each step forms four products (fields._convolve), each taking and
+    returning the frame's representative rows, and no stage mirrors:
+    fields._mirror writes only each later record's partners."""
     import rotspec.solver
     u0 = _initial(kind, 1)
     n_rows = len(_closed_frame(u0.lattice, u0.coeffs).rows)
     shapes, mirrors = [], []
     convolve, mirror = rotspec.fields._convolve, rotspec.fields._mirror
 
-    def convolve_spy(frame, U, V, record):
-        out = convolve(frame, U, V, record)
+    def convolve_spy(frame, U, V, lam=None):
+        out = convolve(frame, U, V, lam)
         shapes.append((U.shape, V.shape, out.shape))
         return out
 
@@ -641,7 +671,7 @@ def test_a_step_convolves_the_representative_half_four_times(monkeypatch, kind, 
     traj = integrate(u0, SolverConfig(dt=0.02, t_end=n * 0.02, omega=5.0, form=form,
                                       record_stride=2))
     assert traj.n_samples == n // 2 + 1
-    assert shapes == [((n_rows, 3), (n_rows, 3), (n_rows // 2, 3))] * (4 * n)
+    assert shapes == [((n_rows // 2, 3),) * 3] * (4 * n)
     assert len(mirrors) == n // 2
 
 
