@@ -10,7 +10,7 @@ is imported from its module (`rotspec.lattice`, `rotspec.fields`,
 `rotspec.spoly`, `rotspec.solver`, `rotspec.expansion`, `rotspec.special`).
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .lattice import build_lattice
 from .fields import random_gevrey

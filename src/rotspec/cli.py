@@ -3,7 +3,10 @@
 Subcommands: spectrum, simulate, expand, verify-special, helicity,
 sweep-omega, report.  All outputs are deterministic given config + seed,
 embed the config hash and artifact version, and use JSON/JSON-lines for
-structured data with CSV reserved for plot series.  Errors are emitted as
+structured data with CSV reserved for plot series.  JSON documents are
+written by orjson, 2-space indented with sorted keys and every float in its
+shortest round-trip form (0.000036, where 0.4.0 wrote json's 3.6e-05);
+version 0.5.0 changed only that spelling.  Errors are emitted as
 machine-readable JSON on stderr with exit codes 0 (ok), 2 (config), 3
 (numerical failure), 4 (verification failure).
 """
@@ -179,10 +182,10 @@ def _load_config(path: str) -> dict:
 
 def _non_finite(doc, key: str = ""):
     """(dotted key, value) of the first non-finite number in a JSON document,
-    list items keyed by [index], or None."""
+    list or tuple items keyed by [index], or None."""
     if isinstance(doc, dict):
         items = ((f"{key}.{k}" if key else k, v) for k, v in doc.items())
-    elif isinstance(doc, list):
+    elif isinstance(doc, (list, tuple)):
         items = ((f"{key}[{i}]", v) for i, v in enumerate(doc))
     else:
         return (key, doc) if isinstance(doc, float) and not math.isfinite(doc) else None
@@ -267,73 +270,27 @@ def _stamp(doc: dict, cfg: Optional[dict]) -> dict:
     return doc
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.lru_cache(maxsize=None)
-def _encoder(indent: str) -> json.JSONEncoder:
-    """json's encoder for the items of a container at one indent ("\n" and
-    its spaces): with no indent set json encodes in C, and this item
-    separator writes the line break and indent that indent=2 writes."""
-    return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=("," + indent, ": "))
-
-
-def _scalars(items) -> bool:
-    return not any(isinstance(x, _CONTAINERS) for x in items)
-
-
-def _layout(o, indent: str, out: List[str]):
-    """Append to out the text json.dumps(..., sort_keys=True, indent=2,
-    allow_nan=False) writes for o at the line indent `indent`.  Containers
-    are walked here, and a container of scalars, or a list of non-empty
-    lists of scalars, goes to the C encoder whole."""
-    if not isinstance(o, _CONTAINERS):
-        out.append(_encoder(indent).encode(o))
-        return
-    if not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
-        return
-    inner = indent + "  "
-    if _scalars(o.values() if isinstance(o, dict) else o):
-        text = _encoder(inner).encode(o)
-        out.append(text[0] + inner + text[1:-1] + indent + text[-1])
-    elif isinstance(o, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(sorted(o.items())):
-            # a key that is not a string is quoted as json quotes it
-            key = json.dumps(k) if isinstance(k, str) else _encoder(inner).encode({k: 0})[1:-4]
-            out.append(("," if i else "") + inner + key + ": ")
-            _layout(v, inner, out)
-        out.append(indent + "}")
-    elif all(isinstance(x, (list, tuple)) and x and _scalars(x) for x in o):
-        # rows encoded at the row items' indent: a separator after a "]"
-        # follows a row, as no scalar's text ends in "]" and a string's text
-        # holds no raw line break
-        row = inner + "  "
-        text = _encoder(row).encode(o)[2:-2]
-        out.append("[" + inner + "[" + row
-                   + text.replace("]," + row + "[", inner + "]," + inner + "[" + row)
-                   + inner + "]" + indent + "]")
-    else:
-        out.append("[")
-        for i, x in enumerate(o):
-            out.append(("," if i else "") + inner)
-            _layout(x, inner, out)
-        out.append(indent + "]")
-
-
 def _dump(doc: dict) -> str:
-    """doc as json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    writes it, byte for byte, plus a newline.  With an indent json encodes
-    in Python; _layout gives the bulk of the document to its C encoder.  A
-    non-finite number exits 3."""
-    out: List[str] = []
+    """doc as 2-space-indented JSON with sorted keys and shortest round-trip
+    floats, plus a newline.  orjson writes a non-finite number as null, so a
+    text that holds null is walked for one, which exits 3.  What orjson
+    cannot encode, an integer past 64 bits or a key that is not a string,
+    json writes in the same layout."""
+    import orjson  # loaded by the commands that write a document, not by import
+
     try:
-        _layout(doc, "\n", out)
-    except ValueError as e:
-        raise CliError(EXIT_NUMERICAL, "numerical", f"output holds a non-finite value: {e}")
-    out.append("\n")
-    return "".join(out)
+        text = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+                            | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE).decode()
+    except orjson.JSONEncodeError:
+        try:
+            return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as e:
+            raise CliError(EXIT_NUMERICAL, "numerical", f"output holds a non-finite value: {e}")
+    bad = _non_finite(doc) if "null" in text else None
+    if bad is not None:
+        raise CliError(EXIT_NUMERICAL, "numerical",
+                       f"output holds a non-finite value: {bad[0]} is {bad[1]}")
+    return text
 
 
 # ---------------------------------------------------------------------------

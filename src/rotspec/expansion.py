@@ -109,8 +109,9 @@ def expand(traj: Trajectory, n_orders: int,
     of the run.
 
     Each order is q_n(t) e^{-mu_n t} in absolute t, so q_n and the fit's
-    weights carry e^{mu_n t}, and norms square them: a run whose last sample
-    time t puts e^{2 mu_n t} beyond the float range raises ValueError first.
+    weights carry e^{mu_n t}, and norms square them: a run whose first or
+    last sample time t puts e^{2 mu_n |t|} beyond the float range raises
+    ValueError first, naming that time.
     """
     if n_orders < 1:
         raise ValueError(f"order must be at least 1, got {n_orders}")
@@ -127,11 +128,13 @@ def expand(traj: Trajectory, n_orders: int,
 
     # the smallest eigenvalue is 1, so 1..n_orders+1 are all semigroup elements
     table = semigroup_table(lat, max(lat.cutoff, n_orders + 1))
-    t_last = float(ts[-1])
+    # e^{mu t} overflows at late times and underflows at early negative ones
+    t_first, t_last = float(ts[0]), float(ts[-1])
+    which, t_far = ("first", t_first) if abs(t_first) > abs(t_last) else ("last", t_last)
     for n, mu in enumerate(table.mu[:n_orders]):
-        if 2.0 * float(mu) * t_last > _LOG_MAX:
-            raise ValueError(f"order {n + 1} (mu = {mu}) cannot be expanded up to the last "
-                             f"sample time t = {t_last!r}: e^(2 mu t) is beyond the float range")
+        if 2.0 * float(mu) * abs(t_far) > _LOG_MAX:
+            raise ValueError(f"order {n + 1} (mu = {mu}) cannot be expanded at the {which} "
+                             f"sample time t = {t_far!r}: e^(2 mu |t|) is beyond the float range")
     exp = Expansion(traj, table, xi_windows)
 
     for n in range(n_orders):
@@ -372,7 +375,10 @@ def remainder_rate(exp: Expansion, order: int,
     flagged = bool(clipped.sum() < mask.sum())
     if clipped.sum() >= 8:
         mask = clipped
-    fit = fit_decay_rate(ts[mask], norms[mask])
+    try:
+        fit = fit_decay_rate(ts[mask], norms[mask])
+    except ValueError as e:
+        raise ValueError(f"order {order} remainder: {e}") from None
     expected = float(exp.table.mu[order]) if order < len(exp.table.mu) else None
     fit.update({
         "expected": expected,

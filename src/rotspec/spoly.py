@@ -49,7 +49,8 @@ term; the reader takes only the columnar layout that 0.2.0 introduced
 unless every pair is an exact conjugate, when it reads the polynomial that
 0.3.0 writes, so the orders of an expansion from 3 up are refused.  0.4.0
 leaves out the round-off terms above, so orders from 3 up hold far fewer
-terms; a 0.3.0 document still reads bit for bit.
+terms; a 0.3.0 document still reads bit for bit.  0.5.0 spells floats in
+their shortest round-trip form (0.000036, not 3.6e-05), the same numbers.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ inspects exit codes, stdout/stderr, and files written to tmp dirs.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rotspec
 from rotspec import __version__
@@ -560,16 +562,69 @@ _DUMP_DOCS = [
 ]
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _assert_json_dumps_layout(text, doc):
+    """text is doc as json.dumps(sort_keys=True, indent=2) lays it out, line
+    for line, apart from how a number is spelled, plus one newline."""
+    want = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
+    assert json.loads(text) == json.loads(want)
+    assert text.endswith("\n") and not text.endswith("\n\n")
+
+    def lines(s):
+        return [_NUMBER.sub(lambda m: repr(float(m.group())), line) for line in s.split("\n")]
+
+    assert lines(text[:-1]) == lines(want)
+
+
 @pytest.mark.parametrize("doc", _DUMP_DOCS)
 def test_dump_writes_json_dumps_indented_bytes(doc):
-    """The output writer lays out containers itself and hands containers of
-    scalars to json's C encoder; its bytes are json.dumps' with indent=2."""
-    assert _dump(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Documents are 2-space-indented JSON with sorted keys, json.dumps'
+    indent=2 layout; only a float's spelling may differ (shortest round
+    trip: 0.000036, not 3.6e-05)."""
+    _assert_json_dumps_layout(_dump(doc), doc)
 
 
 def test_dump_of_an_expand_document_is_json_dumps_indented(pipeline):
     text = Path(pipeline["report"]).read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    _assert_json_dumps_layout(text, json.loads(text))
+
+
+def _has_non_finite(doc):
+    if isinstance(doc, dict):
+        return any(_has_non_finite(v) for v in doc.values())
+    if isinstance(doc, (list, tuple)):
+        return any(_has_non_finite(v) for v in doc)
+    return isinstance(doc, float) and not math.isfinite(doc)
+
+
+_scalars = (st.text() | st.integers(-2**100, 2**100) | st.booleans() | st.none()
+            | st.floats() | st.floats().map(np.float64))
+_docs = st.recursive(_scalars, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.integers(-2**100, 2**100), inner, max_size=4)), max_leaves=20)
+
+
+@given(_docs)
+@example({"a": [(1.0, float("nan"))]})
+@settings(max_examples=200, deadline=None)
+def test_dump_is_json_with_sorted_keys(doc):
+    """Any document of JSON's types, numpy floats, tuples, integer keys and
+    integers past 64 bits: _dump's text parses to what json.dumps' does,
+    every object's keys in json's sort_keys order, and ends in one newline;
+    a non-finite number anywhere exits 3."""
+    if _has_non_finite(doc):
+        with pytest.raises(CliError) as e:
+            _dump(doc)
+        assert e.value.code == EXIT_NUMERICAL and "non-finite" in str(e.value)
+        return
+    text = _dump(doc)
+    assert json.loads(text) == json.loads(json.dumps(doc))
+    pairs = functools.partial(json.loads, object_pairs_hook=list)
+    assert pairs(text) == pairs(json.dumps(doc, sort_keys=True))
+    assert text.endswith("\n") and not text.endswith("\n\n")
 
 
 @pytest.mark.parametrize("doc", [
@@ -684,6 +739,41 @@ def test_expand_refuses_a_late_start_whose_weights_overflow(tmp_path, capsys, t0
     assert f"order {order} (mu = {order})" in err["message"]
     assert f"last sample time t = {t0 + 1.0!r}" in err["message"]
     assert not out.exists()
+
+
+def test_expand_refuses_an_early_start_whose_weights_underflow(tmp_path, capsys):
+    """From t0 = -200, e^{2 mu t} of order 2 underflows at the first sample
+    time: expand exits 2 naming order 2 and that time, rather than writing
+    order 2 as zero.  Order 1 (2 * 1 * 200 < 709.78) expands."""
+    cfg = {"lattice": {"cutoff": 2}, "omega": 5.0,
+           "initial": {"kind": "random-gevrey", "seed": 1, "amplitude": 0.1},
+           "solver": {"dt": 2.0 ** -4, "t0": -200.0, "t_end": 1.0, "form": "v",
+                      "record_stride": 2}}
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    traj = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(tmp_path / "run.json"), "--out", str(traj)]) == 0
+    out = tmp_path / "exp.json"
+    assert main(["expand", "--traj", str(traj), "--order", "2", "--out", str(out)]) == 2
+    message = _stderr_error(capsys)["message"]
+    assert "order 2 (mu = 2)" in message and "first sample time t = -200.0" in message
+    assert not out.exists()
+    assert main(["expand", "--traj", str(traj), "--order", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["diagnostics"][0]["xi_norm"] > 0.0
+
+
+def test_expand_names_the_order_whose_remainder_cannot_be_fitted(tmp_path, capsys):
+    """At amplitude 1e-150 the order-2 remainder's norms square to 0, so its
+    rate fit has no positive samples: expand exits 2 naming that order."""
+    cfg = {"lattice": {"cutoff": 2}, "omega": 5.0,
+           "initial": {"kind": "random-gevrey", "seed": 1, "amplitude": 1e-150},
+           "solver": {"dt": 2.0 ** -7, "t_end": 2.0, "form": "v"}}
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    traj = tmp_path / "traj.jsonl"
+    assert main(["simulate", "--config", str(tmp_path / "run.json"), "--out", str(traj)]) == 0
+    assert main(["expand", "--traj", str(traj), "--order", "3"]) == 2
+    err = _stderr_error(capsys)
+    assert err["code"] == 2
+    assert err["message"] == "order 2 remainder: need at least 4 positive samples for a rate fit"
 
 
 def test_helicity_nan_trajectory_exits_3(tmp_path, capsys):
@@ -1519,8 +1609,8 @@ def test_outdir_env_redirects_relative_paths(tmp_path, monkeypatch):
 
 
 def test_import_of_the_cli_leaves_orjson_unloaded():
-    """Only the trajectory writer imports orjson, so a command that writes
-    no trajectory never loads it."""
+    """Every command that writes JSON, a document or a trajectory, imports
+    orjson when it writes; importing the command line does not load it."""
     src = str(Path(rotspec.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -53,7 +53,7 @@ DELETED = {
                 "squarefree_decompose"],
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
               "spoly_from_json", "_pair_table"],
-    "cli": ["_require_whole_records"],
+    "cli": ["_require_whole_records", "_CONTAINERS", "_encoder", "_scalars", "_layout"],
     "special": ["linear_expansion_terms", "field_shift", "eval_on_grid"],
     "expansion": ["FitPolicy", "_require_uniform", "_fit_chunks", "_FIT_BLOCK_BYTES",
                   "_order_samples", "_partial_sum", "_fast_pair_forcing", "fit_log_slope"],
@@ -198,6 +198,9 @@ def test_lattice_has_one_wave_vector_index():
     assert not hasattr(build_lattice(cutoff=2), "mode_index")
 
 
+# setuptools notes that its pyproject.toml support is beta each time it reads one
+@pytest.mark.filterwarnings(r"ignore:Support for `\[tool.setuptools\]` in `pyproject.toml` "
+                            r"is still \*beta\*")
 def test_package_metadata_version_is_the_module_version():
     from setuptools.config.pyprojecttoml import read_configuration
 
