@@ -14,23 +14,23 @@ returns the representative outputs.  A frame (_Frame) lists its rows as
 its representative modes, sorted, then their partners, and owns its
 plans, one per Stokes shell, each built on those row positions.  There
 are two: the lattice frame of every mode (_lattice_frame), and the frame
-of a closed support (_closed_frame), which is the lattice frame itself on
-dense data.  Every angle of exp(rate t S) comes from _angles, the
-package's only np.cos/np.sin caller; _rotate_by rotates whole samples
-(linear_evolution, transform_trajectory).  _rotated_products is the one
-loop of the rotated B_Omega over a stack of samples, behind advect and
-the resonant fit (rotspec.expansion): per block of samples (_stack_block;
-one sample is one block) it gathers and rotates each input's
-representative rows once, forms the caller's products unrotated on a
-shell's representative outputs and rotates their sum back once.  The
-integrator (rotspec.solver) steps the representative half on its closed
-frame and rotates only through its fused propagators and its records'
-representative rows.  Rotation and projection multiply by the lattice's
-cached complex operators (_complex_ops).  The convolution sums its pairs
-in scipy's compiled CSR routine.  _mirror writes every conjugate half,
-and only the callers that need full rows call it: convolve_advect,
-_rotated_products, the integrator's records, random_gevrey and
-SPoly.evaluate_many.
+of a closed support (_closed_frame), which is the lattice frame itself
+when the support is every mode.  Every angle of exp(rate t S) comes from
+_angles, the package's only np.cos/np.sin caller; _rotate_by rotates
+whole samples (linear_evolution, transform_trajectory).
+_rotated_products is the one loop of the rotated B_Omega over a stack of
+samples, behind advect and the resonant fit (rotspec.expansion): per
+block of samples (_stack_block; one sample is one block) it gathers and
+rotates each input's representative rows once, forms the caller's
+products unrotated on a shell's representative outputs and rotates their
+sum back once.  The integrator (rotspec.solver) steps the representative
+half on its closed frame and rotates only through its fused propagators
+and its records' representative rows.  Rotation and projection multiply
+by the lattice's cached complex operators (_complex_ops).  The
+convolution sums its pairs in scipy's compiled CSR routine.  _mirror
+writes every conjugate half, and only the callers that need full rows
+call it: convolve_advect, _rotated_products, the integrator's records,
+random_gevrey and SPoly.evaluate_many.
 """
 
 from __future__ import annotations
@@ -158,16 +158,26 @@ def _gevrey_norms(lattice: Lattice, coeffs: np.ndarray, alpha: float = 0.0,
     of the leading axes.  Each field's weighted sum is numpy's pairwise sum
     over its modes, so a stacked sample's norm equals its own norm bit for
     bit.  A spatial mean (a 3-vector) contributes only to the plain L2 norm
-    (alpha = 0), where the zero mode carries unit weight.
+    (alpha = 0), where the zero mode carries unit weight.  A norm whose sum
+    underflows to 0 on non-zero data is taken again on the data divided by
+    their largest |entry|; every other norm is the plain sum's.
     """
     lam = lattice.lam_f
     w = np.exp(2.0 * sigma * np.sqrt(lam))
     if alpha != 0.0:
         w = w * lam ** (2.0 * alpha)
-    total = np.sum(w * np.einsum("...mc,...mc->...m", coeffs, np.conj(coeffs)).real, axis=-1)
-    if alpha == 0.0 and mean is not None:
-        total = total + float(np.dot(mean, mean))
-    return np.sqrt(lattice.volume * total)
+    mean = np.zeros(3) if mean is None or alpha != 0.0 else np.asarray(mean, dtype=float)
+
+    def norms(X, m):
+        total = np.sum(w * np.einsum("...mc,...mc->...m", X, np.conj(X)).real, axis=-1)
+        return np.sqrt(lattice.volume * (total + float(np.dot(m, m))))
+
+    out = np.array(norms(coeffs, mean))
+    for i in map(tuple, np.argwhere(out == 0)):
+        scale = max(np.abs(coeffs[i]).max(), np.abs(mean).max())
+        if scale > 0:
+            out[i] = scale * norms(coeffs[i] / scale, mean / scale)
+    return out
 
 
 def inner(u: SpectralField, v: SpectralField) -> float:
@@ -350,7 +360,7 @@ class _Frame:
     that order; the kernel takes and returns arrays on the representative
     rows.  support is None on the lattice frame (_lattice_frame) and (S, S)
     on a closed support S (_closed_frame).  plans holds each shell's plan on
-    the frame's rows (plan), and counts each shell's pair count (n_pairs).
+    the frame's rows (plan).
     The frame keeps what the kernel and its callers read per output row,
     taken once: the complex P_k and J_k, sliced from the lattice's and laid
     out as _complex_ops lays them out, so _per_mode forms each row's
@@ -363,7 +373,7 @@ class _Frame:
     """
 
     __slots__ = ("_lattice", "rows", "outs", "support", "proj", "jk", "mirror", "kbound",
-                 "plans", "counts")
+                 "plans")
 
     def __init__(self, lattice: Lattice, reps: np.ndarray,
                  support: Optional[Tuple[np.ndarray, np.ndarray]] = None):
@@ -373,7 +383,7 @@ class _Frame:
         self.mirror = (self.outs, self.rows[len(reps):])
         self.proj, self.jk = _strided(lattice.proj[reps]), _strided(lattice.jk[reps])
         self.kbound = None if support is None else 4.0 * np.abs(lattice.kcheck).max()
-        self.plans, self.counts = {}, {}
+        self.plans = {}
 
     @property
     def lattice(self) -> Lattice:
@@ -386,14 +396,6 @@ class _Frame:
         if plan is None:
             plan = self.plans[key] = _Plan(self, key, _pairs(self.lattice, key, self.support))
         return plan
-
-    def n_pairs(self, lam=None) -> int:
-        """len(plan(lam).im), counted on the one enumeration without building
-        the plan, once per shell."""
-        key = None if lam is None else Fraction(lam)
-        if key not in self.counts:
-            self.counts[key] = int(np.count_nonzero(_pairs(self.lattice, key, self.support)[3]))
-        return self.counts[key]
 
 
 def _lattice_frame(lattice: Lattice) -> _Frame:
@@ -411,16 +413,14 @@ def _closed_frame(lattice: Lattice, C: np.ndarray) -> _Frame:
     partners.  It takes in the outputs of the pairs that (S, S) keeps
     (_pairs), and their partners, until it stops changing.  No pair of
     modes in S then reaches a mode outside S.  The frame is S with its one
-    plan, built once, while (3|S|)^2, the most pairs of non-zero entries
-    two fields on S can have, is below the lattice's pair count
-    (_Frame.n_pairs, counted without building the full plan).  Otherwise
-    it is the lattice frame itself, whose plan is the full plan.
+    plan, built once: the full plan restricted to S x S, so it never forms
+    more pairs.  When S is every mode, the frame is the lattice frame
+    itself, whose plan is the full plan, and data that touch every mode
+    enumerate no pair here.
     """
-    whole = _lattice_frame(lattice)
-    n_pairs = whole.n_pairs()
     live = C.any(axis=-1)
     rows = np.flatnonzero(live | live[lattice.conj_idx])
-    while (3 * len(rows)) ** 2 < n_pairs:
+    while len(rows) < lattice.n_modes:
         pairs = _pairs(lattice, None, (rows, rows))
         outs = pairs[1][pairs[3].any(axis=1)]
         grown = np.union1d(rows, np.r_[outs, lattice.conj_idx[outs]])
@@ -429,7 +429,7 @@ def _closed_frame(lattice: Lattice, C: np.ndarray) -> _Frame:
             frame.plans[None] = _Plan(frame, None, pairs)
             return frame
         rows = grown
-    return whole
+    return _lattice_frame(lattice)
 
 
 def _check_shapes(U: np.ndarray, V: np.ndarray, rows: int) -> None:
@@ -566,7 +566,7 @@ def _stack_block(frame: _Frame, lam) -> int:
     """Samples per block of a stack whose products take the frame's plan
     for the shell lam: the one block-size rule (_rotated_products).
     Samples are independent, so no block size changes a bit."""
-    return max(1, _STACK_BLOCK_BYTES // (48 * max(frame.n_pairs(lam), len(frame.rows))))
+    return max(1, _STACK_BLOCK_BYTES // (48 * max(len(frame.plan(lam).im), len(frame.rows))))
 
 
 def _rotated_products(lattice: Lattice, lam, t, omega: float,

@@ -114,7 +114,7 @@ class Lattice:
     Attributes
     ----------
     ks : (M,3) int array of retained wave vectors, sorted by (lam, k).
-    lam : list of Fraction, exact eigenvalue per mode.
+    shell_of : (M,) int, each mode's position in eigenvalues.
     lam_f, kcheck, ktil, kt3, proj, jk : float views used by numeric kernels.
     conj_idx : (M,) int, index of -k for each k.
     rep_mask : (M,) bool, True on the lexicographically positive member of
@@ -122,7 +122,8 @@ class Lattice:
     eigenvalues : sorted list of distinct Fractions present on the lattice.
     freq_sqfree, freq_coef : per-mode canonical form of the elementary
         oscillation frequency k3til = (coef) * sqrt(sqfree), exact; coef is 0
-        for modes with k3 = 0.
+        for modes with k3 = 0.  k3til = k3 sqrt(q3/lam), so the radical form
+        is taken once per shell.
     """
 
     def __init__(self, ell: Sequence[Fraction | int | str], cutoff: Fraction | int | str):
@@ -172,8 +173,7 @@ class Lattice:
         self.eigenvalues: List[Fraction] = [Fraction(int(n), D) for n in shells]
         self.multiplicity = counts.tolist()
         self._shell_pos = {l: i for i, l in enumerate(self.eigenvalues)}
-        self.lam = [self.eigenvalues[s] for s in self.shell_of.tolist()]
-        self.n_modes = len(self.lam)
+        self.n_modes = len(self.ks)
 
         sq = np.array([math.sqrt(float(q)) for q in self.q])
         self.kcheck = self.ks * sq[None, :]
@@ -193,25 +193,20 @@ class Lattice:
         self.conj_idx = self.index_of(-self.ks)
         self.rep_mask = self.ks[np.arange(self.n_modes), np.argmax(self.ks != 0, axis=1)] > 0
 
-        # canonical radical form of k3til = kcheck3/|kcheck| = coef*sqrt(sqfree)
-        self.freq_sqfree: List[int] = []
-        self.freq_coef: List[Fraction] = []
-        for i in range(self.n_modes):
-            k3 = int(self.ks[i, 2])
-            if k3 == 0:
-                self.freq_sqfree.append(1)
-                self.freq_coef.append(Fraction(0))
-                continue
-            ratio = (self.q[2] * k3 * k3) / self.lam[i]  # k3til^2, exact in (0,1]
-            p, qd = ratio.numerator, ratio.denominator
+        # canonical radical form of k3til = k3 sqrt(r), r = q3/lam = a sqrt(s)/den
+        # on each shell that holds a mode with k3 != 0
+        unit, sqfree = {}, {}
+        for sh in np.unique(self.shell_of[self.ks[:, 2] != 0]).tolist():
+            r = self.q[2] / self.eigenvalues[sh]
             try:
-                a, s = _squarefree_decompose(p * qd)
+                a, s = _squarefree_decompose(r.numerator * r.denominator)
             except LatticeError as err:
                 raise LatticeError(f"the periods {tuple(str(e) for e in ell)} cannot be put "
                                    f"in radical form: {err}") from None
-            coef = Fraction(a, qd) * (1 if k3 > 0 else -1)
-            self.freq_sqfree.append(s)
-            self.freq_coef.append(coef)
+            unit[sh], sqfree[sh] = Fraction(a, r.denominator), s
+        modes = list(zip(self.shell_of.tolist(), self.ks[:, 2].tolist()))
+        self.freq_sqfree = [sqfree[sh] if k3 else 1 for sh, k3 in modes]
+        self.freq_coef = [k3 * unit[sh] if k3 else Fraction(0) for sh, k3 in modes]
 
     def _encode(self, ks: np.ndarray) -> np.ndarray:
         k = ks + self._span

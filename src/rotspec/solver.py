@@ -180,11 +180,10 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     +0.  The representative rows carry the bits of a step on all M modes
     (one that forms -B(u, u) and mirrors each stage), and a state that such
     a step would make non-finite stops the run at the same step
-    (fields._convolve).  When S is too large for its plan to pay, (3|S|)^2
-    being at least the full plan's pair count, S is every mode and every
-    convolution takes the full plan.  Ray data have their line as S: a
-    cutoff-30 ray run holds 6 of 738 modes, forms 9 of 127,188 pairs per
-    stage and never builds the full plan.
+    (fields._convolve).  S's plan is the full plan restricted to S x S;
+    when S is every mode, every convolution takes the full plan.  Ray data
+    have their line as S: a cutoff-30 ray run holds 6 of 738 modes, forms
+    9 of 127,188 pairs per stage and never builds the full plan.
     """
     lat = u0.lattice
     h = config.dt
@@ -197,12 +196,10 @@ def integrate(u0: SpectralField, config: SolverConfig) -> Trajectory:
     reps = frame.outs
 
     def make_prop(s: float):
-        # decay (cos theta I + sin theta J_k) per mode, formed on every mode
-        # and then sliced, so each row has its own bits
-        c, sn = _angles(lat, -om, s)
-        op = np.exp(-s * lat.lam_f)[:, None, None] * (
-            c[:, None, None] * np.eye(3) + sn[:, None, None] * lat.jk)
-        op = _strided(op[reps])
+        # decay (cos theta I + sin theta J_k) per representative row
+        c, sn = (x[reps] for x in _angles(lat, -om, s))
+        op = _strided(np.exp(-s * lat.lam_f[reps])[:, None, None] * (
+            c[:, None, None] * np.eye(3) + sn[:, None, None] * lat.jk[reps]))
         return lambda C: _per_mode(op, C)
 
     def B(C):

@@ -762,18 +762,38 @@ def test_expand_refuses_an_early_start_whose_weights_underflow(tmp_path, capsys)
 
 
 def test_expand_names_the_order_whose_remainder_cannot_be_fitted(tmp_path, capsys):
-    """At amplitude 1e-150 the order-2 remainder's norms square to 0, so its
-    rate fit has no positive samples: expand exits 2 naming that order."""
+    """A zero field's order-1 remainder is zero at every sample, so its rate
+    fit has no positive samples: expand exits 2 naming that order."""
+    (tmp_path / "u0.json").write_text(json.dumps({"L": [1, 1, 1], "modes": []}))
     cfg = {"lattice": {"cutoff": 2}, "omega": 5.0,
-           "initial": {"kind": "random-gevrey", "seed": 1, "amplitude": 1e-150},
+           "initial": {"kind": "file", "path": str(tmp_path / "u0.json")},
            "solver": {"dt": 2.0 ** -7, "t_end": 2.0, "form": "v"}}
     (tmp_path / "run.json").write_text(json.dumps(cfg))
     traj = tmp_path / "traj.jsonl"
     assert main(["simulate", "--config", str(tmp_path / "run.json"), "--out", str(traj)]) == 0
-    assert main(["expand", "--traj", str(traj), "--order", "3"]) == 2
+    assert main(["expand", "--traj", str(traj), "--order", "1"]) == 2
     err = _stderr_error(capsys)
     assert err["code"] == 2
-    assert err["message"] == "order 2 remainder: need at least 4 positive samples for a rate fit"
+    assert err["message"] == "order 1 remainder: need at least 4 positive samples for a rate fit"
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_expand_fits_remainders_whose_squares_underflow(tmp_path, capsys, order):
+    """At amplitude 1e-150 the order-2 remainder sits near 1e-166, whose
+    squares underflow to 0; its norms are taken on the rescaled data, so
+    expand fits every order and flags the integrator's floor."""
+    cfg = {"lattice": {"cutoff": 2}, "omega": 5.0,
+           "initial": {"kind": "random-gevrey", "seed": 1, "amplitude": 1e-150},
+           "solver": {"dt": 2.0 ** -7, "t_end": 2.0, "form": "v"}}
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    traj, out = tmp_path / "traj.jsonl", tmp_path / "exp.json"
+    assert main(["simulate", "--config", str(tmp_path / "run.json"), "--out", str(traj)]) == 0
+    assert main(["expand", "--traj", str(traj), "--order", str(order), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rates = json.loads(out.read_text())["rates"]
+    assert [r["order"] for r in rates] == list(range(1, order + 1))
+    assert all(math.isfinite(r["slope"]) and r["n_samples"] >= 4 for r in rates)
+    assert [r["floor_flag"] for r in rates] == [False] + [True] * (order - 1)
 
 
 def test_helicity_nan_trajectory_exits_3(tmp_path, capsys):

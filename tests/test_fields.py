@@ -24,6 +24,7 @@ from rotspec.fields import (
     _complex_ops,
     _convolve,
     _convolve_padded,
+    _gevrey_norms,
     _lattice_frame,
     _mirror,
     _pairs,
@@ -64,6 +65,29 @@ def test_norm_mean_contribution():
     u = SpectralField(lat, mean=[3.0, 0.0, 4.0])
     assert u.norm() == pytest.approx(5.0 * lat.volume**0.5, rel=1e-14)
     assert u.norm(alpha=1.0) == 0.0  # mean is killed by any Stokes power
+
+
+@pytest.mark.parametrize("alpha, sigma", [(0.0, 0.0), (0.5, 0.0), (1.0, 0.3)])
+def test_norms_whose_squares_underflow_are_rescaled(alpha, sigma):
+    """A norm whose sum of squares underflows to 0 on non-zero data is its
+    data's norm times their scale; a zero sample keeps 0, every other norm
+    keeps the plain sum's bits, alone or in a stack, and the mean counts
+    in the plain norm however small it is."""
+    U = random_gevrey(LAT3, seed=3).coeffs
+    stack = np.array([U, U * 1e-170, np.zeros_like(U), U * 1e-150])
+    got = _gevrey_norms(LAT3, stack, alpha, sigma)
+    plain = np.sqrt(LAT3.volume * np.sum(
+        np.exp(2.0 * sigma * np.sqrt(LAT3.lam_f)) * LAT3.lam_f ** (2.0 * alpha)
+        * np.einsum("rmc,rmc->rm", stack, np.conj(stack)).real, axis=-1))
+    assert plain[1] == 0.0 and plain[3] > 0.0
+    _assert_bits_equal(got[[0, 2, 3]], plain[[0, 2, 3]])
+    assert got[1] == pytest.approx(1e-170 * got[0], rel=1e-14)
+    assert float(_gevrey_norms(LAT3, stack[1], alpha, sigma)) == got[1]
+    tiny = SpectralField(LAT3, stack[1], mean=[3e-170, 0.0, 4e-170])
+    want = math.hypot(got[1], 5e-170 * LAT3.volume ** 0.5) if alpha == 0.0 else got[1]
+    assert tiny.norm(alpha, sigma) == pytest.approx(want, rel=1e-14)
+    assert SpectralField(LAT3, mean=[0.0, 0.0, 1e-200]).norm() == pytest.approx(
+        1e-200 * LAT3.volume ** 0.5, rel=1e-14)
 
 
 def test_inner_matches_norm():
@@ -272,7 +296,7 @@ def test_conv_plan_matches_reference_loop():
     """pair_index against the double loop, and the full plan and every shell
     plan against the pair list filtered to representative outputs, stably
     sorted by output and restricted to the shell, its modes read off the
-    frame's rows; a frame counts each shell's pairs before building its plan."""
+    frame's rows; each plan keeps the live pairs of the one enumeration."""
     for lat in (LAT3, build_lattice(cutoff=6), build_lattice(ell=(1, 1, "1/2"), cutoff=5)):
         frame = _Frame(lat, np.flatnonzero(lat.rep_mask))
         want = _triads_loop(lat)
@@ -286,7 +310,7 @@ def test_conv_plan_matches_reference_loop():
         im, ij, io = im[keep][order], ij[keep][order], io[keep][order]
         for lam in [None] + lat.eigenvalues:
             sel = slice(None) if lam is None else lat.shell_of[io] == lat.shell(lam)
-            n_pairs = frame.n_pairs(lam)
+            n_pairs = int(np.count_nonzero(_pairs(lat, lam, None)[3]))
             plan = frame.plan(lam)
             np.testing.assert_array_equal(frame.rows[plan.im], im[sel])
             np.testing.assert_array_equal(frame.rows[plan.ij], ij[sel])
@@ -294,7 +318,7 @@ def test_conv_plan_matches_reference_loop():
             assert plan.im.flags.c_contiguous and plan.ij.flags.c_contiguous
             assert plan.kc.flags.c_contiguous
             np.testing.assert_array_equal(plan.indptr, _indptr(io[sel], _plan_outs(frame, lam)))
-            assert n_pairs == len(plan.im) == frame.n_pairs(lam)
+            assert n_pairs == len(plan.im)
 
 
 def _indptr(io, outs):
@@ -555,7 +579,7 @@ def test_plan_builder_restricts_the_full_plan_in_order():
         frame = _lattice_frame(lat)
         for lam in [None] + lat.eigenvalues + [Fraction(1, 3)]:
             full = frame.plan(lam)
-            assert len(full.im) == frame.n_pairs(lam)
+            assert len(full.im) == np.count_nonzero(_pairs(lat, lam, None)[3])
             whole = _Plan(frame, lam, _pairs(lat, lam, (every, every)))
             for name in ("im", "ij", "kc", "indptr"):
                 got, want = getattr(whole, name), getattr(full, name)
@@ -638,7 +662,7 @@ def test_kernel_matches_scipys_public_product(kind, n, layout, seed):
         lam = [None, *lat.eigenvalues][rng.integers(len(lat.eigenvalues) + 1)]
     plan = frame.plan(lam)
     count = {"one": 1, "chunks": 1 + max(1, _STACK_BLOCK_BYTES // (
-        48 * max(frame.n_pairs(lam), lat.n_modes)))}.get(n, n)
+        48 * max(len(plan.im), lat.n_modes)))}.get(n, n)
     Xm, Ym = samples(seed, count), samples(seed + 1, count)
     X, Y = Xm[:, frame.outs], Ym[:, frame.outs]
     if n == "one":
@@ -727,24 +751,30 @@ def test_closed_frame_keeps_the_full_plans_non_finite_products(monkeypatch, valu
 
 
 def test_full_plan_is_built_only_when_used(monkeypatch):
-    """A u-form ray run on a fresh lattice counts the lattice frame's pairs
-    and builds no plan of it; a dense advect then builds exactly one full
-    plan, whose complex wave vectors are read-only with the bits of kcheck
-    at its outputs, and later calls reuse it, a single sample with the
-    plan's own index arrays as its block."""
+    """A u-form ray run on a fresh lattice neither counts nor builds the
+    lattice frame's pairs: every enumeration it makes is on its closed
+    support.  A dense advect then builds exactly one full plan, whose
+    complex wave vectors are read-only with the bits of kcheck at its
+    outputs, and later calls reuse it, a single sample with the plan's own
+    index arrays as its block."""
+    import rotspec.fields as fields
     lat = build_lattice(cutoff=8)  # fresh: no plan cached yet
     u0 = VkData.random((1, 0, 1), (1, 2), 3, lat).field(lat)
+    supports = []
+    monkeypatch.setattr(fields, "_pairs", lambda lattice, lam, support:
+                        supports.append(support) or _pairs(lattice, lam, support))
     integrate(u0, SolverConfig(dt=0.01, t_end=0.03, omega=5.0, form="u"))
     frame = _lattice_frame(lat)
-    assert frame.plans == {} and list(frame.counts) == [None]
-    assert frame.counts[None] == np.count_nonzero(_pairs(lat, None, None)[3])
+    assert frame.plans == {} and supports and None not in supports
+    assert not hasattr(_Frame, "n_pairs") and "counts" not in _Frame.__slots__
     built = _spy_plans(monkeypatch)
     X, ts = _samples(lat, 1, 2)
     advect(lat, X, X, ts, 5.0)
     assert built == [None]
     full = frame.plans[None]
     io = np.repeat(_plan_outs(frame), np.diff(full.indptr))
-    assert full.kc.dtype == complex and full.kc.shape == (3, frame.counts[None])
+    n_pairs = np.count_nonzero(_pairs(lat, None, None)[3])
+    assert full.kc.dtype == complex and full.kc.shape == (3, n_pairs)
     _assert_bits_equal(full.kc.real, lat.kcheck[io].T)
     assert not np.any(np.ascontiguousarray(full.kc.imag).view(np.uint64))  # +0.0 throughout
     with pytest.raises(ValueError):
@@ -839,14 +869,14 @@ def test_complex_operators_are_cast_once_and_read_only():
 
 def test_plan_wave_vectors_are_cast_once_and_read_only():
     """A plan's complex wave vectors are cast once, when a convolution first
-    takes the plan, read-only, with the real vectors' bits; a shell whose
-    pairs are only counted builds no plan."""
+    takes the plan, read-only, with the real vectors' bits; no plan is
+    built before."""
     lat = build_lattice(cutoff=4)  # fresh: no plan cached yet
     U, ts = _samples(lat, 3, 3)
     lam = lat.eigenvalues[2]
     frame = _lattice_frame(lat)
     for shell in (None, lam):
-        n_pairs = frame.n_pairs(shell)
+        n_pairs = np.count_nonzero(_pairs(lat, shell, None)[3])
         assert shell not in frame.plans
         advect(lat, U, U, ts, 2.0, shell)
         kc = frame.plans[shell].kc

@@ -51,13 +51,13 @@ def test_cube_multiplicity_table(cube6):
 def test_mode_ordering_and_arrays(cube6):
     lat = cube6
     # sorted by (eigenvalue, lexicographic k); arrays consistent mode-wise
-    lams = [lat.lam[i] for i in range(lat.n_modes)]
+    lams = [lat.eigenvalues[s] for s in lat.shell_of]
     assert lams == sorted(lams)
     for i in range(lat.n_modes):
         k = tuple(int(c) for c in lat.ks[i])
         assert lat.index_of(k) == i
         lam = sum(q * c * c for q, c in zip(lat.q, k))
-        assert lat.lam[i] == lam
+        assert lat.eigenvalues[lat.shell_of[i]] == lam
         assert abs(lat.lam_f[i] - float(lam)) < 1e-15 * float(lam)
         np.testing.assert_allclose(lat.kcheck[i] @ lat.kcheck[i], float(lam), rtol=1e-14)
         np.testing.assert_allclose(lat.ktil[i] @ lat.ktil[i], 1.0, rtol=1e-14)
@@ -101,7 +101,7 @@ def test_vertical_frequency_data(cube6):
     lat = cube6
     for i in range(lat.n_modes):
         k = lat.ks[i]
-        ratio = lat.q[2] * int(k[2]) ** 2 / lat.lam[i]
+        ratio = lat.q[2] * int(k[2]) ** 2 / lat.eigenvalues[lat.shell_of[i]]
         coef = lat.freq_coef[i]
         s = lat.freq_sqfree[i]
         assert coef * coef * s == ratio
@@ -115,7 +115,7 @@ def test_anisotropic_box():
     assert lat.q == (Fraction(1), Fraction(1), Fraction(4))
     for i in range(lat.n_modes):
         k1, k2, k3 = (int(c) for c in lat.ks[i])
-        assert lat.lam[i] == k1 * k1 + k2 * k2 + 4 * k3 * k3
+        assert lat.eigenvalues[lat.shell_of[i]] == k1 * k1 + k2 * k2 + 4 * k3 * k3
     assert Fraction(4) in lat.eigenvalues
     assert lat.index_of((0, 0, 1)) >= 0
     assert lat.index_of((0, 0, 2)) == -1
@@ -183,7 +183,8 @@ def test_lattice_matches_reference_loop(ell, cutoff):
     lat = Lattice(ell, cutoff)
     want = _reference_lattice(ell, cutoff)
     assert lat.ks.tolist() == [list(k) for k in want["ks"]]
-    for name in ("lam", "eigenvalues", "multiplicity", "freq_sqfree", "freq_coef"):
+    assert [lat.eigenvalues[s] for s in lat.shell_of] == want["lam"]
+    for name in ("eigenvalues", "multiplicity", "freq_sqfree", "freq_coef"):
         assert getattr(lat, name) == want[name], name
     for name in ("shell_of", "rep_mask", "conj_idx"):
         assert getattr(lat, name).tolist() == want[name], name
@@ -214,6 +215,37 @@ def test_large_period_denominators_are_refused_quickly(capsys):
     assert main(["spectrum", "--L", "1,999999999/1000000000,1", "--cutoff", "6"]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["kind"] == "config" and "radical form" in err["message"]
+
+
+def test_radical_form_is_taken_once_per_shell(monkeypatch):
+    """k3til = k3 sqrt(q3/lam): the cutoff-30 cube decomposes q3/lam once on
+    each of its 26 shells, not once on each of its 642 modes with k3 != 0,
+    and keeps no per-mode list of eigenvalues."""
+    import rotspec.lattice
+
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return _squarefree_decompose(n)
+
+    monkeypatch.setattr(rotspec.lattice, "_squarefree_decompose", spy)
+    lat = build_lattice(cutoff=30)
+    assert len(calls) == len(lat.eigenvalues) == 26 and lat.n_modes == 738
+    assert not hasattr(build_lattice(cutoff=2), "lam")
+
+
+def test_periods_without_a_radical_form_are_refused(capsys):
+    """On the shell of k = (1, 0, 1), q3/lam = 14034520^2 / (9208423^2 +
+    14034520^2), whose denominator is 65537 * 65557 * 65581, three primes
+    past the trial bound: its square-free part is unknown, so the lattice
+    is refused and spectrum exits 2."""
+    assert 9208423 ** 2 + 14034520 ** 2 == 65537 * 65557 * 65581
+    with pytest.raises(LatticeError, match="cannot be put in radical form"):
+        Lattice((1, 1, "9208423/14034520"), 4)
+    assert main(["spectrum", "--L", "1,1,9208423/14034520", "--cutoff", "4"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config" and "cannot be put in radical form" in err["message"]
 
 
 def test_code_table_size_is_bounded(capsys):
@@ -338,7 +370,7 @@ def test_shell_indices(cube6):
     for lam in lat.eigenvalues:
         idx = lat.shell_indices(lam)
         total += len(idx)
-        assert all(lat.lam[i] == lam for i in idx)
+        assert all(lat.eigenvalues[lat.shell_of[i]] == lam for i in idx)
     assert total == lat.n_modes
 
 

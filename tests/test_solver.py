@@ -594,6 +594,37 @@ def test_closed_support_is_taken_on_sparse_data_only(cube6):
     np.testing.assert_array_equal(np.sort(dense.rows), np.arange(cube6.n_modes))
 
 
+@pytest.mark.parametrize("sublattice, n_rows", [(lambda ks: ks[:, 2] == 0, 20),
+                                                 (lambda ks: ks[:, 0] % 2 == 0, 38)],
+                         ids=["k3-plane", "even-k1"])
+@pytest.mark.parametrize("form", ["u", "v"])
+def test_closed_sublattice_runs_on_its_own_frame(monkeypatch, cube6, sublattice, n_rows, form):
+    """Dense data on a closed sublattice of the cutoff-6 cube (the k3 = 0
+    plane, the even-k1 modes) run on their own frame, not the lattice's:
+    the frame's rows carry the bits of the run on every mode, the other
+    entries equal its zeros in value, and the trajectory file is the same
+    text."""
+    import rotspec.solver
+    u0 = random_gevrey(cube6, seed=4, amplitude=1.0)
+    u0.coeffs[~sublattice(cube6.ks)] = 0.0
+    frame = _closed_frame(cube6, u0.coeffs)
+    assert len(frame.rows) == n_rows and frame.support is not None
+    config = SolverConfig(dt=0.02, t_end=0.2, omega=5.0, form=form)
+    traj = integrate(u0, config)
+    monkeypatch.setattr(rotspec.solver, "_closed_frame", lambda lat, C: _lattice_frame(lat))
+    want = integrate(u0, config)
+    rows = frame.rows
+    np.testing.assert_array_equal(traj.coeffs[:, rows].view(np.uint64),
+                                  want.coeffs[:, rows].view(np.uint64))
+    np.testing.assert_array_equal(traj.coeffs, want.coeffs)
+    texts = []
+    for run in (traj, want):
+        buf = io.StringIO()
+        trajectory_to_jsonl(run, buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+
+
 @pytest.mark.parametrize("amplitude", [30.0, 100.0, 300.0])
 @pytest.mark.parametrize("form", ["u", "v"])
 def test_closed_support_stops_at_the_reference_step(amplitude, form):
@@ -616,8 +647,8 @@ def test_closed_support_stops_at_the_reference_step(amplitude, form):
 def test_closed_support_run_builds_its_plan_once(monkeypatch):
     """A run on a closed support closes the support and builds its one plan
     at set-up: a longer run enumerates no more pairs and builds no more
-    plans.  The lattice's pair count, which decides for the closed support,
-    is counted once, and no full plan is built."""
+    plans, and the first run no more than later ones: nothing is counted
+    on the whole lattice, and no full plan is built."""
     calls = {"_pairs": 0, "_Plan": 0}
 
     def count(name):
@@ -638,8 +669,7 @@ def test_closed_support_run_builds_its_plan_once(monkeypatch):
             calls[name] = 0
         integrate(u0, SolverConfig(dt=0.01, t_end=t_end, omega=5.0, form="v"))
         seen.append(dict(calls))
-    assert seen[1] == seen[2] and seen[1]["_Plan"] == 1
-    assert seen[0] == {"_pairs": seen[1]["_pairs"] + 1, "_Plan": 1}
+    assert seen[0] == seen[1] == seen[2] and seen[1]["_Plan"] == 1
     assert _lattice_frame(lat).plans == {}
 
 
