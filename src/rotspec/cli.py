@@ -158,10 +158,13 @@ def _validator(name: str):
 
 
 def _schema_check(doc, name: str, what: str):
-    # the error jsonschema.validate would raise, without re-checking the schema
+    # the error jsonschema.validate would raise, without re-checking the
+    # schema, after its dotted key; an error at the root has none
     error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
     if error is not None:
-        raise CliError(EXIT_CONFIG, "config", f"{what} schema violation: {error.message}")
+        key = functools.reduce(_child, error.absolute_path, "")
+        raise CliError(EXIT_CONFIG, "config",
+                       f"{what} schema violation: {key and key + ': '}{error.message}")
 
 
 def _load_config(path: str) -> dict:
@@ -180,16 +183,18 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _child(key: str, k) -> str:
+    """The dotted key of member k, or of list item k (an int), of key's value."""
+    return f"{key}[{k}]" if isinstance(k, int) else f"{key}.{k}" if key else k
+
+
 def _non_finite(doc, key: str = ""):
     """(dotted key, value) of the first non-finite number in a JSON document,
     list or tuple items keyed by [index], or None."""
-    if isinstance(doc, dict):
-        items = ((f"{key}.{k}" if key else k, v) for k, v in doc.items())
-    elif isinstance(doc, (list, tuple)):
-        items = ((f"{key}[{i}]", v) for i, v in enumerate(doc))
-    else:
-        return (key, doc) if isinstance(doc, float) and not math.isfinite(doc) else None
-    return next(filter(None, (_non_finite(v, k) for k, v in items)), None)
+    if isinstance(doc, (dict, list, tuple)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return next(filter(None, (_non_finite(v, _child(key, k)) for k, v in items)), None)
+    return (key, doc) if isinstance(doc, float) and not math.isfinite(doc) else None
 
 
 def _lattice_from(cfg: dict):

@@ -12,13 +12,15 @@ projected remainder plus the accumulated projected forcing is constant in
 time), which makes the estimate window-independent instead of biased by
 O(exp(-gap t)) like a plain limit.
 
-The fit's forcing is the rotated bilinear form
-B_Omega(t, X, Y) = e^{Omega t S} B(e^{-Omega t S} X, e^{-Omega t S} Y) on
-the resonant shell.  The rotation acts mode by mode, so it commutes with the
-shell restriction R_mu and with the Leray projection:
+The forcing is the rotated bilinear form
+B_Omega(t, X, Y) = e^{Omega t S} B(e^{-Omega t S} X, e^{-Omega t S} Y),
+an unrotated product with the rotation at its edges, as in fields: each
+order is rotated into the u frame once (Expansion.u_orders), and each
+symbolic product back on its own.  The rotation acts mode by mode, so it
+commutes with the shell restriction R_mu and with the Leray projection:
 R_mu B_Omega(t, X, Y) = e^{Omega t S} R_mu B(X_u, Y_u), X_u = e^{-Omega t S} X.
-The fit therefore forms its products in that rotating (u) frame, through
-the one block loop of B_Omega (fields' _rotated_products).
+The fit forms its numeric products so (fields' _rotated_products), on the
+resonant shell's representative half.
 
 Everything here is a statement about the Galerkin system on the fixed
 lattice: products falling outside the cutoff are dropped identically in the
@@ -33,10 +35,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .lattice import Lattice, SemigroupTable, semigroup_table
-from .fields import SpectralField, _gevrey_norms, _rotated_products, _shell_rows
+from .fields import SpectralField, _gevrey_norms, _rotated_products, _shell_reps
 from .spoly import (SPoly, _sum_spoly, antiderivative, apply_expS_spoly, bilinear_spoly,
                     ode_solve)
 from .solver import Trajectory
@@ -70,6 +71,7 @@ class Expansion:
         self.xi_windows = xi_windows
         self.mus: List[Fraction] = []
         self.orders: List[SPoly] = []
+        self.u_orders: List[SPoly] = []  # exp(-Omega t S) q_n, each order rotated once
         self.forcings: List[SPoly] = []
         self.diagnostics: List[dict] = []
         # exp(-mu_n t) q_n(t) at the trajectory's sample times, an (R,M,3) stack per order
@@ -149,7 +151,8 @@ def expand(traj: Trajectory, n_orders: int,
             la, lb = exp.orders[a].support_lams()[-1], exp.orders[b].support_lams()[-1]
             if (math.sqrt(float(la)) + math.sqrt(float(lb))) ** 2 > float(lat.cutoff):
                 truncated = True
-            products.append(-bilinear_spoly(exp.orders[a], exp.orders[b], exp.omega))
+            products.append(-apply_expS_spoly(
+                bilinear_spoly(exp.u_orders[a], exp.u_orders[b]), exp.omega))
         forcing = _sum_spoly(products) if products else SPoly.zero(lat)
 
         particular = SPoly.zero(lat)
@@ -168,6 +171,7 @@ def expand(traj: Trajectory, n_orders: int,
                 q = q + SPoly.from_field(xi)
         exp.mus.append(mu)
         exp.orders.append(q)
+        exp.u_orders.append(apply_expS_spoly(q, -exp.omega))
         exp.forcings.append(forcing)
         exp.diagnostics.append(diag)
         exp.samples.append(np.exp(-float(mu) * ts)[:, None, None] * q.evaluate_many(ts))
@@ -177,9 +181,9 @@ def expand(traj: Trajectory, n_orders: int,
 def _shell_forcing(exp: Expansion, mu: Fraction) -> np.ndarray:
     """The nonlinear forcing of the fit on the shell mu at the sample times,
     R[B_Omega(t, r, v) + B_Omega(t, s, r) + sum_a B_Omega(t, s_a, sum_b s_b)],
-    (R, shell size, 3), with v the trajectory, s_m the cached samples of
-    order m, s their sum, r = v - s, and (a, b) the live orders with
-    mu_a + mu_b > mu.
+    (R, n, 3) on the shell's n representative modes (_shell_reps), with v
+    the trajectory, s_m the cached samples of order m, s their sum,
+    r = v - s, and (a, b) the live orders with mu_a + mu_b > mu.
 
     Formed in the u frame by fields' _rotated_products: per block, r_u,
     s_u and the partner sums come from the rotated v and live samples.
@@ -212,18 +216,19 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
     hence xi = z(t) + int_t^inf g.  The tail beyond the last sample is the
     same constant for every t, so it drops out of window comparisons and
     biases the value only by the (tiny) truncated integral.  The trajectory
-    and the cached samples are exact conjugate pairs, and so is xi;
-    SPoly.from_field keeps its representative half.
+    and the cached samples are exact conjugate pairs, and so is xi, so the
+    fit works on the shell's representative modes (_shell_reps), all that
+    SPoly.from_field reads; its reported norms are sqrt(2) times the half's.
 
     The forcing is R of B_Omega(r, v) + B_Omega(s, r), s the partial sum,
     plus the pairs of earlier orders whose combined rate exceeds mu, formed
-    in the u frame (_shell_forcing).  z reads the v-frame shell rows
-    directly.
+    in the u frame (_shell_forcing).  z reads the v-frame rows directly.
     """
+    from scipy.integrate import cumulative_simpson  # loaded by the first fit, not on import
+
     lat = exp.lattice
     ts = exp.traj.times
-    shell = _shell_rows(lat, mu)
-    R = len(ts)
+    reps = _shell_reps(lat, mu)
     emu = np.exp(float(mu) * ts)
 
     g = -emu[:, None, None] * _shell_forcing(exp, mu)
@@ -231,14 +236,14 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
     G = cumulative_simpson(g.real, x=ts, axis=0, initial=0.0) \
         + 1j * cumulative_simpson(g.imag, x=ts, axis=0, initial=0.0)
     # R r = R v - R s, the partial sum added as Expansion.partial_sum adds it
-    s_shell = sum((x[:, shell] for x in exp.samples), np.zeros(g.shape, complex))
-    z = emu[:, None, None] * (exp.traj.coeffs[:, shell] - s_shell)
+    s_shell = sum((x[:, reps] for x in exp.samples), np.zeros(g.shape, complex))
+    z = emu[:, None, None] * (exp.traj.coeffs[:, reps] - s_shell)
     if not particular.is_zero:
-        z = z - particular.restrict_shell(mu).evaluate_many(ts)[:, shell, :]
+        z = z - particular.restrict_shell(mu).evaluate_many(ts)[:, reps, :]
     xi_t = z + (G[-1] - G)
 
     means = []
-    union = np.zeros(R, dtype=bool)
+    union = np.zeros(len(ts), dtype=bool)
     for (a, b) in exp.xi_windows:
         mask = (ts >= a) & (ts < b)  # half-open: touching windows stay disjoint
         if not mask.any():
@@ -248,10 +253,8 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
     xi_u = xi_t[union]
     xi_bar = xi_u.mean(axis=0)
     scale = max(float(np.linalg.norm(xi_bar)), 1e-300)
-    spread = max(
-        float(np.linalg.norm(mi - mj)) / scale
-        for i, mi in enumerate(means) for mj in means[i + 1:]
-    ) if len(means) > 1 else 0.0
+    spread = max((float(np.linalg.norm(mi - mj)) / scale
+                  for i, mi in enumerate(means) for mj in means[i + 1:]), default=0.0)
     # linear-drift rejection: a converged estimate is constant over the
     # union.  The least-squares line's columns 1 and t - mean(t) are
     # orthogonal, so its slope is sum((t - mean) y) / sum((t - mean)^2),
@@ -262,12 +265,12 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
     drift_rate = float(np.linalg.norm(slope)) / scale
 
     full = np.zeros((lat.n_modes, 3), dtype=complex)
-    full[shell] = xi_bar
+    full[reps] = xi_bar
     diag = {
-        "xi_norm": float(np.linalg.norm(full)),
+        "xi_norm": math.sqrt(2.0) * float(np.linalg.norm(xi_bar)),
         "xi_window_spread": spread,
         "xi_windows": [list(w) for w in exp.xi_windows],
-        "xi_window_means_norm": [float(np.linalg.norm(m)) for m in means],
+        "xi_window_means_norm": [math.sqrt(2.0) * float(np.linalg.norm(m)) for m in means],
         "xi_drift_rate": drift_rate,
     }
     if spread > XI_REL_TOL:
@@ -402,7 +405,7 @@ def to_u_expansion(exp: Expansion) -> List[Tuple[Fraction, SPoly]]:
     u = exp(-Omega t S) v maps order-wise: Q_n = exp(-Omega t S) q_n, with
     identical rates; the wave group only reshuffles frequencies.
     """
-    return [(mu, apply_expS_spoly(q, -exp.omega)) for mu, q in zip(exp.mus, exp.orders)]
+    return list(zip(exp.mus, exp.u_orders))
 
 
 def time_average_Q(q: SPoly, T: float) -> SPoly:

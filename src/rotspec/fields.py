@@ -19,18 +19,18 @@ when the support is every mode.  Every angle of exp(rate t S) comes from
 _angles, the package's only np.cos/np.sin caller; _rotate_by rotates
 whole samples (linear_evolution, transform_trajectory).
 _rotated_products is the one loop of the rotated B_Omega over a stack of
-samples, behind advect and the resonant fit (rotspec.expansion): per
-block of samples (_stack_block; one sample is one block) it gathers and
+samples, behind advect and the resonant fit (rotspec.expansion): per block
+of samples (_STACK_BLOCK_BYTES; one sample is one block) it gathers and
 rotates each input's representative rows once, forms the caller's
 products unrotated on a shell's representative outputs and rotates their
-sum back once.  The integrator (rotspec.solver) steps the representative
-half on its closed frame and rotates only through its fused propagators
-and its records' representative rows.  Rotation and projection multiply
-by the lattice's cached complex operators (_complex_ops).  The
-convolution sums its pairs in scipy's compiled CSR routine.  _mirror
-writes every conjugate half, and only the callers that need full rows
-call it: convolve_advect, _rotated_products, the integrator's records,
-random_gevrey and SPoly.evaluate_many.
+sum back once, returning them in that layout (rows: _shell_reps).  The
+integrator (rotspec.solver) steps the representative half on its closed
+frame and rotates only through its fused propagators and its records'
+representative rows.  Rotation and projection multiply by the lattice's
+cached complex operators (_complex_ops).  The convolution sums its pairs
+in scipy's compiled CSR routine.  _mirror writes every conjugate half,
+and only the callers that need full rows call it: convolve_advect,
+advect, the integrator's records, random_gevrey and SPoly.evaluate_many.
 """
 
 from __future__ import annotations
@@ -562,40 +562,31 @@ def _mirror(pairing: Tuple[np.ndarray, np.ndarray], out: np.ndarray,
 _STACK_BLOCK_BYTES = 1 << 20
 
 
-def _stack_block(frame: _Frame, lam) -> int:
-    """Samples per block of a stack whose products take the frame's plan
-    for the shell lam: the one block-size rule (_rotated_products).
-    Samples are independent, so no block size changes a bit."""
-    return max(1, _STACK_BLOCK_BYTES // (48 * max(len(frame.plan(lam).im), len(frame.rows))))
-
-
 def _rotated_products(lattice: Lattice, lam, t, omega: float,
                       inputs: Sequence[np.ndarray], form: Callable) -> np.ndarray:
     """The rotated form on the shell lam (every mode for None) over (R,M,3)
-    sample stacks at their times t, a scalar or (R,): (R, shell size, 3).
+    sample stacks at their times t, a scalar or (R,): (R, n, 3) on the
+    shell's n representative modes (_shell_reps), the kernel's layout.
 
     The one block loop of B_Omega.  Per block, each input's representative
     rows are gathered and rotated once into the u frame,
     X_u = exp(-Omega t S) X; form(B, *blocks) returns a sum of products
     B(X_u, Y_u) of the unrotated kernel (_advect) on the shell's
-    representative outputs, the sum is rotated back once and its
-    conjugates fill the partners' rows (_mirror).  The rotation acts mode
-    by mode, so it commutes with the shell restriction, the projection and
-    the conjugate pairing: no input's partner rows are read.
+    representative outputs, and the sum is rotated back once.  The rotation
+    acts mode by mode, so it commutes with the shell restriction, the
+    projection and the conjugate pairing: no input's partner rows are read,
+    and no output's partner rows are written.
     """
     frame = _lattice_frame(lattice)
-    rows = slice(0, lattice.n_modes) if lam is None else _shell_rows(lattice, lam)
     outs = _shell_outs(frame, lam)
-    reps = frame.outs[outs]
-    # the shell's representatives and their partners, as positions in its rows
-    pairing = (reps - rows.start, lattice.conj_idx[reps] - rows.start)
 
     def B(X, Y):
         return _advect(frame, X, Y, lam)
 
     n = len(inputs[0])
-    out = np.empty((n, rows.stop - rows.start, 3), dtype=complex)
-    step = _stack_block(frame, lam)
+    out = np.empty((n, outs.stop - outs.start, 3), dtype=complex)
+    # samples are independent, so no block size changes a bit
+    step = max(1, _STACK_BLOCK_BYTES // (48 * max(len(frame.plan(lam).im), len(frame.rows))))
     for start in range(0, n, step):
         blk = slice(start, start + step)
         blocks = [X[blk, frame.outs] for X in inputs]
@@ -607,7 +598,7 @@ def _rotated_products(lattice: Lattice, lam, t, omega: float,
         if omega != 0.0:
             # the back-rotation by -theta: cos(-theta) = c and sin(-theta) = -s
             acc = _rotate(frame.jk[outs], acc, c[..., outs], -s[..., outs])
-        _mirror(pairing, out[blk], acc)
+        out[blk] = acc
     return out
 
 
@@ -623,7 +614,7 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     the representative half of the product is computed, and each partner
     row is np.conj of its representative's.  With lam given, only output
     modes on the Stokes shell lam are computed, projected and rotated back;
-    every other row is zero, and each computed row equals the unrestricted
+    every other row is +0, and each computed row equals the unrestricted
     one bit for bit.  The stack is taken in blocks (_rotated_products),
     with X rotated once when Y is X.
     """
@@ -631,11 +622,10 @@ def advect(lattice: Lattice, X: np.ndarray, Y: np.ndarray,
     _check_shapes(X, Y, lattice.n_modes)
     Xs, Ys = (X, Y) if X.ndim == 3 else (X[None], Y[None])
     # one input when Y is X, so that the convolution sees V is U
-    out = _rotated_products(lattice, lam, t, omega, (Xs,) if Y is X else (Xs, Ys),
-                            lambda B, *XY: B(XY[0], XY[-1]))
-    if lam is not None:
-        shell, out = out, np.zeros(Xs.shape, dtype=complex)
-        out[:, _shell_rows(lattice, lam)] = shell
+    half = _rotated_products(lattice, lam, t, omega, (Xs,) if Y is X else (Xs, Ys),
+                             lambda B, *XY: B(XY[0], XY[-1]))
+    reps = _shell_reps(lattice, lam)
+    out = _mirror((reps, lattice.conj_idx[reps]), np.zeros(Xs.shape, dtype=complex), half)
     return out if X.ndim == 3 else out[0]
 
 
@@ -643,29 +633,28 @@ def _advect(frame: _Frame, X: np.ndarray, Y: np.ndarray, lam=None) -> np.ndarray
     """The unrotated kernel B(X, Y) on one block of samples of a frame's
     representative rows: the representative outputs on the shell lam
     (every one for None), convolved (_convolve) and projected.  Every
-    rotation, and every mirror, is the caller's (_rotated_products, the
-    integrator)."""
+    rotation, and every mirror, is the caller's (_rotated_products and
+    advect, the integrator)."""
     proj = frame.proj if lam is None else frame.proj[_shell_outs(frame, lam)]
     return _per_mode(proj, _convolve(frame, X, Y, lam))
 
 
-def _shell_rows(lattice: Lattice, lam) -> slice:
-    """The modes of the Stokes shell lam as a slice (modes are sorted by
-    eigenvalue); empty when lam is not an eigenvalue, whose shell is -1."""
-    s = lattice.shell(lam)
-    lo, hi = np.searchsorted(lattice.shell_of, [s, s + 1])
-    return slice(int(lo), int(hi))
-
-
 def _shell_outs(frame: _Frame, lam) -> slice:
     """The frame's representative rows (frame.outs) on the Stokes shell lam,
-    every one for None, as a slice: outs are sorted, and a shell's modes
-    are a slice of the lattice (_shell_rows)."""
+    every one for None, as a slice: outs are sorted, and so are modes by
+    eigenvalue.  Empty when lam is not an eigenvalue, whose shell is -1."""
     if lam is None:
         return slice(0, len(frame.outs))
-    rows = _shell_rows(frame.lattice, lam)
-    lo, hi = np.searchsorted(frame.outs, [rows.start, rows.stop])
+    s = frame.lattice.shell(lam)
+    lo, hi = np.searchsorted(frame.outs, np.searchsorted(frame.lattice.shell_of, [s, s + 1]))
     return slice(int(lo), int(hi))
+
+
+def _shell_reps(lattice: Lattice, lam) -> np.ndarray:
+    """The representative modes of the shell lam (every one for None), in
+    the order of _rotated_products' output rows."""
+    frame = _lattice_frame(lattice)
+    return frame.outs[_shell_outs(frame, lam)]
 
 
 def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:

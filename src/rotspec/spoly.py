@@ -471,7 +471,7 @@ def _collect(lat: Lattice, mode, deg, fid, vals, scale=None) -> SPoly:
 
 
 # ---------------------------------------------------------------------------
-# wave-group action and the rotated bilinear form on polynomials
+# wave-group action and the bilinear form on polynomials
 
 
 def apply_expS_spoly(f: SPoly, omega: float) -> SPoly:
@@ -506,11 +506,13 @@ def apply_expS_spoly(f: SPoly, omega: float) -> SPoly:
 _PAIR_BLOCK = 1 << 16
 
 
-def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
-    """Symbolic rotated advection B_Omega(t, f(t), g(t)) on the Galerkin set.
+def bilinear_spoly(f: SPoly, g: SPoly) -> SPoly:
+    """Symbolic advection B(f(t), g(t)) on the Galerkin set, unrotated like
+    fields' _advect: B_Omega(t, f, g) is apply_expS_spoly(bilinear_spoly(
+    apply_expS_spoly(f, -Omega), apply_expS_spoly(g, -Omega)), Omega).
 
-    Each rotated factor is taken with its conjugate half appended: its rows,
-    then each row's partner (-k, m, -w, conj c), in row order.  The term
+    Each factor is taken with its conjugate half appended: its rows, then
+    each row's partner (-k, m, -w, conj c), in row order.  The term
     pairs are joined through `Lattice.pair_index`, only pairs whose output
     mode is representative are kept, and they are visited in the order of a
     double loop over the terms of f, then g.  Each output key sums its
@@ -520,10 +522,9 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
     module docstring) is dropped.
     """
     lat = f.lattice
-    fr, gr = apply_expS_spoly(f, -omega), apply_expS_spoly(g, -omega)
-    if fr.is_zero or gr.is_zero:
+    if f.is_zero or g.is_zero:
         return SPoly.zero(lat)
-    (m1, d1, w1, c1), (m2, d2, w2, c2) = _both_halves(fr), _both_halves(gr)
+    (m1, d1, w1, c1), (m2, d2, w2, c2) = _both_halves(f), _both_halves(g)
     ftab = _freq_table(lat)
     rep_out = np.append(lat.rep_mask, False)  # pair_index's -1 (off the lattice) reads False
     hits = []  # (row of f, row of g, output mode, value, scale) per block
@@ -547,7 +548,7 @@ def bilinear_spoly(f: SPoly, g: SPoly, omega: float) -> SPoly:
     wpair, winv = np.unique(w1[a] * n_w + w2[b], return_inverse=True)
     wout = np.array([ftab.add(p // n_w, p % n_w) for p in wpair.tolist()],
                     dtype=np.intp)[winv]
-    return apply_expS_spoly(_collect(lat, o, d1[a] + d2[b], wout, val, scale), omega)
+    return _collect(lat, o, d1[a] + d2[b], wout, val, scale)
 
 
 def _sum_spoly(polys: List[SPoly]) -> SPoly:

@@ -5,11 +5,22 @@ from rotspec.lattice import build_lattice
 from rotspec.fields import random_gevrey
 from rotspec.solver import SolverConfig, integrate
 from rotspec.expansion import expand
+from rotspec.spoly import apply_expS_spoly, bilinear_spoly
 
 
 @pytest.fixture(scope="session")
 def cube6():
     return build_lattice(cutoff=6)
+
+
+@pytest.fixture(scope="session")
+def b_omega():
+    """The rotated form B_Omega(t, f, g) on S-polynomials: the unrotated
+    bilinear_spoly with the rotation at its edges, as advect forms it."""
+    def rotated(f, g, omega):
+        return apply_expS_spoly(bilinear_spoly(apply_expS_spoly(f, -omega),
+                                               apply_expS_spoly(g, -omega)), omega)
+    return rotated
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_simpson, simpson
 
 from rotspec.expansion import (
     _fit_log_slope,
@@ -19,7 +19,7 @@ from rotspec.expansion import (
 from rotspec.fields import SpectralField, _rotate_by, advect, random_gevrey
 from rotspec.lattice import build_lattice
 from rotspec.solver import SolverConfig, Trajectory, integrate
-from rotspec.spoly import Frequency, SPoly, apply_expS_spoly, bilinear_spoly
+from rotspec.spoly import Frequency, SPoly, _sum_spoly, apply_expS_spoly, bilinear_spoly
 
 
 def _zero_traj(lat, n=101, t1=1.0, omega=5.0):
@@ -95,22 +95,30 @@ def test_xi_window_independence(cube_run, monkeypatch):
 @pytest.fixture(scope="module")
 def o4_run(cube6):
     """Orders 1-4 on the benchmark's cube6-o4 input (seed 1), with every
-    symbolic product `expand` forms recorded as a pair of order indices."""
+    symbolic product `expand` forms recorded as a pair of order indices,
+    and the rate of every rotation of a polynomial, in call order."""
     v0 = random_gevrey(cube6, seed=1, amplitude=0.1)
     trajv = integrate(v0, SolverConfig(dt=0.01, t_end=12.0, omega=5.0, form="v",
                                        record_stride=2))
-    products = []
+    products, rotations = [], []
 
-    def counted(f, g, omega):
+    def counted(f, g):
         products.append((f, g))
-        return bilinear_spoly(f, g, omega)
+        return bilinear_spoly(f, g)
+
+    def rotated(f, omega):
+        rotations.append(omega)
+        return apply_expS_spoly(f, omega)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("rotspec.expansion.bilinear_spoly", counted)
+        # both names: a rotation inside the product would be counted too
+        mp.setattr("rotspec.expansion.apply_expS_spoly", rotated)
+        mp.setattr("rotspec.spoly.apply_expS_spoly", rotated)
         exp = expand(trajv, 4, xi_windows=((6.0, 8.0), (8.0, 10.0)))
-    index = {id(q): n for n, q in enumerate(exp.orders)}
+    index = {id(q): n for n, q in enumerate(exp.u_orders)}
     pairs = [(index[id(f)], index[id(g)]) for f, g in products]
-    return {"trajv": trajv, "exp": exp, "pairs": pairs}
+    return {"trajv": trajv, "exp": exp, "pairs": pairs, "rotations": rotations}
 
 
 def test_fourth_order_expansion(o4_run):
@@ -122,6 +130,31 @@ def test_fourth_order_expansion(o4_run):
     assert [q.n_terms() for q in exp.orders] == [3, 24, 171, 447]
     # one symbolic product per forcing pair; the fit's faster pairs are numeric
     assert sorted(o4_run["pairs"]) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+
+
+def test_each_order_is_rotated_once(o4_run):
+    """expand rotates each order into the u frame once, when it is appended,
+    and each product back once: n rotations by -Omega and one by +Omega per
+    product, and none inside bilinear_spoly."""
+    exp, rotations = o4_run["exp"], o4_run["rotations"]
+    assert sorted(rotations) == [-exp.omega] * exp.n_orders + [exp.omega] * len(o4_run["pairs"])
+    assert [(mu, id(Q)) for mu, Q in to_u_expansion(exp)] == \
+        [(mu, id(Q)) for mu, Q in zip(exp.mus, exp.u_orders)]
+
+
+def test_forcings_are_the_rotated_products(o4_run, b_omega):
+    """Each forcing is, bit for bit, the sum of the negated B_Omega products
+    with both factors rotated inside the product: rotating each order once
+    and each product back on its own leaves every summand as it was."""
+    exp = o4_run["exp"]
+    for n, pairs in enumerate(exp.table.decompositions[:exp.n_orders]):
+        products = [-b_omega(exp.orders[a], exp.orders[b], exp.omega) for a, b in pairs
+                    if not (exp.orders[a].is_zero or exp.orders[b].is_zero)]
+        want = _sum_spoly(products) if products else SPoly.zero(exp.lattice)
+        got = exp.forcings[n]
+        for name in ("mode", "deg", "fid"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got.coef.view(np.uint64), want.coef.view(np.uint64))
 
 
 def test_fifth_order_expansion(o4_run):
@@ -178,9 +211,16 @@ def fast_run():
     return exp
 
 
+def _shell_reps(lat, mu):
+    """The representative modes of the shell mu, the rows of the fit's forcing."""
+    shell = lat.shell_indices(mu)
+    return shell[lat.rep_mask[shell]]
+
+
 def _v_frame_forcing(exp, mu, shell):
     """The fit's shell forcing as a sum of v-frame B_Omega products (advect's
-    rotating path), split into the remainder products and the fast pairs."""
+    rotating path) on the rows shell, split into the remainder products and
+    the fast pairs."""
     lat, ts, v = exp.lattice, exp.traj.times, exp.traj.coeffs
     s = exp.partial_sum()
     r = v - s
@@ -195,7 +235,7 @@ def _v_frame_forcing(exp, mu, shell):
     return whole, fast
 
 
-def test_fast_pair_forcing_matches_symbolic(fast_run):
+def test_fast_pair_forcing_matches_symbolic(fast_run, b_omega):
     """The fit's numeric sum over pairs with mu_a + mu_b > mu equals the
     symbolic one: shell-restricted full products, each with its own decay.
     The fit's forcing holds these pairs next to the remainder products, which
@@ -203,14 +243,14 @@ def test_fast_pair_forcing_matches_symbolic(fast_run):
     exp = fast_run
     lat, ts = exp.lattice, exp.traj.times
     for mu in exp.mus:
-        shell = lat.shell_indices(mu)
+        shell = _shell_reps(lat, mu)
         want = np.zeros((len(ts), len(shell), 3), dtype=complex)
         for a in range(exp.n_orders):
             for b in range(exp.n_orders):
                 total = exp.mus[a] + exp.mus[b]
                 if total <= mu:
                     continue
-                ps = bilinear_spoly(exp.orders[a], exp.orders[b], exp.omega)
+                ps = b_omega(exp.orders[a], exp.orders[b], exp.omega)
                 decay = np.exp(-float(total - mu) * ts)
                 want += decay[:, None, None] \
                     * ps.restrict_shell(mu).evaluate_many(ts)[:, shell]
@@ -225,16 +265,65 @@ def test_fast_pair_forcing_matches_symbolic(fast_run):
 def test_shell_forcing_is_the_rotated_frame_products(fast_run):
     """R and P commute with e^{Omega t S}: the fit's forcing, formed in the u
     frame with each input rotated once and the sum rotated back once, equals
-    the sum of advect's rotated products of the v-frame inputs."""
+    the representative rows on the shell of the sum of advect's rotated
+    products of the v-frame inputs."""
     exp = fast_run
     lat = exp.lattice
     for mu in exp.mus:
-        shell = lat.shell_indices(mu)
+        shell = _shell_reps(lat, mu)
         whole, fast = _v_frame_forcing(exp, mu, shell)
         want = whole + fast
         got = _shell_forcing(exp, mu)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _whole_shell_fit(exp, mu, particular):
+    """The resonant fit's diagnostics formed on the whole shell: the forcing's
+    representative rows mirrored onto their partners, then every step on
+    both halves."""
+    lat, ts = exp.lattice, exp.traj.times
+    shell, reps = lat.shell_indices(mu), _shell_reps(lat, mu)
+    whole = np.zeros((len(ts), lat.n_modes, 3), dtype=complex)
+    whole[:, reps] = _shell_forcing(exp, mu)
+    whole[:, lat.conj_idx[reps]] = np.conj(whole[:, reps])
+    emu = np.exp(float(mu) * ts)
+    g = -emu[:, None, None] * whole[:, shell]
+    G = cumulative_simpson(g.real, x=ts, axis=0, initial=0.0) \
+        + 1j * cumulative_simpson(g.imag, x=ts, axis=0, initial=0.0)
+    s = sum((x[:, shell] for x in exp.samples), np.zeros(g.shape, complex))
+    z = emu[:, None, None] * (exp.traj.coeffs[:, shell] - s) \
+        - particular.restrict_shell(mu).evaluate_many(ts)[:, shell]
+    xi_t = z + (G[-1] - G)
+    masks = [(ts >= a) & (ts < b) for a, b in exp.xi_windows]
+    means = [xi_t[m].mean(axis=0) for m in masks]
+    union = np.any(masks, axis=0)
+    xi_bar = xi_t[union].mean(axis=0)
+    tc = ts[union] - ts[union].mean()
+    slope = (tc @ (xi_t[union] - xi_bar).reshape(len(tc), -1)) / (tc @ tc)
+    norm = np.linalg.norm(xi_bar)
+    return {"xi_norm": norm, "xi_window_means_norm": [np.linalg.norm(m) for m in means],
+            "xi_window_spread": np.linalg.norm(means[0] - means[1]) / norm,
+            "xi_drift_rate": np.linalg.norm(slope) / norm}
+
+
+def test_fit_norms_cover_both_halves(fast_run, monkeypatch):
+    """The fit works on the shell's representative half; each diagnostic
+    equals the one formed on the mirrored whole shell to round-off."""
+    import rotspec.expansion as expansion
+
+    fit, wants = expansion._fit_resonant_constant, []
+
+    def spy(exp, mu, particular):
+        wants.append(_whole_shell_fit(exp, mu, particular))
+        return fit(exp, mu, particular)
+
+    monkeypatch.setattr(expansion, "_fit_resonant_constant", spy)
+    exp = expand(fast_run.traj, 3)
+    assert len(wants) == 3
+    for d, want in zip(exp.diagnostics, wants):
+        for key, value in want.items():
+            assert d[key] == pytest.approx(value, rel=1e-15, abs=0), key
 
 
 def _assert_same_expansion(a, b):

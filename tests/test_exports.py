@@ -48,7 +48,7 @@ DELETED = {
                "field_to_json", "field_from_json", "gevrey_norm", "_code_table", "_encode",
                "_triads", "_conv_plan", "_plan_entry", "_complex_kc", "_rotate_coeffs",
                "apply_expS", "eigen_restrict", "_ShellPlans", "_shell_plans", "_paired_frame",
-               "_paired_rows"],
+               "_paired_rows", "_shell_rows", "_stack_block"],
     "lattice": ["rationalize_period", "spectrum_to_json", "_cross_matrix", "stokes_spectrum",
                 "squarefree_decompose"],
     "spoly": ["integrate_term", "mode_rotation_frequency", "spoly_to_json",
@@ -88,7 +88,7 @@ ALL = {
 
 # Per module, the private names it imports from other rotspec modules.
 PRIVATE_IMPORTS = {
-    "expansion": ["fields._gevrey_norms", "fields._rotated_products", "fields._shell_rows",
+    "expansion": ["fields._gevrey_norms", "fields._rotated_products", "fields._shell_reps",
                   "spoly._sum_spoly"],
     "solver": ["fields._advect", "fields._angles", "fields._closed_frame",
                "fields._doc_rows", "fields._field_docs", "fields._fields_of",
@@ -141,7 +141,7 @@ def test_trimmed_signatures_and_knobs():
     from rotspec.fields import convolve_advect
     from rotspec.lattice import SemigroupTable, build_lattice
     from rotspec.special import pde_residual
-    from rotspec.spoly import Frequency, SPoly, ode_solve
+    from rotspec.spoly import Frequency, SPoly, bilinear_spoly, ode_solve
 
     assert list(inspect.signature(expand).parameters) == ["traj", "n_orders", "xi_windows"]
     assert list(inspect.signature(remainder_rate).parameters) == [
@@ -149,6 +149,7 @@ def test_trimmed_signatures_and_knobs():
     assert list(inspect.signature(SPoly.from_field).parameters) == ["u"]
     assert not hasattr(SPoly, "reality_error")
     assert list(inspect.signature(ode_solve).parameters) == ["beta", "p"]
+    assert list(inspect.signature(bilinear_spoly).parameters) == ["f", "g"]
     assert not hasattr(Frequency, "scale")
     assert not hasattr(Frequency, "user")
     assert not hasattr(SemigroupTable, "is_eigenvalue")

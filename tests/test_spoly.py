@@ -345,16 +345,16 @@ def test_apply_expS_spoly_matches_numeric():
     assert apply_expS_spoly(SPoly.from_field(u), 0.0).n_terms() == SPoly.from_field(u).n_terms()
 
 
-def test_bilinear_spoly_matches_numeric():
+def test_bilinear_spoly_matches_numeric(b_omega):
     u = random_gevrey(LAT, seed=12)
     v = random_gevrey(LAT, seed=13)
-    h = bilinear_spoly(SPoly.from_field(u), SPoly.from_field(v), OMEGA)
+    h = b_omega(SPoly.from_field(u), SPoly.from_field(v), OMEGA)
     for t in (0.0, 0.51, 1.2):
         np.testing.assert_allclose(
             h.evaluate(t).coeffs, advect(LAT, u.coeffs, v.coeffs, t, OMEGA), atol=1e-13)
     _assert_real(h)
     # bilinearity in the polynomial multiplier: B(t*u, v) = t * B(u, v)
-    h1 = bilinear_spoly(_field_spoly(u, m=1), SPoly.from_field(v), OMEGA)
+    h1 = b_omega(_field_spoly(u, m=1), SPoly.from_field(v), OMEGA)
     t = 0.73
     np.testing.assert_allclose(
         h1.evaluate(t).coeffs, t * advect(LAT, u.coeffs, v.coeffs, t, OMEGA), atol=1e-13)
@@ -438,7 +438,7 @@ _LATTICES = {
 @pytest.mark.parametrize("degrees", [((0, 1, 2), (0, 3)), ((0, 3), (0, 1, 2)), ((1,), (2,))])
 @pytest.mark.parametrize("omega", [0.0, 3.0, -2.5])
 @pytest.mark.parametrize("name", list(_LATTICES))
-def test_bilinear_spoly_matches_reference_loop(name, omega, degrees):
+def test_bilinear_spoly_matches_reference_loop(b_omega, name, omega, degrees):
     lat = _LATTICES[name]
     wgen = omega or OMEGA
     f = _random_spoly(lat, seed=20, degrees=degrees[0], omega=wgen, n_modes=6)
@@ -446,19 +446,19 @@ def test_bilinear_spoly_matches_reference_loop(name, omega, degrees):
     g = g + SPoly(lat, {((1, 0, 0), 1, _root7(0.37)): np.array([0.0, 1.0, -1.0])})
     want = _bilinear_reference(f, g, omega)
     assert want.n_terms() > 0
-    _assert_identical(bilinear_spoly(f, g, omega), want)
+    _assert_identical(b_omega(f, g, omega), want)
 
 
 @given(st.sampled_from(["cube3", "aniso5"]), st.integers(0, 2**16),
        st.sampled_from([0.0, 3.0, -2.5, 0.7]))
 @settings(deadline=None, max_examples=25)
-def test_bilinear_spoly_reality(name, seed, omega):
+def test_bilinear_spoly_reality(b_omega, name, seed, omega):
     """Real factors give a real product."""
     lat = _LATTICES[name]
     wgen = omega or OMEGA
     f = _random_spoly(lat, seed, degrees=(0, 1), omega=wgen, n_modes=4).scale(0.1)
     g = _random_spoly(lat, seed + 1, degrees=(0, 2), omega=wgen, n_modes=4).scale(0.1)
-    _assert_real(bilinear_spoly(f, g, omega))
+    _assert_real(b_omega(f, g, omega))
 
 
 @pytest.mark.parametrize("omega", [3.0, -2.5])
@@ -516,7 +516,7 @@ def _dot_case(d):
     c1 = _C6.proj[o] @ _Z6 + d * _C6.kcheck[o]
     assert c1 @ _C6.kcheck[o] != 0
     f = SPoly(_C6, {((1, 0, 0), 0, _Z): c1})
-    return _on_110(bilinear_spoly(f, SPoly(_C6, {((0, 1, 0), 0, _Z): np.array([0, 0, 1.0])}), 0.0))
+    return _on_110(bilinear_spoly(f, SPoly(_C6, {((0, 1, 0), 0, _Z): np.array([0, 0, 1.0])})))
 
 
 def _projection_case(d):
@@ -525,7 +525,7 @@ def _projection_case(d):
     c2 = (0.3 - 0.8j) * _C6.kcheck[o] + d * np.array([0, 0, 1.0])
     assert np.any(_C6.proj[o] @ c2 != 0)
     f = SPoly(_C6, {((1, 0, 0), 0, _Z): np.array([0, 1.0, 1.0])})
-    return _on_110(bilinear_spoly(f, SPoly(_C6, {((0, 1, 0), 0, _Z): c2}), 0.0))
+    return _on_110(bilinear_spoly(f, SPoly(_C6, {((0, 1, 0), 0, _Z): c2})))
 
 
 def _key_sum_case(d):
@@ -534,7 +534,7 @@ def _key_sum_case(d):
     c1, c2 = (0.3 + 0.1j) * np.array([0, 1.0, 1.0]), np.array([0.3, 0.1, 0.7j])
     f = SPoly(_C6, {((1, 0, 0), 1, _Z): c1, ((1, 0, 0), 0, _Z): 3 * c1})
     g = SPoly(_C6, {((0, 1, 0), 1, _Z): c2, ((0, 1, 0), 2, _Z): -(1 + d) * c2 / 3})
-    return _on_110(bilinear_spoly(f, g, 0.0), deg=2)
+    return _on_110(bilinear_spoly(f, g), deg=2)
 
 
 def _products_case(d):
