@@ -27,10 +27,12 @@ sum back once, returning them in that layout (rows: _shell_reps).  The
 integrator (rotspec.solver) steps the representative half on its closed
 frame and rotates only through its fused propagators and its records'
 representative rows.  Rotation and projection multiply by the lattice's
-cached complex operators (_complex_ops).  The convolution sums its pairs
-in scipy's compiled CSR routine.  _mirror writes every conjugate half,
-and only the callers that need full rows call it: convolve_advect,
-advect, the integrator's records, random_gevrey and SPoly.evaluate_many.
+cached complex operators (_complex_ops).  The convolution is two of
+scipy's compiled CSR sums: each plan's matrix K forms the pairs' dot
+products, and the plan's pairs sum them times the second input.  _mirror
+writes every conjugate half, and only the callers that need full rows
+call it: convolve_advect, advect, the integrator's records, random_gevrey
+and SPoly.evaluate_many.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ import numpy as np
 # the (M, N) CSR matrix A = (data, indices, indptr) and C-ordered (N, k) X
 # and (M, k) Y: the compiled sum behind scipy.sparse's public product of a
 # CSR matrix and an (N, k) array, A @ X, which allocates a zero Y and calls it.
-from scipy.sparse._sparsetools import csr_matvecs
+# csr_matvec(M, N, indptr, indices, data, x, y) is the same for an (N,)
+# vector x and (M,) y, behind A @ x.
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .lattice import Lattice
 
@@ -302,16 +306,21 @@ class _Plan:
     """The live pairs of pairs = _pairs(lattice, lam, frame.support) on a
     frame's rows, row-sorted.
 
-    Pair p multiplies U_im[p] . kc[:, p] by V_ij[p] into output row o for
+    Pair p multiplies U_im[p] . kcheck_o by V_ij[p] into output row o for
     indptr[o] <= p < indptr[o + 1]: im and ij are positions in the frame's
     rows, and the output rows are its representative modes on the shell lam
     (every one for None).  Each row lists its pairs by first mode, in the
-    full plan's order.  kc holds the output wave vectors as three
-    contiguous rows, cast to complex and read-only: a complex factor times
-    a real one is cast to complex, through a buffer, on every call, so a
-    product with the cast values has the real vectors' bits without the
-    cast.  blocks caches the CSR index arrays of the plan's block-diagonal
-    matrices by stack size (block).  A plan holds no per-call data.
+    full plan's order.  K = (indptr, indices, data) is the (P, 3 * n_in)
+    CSR matrix of the dot products: row p holds pair p's output wave
+    vector at columns 3 im[p] + c, so K times the frame's rows, read as
+    one flat (3 * n_in,) vector per sample, is every pair's U_im[p] .
+    kcheck_o.  Its data are cast to complex and read-only: a complex
+    factor times a real one is cast to complex on every call, so a product
+    with the cast values has the real vectors' bits without the cast; its
+    index arrays are int32 where the values fit, as block stores them.
+    blocks caches the CSR index arrays of the plan's block-diagonal output
+    matrices by stack size (block).  A plan holds no per-call data, and one
+    K serves every stack size.
     """
 
     def __init__(self, frame: "_Frame", lam, pairs):
@@ -330,8 +339,13 @@ class _Plan:
         self.indptr = np.r_[0, np.cumsum(np.bincount(np.searchsorted(reps, io),
                                                      minlength=len(reps)))]
         self.n_in = len(frame.rows)
-        self.kc = np.ascontiguousarray(lattice.kcheck[io].T, dtype=complex)
-        self.kc.flags.writeable = False
+        P = len(io)
+        idx = np.int32 if 3 * max(P, self.n_in) < 2**31 else np.int64
+        self.K = (np.arange(0, 3 * P + 1, 3, dtype=idx),
+                  (3 * self.im.astype(idx) + np.arange(3, dtype=idx)[:, None]).T.ravel(),
+                  lattice.kcheck.take(io, axis=0).astype(complex).ravel())
+        for a in self.K:
+            a.flags.writeable = False
         self.blocks = {}
 
     def block(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -453,9 +467,9 @@ def convolve_advect(lattice: Lattice, U: np.ndarray, V: np.ndarray) -> np.ndarra
     as np.conj of its representative.  The sum runs over the lattice's
     full plan, built the first time a convolution takes it.
 
-    Each pair's dot product is summed left to right over the three
-    components, (U_m0 k0 + U_m1 k1) + U_m2 k2, on one (3, ..., P) gather of
-    U's components at the pairs.
+    Each pair's dot product is its plan's row of K (_Plan) summed left to
+    right from +0, ((+0 + U_m0 k0) + U_m1 k1) + U_m2 k2, in scipy's
+    compiled CSR sum (_convolve).
     """
     _check_shapes(U, V, lattice.n_modes)
     frame = _lattice_frame(lattice)
@@ -477,6 +491,18 @@ def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, lam=None) -> np.ndarr
     the frame's n representative rows, with the frame's plan for lam.  Each
     input's partners are its np.conj, written into the kernel's own buffer
     (_with_partners); nothing is mirrored.
+
+    Two compiled CSR sums form it.  The first is the plan's K times U's
+    buffer: every pair's dot product U_m . kcheck_k, by csr_matvec for one
+    sample, and for a stack by one csr_matvecs on the buffer laid out as
+    (3 * 2n, samples), whose (P, samples) result is laid out by sample.
+    The second sums the dots times V's buffer into each output row, through
+    the block-diagonal index arrays of the stack's size (_Plan.block).  A
+    dot sums from +0, so where its three products are all -0 a part reads
+    +0 where (U_m0 k0 + U_m1 k1) + U_m2 k2 read -0.  That moves no output
+    bit: a dot's product with V_j then differs at most in the sign of a
+    zero part, or is the same NaN, and the output sum also starts at +0,
+    so no partial sum is -0 and adding a zero of either sign leaves it.
 
     A pair a closed frame's plan drops has a factor outside the frame,
     where the inputs are zero; it is an exact zero only if its other factor
@@ -500,18 +526,21 @@ def _convolve(frame: _Frame, U: np.ndarray, V: np.ndarray, lam=None) -> np.ndarr
     count = math.prod(V.shape[:-2])
     Uf = _with_partners(U)
     Vf = Uf if V is U else _with_partners(V)
-    # g[c]: component c of U at the pairs' first modes, (..., P)
-    g = Uf.transpose(Uf.ndim - 1, *range(Uf.ndim - 1)).take(plan.im, axis=-1)
-    g *= plan.kc.reshape(3, *(1,) * (Uf.ndim - 2), -1)
-    dots = g[0]
-    dots += g[1]
-    dots += g[2]
+    P, width = len(plan.im), 6 * n
+    if count == 1:
+        dots = np.zeros(P, dtype=complex)
+        csr_matvec(P, width, *plan.K, Uf.ravel(), dots)
+    else:
+        # the samples' dots as the columns of one (P, count) sum, then laid
+        # out by sample for the block-diagonal output sum
+        dots = np.zeros((P, count), dtype=complex)
+        csr_matvecs(P, width, count, *plan.K, Uf.reshape(count, width).T.ravel(), dots.ravel())
+        dots = dots.T.ravel()
     indptr, indices = plan.block(count)
     # scipy's S @ V, with S = (dots, indices, indptr): the same sum into a
     # +0 output, on V as the C-ordered complex128 array that product takes
     out = np.zeros(V.shape[:-2] + (outs, 3), dtype=complex)
-    csr_matvecs(count * outs, count * 2 * n, 3, indptr, indices, dots.ravel(), Vf.ravel(),
-                out.ravel())
+    csr_matvecs(count * outs, count * 2 * n, 3, indptr, indices, dots, Vf.ravel(), out.ravel())
     np.multiply(1j, out, out=out)
     return out
 
@@ -557,8 +586,10 @@ def _mirror(pairing: Tuple[np.ndarray, np.ndarray], out: np.ndarray,
     return out
 
 
-# samples per convolution of a stacked product: the three gathered components
-# of the plan's pairs, 48 B per sample and pair, stay near this many bytes
+# samples per convolution of a stacked product: 48 B per sample times the
+# plan's pairs or the frame's rows, whichever is more, stays near this many
+# bytes (per sample, the dots take 32 B per pair, by pair and by sample, and
+# each partner buffer and the K sum's copy of the first take 48 B per row)
 _STACK_BLOCK_BYTES = 1 << 20
 
 

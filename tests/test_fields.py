@@ -30,6 +30,7 @@ from rotspec.fields import (
     _pairs,
     _rotate,
     _rotate_by,
+    _shell_outs,
     field_from_doc,
     field_to_doc,
     inner,
@@ -314,11 +315,21 @@ def test_conv_plan_matches_reference_loop():
             plan = frame.plan(lam)
             np.testing.assert_array_equal(frame.rows[plan.im], im[sel])
             np.testing.assert_array_equal(frame.rows[plan.ij], ij[sel])
-            np.testing.assert_array_equal(plan.kc, lat.kcheck[io[sel]].T)
+            np.testing.assert_array_equal(_K_vectors(plan), lat.kcheck[io[sel]])
             assert plan.im.flags.c_contiguous and plan.ij.flags.c_contiguous
-            assert plan.kc.flags.c_contiguous
+            assert all(a.flags.c_contiguous for a in plan.K) and not hasattr(plan, "kc")
             np.testing.assert_array_equal(plan.indptr, _indptr(io[sel], _plan_outs(frame, lam)))
             assert n_pairs == len(plan.im)
+
+
+def _K_vectors(plan):
+    """The output wave vectors of a plan's dot-product matrix K, (P, 3),
+    after checking that row p holds them at columns 3 im[p] + c."""
+    indptr, indices, data = plan.K
+    P = len(plan.im)
+    np.testing.assert_array_equal(indptr, np.arange(0, 3 * P + 1, 3))
+    np.testing.assert_array_equal(indices, (3 * plan.im[:, None] + np.arange(3)).ravel())
+    return data.reshape(P, 3)
 
 
 def _indptr(io, outs):
@@ -581,11 +592,12 @@ def test_plan_builder_restricts_the_full_plan_in_order():
             full = frame.plan(lam)
             assert len(full.im) == np.count_nonzero(_pairs(lat, lam, None)[3])
             whole = _Plan(frame, lam, _pairs(lat, lam, (every, every)))
-            for name in ("im", "ij", "kc", "indptr"):
-                got, want = getattr(whole, name), getattr(full, name)
+            for got, want in zip([whole.im, whole.ij, whole.indptr, *whole.K],
+                                 [full.im, full.ij, full.indptr, *full.K]):
                 np.testing.assert_array_equal(got, want)
                 assert got.dtype == want.dtype and got.flags.c_contiguous
-            im, ij, kc, indptr = frame.rows[full.im], frame.rows[full.ij], full.kc, full.indptr
+            im, ij, indptr = frame.rows[full.im], frame.rows[full.ij], full.indptr
+            kc = _K_vectors(full)
             outs = _plan_outs(frame, lam)
             io = np.repeat(outs, np.diff(indptr))
             for size in (0, 1, 5, M // 3):
@@ -595,7 +607,7 @@ def test_plan_builder_restricts_the_full_plan_in_order():
                 r = _Plan(frame, lam, _pairs(lat, lam, (rows_u, rows_v)))
                 np.testing.assert_array_equal(frame.rows[r.im], im[keep])
                 np.testing.assert_array_equal(frame.rows[r.ij], ij[keep])
-                np.testing.assert_array_equal(r.kc, kc[:, keep])
+                np.testing.assert_array_equal(_K_vectors(r), kc[keep])
                 np.testing.assert_array_equal(r.indptr, _indptr(io[keep], outs))
 
 
@@ -774,11 +786,12 @@ def test_full_plan_is_built_only_when_used(monkeypatch):
     full = frame.plans[None]
     io = np.repeat(_plan_outs(frame), np.diff(full.indptr))
     n_pairs = np.count_nonzero(_pairs(lat, None, None)[3])
-    assert full.kc.dtype == complex and full.kc.shape == (3, n_pairs)
-    _assert_bits_equal(full.kc.real, lat.kcheck[io].T)
-    assert not np.any(np.ascontiguousarray(full.kc.imag).view(np.uint64))  # +0.0 throughout
+    kc = _K_vectors(full)
+    assert kc.dtype == complex and kc.shape == (n_pairs, 3) and not hasattr(full, "kc")
+    _assert_bits_equal(kc.real, lat.kcheck[io])
+    assert not np.any(np.ascontiguousarray(kc.imag).view(np.uint64))  # +0.0 throughout
     with pytest.raises(ValueError):
-        full.kc[0, 0] = 1.0
+        kc[0, 0] = 1.0
     advect(lat, X[0], X[0], float(ts[0]), 5.0)
     assert len(built) == 1 and frame.plans[None] is full
     indptr, indices = full.blocks[1]
@@ -868,9 +881,9 @@ def test_complex_operators_are_cast_once_and_read_only():
 
 
 def test_plan_wave_vectors_are_cast_once_and_read_only():
-    """A plan's complex wave vectors are cast once, when a convolution first
-    takes the plan, read-only, with the real vectors' bits; no plan is
-    built before."""
+    """A plan's dot-product matrix K is built once, when a convolution first
+    takes the plan, with read-only arrays and complex wave vectors of the
+    real vectors' bits; no plan is built before."""
     lat = build_lattice(cutoff=4)  # fresh: no plan cached yet
     U, ts = _samples(lat, 3, 3)
     lam = lat.eigenvalues[2]
@@ -879,15 +892,104 @@ def test_plan_wave_vectors_are_cast_once_and_read_only():
         n_pairs = np.count_nonzero(_pairs(lat, shell, None)[3])
         assert shell not in frame.plans
         advect(lat, U, U, ts, 2.0, shell)
-        kc = frame.plans[shell].kc
+        K = frame.plans[shell].K
+        kc = _K_vectors(frame.plans[shell])
         io = np.repeat(_plan_outs(frame, shell), np.diff(frame.plans[shell].indptr))
-        assert kc.dtype == complex and kc.shape == (3, n_pairs)
-        _assert_bits_equal(kc.real, lat.kcheck[io].T)
+        assert kc.dtype == complex and kc.shape == (n_pairs, 3)
+        assert not hasattr(frame.plans[shell], "kc")
+        _assert_bits_equal(kc.real, lat.kcheck[io])
         assert not np.any(np.ascontiguousarray(kc.imag).view(np.uint64))  # +0.0 throughout
-        with pytest.raises(ValueError):
-            kc[0, 0] = 1.0
+        for a in K:
+            with pytest.raises(ValueError):
+                a[0] = 1
         advect(lat, U[0], U[0], float(ts[0]), 2.0, shell)
-        assert frame.plans[shell].kc is kc
+        assert frame.plans[shell].K is K
+
+
+def test_each_convolution_is_one_K_sum_and_one_output_sum(monkeypatch):
+    """Every _convolve call makes two compiled sums: the plan's K times the
+    first input's buffer (csr_matvec for one sample, csr_matvecs for a
+    stack) and then the output sum on the stack size's block.  After
+    stacks of several sizes each plan still holds its one K, and its
+    blocks cache holds only pairs of index arrays."""
+    import rotspec.fields as fields
+    calls = []
+
+    def spy(name):
+        f = getattr(fields, name)
+
+        def call(*args):
+            calls.append((name, args))
+            return f(*args)
+        return call
+
+    for name in ("csr_matvec", "csr_matvecs"):
+        monkeypatch.setattr(fields, name, spy(name))
+    lat = LATTICES["cube6"]
+    frame = _lattice_frame(lat)
+    ray = STACKS["ray10"][0]
+    closed = _closed_frame(ray, _ray_samples(ray, 0, 1)[0][0])
+    cases = [(frame, None), (frame, lat.eigenvalues[1]), (closed, None)]
+    Ks = [f.plan(lam).K for f, lam in cases]
+    rng = np.random.default_rng(7)
+    for f, lam in cases:
+        plan = f.plan(lam)
+        n = len(f.outs)
+        for shape in [(), (1,), (2,), (5,), (2, 3), (0,)]:
+            X = rng.standard_normal(shape + (n, 3)) + 1j * rng.standard_normal(shape + (n, 3))
+            count = math.prod(shape)
+            del calls[:]
+            _convolve(f, X, X if count % 2 else X.copy(), lam)
+            assert [c[0] for c in calls] == [
+                "csr_matvec" if count == 1 else "csr_matvecs", "csr_matvecs"]
+            (_, k_args), (_, out_args) = calls
+            k_arrays = k_args[2:5] if count == 1 else k_args[3:6]
+            assert all(a is b for a, b in zip(k_arrays, plan.K))
+            assert out_args[2] == 3
+            assert all(a is b for a, b in zip(out_args[3:5], plan.block(count)))
+    for (f, lam), K in zip(cases, Ks):
+        plan = f.plan(lam)
+        assert plan.K is K and not hasattr(plan, "kc")
+        assert sorted(vars(plan)) == ["K", "blocks", "ij", "im", "indptr", "n_in"]
+        assert {0, 1, 2, 5, 6} <= set(plan.blocks)
+        for block in plan.blocks.values():
+            assert len(block) == 2 and all(a.dtype.kind == "i" for a in block)
+
+
+@given(st.sampled_from(["cube6", "zeros6", "ray10"]), st.integers(0, 80),
+       st.integers(0, 2**16), st.booleans(), st.data())
+@settings(deadline=None, max_examples=40)
+def test_stacked_convolution_is_its_single_sample_calls(name, count, seed, same, data):
+    """A stack of 0 to 80 samples convolves to its samples' single calls bit
+    for bit, which pins the stacked K sum (csr_matvecs) against the
+    one-sample one (csr_matvec): on the cube-6 lattice frame's plans,
+    including a shell with no pairs (lam = 1/3), on inputs with signed
+    zeros, and on a closed ray frame; a (1, n, 3) stack gives the bare
+    (n, 3) sample's bits."""
+    lat = STACKS[name][0]
+    if name == "ray10":
+        frame, lam = _closed_frame(lat, _ray_samples(lat, seed, 1)[0][0]), None
+    else:
+        frame = _lattice_frame(lat)
+        lam = data.draw(st.sampled_from([None, *lat.eigenvalues, Fraction(1, 3)]))
+    rng = np.random.default_rng(seed)
+    shape = (count, len(frame.outs), 3)
+    X, Y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    if name == "zeros6":
+        for A in (X, Y):
+            A.real[rng.random(shape) < 0.3] = -0.0
+            A.imag[rng.random(shape) < 0.3] = -0.0
+    if same:
+        Y = X
+    got = _convolve(frame, X, Y, lam)
+    rows = _shell_outs(frame, lam)
+    assert got.shape == (count, rows.stop - rows.start, 3)
+    for b in range(count):
+        x = X[b]
+        one = _convolve(frame, x, x if same else Y[b], lam)
+        _assert_bits_equal(got[b], one)
+        if b == 0:
+            _assert_bits_equal(_convolve(frame, X[:1], Y[:1], lam), one[None])
 
 
 def _rotate_reference(lat, C, theta):
