@@ -40,7 +40,7 @@ from .lattice import Lattice, SemigroupTable, semigroup_table
 from .fields import SpectralField, _gevrey_norms, _rotated_products, _shell_reps
 from .spoly import (SPoly, _sum_spoly, antiderivative, apply_expS_spoly, bilinear_spoly,
                     ode_solve)
-from .solver import Trajectory
+from .solver import Trajectory, _cumulative_simpson
 
 __all__ = [
     "Expansion",
@@ -223,18 +223,21 @@ def _fit_resonant_constant(exp: Expansion, mu: Fraction,
     The forcing is R of B_Omega(r, v) + B_Omega(s, r), s the partial sum,
     plus the pairs of earlier orders whose combined rate exceeds mu, formed
     in the u frame (_shell_forcing).  z reads the v-frame rows directly.
-    """
-    from scipy.integrate import cumulative_simpson  # loaded by the first fit, not on import
 
+    The running integral of g is solver's _cumulative_simpson, the
+    cumulative Simpson rule on the sample times, applied to g's real and
+    imaginary parts.  Its result is laid out as scipy's cumulative_simpson
+    lays it out, axis 0 last in memory: the window means below sum pairwise
+    in memory order, and a C-ordered result of equal values moves xi's
+    norm, window spread and drift rate by an ulp at some orders.
+    """
     lat = exp.lattice
     ts = exp.traj.times
     reps = _shell_reps(lat, mu)
     emu = np.exp(float(mu) * ts)
 
     g = -emu[:, None, None] * _shell_forcing(exp, mu)
-    # scipy's cumulative_simpson is real-only; integrate the parts separately
-    G = cumulative_simpson(g.real, x=ts, axis=0, initial=0.0) \
-        + 1j * cumulative_simpson(g.imag, x=ts, axis=0, initial=0.0)
+    G = _cumulative_simpson(g.real, ts) + 1j * _cumulative_simpson(g.imag, ts)
     # R r = R v - R s, the partial sum added as Expansion.partial_sum adds it
     s_shell = sum((x[:, reps] for x in exp.samples), np.zeros(g.shape, complex))
     z = emu[:, None, None] * (exp.traj.coeffs[:, reps] - s_shell)

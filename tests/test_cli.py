@@ -1777,8 +1777,8 @@ def test_what_simulate_writes_expand_reads(cfg):
 
 def test_import_of_the_cli_leaves_orjson_unloaded():
     """Every command that writes JSON, a document or a trajectory, imports
-    orjson when it writes, and the resonant fit imports scipy.integrate when
-    it runs; importing the command line loads neither."""
+    orjson when it writes; importing the command line loads neither orjson
+    nor scipy.integrate, which the package never imports."""
     src = str(Path(rotspec.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -1787,3 +1787,31 @@ def test_import_of_the_cli_leaves_orjson_unloaded():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60)
     assert (run.returncode, run.stdout.strip()) == (0, "[]"), run.stderr
+
+
+def test_fit_and_energy_report_leave_scipy_integrate_unloaded(tmp_path):
+    """The resonant fit and energy_report integrate with the package's own
+    Simpson rule (solver._cumulative_simpson): a process that simulates,
+    expands to order 2 (fitting the constant on both resonant shells),
+    writes the remainder report and runs energy_report never loads
+    scipy.integrate."""
+    _write_config(tmp_path / "config.json", lattice={"cutoff": 2},
+                  solver={"dt": 0.01, "t_end": 6.0, "form": "v"})
+    src = str(Path(rotspec.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import json, sys\n"
+            "from rotspec.cli import main\n"
+            "from rotspec.solver import energy_report, trajectory_from_jsonl\n"
+            "assert main(['simulate', '--config', 'config.json', '--out', 'traj.jsonl']) == 0\n"
+            "assert main(['expand', '--traj', 'traj.jsonl', '--order', '2',"
+            " '--out', 'exp.json']) == 0\n"
+            "assert main(['report', '--report', 'exp.json', '--out', 'rem.csv']) == 0\n"
+            "with open('traj.jsonl') as fh:\n"
+            "    energy_report(trajectory_from_jsonl(fh)[0])\n"
+            "with open('exp.json') as fh:\n"
+            "    fitted = [d['resonant'] and 'xi_norm' in d for d in json.load(fh)['diagnostics']]\n"
+            "print(fitted, 'scipy.integrate' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout.strip()) == (0, "[True, True] False"), run.stderr

@@ -89,7 +89,7 @@ ALL = {
 # Per module, the private names it imports from other rotspec modules.
 PRIVATE_IMPORTS = {
     "expansion": ["fields._gevrey_norms", "fields._rotated_products", "fields._shell_reps",
-                  "spoly._sum_spoly"],
+                  "solver._cumulative_simpson", "spoly._sum_spoly"],
     "solver": ["fields._advect", "fields._angles", "fields._closed_frame",
                "fields._doc_rows", "fields._field_docs", "fields._fields_of",
                "fields._gevrey_norms", "fields._mirror", "fields._per_mode", "fields._rotate",

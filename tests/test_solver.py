@@ -193,6 +193,55 @@ def test_energy_report_input_checks(cube6):
         energy_report(Trajectory(cube6, "v", 0.0, nan_t, C))
 
 
+@given(st.integers(3, 700), st.sampled_from(["line", "stack", "parts"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(3, "line", False, 0)
+@example(4, "parts", True, 1)
+@example(601, "parts", False, 2)
+@settings(deadline=None, max_examples=60)
+def test_cumulative_simpson_is_scipys_bit_for_bit(n_samples, kind, jitter, seed):
+    """_cumulative_simpson is scipy's cumulative_simpson(y, x=ts, axis=0,
+    initial=0.0) in every bit, signed zeros included, and in its strides:
+    on (R,) lines, on C-ordered (R, n, 3) stacks, and on the non-contiguous
+    .real and .imag views of a complex stack that the resonant fit passes,
+    at uniform times t0 + k dt and at jittered ones."""
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.2, 1.8, n_samples) if jitter else np.ones(n_samples)
+    ts = rng.uniform(-10.0, 10.0) + 0.01 * np.cumsum(gaps)
+    shape = (n_samples,) if kind == "line" else (n_samples, int(rng.integers(1, 9)), 3)
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    z[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
+    z[rng.random(shape) < 0.1] = 0.0
+    ys = [z.real, z.imag] if kind == "parts" else [np.ascontiguousarray(z.real)]
+    for y in ys:
+        ours = rotspec.solver._cumulative_simpson(y, ts)
+        ref = cumulative_simpson(y, x=ts, axis=0, initial=0.0)
+        assert ours.dtype == ref.dtype and ours.strides == ref.strides
+        assert np.array_equal(ours, ref)
+        assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+def test_cumulative_simpson_refuses_what_it_cannot_integrate():
+    """Times that do not strictly increase, scipy's refusal too; fewer than
+    3 samples, where scipy falls back to the trapezoid rule; and a y that
+    is not one row per time."""
+    quad = rotspec.solver._cumulative_simpson
+    y = np.ones(5)
+    for ts in ([0.0, 0.1, 0.1, 0.3, 0.4], [0.0, 0.1, 0.2, 0.15, 0.4],
+               [0.0, 0.1, np.nan, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1, 0.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            quad(y, np.array(ts))
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            quad(np.ones((n, 4, 3)), np.arange(n, dtype=float))
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        quad(np.ones(4), np.arange(5.0))
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        quad(np.ones((5, 5)), np.ones((5, 5)))
+
+
 def test_record_stride(cube6):
     v0 = random_gevrey(cube6, seed=3, amplitude=0.05)
     cfg = dict(dt=1e-2, t_end=0.5, omega=2.0, form="v")
